@@ -12,8 +12,10 @@ build:
 vet:
 	$(GO) vet ./...
 
+# cmd/benchmark is its own module (see its README), so ./... skips it.
 test:
 	$(GO) test ./...
+	cd cmd/benchmark && $(GO) vet . && $(GO) test .
 
 # Race-check the whole tree — the parallel experiment runner
 # (internal/runner) fans experiments out over a worker pool, so the
@@ -93,8 +95,9 @@ fuzz:
 # The switched-fabric battery: topology shape/routing invariants, the
 # max-min property storm over random fabrics, the two-node degeneracy
 # differential (fabric vs legacy network, byte-identical), the fabric
-# experiment determinism sweep, and the 1k-host solve budget — all
-# under the race detector.
+# experiment determinism sweep, the 128-host multi-job worlds under the
+# fluid differential oracle (TestFabricDifferentialK8), and the 1k-host
+# solve budget — all under the race detector.
 fabric:
 	$(GO) test -race -count=1 -run 'Fabric' ./internal/topology/ ./internal/net/ ./internal/bench/ ./internal/runner/ ./internal/server/
 

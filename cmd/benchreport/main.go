@@ -142,6 +142,15 @@ type FabricRun struct {
 	SlowdownJobs             int     `json:"slowdown_jobs"`
 	MultiJobSlowdownMinimal  float64 `json:"multi_job_slowdown_minimal"`
 	MultiJobSlowdownAdaptive float64 `json:"multi_job_slowdown_adaptive"`
+	// The ratios above divide each routing by its own solo run, and
+	// adaptive routing speeds up the solo job too, so they can rank the
+	// routings the wrong way round. MakespanMs* are the same cell's
+	// shared-fabric makespans (slowest job, mean over runs) and SoloMs
+	// the one baseline both are read against: the solo makespan under
+	// minimal routing, the default policy.
+	MakespanMsMinimal  float64 `json:"makespan_ms_minimal"`
+	MakespanMsAdaptive float64 `json:"makespan_ms_adaptive"`
+	SoloMs             float64 `json:"solo_ms"`
 }
 
 // PointRun is the schema-6 per-point cost block the CI ratchet tracks:
@@ -311,6 +320,8 @@ func main() {
 		fmt.Printf("  fabric: %s (%d hosts, %d links) solve %.0f ns/step; %s j=%d slowdown minimal %.2fx adaptive %.2fx\n",
 			f.SolvePreset, f.Nodes, f.Links, f.SolveNsPerOp,
 			f.SlowdownPreset, f.SlowdownJobs, f.MultiJobSlowdownMinimal, f.MultiJobSlowdownAdaptive)
+		fmt.Printf("  fabric: %s j=%d makespan minimal %.3fms adaptive %.3fms against one solo baseline %.3fms (minimal routing)\n",
+			f.SlowdownPreset, f.SlowdownJobs, f.MakespanMsMinimal, f.MakespanMsAdaptive, f.SoloMs)
 	}
 	if p := rep.Point; p != nil {
 		fmt.Printf("  point: %.0f ns, %.0f B, %.0f allocs per executed point; campaign cold %.2fs warm %.2fs\n",
@@ -349,8 +360,11 @@ func timeFabric(cluster string, benches map[string]Benchmark) (*FabricRun, error
 		switch cell.Routing {
 		case "minimal":
 			fr.MultiJobSlowdownMinimal = cell.SlowdownMean
+			fr.MakespanMsMinimal = cell.SharedSecs * 1e3
+			fr.SoloMs = cell.AloneSecs * 1e3
 		case "adaptive":
 			fr.MultiJobSlowdownAdaptive = cell.SlowdownMean
+			fr.MakespanMsAdaptive = cell.SharedSecs * 1e3
 		}
 	}
 	return fr, nil
@@ -907,6 +921,13 @@ func emitText(path string) error {
 		}
 		if f.MultiJobSlowdownAdaptive > 0 {
 			fmt.Printf("BenchmarkFabricSlowdownAdaptiveJ%d 1 %.6g ns/op\n", f.SlowdownJobs, f.MultiJobSlowdownAdaptive)
+		}
+		// Simulated makespans, in simulated ns; absent before they were
+		// recorded.
+		if f.SoloMs > 0 {
+			fmt.Printf("BenchmarkFabricMakespanMinimalJ%d 1 %.6g ns/op\n", f.SlowdownJobs, f.MakespanMsMinimal*1e6)
+			fmt.Printf("BenchmarkFabricMakespanAdaptiveJ%d 1 %.6g ns/op\n", f.SlowdownJobs, f.MakespanMsAdaptive*1e6)
+			fmt.Printf("BenchmarkFabricSoloJ%d 1 %.6g ns/op\n", f.SlowdownJobs, f.SoloMs*1e6)
 		}
 	}
 	return nil

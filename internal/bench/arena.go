@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mpi"
+	"repro/internal/sim"
 )
 
 // The world arena recycles fully-drained simulated worlds (cluster +
@@ -36,10 +37,12 @@ type pooledWorld struct {
 
 // worldKeeper collects the worlds one point execution builds, so they
 // can be released together once the point's record (including its meter
-// reads) is sealed. Point execution is single-threaded, so the keeper
-// needs no lock.
+// reads) is sealed: the poolable worlds, and the kernel of every world,
+// pooled or not. Point execution is single-threaded, so the keeper needs
+// no lock.
 type worldKeeper struct {
-	worlds []pooledWorld
+	worlds  []pooledWorld
+	kernels []*sim.Kernel
 }
 
 // worldArena is the global shape-keyed freelist.
@@ -90,16 +93,42 @@ func (a *worldArena) put(pw pooledWorld) {
 
 // releaseWorlds returns every world a point execution built to the
 // arena, keeping only those that are provably drained and were eligible
-// for pooling in the first place (newWorld only records such worlds).
+// for pooling in the first place (newWorld only records such worlds),
+// and shuts down the kernels of the other drained worlds (fault and
+// fabric worlds, which are never pooled), so their parked process
+// goroutines exit instead of outliving the point. A world that is not
+// drained (a panicked or abandoned run left it mid-flight) is dropped as
+// it is: its processes may still be blocked, and waking them is never
+// safe.
 func releaseWorlds(keep *worldKeeper) {
+	// Shut down before parking anything: a parked world may be taken by
+	// another worker at once, after which its kernel is not ours to read.
+	for i, k := range keep.kernels {
+		keep.kernels[i] = nil
+		if drained(k) && !keep.pools(k) {
+			k.Shutdown()
+		}
+	}
+	keep.kernels = keep.kernels[:0]
 	for i, pw := range keep.worlds {
 		keep.worlds[i] = pooledWorld{}
-		if !pw.c.K.Idle() || pw.c.K.LiveProcs() != 0 {
-			// A panicked or abandoned run left the world mid-flight;
-			// dropping it is always safe.
-			continue
+		if drained(pw.c.K) {
+			arena.put(pw)
 		}
-		arena.put(pw)
 	}
 	keep.worlds = keep.worlds[:0]
+}
+
+// drained reports whether a kernel has nothing left to run: no pending
+// events and no live processes.
+func drained(k *sim.Kernel) bool { return k.Idle() && k.LiveProcs() == 0 }
+
+// pools reports whether k belongs to one of the keeper's poolable worlds.
+func (keep *worldKeeper) pools(k *sim.Kernel) bool {
+	for _, pw := range keep.worlds {
+		if pw.c.K == k {
+			return true
+		}
+	}
+	return false
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/kernels"
 )
@@ -107,5 +109,36 @@ func TestArenaReuseStorm(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPointReleasesWorldGoroutines checks that the worlds the arena does
+// not pool — fabric and fault worlds — take their process goroutines
+// with them when the point that built them is done.
+func TestPointReleasesWorldGoroutines(t *testing.T) {
+	lat := LatencyConfig()
+	lat.Iters, lat.Warmup = 8, 2
+	pts := []Point{
+		{Key: "t/leak/fabric", Fn: func(e Env) any {
+			return fabricCell(e, FabricConfig{Preset: "fattree-k4", Jobs: 3, Rounds: 2, Bytes: 64 << 10, Shift: true})
+		}},
+		{Key: "t/leak/faults", Fn: func(e Env) any {
+			e.Faults = FaultIntensitySchedule(0.3)
+			lats, _ := runFaultPingPong(e, lat)
+			return lats
+		}},
+	}
+	base := runtime.NumGoroutine()
+	for _, p := range pts {
+		encodeRecord(t, ExecutePoint(quietEnv(), p))
+	}
+	// Shutdown hands each parked goroutine its exit; wait for them to
+	// finish returning.
+	deadline := time.Now().Add(10 * time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after executing the points, %d before", n, base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

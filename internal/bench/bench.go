@@ -85,10 +85,15 @@ func (e Env) Isolated() Env {
 	return e
 }
 
-// track registers a freshly built world's kernel with the meter.
+// track registers a freshly built world's kernel with the meter and,
+// inside a point execution, with the point's keeper, which shuts the
+// kernel's parked goroutines down once the point is done with it.
 func (e Env) track(k *sim.Kernel) {
 	if e.Meter != nil {
 		e.Meter.track(k)
+	}
+	if e.keeper != nil {
+		e.keeper.kernels = append(e.keeper.kernels, k)
 	}
 }
 

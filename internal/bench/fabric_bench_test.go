@@ -5,16 +5,20 @@ import (
 	"time"
 
 	"repro/internal/fluid"
-	"repro/internal/sim"
+	"repro/internal/machine"
+	"repro/internal/net"
 	"repro/internal/topology"
 )
 
 // fabricFluid1k builds the fluid substrate of the 1024-host fat-tree
-// (k=16): one resource per directed link (6144 of them), pre-loaded
-// with `load` quasi-infinite routed flows so every churn step re-solves
-// against a realistically entangled component structure. The flows pair
-// host h with a host half the fabric away, so most paths climb to the
-// core layer and the components are large.
+// (k=16) the way the fabric experiments do, through machine.NewCluster
+// and net.NewFabric: every node's resources first, then one resource
+// per directed link (6144 of them), so the model is ordered and sized
+// like a fabric-1k world. It is pre-loaded with `load` quasi-infinite
+// routed flows so every churn step re-solves against a realistically
+// entangled component structure. The flows pair host h with a host half
+// the fabric away, so most paths climb to the core layer and the
+// components are large.
 func fabricFluid1k(tb testing.TB, load int) (*fluid.Model, *topology.Fabric, []*fluid.Resource) {
 	tb.Helper()
 	spec := topology.FabricPreset("fattree-k16")
@@ -22,10 +26,12 @@ func fabricFluid1k(tb testing.TB, load int) (*fluid.Model, *topology.Fabric, []*
 		tb.Fatal("fattree-k16 preset missing")
 	}
 	fab := spec.MustBuild()
-	m := fluid.NewModel(sim.NewKernel(1))
+	c := machine.NewCluster(topology.Henri(), fab.NHosts, 1)
+	nw := net.NewFabric(c, spec, false)
+	m := c.Fluid
 	links := make([]*fluid.Resource, len(fab.Links))
-	for i := range fab.Links {
-		links[i] = m.NewResource(fab.LinkName(i), 12.5e9)
+	for i := range links {
+		links[i] = nw.Link(i)
 	}
 	var buf []int
 	for i := 0; i < load; i++ {
@@ -93,5 +99,31 @@ func TestFabricSolveBudget1k(t *testing.T) {
 	t.Logf("1k-host fat-tree: %d links, mean churn step %v", len(fab.Links), mean)
 	if mean > time.Second {
 		t.Fatalf("mean incremental solve step %v exceeds the 1s budget", mean)
+	}
+}
+
+// TestFabricDifferentialK8 runs full multi-job worlds on the 128-host
+// fat-tree, under minimal and adaptive routing, with the fluid
+// differential oracle armed: every solve of the world — components of
+// hundreds of resources, which take the solver's heap and sort paths —
+// is shadowed by the reference solver and must agree with it to the ulp
+// (the oracle panics otherwise).
+func TestFabricDifferentialK8(t *testing.T) {
+	if testing.Short() {
+		t.Skip("128-host fabric under the differential oracle; skipped with -short")
+	}
+	fluid.SetDifferential(true)
+	defer fluid.SetDifferential(false)
+	spec := topology.FabricPreset("fattree-k8")
+	hosts := spec.MustBuild().NHosts
+	for _, adaptive := range []bool{false, true} {
+		cfg := FabricConfig{Preset: "fattree-k8", Adaptive: adaptive, Jobs: 3, Rounds: 2, Bytes: 1 << 20, Shift: true}
+		c, nw := fabricWorld(quietEnv(), spec, adaptive, 1)
+		for j, ms := range runFabricJobs(c, nw, stripedJobs(hosts, cfg.Jobs), cfg) {
+			if ms <= 0 {
+				t.Fatalf("%s: job %d reported makespan %v", cfg.routing(), j, ms)
+			}
+		}
+		c.K.Shutdown()
 	}
 }

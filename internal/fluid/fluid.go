@@ -32,8 +32,11 @@
 package fluid
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -115,6 +118,7 @@ type Flow struct {
 	started   sim.Time
 	finished  bool
 	pooled    bool   // parked on the model's flow free list
+	pos       int32  // position in compFlows during an ordered fill (fits the bools' padding)
 	index     int    // position in model.flows, -1 when removed
 	mark      uint64 // component-traversal epoch stamp
 }
@@ -193,7 +197,6 @@ type Model struct {
 	fixed     []bool
 	compFlows []*Flow
 	compRes   []*Resource
-	resQ      []*Resource
 	done      []*Flow
 
 	// Free lists for the model-owned per-flow bookkeeping arrays,
@@ -564,11 +567,36 @@ func (m *Model) solveDirty() {
 	m.solveScoped()
 }
 
+// Size cutoffs between the two paths of each ordering decision below.
+// Both paths of a decision produce the same order, so the cutoffs move
+// speed, never results; they are variables only so tests can force
+// either path.
+var (
+	// heapMinRes is the component size (in resources) from which
+	// progressive filling selects bottlenecks from a heap (fillOrdered)
+	// instead of rescanning the component every round (fillScan).
+	heapMinRes = 64
+	// sortRatio: collectComponent sorts a component into canonical order
+	// when the model has more than sortRatio times as many flows (or
+	// resources) as the component, and scans the model otherwise.
+	sortRatio = 8
+)
+
 // collectComponent walks the resource/flow bipartite graph from the
 // dirty seeds and fills compFlows/compRes with the touched component(s)
 // in canonical order: flows in global flow-list order, resources in
 // creation order — the orders the whole-model solver iterates in, so
 // the scoped solve below replays its exact arithmetic.
+//
+// The walk appends members in discovery order (compRes doubles as its
+// work queue). Each list is then put in canonical order by whichever is
+// cheaper for its size: a component much smaller than the model is
+// sorted (flows by index, resources by id); a larger one is rebuilt by
+// scanning the global slice for the traversal marks, which is linear
+// with an early exit and beats a sort when the component is most of the
+// model. On a 1k-host fabric a transfer's component is a small part of
+// the model and every link resource is created after every node
+// resource, so a scan would walk all node resources on each solve.
 //
 // Flows with no remaining work are members (their rate must drop to
 // zero like a full solve would) but do not propagate connectivity:
@@ -576,82 +604,99 @@ func (m *Model) solveDirty() {
 func (m *Model) collectComponent() {
 	m.epoch++
 	epoch := m.epoch
-	q := m.resQ[:0]
-	nFlows, nRes := 0, 0
-
+	flows, res := m.compFlows[:0], m.compRes[:0]
 	for _, r := range m.dirtyRes {
 		if r.mark != epoch {
 			r.mark = epoch
-			nRes++
-			q = append(q, r)
+			res = append(res, r)
 		}
 	}
 	for _, f := range m.dirtyFlows {
-		if f.index < 0 || f.mark == epoch {
-			continue // removed after being marked dirty, or seen
-		}
-		f.mark = epoch
-		nFlows++
-		if f.remaining > 0 {
-			for _, u := range f.uses {
-				if r := u.Resource; r.mark != epoch {
-					r.mark = epoch
-					nRes++
-					q = append(q, r)
-				}
-			}
+		if f.index >= 0 && f.mark != epoch { // not removed after being marked dirty, nor seen
+			flows, res = visitFlow(f, epoch, flows, res)
 		}
 	}
 	m.dirtyFlows = m.dirtyFlows[:0]
 	m.dirtyRes = m.dirtyRes[:0]
-
-	for len(q) > 0 {
-		r := q[len(q)-1]
-		q = q[:len(q)-1]
-		for _, ru := range r.flows {
-			f := ru.f
-			if f.mark == epoch {
-				continue
+	for i := 0; i < len(res); i++ {
+		for _, ru := range res[i].flows {
+			if ru.f.mark != epoch {
+				flows, res = visitFlow(ru.f, epoch, flows, res)
 			}
-			f.mark = epoch
-			nFlows++
-			if f.remaining > 0 {
-				for _, u := range f.uses {
-					if rr := u.Resource; rr.mark != epoch {
-						rr.mark = epoch
-						nRes++
-						q = append(q, rr)
-					}
+		}
+	}
+
+	sortFlows := len(flows) < len(m.flows)/sortRatio
+	sortRes := len(res) < len(m.resources)/sortRatio
+	if sortFlows || sortRes {
+		// Sorting the dense integer keys, then looking the members up by
+		// them, beats sorting the pointers with a comparator that chases
+		// each one.
+		s := scratchPool.Get().(*solveScratch)
+		if sortFlows {
+			order := s.order[:0]
+			for _, f := range flows {
+				order = append(order, int32(f.index))
+			}
+			slices.Sort(order)
+			for i, j := range order {
+				flows[i] = m.flows[j]
+			}
+			s.order = order
+		}
+		if sortRes {
+			order := s.order[:0]
+			for _, r := range res {
+				order = append(order, int32(r.id))
+			}
+			slices.Sort(order)
+			for i, j := range order {
+				res[i] = m.resources[j]
+			}
+			s.order = order
+		}
+		scratchPool.Put(s)
+	}
+	if n := len(flows); !sortFlows {
+		flows = flows[:0]
+		for _, f := range m.flows {
+			if f.mark == epoch {
+				flows = append(flows, f)
+				if len(flows) == n {
+					break
 				}
 			}
 		}
 	}
-	m.resQ = q[:0]
+	if n := len(res); !sortRes {
+		res = res[:0]
+		for _, r := range m.resources {
+			if r.mark == epoch {
+				res = append(res, r)
+				if len(res) == n {
+					break
+				}
+			}
+		}
+	}
+	m.compFlows, m.compRes = flows, res
+}
 
-	// Canonical ordering comes from scanning the global slices for the
-	// marks rather than sorting what the traversal found: the scans are
-	// linear (with an early exit once everything marked has been seen)
-	// and advance() already walks the full flow list on every mutation,
-	// so they add no new asymptotic cost — and the whole-component case,
-	// which a sort makes the most expensive, becomes the cheapest.
-	m.compFlows = m.compFlows[:0]
-	for _, f := range m.flows {
-		if f.mark == epoch {
-			m.compFlows = append(m.compFlows, f)
-			if len(m.compFlows) == nFlows {
-				break
+// visitFlow marks f as a member of the component being collected,
+// appends it to flows, and appends to res, the walk's queue, each
+// resource of f not seen yet.
+func visitFlow(f *Flow, epoch uint64, flows []*Flow, res []*Resource) ([]*Flow, []*Resource) {
+	f.mark = epoch
+	flows = append(flows, f)
+	if f.remaining > 0 {
+		for _, u := range f.uses {
+			if r := u.Resource; r.mark != epoch {
+				r.mark = epoch
+				res = append(res, r)
 			}
 		}
 	}
-	m.compRes = m.compRes[:0]
-	for _, r := range m.resources {
-		if r.mark == epoch {
-			m.compRes = append(m.compRes, r)
-			if len(m.compRes) == nRes {
-				break
-			}
-		}
-	}
+	return flows, res
 }
 
 // solveScoped runs weighted progressive filling over the collected
@@ -693,6 +738,22 @@ func (m *Model) solveScoped() {
 		}
 		remaining++
 	}
+	if remaining > 0 && len(m.compRes) >= heapMinRes {
+		m.fillOrdered(fixed, remaining)
+	} else {
+		m.fillScan(fixed, remaining)
+	}
+	for _, f := range m.compFlows {
+		for _, u := range f.uses {
+			u.Resource.load += u.Weight * f.rate
+		}
+	}
+}
+
+// fillScan runs the progressive-filling rounds by rescanning the
+// component in every round: the cheapest way for the small components
+// of one node's resources.
+func (m *Model) fillScan(fixed []bool, remaining int) {
 	for remaining > 0 {
 		// Candidate fair normalised rate: the tightest bottleneck.
 		bottleneck := (*Resource)(nil)
@@ -749,22 +810,150 @@ func (m *Model) solveScoped() {
 				remaining--
 			}
 		default:
-			// No bottleneck and no cap below it: flows whose every
-			// resource already drained to zero availability. Their fair
-			// share is zero. (Flows with neither resources nor caps were
-			// rejected at Start.)
-			for i, f := range m.compFlows {
-				if !fixed[i] {
-					f.rate = 0
-					fixed[i] = true
+			m.zeroUnfixed(fixed)
+			return
+		}
+	}
+}
+
+// zeroUnfixed ends progressive filling when there is no bottleneck and
+// no cap below it: the flows left are those whose every resource already
+// drained to zero availability, and their fair share is zero. (Flows
+// with neither resources nor caps were rejected at Start.)
+func (m *Model) zeroUnfixed(fixed []bool) {
+	for i, f := range m.compFlows {
+		if !fixed[i] {
+			f.rate = 0
+			fixed[i] = true
+		}
+	}
+}
+
+// solveScratch is the working storage of the ordered paths
+// (collectComponent's sorts, fillOrdered). It comes from a shared pool
+// rather than from the model: fabric worlds are built fresh for every
+// run, and per-model arrays sized to the model would be allocated again
+// with each of them. It holds no pointers.
+type solveScratch struct {
+	order []int32
+	heap  resHeap
+	caps  []capEntry
+	batch []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(solveScratch) }}
+
+// capEntry is a capped flow's normalised cap and compFlows position.
+type capEntry struct {
+	key float64
+	pos int32
+}
+
+// fillOrdered runs the same progressive-filling rounds as fillScan — the
+// same thresholds, the same flows fixed in each round, in the same order,
+// so the same floating-point operations in the same sequence — without
+// rescanning the component in every round:
+//
+//   - the bottleneck is the root of a heap of the resources with unfixed
+//     flows, keyed by (avail/wsum, id); fix re-keys only the resources of
+//     the flow it fixes. The scan keeps the first minimum in compRes
+//     order, which is id order, hence the id tie-break. A +Inf key is no
+//     bottleneck, as in the scan (c < +Inf never holds);
+//   - the smallest normalised cap is the first unfixed entry of a list
+//     sorted by (cap/priority, position); a round fixes the unfixed
+//     entries equal to it, which are contiguous and in compFlows order;
+//   - the flows crossing the bottleneck come from its adjacency list,
+//     sorted back into compFlows order before they are fixed.
+//
+// Each round costs O(log n) per resource touched instead of O(n), which
+// pays off on the thousands of resources of a fabric component; on a
+// node-sized component the scan is faster (see heapMinRes).
+func (m *Model) fillOrdered(fixed []bool, remaining int) {
+	s := scratchPool.Get().(*solveScratch)
+	h := &s.heap
+	h.reset(len(m.resources))
+	for _, r := range m.compRes {
+		if w := m.wsum[r.id]; w > 0 {
+			h.add(m.avail[r.id]/w, r.id)
+		} else {
+			h.absent(r.id)
+		}
+	}
+	h.init()
+	caps := s.caps[:0]
+	for i, f := range m.compFlows {
+		f.pos = int32(i)
+		if !fixed[i] && f.cap > 0 {
+			caps = append(caps, capEntry{f.cap / f.priority, int32(i)})
+		}
+	}
+	slices.SortFunc(caps, func(a, b capEntry) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.pos, b.pos))
+	})
+	next := 0 // caps before next are fixed
+	for remaining > 0 {
+		var bottleneck *Resource
+		fair := math.Inf(1)
+		if h.len() > 0 {
+			if c, id := h.min(); c < fair {
+				fair, bottleneck = c, m.resources[id]
+			}
+		}
+		for next < len(caps) && fixed[caps[next].pos] {
+			next++
+		}
+		capMin := math.Inf(1)
+		if next < len(caps) {
+			capMin = caps[next].key
+		}
+		switch {
+		case capMin < fair:
+			for _, c := range caps[next:] {
+				if c.key > capMin {
+					break
+				}
+				if !fixed[c.pos] {
+					m.fixOrdered(h, m.compFlows[c.pos], capMin)
+					fixed[c.pos] = true
 					remaining--
 				}
 			}
+		case bottleneck != nil:
+			batch := s.batch[:0]
+			for _, ru := range bottleneck.flows {
+				if !fixed[ru.f.pos] {
+					batch = append(batch, ru.f.pos)
+				}
+			}
+			slices.Sort(batch)
+			for _, p := range batch {
+				if !fixed[p] { // a flow listed twice crosses the resource twice
+					m.fixOrdered(h, m.compFlows[p], fair)
+					fixed[p] = true
+					remaining--
+				}
+			}
+			s.batch = batch
+		default:
+			m.zeroUnfixed(fixed)
+			remaining = 0
 		}
 	}
-	for _, f := range m.compFlows {
-		for _, u := range f.uses {
-			u.Resource.load += u.Weight * f.rate
+	s.caps = caps
+	scratchPool.Put(s)
+}
+
+// fixOrdered is fix plus the heap upkeep: the resources of f get their
+// new key, or leave the heap once no unfixed flow weighs on them (wsum
+// only falls during filling, so a resource never re-enters).
+func (m *Model) fixOrdered(h *resHeap, f *Flow, normRate float64) {
+	m.fix(f, normRate)
+	for _, u := range f.uses {
+		id := u.Resource.id
+		if w := m.wsum[id]; w > 0 {
+			h.update(id, m.avail[id]/w)
+		} else {
+			h.remove(id)
 		}
 	}
 }

@@ -105,7 +105,8 @@ func FuzzSolverInvariants(f *testing.F) {
 // but with the reference-solver oracle armed on every re-solve, so any
 // divergence between the incremental and the original solver is a
 // crash. Seeds are promoted from the cases that mattered during
-// development and from the property suite's interesting shapes.
+// development and from the property suite's interesting shapes. Every
+// program runs on both fill paths (see eachFillPath).
 func FuzzFluid(f *testing.F) {
 	// Two components, cancel the first flow: the swap-remove moves the
 	// last flow into slot 0, permuting fix order inside its component.
@@ -124,6 +125,6 @@ func FuzzFluid(f *testing.F) {
 	// free-list and adjacency swap-removal bookkeeping.
 	f.Add([]byte{1, 30, 1, 60, 2, 3, 3, 0, 2, 3, 3, 0, 2, 3, 3, 0, 2, 3, 4, 90})
 	f.Fuzz(func(t *testing.T, program []byte) {
-		runProgram(t, program, true)
+		eachFillPath(func(string) { runProgram(t, program, true) })
 	})
 }

@@ -108,57 +108,144 @@ func checkMaxMin(t *testing.T, m *Model) {
 }
 
 // checkDifferential asserts every rate and load matches a fresh
-// reference solve within one ulp.
+// reference solve bit for bit (stricter than the oracle's one ulp: the
+// incremental solver replays the reference's arithmetic exactly).
 func checkDifferential(t *testing.T, m *Model) {
 	t.Helper()
 	rates, loads := m.referenceRates()
 	for i, f := range m.flows {
-		if !ulpEq(f.rate, rates[i]) {
+		if math.Float64bits(f.rate) != math.Float64bits(rates[i]) {
 			t.Fatalf("flow %q: incremental rate %x, reference %x", f.name, f.rate, rates[i])
 		}
 	}
 	for i, r := range m.resources {
-		if !ulpEq(r.load, loads[i]) {
+		if math.Float64bits(r.load) != math.Float64bits(loads[i]) {
 			t.Fatalf("resource %q: incremental load %x, reference %x", r.name, r.load, loads[i])
 		}
 	}
 }
 
-// TestPropertyMaxMinInvariants storms random worlds with mutations and
-// checks feasibility + bottleneck optimality after every step.
-func TestPropertyMaxMinInvariants(t *testing.T) {
-	for seed := int64(0); seed < 150; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		k := sim.NewKernel(seed)
-		m := NewModel(k)
-		m.differential = false
-		res, flows := randomWorld(rng, m, 1+rng.Intn(12), 1+rng.Intn(25))
-		checkMaxMin(t, m)
-		for step := 0; step < 30; step++ {
-			mutate(rng, k, m, res, &flows)
-			checkMaxMin(t, m)
-		}
+// eachFillPath calls fn under every combination of the solver's two
+// size-selected paths — bottleneck scan or heap, canonical order from a
+// model scan or a sort — forced whatever the component size, so every
+// path sees every input.
+func eachFillPath(fn func(path string)) {
+	heap, ratio := heapMinRes, sortRatio
+	defer func() { heapMinRes, sortRatio = heap, ratio }()
+	for _, p := range []struct {
+		name        string
+		heap, ratio int
+	}{
+		{"scan", math.MaxInt, math.MaxInt},
+		{"scan+sort", math.MaxInt, 1},
+		{"heap", 0, math.MaxInt},
+		{"heap+sort", 0, 1},
+	} {
+		heapMinRes, sortRatio = p.heap, p.ratio
+		fn(p.name)
 	}
+}
+
+// TestPropertyMaxMinInvariants storms random worlds with mutations and
+// checks feasibility + bottleneck optimality after every step, on both
+// fill paths.
+func TestPropertyMaxMinInvariants(t *testing.T) {
+	eachFillPath(func(path string) {
+		t.Run(path, func(t *testing.T) {
+			for seed := int64(0); seed < 150; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				k := sim.NewKernel(seed)
+				m := NewModel(k)
+				m.differential = false
+				res, flows := randomWorld(rng, m, 1+rng.Intn(12), 1+rng.Intn(25))
+				checkMaxMin(t, m)
+				for step := 0; step < 30; step++ {
+					mutate(rng, k, m, res, &flows)
+					checkMaxMin(t, m)
+				}
+			}
+		})
+	})
 }
 
 // TestPropertyDifferential storms random worlds and checks the
 // incremental allocation against the reference solver — both through
-// the oracle armed on every resolve and explicitly after every step.
+// the oracle armed on every resolve and explicitly after every step —
+// on both fill paths forced, and at the real size cutoffs over worlds
+// large enough to cross them.
 func TestPropertyDifferential(t *testing.T) {
-	for seed := int64(0); seed < 150; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		k := sim.NewKernel(seed)
-		m := NewModel(k)
-		m.differential = true // oracle panics mid-resolve on divergence
-		res, flows := randomWorld(rng, m, 1+rng.Intn(12), 1+rng.Intn(25))
-		for step := 0; step < 30; step++ {
-			mutate(rng, k, m, res, &flows)
+	storm := func(t *testing.T, seeds int64, maxRes, maxFlows int) {
+		for seed := int64(0); seed < seeds; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			k := sim.NewKernel(seed)
+			m := NewModel(k)
+			m.differential = true // oracle panics mid-resolve on divergence
+			res, flows := randomWorld(rng, m, 1+rng.Intn(maxRes), 1+rng.Intn(maxFlows))
+			for step := 0; step < 30; step++ {
+				mutate(rng, k, m, res, &flows)
+				checkDifferential(t, m)
+			}
+			// Drain so pending completions resolve under the oracle too.
+			k.RunUntil(k.Now().Add(sim.Duration(30 * sim.Second)))
 			checkDifferential(t, m)
 		}
-		// Drain so pending completions resolve under the oracle too.
-		k.RunUntil(k.Now().Add(sim.Duration(30 * sim.Second)))
-		checkDifferential(t, m)
 	}
+	eachFillPath(func(path string) {
+		t.Run(path, func(t *testing.T) { storm(t, 150, 12, 25) })
+	})
+	t.Run("cutoffs", func(t *testing.T) { storm(t, 6, 240, 400) })
+}
+
+// TestPropertyTiesExact storms worlds built for exact ties: capacities
+// drawn from three values, caps from two, two weights and two
+// priorities, so several resources, or several capped flows, often
+// reach the same threshold in one round. The tie-break
+// then decides which flows are fixed first, and with it the order of
+// the subtractions on the resources they share, which shows in the last
+// bits. Every path must match the reference bit for bit.
+func TestPropertyTiesExact(t *testing.T) {
+	eachFillPath(func(path string) {
+		t.Run(path, func(t *testing.T) {
+			for seed := int64(0); seed < 200; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				k := sim.NewKernel(seed)
+				m := NewModel(k)
+				m.differential = false
+				capacities := []float64{1 + rng.Float64()*99, 1 + rng.Float64()*99, 1 + rng.Float64()*99}
+				caps := []float64{1 + rng.Float64()*30, 1 + rng.Float64()*30}
+				res := make([]*Resource, 3+rng.Intn(10))
+				for i := range res {
+					res[i] = m.NewResource("r", capacities[rng.Intn(len(capacities))])
+				}
+				start := func() *Flow {
+					spec := FlowSpec{Name: "f", Work: 1e3 + rng.Float64()*1e6, Priority: float64(1 + 2*rng.Intn(2))}
+					for _, ri := range rng.Perm(len(res))[:1+rng.Intn(3)] {
+						spec.Uses = append(spec.Uses, Use{res[ri], float64(1 + rng.Intn(2))})
+					}
+					if rng.Intn(2) == 0 {
+						spec.Cap = caps[rng.Intn(len(caps))]
+					}
+					return m.Start(spec)
+				}
+				var flows []*Flow
+				for i := 0; i < 5+rng.Intn(30); i++ {
+					flows = append(flows, start())
+				}
+				checkDifferential(t, m)
+				for step := 0; step < 30; step++ {
+					switch rng.Intn(3) {
+					case 0:
+						flows = append(flows, start())
+					case 1:
+						m.Cancel(flows[rng.Intn(len(flows))])
+					case 2:
+						k.RunUntil(k.Now().Add(sim.Duration(rng.Intn(int(5 * sim.Second)))))
+					}
+					checkDifferential(t, m)
+				}
+			}
+		})
+	})
 }
 
 // TestPropertySymmetricFlows checks the fairness axiom directly: two
@@ -230,17 +317,21 @@ func TestDifferentialTransientCompletion(t *testing.T) {
 // component too, or rates drift by ulps. A dedicated test because only
 // unlucky arithmetic exposes it.
 func TestSwapRemoveExactness(t *testing.T) {
-	for seed := int64(0); seed < 300; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		k := sim.NewKernel(seed)
-		m := NewModel(k)
-		m.differential = true
-		_, flows := randomWorld(rng, m, 2+rng.Intn(6), 8+rng.Intn(12))
-		// Cancel from the front, so every removal moves a later flow
-		// (usually from another component) into the vacated slot.
-		for i := 0; i < len(flows)/2; i++ {
-			m.Cancel(flows[i])
-			checkDifferential(t, m)
-		}
-	}
+	eachFillPath(func(path string) {
+		t.Run(path, func(t *testing.T) {
+			for seed := int64(0); seed < 300; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				k := sim.NewKernel(seed)
+				m := NewModel(k)
+				m.differential = true
+				_, flows := randomWorld(rng, m, 2+rng.Intn(6), 8+rng.Intn(12))
+				// Cancel from the front, so every removal moves a later flow
+				// (usually from another component) into the vacated slot.
+				for i := 0; i < len(flows)/2; i++ {
+					m.Cancel(flows[i])
+					checkDifferential(t, m)
+				}
+			}
+		})
+	})
 }
