@@ -23,7 +23,8 @@ import (
 //     timers, watchers and per-run injector state behind;
 //   - legacy two-node network (no fabric): fabric experiments size their
 //     own clusters and bypass newWorld anyway;
-//   - drained kernel: no pending events and no live processes.
+//   - drained kernel: no pending events and no live processes (a world
+//     left mid-flight is shut down instead, see releaseWorlds).
 //
 // Worlds are keyed by the node shape so a point that mutates per-spec
 // scalars (frequencies, bandwidths, NIC parameters) still reuses a
@@ -53,9 +54,9 @@ type worldArena struct {
 }
 
 // arenaCap bounds the total number of parked worlds. Each world keeps
-// its parked coroutine goroutines alive, so the bound also bounds the
-// goroutine high-water mark; beyond it released worlds are shut down
-// instead of pooled.
+// its parked process coroutines (each a goroutine) alive, so the bound
+// also bounds the goroutine high-water mark; beyond it released worlds
+// are shut down instead of pooled.
 const arenaCap = 96
 
 var arena = worldArena{free: map[machine.ShapeKey][]pooledWorld{}}
@@ -94,27 +95,39 @@ func (a *worldArena) put(pw pooledWorld) {
 // releaseWorlds returns every world a point execution built to the
 // arena, keeping only those that are provably drained and were eligible
 // for pooling in the first place (newWorld only records such worlds),
-// and shuts down the kernels of the other drained worlds (fault and
-// fabric worlds, which are never pooled), so their parked process
-// goroutines exit instead of outliving the point. A world that is not
-// drained (a panicked or abandoned run left it mid-flight) is dropped as
-// it is: its processes may still be blocked, and waking them is never
-// safe.
+// and shuts down the kernel of every other world, so its process
+// coroutines exit instead of outliving the point. That includes worlds
+// that are not drained (a crash schedule froze processes on a dead node,
+// or a panicked run left them mid-flight): Shutdown unwinds their
+// blocked processes, which runs the defers of their bodies. Those defers
+// only touch their own world — core frequency state, the stream census,
+// the world's fault injector — and the point's record, meter reads
+// included, is sealed before this runs, so unwinding them is invisible
+// in results.
 func releaseWorlds(keep *worldKeeper) {
-	// Shut down before parking anything: a parked world may be taken by
-	// another worker at once, after which its kernel is not ours to read.
+	// Decide what to park first: Shutdown ends blocked processes, after
+	// which an abandoned world would read as drained. Then shut down
+	// before parking anything: a parked world may be taken by another
+	// worker at once, after which its kernel is not ours to read.
+	n := 0
+	for _, pw := range keep.worlds {
+		if drained(pw.c.K) {
+			keep.worlds[n] = pw
+			n++
+		}
+	}
+	clear(keep.worlds[n:])
+	keep.worlds = keep.worlds[:n]
 	for i, k := range keep.kernels {
 		keep.kernels[i] = nil
-		if drained(k) && !keep.pools(k) {
+		if !keep.pools(k) {
 			k.Shutdown()
 		}
 	}
 	keep.kernels = keep.kernels[:0]
 	for i, pw := range keep.worlds {
 		keep.worlds[i] = pooledWorld{}
-		if drained(pw.c.K) {
-			arena.put(pw)
-		}
+		arena.put(pw)
 	}
 	keep.worlds = keep.worlds[:0]
 }

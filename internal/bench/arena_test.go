@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/kernels"
+	"repro/internal/sim"
 )
 
 // diffPoints is a small point set exercising every pooled subsystem:
@@ -113,11 +113,14 @@ func TestArenaReuseStorm(t *testing.T) {
 }
 
 // TestPointReleasesWorldGoroutines checks that the worlds the arena does
-// not pool — fabric and fault worlds — take their process goroutines
-// with them when the point that built them is done.
+// not pool — fabric and fault worlds, and a healthy world left with a
+// process blocked for good — take their process coroutines with them
+// when the point that built them is done, and that the blocked body's
+// defers run once on the way out.
 func TestPointReleasesWorldGoroutines(t *testing.T) {
 	lat := LatencyConfig()
 	lat.Iters, lat.Warmup = 8, 2
+	unwound := 0
 	pts := []Point{
 		{Key: "t/leak/fabric", Fn: func(e Env) any {
 			return fabricCell(e, FabricConfig{Preset: "fattree-k4", Jobs: 3, Rounds: 2, Bytes: 64 << 10, Shift: true})
@@ -127,18 +130,25 @@ func TestPointReleasesWorldGoroutines(t *testing.T) {
 			lats, _ := runFaultPingPong(e, lat)
 			return lats
 		}},
+		{Key: "t/leak/stuck", Fn: func(e Env) any {
+			c, _ := newWorld(e, e.Seed)
+			never := c.K.GetSignal()
+			c.K.Spawn("stuck", func(p *sim.Proc) {
+				defer func() { unwound++ }()
+				never.Wait(p)
+			})
+			c.K.Run()
+			return c.K.LiveProcs()
+		}},
 	}
 	base := runtime.NumGoroutine()
 	for _, p := range pts {
 		encodeRecord(t, ExecutePoint(quietEnv(), p))
 	}
-	// Shutdown hands each parked goroutine its exit; wait for them to
-	// finish returning.
-	deadline := time.Now().Add(10 * time.Second)
-	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after executing the points, %d before", n, base)
-		}
-		time.Sleep(time.Millisecond)
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after executing the points, %d before", n, base)
+	}
+	if unwound != 1 {
+		t.Fatalf("the blocked process's defer ran %d times, want once", unwound)
 	}
 }

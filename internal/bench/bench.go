@@ -87,7 +87,7 @@ func (e Env) Isolated() Env {
 
 // track registers a freshly built world's kernel with the meter and,
 // inside a point execution, with the point's keeper, which shuts the
-// kernel's parked goroutines down once the point is done with it.
+// kernel's process coroutines down once the point is done with it.
 func (e Env) track(k *sim.Kernel) {
 	if e.Meter != nil {
 		e.Meter.track(k)

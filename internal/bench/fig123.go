@@ -191,7 +191,11 @@ func measureBandwidthOnce(env Env, cores int) float64 {
 	if cores > 0 {
 		comp = ComputeConfig{Slice: kernels.PrimeCountDefault(), Cores: cores}
 	}
-	r := Interference(Env{Spec: env.Spec, Seed: env.Seed, Runs: 1}, comm, comp)
+	// The probe's worlds stay out of the experiment's accounting, but a
+	// private meter still releases them.
+	m := &Meter{}
+	defer m.Release()
+	r := Interference(Env{Spec: env.Spec, Seed: env.Seed, Runs: 1, Meter: m}, comm, comp)
 	if cores > 0 {
 		return r.BandwidthTogether()
 	}

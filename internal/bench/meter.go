@@ -43,6 +43,22 @@ func (m *Meter) track(k *sim.Kernel) {
 	m.mu.Unlock()
 }
 
+// Release shuts down the kernel of every world the meter tracked, so the
+// process coroutines of worlds built outside point execution (which
+// ExecutePoint releases itself) exit instead of outliving the
+// experiment. Call it after the meter's last read, once the worlds are
+// no longer used; the meter's totals are unaffected.
+func (m *Meter) Release() {
+	// Shutdown runs the defers of blocked process bodies, so it is not
+	// called under the lock.
+	m.mu.Lock()
+	kernels := m.kernels
+	m.mu.Unlock()
+	for _, k := range kernels {
+		k.Shutdown()
+	}
+}
+
 // Worlds returns how many simulated worlds have been built so far,
 // including worlds absorbed from sweep points.
 func (m *Meter) Worlds() int {

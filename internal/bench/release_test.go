@@ -1,0 +1,52 @@
+package bench_test
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/runner"
+)
+
+// TestRepeatedCampaignHoldsGoroutines runs the same campaign three times
+// and requires the goroutine count to stop growing after the second:
+// every world a campaign builds either parks in the arena (bounded, and
+// reused by the next campaign) or has its kernel shut down. The
+// experiments cover each release path: worlds built outside point
+// execution (fig2's traces and bandwidth probes, sec5.2), crash worlds
+// whose dead node leaves processes blocked for good, and fault and
+// fabric worlds inside points. Sweeps over many core counts (fig4) are
+// left out: a parked world keeps as many processes as the largest point
+// that used it, so the arena's goroutines take a few campaigns to reach
+// their (arenaCap-bounded) high-water mark. One worker keeps the
+// arena's occupancy deterministic from one campaign to the next.
+func TestRepeatedCampaignHoldsGoroutines(t *testing.T) {
+	env, err := core.Env("henri", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exps []core.Experiment
+	for _, id := range []string{"fig2", "sec5.2", "faults-crash-pingpong", "faults-crash-cg",
+		"faults-pingpong", "fabric-pingpong"} {
+		e, ok := core.ByID(id)
+		if !ok {
+			t.Fatalf("no experiment %q", id)
+		}
+		exps = append(exps, e)
+	}
+	campaign := func() int {
+		for _, r := range runner.Collect(runner.Run(env, exps, runner.Options{Workers: 1})) {
+			if r.Err != nil {
+				t.Fatalf("%s: %v", r.Exp.ID, r.Err)
+			}
+		}
+		return runtime.NumGoroutine()
+	}
+	first := campaign()
+	second := campaign()
+	third := campaign()
+	t.Logf("goroutines after each campaign: %d, %d, %d", first, second, third)
+	if third > second {
+		t.Fatalf("goroutines grew from %d to %d between the 2nd and 3rd campaign", second, third)
+	}
+}

@@ -42,7 +42,7 @@ func NewCluster(spec *topology.NodeSpec, n int, seed int64) *Cluster {
 
 // Reset rewinds an idle cluster to the state NewCluster(spec, n, seed)
 // returns, reusing every piece of simulation storage: the kernel (with
-// its parked process goroutines), the fluid model (resources keep their
+// its parked process coroutines), the fluid model (resources keep their
 // dense ids and creation order, so solver arithmetic is bit-identical
 // to a fresh cluster's), and the nodes. The spec must be reset-
 // compatible with the one the cluster was built from (same core, NUMA

@@ -254,6 +254,7 @@ func execute(env bench.Env, e core.Experiment, index int, format string) Result 
 	for _, t := range res.Tables {
 		res.Metrics.Rows += len(t.Rows)
 	}
+	iso.Meter.Release()
 	return res
 }
 

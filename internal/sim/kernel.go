@@ -68,14 +68,22 @@ type Kernel struct {
 	now    Time
 	events eventHeap
 	seq    uint64
-	rng    *rand.Rand
 	procs  int // live (not yet finished) processes
 	nsteps uint64
 	free   []*event // recycled event storage
-	// freeProcs holds finished processes whose goroutines are parked in
-	// their run loop, ready for the next Spawn; freeSigs holds recycled
-	// signals (see GetSignal). Both make the steady-state churn of a
-	// simulation — and of a whole pooled world — allocation-free.
+	// rng is seeded with seed on the first Rand call after NewKernel or
+	// Reset (seeded records that it was): seeding costs more than most
+	// small worlds spend drawing from it, and many never draw at all.
+	rng    *rand.Rand
+	seed   int64
+	seeded bool
+	// all holds every process with a live coroutine, running, blocked or
+	// parked, so Shutdown can end them. freeProcs holds the finished
+	// ones, parked in their run loop and ready for the next Spawn;
+	// freeSigs holds recycled signals (see GetSignal). Both make the
+	// steady-state churn of a simulation — and of a whole pooled world —
+	// allocation-free.
+	all       []*Proc
 	freeProcs []*Proc
 	freeSigs  []*Signal
 }
@@ -83,7 +91,7 @@ type Kernel struct {
 // NewKernel returns a simulation kernel whose random source is seeded
 // with seed. The same seed always produces the same simulation.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	return &Kernel{seed: seed}
 }
 
 // Reset rewinds an idle kernel to the state NewKernel(seed) returns,
@@ -100,27 +108,48 @@ func (k *Kernel) Reset(seed int64) {
 	k.now = 0
 	k.seq = 0
 	k.nsteps = 0
-	k.rng.Seed(seed)
+	k.seed = seed
+	k.seeded = false
 }
 
-// Shutdown terminates the goroutines of the kernel's parked (recycled)
-// processes. Call it before abandoning a kernel that was used with
-// pooled Spawn so its idle goroutines don't outlive it; the kernel
-// remains usable, but the next Spawn starts a fresh goroutine.
+// Shutdown ends the coroutine of every process of the kernel. Parked
+// (recycled) processes simply exit. A process still blocked mid-body is
+// unwound: its pending Sleep or Wait panics with a sentinel that the
+// process wrapper swallows, so the body's defers run once, and it counts
+// as finished. A panic raised by such a defer is dropped with the
+// kernel's state. Call Shutdown from outside process context before
+// abandoning a kernel so its coroutines don't outlive it. The kernel
+// remains usable: events still pending for a stopped process are no-ops,
+// and the next Spawn starts a fresh coroutine.
 func (k *Kernel) Shutdown() {
-	for i, p := range k.freeProcs {
-		p.fn = nil
-		p.resumeCh <- struct{}{}
-		k.freeProcs[i] = nil
+	for i, p := range k.all {
+		k.all[i] = nil
+		p.stop()
+		p.panicVal = nil
 	}
+	k.all = k.all[:0]
+	clear(k.freeProcs)
 	k.freeProcs = k.freeProcs[:0]
+	k.procs = 0
 }
 
 // Now returns the current simulated instant.
 func (k *Kernel) Now() Time { return k.now }
 
-// Rand returns the kernel's deterministic random source.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
+// Rand returns the kernel's deterministic random source. The source is
+// (re)seeded on the first call after NewKernel or Reset, so a caller
+// must fetch it again after a Reset rather than keep the old pointer.
+func (k *Kernel) Rand() *rand.Rand {
+	if !k.seeded {
+		if k.rng == nil {
+			k.rng = rand.New(rand.NewSource(k.seed))
+		} else {
+			k.rng.Seed(k.seed)
+		}
+		k.seeded = true
+	}
+	return k.rng
+}
 
 // Steps reports how many events have been executed so far.
 func (k *Kernel) Steps() uint64 { return k.nsteps }

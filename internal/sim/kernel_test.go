@@ -166,3 +166,21 @@ func TestTimeArithmetic(t *testing.T) {
 		t.Fatal("Micros")
 	}
 }
+
+func TestRandAfterResetMatchesFreshKernel(t *testing.T) {
+	draws := func(k *Kernel) [3]int64 {
+		return [3]int64{k.Rand().Int63(), k.Rand().Int63(), k.Rand().Int63()}
+	}
+	want := draws(NewKernel(7))
+	k := NewKernel(3)
+	draws(k)
+	k.Reset(7)
+	if got := draws(k); got != want {
+		t.Fatalf("after Reset(7) on a used source: %v, want %v", got, want)
+	}
+	idle := NewKernel(3) // never drew: Reset must still seed it on first use
+	idle.Reset(7)
+	if got := draws(idle); got != want {
+		t.Fatalf("after Reset(7) on an unseeded source: %v, want %v", got, want)
+	}
+}

@@ -1,21 +1,38 @@
+//go:build go1.23
+
+// The process hand-off runs on runtime coroutines (iter.Pull), which
+// need Go 1.23. The module's go directive stays at 1.22 so the benchmark
+// module, which pins go 1.22 and requires this one, still loads; the
+// build constraint above raises this file's own language version
+// instead.
+
 package sim
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated thread of control. Each Proc runs in its own
-// goroutine, but the kernel guarantees that at most one Proc (or event
-// handler) executes at any moment: control passes explicitly between the
-// kernel and the process, so simulations are deterministic and shared
-// state needs no locking.
+// Proc is a simulated thread of control. Each Proc runs on its own
+// runtime coroutine: the kernel resumes it with a direct coroutine
+// switch and it switches back when it blocks, so at most one Proc (or
+// event handler) executes at any moment, simulations are deterministic,
+// and shared state needs no locking. A switch stays on the calling
+// thread and never goes through the Go scheduler's run queue.
 //
 // A Proc advances the clock only by blocking: Sleep, Signal.Wait, or any
 // higher-level operation built on them. Plain Go code inside a Proc takes
 // zero simulated time.
 type Proc struct {
-	k        *Kernel
-	name     string
-	resumeCh chan struct{}
-	yieldCh  chan struct{}
+	k    *Kernel
+	name string
+	// next resumes the coroutine until the process blocks or finishes;
+	// yieldFn switches back to next's caller and reports false once the
+	// kernel has stopped the coroutine; stop ends it (Kernel.Shutdown).
+	next     func() (struct{}, bool)
+	yieldFn  func(struct{}) bool
+	stop     func()
 	finished bool
 	panicVal any
 	blocked  bool // waiting on a Signal (not a timer)
@@ -24,16 +41,20 @@ type Proc struct {
 	// bound-method closure per block.
 	runFn func()
 	// fn is the body of the current incarnation. Finished processes park
-	// their goroutine in loop() and are recycled by the next Spawn with a
-	// new fn; a nil fn on wake terminates the goroutine (Shutdown).
+	// their coroutine in loop() and are recycled by the next Spawn with a
+	// new fn.
 	fn func(*Proc)
 }
 
+// errStopped unwinds a process that Kernel.Shutdown stopped while it was
+// blocked, so the body's defers run; call swallows it.
+var errStopped = errors.New("sim: process stopped by Kernel.Shutdown")
+
 // Spawn creates a process running fn. The process starts at the current
 // instant, after already-scheduled events for this instant. Process
-// storage — including the goroutine and its channels — is recycled
-// from previously finished processes of this kernel, so steady-state
-// process churn allocates nothing.
+// storage — including the coroutine — is recycled from previously
+// finished processes of this kernel, so steady-state process churn
+// allocates nothing.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	var p *Proc
 	if n := len(k.freeProcs); n > 0 {
@@ -44,41 +65,36 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 		p.finished = false
 		p.fn = fn
 	} else {
-		p = &Proc{
-			k:        k,
-			name:     name,
-			resumeCh: make(chan struct{}),
-			yieldCh:  make(chan struct{}),
-			fn:       fn,
-		}
+		p = &Proc{k: k, name: name, fn: fn}
 		p.runFn = p.run
-		go p.loop()
+		p.next, p.stop = iter.Pull(p.loop)
+		k.all = append(k.all, p)
 	}
 	k.procs++
 	k.At(k.now, p.runFn)
 	return p
 }
 
-// loop is the body of a process goroutine: it runs one incarnation per
-// wake, yields the final time, and parks until Spawn hands it the next
-// body (or Shutdown wakes it with none).
-func (p *Proc) loop() {
+// loop is the body of a process coroutine: it runs one incarnation per
+// resume, yields the final time, and parks until Spawn hands it the next
+// body. It returns once Shutdown stops the coroutine.
+func (p *Proc) loop(yield func(struct{}) bool) {
+	p.yieldFn = yield
 	for {
-		<-p.resumeCh
-		fn := p.fn
-		if fn == nil {
+		p.call(p.fn)
+		if !yield(struct{}{}) {
 			return
 		}
-		p.call(fn)
-		p.yieldCh <- struct{}{}
 	}
 }
 
 // call runs one incarnation, capturing a panic so the kernel can
-// re-raise it from event context without losing the goroutine.
+// re-raise it from event context without losing the coroutine. The
+// errStopped unwind of a stopped process is not a failure and is
+// dropped.
 func (p *Proc) call(fn func(*Proc)) {
 	defer func() {
-		if r := recover(); r != nil {
+		if r := recover(); r != nil && r != errStopped {
 			p.panicVal = r
 		}
 		p.finished = true
@@ -89,14 +105,13 @@ func (p *Proc) call(fn func(*Proc)) {
 // run transfers control to the process and blocks the kernel until the
 // process yields (blocks) or finishes. Only ever called from kernel
 // (event handler) context. A finished process is parked for reuse
-// before any panic it raised is re-thrown: the goroutine survives
+// before any panic it raised is re-thrown: the coroutine survives
 // either way.
 func (p *Proc) run() {
 	if p.finished {
 		return
 	}
-	p.resumeCh <- struct{}{}
-	<-p.yieldCh
+	p.next()
 	if p.finished {
 		p.k.procs--
 		p.fn = nil
@@ -109,10 +124,13 @@ func (p *Proc) run() {
 }
 
 // yield suspends the process and returns control to the kernel. The
-// process must have arranged to be resumed (timer or signal) first.
+// process must have arranged to be resumed (timer or signal) first. If
+// the kernel stops the process instead of resuming it, yield unwinds
+// the body with errStopped.
 func (p *Proc) yield() {
-	p.yieldCh <- struct{}{}
-	<-p.resumeCh
+	if !p.yieldFn(struct{}{}) {
+		panic(errStopped)
+	}
 }
 
 // Kernel returns the kernel this process runs on.
