@@ -64,10 +64,6 @@ type Campaign struct {
 	WallSecondsByJobs map[string]float64 `json:"wall_seconds_by_jobs,omitempty"`
 	// Cache is the content-addressed point-cache measurement.
 	Cache *CacheRun `json:"cache,omitempty"`
-	// Workers/WallSeconds are the schema-1 fields, kept so -totext can
-	// re-emit historical reports for benchstat.
-	Workers     int     `json:"workers,omitempty"`
-	WallSeconds float64 `json:"wall_seconds,omitempty"`
 }
 
 // CacheRun times the same campaign against a fresh persistent point
@@ -177,9 +173,9 @@ type PointRun struct {
 // kill, hedged-read win fraction); schema 5 added the fabric block
 // (1k-host fat-tree solve cost and the multi-job slowdown ratios);
 // schema 6 added the point block (per-point execution cost and the
-// cold/warm campaign walls, both CI-ratcheted). Older schemas stay
-// readable: -totext passes legacy reports through with the missing
-// figures simply absent.
+// cold/warm campaign walls, both CI-ratcheted). Reports from schema 2
+// on stay readable: -totext passes them through with the missing figures
+// simply absent.
 type Report struct {
 	Schema     int                  `json:"schema"`
 	GoVersion  string               `json:"go_version"`
@@ -214,7 +210,7 @@ func main() {
 	flag.Parse()
 
 	if *toText != "" {
-		if err := emitText(*toText); err != nil {
+		if err := emitText(os.Stdout, *toText); err != nil {
 			fmt.Fprintln(os.Stderr, "benchreport:", err)
 			os.Exit(1)
 		}
@@ -835,8 +831,8 @@ func submitSpec(base string, spec server.CampaignSpec) error {
 }
 
 // cacheSums harvests every stored content address from a point-cache
-// directory — pack segments and legacy loose files alike — sorted so
-// the read storms hit addresses in a deterministic order.
+// directory's pack segments, sorted so the read storms hit addresses in
+// a deterministic order.
 func cacheSums(dir string) ([]string, error) {
 	cache, err := runner.OpenPointCache(dir)
 	if err != nil {
@@ -854,10 +850,10 @@ func cacheSums(dir string) ([]string, error) {
 	return sums, nil
 }
 
-// emitText converts a BENCH_sim.json back into Go benchmark text
-// format (sorted by name, fixed GOMAXPROCS suffix elided) so two
-// trajectories can be compared with benchstat.
-func emitText(path string) error {
+// emitText writes a BENCH_sim.json back out as Go benchmark text
+// (sorted by name, fixed GOMAXPROCS suffix elided) so two trajectories
+// can be compared with benchstat.
+func emitText(w io.Writer, path string) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -873,15 +869,12 @@ func emitText(path string) error {
 	sort.Strings(names)
 	for _, name := range names {
 		b := rep.Benchmarks[name]
-		fmt.Printf("%s %d %.4g ns/op %.4g B/op %.4g allocs/op\n",
+		fmt.Fprintf(w, "%s %d %.4g ns/op %.4g B/op %.4g allocs/op\n",
 			name, b.Iters, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp)
 	}
 	if c := rep.Campaign; c != nil {
 		// Encode campaign wall times as synthetic benchmarks so they ride
 		// along in the benchstat comparison.
-		if c.WallSeconds > 0 { // schema-1 reports
-			fmt.Printf("BenchmarkCampaign%s 1 %.6g ns/op\n", c.Cluster, c.WallSeconds*1e9)
-		}
 		jkeys := make([]string, 0, len(c.WallSecondsByJobs))
 		for k := range c.WallSecondsByJobs {
 			jkeys = append(jkeys, k)
@@ -892,23 +885,23 @@ func emitText(path string) error {
 			return a < b
 		})
 		for _, k := range jkeys {
-			fmt.Printf("BenchmarkCampaign%sJ%s 1 %.6g ns/op\n", c.Cluster, k, c.WallSecondsByJobs[k]*1e9)
+			fmt.Fprintf(w, "BenchmarkCampaign%sJ%s 1 %.6g ns/op\n", c.Cluster, k, c.WallSecondsByJobs[k]*1e9)
 		}
 		if cr := c.Cache; cr != nil {
-			fmt.Printf("BenchmarkCampaign%sColdCache 1 %.6g ns/op\n", c.Cluster, cr.ColdWallSeconds*1e9)
-			fmt.Printf("BenchmarkCampaign%sWarmCache 1 %.6g ns/op\n", c.Cluster, cr.WarmWallSeconds*1e9)
+			fmt.Fprintf(w, "BenchmarkCampaign%sColdCache 1 %.6g ns/op\n", c.Cluster, cr.ColdWallSeconds*1e9)
+			fmt.Fprintf(w, "BenchmarkCampaign%sWarmCache 1 %.6g ns/op\n", c.Cluster, cr.WarmWallSeconds*1e9)
 		}
 	}
 	if sr := rep.Server; sr != nil {
-		fmt.Printf("BenchmarkServerCampaignP50 1 %.6g ns/op\n", sr.P50Ms*1e6)
-		fmt.Printf("BenchmarkServerCampaignP99 1 %.6g ns/op\n", sr.P99Ms*1e6)
+		fmt.Fprintf(w, "BenchmarkServerCampaignP50 1 %.6g ns/op\n", sr.P50Ms*1e6)
+		fmt.Fprintf(w, "BenchmarkServerCampaignP99 1 %.6g ns/op\n", sr.P99Ms*1e6)
 		if sr.CacheOpsPerSec > 0 {
-			fmt.Printf("BenchmarkServerCacheGet %d %.6g ns/op\n", sr.CacheOps, 1e9/sr.CacheOpsPerSec)
+			fmt.Fprintf(w, "BenchmarkServerCacheGet %d %.6g ns/op\n", sr.CacheOps, 1e9/sr.CacheOpsPerSec)
 		}
 		// Schema-4 figure; pre-4 reports simply lack it (legacy
 		// passthrough: nothing is printed, benchstat sees no row).
 		if sr.OverloadP99Ms > 0 {
-			fmt.Printf("BenchmarkServerOverloadP99 1 %.6g ns/op\n", sr.OverloadP99Ms*1e6)
+			fmt.Fprintf(w, "BenchmarkServerOverloadP99 1 %.6g ns/op\n", sr.OverloadP99Ms*1e6)
 		}
 	}
 	if f := rep.Fabric; f != nil {
@@ -917,17 +910,17 @@ func emitText(path string) error {
 		// ratios in the ns/op column so benchstat tracks them too; pre-5
 		// reports simply lack the block and print nothing.
 		if f.MultiJobSlowdownMinimal > 0 {
-			fmt.Printf("BenchmarkFabricSlowdownMinimalJ%d 1 %.6g ns/op\n", f.SlowdownJobs, f.MultiJobSlowdownMinimal)
+			fmt.Fprintf(w, "BenchmarkFabricSlowdownMinimalJ%d 1 %.6g ns/op\n", f.SlowdownJobs, f.MultiJobSlowdownMinimal)
 		}
 		if f.MultiJobSlowdownAdaptive > 0 {
-			fmt.Printf("BenchmarkFabricSlowdownAdaptiveJ%d 1 %.6g ns/op\n", f.SlowdownJobs, f.MultiJobSlowdownAdaptive)
+			fmt.Fprintf(w, "BenchmarkFabricSlowdownAdaptiveJ%d 1 %.6g ns/op\n", f.SlowdownJobs, f.MultiJobSlowdownAdaptive)
 		}
 		// Simulated makespans, in simulated ns; absent before they were
 		// recorded.
 		if f.SoloMs > 0 {
-			fmt.Printf("BenchmarkFabricMakespanMinimalJ%d 1 %.6g ns/op\n", f.SlowdownJobs, f.MakespanMsMinimal*1e6)
-			fmt.Printf("BenchmarkFabricMakespanAdaptiveJ%d 1 %.6g ns/op\n", f.SlowdownJobs, f.MakespanMsAdaptive*1e6)
-			fmt.Printf("BenchmarkFabricSoloJ%d 1 %.6g ns/op\n", f.SlowdownJobs, f.SoloMs*1e6)
+			fmt.Fprintf(w, "BenchmarkFabricMakespanMinimalJ%d 1 %.6g ns/op\n", f.SlowdownJobs, f.MakespanMsMinimal*1e6)
+			fmt.Fprintf(w, "BenchmarkFabricMakespanAdaptiveJ%d 1 %.6g ns/op\n", f.SlowdownJobs, f.MakespanMsAdaptive*1e6)
+			fmt.Fprintf(w, "BenchmarkFabricSoloJ%d 1 %.6g ns/op\n", f.SlowdownJobs, f.SoloMs*1e6)
 		}
 	}
 	return nil

@@ -1,6 +1,13 @@
 package main
 
-import "testing"
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
 
 // TestTimeFabricSharedBaseline checks the fabric block's makespans
 // against one solo baseline. On the golden cell they show what the
@@ -16,4 +23,73 @@ func TestTimeFabricSharedBaseline(t *testing.T) {
 	if fr.MakespanMsAdaptive >= fr.MakespanMsMinimal {
 		t.Errorf("adaptive makespan %.3f ms not below minimal %.3f ms", fr.MakespanMsAdaptive, fr.MakespanMsMinimal)
 	}
+}
+
+// TestToTextCommittedTrajectory runs -totext on the committed
+// BENCH_sim.json, as CI's benchstat step does: every line must be a Go
+// benchmark result line (name, iterations, then value/unit pairs
+// starting with ns/op), once per name, covering every recorded
+// benchmark plus the synthetic campaign, server and fabric rows.
+func TestToTextCommittedTrajectory(t *testing.T) {
+	path := filepath.Join("..", "..", "BENCH_sim.json")
+	var out strings.Builder
+	if err := emitText(&out, path); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n") {
+		if !isResultLine(line) {
+			t.Fatalf("-totext line is not a benchmark result: %q", line)
+		}
+		name := strings.Fields(line)[0]
+		if rows[name] {
+			t.Fatalf("-totext repeats %s", name)
+		}
+		rows[name] = true
+	}
+
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(buf, &rep); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"BenchmarkCampaignhenriJ1", "BenchmarkCampaignhenriJ4", "BenchmarkCampaignhenriJ8",
+		"BenchmarkCampaignhenriColdCache", "BenchmarkCampaignhenriWarmCache",
+		"BenchmarkServerCampaignP50", "BenchmarkServerCampaignP99",
+		"BenchmarkServerCacheGet", "BenchmarkServerOverloadP99",
+		"BenchmarkFabricSlowdownMinimalJ3", "BenchmarkFabricSlowdownAdaptiveJ3",
+		"BenchmarkFabricMakespanMinimalJ3", "BenchmarkFabricMakespanAdaptiveJ3", "BenchmarkFabricSoloJ3",
+	}
+	for name := range rep.Benchmarks {
+		want = append(want, name)
+	}
+	for _, name := range want {
+		if !rows[name] {
+			t.Errorf("-totext has no %s row", name)
+		}
+	}
+	if len(rows) != len(want) {
+		t.Errorf("-totext printed %d rows, want %d", len(rows), len(want))
+	}
+}
+
+// isResultLine reports whether line has the shape benchstat parses.
+func isResultLine(line string) bool {
+	f := strings.Fields(line)
+	if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") || f[3] != "ns/op" {
+		return false
+	}
+	if _, err := strconv.ParseInt(f[1], 10, 64); err != nil {
+		return false
+	}
+	for i := 2; i < len(f); i += 2 {
+		if _, err := strconv.ParseFloat(f[i], 64); err != nil {
+			return false
+		}
+	}
+	return true
 }

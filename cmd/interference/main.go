@@ -11,7 +11,9 @@
 // solver version, cluster spec, seed/runs/faults and the point's
 // parameters; repeated campaigns replay unchanged points and report
 // the hit rate. -no-cache disables the persistent layer (points are
-// still deduplicated in memory within the campaign).
+// still deduplicated in memory within the campaign). A killed campaign
+// needs no journal: re-running it with the same -cache replays every
+// point flushed before the kill.
 //
 // Usage:
 //
@@ -23,7 +25,6 @@
 //	interference -all -update           # regenerate results/ goldens
 //	interference -all -no-cache         # force recomputation of all points
 //	interference -all -cache-stats      # campaign + cache occupancy/hit-rate recap
-//	interference -compact -cache-stats  # migrate legacy loose entries into a pack
 package main
 
 import (
@@ -76,14 +77,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		faults   = fs.String("faults", "", "fault schedule spec, e.g. \"loss:p=0.1;degrade:factor=0.5\" (see fault.ParseSpec); defaults -exp to the faults family")
 		timeout  = fs.Duration("timeout", 0, "per-experiment wall-clock deadline; 0 disables")
 		retry    = fs.Int("retry", 0, "extra attempts for a failed experiment")
-		journal  = fs.String("journal", "", "append completed results to this JSON-lines journal (crash-safe campaigns)")
-		resume   = fs.Bool("resume", false, "replay results already in -journal and run only the missing experiments")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file (whole process: with -j>1 all workers share one profile)")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit (whole process: with -j>1 all workers share one profile)")
 		cacheDir = fs.String("cache", "results/.cache", "persistent point cache: a directory, or comma-separated interfd base URLs (http://...) to share a remote cache (several replicas hedge reads)")
 		noCache  = fs.Bool("no-cache", false, "disable the persistent point cache (in-memory dedup stays on)")
-		cacheTop = fs.Bool("cache-stats", false, "print the point cache's disk occupancy (pack segments, pending writes, loose shards) and hit rate after the campaign (requires a local directory -cache)")
-		compact  = fs.Bool("compact", false, "migrate the cache's legacy loose JSON entries into a pack segment and exit (combine with -cache-stats to print the resulting occupancy)")
+		cacheTop = fs.Bool("cache-stats", false, "print the point cache's disk occupancy (pack segments, pending writes) and hit rate after the campaign (requires a local directory -cache)")
 		remote   = fs.String("remote", "", "comma-separated interfd base URLs (e.g. http://a:7077,http://b:7077): submit the campaign to a healthy replica instead of executing locally, failing over on errors")
 		deadline = fs.Duration("deadline", 0, "client deadline sent with a -remote submission (X-Deadline): the daemon refuses campaigns it predicts cannot finish in time; 0 sends none")
 		chaosStr = fs.String("chaos", "", "chaos schedule injected into daemon HTTP traffic, e.g. \"refuse:p=0.2;http:status=503,p=0.1\" (requires -remote or an http:// -cache)")
@@ -119,9 +117,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			{"cache", "the daemon owns the point cache"},
 			{"no-cache", "the daemon owns the point cache"},
 			{"cache-stats", "the daemon owns the point cache"},
-			{"compact", "the daemon owns the point cache"},
-			{"journal", "the daemon journals campaigns itself"},
-			{"resume", "the daemon journals campaigns itself"},
 			{"timeout", "attempt deadlines are a daemon-side setting"},
 			{"retry", "retries are a daemon-side setting"},
 			{"update", "goldens must be regenerated by a local run (the solver's differential oracle only arms locally)"},
@@ -151,30 +146,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *cacheTop && (*noCache || remoteCacheURL) {
 		fmt.Fprintln(stderr, "interference: -cache-stats requires a local directory -cache (disk occupancy is a local-cache concept)")
 		return 2
-	}
-	if *compact {
-		if *noCache || remoteCacheURL {
-			fmt.Fprintln(stderr, "interference: -compact requires a local directory -cache (there are no loose files to migrate elsewhere)")
-			return 2
-		}
-		cache, err := runner.OpenPointCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(stderr, "interference:", err)
-			return 2
-		}
-		n, err := cache.Compact()
-		if err != nil {
-			fmt.Fprintln(stderr, "interference:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "compacted %d loose entr%s into a pack segment [%s]\n",
-			n, map[bool]string{true: "y", false: "ies"}[n == 1], *cacheDir)
-		if *cacheTop {
-			ds := cache.DiskStats()
-			fmt.Fprintf(stderr, "cache disk: %d pack segment(s) holding %d record(s), %d pending write(s), %d loose JSON file(s) across %d shard dir(s)\n",
-				ds.Packs, ds.PackedEntries, ds.PendingEntries, ds.LooseEntries, ds.LooseShards)
-		}
-		return 0
 	}
 	var chaosRT http.RoundTripper
 	if *chaosStr != "" {
@@ -213,14 +184,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *verify && *update {
 		fmt.Fprintln(stderr, "interference: -verify and -update are mutually exclusive")
-		return 2
-	}
-	if *resume && *journal == "" {
-		fmt.Fprintln(stderr, "interference: -resume requires -journal (nothing to resume from)")
-		return 2
-	}
-	if *journal != "" && (*verify || *update) {
-		fmt.Fprintln(stderr, "interference: -journal cannot be combined with -verify/-update (goldens must re-run every experiment)")
 		return 2
 	}
 	if *faults != "" && (*verify || *update) {
@@ -410,17 +373,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			cacheLabel = *cacheDir
 		}
-		if *journal != "" {
-			j, err := runner.OpenJournal(*journal)
-			if err != nil {
-				fmt.Fprintln(stderr, "interference:", err)
-				return 2
-			}
-			defer j.Close()
-			results = runner.RunResumable(env, todo, opts, j, *cluster, *resume)
-		} else {
-			results = runner.Run(env, todo, opts)
-		}
+		results = runner.Run(env, todo, opts)
 	}
 	for res := range results {
 		done = append(done, res)
@@ -468,7 +421,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				res.Exp.ID, *cluster, res.Metrics.Wall.Round(time.Millisecond),
 				res.Metrics.SimSeconds, res.Metrics.Worlds)
 			if res.Cached {
-				line = fmt.Sprintf("%s on %s replayed from the journal (%.3gs simulated across %d worlds)",
+				line = fmt.Sprintf("%s on %s replayed from the daemon's journal (%.3gs simulated across %d worlds)",
 					res.Exp.ID, *cluster, res.Metrics.SimSeconds, res.Metrics.Worlds)
 			}
 			if ft := res.Metrics.Faults; ft.Any() {
@@ -520,8 +473,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Explicitly requested, so it prints even under -q. Runs after
 		// Close: the occupancy shown is what the next invocation finds.
 		ds := localCache.DiskStats()
-		fmt.Fprintf(stderr, "cache disk: %d pack segment(s) holding %d record(s), %d pending write(s), %d loose JSON file(s) across %d shard dir(s)\n",
-			ds.Packs, ds.PackedEntries, ds.PendingEntries, ds.LooseEntries, ds.LooseShards)
+		fmt.Fprintf(stderr, "cache disk: %d pack segment(s) holding %d record(s), %d pending write(s)\n",
+			ds.Packs, ds.PackedEntries, ds.PendingEntries)
 		fmt.Fprintf(stderr, "cache hit rate: %.0f%% (%d of %d points served without executing)\n",
 			stats.HitRate()*100,
 			atomic.LoadInt64(&stats.Hits)+atomic.LoadInt64(&stats.MemoHits), stats.Points())

@@ -1,14 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/bench"
-	"repro/internal/runner"
 )
 
 // runCLI drives run() and returns exit code, stdout, stderr. The
@@ -168,8 +166,8 @@ func TestCacheWarmRunIdenticalAndRecapped(t *testing.T) {
 }
 
 // TestCacheStatsFlag: -cache-stats prints disk occupancy (pack
-// segments, pending writes, loose shards) and the hit rate, even under
-// -q. A cold run flushes one pack at exit; a warm run is fully served.
+// segments, pending writes) and the hit rate, even under -q. A cold run
+// flushes one pack at exit; a warm run is fully served.
 func TestCacheStatsFlag(t *testing.T) {
 	cacheDir := filepath.Join(t.TempDir(), "cache")
 	args := []string{"-exp", "fig3", "-runs", "1", "-q", "-cache", cacheDir, "-cache-stats"}
@@ -216,87 +214,80 @@ func TestCacheStatsNeedsLocalCache(t *testing.T) {
 	}
 }
 
-// TestCompactFlag walks the whole legacy-migration loop through the
-// CLI: a campaign populates a pack cache, the packs are rewritten as
-// legacy loose JSON files (what a pre-pack cache directory looks
-// like), a warm campaign serves fully from the loose tier and renders
-// the same bytes, -compact migrates the loose files into a pack, and
-// a final warm campaign still serves fully and byte-identically.
-func TestCompactFlag(t *testing.T) {
+// TestCacheResumesKilledCampaign: a killed campaign needs no journal.
+// A subset campaign stands in for the run that was killed; re-running
+// the superset on the same -cache prints exactly what an uncached run
+// prints, replays every point the subset flushed, and computes only the
+// rest.
+func TestCacheResumesKilledCampaign(t *testing.T) {
 	cacheDir := filepath.Join(t.TempDir(), "cache")
-	campaign := func(extra ...string) (int, string, string) {
+	cached := func(exp string) (string, string) {
 		var stdout, stderr strings.Builder
-		args := append([]string{"-exp", "fig3", "-runs", "1", "-cache", cacheDir}, extra...)
-		code := run(args, &stdout, &stderr)
-		return code, stdout.String(), stderr.String()
-	}
-	code, cold, stderr := campaign()
-	if code != 0 {
-		t.Fatalf("cold run exit %d: %s", code, stderr)
-	}
-
-	// Downgrade the cache to the legacy layout: every packed record
-	// becomes one JSON file under its two-hex shard, and the packs go.
-	cache, err := runner.OpenPointCache(cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loose := 0
-	err = cache.Entries(func(sum string, data []byte) error {
-		var rec bench.PointRecord
-		if err := rec.DecodeBinary(data); err != nil {
-			return err
+		if code := run([]string{"-exp", exp, "-runs", "1", "-j", "2", "-cache", cacheDir}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-exp %s: exit %d: %s", exp, code, stderr.String())
 		}
-		buf, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		loose++
-		return os.WriteFile(filepath.Join(cacheDir, sum[:2], sum+".json"), buf, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose == 0 {
-		t.Fatal("cold run stored no cache entries")
-	}
-	if err := os.RemoveAll(filepath.Join(cacheDir, "packs")); err != nil {
-		t.Fatal(err)
+		return stdout.String(), stderr.String()
 	}
 
-	code, warm, warmErr := campaign()
-	if code != 0 {
-		t.Fatalf("legacy warm run exit %d: %s", code, warmErr)
+	code, want, uncachedErr := runCLI("-exp", "faults", "-runs", "1", "-j", "2")
+	if code != 0 || want == "" {
+		t.Fatalf("uncached campaign: exit %d: %s", code, uncachedErr)
 	}
-	if warm != cold {
-		t.Fatalf("legacy warm stdout differs from cold:\n%q\n%q", cold, warm)
-	}
-	if !strings.Contains(warmErr, "0 computed (100% served without executing)") {
-		t.Fatalf("legacy layout not fully served:\n%s", warmErr)
+	total := recapCount(t, uncachedErr, "computed")
+
+	_, partialErr := cached("faults-overlap")
+	flushed := recapCount(t, partialErr, "computed")
+	if flushed == 0 || flushed >= total {
+		t.Fatalf("subset computed %d of the superset's %d points; want a strict, non-empty subset", flushed, total)
 	}
 
-	var stdoutB, stderrB strings.Builder
-	code = run([]string{"-compact", "-cache-stats", "-cache", cacheDir}, &stdoutB, &stderrB)
-	if code != 0 {
-		t.Fatalf("-compact exit %d: %s", code, stderrB.String())
+	got, stderr := cached("faults")
+	if got != want {
+		t.Fatalf("re-run on the cache differs from an uncached run:\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
-	if !strings.Contains(stdoutB.String(), "compacted") {
-		t.Fatalf("-compact did not report a count: %q", stdoutB.String())
+	if hits, computed := recapCount(t, stderr, "disk hits"), recapCount(t, stderr, "computed"); hits != flushed || computed != total-flushed {
+		t.Fatalf("re-run: %d disk hits, %d computed; want %d replayed and only the %d new points computed:\n%s",
+			hits, computed, flushed, total-flushed, stderr)
 	}
-	if !strings.Contains(stderrB.String(), "0 loose JSON file(s)") {
-		t.Fatalf("loose files survived compaction:\n%s", stderrB.String())
-	}
+}
 
-	code, packed, packedErr := campaign()
-	if code != 0 {
-		t.Fatalf("post-compact warm run exit %d: %s", code, packedErr)
+// recapCount reads "<n> <what>" from the point-cache recap line.
+func recapCount(t *testing.T, stderr, what string) int {
+	t.Helper()
+	m := regexp.MustCompile(`point cache: .*?(\d+) ` + what).FindStringSubmatch(stderr)
+	if m == nil {
+		t.Fatalf("no %q in the point-cache recap:\n%s", what, stderr)
 	}
-	if packed != cold {
-		t.Fatalf("post-compact stdout differs from cold:\n%q\n%q", cold, packed)
+	n, _ := strconv.Atoi(m[1])
+	return n
+}
+
+// -journal, -resume and -compact are gone — the point cache does their
+// job — so each is a usage error, alone or next to the golden modes.
+
+// expectUndefinedFlag runs the CLI and demands exit 2 with the flag
+// package's "not defined" error naming flag.
+func expectUndefinedFlag(t *testing.T, flag string, args ...string) {
+	t.Helper()
+	code, _, stderr := runCLI(args...)
+	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+flag) {
+		t.Fatalf("%v: exit %d, stderr %q", args, code, stderr)
 	}
-	if !strings.Contains(packedErr, "0 computed (100% served without executing)") {
-		t.Fatalf("compacted cache not fully served:\n%s", packedErr)
+}
+
+func TestResumeRequiresJournal(t *testing.T) {
+	expectUndefinedFlag(t, "-resume", "-exp", "sec5.2", "-resume")
+}
+
+func TestJournalRejectedWithGoldenModes(t *testing.T) {
+	expectUndefinedFlag(t, "-journal", "-exp", "sec5.2", "-journal", "j.jsonl")
+	for _, mode := range []string{"-verify", "-update"} {
+		expectUndefinedFlag(t, "-journal", "-exp", "sec5.2", "-journal", "j.jsonl", mode)
 	}
+}
+
+func TestCompactFlag(t *testing.T) {
+	expectUndefinedFlag(t, "-compact", "-exp", "fig3", "-compact")
 }
 
 // TestNoCacheSuppressesRecap: -no-cache must not print a persistent

@@ -36,8 +36,7 @@ func TestRemoteRejectsLocalFlags(t *testing.T) {
 		{"-j", "4"},
 		{"-cache", "somedir"},
 		{"-no-cache"},
-		{"-journal", "j.jsonl"},
-		{"-resume"},
+		{"-cache-stats"},
 		{"-timeout", "5s"},
 		{"-retry", "2"},
 		{"-update"},

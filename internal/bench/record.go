@@ -29,9 +29,9 @@ import (
 //	faults  10 × float64         (FaultTotals, field order below)
 //
 // The format is versioned twice: the magic pins the framing, and the
-// schema field pins the measurement semantics exactly like the JSON
-// form — a record of either stale version is ignored by the cache, so
-// decoding degrades to a recompute, never to corrupt output.
+// schema field pins the measurement semantics. It is the only record
+// encoding the cache and its wire protocol accept; a record of either
+// stale version degrades to a recompute, never to corrupt output.
 
 // recordMagic frames binary point records ("Interference Point Record,
 // framing 1").
@@ -40,13 +40,6 @@ const recordMagic = "IPR1"
 // faultFields is the number of float64 counters in FaultTotals; bump
 // the magic when it changes.
 const faultFields = 10
-
-// IsBinaryRecord reports whether data starts with the binary record
-// framing — how the cache layers and the wire protocol distinguish
-// binary records from legacy JSON entries.
-func IsBinaryRecord(data []byte) bool {
-	return len(data) >= len(recordMagic) && string(data[:len(recordMagic)]) == recordMagic
-}
 
 // EncodeBinary renders the record in the binary cache format. The Panic
 // field is not encoded (panics are never cached).

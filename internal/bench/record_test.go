@@ -23,9 +23,6 @@ func TestRecordBinaryRoundTrip(t *testing.T) {
 	empty := PointRecord{Schema: PointSchema, Key: "k"}
 	for _, rec := range []PointRecord{full, empty} {
 		data := rec.EncodeBinary()
-		if !IsBinaryRecord(data) {
-			t.Fatal("encoded record does not carry the binary framing")
-		}
 		var got PointRecord
 		if err := got.DecodeBinary(data); err != nil {
 			t.Fatal(err)
@@ -56,7 +53,7 @@ func TestRecordBinaryRejectsDamage(t *testing.T) {
 	if err := rec.DecodeBinary(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Error("trailing byte accepted")
 	}
-	if IsBinaryRecord([]byte(`{"schema":1}`)) {
-		t.Error("JSON sniffed as binary")
+	if err := rec.DecodeBinary([]byte(`{"schema":1}`)); err == nil {
+		t.Error("JSON record accepted")
 	}
 }

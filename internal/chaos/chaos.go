@@ -214,7 +214,7 @@ func (s *Schedule) String() string {
 //	http:status=503,ops=1-20            503 burst on the first 20 requests
 //	latency:delay=50ms,p=0.5            half the round trips take 50ms extra
 //	truncate:p=0.2,match=/cache/        truncate 20% of cache responses
-//	eio-read:p=0.3,match=.json          30% of cache-entry reads fail
+//	eio-read:p=0.3,match=.pack          30% of cache pack page-ins fail
 //	eio-write:ops=1-4,match=journal     first 4 journal appends fail
 //	enospc:p=0.2,match=.tmp-            disk-full on 20% of cache writes
 //	torn:ops=3-3,match=journal          the 3rd journal append tears

@@ -30,7 +30,7 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		"http:status=502,match=/cache/",
 		"latency:p=0.5,delay=50ms",
 		"truncate:p=0.2,match=/cache/",
-		"eio-read:p=0.3,match=.json",
+		"eio-read:p=0.3,match=.pack",
 		"eio-write:ops=1-4,match=journal",
 		"enospc:p=0.2,match=.tmp-",
 		"torn:ops=3-3,match=journal",

@@ -68,12 +68,9 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 // record for key.
 func (f *fakeReplica) serveRecord(key string) {
 	rec := bench.PointRecord{Schema: bench.PointSchema, Key: key, Payload: json.RawMessage(`{"v":1}`)}
-	body, err := json.Marshal(rec)
-	if err != nil {
-		f.t.Fatal(err)
-	}
+	body := rec.EncodeBinary()
 	f.cacheGet = func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write(body)
 	}
 }

@@ -120,12 +120,11 @@ func CacheKeySum(fullKey string) string {
 // process's Loads) and the buffer is flushed as one immutable pack
 // segment — written atomically via temp + rename — once it reaches the
 // entry or byte threshold, or on Flush/Close. Reads resolve pending →
-// pack index → legacy loose files, with a throttled rescan of the packs
-// directory so concurrent processes sharing a cache directory pick up
-// each other's flushed segments. Callers that want durability before
-// process exit must Flush (cmd/interference and the cache daemon do).
+// pack index, with a throttled rescan of the packs directory so
+// concurrent processes sharing a cache directory pick up each other's
+// flushed segments. Callers that want durability before process exit
+// must Flush (cmd/interference and the cache daemon do).
 type PointCache struct {
-	dir   string
 	packs string
 	fs    chaos.FS
 
@@ -150,10 +149,6 @@ const (
 	// cold campaign pounding an empty shared cache doesn't pay a
 	// directory listing per point.
 	packRescanEvery = 100 * time.Millisecond
-	// cacheShards is the loose-layout fan-out: one directory per first
-	// address byte, all precreated at open so no write path ever stats
-	// or creates a directory.
-	cacheShards = 256
 )
 
 // OpenPointCache opens (creating if needed) a cache rooted at dir.
@@ -164,24 +159,11 @@ func OpenPointCache(dir string) (*PointCache, error) {
 // OpenPointCacheFS opens a cache whose I/O goes through fsys — the
 // production filesystem, or a chaos.Flaky wrapper in fault drills.
 func OpenPointCacheFS(dir string, fsys chaos.FS) (*PointCache, error) {
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("runner: creating point cache: %w", err)
-	}
 	packs := filepath.Join(dir, "packs")
 	if err := fsys.MkdirAll(packs, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: creating point cache: %w", err)
 	}
-	// Precreate every shard directory once; the last shard's existence
-	// marks a fully-initialised layout, so reopening is two stats.
-	if _, err := fsys.ReadDir(filepath.Join(dir, "ff")); err != nil {
-		for i := 0; i < cacheShards; i++ {
-			if err := fsys.MkdirAll(filepath.Join(dir, fmt.Sprintf("%02x", i)), 0o755); err != nil {
-				return nil, fmt.Errorf("runner: creating point cache shards: %w", err)
-			}
-		}
-	}
 	c := &PointCache{
-		dir:        dir,
 		packs:      packs,
 		fs:         fsys,
 		pending:    make(map[string][]byte),
@@ -197,30 +179,12 @@ func OpenPointCacheFS(dir string, fsys chaos.FS) (*PointCache, error) {
 	return c, nil
 }
 
-// Dir returns the cache root.
-func (c *PointCache) Dir() string { return c.dir }
-
-// path maps a full point key to its legacy loose file: two-level
-// fan-out on the key's sha256 keeps directories small on big campaigns.
-func (c *PointCache) path(fullKey string) string {
-	return c.sumPath(CacheKeySum(fullKey))
-}
-
-// sumPath maps an already-hashed key (see CacheKeySum) to its loose file.
-func (c *PointCache) sumPath(sum string) string {
-	return filepath.Join(c.dir, sum[:2], sum+".json")
-}
-
-// LoadSum returns the raw stored bytes for a content address, as the
-// remote cache protocol serves them — binary records from the pending
-// buffer or a pack, legacy JSON from a loose file. os.IsNotExist(err)
+// LoadSum returns the raw stored binary record for a content address,
+// as the remote cache protocol serves it. os.IsNotExist(err)
 // distinguishes absence from read failures. No validation happens here —
 // callers must verify the decoded record's key hashes back to sum
 // before trusting it.
 func (c *PointCache) LoadSum(sum string) ([]byte, error) {
-	if len(sum) < 2 {
-		return nil, os.ErrNotExist
-	}
 	data, found, err := c.lookup(sum)
 	if err != nil {
 		return nil, err
@@ -232,40 +196,24 @@ func (c *PointCache) LoadSum(sum string) ([]byte, error) {
 }
 
 // lookup resolves a content address to its raw stored bytes: pending
-// buffer, then pack index, then legacy loose file, then (on a clean
-// miss) a throttled rescan of the packs directory for segments flushed
-// by other processes.
+// buffer, then pack index, then (on a miss) a throttled rescan of the
+// packs directory for segments flushed by other processes.
 func (c *PointCache) lookup(sum string) (data []byte, found bool, err error) {
 	c.mu.Lock()
-	if data, ok := c.pending[sum]; ok {
-		c.mu.Unlock()
-		return data, true, nil
-	}
-	if ref, ok := c.index[sum]; ok {
-		data, err := c.packSliceLocked(ref)
-		c.mu.Unlock()
-		return data, err == nil, err
-	}
-	c.mu.Unlock()
-
-	data, err = c.fs.ReadFile(c.sumPath(sum))
-	if err == nil {
-		return data, true, nil
-	}
-	if !os.IsNotExist(err) {
-		return nil, false, err
-	}
-
-	c.mu.Lock()
 	defer c.mu.Unlock()
-	if time.Since(c.lastScan) >= packRescanEvery {
-		c.rescanLocked()
-		if ref, ok := c.index[sum]; ok {
-			data, err := c.packSliceLocked(ref)
-			return data, err == nil, err
-		}
+	if data, ok := c.pending[sum]; ok {
+		return data, true, nil
 	}
-	return nil, false, nil
+	ref, ok := c.index[sum]
+	if !ok && time.Since(c.lastScan) >= packRescanEvery {
+		c.rescanLocked()
+		ref, ok = c.index[sum]
+	}
+	if !ok {
+		return nil, false, nil
+	}
+	data, err = c.packSliceLocked(ref)
+	return data, err == nil, err
 }
 
 // packSliceLocked returns the record bytes a ref points at, paging the
@@ -352,14 +300,10 @@ func (c *PointCache) Load(fullKey string) (rec bench.PointRecord, ok, mismatch, 
 	return decodeStored(data, fullKey)
 }
 
-// decodeStored parses raw cache bytes — binary record or legacy JSON —
-// and applies the cache's trust checks.
+// decodeStored parses a raw binary record and applies the cache's trust
+// checks.
 func decodeStored(data []byte, fullKey string) (rec bench.PointRecord, ok, mismatch, ioErr bool) {
-	if bench.IsBinaryRecord(data) {
-		if err := rec.DecodeBinary(data); err != nil {
-			return bench.PointRecord{}, false, false, true
-		}
-	} else if err := json.Unmarshal(data, &rec); err != nil {
+	if err := rec.DecodeBinary(data); err != nil {
 		return bench.PointRecord{}, false, false, true
 	}
 	if rec.Schema != bench.PointSchema {
@@ -476,61 +420,10 @@ func (c *PointCache) writeIdx(seg string, refs []idxEntry) {
 	}
 }
 
-// Compact migrates legacy loose entries (one JSON file per point) into
-// a single pack segment and removes the loose files, returning how many
-// entries moved. Entries that fail validation — unparseable, stale
-// schema, or filed under the wrong address — are left in place.
-func (c *PointCache) Compact() (int, error) {
-	migrated := make(map[string][]byte)
-	var loose []string
-	for i := 0; i < cacheShards; i++ {
-		shard := filepath.Join(c.dir, fmt.Sprintf("%02x", i))
-		ents, err := c.fs.ReadDir(shard)
-		if err != nil {
-			continue
-		}
-		for _, de := range ents {
-			name := de.Name()
-			if !strings.HasSuffix(name, ".json") {
-				continue
-			}
-			path := filepath.Join(shard, name)
-			data, err := c.fs.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			var rec bench.PointRecord
-			if err := json.Unmarshal(data, &rec); err != nil || rec.Schema != bench.PointSchema {
-				continue
-			}
-			sum := CacheKeySum(rec.Key)
-			if sum+".json" != name {
-				continue // misfiled: migrating would launder a poisoned entry
-			}
-			migrated[sum] = rec.EncodeBinary()
-			loose = append(loose, path)
-		}
-	}
-	if len(migrated) == 0 {
-		return 0, nil
-	}
-	c.mu.Lock()
-	err := c.writePackLocked(migrated)
-	c.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	for _, path := range loose {
-		c.fs.Remove(path)
-	}
-	return len(migrated), nil
-}
-
 // Entries invokes fn for every record the cache can serve, passing the
-// content address and the raw stored bytes (binary records from the
-// pending buffer and packs, legacy JSON from loose files). Pending
-// entries shadow packed ones, which shadow loose ones. Iteration order
-// is unspecified. fn's first error aborts the walk.
+// content address and the raw stored binary record. Pending entries
+// shadow packed ones. Iteration order is unspecified. fn's first error
+// aborts the walk.
 func (c *PointCache) Entries(fn func(sum string, data []byte) error) error {
 	c.mu.Lock()
 	c.rescanLocked()
@@ -552,30 +445,6 @@ func (c *PointCache) Entries(fn func(sum string, data []byte) error) error {
 			return err
 		}
 	}
-	for i := 0; i < cacheShards; i++ {
-		shard := filepath.Join(c.dir, fmt.Sprintf("%02x", i))
-		ents, err := c.fs.ReadDir(shard)
-		if err != nil {
-			continue
-		}
-		for _, de := range ents {
-			name := de.Name()
-			if !strings.HasSuffix(name, ".json") {
-				continue
-			}
-			sum := strings.TrimSuffix(name, ".json")
-			if _, dup := snap[sum]; dup {
-				continue
-			}
-			data, err := c.fs.ReadFile(filepath.Join(shard, name))
-			if err != nil {
-				continue
-			}
-			if err := fn(sum, data); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 
@@ -584,42 +453,18 @@ type DiskStats struct {
 	// Packs / PackedEntries count indexed segments and the records they
 	// hold; PendingEntries are buffered writes not yet flushed.
 	Packs, PackedEntries, PendingEntries int
-	// LooseEntries / LooseShards count legacy one-file-per-point
-	// records and the shard directories occupied by them (Compact
-	// drains both to zero).
-	LooseEntries, LooseShards int
 }
 
-// DiskStats scans the cache layout and reports its occupancy.
+// DiskStats rescans the packs directory and reports its occupancy.
 func (c *PointCache) DiskStats() DiskStats {
-	var st DiskStats
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.rescanLocked()
-	st.PendingEntries = len(c.pending)
-	st.PackedEntries = len(c.index)
 	packs := make(map[string]bool)
 	for _, ref := range c.index {
 		packs[ref.path] = true
 	}
-	st.Packs = len(packs)
-	c.mu.Unlock()
-	for i := 0; i < cacheShards; i++ {
-		ents, err := c.fs.ReadDir(filepath.Join(c.dir, fmt.Sprintf("%02x", i)))
-		if err != nil {
-			continue
-		}
-		n := 0
-		for _, de := range ents {
-			if strings.HasSuffix(de.Name(), ".json") {
-				n++
-			}
-		}
-		if n > 0 {
-			st.LooseShards++
-			st.LooseEntries += n
-		}
-	}
-	return st
+	return DiskStats{Packs: len(packs), PackedEntries: len(c.index), PendingEntries: len(c.pending)}
 }
 
 // pointBaseKey fingerprints everything outside the point's own key that

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/trace"
 )
@@ -258,20 +259,60 @@ func TestCacheSchemaDriftIsMiss(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptEntryIsIOError: unparseable bytes are reported as an
-// I/O-level error and the point recomputed. The corrupt bytes sit in a
-// legacy loose file — the shard directories are precreated at open, so
-// the write needs no mkdir.
+// TestCacheCorruptEntryIsIOError: a pack entry whose bytes are not a
+// binary record is reported as an I/O-level error and the point
+// recomputed.
 func TestCacheCorruptEntryIsIOError(t *testing.T) {
-	cache, err := OpenPointCache(t.TempDir())
+	dir := t.TempDir()
+	pack, refs, err := buildPack(map[string][]byte{CacheKeySum("k"): []byte("not a record")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(cache.path("k"), []byte("not json"), 0o644); err != nil {
+	seg := filepath.Join(dir, "packs", "seg-corrupt")
+	if err := os.MkdirAll(filepath.Dir(seg), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg+".pack", pack, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg+".idx", encodeIdx(refs), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cache, err := OpenPointCache(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _, ioErr := cache.Load("k"); ok || !ioErr {
 		t.Fatalf("corrupt entry: ok=%v ioErr=%v, want miss+ioErr", ok, ioErr)
+	}
+}
+
+// TestCacheColdMissReadsNothing: opening an empty directory creates only
+// packs/, and a miss on it touches no file — so even a disk whose every
+// read fails answers it as a clean miss, not an I/O error.
+func TestCacheColdMissReadsNothing(t *testing.T) {
+	dir := t.TempDir()
+	inj := chaos.NewInjector(1, mustChaos(t, "eio-read:p=1"))
+	cache, err := OpenPointCacheFS(dir, chaos.Flaky(chaos.OS(), inj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "packs" {
+		var names []string
+		for _, de := range ents {
+			names = append(names, de.Name())
+		}
+		t.Fatalf("open created %v, want only packs/", names)
+	}
+	if _, ok, mismatch, ioErr := cache.Load("k"); ok || mismatch || ioErr {
+		t.Fatalf("cold miss: ok=%v mismatch=%v ioErr=%v, want a clean miss", ok, mismatch, ioErr)
+	}
+	if n := inj.Injected(); n != 0 {
+		t.Fatalf("cold miss attempted %d failing read(s), want none", n)
 	}
 }
 

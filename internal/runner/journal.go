@@ -14,14 +14,15 @@ import (
 	"repro/internal/core"
 )
 
-// The campaign journal makes long campaigns crash-safe: every
+// The campaign journal makes the daemon's campaigns crash-safe: every
 // completed experiment's result is appended to a JSON-lines file the
 // moment it finishes, keyed by experiment ID and a hash of the full
 // configuration (spec, seed, runs, format, fault schedule). A campaign
-// that is killed after experiment k can be re-run with -resume: results
-// already in the journal are replayed byte-identically and only the
-// missing experiments execute. Failed experiments are never journaled,
-// so a resume retries them.
+// that is killed after experiment k and resubmitted replays the results
+// already in the journal byte-identically and executes only the missing
+// experiments. Failed experiments are never journaled, so a rerun
+// retries them. (The CLI needs no journal: re-running a killed campaign
+// against the same point cache replays every flushed point.)
 
 // journalSchema versions the entry format; entries with a different
 // schema are ignored on load (a stale journal degrades to a fresh
@@ -68,20 +69,15 @@ type Journal struct {
 	entries map[string]JournalEntry // keyed by ID + "\x00" + Hash
 }
 
-// OpenJournal opens (creating if needed) the journal at path and loads
-// its entries, tolerating corruption: see OpenJournalFS.
-func OpenJournal(path string) (*Journal, error) {
-	return OpenJournalFS(path, chaos.OS(), nil)
-}
-
-// OpenJournalFS opens the journal at path through fsys. Recovery is
-// tolerant by design — a journal exists to save work, so one damaged
-// record must never cost the rest: a corrupt line anywhere (torn tail
-// from a mid-append kill, a record mangled by a torn write, stray
-// garbage) is skipped, counted (see Skipped) and reported through logf,
-// and every intact record before and after it still loads. An
-// unterminated final line is truncated away so later appends start
-// clean. logf may be nil to discard the reports.
+// OpenJournalFS opens (creating if needed) the journal at path through
+// fsys and loads its entries. Recovery is tolerant by design — a
+// journal exists to save work, so one damaged record must never cost
+// the rest: a corrupt line anywhere (torn tail from a mid-append kill,
+// a record mangled by a torn write, stray garbage) is skipped, counted
+// (see Skipped) and reported through logf, and every intact record
+// before and after it still loads. An unterminated final line is
+// truncated away so later appends start clean. logf may be nil to
+// discard the reports.
 func OpenJournalFS(path string, fsys chaos.FS, logf func(format string, args ...any)) (*Journal, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -285,17 +281,16 @@ func resultFor(e JournalEntry, exp core.Experiment, index int) Result {
 	}
 }
 
-// RunResumable is Run with a crash-safe journal: freshly completed
-// experiments are appended to j as they finish, and when resume is
-// true, experiments already journaled under the same configuration are
-// replayed from the journal instead of executing. Results still arrive
-// in the order of exps — cached and fresh interleaved — so the
-// campaign output stays byte-identical to an uninterrupted run.
-// Failed experiments are never journaled. A journal append failure
-// does NOT fail the experiment — its result is correct and is still
-// delivered — but the loss of crash-safety is reported through the
-// result's DurabilityErr so callers can warn.
-func RunResumable(env bench.Env, exps []core.Experiment, opts Options, j *Journal, cluster string, resume bool) <-chan Result {
+// RunResumable is Run with a crash-safe journal: experiments already
+// journaled under the same configuration are replayed from the journal
+// instead of executing, and freshly completed ones are appended to j as
+// they finish. Results still arrive in the order of exps — cached and
+// fresh interleaved — so the campaign output stays byte-identical to an
+// uninterrupted run. Failed experiments are never journaled. A journal
+// append failure does NOT fail the experiment — its result is correct
+// and is still delivered — but the loss of crash-safety is reported
+// through the result's DurabilityErr so callers can warn.
+func RunResumable(env bench.Env, exps []core.Experiment, opts Options, j *Journal, cluster string) <-chan Result {
 	format := opts.Format
 	if format == "" {
 		format = "ascii"
@@ -306,11 +301,9 @@ func RunResumable(env bench.Env, exps []core.Experiment, opts Options, j *Journa
 	var pending []core.Experiment
 	pendingIndex := make(map[string]int) // experiment ID -> index in exps
 	for i, e := range exps {
-		if resume {
-			if entry, ok := j.Lookup(e.ID, hash); ok {
-				cached[i] = entry
-				continue
-			}
+		if entry, ok := j.Lookup(e.ID, hash); ok {
+			cached[i] = entry
+			continue
 		}
 		pending = append(pending, e)
 		pendingIndex[e.ID] = i

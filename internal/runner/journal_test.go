@@ -35,7 +35,7 @@ func tmpJournal(t *testing.T) string {
 
 func TestJournalAppendLookupReload(t *testing.T) {
 	path := tmpJournal(t)
-	j, err := OpenJournal(path)
+	j, err := OpenJournalFS(path, chaos.OS(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestJournalAppendLookupReload(t *testing.T) {
 	j.Close()
 
 	// Reload from disk: the entry persists.
-	j2, err := OpenJournal(path)
+	j2, err := OpenJournalFS(path, chaos.OS(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestJournalAppendLookupReload(t *testing.T) {
 // every complete entry.
 func TestJournalToleratesTruncatedTail(t *testing.T) {
 	path := tmpJournal(t)
-	j, err := OpenJournal(path)
+	j, err := OpenJournalFS(path, chaos.OS(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestJournalToleratesTruncatedTail(t *testing.T) {
 	fmt.Fprint(f, `{"schema":1,"id":"b","hash":"h","rend`) // torn write, no newline
 	f.Close()
 
-	j2, err := OpenJournal(path)
+	j2, err := OpenJournalFS(path, chaos.OS(), nil)
 	if err != nil {
 		t.Fatalf("truncated tail not tolerated: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestJournalToleratesTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2.Close()
-	j3, err := OpenJournal(path)
+	j3, err := OpenJournalFS(path, chaos.OS(), nil)
 	if err != nil {
 		t.Fatalf("reopen after recovery append: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestJournalSkipsTornMidRecord(t *testing.T) {
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, err := OpenJournal(path)
+	j, err := OpenJournalFS(path, chaos.OS(), nil)
 	if err != nil {
 		t.Fatalf("torn mid-record aborted recovery: %v", err)
 	}
@@ -202,7 +202,7 @@ func TestJournalTornAppendIsolated(t *testing.T) {
 	}
 	j.Close()
 
-	j2, err := OpenJournal(path)
+	j2, err := OpenJournalFS(path, chaos.OS(), nil)
 	if err != nil {
 		t.Fatalf("reopen after torn append: %v", err)
 	}
@@ -253,12 +253,12 @@ func TestConfigHashSensitivity(t *testing.T) {
 	}
 }
 
-// TestRunResumableSkipsJournaled: with resume on, journaled experiments
-// replay without executing, fresh ones run and are appended, and the
-// merged stream stays in submission order.
+// TestRunResumableSkipsJournaled: journaled experiments replay without
+// executing, fresh ones run and are appended, and the merged stream
+// stays in submission order.
 func TestRunResumableSkipsJournaled(t *testing.T) {
 	env := testEnv(t)
-	j, err := OpenJournal(tmpJournal(t))
+	j, err := OpenJournalFS(tmpJournal(t), chaos.OS(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestRunResumableSkipsJournaled(t *testing.T) {
 	}
 	bRendered := pre[0].Rendered
 
-	res := Collect(RunResumable(env, exps, opts, j, "henri", true))
+	res := Collect(RunResumable(env, exps, opts, j, "henri"))
 	if len(res) != 3 {
 		t.Fatalf("got %d results, want 3", len(res))
 	}
@@ -300,7 +300,7 @@ func TestRunResumableSkipsJournaled(t *testing.T) {
 		t.Fatal("fresh results marked cached")
 	}
 	// The fresh completions were journaled: a second resume is all-cached.
-	res2 := Collect(RunResumable(env, exps, opts, j, "henri", true))
+	res2 := Collect(RunResumable(env, exps, opts, j, "henri"))
 	for i, r := range res2 {
 		if !r.Cached {
 			t.Fatalf("result %d not cached on second resume", i)
@@ -318,7 +318,7 @@ func TestRunResumableSkipsJournaled(t *testing.T) {
 // error result and stays out of the journal, so a resume retries it.
 func TestRunResumableNeverJournalsFailures(t *testing.T) {
 	env := testEnv(t)
-	j, err := OpenJournal(tmpJournal(t))
+	j, err := OpenJournalFS(tmpJournal(t), chaos.OS(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestRunResumableNeverJournalsFailures(t *testing.T) {
 		panic("kaboom")
 	}}
 	exps := []core.Experiment{fakeExp("ok", nil), boom}
-	res := Collect(RunResumable(env, exps, Options{Workers: 1}, j, "henri", false))
+	res := Collect(RunResumable(env, exps, Options{Workers: 1}, j, "henri"))
 	if res[0].Err != nil || res[1].Err == nil {
 		t.Fatalf("unexpected outcomes: %v / %v", res[0].Err, res[1].Err)
 	}

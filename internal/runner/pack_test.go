@@ -2,7 +2,6 @@ package runner
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,8 +49,9 @@ func TestCacheWriteBehindReadYourWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bench.IsBinaryRecord(raw) {
-		t.Fatal("LoadSum of a pending entry did not serve the binary encoding")
+	var back bench.PointRecord
+	if err := back.DecodeBinary(raw); err != nil || back.Key != "wb/k" {
+		t.Fatalf("LoadSum of a pending entry: key %q, err %v; want the binary record", back.Key, err)
 	}
 }
 
@@ -147,82 +147,6 @@ func TestCacheBatchFlushThreshold(t *testing.T) {
 	c.mu.Unlock()
 	if pending != 0 {
 		t.Fatalf("%d entries still pending after threshold flush", pending)
-	}
-}
-
-// TestCacheLegacyLooseMigration: loose one-file-per-point JSON entries
-// from the previous layout are served as-is, and Compact folds them
-// into a pack and removes the files.
-func TestCacheLegacyLooseMigration(t *testing.T) {
-	dir := t.TempDir()
-	// Lay the legacy files down with a first cache (precreates shards).
-	c := mustOpen(t, dir)
-	keys := []string{"mig/a", "mig/b"}
-	for _, k := range keys {
-		rec := testRecord(k)
-		data, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(c.path(k), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, k := range keys {
-		if _, ok, _, _ := c.Load(k); !ok {
-			t.Fatalf("legacy loose entry %s not served", k)
-		}
-	}
-	if st := c.DiskStats(); st.LooseEntries != len(keys) {
-		t.Fatalf("before compact: %+v, want %d loose", st, len(keys))
-	}
-
-	n, err := c.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(keys) {
-		t.Fatalf("compacted %d entries, want %d", n, len(keys))
-	}
-	st := c.DiskStats()
-	if st.LooseEntries != 0 || st.LooseShards != 0 {
-		t.Fatalf("loose entries survived compaction: %+v", st)
-	}
-	// A fresh open (no legacy files left) still serves every record.
-	reopened := mustOpen(t, dir)
-	for _, k := range keys {
-		got, ok, mismatch, ioErr := reopened.Load(k)
-		if !ok || mismatch || ioErr {
-			t.Fatalf("%s after compaction: ok=%v mismatch=%v ioErr=%v", k, ok, mismatch, ioErr)
-		}
-		if got.Key != k || got.SimSeconds != 1.25 {
-			t.Fatalf("%s decoded wrong: %+v", k, got)
-		}
-	}
-}
-
-// TestCompactLeavesPoisonedEntriesBehind: a loose file filed under an
-// address its key does not hash to must not be laundered into a pack.
-func TestCompactLeavesPoisonedEntriesBehind(t *testing.T) {
-	c := mustOpen(t, t.TempDir())
-	rec := testRecord("someone-elses-key")
-	data, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Filed where "poisoned/k" would live, but carrying another key.
-	if err := os.WriteFile(c.path("poisoned/k"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	n, err := c.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Fatalf("compacted %d poisoned entries, want 0", n)
-	}
-	if st := c.DiskStats(); st.LooseEntries != 1 {
-		t.Fatalf("poisoned entry removed without migration: %+v", st)
 	}
 }
 

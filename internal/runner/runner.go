@@ -75,9 +75,9 @@ type Result struct {
 	// Err is non-nil when the experiment panicked or failed to render;
 	// the other workers keep running.
 	Err error
-	// Cached marks a result replayed from a campaign journal instead of
-	// executed (see RunResumable); Tables is nil for cached results but
-	// Rendered and Metrics carry the journaled values.
+	// Cached marks a result replayed from the daemon's campaign journal
+	// instead of executed (see RunResumable); Tables is nil for cached
+	// results but Rendered and Metrics carry the journaled values.
 	Cached bool
 	// DurabilityErr is non-nil when the experiment SUCCEEDED but its
 	// journal append failed: the result is correct and usable, it just

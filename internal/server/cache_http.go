@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -28,13 +27,13 @@ import (
 //	PUT /cache/{sum}  <- record bytes + X-Content-SHA256, 204 on store
 //
 // {sum} is the content address: hex sha256 of the record's full point
-// key (runner.CacheKeySum). Record bytes travel in the compact binary
-// encoding (bench.PointRecord.EncodeBinary, "IPR1" framing); both ends
-// sniff the framing and still accept legacy JSON records, so an old
-// client or a cache directory of loose JSON entries interoperates.
-// Verification happens on both ends. The server refuses a PUT whose
-// body digest does not match its header or whose embedded key does not
-// hash to the addressed sum, so a client can never misfile an entry;
+// key (runner.CacheKeySum). Record bytes travel as
+// application/octet-stream in the binary record encoding
+// (bench.PointRecord.EncodeBinary, "IPR1" framing) — the only encoding
+// either end accepts. Verification happens on both ends. The server
+// refuses a PUT whose body digest does not match its header, whose body
+// is not a binary record, or whose embedded key does not hash to the
+// addressed sum, so a client can never misfile an entry;
 // the client re-verifies the body digest and the embedded key on GET,
 // so a poisoned server entry is detected (counted as a mismatch,
 // mirroring the on-disk cache) and recomputed, never served.
@@ -44,15 +43,6 @@ const shaHeader = "X-Content-SHA256"
 func bodySum(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-// decodeRecordBytes parses record bytes in either wire form: the binary
-// framing is sniffed by magic, anything else must be legacy JSON.
-func decodeRecordBytes(data []byte, rec *bench.PointRecord) error {
-	if bench.IsBinaryRecord(data) {
-		return rec.DecodeBinary(data)
-	}
-	return json.Unmarshal(data, rec)
 }
 
 func validSum(sum string) bool {
@@ -89,11 +79,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.proto.getHits.Add(1)
-	if bench.IsBinaryRecord(data) {
-		w.Header().Set("Content-Type", "application/octet-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-	}
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(shaHeader, bodySum(data))
 	w.Write(data)
 }
@@ -133,9 +119,9 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var rec bench.PointRecord
-	if err := decodeRecordBytes(body, &rec); err != nil {
+	if err := rec.DecodeBinary(body); err != nil {
 		s.proto.rejected.Add(1)
-		http.Error(w, "interfd: cache entry is not a point record", http.StatusBadRequest)
+		http.Error(w, "interfd: cache entry is not a binary point record", http.StatusBadRequest)
 		return
 	}
 	if rec.Schema != bench.PointSchema {
@@ -372,7 +358,7 @@ func (rc *RemoteCache) loadOnce(fullKey string) (rec bench.PointRecord, ok, mism
 		// server computed over what it stored.
 		return bench.PointRecord{}, false, false, true, true, 0
 	}
-	if err := decodeRecordBytes(body, &rec); err != nil {
+	if err := rec.DecodeBinary(body); err != nil {
 		return bench.PointRecord{}, false, false, true, true, 0
 	}
 	if rec.Schema != bench.PointSchema {

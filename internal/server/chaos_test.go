@@ -78,10 +78,11 @@ func soakStorm(t *testing.T, url string, specs []CampaignSpec, clients, perClien
 // warnings, and a clean daemon must reopen the mangled state without
 // error.
 //
-// Scenario B (full chaos): EIO bursts on cache reads (tripping the
-// circuit breaker) and ENOSPC on cache temp files (degrading campaigns
-// to no-cache mode). Results must still be byte-identical; the misses
-// may exceed the union only by the accounted-for failure paths.
+// Scenario B (full chaos): EIO on pack page-ins from a pre-seeded cache
+// (degrading campaigns to no-cache mode, tripping the circuit breaker)
+// and ENOSPC on cache temp files. Results must still be byte-identical;
+// every execution beyond the unseeded points must be accounted for by a
+// failure path.
 func TestServerChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak; skipped with -short")
@@ -198,28 +199,34 @@ func TestServerChaosSoak(t *testing.T) {
 	})
 
 	t.Run("full", func(t *testing.T) {
-		// EIO on cache entry reads plus ENOSPC on cache temp files: loads
-		// and stores both fail, the breaker trips on failure streaks
-		// (suppressing the cache until a probe succeeds), and campaigns
-		// hitting the error threshold degrade to no-cache mode. This
-		// daemon runs without a StateDir — durability chaos is scenario
-		// A's business, and with no state log there are no boot-time
-		// reads, so the unrestricted eio-read event can only ever hit the
-		// point cache.
-		spec := "eio-read:p=0.6;enospc:p=0.6,match=.tmp-"
+		// A miss on the pack layout reads no file, so read faults only
+		// land where a load must page a pack in from disk: a healthy
+		// daemon first seeds the cache with the storm's seed-1 campaigns,
+		// one pack each. The first page-in of every seeded pack fails,
+		// later ones fail 60% of the time, and ENOSPC hits 60% of cache
+		// temp files, so loads and flushes both fail. A degrade threshold
+		// of one error turns the guaranteed read faults into degraded
+		// campaigns, and a tight breaker exercises trip → probe → recover
+		// when the failures streak. This daemon runs without a StateDir —
+		// durability chaos is scenario A's business.
+		var seedSpecs []CampaignSpec
+		for i, sp := range specs {
+			if covered[i] && sp.Seed == 1 {
+				seedSpecs = append(seedSpecs, sp) // covered, so their points are in the union
+			}
+		}
+		cacheDir, seeded := seedCache(t, seedSpecs...)
+		spec := "eio-read:ops=1-1,match=.pack;eio-read:p=0.6,match=.pack;enospc:p=0.6,match=.tmp-"
 		inj := chaos.NewInjector(seed, mustChaosSpec(t, spec))
 		s, ts := newTestServer(t, Config{
-			CacheDir:    filepath.Join(t.TempDir(), "cache"),
-			Shards:      4,
-			QueueDepth:  clients*perClient + 8,
-			MaxInflight: 4,
-			FS:          chaos.Flaky(chaos.OS(), inj),
-			// A tight breaker and degrade threshold so the soak exercises
-			// trip → probe → recover and per-campaign degradation inside
-			// one storm.
+			CacheDir:          cacheDir,
+			Shards:            4,
+			QueueDepth:        clients*perClient + 8,
+			MaxInflight:       4,
+			FS:                chaos.Flaky(chaos.OS(), inj),
 			BreakerFailLimit:  6,
 			BreakerProbeEvery: 4,
-			DegradeAfter:      2,
+			DegradeAfter:      1,
 		})
 		views, specIdx := soakStorm(t, ts.URL, specs, clients, perClient)
 		for i, v := range views {
@@ -229,38 +236,45 @@ func TestServerChaosSoak(t *testing.T) {
 			}
 		}
 		m := s.Metrics()
-		// Every miss beyond the union must be accounted for by a failure
-		// path: cache I/O errors, degraded-mode skips, breaker-suppressed
-		// ops, or verification mismatches. Anything else would mean a
-		// point executed twice for no recorded reason.
+		// Every unseeded point executes at least once; every execution
+		// beyond that must be accounted for by a failure path: cache I/O
+		// errors, degraded-mode skips, breaker-suppressed ops, or
+		// verification mismatches. Anything else would mean a point
+		// executed twice — or a seeded point recomputed — for no recorded
+		// reason.
+		fresh := union - seeded
 		slack := m.Cache.Errors + m.Cache.Skipped + m.Robustness.Breaker.Skipped + m.Cache.Mismatches
-		if m.Cache.Misses < union || m.Cache.Misses > union+slack {
+		if m.Cache.Misses < fresh || m.Cache.Misses > fresh+slack {
 			t.Fatalf("seed %d: full chaos executed %d points, want within [%d, %d] (cache %+v, breaker %+v)",
-				seed, m.Cache.Misses, union, union+slack, m.Cache, m.Robustness.Breaker)
+				seed, m.Cache.Misses, fresh, fresh+slack, m.Cache, m.Robustness.Breaker)
 		}
-		if inj.Injected() == 0 {
-			t.Fatalf("seed %d: full-chaos schedule injected nothing", seed)
+		if n := inj.InjectedKind(chaos.ReadErr); n == 0 {
+			t.Fatalf("seed %d: no read fault reached the seeded packs", seed)
 		}
-		t.Logf("seed %d: full chaos: %d faults injected, misses %d (union %d), breaker %+v, %d degraded campaigns",
-			seed, inj.Injected(), m.Cache.Misses, union, m.Robustness.Breaker, m.Robustness.DegradedCampaigns)
+		t.Logf("seed %d: full chaos: %d faults injected (%d on reads), misses %d (union %d, %d seeded), breaker %+v, %d degraded campaigns",
+			seed, inj.Injected(), inj.InjectedKind(chaos.ReadErr), m.Cache.Misses, union, seeded,
+			m.Robustness.Breaker, m.Robustness.DegradedCampaigns)
 		// The default seed is pinned in CI and must demonstrably reach
-		// degradation; other seeds may legitimately miss it. (Breaker
-		// trips depend on the global op interleaving, so the guaranteed
-		// trip lives in the deterministic sub-test below.)
+		// degradation. (Breaker trips depend on the global op
+		// interleaving, so the guaranteed trip lives in the deterministic
+		// sub-test below.)
 		if seed == 1 && m.Robustness.DegradedCampaigns == 0 {
 			t.Fatal("seed 1: no campaign degraded to no-cache mode")
 		}
 	})
 
 	t.Run("breaker", func(t *testing.T) {
-		// A cache whose every read and write fails: whatever order the
-		// shards issue operations in, the failure streak only grows, so
-		// the breaker is guaranteed to trip, suppress the remaining ops,
-		// and never recover (every probe fails too) — while the campaign
-		// itself still serves the exact baseline bytes.
-		inj := chaos.NewInjector(seed, mustChaosSpec(t, "eio-read:p=1;enospc:p=1,match=.tmp-"))
+		// A cache whose every pack page-in and every write fails, seeded
+		// with all of spec 2's points so each load must page a pack in:
+		// whatever order the shards issue operations in, the failure
+		// streak only grows, so the breaker is guaranteed to trip,
+		// suppress the remaining ops, and never recover (every probe fails
+		// too) — while the campaign itself still serves the exact baseline
+		// bytes.
+		cacheDir, _ := seedCache(t, specs[2])
+		inj := chaos.NewInjector(seed, mustChaosSpec(t, "eio-read:p=1,match=.pack;enospc:p=1,match=.tmp-"))
 		s, ts := newTestServer(t, Config{
-			CacheDir:          filepath.Join(t.TempDir(), "cache"),
+			CacheDir:          cacheDir,
 			Shards:            4,
 			FS:                chaos.Flaky(chaos.OS(), inj),
 			BreakerFailLimit:  3,
@@ -284,7 +298,32 @@ func TestServerChaosSoak(t *testing.T) {
 		if b.Skipped == 0 {
 			t.Fatalf("seed %d: open breaker suppressed nothing: %+v", seed, b)
 		}
+		if inj.InjectedKind(chaos.ReadErr) == 0 {
+			t.Fatalf("seed %d: no read fault reached the seeded packs", seed)
+		}
 	})
+}
+
+// seedCache fills a fresh cache directory with the pack segments a
+// healthy daemon flushes for specs (one campaign, and so one pack, per
+// spec that computes anything), so a daemon opened on it later must page
+// those packs in from disk to serve their points. It returns the
+// directory and how many distinct points the seeding computed.
+func seedCache(t *testing.T, specs ...CampaignSpec) (string, int64) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "cache")
+	s, ts := newTestServer(t, Config{CacheDir: dir})
+	for _, spec := range specs {
+		if code, body, cr := postSpec(t, ts.URL, spec); code != http.StatusOK || cr.Errors != 0 {
+			t.Fatalf("seeding the cache with %v: %d: %s", spec.Experiments, code, body)
+		}
+	}
+	points := s.Metrics().Cache.Misses
+	ts.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, points
 }
 
 // TestRemoteCacheChaosTransport: a RemoteCache speaking to a perfectly

@@ -548,7 +548,7 @@ func (s *Server) runCampaign(c *campaign) *CampaignResponse {
 	opts.Ctx = ctx
 	var results <-chan runner.Result
 	if s.journal != nil {
-		results = runner.RunResumable(c.env, c.exps, opts, s.journal, c.cluster, true)
+		results = runner.RunResumable(c.env, c.exps, opts, s.journal, c.cluster)
 	} else {
 		results = runner.Run(c.env, c.exps, opts)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -326,11 +327,17 @@ func TestCacheProtocolVerification(t *testing.T) {
 
 	// A well-formed record stored under its own content address.
 	rec := validRecord(t, "henri/point/1")
-	body, err := json.Marshal(rec)
+	body := rec.EncodeBinary()
+	sum := runner.CacheKeySum(rec.Key)
+	// The same record as JSON is refused: binary records are the only
+	// encoding the protocol speaks.
+	asJSON, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := runner.CacheKeySum(rec.Key)
+	if code := put(sum, asJSON, bodySum(asJSON)); code != http.StatusBadRequest {
+		t.Fatalf("JSON PUT: %d, want 400", code)
+	}
 	if code := put(sum, body, ""); code != http.StatusBadRequest {
 		t.Fatalf("PUT without digest: %d, want 400", code)
 	}
@@ -354,14 +361,14 @@ func TestCacheProtocolVerification(t *testing.T) {
 	if got := hdr.Get(shaHeader); got != bodySum(served) {
 		t.Fatalf("served digest %q does not cover the served bytes", got)
 	}
-	// The PUT was legacy JSON; the server re-encodes into the binary
-	// wire form, so decode with the same sniffing the client uses.
-	var back bench.PointRecord
-	if err := decodeRecordBytes(served, &back); err != nil || back.Key != rec.Key {
-		t.Fatalf("round-tripped record key %q, want %q (err %v)", back.Key, rec.Key, err)
+	if ct := hdr.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Fatalf("GET Content-Type %q, want application/octet-stream", ct)
+	}
+	if !bytes.Equal(served, body) {
+		t.Fatal("GET did not serve the stored binary record verbatim")
 	}
 	m := s.Metrics()
-	if m.CacheProtocol.Rejected < 4 || m.CacheProtocol.Puts < 4 || m.CacheProtocol.GetHits < 1 {
+	if m.CacheProtocol.Rejected < 5 || m.CacheProtocol.Puts < 5 || m.CacheProtocol.GetHits < 1 {
 		t.Fatalf("protocol counters: %+v", m.CacheProtocol)
 	}
 }
@@ -441,12 +448,22 @@ func TestRemoteCachePoisoned(t *testing.T) {
 	// Poison every stored entry: keep it a valid record, but for a
 	// different key than its content address claims. Flush the daemon's
 	// write-behind buffer into pack segments (the PUTs arrived outside a
-	// server-side campaign, so nothing flushed them yet), rewrite every
-	// packed record as a poisoned loose file, drop the packs, and hand
-	// the directory to a fresh daemon — the restarted-with-a-tampered-
-	// store scenario.
+	// server-side campaign, so nothing flushed them yet), flip one byte of
+	// each record's stored key in place — same length, so the sidecar
+	// indexes still locate every record — and hand the directory to a
+	// fresh daemon: the restarted-with-a-tampered-store scenario.
 	if err := s.cache.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	packs, err := filepath.Glob(filepath.Join(cacheDir, "packs", "*.pack"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	images := make(map[string][]byte, len(packs))
+	for _, p := range packs {
+		if images[p], err = os.ReadFile(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	disk, err := runner.OpenPointCache(cacheDir)
 	if err != nil {
@@ -455,20 +472,17 @@ func TestRemoteCachePoisoned(t *testing.T) {
 	poisoned := 0
 	err = disk.Entries(func(sum string, data []byte) error {
 		var rec bench.PointRecord
-		if bench.IsBinaryRecord(data) {
-			if err := rec.DecodeBinary(data); err != nil {
-				return err
+		if err := rec.DecodeBinary(data); err != nil {
+			return err
+		}
+		for _, img := range images {
+			if at := bytes.Index(img, data); at >= 0 {
+				img[at+bytes.Index(data, []byte(rec.Key))] ^= 1
+				poisoned++
+				return nil
 			}
-		} else if err := json.Unmarshal(data, &rec); err != nil {
-			return err
 		}
-		rec.Key = "poisoned/" + rec.Key
-		out, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		poisoned++
-		return os.WriteFile(filepath.Join(cacheDir, sum[:2], sum+".json"), out, 0o644)
+		return fmt.Errorf("record %s is in no pack file", sum[:12])
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -476,8 +490,10 @@ func TestRemoteCachePoisoned(t *testing.T) {
 	if poisoned == 0 {
 		t.Fatal("no cache entries found to poison")
 	}
-	if err := os.RemoveAll(filepath.Join(cacheDir, "packs")); err != nil {
-		t.Fatal(err)
+	for p, img := range images {
+		if err := os.WriteFile(p, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	_, ts2 := newTestServer(t, Config{CacheDir: cacheDir})
 	rc = NewRemoteCache(ts2.URL)
