@@ -38,7 +38,7 @@ verify:
 #   go run ./cmd/benchreport -totext <old.json> > old.txt   (+ new)
 #   benchstat old.txt new.txt
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=200ms -run='^$$' ./internal/fluid ./internal/sim ./internal/stats ./internal/bench > bench_output.txt
+	$(GO) test -bench=. -benchmem -benchtime=200ms -run='^$$' ./internal/fluid ./internal/sim ./internal/stats ./internal/kernels ./internal/bench > bench_output.txt
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' . >> bench_output.txt
 	$(GO) run ./cmd/benchreport -in bench_output.txt -out BENCH_sim.json
 

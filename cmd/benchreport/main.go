@@ -50,6 +50,9 @@ type Benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	// Metrics holds the benchmark's b.ReportMetric figures keyed by unit
+	// (e.g. "solves/slice", which CI ratchets for BenchmarkStreamLoop).
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Campaign is the timed full-golden-campaign matrix: cold cache-disabled
@@ -190,9 +193,10 @@ type Report struct {
 	Point    *PointRun          `json:"point,omitempty"`
 }
 
-// benchLine matches one `go test -bench` result line, with or without
-// the -benchmem columns and the -N GOMAXPROCS suffix.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op\s+([\d.]+) allocs/op)?`)
+// benchLine matches one `go test -bench` result line (without the -N
+// GOMAXPROCS suffix): name, iterations, then value/unit pairs starting
+// with ns/op — the -benchmem columns and any b.ReportMetric figures.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+ ns/op(?:\s+[\d.eE+-]+ \S+)*)\s*$`)
 
 func main() {
 	var (
@@ -404,10 +408,22 @@ func parseBench(path string) (map[string]Benchmark, error) {
 		}
 		var b Benchmark
 		b.Iters, _ = strconv.ParseInt(mm[2], 10, 64)
-		b.NsPerOp, _ = strconv.ParseFloat(mm[3], 64)
-		if mm[4] != "" {
-			b.BytesPerOp, _ = strconv.ParseFloat(mm[4], 64)
-			b.AllocsPerOp, _ = strconv.ParseFloat(mm[5], 64)
+		f := strings.Fields(mm[3])
+		for i := 0; i+1 < len(f); i += 2 {
+			v, _ := strconv.ParseFloat(f[i], 64)
+			switch unit := f[i+1]; unit {
+			case "ns/op":
+				b.NsPerOp = v
+			case "B/op":
+				b.BytesPerOp = v
+			case "allocs/op":
+				b.AllocsPerOp = v
+			default:
+				if b.Metrics == nil {
+					b.Metrics = map[string]float64{}
+				}
+				b.Metrics[unit] = v
+			}
 		}
 		benches[mm[1]] = b
 	}
@@ -869,8 +885,16 @@ func emitText(w io.Writer, path string) error {
 	sort.Strings(names)
 	for _, name := range names {
 		b := rep.Benchmarks[name]
-		fmt.Fprintf(w, "%s %d %.4g ns/op %.4g B/op %.4g allocs/op\n",
-			name, b.Iters, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp)
+		fmt.Fprintf(w, "%s %d %.4g ns/op", name, b.Iters, b.NsPerOp)
+		units := make([]string, 0, len(b.Metrics))
+		for unit := range b.Metrics {
+			units = append(units, unit)
+		}
+		sort.Strings(units)
+		for _, unit := range units {
+			fmt.Fprintf(w, " %.4g %s", b.Metrics[unit], unit)
+		}
+		fmt.Fprintf(w, " %.4g B/op %.4g allocs/op\n", b.BytesPerOp, b.AllocsPerOp)
 	}
 	if c := rep.Campaign; c != nil {
 		// Encode campaign wall times as synthetic benchmarks so they ride

@@ -25,6 +25,53 @@ func TestTimeFabricSharedBaseline(t *testing.T) {
 	}
 }
 
+// TestParseBenchMetrics: result lines keep the -benchmem columns and
+// every b.ReportMetric figure, whichever order go test prints them in,
+// and -totext writes the figures back.
+func TestParseBenchMetrics(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.txt")
+	out := "goos: linux\n" +
+		"BenchmarkSolve-2   \t  100000\t      1249 ns/op\t       0 B/op\t       0 allocs/op\n" +
+		"BenchmarkStreamLoop-2   \t      20\t    448836 ns/op\t      1282 ns/slice\t         1.129 solves/slice\t    4426 B/op\t     106 allocs/op\n" +
+		"BenchmarkFig3AVXLatency \t       1\t   4580465 ns/op\t 1.2e+02 ms-compute-4cores\n" +
+		"PASS\n"
+	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	benches, err := parseBench(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := benches["BenchmarkSolve"]; b.NsPerOp != 1249 || b.Iters != 100000 || b.Metrics != nil {
+		t.Errorf("BenchmarkSolve parsed as %+v", b)
+	}
+	sl := benches["BenchmarkStreamLoop"]
+	if sl.NsPerOp != 448836 || sl.BytesPerOp != 4426 || sl.AllocsPerOp != 106 ||
+		sl.Metrics["solves/slice"] != 1.129 || sl.Metrics["ns/slice"] != 1282 {
+		t.Errorf("BenchmarkStreamLoop parsed as %+v", sl)
+	}
+	if b := benches["BenchmarkFig3AVXLatency"]; b.Metrics["ms-compute-4cores"] != 120 {
+		t.Errorf("BenchmarkFig3AVXLatency parsed as %+v", b)
+	}
+
+	js := filepath.Join(t.TempDir(), "BENCH.json")
+	buf, err := json.Marshal(Report{Schema: 6, Benchmarks: benches})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(js, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	if err := emitText(&text, js); err != nil {
+		t.Fatal(err)
+	}
+	want := "BenchmarkStreamLoop 20 4.488e+05 ns/op 1282 ns/slice 1.129 solves/slice 4426 B/op 106 allocs/op\n"
+	if !strings.Contains(text.String(), want) {
+		t.Errorf("-totext lacks %q:\n%s", want, text.String())
+	}
+}
+
 // TestToTextCommittedTrajectory runs -totext on the committed
 // BENCH_sim.json, as CI's benchstat step does: every line must be a Go
 // benchmark result line (name, iterations, then value/unit pairs

@@ -99,11 +99,12 @@ func (a *worldArena) put(pw pooledWorld) {
 // coroutines exit instead of outliving the point. That includes worlds
 // that are not drained (a crash schedule froze processes on a dead node,
 // or a panicked run left them mid-flight): Shutdown unwinds their
-// blocked processes, which runs the defers of their bodies. Those defers
-// only touch their own world — core frequency state, the stream census,
-// the world's fault injector — and the point's record, meter reads
-// included, is sealed before this runs, so unwinding them is invisible
-// in results.
+// blocked processes, which runs the defers of their bodies. The only
+// such defer is the world's fault-injector unwatch; a compute slice cut
+// short leaves its core active and its stream counted, in a world that
+// is never parked. Both stay inside their own world, and the point's
+// record, meter reads included, is sealed before this runs, so
+// unwinding them is invisible in results.
 func releaseWorlds(keep *worldKeeper) {
 	// Decide what to park first: Shutdown ends blocked processes, after
 	// which an abandoned world would read as drained. Then shut down

@@ -3,6 +3,7 @@ package bench_test
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/runner"
@@ -45,6 +46,12 @@ func TestRepeatedCampaignHoldsGoroutines(t *testing.T) {
 	first := campaign()
 	second := campaign()
 	third := campaign()
+	// A finished campaign's goroutines may still be on their way out; a
+	// leak is still there a second later.
+	for deadline := time.Now().Add(time.Second); third > second && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		third = runtime.NumGoroutine()
+	}
 	t.Logf("goroutines after each campaign: %d, %d, %d", first, second, third)
 	if third > second {
 		t.Fatalf("goroutines grew from %d to %d between the 2nd and 3rd campaign", second, third)

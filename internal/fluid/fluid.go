@@ -12,7 +12,8 @@
 //
 // The model is driven by a sim.Kernel: whenever the flow set or a
 // capacity changes, rates are re-solved and the next flow completion is
-// (re)scheduled as a simulation event.
+// (re)scheduled as a simulation event. Hold/Release coalesce the
+// re-solves of several mutations made at one instant into one.
 //
 // # Solver implementation
 //
@@ -80,6 +81,7 @@ func (r *Resource) Capacity() float64 { return r.capacity }
 // access crossing a bus at utilization ρ sees queueing delay growing
 // with ρ.
 func (r *Resource) Utilization() float64 {
+	r.model.flush()
 	if r.capacity <= 0 {
 		if r.load > 0 {
 			return 1
@@ -147,11 +149,15 @@ type FlowSpec struct {
 func (f *Flow) Name() string { return f.name }
 
 // Rate returns the currently allocated rate (units/second).
-func (f *Flow) Rate() float64 { return f.rate }
+func (f *Flow) Rate() float64 {
+	f.model.flush()
+	return f.rate
+}
 
 // Remaining returns the work left, after accounting progress up to the
 // current instant.
 func (f *Flow) Remaining() float64 {
+	f.model.flush()
 	f.model.advance()
 	return f.remaining
 }
@@ -190,6 +196,18 @@ type Model struct {
 	dirtyFlows []*Flow
 	dirtyRes   []*Resource
 
+	// holds counts the open Hold calls. While it is positive a mutation
+	// may leave its re-solve pending, to be run once by the outermost
+	// Release or by the next read of a rate or load (see Hold).
+	holds   int
+	pending bool
+	// noHolds makes Hold and Release no-ops (UseHolds(false)).
+	noHolds bool
+	// settledAt is an instant at which every flow was at least settleEps
+	// from its end under the rates then current, as found by a re-solve
+	// or a scan at that instant (see settled). -1 when unknown.
+	settledAt sim.Time
+
 	// Scratch buffers, reused across solves so the steady state
 	// allocates nothing. avail/wsum are indexed by Resource.id.
 	avail     []float64
@@ -209,10 +227,13 @@ type Model struct {
 
 // NewModel returns an empty fluid model driven by kernel k.
 func NewModel(k *sim.Kernel) *Model {
-	m := &Model{k: k, differential: differentialDefault}
+	m := &Model{k: k, differential: differentialDefault, settledAt: -1}
 	m.next = k.NewTimer(func() {
+		if m.holds > 0 {
+			panic("fluid: completion timer fired while the model is held (a Hold leaked across a blocking call)")
+		}
 		m.advance()
-		m.resolve()
+		m.resolveNow()
 	})
 	return m
 }
@@ -243,6 +264,64 @@ func SetDifferential(on bool) { differentialDefault = on }
 // every subsequent re-solve of this model. Benchmarks and equivalence
 // tests only.
 func (m *Model) UseReference(on bool) { m.reference = on }
+
+// UseHolds(false) turns Hold and Release into no-ops, so every mutation
+// re-solves at once: the behaviour holds must reproduce, for
+// equivalence tests. Call it while no hold is open.
+func (m *Model) UseHolds(on bool) { m.noHolds = !on }
+
+// Hold defers re-solves until the matching Release. Holds nest; the
+// outermost Release runs one re-solve covering every mutation made
+// under the hold, where each mutation would otherwise have re-solved on
+// its own. A caller that makes several mutations at one simulated
+// instant — a kernel slice ending and the next one starting — pays for
+// one solve instead of one per mutation.
+//
+// Holding is unobservable:
+//   - a solve depends only on the state it solves, and no simulated
+//     time passes under a hold, so the one deferred solve computes the
+//     rates the last of the sequential solves would have;
+//   - the flow set, capacities and caps change at once; only rates,
+//     loads and the completion timer wait;
+//   - a read of a rate or load (Rate, Remaining, Utilization) first runs
+//     any pending solve, so it sees what it would have seen without
+//     the hold;
+//   - a mutation made while some flow is within settleEps (1 ns) of its
+//     end re-solves at once, as without the hold, so a due flow is
+//     collected, and its OnDone event queued, in the same order.
+//
+// A skipped intermediate solve could only have completed a flow earlier
+// by raising its rate at least tenfold for the instant; the callers'
+// holds cover census and frequency steps far smaller (DESIGN.md §4). No
+// simulated time may pass under a hold: if the completion timer fires
+// while the model is held, a hold has leaked across a blocking call and
+// the model panics.
+func (m *Model) Hold() {
+	if !m.noHolds {
+		m.holds++
+	}
+}
+
+// Release closes a Hold; the outermost Release runs the pending solve.
+func (m *Model) Release() {
+	if m.noHolds {
+		return
+	}
+	if m.holds == 0 {
+		panic("fluid: Release without Hold")
+	}
+	m.holds--
+	if m.holds == 0 {
+		m.flush()
+	}
+}
+
+// flush runs the solve a hold left pending.
+func (m *Model) flush() {
+	if m.pending {
+		m.resolveNow()
+	}
+}
 
 // NewResource registers a resource with the given capacity in
 // units/second. Capacity must be positive.
@@ -334,7 +413,12 @@ func (m *Model) Start(spec FlowSpec) *Flow {
 	}
 	m.flows = append(m.flows, f)
 	m.dirtyFlows = append(m.dirtyFlows, f)
-	m.resolve()
+	if spec.Work == 0 {
+		// Due at once: collect it now, hold or not (see Hold).
+		m.resolveNow()
+	} else {
+		m.resolve()
+	}
 	return f
 }
 
@@ -407,6 +491,9 @@ func (m *Model) Reset() {
 	m.dirtyRes = m.dirtyRes[:0]
 	m.done = m.done[:0]
 	m.solves = 0
+	m.holds = 0
+	m.pending = false
+	m.settledAt = -1
 }
 
 // Cancel removes a flow without running its completion callback.
@@ -482,9 +569,47 @@ func (m *Model) advance() {
 // nanosecond is complete.
 const completeEps = 1e-10 // seconds
 
-// resolve recomputes the rates of every dirty component, fires
-// completions due now, and schedules the next completion event.
+// settleEps is how far from its end every flow must be, at its current
+// rate, for a held mutation to defer its solve: one nanosecond, ten
+// times completeEps. A solve a hold skips could only have completed a
+// flow that far out by raising its rate tenfold (see Hold).
+const settleEps = 1e-9 // seconds
+
+// resolve brings the allocation up to date after a mutation: at once
+// (resolveNow), or — while the model is held and no flow is within
+// settleEps of its end — by marking the solve pending.
 func (m *Model) resolve() {
+	if m.holds > 0 && m.settled() {
+		m.pending = true
+		return
+	}
+	m.resolveNow()
+}
+
+// settled reports whether every flow is at least settleEps from its end
+// at its current rate. A re-solve that leaves no flow that close marks
+// the model settled at its instant; otherwise one scan decides, and its
+// answer holds for the rest of the instant, since the mutations a hold
+// defers neither add a nearly done flow (a zero-work Start re-solves at
+// once) nor move time or rates.
+func (m *Model) settled() bool {
+	now := m.k.Now()
+	if m.settledAt == now {
+		return true
+	}
+	for _, f := range m.flows {
+		if endsWithin(f, settleEps) {
+			return false
+		}
+	}
+	m.settledAt = now
+	return true
+}
+
+// resolveNow recomputes the rates of every dirty component, fires
+// completions due now, and schedules the next completion event.
+func (m *Model) resolveNow() {
+	m.pending = false
 	// Completions may themselves add/remove flows from callbacks that run
 	// as separate events, so here we only: solve, complete-now, schedule.
 	for {
@@ -514,7 +639,16 @@ func (m *Model) resolve() {
 		// early), and both states converge once the flow is removed.
 		m.checkOracle()
 	}
-	m.schedule()
+	m.settledAt = -1
+	if m.schedule() >= settleEps {
+		m.settledAt = m.k.Now()
+	}
+}
+
+// endsWithin reports whether f would complete within secs at its
+// current rate (or has no work left).
+func endsWithin(f *Flow, secs float64) bool {
+	return f.remaining <= 0 || (f.rate > 0 && f.remaining/f.rate < secs)
 }
 
 // collectDone returns flows whose remaining work is (numerically) zero,
@@ -522,15 +656,17 @@ func (m *Model) resolve() {
 func (m *Model) collectDone() []*Flow {
 	m.done = m.done[:0]
 	for _, f := range m.flows {
-		if f.remaining <= 0 || (f.rate > 0 && f.remaining/f.rate < completeEps) {
+		if endsWithin(f, completeEps) {
 			m.done = append(m.done, f)
 		}
 	}
 	return m.done
 }
 
-// schedule arms the next-completion event.
-func (m *Model) schedule() {
+// schedule arms the next-completion event and returns the time, in
+// seconds, until the earliest completion at the current rates (+Inf if
+// no flow progresses).
+func (m *Model) schedule() float64 {
 	m.next.Stop()
 	best := math.Inf(1)
 	for _, f := range m.flows {
@@ -544,9 +680,10 @@ func (m *Model) schedule() {
 	// flows) are not scheduled at all; they are cancelled explicitly.
 	const horizon = 1e8 // seconds of simulated time, ≈3 years
 	if math.IsInf(best, 1) || best > horizon {
-		return
+		return best
 	}
 	m.next.ArmAfter(sim.DurationOfSeconds(best))
+	return best
 }
 
 // solveDirty re-solves the union of the connected components reachable

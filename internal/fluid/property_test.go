@@ -196,6 +196,54 @@ func TestPropertyDifferential(t *testing.T) {
 	t.Run("cutoffs", func(t *testing.T) { storm(t, 6, 240, 400) })
 }
 
+// TestPropertyHoldWindows extends the differential storm with random
+// hold windows: twin worlds take the same mutations, one of them
+// sometimes under a hold of up to six mutations with reads (which flush)
+// mixed in, and after every window or step the held twin must match the
+// sequential one bit for bit (sameState) and the reference solver (its
+// oracle is armed), on every fill path.
+func TestPropertyHoldWindows(t *testing.T) {
+	eachFillPath(func(path string) {
+		t.Run(path, func(t *testing.T) {
+			for seed := int64(0); seed < 150; seed++ {
+				ctl := rand.New(rand.NewSource(seed + 1<<20))
+				nRes, nFlows := 1+ctl.Intn(12), 1+ctl.Intn(25)
+				seq, held := newTwin(seed, nRes, nFlows), newTwin(seed, nRes, nFlows)
+				held.m.differential = true
+				for step := 0; step < 30; step++ {
+					if ctl.Intn(2) == 0 {
+						seq.apply(5)
+						held.apply(5)
+						sameState(t, seq, held)
+						continue
+					}
+					held.m.Hold()
+					for n := 1 + ctl.Intn(6); n > 0; n-- {
+						op := ctl.Intn(4)
+						if ctl.Intn(12) == 0 {
+							op = 4 // zero-work start
+						}
+						seq.apply(op)
+						held.apply(op)
+						if ctl.Intn(4) == 0 {
+							i := ctl.Intn(len(seq.flows))
+							if a, b := seq.flows[i].Rate(), held.flows[i].Rate(); math.Float64bits(a) != math.Float64bits(b) {
+								t.Fatalf("seed %d: rate read under hold %x, sequential %x", seed, b, a)
+							}
+						}
+					}
+					held.m.Release()
+					sameState(t, seq, held)
+					checkDifferential(t, held.m)
+				}
+				seq.k.RunUntil(seq.k.Now().Add(sim.Duration(30 * sim.Second)))
+				held.k.RunUntil(held.k.Now().Add(sim.Duration(30 * sim.Second)))
+				sameState(t, seq, held)
+			}
+		})
+	})
+}
+
 // TestPropertyTiesExact storms worlds built for exact ties: capacities
 // drawn from three values, caps from two, two weights and two
 // priorities, so several resources, or several capped flows, often

@@ -168,33 +168,18 @@ type LoopResult struct {
 // simulated clock reaches `until` (it finishes the in-flight iteration,
 // like a real OpenMP loop would), then reports iteration statistics.
 func LoopUntil(p *sim.Proc, n *machine.Node, core int, spec machine.ComputeSpec, until sim.Time) LoopResult {
-	start := p.Now()
-	var res LoopResult
-	for p.Now() < until {
-		n.ExecCompute(p, core, spec)
-		res.Iters++
-	}
-	res.Total = p.Now().Sub(start)
-	if res.Iters > 0 {
-		res.PerIter = res.Total / sim.Duration(res.Iters)
-	}
-	if res.Total > 0 {
-		res.BytesPerSec = float64(res.Iters) * spec.Bytes / res.Total.Seconds()
-	}
-	return res
+	return LoopWhile(p, n, core, spec, func() bool { return p.Now() < until })
 }
 
 // LoopWhile executes spec repeatedly while cont() returns true,
 // checking between iterations (the in-flight iteration always
 // completes). Used to run computation "side by side" with a
-// communication benchmark of unknown duration (§2.1 step 3).
+// communication benchmark of unknown duration (§2.1 step 3). cont runs
+// between two slices at one instant (see machine.Node.ExecLoop) and
+// must not block.
 func LoopWhile(p *sim.Proc, n *machine.Node, core int, spec machine.ComputeSpec, cont func() bool) LoopResult {
 	start := p.Now()
-	var res LoopResult
-	for cont() {
-		n.ExecCompute(p, core, spec)
-		res.Iters++
-	}
+	res := LoopResult{Iters: n.ExecLoop(p, core, spec, cont)}
 	res.Total = p.Now().Sub(start)
 	if res.Iters > 0 {
 		res.PerIter = res.Total / sim.Duration(res.Iters)
@@ -207,16 +192,9 @@ func LoopWhile(p *sim.Proc, n *machine.Node, core int, spec machine.ComputeSpec,
 
 // LoopN executes spec `iters` times and reports statistics.
 func LoopN(p *sim.Proc, n *machine.Node, core int, spec machine.ComputeSpec, iters int) LoopResult {
-	start := p.Now()
-	for i := 0; i < iters; i++ {
-		n.ExecCompute(p, core, spec)
-	}
-	res := LoopResult{Iters: iters, Total: p.Now().Sub(start)}
-	if iters > 0 {
-		res.PerIter = res.Total / sim.Duration(iters)
-	}
-	if res.Total > 0 {
-		res.BytesPerSec = float64(iters) * spec.Bytes / res.Total.Seconds()
-	}
-	return res
+	i := 0
+	return LoopWhile(p, n, core, spec, func() bool {
+		i++
+		return i <= iters
+	})
 }

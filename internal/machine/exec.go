@@ -97,15 +97,45 @@ type ComputeSpec struct {
 // bandwidth; all slices are capped by the core's compute ceiling at its
 // live frequency), updates the PMU counters, and idles the core again.
 //
-// Returns the elapsed duration.
+// Returns the elapsed duration. ExecCompute is one pass of ExecLoop.
 func (n *Node) ExecCompute(p *sim.Proc, core int, spec ComputeSpec) sim.Duration {
+	_, elapsed := n.execSlices(p, core, spec, nil)
+	return elapsed
+}
+
+// ExecLoop runs spec on a core slice after slice while next reports
+// true — next is asked before every slice, like a loop condition — and
+// returns the number of slices run. Each slice is an ExecCompute: the
+// elapsed times, PMU counters, energy and frequency trace are the ones
+// a loop of ExecCompute calls produces.
+//
+// What the loop saves is fluid re-solves. The end of one slice and the
+// start of the next happen at one instant, so the stream census update,
+// the core's idle/active pair, the next call and the next slice's flow
+// start run under one fluid hold: one re-solve where a loop of
+// ExecCompute calls pays one per mutation. next runs inside that hold,
+// so it must not block.
+func (n *Node) ExecLoop(p *sim.Proc, core int, spec ComputeSpec, next func() bool) int {
+	iters, _ := n.execSlices(p, core, spec, next)
+	return iters
+}
+
+// execSlices is ExecLoop, with a nil next standing for a single slice;
+// it also returns the elapsed time of the last slice.
+func (n *Node) execSlices(p *sim.Proc, core int, spec ComputeSpec, next func() bool) (iters int, elapsed sim.Duration) {
 	if spec.Flops < 0 || spec.Bytes < 0 {
 		panic(fmt.Sprintf("machine: negative work %+v", spec))
 	}
+	single := next == nil
 	if spec.Flops == 0 && spec.Bytes == 0 {
-		return 0
+		for !single && next() {
+			iters++
+		}
+		return iters, 0
 	}
-	n.gateUp(p)
+	if !single && !next() {
+		return 0, 0
+	}
 	exposure := spec.StallExposure
 	if exposure == 0 {
 		exposure = 1
@@ -119,47 +149,68 @@ func (n *Node) ExecCompute(p *sim.Proc, core int, spec ComputeSpec) sim.Duration
 	if memNUMA < 0 {
 		memNUMA = coreNUMA
 	}
-	n.Freq.SetActive(core, spec.Class)
-	defer n.Freq.SetIdle(core)
-
-	start := p.Now()
+	mem := spec.Bytes > 0
+	fl := n.cluster.Fluid
+	rk := &n.coreFlow[core]
 	done := n.cluster.K.GetSignal()
 
-	rk := &n.coreFlow[core]
-	rk.class = spec.Class
-	var flow *fluid.Flow
-	if spec.Bytes == 0 {
-		// Pure CPU: the flow is denominated in flops, capped by the
-		// core's flop ceiling (which tracks frequency changes).
-		rk.mem = false
-		rk.ai = 0
-		flow = n.cluster.Fluid.StartFlow(name, spec.Flops, rk.cap(), nil, done.BroadcastFn())
-	} else {
-		// Roofline: the flow is denominated in bytes; its rate is capped
-		// by the compute ceiling translated through the arithmetic
-		// intensity, and it shares the memory path fairly.
-		rk.mem = true
-		rk.ai = spec.Flops / spec.Bytes
-		n.addStream(memNUMA)
-		defer n.removeStream(memNUMA)
-		flow = n.cluster.Fluid.StartFlow(name, spec.Bytes, rk.cap(),
-			n.memPath(coreNUMA, memNUMA), done.BroadcastFn())
-	}
-	rk.flow = flow
-	rhoStart := 0.0
-	if spec.Bytes > 0 {
-		rhoStart = n.NUMA(memNUMA).Ctrl.Utilization()
-	}
-	done.Wait(p)
-	rk.flow = nil
-	n.cluster.K.PutSignal(done)
-	// Nothing can reach the finished flow any more (the rescaling hooks
-	// check rk.flow), so its storage goes back to the model.
-	n.cluster.Fluid.Recycle(flow)
+	fl.Hold()
+	for {
+		if n.down {
+			// gateUp blocks: no hold may span simulated time.
+			fl.Release()
+			n.gateUp(p)
+			fl.Hold()
+		}
+		n.Freq.SetActive(core, spec.Class)
+		start := p.Now()
+		rk.class = spec.Class
+		var flow *fluid.Flow
+		if !mem {
+			// Pure CPU: the flow is denominated in flops, capped by the
+			// core's flop ceiling (which tracks frequency changes).
+			rk.mem = false
+			rk.ai = 0
+			flow = fl.StartFlow(name, spec.Flops, rk.cap(), nil, done.BroadcastFn())
+		} else {
+			// Roofline: the flow is denominated in bytes; its rate is capped
+			// by the compute ceiling translated through the arithmetic
+			// intensity, and it shares the memory path fairly.
+			rk.mem = true
+			rk.ai = spec.Flops / spec.Bytes
+			n.addStream(memNUMA)
+			flow = fl.StartFlow(name, spec.Bytes, rk.cap(),
+				n.memPath(coreNUMA, memNUMA), done.BroadcastFn())
+		}
+		fl.Release()
+		rk.flow = flow
+		rhoStart := 0.0
+		if mem {
+			rhoStart = n.NUMA(memNUMA).Ctrl.Utilization()
+		}
+		done.Wait(p)
+		rk.flow = nil
+		// Nothing can reach the finished flow any more (the rescaling
+		// hooks check rk.flow), so its storage goes back to the model.
+		fl.Recycle(flow)
+		elapsed = p.Now().Sub(start)
+		n.accountExec(core, spec, memNUMA, exposure, rhoStart, elapsed)
+		iters++
 
-	elapsed := p.Now().Sub(start)
-	n.accountExec(core, spec, memNUMA, exposure, rhoStart, elapsed)
-	return elapsed
+		// Slice boundary: this slice's epilogue, next, and the next
+		// slice's prologue (at the top of the loop), under one hold.
+		fl.Hold()
+		if mem {
+			n.removeStream(memNUMA)
+		}
+		n.Freq.SetIdle(core)
+		if single || !next() {
+			break
+		}
+	}
+	fl.Release()
+	n.cluster.K.PutSignal(done)
+	return iters, elapsed
 }
 
 // computeName returns the cached default flow name of a core's compute

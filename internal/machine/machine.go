@@ -275,15 +275,19 @@ func (n *Node) Link(a, b int) *fluid.Resource {
 }
 
 // onFreqChange rescales uncore-clocked controller capacities and the
-// rate caps of running compute flows.
+// rate caps of running compute flows, under one fluid hold: a single
+// re-solve covers them all.
 func (n *Node) onFreqChange() {
+	fl := n.cluster.Fluid
+	fl.Hold()
 	n.updateCtrlCapacities()
 	for i := range n.coreFlow {
 		rk := &n.coreFlow[i]
 		if rk.flow != nil && !rk.flow.Finished() {
-			n.cluster.Fluid.SetCap(rk.flow, rk.cap())
+			fl.SetCap(rk.flow, rk.cap())
 		}
 	}
+	fl.Release()
 }
 
 // updateCtrlCapacities applies uncore scaling and multi-stream

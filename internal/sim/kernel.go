@@ -296,3 +296,12 @@ func (t *Timer) Stop() {
 
 // Pending reports whether the timer is armed and has not fired yet.
 func (t *Timer) Pending() bool { return t.ref.Pending() }
+
+// When returns the instant the timer is armed for, and false if it is
+// not pending.
+func (t *Timer) When() (Time, bool) {
+	if !t.ref.Pending() {
+		return 0, false
+	}
+	return t.ref.e.at, true
+}

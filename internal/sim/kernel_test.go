@@ -35,6 +35,23 @@ func TestKernelSameInstantFIFO(t *testing.T) {
 	}
 }
 
+func TestTimerWhen(t *testing.T) {
+	k := NewKernel(1)
+	tm := k.NewTimer(func() {})
+	if _, ok := tm.When(); ok {
+		t.Fatal("unarmed timer reports an instant")
+	}
+	tm.Arm(40)
+	tm.ArmAfter(25)
+	if at, ok := tm.When(); !ok || at != 25 {
+		t.Fatalf("When = %v, %v; want 25, true", at, ok)
+	}
+	k.Run()
+	if _, ok := tm.When(); ok {
+		t.Fatal("fired timer reports an instant")
+	}
+}
+
 func TestKernelCancel(t *testing.T) {
 	k := NewKernel(1)
 	ran := false
