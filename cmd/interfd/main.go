@@ -15,10 +15,11 @@
 //	interfd -cache-dir /mnt/shared/points        # replicas dedupe via shared storage
 //	interfd -chaos "enospc:p=0.05" -chaos-seed 7   # fault drill
 //
-// The daemon is crash-safe: completed experiments are journaled the
-// moment they finish, accepted campaigns are logged before they run,
-// and on restart unfinished campaigns re-execute (cached points replay)
-// so a re-submitted spec returns byte-identical output.
+// The daemon is crash-safe: accepted campaigns are logged before they
+// run, computed points land in the content-addressed point cache (the
+// only layer that replays results), and on restart unfinished campaigns
+// re-execute (cached points replay), so a re-submitted spec is served
+// from the cache with byte-identical output.
 //
 // SIGINT/SIGTERM trigger a graceful drain: admission closes (new
 // campaigns get 503, /healthz and /readyz report draining), in-flight

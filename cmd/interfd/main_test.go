@@ -121,12 +121,13 @@ func TestDaemonGracefulShutdown(t *testing.T) {
 
 // TestDaemonChaosDrill: the -chaos flag arms the filesystem injector
 // (announced with its seed for reproduction) and the daemon still
-// serves correct results while its journal appends fail.
+// serves correct results while its campaign-log appends fail, counting
+// each lost append as a durability warning.
 func TestDaemonChaosDrill(t *testing.T) {
 	dir := t.TempDir()
 	base, exit, log := startDaemon(t, []string{
 		"-data", dir, "-shards", "2",
-		"-chaos", "eio-write:match=journal.jsonl", "-chaos-seed", "7",
+		"-chaos", "eio-write:match=campaigns.jsonl", "-chaos-seed", "7",
 	})
 	if out := log.String(); !strings.Contains(out, "CHAOS ACTIVE") || !strings.Contains(out, "seed 7") {
 		t.Fatalf("chaos drill not announced:\n%s", out)
@@ -146,10 +147,20 @@ func TestDaemonChaosDrill(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cr.Errors != 0 {
-		t.Fatalf("journal chaos failed the campaign: %s", body)
+		t.Fatalf("campaign-log chaos failed the campaign: %s", body)
 	}
-	if !cr.Results[0].DurabilityLost {
-		t.Fatal("journal chaos did not surface as DurabilityLost")
+	resp, err = http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m server.Metrics
+	err = json.NewDecoder(resp.Body).Decode(&m)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Robustness.DurabilityWarnings == 0 {
+		t.Fatalf("campaign-log chaos left durability_warnings at 0: %+v", m.Robustness)
 	}
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)

@@ -377,11 +377,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for res := range results {
 		done = append(done, res)
-		if res.DurabilityErr != nil {
-			// The result is correct; only its crash-safety is gone. A
-			// warning, never a failure — campaigns keep their exit code.
-			fmt.Fprintf(stderr, "interference: %s: durability warning: %v\n", res.Exp.ID, res.DurabilityErr)
-		}
 		if res.Err != nil {
 			failed++
 			fmt.Fprintf(stderr, "interference: %s: %v\n", res.Exp.ID, res.Err)
@@ -421,7 +416,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				res.Exp.ID, *cluster, res.Metrics.Wall.Round(time.Millisecond),
 				res.Metrics.SimSeconds, res.Metrics.Worlds)
 			if res.Cached {
-				line = fmt.Sprintf("%s on %s replayed from the daemon's journal (%.3gs simulated across %d worlds)",
+				line = fmt.Sprintf("%s on %s replayed from the point cache (%.3gs simulated across %d worlds)",
 					res.Exp.ID, *cluster, res.Metrics.SimSeconds, res.Metrics.Worlds)
 			}
 			if ft := res.Metrics.Faults; ft.Any() {

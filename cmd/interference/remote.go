@@ -90,9 +90,6 @@ func submitRemote(set *replica.Set, spec *topology.NodeSpec, cluster string, tod
 			} else if er.Error != "" {
 				res.Err = errors.New(er.Error)
 			}
-			if er.DurabilityLost {
-				res.DurabilityErr = errors.New("the daemon could not journal this result; it will not survive a daemon crash")
-			}
 			out <- res
 		}
 	}()

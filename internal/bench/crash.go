@@ -169,9 +169,17 @@ func runCrashPingPong(env Env, sched *fault.Schedule) (iters int, detectedUs flo
 	return iters, detectedUs, latUs, status
 }
 
+// crashPingPongRun is the outcome of one CrashPingPong scenario.
+type crashPingPongRun struct {
+	Iters                 int
+	DetectedUs, LatencyUs float64
+	Status                string
+}
+
 // CrashPingPong reports the fault-tolerant ping-pong under peer death:
 // how many iterations complete before the crash, when the failure
-// detector declares the death, and how the operation surfaces it.
+// detector declares the death, and how the operation surfaces it. Each
+// scenario is one point.
 func CrashPingPong(env Env) *trace.Table {
 	t := trace.NewTable("FAULTS — ping-pong under peer node crash (heartbeat detection, ErrPeerDead)",
 		"scenario", "iters_done", "crash_at_us", "detected_us", "latency_us", "status")
@@ -188,9 +196,17 @@ func CrashPingPong(env Env) *trace.Table {
 	if env.Faults != nil {
 		scenarios = []sc{{"custom", env.Faults, 0}}
 	}
-	for _, s := range scenarios {
-		iters, detUs, latUs, status := runCrashPingPong(env, s.sched)
-		t.Add(s.name, float64(iters), s.crashUs, detUs, latUs, status)
+	pts := make([]Point, len(scenarios))
+	for i, s := range scenarios {
+		sched := s.sched
+		pts[i] = Point{Key: "faults-crash-pingpong/" + s.name, Fn: func(env Env) any {
+			iters, detUs, latUs, status := runCrashPingPong(env, sched)
+			return crashPingPongRun{Iters: iters, DetectedUs: detUs, LatencyUs: latUs, Status: status}
+		}}
+	}
+	for i, r := range RunPointsAs[crashPingPongRun](env, pts) {
+		s := scenarios[i]
+		t.Add(s.name, float64(r.Iters), s.crashUs, r.DetectedUs, r.LatencyUs, r.Status)
 	}
 	return t
 }
@@ -223,6 +239,20 @@ func runCrashCG(env Env, sched *fault.Schedule) (taskrt.ResilientStats, string) 
 	return st, fmt.Sprintf("%.10e", cg.resid())
 }
 
+// crashCGRun is the outcome of one CrashCG scenario.
+type crashCGRun struct {
+	Stats    taskrt.ResilientStats
+	Residual string
+}
+
+// crashCGPoint runs the resilient CG under sched as the point named.
+func crashCGPoint(name string, sched *fault.Schedule) Point {
+	return Point{Key: "faults-crash-cg/" + name, Fn: func(env Env) any {
+		st, resid := runCrashCG(env, sched)
+		return crashCGRun{Stats: st, Residual: resid}
+	}}
+}
+
 // CrashCG reports the resilient distributed CG surviving a mid-run node
 // crash: the survivors detect the death, shrink the ring, roll back to
 // the last checkpoint, re-execute the dead rank's tasks, and converge
@@ -231,22 +261,25 @@ func runCrashCG(env Env, sched *fault.Schedule) (taskrt.ResilientStats, string) 
 func CrashCG(env Env) *trace.Table {
 	t := trace.NewTable("FAULTS — resilient CG under node crash (lineage re-execution + checkpoint rollback)",
 		"scenario", "iters", "residual", "crashes", "reexec_tasks", "rollback_iters", "checkpoints", "recovery_ms", "elapsed_ms", "survivors")
-	add := func(name string, st taskrt.ResilientStats, resid string) {
-		t.Add(name, float64(st.CompletedIters), resid, float64(st.Crashes),
+	add := func(name string, r crashCGRun) {
+		st := r.Stats
+		t.Add(name, float64(st.CompletedIters), r.Residual, float64(st.Crashes),
 			st.TasksReexec, st.RollbackIters, st.Checkpoints,
 			st.RecoverySecs*1e3, st.Elapsed.Seconds()*1e3, float64(st.Survivors))
 	}
-	healthy, hres := runCrashCG(env, nil)
-	add("healthy", healthy, hres)
 	if env.Faults != nil {
-		st, res := runCrashCG(env, env.Faults)
-		add("custom", st, res)
+		runs := RunPointsAs[crashCGRun](env, []Point{crashCGPoint("healthy", nil), crashCGPoint("custom", env.Faults)})
+		add("healthy", runs[0])
+		add("custom", runs[1])
 		return t
 	}
+	healthy := RunPointsAs[crashCGRun](env, []Point{crashCGPoint("healthy", nil)})[0]
+	add("healthy", healthy)
 	// Crash node 1 at 40% of the healthy runtime — deterministically
-	// mid-run whatever the cluster spec.
-	crashAt := sim.DurationOfSeconds(healthy.Elapsed.Seconds() * 0.4)
-	st, res := runCrashCG(env, crashSchedule(1, crashAt))
-	add(fmt.Sprintf("crash-n1@%.0fus", crashAt.Seconds()*1e6), st, res)
+	// mid-run whatever the cluster spec. The key names the fraction, not
+	// the instant: the base key already fixes the healthy run.
+	crashAt := sim.DurationOfSeconds(healthy.Stats.Elapsed.Seconds() * 0.4)
+	crashed := RunPointsAs[crashCGRun](env, []Point{crashCGPoint("crash-n1@40pct", crashSchedule(1, crashAt))})[0]
+	add(fmt.Sprintf("crash-n1@%.0fus", crashAt.Seconds()*1e6), crashed)
 	return t
 }

@@ -117,85 +117,102 @@ type Fig2Result struct {
 
 // Fig2FrequencyTrace reproduces Figure 2: per-core frequency traces
 // under the performance governor with turbo, for communication only,
-// idle, and communication beside 20 prime-counting cores.
+// idle, and communication beside 20 prime-counting cores. Each trace
+// case and each of the two bandwidth probes is one point; every point
+// fills its own fields of a Fig2Result, merged here.
 func Fig2FrequencyTrace(env Env) Fig2Result {
-	var res Fig2Result
-	spec := env.Spec
-
-	// (A) communication only: latency benchmark, trace frequencies.
-	{
-		c, w := newWorld(env, env.Seed)
-		pp := applyComm(w, CommConfig{CommCore: -1, BufNUMA: -1, Size: 4, Iters: 30, Warmup: 5})
-		w.Rank(0).Node.Freq.StartTrace()
-		var lats []sim.Duration
-		c.K.Spawn("init", func(p *sim.Proc) { lats = pp.Initiate(p, w.Rank(0), 1) })
-		c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
-		c.K.Run()
-		res.TraceA = w.Rank(0).Node.Freq.StopTrace()
-		res.LatencyAlone = summarizeDur(lats)
-		res.BandwidthAlone = measureBandwidthOnce(env, 0)
+	parts := RunPointsAs[Fig2Result](env, []Point{
+		{Key: "fig2/trace=A", Fn: func(env Env) any { return fig2CommOnly(env) }},
+		{Key: "fig2/trace=B", Fn: func(env Env) any { return fig2Idle(env) }},
+		{Key: "fig2/trace=C", Fn: func(env Env) any { return fig2CommCompute(env) }},
+		{Key: "fig2/bandwidth/cores=0", Fn: func(env Env) any {
+			return Fig2Result{BandwidthAlone: measureBandwidthOnce(env, 0)}
+		}},
+		{Key: "fig2/bandwidth/cores=20", Fn: func(env Env) any {
+			return Fig2Result{BandwidthTogether: measureBandwidthOnce(env, 20)}
+		}},
+	})
+	a, b, c := parts[0], parts[1], parts[2]
+	return Fig2Result{
+		TraceA: a.TraceA, TraceB: b.TraceB, TraceC: c.TraceC,
+		LatencyAlone: a.LatencyAlone, LatencyTogether: c.LatencyTogether,
+		BandwidthAlone: parts[3].BandwidthAlone, BandwidthTogether: parts[4].BandwidthTogether,
+		ComputeSecs: c.ComputeSecs,
 	}
+}
 
-	// (B) idle: all cores asleep.
-	{
-		c, w := newWorld(env, env.Seed)
-		n := w.Rank(0).Node
-		n.Freq.StartTrace()
-		c.K.Spawn("sleep", func(p *sim.Proc) { p.Sleep(sim.Duration(10 * sim.Millisecond)) })
-		c.K.Run()
-		res.TraceB = n.Freq.StopTrace()
-	}
+// fig2CommOnly is case (A): the latency benchmark alone, tracing the
+// initiator node's frequencies.
+func fig2CommOnly(env Env) Fig2Result {
+	c, w := newWorld(env, env.Seed)
+	pp := applyComm(w, CommConfig{CommCore: -1, BufNUMA: -1, Size: 4, Iters: 30, Warmup: 5})
+	w.Rank(0).Node.Freq.StartTrace()
+	var lats []sim.Duration
+	c.K.Spawn("init", func(p *sim.Proc) { lats = pp.Initiate(p, w.Rank(0), 1) })
+	c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
+	c.K.Run()
+	return Fig2Result{TraceA: w.Rank(0).Node.Freq.StopTrace(), LatencyAlone: summarizeDur(lats)}
+}
 
-	// (C) communication + 20 computing cores.
-	{
-		c, w := newWorld(env, env.Seed)
-		pp := applyComm(w, CommConfig{CommCore: -1, BufNUMA: -1, Size: 4, Iters: 30, Warmup: 5})
-		n := w.Rank(0).Node
-		n.Freq.StartTrace()
-		commDone := false
-		var secs []float64
-		for _, node := range c.Nodes {
-			node := node
-			for _, core := range computeCores(spec, 20, w.Rank(0).CommCore) {
-				core := core
-				c.K.Spawn("prime", func(p *sim.Proc) {
-					r := kernels.LoopWhile(p, node, core, kernels.PrimeCountDefault(),
-						func() bool { return !commDone })
-					if node.ID == 0 && r.Iters > 0 {
-						secs = append(secs, r.PerIter.Seconds())
-					}
-				})
-			}
+// fig2Idle is case (B): all cores asleep.
+func fig2Idle(env Env) Fig2Result {
+	c, w := newWorld(env, env.Seed)
+	n := w.Rank(0).Node
+	n.Freq.StartTrace()
+	c.K.Spawn("sleep", func(p *sim.Proc) { p.Sleep(sim.Duration(10 * sim.Millisecond)) })
+	c.K.Run()
+	return Fig2Result{TraceB: n.Freq.StopTrace()}
+}
+
+// fig2CommCompute is case (C): the latency benchmark beside 20
+// prime-counting cores on each node.
+func fig2CommCompute(env Env) Fig2Result {
+	c, w := newWorld(env, env.Seed)
+	pp := applyComm(w, CommConfig{CommCore: -1, BufNUMA: -1, Size: 4, Iters: 30, Warmup: 5})
+	n := w.Rank(0).Node
+	n.Freq.StartTrace()
+	commDone := false
+	var secs []float64
+	for _, node := range c.Nodes {
+		node := node
+		for _, core := range computeCores(env.Spec, 20, w.Rank(0).CommCore) {
+			core := core
+			c.K.Spawn("prime", func(p *sim.Proc) {
+				r := kernels.LoopWhile(p, node, core, kernels.PrimeCountDefault(),
+					func() bool { return !commDone })
+				if node.ID == 0 && r.Iters > 0 {
+					secs = append(secs, r.PerIter.Seconds())
+				}
+			})
 		}
-		var lats []sim.Duration
-		c.K.Spawn("init", func(p *sim.Proc) {
-			p.Sleep(sim.Duration(sim.Millisecond))
-			lats = pp.Initiate(p, w.Rank(0), 1)
-			commDone = true
-		})
-		c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
-		c.K.Run()
-		res.TraceC = n.Freq.StopTrace()
-		res.LatencyTogether = summarizeDur(lats)
-		res.ComputeSecs = stats.Summarize(secs)
-		res.BandwidthTogether = measureBandwidthOnce(env, 20)
 	}
-	return res
+	var lats []sim.Duration
+	c.K.Spawn("init", func(p *sim.Proc) {
+		p.Sleep(sim.Duration(sim.Millisecond))
+		lats = pp.Initiate(p, w.Rank(0), 1)
+		commDone = true
+	})
+	c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
+	c.K.Run()
+	return Fig2Result{
+		TraceC:          n.Freq.StopTrace(),
+		LatencyTogether: summarizeDur(lats),
+		ComputeSecs:     stats.Summarize(secs),
+	}
 }
 
 // measureBandwidthOnce runs one 64MB ping-pong (optionally beside a
 // CPU-bound kernel on `cores` cores) and returns the median bandwidth.
+// The probe always runs once, on healthy worlds of the legacy network,
+// whatever the campaign's run count, fault schedule or fabric.
 func measureBandwidthOnce(env Env, cores int) float64 {
 	comm := BandwidthConfig()
 	comp := ComputeConfig{}
 	if cores > 0 {
 		comp = ComputeConfig{Slice: kernels.PrimeCountDefault(), Cores: cores}
 	}
-	// The probe's worlds stay out of the experiment's accounting, but a
-	// private meter still releases them.
-	m := &Meter{}
-	defer m.Release()
-	r := Interference(Env{Spec: env.Spec, Seed: env.Seed, Runs: 1, Meter: m}, comm, comp)
+	env.Runs, env.Faults, env.Fabric = 1, nil, nil
+	r := Interference(env, comm, comp)
 	if cores > 0 {
 		return r.BandwidthTogether()
 	}

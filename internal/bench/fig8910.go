@@ -79,8 +79,16 @@ type RuntimeOverheadResult struct {
 
 // RuntimeOverhead measures the latency overhead added by the task-based
 // runtime's software stack (§5.2: +38 µs on henri, +23 µs on billy,
-// +45 µs on pyxis). Workers are paused to isolate the path cost.
+// +45 µs on pyxis). Workers are paused to isolate the path cost. The
+// comparison is one point.
 func RuntimeOverhead(env Env) RuntimeOverheadResult {
+	return RunPointsAs[RuntimeOverheadResult](env, []Point{{
+		Key: "sec5.2/runtime-overhead",
+		Fn:  func(env Env) any { return runtimeOverhead(env) },
+	}})[0]
+}
+
+func runtimeOverhead(env Env) RuntimeOverheadResult {
 	raw := Interference(env, LatencyConfig(), ComputeConfig{})
 	var lats []float64
 	for run := 0; run < env.runs(); run++ {

@@ -7,8 +7,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Meter accumulates execution accounting for one experiment: every
-// simulated world the drivers build registers its kernel, so that after
+// Meter accumulates execution accounting: every simulated world a point
+// builds registers its kernel with the point's own meter, and the
+// owning experiment's meter absorbs each point's record, so that after
 // the experiment returns the harness can report how many worlds were
 // simulated and how much simulated time they covered. A Meter is safe
 // for concurrent use, but the usual pattern is one Meter per experiment
@@ -22,41 +23,41 @@ type Meter struct {
 	absorbedSim    float64
 	absorbedWorlds int
 	absorbedFaults FaultTotals
+	// points counts the absorbed records, cachedPoints those loaded from
+	// the point cache.
+	points, cachedPoints int
 }
 
-// Absorb folds an already-accounted execution into the meter: sweep
-// points run against their own isolated meter (possibly on another
-// goroutine, possibly replayed from a cache without simulating at all),
-// and the owning experiment absorbs their totals in index order so the
-// campaign accounting is identical whichever path produced them.
-func (m *Meter) Absorb(simSeconds float64, worlds int, faults FaultTotals) {
+// Absorb folds a sweep point's record into the meter: sweep points run
+// against their own isolated meter (possibly on another goroutine,
+// possibly replayed from a cache without simulating at all), and the
+// owning experiment absorbs their totals in index order so the campaign
+// accounting is identical whichever path produced them.
+func (m *Meter) Absorb(rec PointRecord) {
 	m.mu.Lock()
-	m.absorbedSim += simSeconds
-	m.absorbedWorlds += worlds
-	m.absorbedFaults.merge(faults)
+	m.absorbedSim += rec.SimSeconds
+	m.absorbedWorlds += rec.Worlds
+	m.absorbedFaults.merge(rec.Faults)
+	m.points++
+	if rec.Cached {
+		m.cachedPoints++
+	}
 	m.mu.Unlock()
+}
+
+// Replayed reports whether every point record the meter absorbed was
+// loaded from the point cache and no world was built outside a point;
+// false when it absorbed none.
+func (m *Meter) Replayed() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.points > 0 && m.cachedPoints == m.points && len(m.kernels) == 0
 }
 
 func (m *Meter) track(k *sim.Kernel) {
 	m.mu.Lock()
 	m.kernels = append(m.kernels, k)
 	m.mu.Unlock()
-}
-
-// Release shuts down the kernel of every world the meter tracked, so the
-// process coroutines of worlds built outside point execution (which
-// ExecutePoint releases itself) exit instead of outliving the
-// experiment. Call it after the meter's last read, once the worlds are
-// no longer used; the meter's totals are unaffected.
-func (m *Meter) Release() {
-	// Shutdown runs the defers of blocked process bodies, so it is not
-	// called under the lock.
-	m.mu.Lock()
-	kernels := m.kernels
-	m.mu.Unlock()
-	for _, k := range kernels {
-		k.Shutdown()
-	}
 }
 
 // Worlds returns how many simulated worlds have been built so far,

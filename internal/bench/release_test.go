@@ -13,10 +13,10 @@ import (
 // and requires the goroutine count to stop growing after the second:
 // every world a campaign builds either parks in the arena (bounded, and
 // reused by the next campaign) or has its kernel shut down. The
-// experiments cover each release path: worlds built outside point
-// execution (fig2's traces and bandwidth probes, sec5.2), crash worlds
+// experiments cover each release path: healthy worlds parked after
+// traces, probes and runtime ping-pongs (fig2, sec5.2), crash worlds
 // whose dead node leaves processes blocked for good, and fault and
-// fabric worlds inside points. Sweeps over many core counts (fig4) are
+// fabric worlds. Sweeps over many core counts (fig4) are
 // left out: a parked world keeps as many processes as the largest point
 // that used it, so the arena's goroutines take a few campaigns to reach
 // their (arenaCap-bounded) high-water mark. One worker keeps the

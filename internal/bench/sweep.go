@@ -14,9 +14,13 @@ package bench
 // campaigns cannot diverge even by a formatting bit. The encoded
 // PointRecord also carries the point's simulation accounting
 // (simulated seconds, world count, fault totals), which the owning
-// experiment's meter absorbs in index order — campaign summaries and
-// journal entries stay deterministic whether a point was executed or
-// replayed.
+// experiment's meter absorbs in index order — campaign summaries stay
+// deterministic whether a point was executed or replayed.
+//
+// Every registered experiment is a sweep of points: no world is built
+// outside a point, so the content-addressed point cache is the only
+// layer that replays results, and an experiment whose every record came
+// from it reports itself as cached (see Meter.Replayed).
 
 import (
 	"encoding/json"
@@ -73,6 +77,10 @@ type PointRecord struct {
 	// that owns it, not the one that happened to run it). Never stored
 	// in the cache.
 	Panic any `json:"-"`
+	// Cached marks a record loaded from the point cache instead of
+	// executed; the campaign scheduler sets it on a cache hit. Never
+	// stored in the cache.
+	Cached bool `json:"-"`
 }
 
 // PointRunner schedules compiled sweeps. The campaign runner installs
@@ -150,7 +158,7 @@ func RunPointsAs[T any](env Env, pts []Point) []T {
 			panic(fmt.Sprintf("bench: decoding point %q: %v", pts[i].Key, err))
 		}
 		if env.Meter != nil {
-			env.Meter.Absorb(rec.SimSeconds, rec.Worlds, rec.Faults)
+			env.Meter.Absorb(rec)
 		}
 	}
 	return out

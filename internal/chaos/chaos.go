@@ -12,9 +12,9 @@
 //
 // The package only provides the schedule, the injector and two
 // instrumented shims (an http.RoundTripper and a filesystem); the
-// layers above consume it: the runner's point cache and journal write
-// through a chaos.FS, and the remote-cache client dials through a
-// chaos.Transport. Production wiring uses the pass-through OS
+// layers above consume it: the point cache and the daemon's campaign
+// log write through a chaos.FS, and the remote-cache client dials
+// through a chaos.Transport. Production wiring uses the pass-through OS
 // filesystem and a nil injector, which cost nothing.
 package chaos
 
@@ -113,7 +113,7 @@ type Event struct {
 	From, To int64
 	// Match restricts the event to operation labels containing this
 	// substring ("" matches every label). Transport labels look like
-	// "GET host/path"; filesystem labels like "write:journal.jsonl".
+	// "GET host/path"; filesystem labels like "write:campaigns.jsonl".
 	Match string
 	// Status is the synthetic response code of an HTTPError event.
 	Status int
@@ -215,9 +215,9 @@ func (s *Schedule) String() string {
 //	latency:delay=50ms,p=0.5            half the round trips take 50ms extra
 //	truncate:p=0.2,match=/cache/        truncate 20% of cache responses
 //	eio-read:p=0.3,match=.pack          30% of cache pack page-ins fail
-//	eio-write:ops=1-4,match=journal     first 4 journal appends fail
+//	eio-write:ops=1-4,match=campaigns   first 4 campaign-log appends fail
 //	enospc:p=0.2,match=.tmp-            disk-full on 20% of cache writes
-//	torn:ops=3-3,match=journal          the 3rd journal append tears
+//	torn:ops=3-3,match=campaigns        the 3rd campaign-log append tears
 //	fsync:p=1                           every fsync fails
 //
 // p defaults to 1; ops windows are 1-based inclusive per operation
@@ -302,7 +302,7 @@ func (e *Event) setOption(key, val string) error {
 }
 
 // Injector decides which instrumented operations fail, deterministically
-// from the seed. Each operation label (e.g. "write:journal.jsonl",
+// from the seed. Each operation label (e.g. "write:campaigns.jsonl",
 // "GET host/cache/ab12…") carries its own sequence counter, and a fault
 // decision is a pure function of (seed, event index, label, sequence
 // number) — so the outcome stream per label is independent of how

@@ -31,9 +31,9 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		"latency:p=0.5,delay=50ms",
 		"truncate:p=0.2,match=/cache/",
 		"eio-read:p=0.3,match=.pack",
-		"eio-write:ops=1-4,match=journal",
+		"eio-write:ops=1-4,match=campaigns",
 		"enospc:p=0.2,match=.tmp-",
-		"torn:ops=3-3,match=journal",
+		"torn:ops=3-3,match=campaigns",
 		"fsync",
 	}
 	for _, spec := range specs {
@@ -78,7 +78,7 @@ func TestInjectorDeterminism(t *testing.T) {
 		in := NewInjector(seed, sched)
 		var out []bool
 		for i := 0; i < 200; i++ {
-			_, ok := in.Decide(OpWrite, "write:journal.jsonl")
+			_, ok := in.Decide(OpWrite, "write:campaigns.jsonl")
 			out = append(out, ok)
 		}
 		return out
@@ -102,7 +102,7 @@ func TestInjectorDeterminism(t *testing.T) {
 	}
 	in := NewInjector(7, sched)
 	for i := 0; i < 200; i++ {
-		in.Decide(OpWrite, "write:journal.jsonl")
+		in.Decide(OpWrite, "write:campaigns.jsonl")
 	}
 	if got := in.Injected(); got == 0 || got == 200 {
 		t.Fatalf("p=0.4 over 200 ops injected %d faults", got)
@@ -139,11 +139,11 @@ func TestInjectorLabelIndependence(t *testing.T) {
 }
 
 func TestInjectorWindowAndMatch(t *testing.T) {
-	sched := mustParse(t, "eio-write:ops=2-3,match=journal")
+	sched := mustParse(t, "eio-write:ops=2-3,match=campaigns")
 	in := NewInjector(1, sched)
 	var hits []int
 	for i := 1; i <= 5; i++ {
-		if _, ok := in.Decide(OpWrite, "write:journal.jsonl"); ok {
+		if _, ok := in.Decide(OpWrite, "write:campaigns.jsonl"); ok {
 			hits = append(hits, i)
 		}
 	}
@@ -151,9 +151,9 @@ func TestInjectorWindowAndMatch(t *testing.T) {
 		t.Fatalf("ops=2-3 window hit %v, want [2 3]", hits)
 	}
 	if _, ok := in.Decide(OpWrite, "write:other.txt"); ok {
-		t.Fatal("match=journal hit an unrelated label")
+		t.Fatal("match=campaigns hit an unrelated label")
 	}
-	if _, ok := in.Decide(OpRead, "read:journal.jsonl"); ok {
+	if _, ok := in.Decide(OpRead, "read:campaigns.jsonl"); ok {
 		t.Fatal("a write event hit a read operation")
 	}
 	if got := in.InjectedKind(WriteErr); got != 2 {
@@ -176,7 +176,7 @@ func TestNilInjector(t *testing.T) {
 // torn writes leave real partial bytes on disk.
 func TestFlakyFS(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "journal.jsonl")
+	path := filepath.Join(dir, "campaigns.jsonl")
 
 	t.Run("eio-read", func(t *testing.T) {
 		fsys := Flaky(OS(), NewInjector(1, mustParse(t, "eio-read:ops=1-1")))

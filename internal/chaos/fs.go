@@ -7,8 +7,8 @@ import (
 	"syscall"
 )
 
-// FS is the slice of the filesystem the runner's durability layers use
-// (point cache, journal, campaign state log). The production
+// FS is the slice of the filesystem the durability layers use (point
+// cache, campaign state log). The production
 // implementation passes straight through to the os package; Flaky wraps
 // any FS with injected EIO/ENOSPC/torn-write/fsync faults so tests and
 // drills can exercise every degradation path deterministically.
@@ -20,7 +20,6 @@ type FS interface {
 	CreateTemp(dir, pattern string) (File, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
-	Truncate(name string, size int64) error
 }
 
 // File is the writable-file slice of FS consumers' needs.
@@ -41,7 +40,6 @@ func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(n
 func (osFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
-func (osFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
 
 func (osFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
@@ -56,8 +54,8 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 // "sync:<label>") and fail with realistic errors when the schedule says
 // so. Torn writes persist half the buffer before failing — the on-disk
 // state of a process killed mid-append — so recovery paths see real
-// corruption, not just error returns. Rename, remove, mkdir and
-// truncate pass through untouched (the cache's atomic-rename protocol
+// corruption, not just error returns. Rename, remove and mkdir pass
+// through untouched (the cache's atomic-rename protocol
 // corrupts through torn temp-file writes, never through rename).
 func Flaky(base FS, inj *Injector) FS {
 	return &flakyFS{base: base, inj: inj}
@@ -78,9 +76,8 @@ func (f *flakyFS) MkdirAll(path string, perm fs.FileMode) error { return f.base.
 // ReadDir passes through: directory listings are metadata (the cache's
 // segment discovery); content faults are injected on the files.
 func (f *flakyFS) ReadDir(name string) ([]fs.DirEntry, error) { return f.base.ReadDir(name) }
-func (f *flakyFS) Rename(oldpath, newpath string) error         { return f.base.Rename(oldpath, newpath) }
-func (f *flakyFS) Remove(name string) error                     { return f.base.Remove(name) }
-func (f *flakyFS) Truncate(name string, size int64) error       { return f.base.Truncate(name, size) }
+func (f *flakyFS) Rename(oldpath, newpath string) error       { return f.base.Rename(oldpath, newpath) }
+func (f *flakyFS) Remove(name string) error                   { return f.base.Remove(name) }
 
 func (f *flakyFS) ReadFile(name string) ([]byte, error) {
 	if ev, ok := f.inj.Decide(OpRead, "read:"+label(name)); ok && ev.Kind == ReadErr {

@@ -7,7 +7,7 @@ import "testing"
 func FuzzChaosParseSpec(f *testing.F) {
 	f.Add("refuse:p=0.3")
 	f.Add("http:status=502,match=/cache/;latency:p=0.5,delay=50ms")
-	f.Add("eio-write:ops=1-4,match=journal;torn:ops=3-3")
+	f.Add("eio-write:ops=1-4,match=campaigns;torn:ops=3-3")
 	f.Add("enospc:p=0.2,match=.tmp-;fsync")
 	f.Add(";;")
 	f.Add("truncate:p=")

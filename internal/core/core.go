@@ -22,8 +22,8 @@ type Experiment struct {
 	// Title describes what the experiment reproduces.
 	Title string
 	// Sweep describes the experiment's parameter grid as compiled into
-	// independently schedulable points (see bench.Point); empty for
-	// experiments that run as a single unit.
+	// independently schedulable points (see bench.Point). Every
+	// experiment is a sweep: it builds no world outside a point.
 	Sweep string
 	// Run executes the experiment and returns the result tables.
 	Run func(env bench.Env) []*trace.Table
@@ -128,6 +128,7 @@ func init() {
 	register(Experiment{
 		ID:    "fig2",
 		Title: "Frequency traces: communications only, idle, communications + 20 computing cores (§3.2)",
+		Sweep: "points: 3 trace cases + 2 bandwidth probes",
 		Run: func(env bench.Env) []*trace.Table {
 			r := bench.Fig2FrequencyTrace(env)
 			summary := trace.NewTable("Fig 2 — communication performance with CPU-bound computation",
@@ -318,6 +319,7 @@ func init() {
 	register(Experiment{
 		ID:    "faults-crash-pingpong",
 		Title: "FAULTS: ping-pong under peer node crash (heartbeat detection, ErrPeerDead)",
+		Sweep: "points: 1 per crash scenario",
 		Run: func(env bench.Env) []*trace.Table {
 			return []*trace.Table{bench.CrashPingPong(env)}
 		},
@@ -325,6 +327,7 @@ func init() {
 	register(Experiment{
 		ID:    "faults-crash-cg",
 		Title: "FAULTS: resilient CG surviving a node crash (checkpoint rollback + task re-execution)",
+		Sweep: "points: healthy run, then the crash at 40% of its elapsed time",
 		Run: func(env bench.Env) []*trace.Table {
 			return []*trace.Table{bench.CrashCG(env)}
 		},
@@ -361,6 +364,7 @@ func init() {
 	register(Experiment{
 		ID:    "sec5.2",
 		Title: "Latency overhead of the task-based runtime (§5.2)",
+		Sweep: "points: 1 (raw MPI vs runtime latency)",
 		Run: func(env bench.Env) []*trace.Table {
 			r := bench.RuntimeOverhead(env)
 			t := trace.NewTable("§5.2 — runtime system latency overhead",

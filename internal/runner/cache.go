@@ -468,9 +468,10 @@ func (c *PointCache) DiskStats() DiskStats {
 }
 
 // pointBaseKey fingerprints everything outside the point's own key that
-// determines its value. Unlike ConfigHash it excludes the output format
-// (point payloads are structured data, rendered later) and includes the
-// solver and sweep-logic versions.
+// determines its value: the solver and sweep-logic versions, the record
+// schema, the cluster spec, seed, run count, fault schedule and fabric.
+// The output format is not part of it (point payloads are structured
+// data, rendered later).
 func pointBaseKey(env bench.Env) string {
 	spec, err := json.Marshal(env.Spec)
 	if err != nil {
@@ -702,6 +703,7 @@ func (s *pointScheduler) resolveLocal(env bench.Env, p bench.Point, fullKey stri
 		rec, ok, mismatch, ioErr := s.cache.Load(fullKey)
 		if ok {
 			atomic.AddInt64(&s.stats.Hits, 1)
+			rec.Cached = true
 			return rec
 		}
 		if mismatch {

@@ -80,7 +80,8 @@ func TestPointPoolMergeOrderProperty(t *testing.T) {
 
 // TestPointPanicFailsOwningExperiment: a panicking point must fail the
 // experiment that owns it — not whichever worker happened to execute it
-// — while sibling experiments complete.
+// — while sibling experiments complete. A panic is never stored, so a
+// re-run on the same cache replays the siblings and retries the panic.
 func TestPointPanicFailsOwningExperiment(t *testing.T) {
 	boom := core.Experiment{ID: "boom", Title: "boom", Run: func(env bench.Env) []*trace.Table {
 		bench.RunPointsAs[struct{}](env, []bench.Point{
@@ -89,12 +90,21 @@ func TestPointPanicFailsOwningExperiment(t *testing.T) {
 		return okTable()
 	}}
 	exps := []core.Experiment{sweepExp("healthy", 8, nil), boom, sweepExp("also-healthy", 8, nil)}
-	res := Collect(Run(testEnv(t), exps, Options{Workers: 4}))
-	if res[0].Err != nil || res[2].Err != nil {
-		t.Fatalf("healthy experiments damaged: %v / %v", res[0].Err, res[2].Err)
+	cache, err := OpenPointCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res[1].Err == nil || !strings.Contains(res[1].Err.Error(), "kaboom") {
-		t.Fatalf("panicking point did not fail its owner: %v", res[1].Err)
+	for _, pass := range []string{"cold", "re-run"} {
+		res := Collect(Run(testEnv(t), exps, Options{Workers: 4, Cache: cache}))
+		if res[0].Err != nil || res[2].Err != nil {
+			t.Fatalf("%s: healthy experiments damaged: %v / %v", pass, res[0].Err, res[2].Err)
+		}
+		if res[1].Err == nil || !strings.Contains(res[1].Err.Error(), "kaboom") {
+			t.Fatalf("%s: panicking point did not fail its owner: %v", pass, res[1].Err)
+		}
+		if replayed := pass == "re-run"; res[0].Cached != replayed || res[2].Cached != replayed {
+			t.Fatalf("%s: healthy siblings cached = %v/%v", pass, res[0].Cached, res[2].Cached)
+		}
 	}
 }
 
@@ -131,6 +141,10 @@ func TestCampaignColdWarmByteIdentical(t *testing.T) {
 	}
 	// Meter accounting must replay identically from cache.
 	for i := range exps {
+		if plain[i].Cached || coldRes[i].Cached || !warmRes[i].Cached {
+			t.Fatalf("%s: cached flags plain/cold/warm = %v/%v/%v, want false/false/true",
+				exps[i].ID, plain[i].Cached, coldRes[i].Cached, warmRes[i].Cached)
+		}
 		if warmRes[i].Metrics.SimSeconds != plain[i].Metrics.SimSeconds ||
 			warmRes[i].Metrics.Worlds != plain[i].Metrics.Worlds {
 			t.Fatalf("%s: cached metrics drifted: %+v vs %+v",
@@ -157,6 +171,51 @@ func TestCampaignMemoDedupsSharedPoints(t *testing.T) {
 	if stats.Misses != 9 || stats.MemoHits != 9 {
 		t.Fatalf("stats %+v, want 9 misses + 9 memo hits", stats)
 	}
+}
+
+// TestCachedFollowsTheRecordsOrigin: a result is cached exactly when
+// every record it consumed was loaded from the point cache, including
+// records shared through the memo; one executed point clears the flag.
+func TestCachedFollowsTheRecordsOrigin(t *testing.T) {
+	twin1 := sweepExp("twin", 5, nil)
+	twin2 := twin1
+	twin2.ID = "twin2"
+	cache, err := OpenPointCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(exps ...core.Experiment) []Result {
+		res := Collect(Run(testEnv(t), exps, Options{Workers: 2, Cache: cache}))
+		for _, r := range res {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+		return res
+	}
+	for _, r := range run(twin1, twin2) {
+		if r.Cached {
+			t.Fatalf("%s cached on a cold cache", r.Exp.ID)
+		}
+	}
+	for _, r := range run(twin1, twin2) {
+		if !r.Cached {
+			t.Fatalf("%s not cached on a full cache", r.Exp.ID)
+		}
+	}
+	// Six cells of twin's sweep: five replay, the sixth executes.
+	if res := run(sweepExp("twin", 6, nil)); res[0].Cached {
+		t.Fatal("a result with an executed point is marked cached")
+	}
+}
+
+func mustChaos(t *testing.T, spec string) *chaos.Schedule {
+	t.Helper()
+	s, err := chaos.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // TestPoisonedCacheEntryDetected: an entry whose stored key does not

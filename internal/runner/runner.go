@@ -75,14 +75,10 @@ type Result struct {
 	// Err is non-nil when the experiment panicked or failed to render;
 	// the other workers keep running.
 	Err error
-	// Cached marks a result replayed from the daemon's campaign journal
-	// instead of executed (see RunResumable); Tables is nil for cached
-	// results but Rendered and Metrics carry the journaled values.
+	// Cached marks a result replayed from the point cache: every point
+	// record the experiment consumed was loaded from it, directly or
+	// through the campaign memo or a flight leader that loaded it.
 	Cached bool
-	// DurabilityErr is non-nil when the experiment SUCCEEDED but its
-	// journal append failed: the result is correct and usable, it just
-	// will not survive a crash. Callers should warn, not fail.
-	DurabilityErr error
 	// Metrics is the per-experiment accounting.
 	Metrics Metrics
 }
@@ -254,7 +250,7 @@ func execute(env bench.Env, e core.Experiment, index int, format string) Result 
 	for _, t := range res.Tables {
 		res.Metrics.Rows += len(t.Rows)
 	}
-	iso.Meter.Release()
+	res.Cached = iso.Meter.Replayed()
 	return res
 }
 

@@ -25,16 +25,16 @@ func TestParseRetryAfter(t *testing.T) {
 		want time.Duration
 		ok   bool
 	}{
-		{"", 0, false},                               // absent: caller backs off on its own
-		{"abc", 0, false},                            // non-numeric
-		{"Fri, 07 Aug 2026 00:00:00 GMT", 0, false},  // HTTP-date form: not produced by interfd
-		{"-3", 0, false},                             // negative
-		{"2", 2 * time.Second, true},                 //
-		{"0", 0, true},                               // explicit zero is honored as "now"
-		{"0.25", 250 * time.Millisecond, true},       // fractional seconds
-		{"86400", cap, true},                         // huge: capped
-		{"1e300", cap, true},                         // absurd: float overflow must still cap
-		{"9223372036854775807", cap, true},           // int64-overflow territory
+		{"", 0, false},    // absent: caller backs off on its own
+		{"abc", 0, false}, // non-numeric
+		{"Fri, 07 Aug 2026 00:00:00 GMT", 0, false}, // HTTP-date form: not produced by interfd
+		{"-3", 0, false},                       // negative
+		{"2", 2 * time.Second, true},           //
+		{"0", 0, true},                         // explicit zero is honored as "now"
+		{"0.25", 250 * time.Millisecond, true}, // fractional seconds
+		{"86400", cap, true},                   // huge: capped
+		{"1e300", cap, true},                   // absurd: float overflow must still cap
+		{"9223372036854775807", cap, true},     // int64-overflow territory
 	}
 	for _, c := range cases {
 		got, ok := ParseRetryAfter(c.in, cap)
@@ -213,6 +213,43 @@ func TestOverloadRetryAfterTracksDrain(t *testing.T) {
 	}
 }
 
+// TestOverloadLearnsFromExecutedPointsOnly: the cost estimator is fed
+// the points a campaign executed, not the points it requested, so
+// repeats served entirely from the point cache leave the per-point cost
+// where the cold campaign put it instead of dragging it toward zero.
+func TestOverloadLearnsFromExecutedPointsOnly(t *testing.T) {
+	s, _ := newTestServer(t, Config{Clock: chaos.NewFakeClock()})
+	cold := true
+	s.runFn = func(c *campaign) *CampaignResponse {
+		resp := &CampaignResponse{ID: c.id, Cluster: c.cluster, Cache: CacheSummary{Points: 10, Hits: 10}}
+		if cold {
+			time.Sleep(5 * time.Millisecond) // a cold campaign costs real time
+			resp.Cache = CacheSummary{Points: 10, Misses: 10}
+		}
+		return resp
+	}
+	c, err := compile(CampaignSpec{Experiments: []string{"fig3"}, Seed: 1, Runs: 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, serr := s.submit(c); serr != nil {
+		t.Fatal(serr)
+	}
+	want := s.Metrics().Overload
+	if want.EstPointMs <= 0 {
+		t.Fatalf("cold campaign taught no per-point cost: %+v", want)
+	}
+	cold = false
+	for i := 0; i < 5; i++ {
+		if _, serr := s.submit(c); serr != nil {
+			t.Fatal(serr)
+		}
+	}
+	if got := s.Metrics().Overload; got.EstPointMs != want.EstPointMs || got.EstPointsPerExp != want.EstPointsPerExp {
+		t.Fatalf("cached repeats moved the estimator: %+v, want %+v", got, want)
+	}
+}
+
 // postSpecAs submits a campaign under a client identity and deadline.
 func postSpecAs(t *testing.T, url string, spec CampaignSpec, apiKey, deadline string) (*http.Response, []byte) {
 	t.Helper()
@@ -369,7 +406,7 @@ func TestServerOverloadStorm(t *testing.T) {
 	s.runFn = func(c *campaign) *CampaignResponse {
 		time.Sleep(5 * time.Millisecond)
 		return &CampaignResponse{ID: c.id, Cluster: c.cluster,
-			Cache: CacheSummary{Points: 10}}
+			Cache: CacheSummary{Points: 10, Misses: 10}}
 	}
 
 	const clients = 4

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -71,12 +73,12 @@ func soakStorm(t *testing.T, url string, specs []CampaignSpec, clients, perClien
 // against daemons whose filesystem is actively failing, and the test
 // demands the exactly-once and byte-identity contracts still hold.
 //
-// Scenario A (durability chaos): torn writes, EIO and fsync failures on
-// the journal and campaign log only. Results must be byte-identical to
-// a fault-free baseline, the cache exactly-once bound must hold with
-// equality (the cache is untouched), losses must surface as durability
-// warnings, and a clean daemon must reopen the mangled state without
-// error.
+// Scenario A (durability chaos): torn writes and EIO on the campaign
+// log, ENOSPC on point-cache pack flushes. Results must be
+// byte-identical to a fault-free baseline, the cache exactly-once bound
+// must hold with equality (a failed flush keeps its records pending and
+// served), losses must surface as durability warnings, and a clean
+// daemon must reopen the mangled state without error.
 //
 // Scenario B (full chaos): EIO on pack page-ins from a pre-seeded cache
 // (degrading campaigns to no-cache mode, tripping the circuit breaker)
@@ -143,7 +145,7 @@ func TestServerChaosSoak(t *testing.T) {
 	}
 
 	t.Run("durability", func(t *testing.T) {
-		spec := "torn:p=0.25,match=journal.jsonl;eio-write:p=0.25,match=campaigns.jsonl;fsync:p=0.5,match=journal.jsonl"
+		spec := "torn:p=0.25,match=campaigns.jsonl;eio-write:p=0.25,match=campaigns.jsonl;enospc:p=0.5,match=.tmp-"
 		inj := chaos.NewInjector(seed, mustChaosSpec(t, spec))
 		dir := t.TempDir()
 		cfg := Config{
@@ -163,8 +165,9 @@ func TestServerChaosSoak(t *testing.T) {
 			}
 		}
 		m := s.Metrics()
-		// The chaos never touches the cache, so exactly-once must hold
-		// with equality, exactly like the fault-free storm.
+		// A failed flush keeps its records pending, so the cache still
+		// serves every computed point: exactly-once must hold with
+		// equality, exactly like the fault-free storm.
 		if m.Cache.Misses != union {
 			t.Fatalf("seed %d: durability chaos executed %d points, want exactly %d (stats %+v)",
 				seed, m.Cache.Misses, union, m.Cache)
@@ -172,13 +175,15 @@ func TestServerChaosSoak(t *testing.T) {
 		if inj.Injected() > 0 && m.Robustness.DurabilityWarnings == 0 {
 			t.Fatalf("seed %d: %d faults injected but zero durability warnings", seed, inj.Injected())
 		}
-		t.Logf("seed %d: durability chaos: %d faults injected, %d durability warnings, %d journal-skipped on this boot",
-			seed, inj.Injected(), m.Robustness.DurabilityWarnings, m.Robustness.JournalSkipped)
+		t.Logf("seed %d: durability chaos: %d faults injected (%d on cache flushes), %d durability warnings",
+			seed, inj.Injected(), inj.InjectedKind(chaos.NoSpace), m.Robustness.DurabilityWarnings)
 
 		// The mangled state must reopen cleanly on a healthy filesystem;
 		// campaigns whose "done" marker was lost simply re-run (cache
-		// replays their points).
-		if err := s.Close(); err != nil {
+		// replays their points). Close's final flush still runs on the
+		// flaky filesystem, so an injected ENOSPC there is a durability
+		// loss like any other, not a failure.
+		if err := s.Close(); err != nil && !errors.Is(err, syscall.ENOSPC) {
 			t.Fatalf("seed %d: closing chaos daemon: %v", seed, err)
 		}
 		cfg.FS = nil

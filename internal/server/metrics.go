@@ -40,18 +40,16 @@ type ExperimentResult struct {
 	ID       string `json:"id"`
 	Rendered string `json:"rendered,omitempty"`
 	Error    string `json:"error,omitempty"`
-	// Cached marks a result replayed from the daemon's journal.
-	Cached bool `json:"cached,omitempty"`
-	// DurabilityLost marks a successful result whose journal append
-	// failed: correct, but it will not survive a daemon crash.
-	DurabilityLost bool              `json:"durability_lost,omitempty"`
-	SimSeconds     float64           `json:"sim_seconds"`
-	Worlds         int               `json:"worlds"`
-	Tables         int               `json:"tables"`
-	Rows           int               `json:"rows"`
-	Attempts       int               `json:"attempts"`
-	WallMs         float64           `json:"wall_ms"`
-	Faults         bench.FaultTotals `json:"faults"`
+	// Cached marks a result replayed from the point cache (see
+	// runner.Result.Cached).
+	Cached     bool              `json:"cached,omitempty"`
+	SimSeconds float64           `json:"sim_seconds"`
+	Worlds     int               `json:"worlds"`
+	Tables     int               `json:"tables"`
+	Rows       int               `json:"rows"`
+	Attempts   int               `json:"attempts"`
+	WallMs     float64           `json:"wall_ms"`
+	Faults     bench.FaultTotals `json:"faults"`
 }
 
 // CacheSummary is a CacheStats snapshot in wire form.
@@ -162,9 +160,9 @@ type Metrics struct {
 	} `json:"latency"`
 	// Robustness reports the daemon's degradation machinery: drain
 	// state, the cache circuit breaker, campaigns running without a
-	// cache or deadline-expired, results served without durability,
-	// worker shards restarted after panics, and corrupt durability
-	// records skipped at boot.
+	// cache or deadline-expired, failed campaign-log appends and
+	// point-cache flushes, worker shards restarted after panics, and
+	// corrupt campaign-log records skipped at boot.
 	// Overload reports the adaptive admission controller: the cost and
 	// drain estimators behind deadline-aware admission and Retry-After,
 	// plus the shed counters by cause (fair-share refusal, hopeless
@@ -187,7 +185,6 @@ type Metrics struct {
 		DurabilityWarnings int64               `json:"durability_warnings"`
 		DrainRejected      int64               `json:"drain_rejected"`
 		ShardRestarts      int64               `json:"shard_restarts"`
-		JournalSkipped     int64               `json:"journal_skipped_records"`
 		CampaignLogSkipped int64               `json:"campaign_log_skipped_records"`
 	} `json:"robustness"`
 	Shards int `json:"shards"`
@@ -226,9 +223,6 @@ func (s *Server) Metrics() Metrics {
 	m.Robustness.DurabilityWarnings = s.durabilityWarnings.Load()
 	m.Robustness.DrainRejected = s.drainRejects.Load()
 	m.Robustness.ShardRestarts = s.pool.Restarts()
-	if s.journal != nil {
-		m.Robustness.JournalSkipped = int64(s.journal.Skipped())
-	}
 	m.Robustness.CampaignLogSkipped = s.stateSkipped.Load()
 	m.Shards = s.cfg.Shards
 	return m

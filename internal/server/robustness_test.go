@@ -272,12 +272,12 @@ func TestStateLogSkipsMidFileCorruption(t *testing.T) {
 	}
 }
 
-// TestServerJournalFailureDegradesGracefully: when every journal append
-// fails (dead disk under the state dir), campaigns still serve correct
-// results — flagged DurabilityLost, counted as durability warnings —
-// instead of failing.
-func TestServerJournalFailureDegradesGracefully(t *testing.T) {
-	inj := chaos.NewInjector(1, mustChaosSpec(t, "eio-write:match=journal.jsonl"))
+// TestServerCampaignLogFailureDegradesGracefully: when every
+// campaign-log append fails (dead disk under the state dir), campaigns
+// still serve correct results — counted as durability warnings —
+// instead of failing, and a repeat is still served from the point cache.
+func TestServerCampaignLogFailureDegradesGracefully(t *testing.T) {
+	inj := chaos.NewInjector(1, mustChaosSpec(t, "eio-write:match=campaigns.jsonl"))
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{
 		CacheDir: filepath.Join(dir, "cache"),
@@ -285,18 +285,20 @@ func TestServerJournalFailureDegradesGracefully(t *testing.T) {
 		FS:       chaos.Flaky(chaos.OS(), inj),
 	})
 	want := localRendered(t, "henri", 1, 1, "ext-sched")
-	code, body, cr := postSpec(t, ts.URL, CampaignSpec{Experiments: []string{"ext-sched"}, Seed: 1, Runs: 1})
-	if code != http.StatusOK {
-		t.Fatalf("campaign under journal failure: %d: %s", code, body)
-	}
-	if cr.Errors != 0 {
-		t.Fatalf("journal failure caused %d experiment errors; durability loss must not fail results", cr.Errors)
-	}
-	if cr.Results[0].Rendered != want[0] {
-		t.Fatal("output drifted under journal failure")
-	}
-	if !cr.Results[0].DurabilityLost {
-		t.Fatal("result not flagged DurabilityLost")
+	for _, phase := range []string{"cold", "repeat"} {
+		code, body, cr := postSpec(t, ts.URL, CampaignSpec{Experiments: []string{"ext-sched"}, Seed: 1, Runs: 1})
+		if code != http.StatusOK {
+			t.Fatalf("%s campaign under campaign-log failure: %d: %s", phase, code, body)
+		}
+		if cr.Errors != 0 {
+			t.Fatalf("%s: campaign-log failure caused %d experiment errors; durability loss must not fail results", phase, cr.Errors)
+		}
+		if cr.Results[0].Rendered != want[0] {
+			t.Fatalf("%s: output drifted under campaign-log failure", phase)
+		}
+		if cached := cr.Results[0].Cached; cached != (phase == "repeat") {
+			t.Fatalf("%s: cached = %v", phase, cached)
+		}
 	}
 	if m := s.Metrics(); m.Robustness.DurabilityWarnings == 0 {
 		t.Fatalf("durability_warnings = 0: %+v", m.Robustness)

@@ -5,9 +5,10 @@
 // server-wide worker-shard set. The content-addressed point cache is
 // shared by all campaigns and exposed over a remote GET/PUT protocol,
 // in-flight computations are deduplicated across concurrent clients,
-// and a JSONL journal makes the daemon crash-safe: a killed daemon
-// resumes unfinished campaigns on restart and replays finished ones
-// byte-identically.
+// and a JSONL campaign log makes the daemon crash-safe: a killed daemon
+// re-runs unfinished campaigns on restart, and their points land in the
+// point cache, the only layer that replays results, so a re-submitted
+// spec is served byte-identically without executing.
 package server
 
 import (
@@ -33,8 +34,8 @@ type Config struct {
 	// CacheDir roots the persistent point cache; "" disables it (points
 	// are still deduplicated in memory across concurrent campaigns).
 	CacheDir string
-	// StateDir holds the durability layer (campaign log + result
-	// journal); "" disables it (a killed daemon then forgets its work).
+	// StateDir holds the campaign log of accepted work; "" disables it
+	// (a killed daemon then forgets its unfinished campaigns).
 	StateDir string
 	// Shards is the size of the server-wide point-execution worker set;
 	// <= 0 means runtime.GOMAXPROCS(0).
@@ -94,7 +95,6 @@ type Server struct {
 	flight  *runner.PointFlight
 	cache   *runner.PointCache // nil when CacheDir == ""
 	breaker *runner.Breaker    // guards cache; nil when cache is nil
-	journal *runner.Journal    // nil when StateDir == ""
 
 	queueSlots chan struct{}
 	runSlots   chan struct{}
@@ -112,7 +112,7 @@ type Server struct {
 	drainRejects       atomic.Int64 // submissions refused while draining
 	timeouts           atomic.Int64 // campaigns that blew CampaignTimeout
 	degradedCampaigns  atomic.Int64 // campaigns that switched to no-cache mode
-	durabilityWarnings atomic.Int64 // experiments served without a journal record
+	durabilityWarnings atomic.Int64 // failed campaign-log appends and point-cache flushes
 	stateSkipped       atomic.Int64 // corrupt campaign-log records skipped at boot
 
 	cacheTotals runner.CacheStats
@@ -152,10 +152,11 @@ type submitError struct {
 
 func (e *submitError) Error() string { return e.msg }
 
-// New builds a daemon: opens the cache and durability layer, starts the
-// worker shards, and re-runs any campaign that was accepted but not
-// completed when the previous process died (their results land in the
-// journal, so a client re-submitting the spec replays byte-identically).
+// New builds a daemon: opens the point cache and the campaign log,
+// starts the worker shards, and re-runs any campaign that was accepted
+// but not completed when the previous process died (its points land in
+// the point cache, so a client re-submitting the spec is served from it
+// byte-identically).
 func New(cfg Config) (*Server, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
@@ -196,14 +197,9 @@ func New(cfg Config) (*Server, error) {
 		if err := s.fs.MkdirAll(cfg.StateDir, 0o755); err != nil {
 			return nil, fmt.Errorf("server: creating state dir: %w", err)
 		}
-		j, err := runner.OpenJournalFS(filepath.Join(cfg.StateDir, "journal.jsonl"), s.fs, s.logf)
-		if err != nil {
-			return nil, err
-		}
-		s.journal = j
+		var err error
 		pending, err = s.openStateLog(filepath.Join(cfg.StateDir, "campaigns.jsonl"))
 		if err != nil {
-			j.Close()
 			return nil, err
 		}
 	}
@@ -235,7 +231,6 @@ func (s *Server) Recovering() int  { return int(s.recovered.Load()) }
 func (s *Server) WaitRecovery()    { s.recovery.Wait() }
 func (s *Server) CacheDir() string { return s.cfg.CacheDir }
 func (s *Server) Shards() int      { return s.cfg.Shards }
-func (s *Server) Journal() bool    { return s.journal != nil }
 
 // BeginDrain closes admission: new campaign submissions are refused
 // with 503 while campaigns already admitted keep running. Idempotent.
@@ -245,20 +240,16 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain blocks until every admitted campaign has finished (the queue
-// and run slots are empty) and the durability layer is flushed, or ctx
-// expires — in which case the unfinished campaigns stay "accepted" in
-// the state log and are recovered by the next New. Call BeginDrain
+// and run slots are empty) and the cache and campaign log are flushed,
+// or ctx expires — in which case the unfinished campaigns stay
+// "accepted" in the state log and are recovered by the next New. Call BeginDrain
 // first so the population being waited on cannot grow.
 func (s *Server) Drain(ctx context.Context) error {
 	for {
 		if s.queueDepth.Load() == 0 && s.inflight.Load() == 0 && len(s.queueSlots) == 0 {
-			if s.journal != nil {
-				if err := s.journal.Sync(); err != nil {
-					s.logf("drain: syncing journal: %v", err)
-				}
-			}
 			if s.cache != nil {
 				if err := s.cache.Flush(); err != nil {
+					s.durabilityWarnings.Add(1)
 					s.logf("drain: flushing point cache: %v", err)
 				}
 			}
@@ -274,10 +265,11 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Close releases the daemon: the shard set, the journal, and the state
-// log. Campaigns still executing keep computing on their own request
-// goroutines but can no longer journal results — exactly the state a
-// killed process leaves behind, which New recovers from.
+// Close releases the daemon: the shard set, the point cache (flushed)
+// and the campaign log. Campaigns still executing keep computing on
+// their own request goroutines but can no longer log completion —
+// exactly the state a killed process leaves behind, which New recovers
+// from.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -293,11 +285,6 @@ func (s *Server) Close() error {
 	var err error
 	if s.cache != nil {
 		err = s.cache.Close()
-	}
-	if s.journal != nil {
-		if jerr := s.journal.Close(); err == nil {
-			err = jerr
-		}
 	}
 	if stateLog != nil {
 		if cerr := stateLog.Close(); err == nil {
@@ -502,7 +489,9 @@ func (s *Server) admit(c *campaign) (*CampaignResponse, *submitError) {
 	resp := s.runFn(c)
 	resp.WallMs = float64(time.Since(start).Microseconds()) / 1e3
 	s.latency.add(resp.WallMs)
-	s.ov.observe(resp.Cache.Points, len(c.exps), resp.WallMs)
+	// The cost estimator learns from executed points only: a repeat
+	// served from the point cache costs next to nothing per point.
+	s.ov.observe(resp.Cache.Misses, len(c.exps), resp.WallMs)
 	s.logState(stateEntry{ID: c.id, Status: "done"})
 	s.completed.Add(1)
 	s.logf("campaign %s: %d experiments on %s in %.0fms (%d/%d points cached, %d errors)",
@@ -524,8 +513,8 @@ func clientKey(r *http.Request) string {
 	return "addr:" + host
 }
 
-// runCampaign executes a campaign on the shared shard set, replaying
-// journaled results when the durability layer is on.
+// runCampaign executes a campaign on the shared shard set; points the
+// point cache holds are replayed instead of executed.
 func (s *Server) runCampaign(c *campaign) *CampaignResponse {
 	stats := &runner.CacheStats{}
 	opts := runner.Options{
@@ -546,14 +535,8 @@ func (s *Server) runCampaign(c *campaign) *CampaignResponse {
 		defer cancel()
 	}
 	opts.Ctx = ctx
-	var results <-chan runner.Result
-	if s.journal != nil {
-		results = runner.RunResumable(c.env, c.exps, opts, s.journal, c.cluster)
-	} else {
-		results = runner.Run(c.env, c.exps, opts)
-	}
 	resp := &CampaignResponse{ID: c.id, Cluster: c.cluster}
-	for res := range results {
+	for res := range runner.Run(c.env, c.exps, opts) {
 		er := ExperimentResult{
 			ID:       res.Exp.ID,
 			Rendered: res.Rendered,
@@ -567,24 +550,21 @@ func (s *Server) runCampaign(c *campaign) *CampaignResponse {
 			er.Rendered = ""
 			resp.Errors++
 		}
-		if res.DurabilityErr != nil {
-			// The result is correct; it just is not crash-safe. Serve it
-			// with a warning instead of failing the experiment.
-			er.DurabilityLost = true
-			s.durabilityWarnings.Add(1)
-			s.logf("campaign %s: experiment %s not journaled: %v", c.id[:12], res.Exp.ID, res.DurabilityErr)
-		}
 		resp.Results = append(resp.Results, er)
+		if s.cache != nil {
+			// One pack flush per finished experiment: a daemon killed
+			// mid-campaign keeps every completed experiment's points
+			// without paying per-point file I/O. A failed flush keeps
+			// them pending (still served, retried at the next flush): it
+			// costs durability, not correctness.
+			if err := s.cache.Flush(); err != nil {
+				s.durabilityWarnings.Add(1)
+				s.logf("campaign %s: flushing point cache: %v", c.id[:12], err)
+			}
+		}
 	}
 	resp.Cache = summarize(stats)
 	s.cacheTotals.Add(stats)
-	if s.cache != nil {
-		// One pack flush per campaign: the write-behind buffer's records
-		// become durable without paying per-point file I/O.
-		if err := s.cache.Flush(); err != nil {
-			s.logf("campaign %s: flushing point cache: %v", c.id[:12], err)
-		}
-	}
 	if atomic.LoadInt64(&stats.Degraded) != 0 {
 		resp.Degraded = true
 		s.degradedCampaigns.Add(1)

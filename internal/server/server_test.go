@@ -519,9 +519,9 @@ func TestRemoteCachePoisoned(t *testing.T) {
 }
 
 // TestServerKillAndResume: a daemon killed mid-campaign (accepted
-// logged, one experiment journaled, no done marker) must resume the
-// campaign on restart and then serve the full spec byte-identically
-// from the journal.
+// logged, one experiment's points cached, no done marker) must resume
+// the campaign on restart and then serve the full spec byte-identically
+// from the point cache.
 func TestServerKillAndResume(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
@@ -534,8 +534,8 @@ func TestServerKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The stub runs the first experiment for real (so it lands in the
-	// journal) and then parks — the campaign never logs "done", exactly a
+	// The stub runs the first experiment for real (so its points land in
+	// the cache) and then parks — the campaign never logs "done", exactly a
 	// process killed mid-campaign.
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -580,7 +580,7 @@ func TestServerKillAndResume(t *testing.T) {
 	want := localRendered(t, "henri", 1, 1, "fig3", "ext-sched")
 	for i, er := range cr.Results {
 		if !er.Cached {
-			t.Errorf("%s not replayed from the journal after recovery", er.ID)
+			t.Errorf("%s not replayed from the point cache after recovery", er.ID)
 		}
 		if er.Rendered != want[i] {
 			t.Errorf("%s replay differs from a clean local run:\n got %q\nwant %q", er.ID, er.Rendered, want[i])

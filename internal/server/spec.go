@@ -56,7 +56,7 @@ type CampaignSpec struct {
 type campaign struct {
 	spec    CampaignSpec // normalized: defaults applied, experiments resolved
 	id      string       // sha256 of the normalized spec: identical submissions collide
-	cluster string       // journal cluster label (preset name or inline spec name)
+	cluster string       // cluster label (preset name or inline spec name)
 	exps    []core.Experiment
 	env     bench.Env
 

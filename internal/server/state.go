@@ -7,13 +7,12 @@ import (
 	"os"
 )
 
-// The campaign state log is the daemon-level half of the durability
-// story (the runner journal is the experiment-level half): every
+// The campaign state log records accepted work, not results: every
 // accepted campaign spec is appended before it runs and a "done" marker
 // after it completes, both as single JSONL lines. On startup, specs
 // with no done marker are the campaigns the previous process was killed
-// inside; New re-runs them so their remaining experiments land in the
-// journal and a re-submitted spec replays byte-identically. The log is
+// inside; New re-runs them so their remaining points land in the point
+// cache and a re-submitted spec replays byte-identically. The log is
 // append-only across restarts. Recovery is tolerant: a corrupt record
 // anywhere — torn tail of a killed append, a line mangled by a torn
 // write — is skipped, counted and logged; every intact record before
