@@ -13,7 +13,9 @@
 // The model is driven by a sim.Kernel: whenever the flow set or a
 // capacity changes, rates are re-solved and the next flow completion is
 // (re)scheduled as a simulation event. Hold/Release coalesce the
-// re-solves of several mutations made at one instant into one.
+// re-solves of several mutations made at one instant into one, and the
+// loop slices that end together and start again at that instant are
+// renewed with one re-solve at most, usually none (see Renew).
 //
 // # Solver implementation
 //
@@ -82,6 +84,13 @@ func (r *Resource) Capacity() float64 { return r.capacity }
 // with ρ.
 func (r *Resource) Utilization() float64 {
 	r.model.flush()
+	return r.SteadyUtilization()
+}
+
+// SteadyUtilization is Utilization under the rates as they stand: it
+// runs no pending solve and leaves parked flows parked, so a parked flow
+// still counts at the rate a renewal keeps (see Renew).
+func (r *Resource) SteadyUtilization() float64 {
 	if r.capacity <= 0 {
 		if r.load > 0 {
 			return 1
@@ -119,7 +128,9 @@ type Flow struct {
 	onDone    func()
 	started   sim.Time
 	finished  bool
-	pooled    bool   // parked on the model's flow free list
+	pooled    bool   // on the model's flow free list
+	renewable bool   // FlowSpec.Renewable
+	parked    bool   // completed, and kept for a Renew (see park)
 	pos       int32  // position in compFlows during an ordered fill (fits the bools' padding)
 	index     int    // position in model.flows, -1 when removed
 	mark      uint64 // component-traversal epoch stamp
@@ -143,6 +154,13 @@ type FlowSpec struct {
 	Uses []Use
 	// OnDone, if non-nil, runs as a simulation event at completion.
 	OnDone func()
+	// Renewable lets a completion park the flow, for its owner to Renew
+	// as its next run instead of starting a new flow (see Model.Renew).
+	// The owner promises to act at the instant OnDone runs: renew the
+	// flow, or call the model in a way that materializes it — Recycle,
+	// any mutation, or a read of a rate or load — before simulated time
+	// moves on.
+	Renewable bool
 }
 
 // Name returns the flow name.
@@ -166,7 +184,16 @@ func (f *Flow) Remaining() float64 {
 func (f *Flow) Total() float64 { return f.total }
 
 // Finished reports whether the flow has completed (or was cancelled).
+// A parked flow has completed.
 func (f *Flow) Finished() bool { return f.finished }
+
+// Parked reports whether f completed and was parked: its OnDone is
+// queued and it has left the flow list, but it keeps its uses and rate
+// until its owner renews it or the model materializes it (see Renew).
+func (f *Flow) Parked() bool { return f.parked }
+
+// Cap returns the flow's private rate bound (0 = unbounded).
+func (f *Flow) Cap() float64 { return f.cap }
 
 // Started returns the instant the flow was started.
 func (f *Flow) Started() sim.Time { return f.started }
@@ -208,6 +235,15 @@ type Model struct {
 	// or a scan at that instant (see settled). -1 when unknown.
 	settledAt sim.Time
 
+	// parked lists, in park order, the flows the last completion parked
+	// at parkedAt; the first renewed of them have been renewed since, the
+	// rest are still parked. parkTail records that they were the tail of
+	// the flow list (see park).
+	parked   []*Flow
+	renewed  int
+	parkedAt sim.Time
+	parkTail bool
+
 	// Scratch buffers, reused across solves so the steady state
 	// allocates nothing. avail/wsum are indexed by Resource.id.
 	avail     []float64
@@ -228,14 +264,20 @@ type Model struct {
 // NewModel returns an empty fluid model driven by kernel k.
 func NewModel(k *sim.Kernel) *Model {
 	m := &Model{k: k, differential: differentialDefault, settledAt: -1}
-	m.next = k.NewTimer(func() {
-		if m.holds > 0 {
-			panic("fluid: completion timer fired while the model is held (a Hold leaked across a blocking call)")
-		}
-		m.advance()
-		m.resolveNow()
-	})
+	m.next = k.NewTimer(m.complete)
 	return m
+}
+
+// complete is the completion timer's callback: it parks the loop slices
+// ending now, or else removes the flows due now and re-solves.
+func (m *Model) complete() {
+	if m.holds > 0 {
+		panic("fluid: completion timer fired while the model is held (a Hold leaked across a blocking call)")
+	}
+	m.advance()
+	if !m.park() {
+		m.resolveNow()
+	}
 }
 
 // Solves reports how many times an allocation was recomputed (full or
@@ -316,8 +358,10 @@ func (m *Model) Release() {
 	}
 }
 
-// flush runs the solve a hold left pending.
+// flush brings rates and loads up to date: it materializes parked
+// flows, then runs the solve a hold left pending.
 func (m *Model) flush() {
+	m.materialize()
 	if m.pending {
 		m.resolveNow()
 	}
@@ -403,15 +447,10 @@ func (m *Model) Start(spec FlowSpec) *Flow {
 	f.started = m.k.Now()
 	f.finished = false
 	f.pooled = false
-	f.index = len(m.flows)
+	f.renewable = spec.Renewable
 	f.mark = 0
 	f.uses, f.usePos = m.newFlowArrays(spec.Uses)
-	for i, u := range f.uses {
-		r := u.Resource
-		f.usePos[i] = len(r.flows)
-		r.flows = append(r.flows, resUse{f, i})
-	}
-	m.flows = append(m.flows, f)
+	m.attach(f)
 	m.dirtyFlows = append(m.dirtyFlows, f)
 	if spec.Work == 0 {
 		// Due at once: collect it now, hold or not (see Hold).
@@ -464,12 +503,20 @@ func (m *Model) SetCap(f *Flow, cap float64) {
 // owner may recycle it, and only once nothing else — completion hooks,
 // frequency-rescaling bookkeeping, a crash-path waiter — can still
 // reach it: the next Start reincarnates the struct as a different flow.
-// Recycling an unfinished or already-recycled flow is a no-op.
+// Recycling an unfinished or already-recycled flow is a no-op; a parked
+// flow is materialized first.
 func (m *Model) Recycle(f *Flow) {
-	if f == nil || f.model != m || !f.finished || f.index >= 0 || f.pooled {
+	if f == nil || f.model != m {
+		return
+	}
+	if f.parked {
+		m.materialize()
+	}
+	if !f.finished || f.index >= 0 || f.pooled {
 		return
 	}
 	f.pooled = true
+	f.renewable = false
 	f.onDone = nil
 	f.name = ""
 	m.freeFlows = append(m.freeFlows, f)
@@ -494,6 +541,7 @@ func (m *Model) Reset() {
 	m.holds = 0
 	m.pending = false
 	m.settledAt = -1
+	m.unpark()
 }
 
 // Cancel removes a flow without running its completion callback.
@@ -510,8 +558,36 @@ func (m *Model) Cancel(f *Flow) {
 	m.resolve()
 }
 
+// attach appends f to the flow list and to its resources' adjacency
+// lists.
+func (m *Model) attach(f *Flow) {
+	f.index = len(m.flows)
+	for i, u := range f.uses {
+		r := u.Resource
+		f.usePos[i] = len(r.flows)
+		r.flows = append(r.flows, resUse{f, i})
+	}
+	m.flows = append(m.flows, f)
+}
+
 // remove unlinks f from the flow list and from its resources'
 // adjacency lists, recycling its bookkeeping arrays.
+func (m *Model) remove(f *Flow) {
+	m.detach(f)
+	m.drop(f)
+}
+
+// drop recycles the bookkeeping arrays of a detached flow and zeroes its
+// rate.
+func (m *Model) drop(f *Flow) {
+	m.freeUses = append(m.freeUses, f.uses[:0])
+	m.freePos = append(m.freePos, f.usePos[:0])
+	f.uses, f.usePos = nil, nil
+	f.rate = 0
+}
+
+// detach unlinks f from the flow list and from its resources' adjacency
+// lists; it keeps f's uses and rate.
 //
 // The global list uses swap-with-last, exactly like the original
 // solver: solve order (and therefore the last-ulp floating-point
@@ -520,7 +596,7 @@ func (m *Model) Cancel(f *Flow) {
 // permute the order *within* that flow's component — so the moved flow
 // is marked dirty and its component re-solved, keeping every cached
 // component bit-identical to what a full re-solve would compute.
-func (m *Model) remove(f *Flow) {
+func (m *Model) detach(f *Flow) {
 	for i, u := range f.uses {
 		r := u.Resource
 		pos := f.usePos[i]
@@ -531,10 +607,6 @@ func (m *Model) remove(f *Flow) {
 		r.flows[last] = resUse{}
 		r.flows = r.flows[:last]
 	}
-	m.freeUses = append(m.freeUses, f.uses[:0])
-	m.freePos = append(m.freePos, f.usePos[:0])
-	f.uses, f.usePos = nil, nil
-
 	lastIdx := len(m.flows) - 1
 	g := m.flows[lastIdx]
 	m.flows[f.index] = g
@@ -542,14 +614,16 @@ func (m *Model) remove(f *Flow) {
 	m.flows[lastIdx] = nil
 	m.flows = m.flows[:lastIdx]
 	f.index = -1
-	f.rate = 0
 	if g != f {
 		m.dirtyFlows = append(m.dirtyFlows, g)
 	}
 }
 
-// advance accrues progress from lastUpdate to now at the current rates.
+// advance brings the model to the current instant before an operation:
+// it materializes parked flows, then accrues progress from lastUpdate to
+// now at the current rates.
 func (m *Model) advance() {
+	m.materialize()
 	now := m.k.Now()
 	if now == m.lastUpdate {
 		return
@@ -608,7 +682,11 @@ func (m *Model) settled() bool {
 
 // resolveNow recomputes the rates of every dirty component, fires
 // completions due now, and schedules the next completion event.
-func (m *Model) resolveNow() {
+func (m *Model) resolveNow() { m.resolveKeeping(false) }
+
+// resolveKeeping is resolveNow; with keepPlace the completion timer
+// keeps its place in the event order (see materialize).
+func (m *Model) resolveKeeping(keepPlace bool) {
 	m.pending = false
 	// Completions may themselves add/remove flows from callbacks that run
 	// as separate events, so here we only: solve, complete-now, schedule.
@@ -640,7 +718,7 @@ func (m *Model) resolveNow() {
 		m.checkOracle()
 	}
 	m.settledAt = -1
-	if m.schedule() >= settleEps {
+	if m.schedule(keepPlace) >= settleEps {
 		m.settledAt = m.k.Now()
 	}
 }
@@ -649,6 +727,168 @@ func (m *Model) resolveNow() {
 // current rate (or has no work left).
 func endsWithin(f *Flow, secs float64) bool {
 	return f.remaining <= 0 || (f.rate > 0 && f.remaining/f.rate < secs)
+}
+
+// ceiling is the highest rate any allocation could give f under the
+// current capacities: its cap, and no resource's capacity over f's
+// weight on it.
+func ceiling(f *Flow) float64 {
+	c := math.Inf(1)
+	if f.cap > 0 {
+		c = f.cap
+	}
+	for _, u := range f.uses {
+		c = min(c, u.Resource.capacity/u.Weight)
+	}
+	return c
+}
+
+// park is the completion timer's path for loop slices ending: it
+// completes the flows due now, all of them renewable, like a plain
+// completion — they leave the flow list in the same order and their
+// OnDone events are queued in the same order — but it keeps their uses
+// and rates and leaves the re-solve pending, for their owners to Renew
+// them at this instant as the sequential loops would start their next
+// slices afresh. The pending solve runs if the model is used before
+// the last renewal (see materialize), or at the last renewal, when it
+// solves the flow set the restarts would have left: one solve where the
+// sequential sequence runs one for the completion and one per restart.
+// When the due flows are the tail of the flow list, the renewals
+// restore the list and the solve is skipped: the flow set, its order and
+// every constraint are back to what the rates in hand were solved for.
+//
+// Every re-solve left out this way solves a state in between, and could
+// only have changed what is observed by collecting a flow at this
+// instant. So the completion parks only if every other flow is at least
+// settleEps from its end, and every due flow's next run takes at least
+// settleEps, even at their ceiling rates — the highest rate any of those
+// solves could give them (see Hold for the boundary's census and
+// frequency steps).
+func (m *Model) park() bool {
+	if len(m.dirtyFlows) > 0 || len(m.dirtyRes) > 0 {
+		return false
+	}
+	due := m.done[:0]
+	for _, f := range m.flows {
+		if endsWithin(f, completeEps) {
+			if !f.renewable || f.total < settleEps*ceiling(f) {
+				return false
+			}
+			due = append(due, f)
+		} else if f.remaining < settleEps*ceiling(f) {
+			return false
+		}
+	}
+	m.done = due
+	if len(due) == 0 {
+		return false
+	}
+	now := m.k.Now()
+	m.parkTail = due[0].index == len(m.flows)-len(due)
+	m.parked = append(m.parked[:0], due...)
+	m.renewed = 0
+	m.parkedAt = now
+	for _, f := range m.parked {
+		for _, u := range f.uses {
+			m.dirtyRes = append(m.dirtyRes, u.Resource)
+		}
+		m.detach(f)
+		f.parked = true
+		f.finished = true
+		if f.onDone != nil {
+			m.k.At(now, f.onDone)
+		}
+	}
+	// The completion arms the timer here: take its place in the event
+	// order, for the other flows at the rates in hand.
+	m.next.Reserve()
+	m.schedule(true)
+	m.settledAt = now
+	return true
+}
+
+// Renew starts a parked flow's next run: the same uses, cap and
+// priority, its full work again from now, appended to the flow list as
+// a restart would append it, at the rate it had. It returns false, and
+// does nothing, unless f is the next flow in park order still parked: a
+// flow that was materialized, or never parked, must be started afresh.
+// An owner whose next run needs another cap must start it afresh too.
+//
+// Renewing costs no solve, but for the last renewal of a park whose
+// flows were not the tail of the flow list, which runs the one solve
+// the restarts need (see park). The completion timer is re-armed from a
+// new place in the event order, as the restart's solve re-arms it: for
+// the earlier of its instant and f's end.
+func (m *Model) Renew(f *Flow) bool {
+	if m.renewed == len(m.parked) || m.parked[m.renewed] != f {
+		return false
+	}
+	now := m.k.Now()
+	if now != m.parkedAt {
+		panicParkedAcrossTime()
+	}
+	m.renewed++
+	last := m.renewed == len(m.parked)
+	if last {
+		m.unpark()
+	}
+	f.parked = false
+	f.finished = false
+	f.remaining = f.total
+	f.started = now
+	m.attach(f)
+	at, armed := m.next.When()
+	if t := f.remaining / f.rate; t <= horizon {
+		if end := now.Add(sim.DurationOfSeconds(t)); !armed || end < at {
+			at, armed = end, true
+		}
+	}
+	if armed {
+		m.next.Arm(at)
+	}
+	if last {
+		if m.parkTail {
+			// The list is back to the one the rates were solved for.
+			m.dirtyFlows = m.dirtyFlows[:0]
+			m.dirtyRes = m.dirtyRes[:0]
+		} else {
+			m.resolveNow()
+		}
+	}
+	return true
+}
+
+// materialize completes the parked flows not renewed yet as the plain
+// completion did — it drops them — and runs the solve left pending,
+// which the completion and the renewals so far would have run, with the
+// completion timer keeping the place in the event order of its last
+// arming. Parked flows must not span simulated time; every operation on
+// the model that could observe them or their effect on the rates
+// materializes them first.
+func (m *Model) materialize() {
+	if len(m.parked) == 0 {
+		return
+	}
+	if m.k.Now() != m.parkedAt {
+		panicParkedAcrossTime()
+	}
+	for _, f := range m.parked[m.renewed:] {
+		f.parked = false
+		m.drop(f)
+	}
+	m.unpark()
+	m.resolveKeeping(true)
+}
+
+// unpark empties the park list.
+func (m *Model) unpark() {
+	clear(m.parked)
+	m.parked = m.parked[:0]
+	m.renewed = 0
+}
+
+func panicParkedAcrossTime() {
+	panic("fluid: a parked flow spanned simulated time (its owner neither renewed it nor called the model at its completion)")
 }
 
 // collectDone returns flows whose remaining work is (numerically) zero,
@@ -663,10 +903,17 @@ func (m *Model) collectDone() []*Flow {
 	return m.done
 }
 
-// schedule arms the next-completion event and returns the time, in
-// seconds, until the earliest completion at the current rates (+Inf if
-// no flow progresses).
-func (m *Model) schedule() float64 {
+// horizon bounds the completions the timer is armed for, in seconds of
+// simulated time (≈3 years). Effectively-never completions (e.g.
+// quasi-infinite background flows) are not scheduled at all; they are
+// cancelled explicitly.
+const horizon = 1e8
+
+// schedule arms the next-completion event for the earliest completion
+// at the current rates and returns the time to it, in seconds (+Inf if
+// no flow progresses). With keepPlace the timer is re-armed in its place
+// in the event order (sim.Timer.Rearm).
+func (m *Model) schedule(keepPlace bool) float64 {
 	m.next.Stop()
 	best := math.Inf(1)
 	for _, f := range m.flows {
@@ -676,13 +923,15 @@ func (m *Model) schedule() float64 {
 			}
 		}
 	}
-	// Effectively-never completions (e.g. quasi-infinite background
-	// flows) are not scheduled at all; they are cancelled explicitly.
-	const horizon = 1e8 // seconds of simulated time, ≈3 years
 	if math.IsInf(best, 1) || best > horizon {
 		return best
 	}
-	m.next.ArmAfter(sim.DurationOfSeconds(best))
+	at := m.k.Now().Add(sim.DurationOfSeconds(best))
+	if keepPlace {
+		m.next.Rearm(at)
+	} else {
+		m.next.Arm(at)
+	}
 	return best
 }
 

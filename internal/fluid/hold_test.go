@@ -25,6 +25,11 @@ type twin struct {
 	flows []*Flow
 	ids   map[*Flow]int
 	log   []int // creation indices, in completion order
+	// loopEnd, when positive, ends a loop after a slice with
+	// probability 1/loopEnd; renewals counts the slices renewed (see
+	// loop).
+	loopEnd  int
+	renewals int
 }
 
 func newTwin(seed int64, nRes, nFlows int) *twin {

@@ -78,6 +78,13 @@ func (m *Model) PowerWatts() float64 {
 	return watts
 }
 
+// AccrueEnergy charges the energy drawn since the last accrual at the
+// current power, as every state change does first. A caller that skips
+// a change that would leave the state as it was (a core going idle and
+// active again at one instant) calls it instead, so the energy integral
+// is summed over the same intervals.
+func (m *Model) AccrueEnergy() { m.accrueEnergy() }
+
 // accrueEnergy integrates power since the last accrual. Called before
 // every state change and on reads.
 func (m *Model) accrueEnergy() {

@@ -260,6 +260,9 @@ func (m *Model) StartTrace() {
 	m.record()
 }
 
+// Tracing reports whether a trace is being recorded.
+func (m *Model) Tracing() bool { return m.tracing }
+
 // StopTrace stops recording and returns the samples.
 func (m *Model) StopTrace() []Sample {
 	m.tracing = false

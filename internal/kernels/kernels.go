@@ -175,8 +175,11 @@ func LoopUntil(p *sim.Proc, n *machine.Node, core int, spec machine.ComputeSpec,
 // checking between iterations (the in-flight iteration always
 // completes). Used to run computation "side by side" with a
 // communication benchmark of unknown duration (§2.1 step 3). cont runs
-// between two slices at one instant (see machine.Node.ExecLoop) and
-// must not block.
+// in p at the instant a slice ends, once the slice is accounted and
+// before its core goes idle (see machine.Node.ExecLoop), after every
+// event of that instant queued before the slice's completion; it must
+// not block. When it asks for more, the next slice usually renews the
+// last one's flow, without a fluid solve.
 func LoopWhile(p *sim.Proc, n *machine.Node, core int, spec machine.ComputeSpec, cont func() bool) LoopResult {
 	start := p.Now()
 	res := LoopResult{Iters: n.ExecLoop(p, core, spec, cont)}

@@ -106,15 +106,26 @@ func (n *Node) ExecCompute(p *sim.Proc, core int, spec ComputeSpec) sim.Duration
 // ExecLoop runs spec on a core slice after slice while next reports
 // true — next is asked before every slice, like a loop condition — and
 // returns the number of slices run. Each slice is an ExecCompute: the
-// elapsed times, PMU counters, energy and frequency trace are the ones
-// a loop of ExecCompute calls produces.
+// elapsed times, PMU counters (but for the stall estimate, below),
+// energy and frequency trace are the ones a loop of ExecCompute calls
+// produces.
 //
-// What the loop saves is fluid re-solves. The end of one slice and the
-// start of the next happen at one instant, so the stream census update,
-// the core's idle/active pair, the next call and the next slice's flow
-// start run under one fluid hold: one re-solve where a loop of
-// ExecCompute calls pays one per mutation. next runs inside that hold,
-// so it must not block.
+// What the loop saves is fluid re-solves. next runs in p as soon as a
+// slice has been accounted, with the core still active and its stream
+// still counted; it must not block. When it asks for another slice, the
+// slice's flow is usually still parked by its completion, and the loop
+// renews it (fluid Model.Renew): no stream census update, no
+// idle/active pair, no new flow, and one solve at most for all the
+// slices that ended together. Otherwise — the flow was materialized,
+// the node is down, its frequency trace is recording, or the core's
+// rate cap moved — the slice ends and the next one starts under one
+// fluid hold, one re-solve for the stream census update, the core's
+// idle/active pair and the new flow.
+//
+// A memory-bound slice whose flow is still parked when it ends, or that
+// was renewed, estimates its stall cycles from the controller load the
+// renewal keeps rather than from the transient allocation around its
+// end (see accountExec).
 func (n *Node) ExecLoop(p *sim.Proc, core int, spec ComputeSpec, next func() bool) int {
 	iters, _ := n.execSlices(p, core, spec, next)
 	return iters
@@ -150,6 +161,10 @@ func (n *Node) execSlices(p *sim.Proc, core int, spec ComputeSpec, next func() b
 		memNUMA = coreNUMA
 	}
 	mem := spec.Bytes > 0
+	var ctrl *fluid.Resource
+	if mem {
+		ctrl = n.NUMA(memNUMA).Ctrl
+	}
 	fl := n.cluster.Fluid
 	rk := &n.coreFlow[core]
 	done := n.cluster.K.GetSignal()
@@ -165,13 +180,13 @@ func (n *Node) execSlices(p *sim.Proc, core int, spec ComputeSpec, next func() b
 		n.Freq.SetActive(core, spec.Class)
 		start := p.Now()
 		rk.class = spec.Class
-		var flow *fluid.Flow
+		fs := fluid.FlowSpec{Name: name, OnDone: done.BroadcastFn(), Renewable: !single}
 		if !mem {
 			// Pure CPU: the flow is denominated in flops, capped by the
 			// core's flop ceiling (which tracks frequency changes).
 			rk.mem = false
 			rk.ai = 0
-			flow = fl.StartFlow(name, spec.Flops, rk.cap(), nil, done.BroadcastFn())
+			fs.Work = spec.Flops
 		} else {
 			// Roofline: the flow is denominated in bytes; its rate is capped
 			// by the compute ceiling translated through the arithmetic
@@ -179,32 +194,50 @@ func (n *Node) execSlices(p *sim.Proc, core int, spec ComputeSpec, next func() b
 			rk.mem = true
 			rk.ai = spec.Flops / spec.Bytes
 			n.addStream(memNUMA)
-			flow = fl.StartFlow(name, spec.Bytes, rk.cap(),
-				n.memPath(coreNUMA, memNUMA), done.BroadcastFn())
+			fs.Work = spec.Bytes
+			fs.Uses = n.memPath(coreNUMA, memNUMA)
 		}
+		fs.Cap = rk.cap()
+		flow := fl.Start(fs)
 		fl.Release()
 		rk.flow = flow
 		rhoStart := 0.0
 		if mem {
-			rhoStart = n.NUMA(memNUMA).Ctrl.Utilization()
+			rhoStart = ctrl.Utilization()
 		}
-		done.Wait(p)
-		rk.flow = nil
+		more := false
+		for {
+			done.Wait(p)
+			elapsed = p.Now().Sub(start)
+			n.accountExec(core, spec, memNUMA, exposure, rhoStart, elapsed, flow.Parked())
+			iters++
+			more = !single && next()
+			if !more || n.down || n.Freq.Tracing() || flow.Cap() != rk.cap() || !fl.Renew(flow) {
+				break
+			}
+			// Renewed: the core stays active and its stream counted, but
+			// the energy integral splits here as the idle/active pair
+			// would split it.
+			n.Freq.AccrueEnergy()
+			start = p.Now()
+			if mem {
+				rhoStart = ctrl.SteadyUtilization()
+			}
+		}
 		// Nothing can reach the finished flow any more (the rescaling
-		// hooks check rk.flow), so its storage goes back to the model.
+		// hooks check rk.flow), so its storage goes back to the model;
+		// a flow still parked is materialized first.
+		rk.flow = nil
 		fl.Recycle(flow)
-		elapsed = p.Now().Sub(start)
-		n.accountExec(core, spec, memNUMA, exposure, rhoStart, elapsed)
-		iters++
 
-		// Slice boundary: this slice's epilogue, next, and the next
-		// slice's prologue (at the top of the loop), under one hold.
+		// Slice boundary: this slice's epilogue and the next slice's
+		// prologue (at the top of the loop), under one hold.
 		fl.Hold()
 		if mem {
 			n.removeStream(memNUMA)
 		}
 		n.Freq.SetIdle(core)
-		if single || !next() {
+		if !more {
 			break
 		}
 	}
@@ -231,7 +264,14 @@ func (n *Node) computeName(core int) string {
 // observed fraction is the kernel's intrinsic floor plus the exposed
 // memory-wait share, weighted by how loaded the crossed controller is
 // (an idle bus lets prefetchers hide most of the wait).
-func (n *Node) accountExec(core int, spec ComputeSpec, memNUMA int, exposure, rhoStart float64, elapsed sim.Duration) {
+//
+// steady reads the controller at the end without materializing the
+// slice's parked flow (fluid Resource.SteadyUtilization): the load a
+// renewal keeps, the slice's own stream included, instead of the
+// allocation the other flows get for the instant once it has ended.
+// Loops pass it while their flow is parked, and read rhoStart of a
+// renewed slice the same way.
+func (n *Node) accountExec(core int, spec ComputeSpec, memNUMA int, exposure, rhoStart float64, elapsed sim.Duration, steady bool) {
 	fgHz := n.Freq.CoreGHz(core)
 	secs := elapsed.Seconds()
 	cycles := secs * fgHz * 1e9
@@ -246,7 +286,13 @@ func (n *Node) accountExec(core int, spec ComputeSpec, memNUMA int, exposure, rh
 		// when the stream started (including itself) and the surviving
 		// flows plus this slice's own average rate at the end.
 		ctrl := n.NUMA(memNUMA).Ctrl
-		rho := ctrl.Utilization() + spec.Bytes/secs/ctrl.Capacity()
+		var rho float64
+		if steady {
+			rho = ctrl.SteadyUtilization()
+		} else {
+			rho = ctrl.Utilization()
+		}
+		rho += spec.Bytes / secs / ctrl.Capacity()
 		if rhoStart > rho {
 			rho = rhoStart
 		}

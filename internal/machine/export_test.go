@@ -60,6 +60,6 @@ func (n *Node) SequentialExecCompute(p *sim.Proc, core int, spec ComputeSpec) si
 	n.cluster.Fluid.Recycle(flow)
 
 	elapsed := p.Now().Sub(start)
-	n.accountExec(core, spec, memNUMA, exposure, rhoStart, elapsed)
+	n.accountExec(core, spec, memNUMA, exposure, rhoStart, elapsed, false)
 	return elapsed
 }

@@ -177,14 +177,19 @@ func (k *Kernel) release(e *event) {
 // At schedules fn to run at instant t. Scheduling in the past panics:
 // it would silently reorder causality.
 func (k *Kernel) At(t Time, fn func()) EventRef {
+	k.seq++
+	return k.atSeq(t, k.seq-1, fn)
+}
+
+// atSeq schedules fn at instant t with scheduling order seq.
+func (k *Kernel) atSeq(t Time, seq uint64, fn func()) EventRef {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, k.now))
 	}
 	e := k.alloc()
 	e.at = t
-	e.seq = k.seq
+	e.seq = seq
 	e.fn = fn
-	k.seq++
 	heap.Push(&k.events, e)
 	return EventRef{e, e.gen}
 }
@@ -267,6 +272,9 @@ type Timer struct {
 	k   *Kernel
 	fn  func()
 	ref EventRef
+	// seq is the scheduling order of the last Arm, ArmAfter or Reserve,
+	// which Rearm reuses.
+	seq uint64
 }
 
 // NewTimer returns an unarmed timer on kernel k that runs fn when it
@@ -279,13 +287,30 @@ func (k *Kernel) NewTimer(fn func()) *Timer {
 func (t *Timer) Arm(at Time) {
 	t.k.Cancel(t.ref)
 	t.ref = t.k.At(at, t.fn)
+	t.seq = t.ref.e.seq
+}
+
+// Reserve stops the timer and takes, at this call, the place in the
+// event order that an Arm would take: a later Rearm fires the timer as
+// if it had been armed here.
+func (t *Timer) Reserve() {
+	t.Stop()
+	t.seq = t.k.seq
+	t.k.seq++
+}
+
+// Rearm (re)schedules the timer at instant at, keeping the place in the
+// event order of its last Arm, ArmAfter or Reserve: among the events of
+// that instant it runs where it would have run had it been armed for at
+// back then. A caller that works out late what it would have armed
+// earlier uses it to leave the order of same-instant events unchanged.
+func (t *Timer) Rearm(at Time) {
+	t.k.Cancel(t.ref)
+	t.ref = t.k.atSeq(at, t.seq, t.fn)
 }
 
 // ArmAfter (re)schedules the timer to fire d from now.
-func (t *Timer) ArmAfter(d Duration) {
-	t.k.Cancel(t.ref)
-	t.ref = t.k.After(d, t.fn)
-}
+func (t *Timer) ArmAfter(d Duration) { t.Arm(t.k.now.Add(d)) }
 
 // Stop cancels a pending firing. Stopping an unarmed or already-fired
 // timer is a no-op.

@@ -52,6 +52,32 @@ func TestTimerWhen(t *testing.T) {
 	}
 }
 
+// TestTimerRearmKeepsPlace: a timer reserved before an event is
+// scheduled and re-armed after it still runs first at their common
+// instant; Arm takes a new place.
+func TestTimerRearmKeepsPlace(t *testing.T) {
+	k := NewKernel(1)
+	var got []string
+	tm := k.NewTimer(func() { got = append(got, "timer") })
+	tm.Reserve()
+	k.At(50, func() { got = append(got, "event") })
+	tm.Rearm(70) // moved twice, keeping the reserved place
+	tm.Rearm(50)
+	k.Run()
+	if len(got) != 2 || got[0] != "timer" {
+		t.Fatalf("order %v, want the reserved timer first", got)
+	}
+
+	got = got[:0]
+	tm.Arm(60)
+	k.At(60, func() { got = append(got, "event") })
+	tm.Arm(60) // a new place, after the event
+	k.Run()
+	if len(got) != 2 || got[0] != "event" {
+		t.Fatalf("order %v, want the re-armed timer last", got)
+	}
+}
+
 func TestKernelCancel(t *testing.T) {
 	k := NewKernel(1)
 	ran := false

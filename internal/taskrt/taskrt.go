@@ -355,6 +355,8 @@ func (rt *Runtime) commFinished() {
 func (rt *Runtime) workerLoop(p *sim.Proc, workerIdx, core int) {
 	node := rt.node
 	workerNUMA := node.Spec.NUMAOfCore(core)
+	// The polling flow's name, built on the worker's first idle wait.
+	var pollName string
 	for !rt.shutdown {
 		if rt.paused {
 			node.Freq.SetIdle(core)
@@ -373,9 +375,10 @@ func (rt *Runtime) workerLoop(p *sim.Proc, workerIdx, core int) {
 		t, fromQ, ok := rt.tryPop(workerNUMA, true)
 		if !ok {
 			// Idle: install the polling traffic flow and wait for work.
-			stop := node.BackgroundStream(
-				fmt.Sprintf("poll.n%d.c%d", node.ID, core),
-				workerNUMA, rt.pollTarget(core), rt.pollTrafficRate(core))
+			if pollName == "" {
+				pollName = fmt.Sprintf("poll.n%d.c%d", node.ID, core)
+			}
+			stop := node.BackgroundStream(pollName, workerNUMA, rt.pollTarget(core), rt.pollTrafficRate(core))
 			rt.readySig.Wait(p)
 			stop()
 			if rt.shutdown || rt.paused || rt.throttled(workerIdx) {
