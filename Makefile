@@ -31,14 +31,15 @@ verify:
 	$(GO) run ./cmd/interference -all -verify -q
 
 # Performance trajectory: solver/kernel/stats microbenchmarks (with
-# their reference baselines), the per-figure paper benchmarks, and the
-# full-campaign matrix — cold cache-disabled walls at -j 1/4/8 plus a
-# cold and a warm pass over a fresh point cache — all folded into
-# BENCH_sim.json by cmd/benchreport. Compare trajectories with
+# their reference baselines), the per-point and per-figure paper
+# benchmarks, and the golden campaign's deterministic counters (fluid
+# solves, points executed, memo hits: BenchmarkCampaignCounters), all
+# folded into BENCH_sim.json by cmd/benchreport. End-to-end walls come
+# from `bash cmd/benchmark/run.sh`. Compare trajectories with
 #   go run ./cmd/benchreport -totext <old.json> > old.txt   (+ new)
 #   benchstat old.txt new.txt
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=200ms -run='^$$' ./internal/fluid ./internal/sim ./internal/stats ./internal/kernels ./internal/bench > bench_output.txt
+	$(GO) test -bench=. -benchmem -benchtime=200ms -run='^$$' ./internal/fluid ./internal/sim ./internal/stats ./internal/kernels ./internal/bench ./internal/runner > bench_output.txt
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' . >> bench_output.txt
 	$(GO) run ./cmd/benchreport -in bench_output.txt -out BENCH_sim.json
 

@@ -4,26 +4,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 )
-
-// TestTimeFabricSharedBaseline checks the fabric block's makespans
-// against one solo baseline. On the golden cell they show what the
-// per-routing slowdown ratios hide: adaptive routing finishes first.
-func TestTimeFabricSharedBaseline(t *testing.T) {
-	fr, err := timeFabric("henri", map[string]Benchmark{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr.SoloMs <= 0 || fr.MakespanMsMinimal < fr.SoloMs || fr.MakespanMsAdaptive <= 0 {
-		t.Fatalf("fabric block makespans out of shape: %+v", fr)
-	}
-	if fr.MakespanMsAdaptive >= fr.MakespanMsMinimal {
-		t.Errorf("adaptive makespan %.3f ms not below minimal %.3f ms", fr.MakespanMsAdaptive, fr.MakespanMsMinimal)
-	}
-}
 
 // TestParseBenchMetrics: result lines keep the -benchmem columns and
 // every b.ReportMetric figure, whichever order go test prints them in,
@@ -55,7 +40,7 @@ func TestParseBenchMetrics(t *testing.T) {
 	}
 
 	js := filepath.Join(t.TempDir(), "BENCH.json")
-	buf, err := json.Marshal(Report{Schema: 6, Benchmarks: benches})
+	buf, err := json.Marshal(Report{Schema: 7, Benchmarks: benches})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,26 +60,33 @@ func TestParseBenchMetrics(t *testing.T) {
 // TestToTextCommittedTrajectory runs -totext on the committed
 // BENCH_sim.json, as CI's benchstat step does: every line must be a Go
 // benchmark result line (name, iterations, then value/unit pairs
-// starting with ns/op), once per name, covering every recorded
-// benchmark plus the synthetic campaign, server and fabric rows.
+// starting with ns/op), once per recorded benchmark and nothing else.
 func TestToTextCommittedTrajectory(t *testing.T) {
-	path := filepath.Join("..", "..", "BENCH_sim.json")
+	rep := checkToText(t, filepath.Join("..", "..", "BENCH_sim.json"))
+	if rep.Schema != 7 {
+		t.Errorf("committed BENCH_sim.json is schema %d, want 7", rep.Schema)
+	}
+}
+
+// TestToTextSchema6 runs -totext on the last schema-6 trajectory: it
+// still prints that file's benchmarks, and nothing of the campaign,
+// server, fabric and point blocks schema 7 retired.
+func TestToTextSchema6(t *testing.T) {
+	rep := checkToText(t, filepath.Join("testdata", "BENCH_sim_schema6.json"))
+	if rep.Schema != 6 || len(rep.Benchmarks) == 0 {
+		t.Fatalf("fixture is schema %d with %d benchmarks", rep.Schema, len(rep.Benchmarks))
+	}
+}
+
+// checkToText converts the report at path to text and checks that it
+// holds one well-formed result line per recorded benchmark and no other
+// line. It returns the decoded report.
+func checkToText(t *testing.T, path string) Report {
+	t.Helper()
 	var out strings.Builder
 	if err := emitText(&out, path); err != nil {
 		t.Fatal(err)
 	}
-	rows := map[string]bool{}
-	for _, line := range strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n") {
-		if !isResultLine(line) {
-			t.Fatalf("-totext line is not a benchmark result: %q", line)
-		}
-		name := strings.Fields(line)[0]
-		if rows[name] {
-			t.Fatalf("-totext repeats %s", name)
-		}
-		rows[name] = true
-	}
-
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -103,24 +95,98 @@ func TestToTextCommittedTrajectory(t *testing.T) {
 	if err := json.Unmarshal(buf, &rep); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{
-		"BenchmarkCampaignhenriJ1", "BenchmarkCampaignhenriJ4", "BenchmarkCampaignhenriJ8",
-		"BenchmarkCampaignhenriColdCache", "BenchmarkCampaignhenriWarmCache",
-		"BenchmarkServerCampaignP50", "BenchmarkServerCampaignP99",
-		"BenchmarkServerCacheGet", "BenchmarkServerOverloadP99",
-		"BenchmarkFabricSlowdownMinimalJ3", "BenchmarkFabricSlowdownAdaptiveJ3",
-		"BenchmarkFabricMakespanMinimalJ3", "BenchmarkFabricMakespanAdaptiveJ3", "BenchmarkFabricSoloJ3",
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	rows := map[string]bool{}
+	for _, line := range lines {
+		if !isResultLine(line) {
+			t.Fatalf("-totext line is not a benchmark result: %q", line)
+		}
+		name := strings.Fields(line)[0]
+		if _, ok := rep.Benchmarks[name]; !ok || rows[name] {
+			t.Fatalf("-totext prints %s, which is not a recorded benchmark or repeats", name)
+		}
+		rows[name] = true
 	}
-	for name := range rep.Benchmarks {
-		want = append(want, name)
+	if len(rows) != len(rep.Benchmarks) {
+		t.Errorf("-totext printed %d rows for %d benchmarks", len(rows), len(rep.Benchmarks))
 	}
-	for _, name := range want {
-		if !rows[name] {
-			t.Errorf("-totext has no %s row", name)
+	return rep
+}
+
+// TestCIGatesReadCommittedFigures extracts every `jq -e '<path>'
+// BENCH_sim.json` read from the CI workflow and checks that the path
+// resolves to a positive number in the committed file, so a re-record
+// cannot drop a figure some CI gate reads.
+func TestCIGatesReadCommittedFigures(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join("..", "..", ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(filepath.Join("..", "..", "BENCH_sim.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc any
+	if err := json.Unmarshal(buf, &doc); err != nil {
+		t.Fatal(err)
+	}
+	gates := regexp.MustCompile(`jq -e '([^']+)' BENCH_sim\.json`).FindAllStringSubmatch(string(ci), -1)
+	if len(gates) == 0 {
+		t.Fatal("ci.yml reads no figure from BENCH_sim.json")
+	}
+	for _, g := range gates {
+		v, ok := jqLookup(doc, g[1])
+		if n, isNum := v.(float64); !ok || !isNum || n <= 0 {
+			t.Errorf("CI reads %s from BENCH_sim.json, which holds %v there, not a positive number", g[1], v)
 		}
 	}
-	if len(rows) != len(want) {
-		t.Errorf("-totext printed %d rows, want %d", len(rows), len(want))
+}
+
+// jqLookup evaluates a jq path made of .field and ["field"] steps
+// against decoded JSON; ok is false when a step is malformed or names a
+// missing field.
+func jqLookup(v any, path string) (any, bool) {
+	for path != "" {
+		var key string
+		if rest, ok := strings.CutPrefix(strings.TrimPrefix(path, "."), `["`); ok {
+			end := strings.Index(rest, `"]`)
+			if end < 0 {
+				return nil, false
+			}
+			key, path = rest[:end], rest[end+2:]
+		} else if rest, ok := strings.CutPrefix(path, "."); ok {
+			end := strings.IndexAny(rest, ".[")
+			if end < 0 {
+				end = len(rest)
+			}
+			key, path = rest[:end], rest[end:]
+		} else {
+			return nil, false
+		}
+		obj, ok := v.(map[string]any)
+		if !ok || key == "" {
+			return nil, false
+		}
+		if v, ok = obj[key]; !ok {
+			return nil, false
+		}
+	}
+	return v, true
+}
+
+func TestJQLookup(t *testing.T) {
+	var doc any
+	if err := json.Unmarshal([]byte(`{"a":{"b":2,"m":{"x/y":3}}}`), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]any{
+		".a.b": 2.0, `.a.m["x/y"]`: 3.0, `.a.m.["x/y"]`: 3.0, `.["a"].b`: 2.0,
+		".a.c": nil, ".a.b.c": nil, "a.b": nil, `.a.m["x/y"`: nil, ".a..b": nil,
+	} {
+		got, ok := jqLookup(doc, path)
+		if ok != (want != nil) || got != want && ok {
+			t.Errorf("jqLookup(%s) = %v, %v; want %v", path, got, ok, want)
+		}
 	}
 }
 

@@ -471,8 +471,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "cache disk: %d pack segment(s) holding %d record(s), %d pending write(s)\n",
 			ds.Packs, ds.PackedEntries, ds.PendingEntries)
 		fmt.Fprintf(stderr, "cache hit rate: %.0f%% (%d of %d points served without executing)\n",
-			stats.HitRate()*100,
-			atomic.LoadInt64(&stats.Hits)+atomic.LoadInt64(&stats.MemoHits), stats.Points())
+			stats.HitRate()*100, stats.Points()-atomic.LoadInt64(&stats.Misses), stats.Points())
 	}
 	if !*quiet && breaker != nil {
 		if bs := breaker.Stats(); bs.Trips > 0 {

@@ -192,7 +192,8 @@ func TestCacheStatsFlag(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("warm run exit %d: %s", code, warm)
 	}
-	if !strings.Contains(warm, "cache hit rate: 100%") {
+	m := regexp.MustCompile(`cache hit rate: 100% \((\d+) of (\d+) points served without executing\)`).FindStringSubmatch(warm)
+	if m == nil || m[1] != m[2] {
 		t.Fatalf("warm run not fully served:\n%s", warm)
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/machine"
 	"repro/internal/mpi"
@@ -38,13 +39,33 @@ type pooledWorld struct {
 
 // worldKeeper collects the worlds one point execution builds, so they
 // can be released together once the point's record (including its meter
-// reads) is sealed: the poolable worlds, and the kernel of every world,
-// pooled or not. Point execution is single-threaded, so the keeper needs
-// no lock.
+// reads) is sealed: the poolable worlds, and every world, pooled or not.
+// Point execution is single-threaded, so the keeper needs no lock.
 type worldKeeper struct {
-	worlds  []pooledWorld
-	kernels []*sim.Kernel
+	worlds []pooledWorld
+	built  []builtWorld
 }
+
+// builtWorld is one world a point execution built, with its fluid solve
+// count when the point took it over. Setup solves differ between a fresh
+// and a rewound world (Reset re-applies only the capacities the previous
+// point moved), so counting from the hand-over keeps Solves independent
+// of which worlds the arena happened to hold.
+type builtWorld struct {
+	c      *machine.Cluster
+	solves uint64
+}
+
+// solves totals the fluid re-solves of every world a point execution
+// released (see Solves).
+var solves atomic.Uint64
+
+// Solves returns how many fluid re-solves the worlds built inside point
+// executions have run, process-wide, counting each world once when its
+// point releases it. A campaign's solve count is the difference of two
+// reads around it, exact at any worker count while nothing else executes
+// points.
+func Solves() uint64 { return solves.Load() }
 
 // worldArena is the global shape-keyed freelist.
 type worldArena struct {
@@ -105,6 +126,10 @@ func (a *worldArena) put(pw pooledWorld) {
 // is never parked. Both stay inside their own world, and the point's
 // record, meter reads included, is sealed before this runs, so
 // unwinding them is invisible in results.
+//
+// Each world's fluid solves since the hand-over are folded into Solves
+// here, before its kernel is shut down or the world is parked: a pooled
+// world zeroes its count when the next point resets it.
 func releaseWorlds(keep *worldKeeper) {
 	// Decide what to park first: Shutdown ends blocked processes, after
 	// which an abandoned world would read as drained. Then shut down
@@ -119,13 +144,16 @@ func releaseWorlds(keep *worldKeeper) {
 	}
 	clear(keep.worlds[n:])
 	keep.worlds = keep.worlds[:n]
-	for i, k := range keep.kernels {
-		keep.kernels[i] = nil
-		if !keep.pools(k) {
-			k.Shutdown()
+	var folded uint64
+	for i, bw := range keep.built {
+		keep.built[i] = builtWorld{}
+		folded += bw.c.Fluid.Solves() - bw.solves
+		if !keep.pools(bw.c) {
+			bw.c.K.Shutdown()
 		}
 	}
-	keep.kernels = keep.kernels[:0]
+	keep.built = keep.built[:0]
+	solves.Add(folded)
 	for i, pw := range keep.worlds {
 		keep.worlds[i] = pooledWorld{}
 		arena.put(pw)
@@ -137,10 +165,10 @@ func releaseWorlds(keep *worldKeeper) {
 // events and no live processes.
 func drained(k *sim.Kernel) bool { return k.Idle() && k.LiveProcs() == 0 }
 
-// pools reports whether k belongs to one of the keeper's poolable worlds.
-func (keep *worldKeeper) pools(k *sim.Kernel) bool {
+// pools reports whether c is one of the keeper's poolable worlds.
+func (keep *worldKeeper) pools(c *machine.Cluster) bool {
 	for _, pw := range keep.worlds {
-		if pw.c.K == k {
+		if pw.c == c {
 			return true
 		}
 	}

@@ -86,14 +86,15 @@ func (e Env) Isolated() Env {
 }
 
 // track registers a freshly built world's kernel with the meter and,
-// inside a point execution, with the point's keeper, which shuts the
-// kernel's process coroutines down once the point is done with it.
-func (e Env) track(k *sim.Kernel) {
+// inside a point execution, the world with the point's keeper, which
+// counts the fluid solves it runs from here on and shuts its kernel's
+// process coroutines down once the point is done with it.
+func (e Env) track(c *machine.Cluster) {
 	if e.Meter != nil {
-		e.Meter.track(k)
+		e.Meter.track(c.K)
 	}
 	if e.keeper != nil {
-		e.keeper.kernels = append(e.keeper.kernels, k)
+		e.keeper.built = append(e.keeper.built, builtWorld{c: c, solves: c.Fluid.Solves()})
 	}
 }
 
@@ -210,7 +211,7 @@ func newWorld(env Env, seed int64) (*machine.Cluster, *mpi.World) {
 			pw.c.Reset(env.Spec, seed)
 			pw.w.Network().Reset()
 			pw.w.Reset()
-			env.track(pw.c.K)
+			env.track(pw.c)
 			if env.Meter != nil {
 				for _, n := range pw.c.Nodes {
 					env.Meter.TrackCounters(n.Counters)
@@ -221,7 +222,6 @@ func newWorld(env Env, seed int64) (*machine.Cluster, *mpi.World) {
 		}
 	}
 	c := machine.NewCluster(env.Spec, 2, seed)
-	env.track(c.K)
 	var nw *net.Network
 	if env.Fabric != nil {
 		// NewFabric rejects a fabric whose host count differs from the
@@ -239,6 +239,9 @@ func newWorld(env Env, seed int64) (*machine.Cluster, *mpi.World) {
 		}
 	}
 	w := mpi.NewWorld(c, nw)
+	// Tracked once built, as a rewound world is, so its setup solves are
+	// not the point's (see builtWorld).
+	env.track(c)
 	if poolable {
 		env.keeper.worlds = append(env.keeper.worlds, pooledWorld{c: c, w: w})
 	}

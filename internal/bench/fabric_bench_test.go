@@ -69,9 +69,9 @@ func fabricChurn(m *fluid.Model, fab *topology.Fabric, links []*fluid.Resource, 
 
 // BenchmarkFabricSolve1k measures one start+cancel churn step — two
 // incremental component re-solves — on the 1024-host fat-tree loaded
-// with 512 persistent routed flows. This is the figure BENCH_sim.json
-// (schema 5) records as fabric.solve_ns_per_op and the CI fabric job
-// ratchets against the sub-second acceptance bar.
+// with 512 persistent routed flows. BENCH_sim.json records its ns/op,
+// which the CI fabric job ratchets against the sub-second acceptance
+// bar.
 func BenchmarkFabricSolve1k(b *testing.B) {
 	m, fab, links := fabricFluid1k(b, 512)
 	b.ReportAllocs()
@@ -99,6 +99,32 @@ func TestFabricSolveBudget1k(t *testing.T) {
 	t.Logf("1k-host fat-tree: %d links, mean churn step %v", len(fab.Links), mean)
 	if mean > time.Second {
 		t.Fatalf("mean incremental solve step %v exceeds the 1s budget", mean)
+	}
+}
+
+// TestFabricInterferenceSharedBaseline reads the golden interference
+// cell (three striped jobs on the fat-tree k=4) against one solo
+// baseline, minimal routing's. Adaptive routing speeds up the solo job
+// too, so the per-routing slowdown ratios can rank the routings the
+// wrong way round; the makespans show that adaptive routing finishes
+// first.
+func TestFabricInterferenceSharedBaseline(t *testing.T) {
+	var minimal, adaptive FabricCell
+	for _, cell := range FabricInterference(DefaultEnv(), "fattree-k4", []int{3}) {
+		switch cell.Routing {
+		case "minimal":
+			minimal = cell
+		case "adaptive":
+			adaptive = cell
+		}
+	}
+	solo := minimal.AloneSecs
+	if solo <= 0 || minimal.SharedSecs < solo || adaptive.SharedSecs <= 0 {
+		t.Fatalf("makespans out of shape: minimal %+v, adaptive %+v", minimal, adaptive)
+	}
+	if adaptive.SharedSecs >= minimal.SharedSecs {
+		t.Errorf("adaptive makespan %.3f ms not below minimal %.3f ms (solo %.3f ms)",
+			adaptive.SharedSecs*1e3, minimal.SharedSecs*1e3, solo*1e3)
 	}
 }
 

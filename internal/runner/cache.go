@@ -66,8 +66,8 @@ func (s *CacheStats) Points() int64 {
 }
 
 // HitRate returns the fraction of requested points served without
-// executing (persistent hits + memo hits), in [0,1]; 0 for an empty
-// campaign.
+// executing (persistent hits + memo hits + flight hits, that is every
+// point but the misses), in [0,1]; 0 for an empty campaign.
 func (s *CacheStats) HitRate() float64 {
 	total := s.Points()
 	if total == 0 {

@@ -24,14 +24,28 @@ func testEnv(t *testing.T) bench.Env {
 // seed — once serially (-j 1) and once on eight workers — and demands
 // identical ordering and byte-identical rendered tables: concurrency
 // must never leak into the numbers, and a same-seed re-run must be a
-// fixed point.
+// fixed point. The counters BenchmarkCampaignCounters reports must be
+// exact too: points executed, memo hits and fluid solves.
 func TestCampaignDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-registry campaign; skipped with -short")
 	}
 	exps := core.Experiments()
-	serial := Collect(Run(testEnv(t), exps, Options{Workers: 1}))
-	parallel := Collect(Run(testEnv(t), exps, Options{Workers: 8}))
+	run := func(workers int) ([]Result, CacheStats, uint64) {
+		var stats CacheStats
+		before := bench.Solves()
+		res := Collect(Run(testEnv(t), exps, Options{Workers: workers, CacheStats: &stats}))
+		return res, stats, bench.Solves() - before
+	}
+	serial, serialStats, serialSolves := run(1)
+	parallel, parallelStats, parallelSolves := run(8)
+	if serialStats.Misses != parallelStats.Misses || serialStats.MemoHits != parallelStats.MemoHits {
+		t.Errorf("-j 1 executed %d points with %d memo hits, -j 8 %d with %d",
+			serialStats.Misses, serialStats.MemoHits, parallelStats.Misses, parallelStats.MemoHits)
+	}
+	if serialSolves == 0 || serialSolves != parallelSolves {
+		t.Errorf("-j 1 ran %d fluid solves, -j 8 %d", serialSolves, parallelSolves)
+	}
 	if len(serial) != len(exps) || len(parallel) != len(exps) {
 		t.Fatalf("got %d serial / %d parallel results, want %d", len(serial), len(parallel), len(exps))
 	}
