@@ -10,8 +10,9 @@
 //
 // The JSON records ns/op, B/op, allocs/op and every b.ReportMetric
 // figure of each benchmark — among them the deterministic counts CI
-// ratchets (solves/slice, solves/campaign, executed/campaign) — plus the
-// optimized-vs-reference solver ratios the acceptance bar tracks.
+// ratchets (solves/slice; solves, events and resumes per campaign) —
+// plus the optimized-vs-reference solver ratios the acceptance bar
+// tracks.
 // End-to-end walls are cmd/benchmark's job, not this file's.
 package main
 
@@ -101,9 +102,9 @@ func run(in, out, toText string) error {
 		}
 	}
 	if c, ok := benches["BenchmarkCampaignCounters"]; ok {
-		fmt.Printf("  campaign: %.0f solves, %.0f points, %.0f executed, %.0f memo hits\n",
-			c.Metrics["solves/campaign"], c.Metrics["points/campaign"],
-			c.Metrics["executed/campaign"], c.Metrics["memo_hits/campaign"])
+		fmt.Printf("  campaign: %.0f solves, %.0f events, %.0f resumes, %.0f points, %.0f executed, %.0f memo hits\n",
+			c.Metrics["solves/campaign"], c.Metrics["events/campaign"], c.Metrics["resumes/campaign"],
+			c.Metrics["points/campaign"], c.Metrics["executed/campaign"], c.Metrics["memo_hits/campaign"])
 	}
 	return nil
 }

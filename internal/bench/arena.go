@@ -46,26 +46,52 @@ type worldKeeper struct {
 	built  []builtWorld
 }
 
-// builtWorld is one world a point execution built, with its fluid solve
-// count when the point took it over. Setup solves differ between a fresh
-// and a rewound world (Reset re-applies only the capacities the previous
-// point moved), so counting from the hand-over keeps Solves independent
-// of which worlds the arena happened to hold.
+// keepers recycles the keepers of point executions, which
+// releaseWorlds leaves empty: a point can build thousands of worlds,
+// and a fresh keeper would grow its lists again for every point.
+var keepers = sync.Pool{New: func() any { return new(worldKeeper) }}
+
+// builtWorld is one world a point execution built, with its work
+// counts when the point took it over. Setup solves differ between a
+// fresh and a rewound world (Reset re-applies only the capacities the
+// previous point moved), so counting from the hand-over keeps the
+// counts independent of which worlds the arena happened to hold.
 type builtWorld struct {
-	c      *machine.Cluster
-	solves uint64
+	c    *machine.Cluster
+	base Work
 }
 
-// solves totals the fluid re-solves of every world a point execution
-// released (see Solves).
-var solves atomic.Uint64
+// Work counts the simulation work of worlds: fluid re-solves, kernel
+// events dispatched and process resumes (coroutine switches into a
+// process).
+type Work struct {
+	Solves, Events, Resumes uint64
+}
 
-// Solves returns how many fluid re-solves the worlds built inside point
-// executions have run, process-wide, counting each world once when its
-// point releases it. A campaign's solve count is the difference of two
-// reads around it, exact at any worker count while nothing else executes
+// workOf reads the counts of c's fluid model and kernel. Resetting a
+// world zeroes them, so a point reads them only after taking the world
+// over, never across a Reset.
+func workOf(c *machine.Cluster) Work {
+	return Work{Solves: c.Fluid.Solves(), Events: c.K.Steps(), Resumes: c.K.Resumes()}
+}
+
+// work totals the counts of every world a point execution released
+// (see Done).
+var work struct{ solves, events, resumes atomic.Uint64 }
+
+// Done returns the simulation work the worlds built inside point
+// executions have done, process-wide, counting each world once when its
+// point releases it. A campaign's work is the difference of two reads
+// around it, exact at any worker count while nothing else executes
 // points.
-func Solves() uint64 { return solves.Load() }
+func Done() Work {
+	return Work{Solves: work.solves.Load(), Events: work.events.Load(), Resumes: work.resumes.Load()}
+}
+
+// Sub returns the work done from b to w.
+func (w Work) Sub(b Work) Work {
+	return Work{Solves: w.Solves - b.Solves, Events: w.Events - b.Events, Resumes: w.Resumes - b.Resumes}
+}
 
 // worldArena is the global shape-keyed freelist.
 type worldArena struct {
@@ -127,9 +153,9 @@ func (a *worldArena) put(pw pooledWorld) {
 // record, meter reads included, is sealed before this runs, so
 // unwinding them is invisible in results.
 //
-// Each world's fluid solves since the hand-over are folded into Solves
-// here, before its kernel is shut down or the world is parked: a pooled
-// world zeroes its count when the next point resets it.
+// Each world's work since the hand-over is folded into Done here,
+// before its kernel is shut down or the world is parked: a pooled world
+// zeroes its counts when the next point resets it.
 func releaseWorlds(keep *worldKeeper) {
 	// Decide what to park first: Shutdown ends blocked processes, after
 	// which an abandoned world would read as drained. Then shut down
@@ -144,16 +170,17 @@ func releaseWorlds(keep *worldKeeper) {
 	}
 	clear(keep.worlds[n:])
 	keep.worlds = keep.worlds[:n]
-	var folded uint64
 	for i, bw := range keep.built {
 		keep.built[i] = builtWorld{}
-		folded += bw.c.Fluid.Solves() - bw.solves
+		d := workOf(bw.c).Sub(bw.base)
+		work.solves.Add(d.Solves)
+		work.events.Add(d.Events)
+		work.resumes.Add(d.Resumes)
 		if !keep.pools(bw.c) {
 			bw.c.K.Shutdown()
 		}
 	}
 	keep.built = keep.built[:0]
-	solves.Add(folded)
 	for i, pw := range keep.worlds {
 		keep.worlds[i] = pooledWorld{}
 		arena.put(pw)

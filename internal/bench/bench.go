@@ -87,14 +87,14 @@ func (e Env) Isolated() Env {
 
 // track registers a freshly built world's kernel with the meter and,
 // inside a point execution, the world with the point's keeper, which
-// counts the fluid solves it runs from here on and shuts its kernel's
+// counts the simulation work it does from here on and shuts its kernel's
 // process coroutines down once the point is done with it.
 func (e Env) track(c *machine.Cluster) {
 	if e.Meter != nil {
 		e.Meter.track(c.K)
 	}
 	if e.keeper != nil {
-		e.keeper.built = append(e.keeper.built, builtWorld{c: c, solves: c.Fluid.Solves()})
+		e.keeper.built = append(e.keeper.built, builtWorld{c: c, base: workOf(c)})
 	}
 }
 

@@ -105,8 +105,12 @@ func ExecutePoint(env Env, p Point) PointRecord {
 	iso.Sched = nil
 	// Worlds built for this point are recycled through the arena once
 	// the record below is sealed (see arena.go).
-	iso.keeper = &worldKeeper{}
-	defer releaseWorlds(iso.keeper)
+	keep := keepers.Get().(*worldKeeper)
+	iso.keeper = keep
+	defer func() {
+		releaseWorlds(keep)
+		keepers.Put(keep)
+	}()
 	rec := PointRecord{Schema: PointSchema, Key: p.Key}
 	var v any
 	func() {

@@ -249,6 +249,7 @@ type Model struct {
 	avail     []float64
 	wsum      []float64
 	fixed     []bool
+	caps      []capEntry // fillScan's cap list; fillOrdered's is pooled
 	compFlows []*Flow
 	compRes   []*Resource
 	done      []*Flow
@@ -1137,9 +1138,13 @@ func (m *Model) solveScoped() {
 }
 
 // fillScan runs the progressive-filling rounds by rescanning the
-// component in every round: the cheapest way for the small components
-// of one node's resources.
+// component's resources in every round: the cheapest way for the small
+// components of one node's resources. The smallest cap comes from a
+// capList, as in fillOrdered: in a task-runtime world every idle
+// worker's poll flow has its own cap, and rescanning every capped flow
+// in every round made the filling quadratic in the flow count.
 func (m *Model) fillScan(fixed []bool, remaining int) {
+	caps := m.sortCaps(m.caps[:0], fixed)
 	for remaining > 0 {
 		// Candidate fair normalised rate: the tightest bottleneck.
 		bottleneck := (*Resource)(nil)
@@ -1156,25 +1161,10 @@ func (m *Model) fillScan(fixed []bool, remaining int) {
 			}
 		}
 		// Candidate: the smallest normalised cap among unfixed flows.
-		capMin := math.Inf(1)
-		for i, f := range m.compFlows {
-			if !fixed[i] && f.cap > 0 {
-				if c := f.cap / f.priority; c < capMin {
-					capMin = c
-				}
-			}
-		}
+		capMin := caps.min(fixed)
 		switch {
 		case capMin < fair:
-			// Fix every unfixed flow whose normalised cap is the minimum.
-			for i, f := range m.compFlows {
-				if fixed[i] || f.cap <= 0 || f.cap/f.priority > capMin {
-					continue
-				}
-				m.fix(f, capMin)
-				fixed[i] = true
-				remaining--
-			}
+			remaining -= m.fixCaps(nil, &caps, capMin, fixed)
 		case bottleneck != nil:
 			// Fix every unfixed flow using the bottleneck at the fair rate.
 			for i, f := range m.compFlows {
@@ -1197,9 +1187,10 @@ func (m *Model) fillScan(fixed []bool, remaining int) {
 			}
 		default:
 			m.zeroUnfixed(fixed)
-			return
+			remaining = 0
 		}
 	}
+	m.caps = caps.ent
 }
 
 // zeroUnfixed ends progressive filling when there is no bottleneck and
@@ -1235,6 +1226,77 @@ type capEntry struct {
 	pos int32
 }
 
+// capList holds the capped flows of a component, unfixed when it was
+// made, sorted by (normalised cap, position). Flows only get fixed
+// during filling, so the smallest cap of an unfixed flow is the first
+// unfixed entry, found by a cursor that never moves back: entries
+// before next are fixed.
+type capList struct {
+	ent  []capEntry
+	next int
+}
+
+// insertionMaxCaps is the list length up to which sortCaps sorts by
+// insertion: the lists of node-sized components are short, and a
+// generic sort of 48 entries costs several times an insertion sort.
+const insertionMaxCaps = 64
+
+// sortCaps makes the capList of the component's unfixed capped flows in
+// ent, whose storage it reuses.
+func (m *Model) sortCaps(ent []capEntry, fixed []bool) capList {
+	for i, f := range m.compFlows {
+		if !fixed[i] && f.cap > 0 {
+			ent = append(ent, capEntry{f.cap / f.priority, int32(i)})
+		}
+	}
+	if len(ent) > insertionMaxCaps {
+		slices.SortFunc(ent, func(a, b capEntry) int {
+			return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.pos, b.pos))
+		})
+		return capList{ent: ent}
+	}
+	// Entries come in position order, and the insertion sort is stable.
+	for i := 1; i < len(ent); i++ {
+		x, j := ent[i], i
+		for ; j > 0 && x.key < ent[j-1].key; j-- {
+			ent[j] = ent[j-1]
+		}
+		ent[j] = x
+	}
+	return capList{ent: ent}
+}
+
+// min returns the smallest normalised cap of an unfixed flow, +Inf if
+// every capped flow is fixed.
+func (c *capList) min(fixed []bool) float64 {
+	for c.next < len(c.ent) && fixed[c.ent[c.next].pos] {
+		c.next++
+	}
+	if c.next < len(c.ent) {
+		return c.ent[c.next].key
+	}
+	return math.Inf(1)
+}
+
+// fixCaps fixes every unfixed flow whose normalised cap is capMin, the
+// current minimum, and returns how many it fixed. Their entries are
+// contiguous and in compFlows order, the order a scan of the component
+// fixes them in. h is fillOrdered's heap, nil for fillScan.
+func (m *Model) fixCaps(h *resHeap, c *capList, capMin float64, fixed []bool) int {
+	n := 0
+	for _, e := range c.ent[c.next:] {
+		if e.key > capMin {
+			break
+		}
+		if !fixed[e.pos] {
+			m.fixOrdered(h, m.compFlows[e.pos], capMin)
+			fixed[e.pos] = true
+			n++
+		}
+	}
+	return n
+}
+
 // fillOrdered runs the same progressive-filling rounds as fillScan — the
 // same thresholds, the same flows fixed in each round, in the same order,
 // so the same floating-point operations in the same sequence — without
@@ -1245,9 +1307,7 @@ type capEntry struct {
 //     the flow it fixes. The scan keeps the first minimum in compRes
 //     order, which is id order, hence the id tie-break. A +Inf key is no
 //     bottleneck, as in the scan (c < +Inf never holds);
-//   - the smallest normalised cap is the first unfixed entry of a list
-//     sorted by (cap/priority, position); a round fixes the unfixed
-//     entries equal to it, which are contiguous and in compFlows order;
+//   - the smallest normalised cap comes from a capList, as in fillScan;
 //   - the flows crossing the bottleneck come from its adjacency list,
 //     sorted back into compFlows order before they are fixed.
 //
@@ -1266,17 +1326,10 @@ func (m *Model) fillOrdered(fixed []bool, remaining int) {
 		}
 	}
 	h.init()
-	caps := s.caps[:0]
 	for i, f := range m.compFlows {
 		f.pos = int32(i)
-		if !fixed[i] && f.cap > 0 {
-			caps = append(caps, capEntry{f.cap / f.priority, int32(i)})
-		}
 	}
-	slices.SortFunc(caps, func(a, b capEntry) int {
-		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.pos, b.pos))
-	})
-	next := 0 // caps before next are fixed
+	caps := m.sortCaps(s.caps[:0], fixed)
 	for remaining > 0 {
 		var bottleneck *Resource
 		fair := math.Inf(1)
@@ -1285,25 +1338,10 @@ func (m *Model) fillOrdered(fixed []bool, remaining int) {
 				fair, bottleneck = c, m.resources[id]
 			}
 		}
-		for next < len(caps) && fixed[caps[next].pos] {
-			next++
-		}
-		capMin := math.Inf(1)
-		if next < len(caps) {
-			capMin = caps[next].key
-		}
+		capMin := caps.min(fixed)
 		switch {
 		case capMin < fair:
-			for _, c := range caps[next:] {
-				if c.key > capMin {
-					break
-				}
-				if !fixed[c.pos] {
-					m.fixOrdered(h, m.compFlows[c.pos], capMin)
-					fixed[c.pos] = true
-					remaining--
-				}
-			}
+			remaining -= m.fixCaps(h, &caps, capMin, fixed)
 		case bottleneck != nil:
 			batch := s.batch[:0]
 			for _, ru := range bottleneck.flows {
@@ -1325,15 +1363,19 @@ func (m *Model) fillOrdered(fixed []bool, remaining int) {
 			remaining = 0
 		}
 	}
-	s.caps = caps
+	s.caps = caps.ent
 	scratchPool.Put(s)
 }
 
 // fixOrdered is fix plus the heap upkeep: the resources of f get their
 // new key, or leave the heap once no unfixed flow weighs on them (wsum
-// only falls during filling, so a resource never re-enters).
+// only falls during filling, so a resource never re-enters). With no
+// heap (fillScan) it is fix alone.
 func (m *Model) fixOrdered(h *resHeap, f *Flow, normRate float64) {
 	m.fix(f, normRate)
+	if h == nil {
+		return
+	}
 	for _, u := range f.uses {
 		id := u.Resource.id
 		if w := m.wsum[id]; w > 0 {

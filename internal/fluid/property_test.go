@@ -383,3 +383,71 @@ func TestSwapRemoveExactness(t *testing.T) {
 		})
 	})
 }
+
+// TestPropertyPollComponents storms components shaped like a task
+// runtime's: a shared controller and 20 to 120 flows on it, most of them
+// capped like idle workers' poll flows — distinct caps, caps that tie
+// outright or once normalised by priority (cap 2 at priority 2 ties cap
+// 1 at priority 1), uncapped flows among them, and a controller whose
+// capacity moves above and below the sum of the caps, so that in some
+// rounds the bottleneck fixes capped flows before their caps come up.
+// Cap lists run long enough to take either of sortCaps' sorts. Every
+// path must match the reference bit for bit, which pins the cap list's
+// tie order and its cursor over flows the bottleneck fixed.
+func TestPropertyPollComponents(t *testing.T) {
+	eachFillPath(func(path string) {
+		t.Run(path, func(t *testing.T) {
+			for seed := int64(0); seed < 60; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				k := sim.NewKernel(seed)
+				m := NewModel(k)
+				m.differential = true
+				ctl := m.NewResource("ctl", 10+rng.Float64()*90)
+				cores := make([]*Resource, 2+rng.Intn(6))
+				for i := range cores {
+					cores[i] = m.NewResource("core", 1+rng.Float64()*20)
+				}
+				tied := []float64{0.5, 1, 2}
+				start := func() *Flow {
+					spec := FlowSpec{Name: "poll", Work: 1e2 + rng.Float64()*1e4, Priority: float64(1 + rng.Intn(2))}
+					spec.Uses = append(spec.Uses, Use{ctl, 0.5 + rng.Float64()})
+					if rng.Intn(2) == 0 {
+						spec.Uses = append(spec.Uses, Use{cores[rng.Intn(len(cores))], 1})
+					}
+					switch rng.Intn(4) {
+					case 0: // uncapped
+					case 1:
+						spec.Cap = tied[rng.Intn(len(tied))]
+					default:
+						spec.Cap = 0.1 + rng.Float64()*5
+					}
+					return m.Start(spec)
+				}
+				var flows []*Flow
+				for n := 20 + rng.Intn(100); len(flows) < n; {
+					flows = append(flows, start())
+				}
+				checkDifferential(t, m)
+				for step := 0; step < 40; step++ {
+					switch rng.Intn(6) {
+					case 0:
+						flows = append(flows, start())
+					case 1:
+						m.Cancel(flows[rng.Intn(len(flows))])
+					case 2:
+						if f := flows[rng.Intn(len(flows))]; !f.finished {
+							m.SetCap(f, tied[rng.Intn(len(tied))])
+						}
+					case 3:
+						m.SetCapacity(ctl, 1+rng.Float64()*100)
+					case 4:
+						m.SetCapacity(cores[rng.Intn(len(cores))], 0.5+rng.Float64()*20)
+					case 5:
+						k.RunUntil(k.Now().Add(sim.Duration(rng.Intn(int(sim.Second)))))
+					}
+					checkDifferential(t, m)
+				}
+			}
+		})
+	})
+}

@@ -297,8 +297,11 @@ func (m *Model) recompute() {
 	}
 }
 
+// targetFreq and targetUncore read the frequency spec through a
+// pointer: they run for every core on every SetActive/SetIdle, and
+// copying the spec took half of targetFreq's time.
 func (m *Model) targetFreq(core int) float64 {
-	fs := m.spec.Freq
+	fs := &m.spec.Freq
 	switch m.governor {
 	case Powersave:
 		return fs.CoreMin
@@ -321,7 +324,7 @@ func (m *Model) targetFreq(core int) float64 {
 }
 
 func (m *Model) targetUncore() float64 {
-	fs := m.spec.Freq
+	fs := &m.spec.Freq
 	if m.uncoreFixed {
 		return m.uncoreFixedV
 	}

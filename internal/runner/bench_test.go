@@ -9,7 +9,8 @@ import (
 
 // BenchmarkCampaignCounters runs the golden henri campaign (seed 1, 3
 // runs, no point cache) and reports its deterministic counts: fluid
-// solves, points requested, points executed and campaign-memo hits.
+// solves, kernel events, process resumes, points requested, points
+// executed and campaign-memo hits.
 // They do not depend on the worker count or the host, so CI ratchets
 // them against BENCH_sim.json where it cannot ratchet a wall.
 func BenchmarkCampaignCounters(b *testing.B) {
@@ -19,7 +20,7 @@ func BenchmarkCampaignCounters(b *testing.B) {
 	}
 	exps := core.Experiments()
 	var stats CacheStats
-	before := bench.Solves()
+	before := bench.Done()
 	for i := 0; i < b.N; i++ {
 		stats = CacheStats{}
 		for res := range Run(env, exps, Options{CacheStats: &stats}) {
@@ -28,7 +29,10 @@ func BenchmarkCampaignCounters(b *testing.B) {
 			}
 		}
 	}
-	b.ReportMetric(float64(bench.Solves()-before)/float64(b.N), "solves/campaign")
+	work := bench.Done().Sub(before)
+	b.ReportMetric(float64(work.Solves)/float64(b.N), "solves/campaign")
+	b.ReportMetric(float64(work.Events)/float64(b.N), "events/campaign")
+	b.ReportMetric(float64(work.Resumes)/float64(b.N), "resumes/campaign")
 	b.ReportMetric(float64(stats.Points()), "points/campaign")
 	b.ReportMetric(float64(stats.Misses), "executed/campaign")
 	b.ReportMetric(float64(stats.MemoHits), "memo_hits/campaign")

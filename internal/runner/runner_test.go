@@ -25,26 +25,27 @@ func testEnv(t *testing.T) bench.Env {
 // identical ordering and byte-identical rendered tables: concurrency
 // must never leak into the numbers, and a same-seed re-run must be a
 // fixed point. The counters BenchmarkCampaignCounters reports must be
-// exact too: points executed, memo hits and fluid solves.
+// exact too: points executed, memo hits, fluid solves, kernel events and
+// process resumes.
 func TestCampaignDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-registry campaign; skipped with -short")
 	}
 	exps := core.Experiments()
-	run := func(workers int) ([]Result, CacheStats, uint64) {
+	run := func(workers int) ([]Result, CacheStats, bench.Work) {
 		var stats CacheStats
-		before := bench.Solves()
+		before := bench.Done()
 		res := Collect(Run(testEnv(t), exps, Options{Workers: workers, CacheStats: &stats}))
-		return res, stats, bench.Solves() - before
+		return res, stats, bench.Done().Sub(before)
 	}
-	serial, serialStats, serialSolves := run(1)
-	parallel, parallelStats, parallelSolves := run(8)
+	serial, serialStats, serialWork := run(1)
+	parallel, parallelStats, parallelWork := run(8)
 	if serialStats.Misses != parallelStats.Misses || serialStats.MemoHits != parallelStats.MemoHits {
 		t.Errorf("-j 1 executed %d points with %d memo hits, -j 8 %d with %d",
 			serialStats.Misses, serialStats.MemoHits, parallelStats.Misses, parallelStats.MemoHits)
 	}
-	if serialSolves == 0 || serialSolves != parallelSolves {
-		t.Errorf("-j 1 ran %d fluid solves, -j 8 %d", serialSolves, parallelSolves)
+	if serialWork.Solves == 0 || serialWork.Events == 0 || serialWork.Resumes == 0 || serialWork != parallelWork {
+		t.Errorf("-j 1 did %+v, -j 8 %+v", serialWork, parallelWork)
 	}
 	if len(serial) != len(exps) || len(parallel) != len(exps) {
 		t.Fatalf("got %d serial / %d parallel results, want %d", len(serial), len(parallel), len(exps))

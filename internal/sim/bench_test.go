@@ -46,9 +46,33 @@ func BenchmarkEventCancelPaperScale(b *testing.B) {
 	}
 }
 
+// BenchmarkProcessSwitch measures a Sleep that goes through the event
+// queue: two processes whose wakeups tie, so each wakes behind the
+// other's and every Sleep queues an event and switches coroutines.
 func BenchmarkProcessSwitch(b *testing.B) {
 	k := NewKernel(1)
-	k.Spawn("switcher", func(p *Proc) {
+	n := 0
+	body := func(p *Proc) {
+		for n < b.N {
+			n++
+			p.Sleep(1)
+		}
+	}
+	k.Spawn("a", body)
+	k.Spawn("b", body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	if k.Resumes() < uint64(b.N) {
+		b.Fatalf("%d resumes for %d sleeps: sleeps ended in place", k.Resumes(), b.N)
+	}
+}
+
+// BenchmarkSleepInPlace measures a lone sleeper, whose wakeup is always
+// the next event: each Sleep ends in place, with no event and no switch.
+func BenchmarkSleepInPlace(b *testing.B) {
+	k := NewKernel(1)
+	k.Spawn("sleeper", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(1)
 		}

@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -33,33 +33,85 @@ type EventRef struct {
 // Pending reports whether the referenced event is still queued.
 func (r EventRef) Pending() bool { return r.e != nil && r.e.gen == r.gen }
 
+// before reports whether a runs before b: earlier instant first, then
+// earlier scheduling order.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventHeap is a binary min-heap of events ordered by before, each
+// event keeping its own index so Cancel removes it in O(log n). No two
+// queued events share both instant and scheduling order (a Rearm reuses
+// the seq of its own cancelled event only), so the pop order is the
+// total (at, seq) order whatever the heap's shape.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
+func (h *eventHeap) push(e *event) {
 	e.index = len(*h)
 	*h = append(*h, e)
+	h.up(e.index)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+
+// remove takes the event at index i out of the heap and returns it;
+// remove(0) pops the earliest.
+func (h *eventHeap) remove(i int) *event {
+	s := *h
+	n := len(s) - 1
+	e := s[i]
+	if i != n {
+		s[i] = s[n]
+		s[i].index = i
+	}
+	s[n] = nil
+	*h = s[:n]
+	if i != n && !h.down(i) {
+		h.up(i)
+	}
 	e.index = -1
-	*h = old[:n-1]
 	return e
+}
+
+// up moves the event at index i towards the root until its parent runs
+// before it.
+func (h eventHeap) up(i int) {
+	e := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		q := h[parent]
+		if !e.before(q) {
+			break
+		}
+		h[i] = q
+		q.index = i
+		i = parent
+	}
+	h[i] = e
+	e.index = i
+}
+
+// down moves the event at index i towards the leaves until it runs
+// before both children, and reports whether it moved.
+func (h eventHeap) down(i int) bool {
+	e, start, n := h[i], i, len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		q := h[c]
+		if !q.before(e) {
+			break
+		}
+		h[i] = q
+		q.index = i
+		i = c
+	}
+	h[i] = e
+	e.index = i
+	return i > start
 }
 
 // Kernel is the simulation engine: it owns the virtual clock and the
@@ -70,7 +122,13 @@ type Kernel struct {
 	seq    uint64
 	procs  int // live (not yet finished) processes
 	nsteps uint64
-	free   []*event // recycled event storage
+	// resumes counts the coroutine switches into processes.
+	resumes uint64
+	free    []*event // recycled event storage
+	// horizon is the last instant the running Run or RunUntil will
+	// reach, noHorizon outside them: a Sleep may end in place only up to
+	// it (see Proc.Sleep).
+	horizon Time
 	// rng is seeded with seed on the first Rand call after NewKernel or
 	// Reset (seeded records that it was): seeding costs more than most
 	// small worlds spend drawing from it, and many never draw at all.
@@ -91,8 +149,16 @@ type Kernel struct {
 // NewKernel returns a simulation kernel whose random source is seeded
 // with seed. The same seed always produces the same simulation.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{seed: seed}
+	return &Kernel{seed: seed, horizon: noHorizon}
 }
+
+// noHorizon is the horizon outside Run and RunUntil, before every
+// instant: a Sleep under a bare Step always goes through the queue.
+const noHorizon = Time(math.MinInt64)
+
+// sleepInPlace lets Run and RunUntil end sleeps in place. Tests turn it
+// off to check that doing so changes nothing.
+var sleepInPlace = true
 
 // Reset rewinds an idle kernel to the state NewKernel(seed) returns,
 // keeping its recycled event, process and signal storage. Resetting a
@@ -108,6 +174,7 @@ func (k *Kernel) Reset(seed int64) {
 	k.now = 0
 	k.seq = 0
 	k.nsteps = 0
+	k.resumes = 0
 	k.seed = seed
 	k.seeded = false
 }
@@ -151,8 +218,16 @@ func (k *Kernel) Rand() *rand.Rand {
 	return k.rng
 }
 
-// Steps reports how many events have been executed so far.
+// Steps reports how many events have been executed so far, since
+// NewKernel or the last Reset. A Sleep that ends in place (see
+// Proc.Sleep) is not an event and does not count.
 func (k *Kernel) Steps() uint64 { return k.nsteps }
+
+// Resumes reports how many times a process has been switched to, since
+// NewKernel or the last Reset: once per Spawn and once per wakeup from
+// a blocking call that yielded. A Sleep that ends in place does not
+// yield and does not count.
+func (k *Kernel) Resumes() uint64 { return k.resumes }
 
 // alloc takes an event from the free list, or makes a new one.
 func (k *Kernel) alloc() *event {
@@ -190,7 +265,7 @@ func (k *Kernel) atSeq(t Time, seq uint64, fn func()) EventRef {
 	e.at = t
 	e.seq = seq
 	e.fn = fn
-	heap.Push(&k.events, e)
+	k.events.push(e)
 	return EventRef{e, e.gen}
 }
 
@@ -209,7 +284,7 @@ func (k *Kernel) Cancel(r EventRef) {
 	if r.e == nil || r.e.gen != r.gen {
 		return
 	}
-	heap.Remove(&k.events, r.e.index)
+	k.events.remove(r.e.index)
 	k.release(r.e)
 }
 
@@ -219,7 +294,7 @@ func (k *Kernel) Step() bool {
 	if len(k.events) == 0 {
 		return false
 	}
-	e := heap.Pop(&k.events).(*event)
+	e := k.events.remove(0)
 	k.now = e.at
 	k.nsteps++
 	fn := e.fn
@@ -233,6 +308,7 @@ func (k *Kernel) Step() bool {
 
 // Run executes events until the queue is empty.
 func (k *Kernel) Run() {
+	defer k.leave(k.enter(math.MaxInt64))
 	for k.Step() {
 	}
 }
@@ -240,6 +316,7 @@ func (k *Kernel) Run() {
 // RunUntil executes events up to and including instant t, then sets the
 // clock to t.
 func (k *Kernel) RunUntil(t Time) {
+	defer k.leave(k.enter(t))
 	for len(k.events) > 0 {
 		// Peek without popping: index 0 is the heap minimum.
 		e := k.events[0]
@@ -252,6 +329,20 @@ func (k *Kernel) RunUntil(t Time) {
 		k.now = t
 	}
 }
+
+// enter starts a Run or RunUntil that reaches instant t and returns the
+// horizon of the enclosing one, which leave restores: a kernel run
+// again from inside one of its own events, or a panic unwinding out of
+// Run, leaves the outer horizon in place.
+func (k *Kernel) enter(t Time) Time {
+	outer := k.horizon
+	if sleepInPlace {
+		k.horizon = t
+	}
+	return outer
+}
+
+func (k *Kernel) leave(outer Time) { k.horizon = outer }
 
 // Idle reports whether no events are pending. Processes blocked on a
 // Signal do not count; a simulation that goes idle with live processes

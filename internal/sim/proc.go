@@ -111,6 +111,7 @@ func (p *Proc) run() {
 	if p.finished {
 		return
 	}
+	p.k.resumes++
 	p.next()
 	if p.finished {
 		p.k.procs--
@@ -143,13 +144,29 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() Time { return p.k.now }
 
 // Sleep suspends the process for d. Sleeping a non-positive duration
-// still yields, letting same-instant events run (a deterministic
-// "yield to scheduler").
+// still lets the events already queued for this instant run first (a
+// deterministic "yield to scheduler").
+//
+// When the wakeup would be the very next event the running Run or
+// RunUntil dispatches — strictly before the queue's head and within its
+// horizon — Sleep ends in place instead: it moves the clock to the
+// wakeup and returns, with no event queued and no coroutine switch.
+// That is exact. The wakeup event would take the next scheduling order,
+// after every queued event, so any event of its instant would run
+// first; with none there, nothing else runs between the yield and the
+// resume, and the process continues at the same instant in the same
+// state. A bare Step never ends a sleep in place: its caller takes
+// control back after the event.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.After(d, p.runFn)
+	k := p.k
+	if at := k.now.Add(d); at <= k.horizon && (len(k.events) == 0 || at < k.events[0].at) {
+		k.now = at
+		return
+	}
+	k.After(d, p.runFn)
 	p.yield()
 }
 
