@@ -274,111 +274,136 @@ func applyComm(w *mpi.World, cc CommConfig) *mpi.PingPong {
 	return pp
 }
 
-// Interference runs the full §2.1 protocol for one configuration.
+// Interference runs the full §2.1 protocol for one configuration: the
+// three steps below, composed inline. Sweeps instead share the "alone"
+// baselines: comp alone between a cell's halves (cellResults), comm
+// alone between cells (soloCommPoint). Interference is what such a
+// sweep must reproduce bit for bit.
 func Interference(env Env, comm CommConfig, comp ComputeConfig) InterferenceResult {
 	res := InterferenceResult{Size: comm.Size}
-	// Preallocate the accumulators to their exact final sizes: one
-	// compute sample per (run, node-0 core) and one latency sample per
-	// (run, ping-pong iteration). These appends are the hottest
-	// measurement path of every sweep point.
-	compCap := env.runs() * comp.Cores
-	latCap := env.runs() * comm.Iters
-	bwAlone := make([]float64, 0, compCap)
-	bwTogether := make([]float64, 0, compCap)
-	secsAlone := make([]float64, 0, compCap)
-	secsTogether := make([]float64, 0, compCap)
-	latAlone := make([]float64, 0, latCap)
-	latTogether := make([]float64, 0, latCap)
-
-	for run := 0; run < env.runs(); run++ {
-		seed := env.Seed + int64(run)
-
-		// Step 1: computation without communication.
-		if comp.Cores > 0 {
-			c, w := newWorld(env, seed)
-			cores := computeCores(env.Spec, comp.Cores, pickCommCore(w, comm))
-			iters := comp.MinIters
-			if iters <= 0 {
-				iters = 3
-			}
-			for _, node := range c.Nodes {
-				node := node
-				for _, core := range cores {
-					core := core
-					c.K.Spawn("compute", func(p *sim.Proc) {
-						r := kernels.LoopN(p, node, core, comp.Slice, iters)
-						if node.ID == 0 {
-							bwAlone = append(bwAlone, r.BytesPerSec)
-							secsAlone = append(secsAlone, r.PerIter.Seconds())
-						}
-					})
-				}
-			}
-			c.K.Run()
-		}
-
-		// Step 2: communication without computation.
-		{
-			c, w := newWorld(env, seed)
-			pp := applyComm(w, comm)
-			var lats []sim.Duration
-			c.K.Spawn("init", func(p *sim.Proc) { lats = pp.Initiate(p, w.Rank(0), 1) })
-			c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
-			c.K.Run()
-			for _, l := range lats {
-				latAlone = append(latAlone, l.Seconds())
-			}
-		}
-
-		// Step 3: computation with side-by-side communication.
-		{
-			c, w := newWorld(env, seed)
-			pp := applyComm(w, comm)
-			commDone := false
-			cores := computeCores(env.Spec, comp.Cores, w.Rank(0).CommCore)
-			for _, node := range c.Nodes {
-				node := node
-				for _, core := range cores {
-					core := core
-					c.K.Spawn("compute", func(p *sim.Proc) {
-						r := kernels.LoopWhile(p, node, core, comp.Slice, func() bool { return !commDone })
-						if node.ID == 0 && r.Iters > 0 {
-							bwTogether = append(bwTogether, r.BytesPerSec)
-							secsTogether = append(secsTogether, r.PerIter.Seconds())
-						}
-					})
-				}
-			}
-			var lats []sim.Duration
-			c.K.Spawn("init", func(p *sim.Proc) {
-				// Let computation reach steady state before measuring.
-				p.Sleep(sim.Duration(2 * sim.Millisecond))
-				lats = pp.Initiate(p, w.Rank(0), 1)
-				commDone = true
-			})
-			c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
-			c.K.Run()
-			for _, l := range lats {
-				latTogether = append(latTogether, l.Seconds())
-			}
-		}
-	}
-
-	res.ComputeAlone = stats.SummarizeInPlace(bwAlone)
-	res.ComputeTogether = stats.SummarizeInPlace(bwTogether)
-	res.ComputeSecsAlone = stats.SummarizeInPlace(secsAlone)
-	res.ComputeSecsTogether = stats.SummarizeInPlace(secsTogether)
-	res.CommAlone = stats.SummarizeInPlace(latAlone)
-	res.CommTogether = stats.SummarizeInPlace(latTogether)
+	res.ComputeAlone, res.ComputeSecsAlone = compAlone(env, comp, comm.CommCore)
+	res.CommAlone = commAlone(env, comm)
+	res.ComputeTogether, res.ComputeSecsTogether, res.CommTogether = together(env, comm, comp)
 	return res
 }
 
-// pickCommCore resolves the effective communication core for a config.
-func pickCommCore(w *mpi.World, cc CommConfig) int {
-	if cc.CommCore >= 0 {
-		return cc.CommCore
+// cellResults runs the steps a sweep cell owns: comp alone once, then
+// comp beside each of comms, which must share one communication core.
+// The results leave CommAlone for the sweep to fill from the shared
+// baseline point (soloCommPoint).
+func cellResults(env Env, comp ComputeConfig, comms ...CommConfig) []InterferenceResult {
+	bw, secs := compAlone(env, comp, comms[0].CommCore)
+	out := make([]InterferenceResult, len(comms))
+	for i, comm := range comms {
+		r := &out[i]
+		r.Size = comm.Size
+		r.ComputeAlone, r.ComputeSecsAlone = bw, secs
+		r.ComputeTogether, r.ComputeSecsTogether, r.CommTogether = together(env, comm, comp)
 	}
-	return w.Rank(0).CommCore
+	return out
+}
+
+// The protocol steps below each loop over the runs in order (run r on
+// seed Seed+r, one fresh world per run) and summarise their samples.
+// Their accumulators are preallocated to their exact final sizes: one
+// compute sample per (run, node-0 core) and one latency sample per
+// (run, ping-pong iteration). These appends are the hottest measurement
+// path of every sweep point.
+
+// compAlone is step 1, computation without communication: it returns
+// the per-core bytes/s and seconds per iteration of comp's cores, which
+// skip commCore (-1: each rank's default communication core). It depends
+// on the communication side only through that core.
+func compAlone(env Env, comp ComputeConfig, commCore int) (bytesPerSec, secs stats.Summary) {
+	bw := make([]float64, 0, env.runs()*comp.Cores)
+	ss := make([]float64, 0, env.runs()*comp.Cores)
+	iters := comp.MinIters
+	if iters <= 0 {
+		iters = 3
+	}
+	for run := 0; comp.Cores > 0 && run < env.runs(); run++ {
+		c, w := newWorld(env, env.Seed+int64(run))
+		core := commCore
+		if core < 0 {
+			core = w.Rank(0).CommCore
+		}
+		cores := computeCores(env.Spec, comp.Cores, core)
+		for _, node := range c.Nodes {
+			node := node
+			for _, core := range cores {
+				core := core
+				c.K.Spawn("compute", func(p *sim.Proc) {
+					r := kernels.LoopN(p, node, core, comp.Slice, iters)
+					if node.ID == 0 {
+						bw = append(bw, r.BytesPerSec)
+						ss = append(ss, r.PerIter.Seconds())
+					}
+				})
+			}
+		}
+		c.K.Run()
+	}
+	return stats.SummarizeInPlace(bw), stats.SummarizeInPlace(ss)
+}
+
+// commAlone is step 2, communication without computation: the
+// half-round-trip latency in seconds across iterations and runs. It
+// depends on nothing but comm and the environment.
+func commAlone(env Env, comm CommConfig) stats.Summary {
+	lat := make([]float64, 0, env.runs()*comm.Iters)
+	for run := 0; run < env.runs(); run++ {
+		c, w := newWorld(env, env.Seed+int64(run))
+		pp := applyComm(w, comm)
+		var lats []sim.Duration
+		c.K.Spawn("init", func(p *sim.Proc) { lats = pp.Initiate(p, w.Rank(0), 1) })
+		c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
+		c.K.Run()
+		for _, l := range lats {
+			lat = append(lat, l.Seconds())
+		}
+	}
+	return stats.SummarizeInPlace(lat)
+}
+
+// together is step 3, computation with side-by-side communication: the
+// per-core bytes/s and seconds per iteration of the compute cores, and
+// the half-round-trip latency of the ping-pong beside them.
+func together(env Env, comm CommConfig, comp ComputeConfig) (bytesPerSec, secs, latency stats.Summary) {
+	bw := make([]float64, 0, env.runs()*comp.Cores)
+	ss := make([]float64, 0, env.runs()*comp.Cores)
+	lat := make([]float64, 0, env.runs()*comm.Iters)
+	for run := 0; run < env.runs(); run++ {
+		c, w := newWorld(env, env.Seed+int64(run))
+		pp := applyComm(w, comm)
+		commDone := false
+		cores := computeCores(env.Spec, comp.Cores, w.Rank(0).CommCore)
+		for _, node := range c.Nodes {
+			node := node
+			for _, core := range cores {
+				core := core
+				c.K.Spawn("compute", func(p *sim.Proc) {
+					r := kernels.LoopWhile(p, node, core, comp.Slice, func() bool { return !commDone })
+					if node.ID == 0 && r.Iters > 0 {
+						bw = append(bw, r.BytesPerSec)
+						ss = append(ss, r.PerIter.Seconds())
+					}
+				})
+			}
+		}
+		var lats []sim.Duration
+		c.K.Spawn("init", func(p *sim.Proc) {
+			// Let computation reach steady state before measuring.
+			p.Sleep(sim.Duration(2 * sim.Millisecond))
+			lats = pp.Initiate(p, w.Rank(0), 1)
+			commDone = true
+		})
+		c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
+		c.K.Run()
+		for _, l := range lats {
+			lat = append(lat, l.Seconds())
+		}
+	}
+	return stats.SummarizeInPlace(bw), stats.SummarizeInPlace(ss), stats.SummarizeInPlace(lat)
 }
 
 func maxInt64(a, b int64) int64 {

@@ -236,20 +236,20 @@ func Fig3AVX(env Env, coreCounts []int) []Fig3Result {
 	if len(coreCounts) == 0 {
 		coreCounts = []int{4, 20}
 	}
+	lat := LatencyConfig()
 	var pts []Point
 	for _, nc := range coreCounts {
 		nc := nc
 		pts = append(pts, Point{
 			Key: fmt.Sprintf("fig3/avx512-default/cores=%d", nc),
 			Fn: func(env Env) any {
-				r := Interference(env, LatencyConfig(), ComputeConfig{
+				r := cellResults(env, ComputeConfig{
 					Slice: kernels.AVX512Default(), Cores: nc, MinIters: 2,
-				})
+				}, lat)[0]
 				fr := Fig3Result{
 					Cores:            nc,
 					ComputeSecsAlone: r.ComputeSecsAlone,
 					ComputeSecsWith:  r.ComputeSecsTogether,
-					LatencyAlone:     r.CommAlone,
 					LatencyWith:      r.CommTogether,
 				}
 				// Probe the frequencies in the side-by-side state.
@@ -266,7 +266,11 @@ func Fig3AVX(env Env, coreCounts []int) []Fig3Result {
 			},
 		})
 	}
-	return RunPointsAs[Fig3Result](env, pts)
+	cells, alone := runWithSolos[Fig3Result](env, pts, []CommConfig{lat})
+	for i := range cells {
+		cells[i].LatencyAlone = alone[lat]
+	}
+	return cells
 }
 
 // Fig3Table renders Figure 3 as a table.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/machine"
+	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -69,6 +70,7 @@ type ContentionConfig struct {
 // the communication thread is bound to the last core of the CommThread
 // placement's NUMA node.
 func Fig4Contention(env Env, cfg ContentionConfig) []ContentionPoint {
+	lat, bw := placedPingPongs(env.Spec, cfg.Data, cfg.CommThread)
 	pts, ok := contentionSweep(env.Spec, cfg)
 	if !ok {
 		// Un-taggable custom kernel: run the sweep as a plain serial
@@ -78,9 +80,12 @@ func Fig4Contention(env Env, cfg ContentionConfig) []ContentionPoint {
 		for _, nc := range contentionCoreCounts(env.Spec, cfg) {
 			out = append(out, contentionCell(env, cfg, nc))
 		}
+		fillContention(out, commAlone(env, lat), commAlone(env, bw))
 		return out
 	}
-	return RunPointsAs[ContentionPoint](env, pts)
+	cells, alone := runWithSolos[ContentionPoint](env, pts, []CommConfig{lat, bw})
+	fillContention(cells, alone[lat], alone[bw])
+	return cells
 }
 
 // contentionCoreCounts resolves the x-axis of a contention sweep.
@@ -98,7 +103,8 @@ func contentionCoreCounts(spec *topology.NodeSpec, cfg ContentionConfig) []int {
 // contentionSweep compiles a contention configuration into one sweep
 // point per core count. ok is false when the config carries a custom
 // kernel without a KernelTag — such a sweep has no sound cache address
-// and must run as a plain loop.
+// and must run as a plain loop. The cells leave CommAlone unset: the
+// sweep fills it from the shared baselines (fillContention).
 func contentionSweep(spec *topology.NodeSpec, cfg ContentionConfig) ([]Point, bool) {
 	tag := cfg.KernelTag
 	if cfg.Kernel == nil {
@@ -121,30 +127,39 @@ func contentionSweep(spec *topology.NodeSpec, cfg ContentionConfig) ([]Point, bo
 	return pts, true
 }
 
+// placedPingPongs returns the paper's latency and bandwidth ping-pongs
+// with their buffers on the data placement and the communication thread
+// on the last core of the thread placement's NUMA node.
+func placedPingPongs(spec *topology.NodeSpec, data, thread Placement) (lat, bw CommConfig) {
+	lat, bw = LatencyConfig(), BandwidthConfig()
+	lat.CommCore = spec.LastCoreOfNUMA(thread.numaOf(spec))
+	lat.BufNUMA = data.numaOf(spec)
+	bw.CommCore, bw.BufNUMA = lat.CommCore, lat.BufNUMA
+	return lat, bw
+}
+
 // contentionCell measures one core count of a Figure 4/5 sweep: the
-// full three-step protocol for both the latency and the bandwidth
-// benchmarks.
+// compute-alone step once, shared by both halves, and the side-by-side
+// step for the latency and the bandwidth benchmarks. CommAlone is left
+// for the sweep to fill.
 func contentionCell(env Env, cfg ContentionConfig, nc int) ContentionPoint {
-	spec := env.Spec
 	kernel := cfg.Kernel
 	if kernel == nil {
 		kernel = func(numa int) machine.ComputeSpec {
 			return kernels.StreamTriad(kernels.DefaultStreamElems, numa)
 		}
 	}
-	dataNUMA := cfg.Data.numaOf(spec)
-	commCore := spec.LastCoreOfNUMA(cfg.CommThread.numaOf(spec))
-	comp := ComputeConfig{Slice: kernel(dataNUMA), Cores: nc}
-	lat := LatencyConfig()
-	lat.CommCore = commCore
-	lat.BufNUMA = dataNUMA
-	bw := BandwidthConfig()
-	bw.CommCore = commCore
-	bw.BufNUMA = dataNUMA
-	return ContentionPoint{
-		Cores:     nc,
-		Latency:   Interference(env, lat, comp),
-		Bandwidth: Interference(env, bw, comp),
+	lat, bw := placedPingPongs(env.Spec, cfg.Data, cfg.CommThread)
+	comp := ComputeConfig{Slice: kernel(lat.BufNUMA), Cores: nc}
+	rs := cellResults(env, comp, lat, bw)
+	return ContentionPoint{Cores: nc, Latency: rs[0], Bandwidth: rs[1]}
+}
+
+// fillContention sets the comm-alone baselines of a contention series.
+func fillContention(pts []ContentionPoint, latAlone, bwAlone stats.Summary) {
+	for i := range pts {
+		pts[i].Latency.CommAlone = latAlone
+		pts[i].Bandwidth.CommAlone = bwAlone
 	}
 }
 
@@ -172,26 +187,32 @@ func ContentionTable(title string, points []ContentionPoint) *trace.Table {
 // campaign can overlap cells across placements.
 func Fig5Placement(env Env, coreCounts []int) map[string][]ContentionPoint {
 	type segment struct {
-		key string
-		n   int
+		key     string
+		n       int
+		lat, bw CommConfig
 	}
 	var (
-		pts  []Point
-		segs []segment
+		pts   []Point
+		comms []CommConfig
+		segs  []segment
 	)
 	for _, data := range []Placement{Near, Far} {
 		for _, thread := range []Placement{Near, Far} {
 			p, _ := contentionSweep(env.Spec, ContentionConfig{
 				Data: data, CommThread: thread, CoreCounts: coreCounts,
 			}) // default kernel: always compilable
-			segs = append(segs, segment{key: fmt.Sprintf("%s/%s", data, thread), n: len(p)})
+			lat, bw := placedPingPongs(env.Spec, data, thread)
+			segs = append(segs, segment{key: fmt.Sprintf("%s/%s", data, thread), n: len(p), lat: lat, bw: bw})
 			pts = append(pts, p...)
+			comms = append(comms, lat, bw)
 		}
 	}
-	cells := RunPointsAs[ContentionPoint](env, pts)
+	cells, alone := runWithSolos[ContentionPoint](env, pts, comms)
 	out := make(map[string][]ContentionPoint, len(segs))
 	for _, s := range segs {
-		out[s.key] = cells[:s.n:s.n]
+		series := cells[:s.n:s.n]
+		fillContention(series, alone[s.lat], alone[s.bw])
+		out[s.key] = series
 		cells = cells[s.n:]
 	}
 	return out
@@ -281,28 +302,34 @@ func Fig6MessageSize(env Env, cores int, sizes []int64) []SizePoint {
 			sizes = append(sizes, s)
 		}
 	}
+	spec := env.Spec
+	dataNUMA := spec.NIC.NUMA
+	commCore := spec.LastCoreOfNUMA(spec.NUMANodes() - 1)
 	pts := make([]Point, 0, len(sizes))
+	comms := make([]CommConfig, 0, len(sizes))
 	for _, size := range sizes {
 		size := size
+		comm := CommConfig{
+			CommCore: commCore, BufNUMA: dataNUMA,
+			Size: size, Iters: pingIters(size), Warmup: 2,
+		}
+		comms = append(comms, comm)
 		pts = append(pts, Point{
 			Key: fmt.Sprintf("fig6/cores=%d/size=%d", cores, size),
 			Fn: func(env Env) any {
-				spec := env.Spec
-				dataNUMA := spec.NIC.NUMA
-				commCore := spec.LastCoreOfNUMA(spec.NUMANodes() - 1)
-				comm := CommConfig{
-					CommCore: commCore, BufNUMA: dataNUMA,
-					Size: size, Iters: pingIters(size), Warmup: 2,
-				}
 				comp := ComputeConfig{
 					Slice: kernels.StreamTriad(kernels.DefaultStreamElems, dataNUMA),
 					Cores: cores,
 				}
-				return SizePoint{Size: size, Result: Interference(env, comm, comp)}
+				return SizePoint{Size: size, Result: cellResults(env, comp, comm)[0]}
 			},
 		})
 	}
-	return RunPointsAs[SizePoint](env, pts)
+	cells, alone := runWithSolos[SizePoint](env, pts, comms)
+	for i := range cells {
+		cells[i].Result.CommAlone = alone[comms[i]]
+	}
+	return cells
 }
 
 // Fig6Table renders a Figure 6 series.
@@ -341,33 +368,32 @@ func Fig7Intensity(env Env, cores int, cursors []int) []IntensityPoint {
 	}
 	// Smaller arrays keep high-cursor iterations short.
 	const elems = 1 << 20
+	spec := env.Spec
+	dataNUMA := spec.NIC.NUMA
+	lat, bw := placedPingPongs(spec, Near, Far)
 	pts := make([]Point, 0, len(cursors))
 	for _, cur := range cursors {
 		cur := cur
 		pts = append(pts, Point{
 			Key: fmt.Sprintf("fig7/elems=%d/cores=%d/cursor=%d", elems, cores, cur),
 			Fn: func(env Env) any {
-				spec := env.Spec
-				dataNUMA := spec.NIC.NUMA
-				commCore := spec.LastCoreOfNUMA(spec.NUMANodes() - 1)
 				slice := kernels.TriadX(elems, cur, dataNUMA)
-				comp := ComputeConfig{Slice: slice, Cores: cores}
-				lat := LatencyConfig()
-				lat.CommCore = commCore
-				lat.BufNUMA = dataNUMA
-				bw := BandwidthConfig()
-				bw.CommCore = commCore
-				bw.BufNUMA = dataNUMA
+				rs := cellResults(env, ComputeConfig{Slice: slice, Cores: cores}, lat, bw)
 				return IntensityPoint{
 					Cursor:    cur,
 					Intensity: kernels.Intensity(slice),
-					Latency:   Interference(env, lat, comp),
-					Bandwidth: Interference(env, bw, comp),
+					Latency:   rs[0],
+					Bandwidth: rs[1],
 				}
 			},
 		})
 	}
-	return RunPointsAs[IntensityPoint](env, pts)
+	cells, alone := runWithSolos[IntensityPoint](env, pts, []CommConfig{lat, bw})
+	for i := range cells {
+		cells[i].Latency.CommAlone = alone[lat]
+		cells[i].Bandwidth.CommAlone = alone[bw]
+	}
+	return cells
 }
 
 // Fig7Table renders Figure 7.

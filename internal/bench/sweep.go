@@ -25,6 +25,9 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+
+	"repro/internal/stats"
 )
 
 // PointSchema versions the encoded PointRecord format. Cached records
@@ -37,7 +40,7 @@ const PointSchema = 1
 // computes (protocol steps, iteration counts, derived statistics), so
 // content-addressed caches keyed before the change miss instead of
 // serving measurements of the old logic.
-const SweepVersion = 1
+const SweepVersion = 2
 
 // Point is one independently schedulable cell of an experiment's
 // parameter grid.
@@ -144,6 +147,13 @@ func ExecutePoint(env Env, p Point) PointRecord {
 // each point's accounting in index order, so every downstream number is
 // independent of execution order.
 func RunPointsAs[T any](env Env, pts []Point) []T {
+	return decodePoints[T](pts, runPoints(env, pts))
+}
+
+// runPoints executes a compiled sweep as RunPointsAs does, re-raises the
+// first panicked point in index order and absorbs every record into the
+// environment's meter, leaving the payloads encoded.
+func runPoints(env Env, pts []Point) []PointRecord {
 	var recs []PointRecord
 	if env.Sched != nil {
 		recs = env.Sched.RunPoints(env, pts)
@@ -153,17 +163,61 @@ func RunPointsAs[T any](env Env, pts []Point) []T {
 			recs[i] = ExecutePoint(env, p)
 		}
 	}
-	out := make([]T, len(pts))
-	for i, rec := range recs {
+	for _, rec := range recs {
 		if rec.Panic != nil {
 			panic(rec.Panic)
-		}
-		if err := json.Unmarshal(rec.Payload, &out[i]); err != nil {
-			panic(fmt.Sprintf("bench: decoding point %q: %v", pts[i].Key, err))
 		}
 		if env.Meter != nil {
 			env.Meter.Absorb(rec)
 		}
 	}
+	return recs
+}
+
+// decodePoints decodes each record's payload as T, index-aligned with
+// the points that produced them.
+func decodePoints[T any](pts []Point, recs []PointRecord) []T {
+	out := make([]T, len(recs))
+	for i, rec := range recs {
+		if err := json.Unmarshal(rec.Payload, &out[i]); err != nil {
+			panic(fmt.Sprintf("bench: decoding point %q: %v", pts[i].Key, err))
+		}
+	}
 	return out
+}
+
+// soloCommPoint compiles the comm-alone step of comm into a point of its
+// own. The step depends on nothing but comm and the environment, so all
+// cells that need this baseline (in any sweep, experiment or campaign)
+// share the one point, and the campaign memo, PointFlight and point
+// cache execute it once. Its key therefore spells out every CommConfig
+// field.
+func soloCommPoint(comm CommConfig) Point {
+	return Point{
+		Key: fmt.Sprintf("solo/comm/core=%d/buf=%d/size=%d/iters=%d/warmup=%d",
+			comm.CommCore, comm.BufNUMA, comm.Size, comm.Iters, comm.Warmup),
+		Fn: func(env Env) any { return commAlone(env, comm) },
+	}
+}
+
+// runWithSolos runs a sweep's cells in one batch with the distinct
+// comm-alone baselines in comms, and returns the decoded cells and the
+// baselines by configuration; the caller fills each cell's CommAlone
+// from them. Each baseline is requested, and so its accounting
+// absorbed, once per call.
+func runWithSolos[T any](env Env, cells []Point, comms []CommConfig) ([]T, map[CommConfig]stats.Summary) {
+	pts := append(make([]Point, 0, len(cells)+len(comms)), cells...)
+	var solos []CommConfig
+	for _, cc := range comms {
+		if !slices.Contains(solos, cc) {
+			solos = append(solos, cc)
+			pts = append(pts, soloCommPoint(cc))
+		}
+	}
+	recs := runPoints(env, pts)
+	alone := make(map[CommConfig]stats.Summary, len(solos))
+	for i, s := range decodePoints[stats.Summary](pts[len(cells):], recs[len(cells):]) {
+		alone[solos[i]] = s
+	}
+	return decodePoints[T](cells, recs[:len(cells)]), alone
 }

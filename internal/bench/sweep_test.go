@@ -209,3 +209,26 @@ func benchExecutePoint(b *testing.B, comp ComputeConfig) {
 		}
 	}
 }
+
+// TestSoloCommKeyNamesEveryField: the comm-alone point is shared by
+// every cell whose key matches, so two configurations that differ in
+// any one CommConfig field must get different keys — or a cell would
+// be served another configuration's baseline.
+func TestSoloCommKeyNamesEveryField(t *testing.T) {
+	base := BandwidthConfig()
+	baseKey := soloCommPoint(base).Key
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		cc := base
+		f := reflect.ValueOf(&cc).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 7)
+		default:
+			t.Fatalf("CommConfig.%s is a %s: teach this test to vary it", typ.Field(i).Name, f.Kind())
+		}
+		if soloCommPoint(cc).Key == baseKey {
+			t.Errorf("solo key %q ignores CommConfig.%s", baseKey, typ.Field(i).Name)
+		}
+	}
+}
