@@ -120,11 +120,13 @@ load-test:
 # The chaos battery under the race detector: the load storm against
 # daemons with failing disks and a hostile network, asserting
 # byte-identity, the exactly-once bound, breaker/degradation behaviour
-# and graceful shutdown. Reproduce a red run with its printed seed:
+# and graceful shutdown, plus the runner.Flight unit tests and the
+# regressions for a panicked flight leader and a cancelled campaign.
+# Reproduce a red run with its printed seed:
 # CHAOS_SEED=<n> make chaos-soak. Size with CHAOS_SOAK_CLIENTS /
 # CHAOS_SOAK_PER_CLIENT.
 chaos-soak:
-	$(GO) test -race -run 'TestServerChaosSoak|TestRemoteCacheChaosTransport|TestDaemonGracefulShutdown|TestDaemonChaosDrill' -count=1 -v ./internal/server/ ./cmd/interfd/
+	$(GO) test -race -run 'TestServerChaosSoak|TestRemoteCacheChaosTransport|TestDaemonGracefulShutdown|TestDaemonChaosDrill|TestFlight|PanickedLeader|TestCancelledCampaignJoinsNothing' -count=1 -v ./internal/runner/ ./internal/server/ ./cmd/interfd/
 
 # The stampede battery under the race detector: the in-process failover
 # soak (two replicas, one cache dir, a kill switch in the transport),

@@ -189,7 +189,7 @@ func decodePoints[T any](pts []Point, recs []PointRecord) []T {
 // soloCommPoint compiles the comm-alone step of comm into a point of its
 // own. The step depends on nothing but comm and the environment, so all
 // cells that need this baseline (in any sweep, experiment or campaign)
-// share the one point, and the campaign memo, PointFlight and point
+// share the one point, and the campaign memo, point flight and point
 // cache execute it once. Its key therefore spells out every CommConfig
 // field.
 func soloCommPoint(comm CommConfig) Point {

@@ -36,8 +36,8 @@ type CacheStats struct {
 	// fig5 and tab1 sharing contention cells).
 	Hits, Misses, MemoHits int64
 	// FlightHits were served by joining another campaign's in-flight
-	// computation of the same key through a PointFlight (cross-client
-	// singleflight; zero unless Options.Flight is set).
+	// computation of the same key (cross-client singleflight; zero
+	// unless Options.Flight is set).
 	FlightHits int64
 	// Mismatches counts poisoned entries: a file whose stored key did
 	// not match the requested one (hash collision or tampering). Such
@@ -495,68 +495,16 @@ func pointBaseKey(env bench.Env) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// memoEntry is one in-flight or completed point in the campaign memo.
-type memoEntry struct {
-	done chan struct{}
-	rec  bench.PointRecord
-}
-
-// PointFlight deduplicates concurrent computations of the same point
-// *across* campaigns: the per-campaign memo only sees one client's
-// requests, so a long-lived service shares one PointFlight between every
-// campaign it runs, and two clients racing on the same cell compute it
-// once. Unlike the memo, entries are dropped the moment the leader
-// finishes — completed points are the persistent cache's job; the flight
-// only covers the window where the cache has no entry yet.
-type PointFlight struct {
-	mu       sync.Mutex
-	inflight map[string]*flightCall
-}
-
-type flightCall struct {
-	done chan struct{}
-	rec  bench.PointRecord
-}
-
-// NewPointFlight returns an empty singleflight group.
-func NewPointFlight() *PointFlight {
-	return &PointFlight{inflight: make(map[string]*flightCall)}
-}
-
-// do runs fn for fullKey exactly once among concurrent callers: the
-// first caller (leader=true) computes; the rest block until the leader
-// finishes and receive its record (panic records included — each owner
-// re-raises on its own experiment). The entry is removed on completion,
-// so a later, non-overlapping request computes (or cache-hits) afresh.
-func (f *PointFlight) do(fullKey string, fn func() bench.PointRecord) (rec bench.PointRecord, leader bool) {
-	f.mu.Lock()
-	if c, ok := f.inflight[fullKey]; ok {
-		f.mu.Unlock()
-		<-c.done
-		return c.rec, false
-	}
-	c := &flightCall{done: make(chan struct{})}
-	f.inflight[fullKey] = c
-	f.mu.Unlock()
-
-	c.rec = fn()
-	f.mu.Lock()
-	delete(f.inflight, fullKey)
-	f.mu.Unlock()
-	close(c.done)
-	return c.rec, true
-}
-
 // pointScheduler implements bench.PointRunner for a campaign: points
 // from every experiment run on the shared pool, deduplicated through an
 // in-memory memo (two experiments requesting the same cell compute it
 // once) and optionally replayed from / stored to a persistent cache.
 type pointScheduler struct {
 	pool   *pointPool
-	cache  CacheStore      // nil disables the persistent layer
-	flight *PointFlight    // nil disables cross-campaign singleflight
-	stats  *CacheStats     // nil disables counting
-	ctx    context.Context // nil means never cancelled
+	cache  CacheStore                 // nil disables the persistent layer
+	flight *Flight[bench.PointRecord] // nil disables cross-campaign singleflight
+	stats  *CacheStats                // nil disables counting
+	ctx    context.Context            // nil means never cancelled
 	base   string
 
 	// degradeAfter is the consecutive-ish cache-error budget: once
@@ -568,15 +516,14 @@ type pointScheduler struct {
 	errCount     atomic.Int64
 	degraded     atomic.Bool
 
-	mu   sync.Mutex
-	memo map[string]*memoEntry
+	memo Flight[bench.PointRecord] // keeps every record without a panic
 }
 
 // DefaultDegradeAfter is the cache-error budget before a campaign
 // degrades to no-cache mode, when Options.DegradeAfter is unset.
 const DefaultDegradeAfter = 8
 
-func newPointScheduler(pool *pointPool, cache CacheStore, flight *PointFlight, stats *CacheStats, env bench.Env) *pointScheduler {
+func newPointScheduler(pool *pointPool, cache CacheStore, flight *Flight[bench.PointRecord], stats *CacheStats, env bench.Env) *pointScheduler {
 	if stats == nil {
 		stats = &CacheStats{}
 	}
@@ -587,7 +534,6 @@ func newPointScheduler(pool *pointPool, cache CacheStore, flight *PointFlight, s
 		stats:        stats,
 		base:         pointBaseKey(env),
 		degradeAfter: DefaultDegradeAfter,
-		memo:         make(map[string]*memoEntry),
 	}
 }
 
@@ -596,19 +542,6 @@ func newPointScheduler(pool *pointPool, cache CacheStore, flight *PointFlight, s
 func (s *pointScheduler) noteCacheError() {
 	if s.errCount.Add(1) >= s.degradeAfter && s.degraded.CompareAndSwap(false, true) {
 		atomic.StoreInt64(&s.stats.Degraded, 1)
-	}
-}
-
-// cancelled reports whether the campaign's context has expired.
-func (s *pointScheduler) cancelled() bool {
-	if s.ctx == nil {
-		return false
-	}
-	select {
-	case <-s.ctx.Done():
-		return true
-	default:
-		return false
 	}
 }
 
@@ -644,57 +577,49 @@ func (s *pointScheduler) RunPoints(env bench.Env, pts []bench.Point) []bench.Poi
 
 // point resolves one point: campaign memo, then persistent cache, then
 // execution. Exactly one goroutine computes each distinct key; the
-// others wait for its record.
+// others wait for its record. A cancelled campaign fails the point
+// before joining anything, so it never waits on another's leader.
 func (s *pointScheduler) point(env bench.Env, p bench.Point) bench.PointRecord {
 	fullKey := s.base + "/" + p.Key
-	s.mu.Lock()
-	if e, ok := s.memo[fullKey]; ok {
-		s.mu.Unlock()
-		<-e.done
-		atomic.AddInt64(&s.stats.MemoHits, 1)
-		return e.rec
-	}
-	e := &memoEntry{done: make(chan struct{})}
-	s.memo[fullKey] = e
-	s.mu.Unlock()
-
-	e.rec = s.resolve(env, p, fullKey)
-	if e.rec.Panic != nil {
-		// A panicked point must not satisfy later requests for the key:
-		// each owner re-executes and observes the panic itself.
-		s.mu.Lock()
-		delete(s.memo, fullKey)
-		s.mu.Unlock()
-	}
-	close(e.done)
-	return e.rec
-}
-
-// resolve loads the point from the persistent cache or executes it
-// (storing the fresh record on success). With a PointFlight installed,
-// concurrent campaigns resolving the same key elect one leader: it runs
-// the cache-then-execute path once and the others adopt its record.
-func (s *pointScheduler) resolve(env bench.Env, p bench.Point, fullKey string) bench.PointRecord {
-	if s.flight == nil {
-		return s.resolveLocal(env, p, fullKey)
-	}
-	rec, leader := s.flight.do(fullKey, func() bench.PointRecord {
-		return s.resolveLocal(env, p, fullKey)
-	})
-	if !leader {
-		atomic.AddInt64(&s.stats.FlightHits, 1)
-	}
-	return rec
-}
-
-func (s *pointScheduler) resolveLocal(env bench.Env, p bench.Point, fullKey string) bench.PointRecord {
-	if s.cancelled() {
+	if s.ctx != nil && s.ctx.Err() != nil {
 		return bench.PointRecord{
 			Schema: bench.PointSchema,
 			Key:    fullKey,
 			Panic:  fmt.Errorf("runner: campaign cancelled: %w", s.ctx.Err()),
 		}
 	}
+	// A panicked point must not satisfy later requests for the key:
+	// each owner re-executes and observes the panic itself.
+	rec, joined := s.memo.Do(fullKey, func() (bench.PointRecord, bool) {
+		rec := s.resolve(env, p, fullKey)
+		return rec, rec.Panic == nil
+	})
+	if joined {
+		atomic.AddInt64(&s.stats.MemoHits, 1)
+	}
+	return rec
+}
+
+// resolve loads the point from the persistent cache or executes it
+// (storing the fresh record on success). With a point flight installed,
+// concurrent campaigns resolving the same key elect one leader: it runs
+// the cache-then-execute path once and the others adopt its record.
+// The flight keeps nothing: completed points are the persistent
+// cache's job, the flight only covers the window before it has them.
+func (s *pointScheduler) resolve(env bench.Env, p bench.Point, fullKey string) bench.PointRecord {
+	if s.flight == nil {
+		return s.resolveLocal(env, p, fullKey)
+	}
+	rec, joined := s.flight.Do(fullKey, func() (bench.PointRecord, bool) {
+		return s.resolveLocal(env, p, fullKey), false
+	})
+	if joined {
+		atomic.AddInt64(&s.stats.FlightHits, 1)
+	}
+	return rec
+}
+
+func (s *pointScheduler) resolveLocal(env bench.Env, p bench.Point, fullKey string) bench.PointRecord {
 	useCache := s.cache != nil && !s.degraded.Load()
 	if s.cache != nil && !useCache {
 		atomic.AddInt64(&s.stats.Skipped, 1)

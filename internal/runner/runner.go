@@ -43,10 +43,10 @@ type Options struct {
 	// cache accounting (hits, misses, memo hits).
 	CacheStats *CacheStats
 	// Flight, when non-nil, deduplicates point computations against
-	// other campaigns sharing the same PointFlight: a service passes one
+	// other campaigns sharing the same Flight: a service passes one
 	// flight to every campaign so concurrent clients racing on a cell
 	// compute it exactly once.
-	Flight *PointFlight
+	Flight *Flight[bench.PointRecord]
 	// SharedPool, when non-nil, executes this campaign's points on a
 	// service-wide worker-shard set instead of a private per-campaign
 	// pool; the pool outlives the campaign and is never closed by Run.

@@ -52,7 +52,7 @@ func comparableView(cr *CampaignResponse) string {
 //
 //  1. every identical spec yields an identical (deterministic-field)
 //     response, no matter which client asked or when;
-//  2. the shared point pool + singleflight computed every distinct
+//  2. the shared point pool + runner.Flight computed every distinct
 //     point exactly once across the whole storm — the union U of
 //     distinct points is measured first by a serial phase, and the
 //     concurrent phase's total cache misses must equal U exactly;
@@ -146,8 +146,9 @@ func TestServerLoad(t *testing.T) {
 	m := storm.Metrics()
 	// The core exactly-once claim: across `total` campaigns sharing
 	// points, only the |U| distinct points were ever executed. Everything
-	// else was served by the disk cache, the per-campaign memo, the
-	// cross-campaign point flight, or campaign-level dedup.
+	// else was served by the disk cache or by one runner.Flight at one
+	// of its three scopes: the per-campaign memo, the cross-campaign
+	// point flight, or campaign-level dedup.
 	if m.Cache.Misses != union {
 		t.Fatalf("storm executed %d points, want exactly the union %d (stats %+v)", m.Cache.Misses, union, m.Cache)
 	}

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/chaos"
 	"repro/internal/runner"
 )
@@ -92,9 +93,9 @@ type Server struct {
 	fs      chaos.FS
 	clock   chaos.Clock
 	pool    *runner.SharedPool
-	flight  *runner.PointFlight
-	cache   *runner.PointCache // nil when CacheDir == ""
-	breaker *runner.Breaker    // guards cache; nil when cache is nil
+	flight  runner.Flight[bench.PointRecord] // dedups points across campaigns
+	cache   *runner.PointCache               // nil when CacheDir == ""
+	breaker *runner.Breaker                  // guards cache; nil when cache is nil
 
 	queueSlots chan struct{}
 	runSlots   chan struct{}
@@ -120,9 +121,11 @@ type Server struct {
 	latency     latencyRecorder
 	ov          *overload
 
-	mu         sync.Mutex
-	campFlight map[string]*campaignCall
-	stateLog   chaos.File
+	// campaigns dedups identical concurrent submissions.
+	campaigns runner.Flight[submitted]
+
+	mu       sync.Mutex
+	stateLog chaos.File
 	// stateDirty means the campaign log may end mid-line (failed
 	// append); the next append leads with a newline to isolate it.
 	stateDirty bool
@@ -135,8 +138,8 @@ type Server struct {
 	runFn func(c *campaign) *CampaignResponse
 }
 
-type campaignCall struct {
-	done chan struct{}
+// submitted is the outcome of one campaign submission.
+type submitted struct {
 	resp *CampaignResponse
 	err  *submitError
 }
@@ -177,10 +180,8 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		fs:         cfg.FS,
 		clock:      cfg.Clock,
-		flight:     runner.NewPointFlight(),
 		queueSlots: make(chan struct{}, cfg.QueueDepth),
 		runSlots:   make(chan struct{}, cfg.MaxInflight),
-		campFlight: make(map[string]*campaignCall),
 	}
 	s.ov = newOverload(s.clock, cfg.QueueDepth, cfg.CoDelTarget, cfg.CoDelInterval, cfg.FairShare)
 	s.runFn = s.runCampaign
@@ -393,30 +394,24 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 // submit runs one validated campaign through the campaign-level
 // singleflight and the admission queue. Concurrent identical specs
 // share one execution: followers wait on the leader and receive its
-// response (marked Deduped) without consuming queue or run slots.
+// response (marked Deduped) without consuming queue or run slots. A
+// leader that panics releases the spec: its followers fail with the
+// same panic and the next submission runs afresh.
 func (s *Server) submit(c *campaign) (*CampaignResponse, *submitError) {
-	s.mu.Lock()
-	if call, ok := s.campFlight[c.id]; ok {
-		s.mu.Unlock()
-		<-call.done
-		s.dedups.Add(1)
-		if call.err != nil {
-			return nil, call.err
-		}
-		shared := *call.resp
-		shared.Deduped = true
-		return &shared, nil
+	out, joined := s.campaigns.Do(c.id, func() (submitted, bool) {
+		resp, err := s.admit(c)
+		return submitted{resp, err}, false
+	})
+	if !joined {
+		return out.resp, out.err
 	}
-	call := &campaignCall{done: make(chan struct{})}
-	s.campFlight[c.id] = call
-	s.mu.Unlock()
-
-	call.resp, call.err = s.admit(c)
-	s.mu.Lock()
-	delete(s.campFlight, c.id)
-	s.mu.Unlock()
-	close(call.done)
-	return call.resp, call.err
+	s.dedups.Add(1)
+	if out.err != nil {
+		return nil, out.err
+	}
+	shared := *out.resp
+	shared.Deduped = true
+	return &shared, nil
 }
 
 // admit applies the Slurm-style bounded queue plus the adaptive
@@ -494,7 +489,7 @@ func (s *Server) admit(c *campaign) (*CampaignResponse, *submitError) {
 	s.ov.observe(resp.Cache.Misses, len(c.exps), resp.WallMs)
 	s.logState(stateEntry{ID: c.id, Status: "done"})
 	s.completed.Add(1)
-	s.logf("campaign %s: %d experiments on %s in %.0fms (%d/%d points cached, %d errors)",
+	s.logf("campaign %s: %d experiments on %s in %.0fms (%d/%d points served without executing, %d errors)",
 		c.id[:12], len(c.exps), c.cluster, resp.WallMs,
 		resp.Cache.Hits+resp.Cache.MemoHits+resp.Cache.FlightHits, resp.Cache.Points, resp.Errors)
 	return resp, nil
@@ -521,7 +516,7 @@ func (s *Server) runCampaign(c *campaign) *CampaignResponse {
 		Workers:      s.cfg.Shards,
 		Format:       c.spec.Format,
 		CacheStats:   stats,
-		Flight:       s.flight,
+		Flight:       &s.flight,
 		SharedPool:   s.pool,
 		DegradeAfter: s.cfg.DegradeAfter,
 	}

@@ -273,6 +273,57 @@ func TestServerCampaignDedup(t *testing.T) {
 	}
 }
 
+// TestServerCampaignDedupReleasesPanickedLeader: a campaign whose run
+// panics (net/http recovers the handler) releases its spec, so the
+// identical resubmission runs afresh and succeeds instead of joining a
+// leader that will never finish.
+func TestServerCampaignDedupReleasesPanickedLeader(t *testing.T) {
+	s, err := New(Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	var runs atomic.Int64
+	s.runFn = func(c *campaign) *CampaignResponse {
+		if runs.Add(1) == 1 {
+			panic("campaign boom")
+		}
+		return &CampaignResponse{ID: c.id, Cluster: c.cluster}
+	}
+	body, err := json.Marshal(CampaignSpec{Experiments: []string{"fig3"}, Runs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// post drives the handler directly, recovering a panic the way the
+	// HTTP server does; an httptest server would wait for a hung
+	// handler on Close.
+	post := func() (code int, panicked any) {
+		defer func() { panicked = recover() }()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/campaign", bytes.NewReader(body)))
+		return rec.Code, nil
+	}
+	if _, p := post(); p != "campaign boom" {
+		t.Fatalf("first submission recovered %v, want the campaign's panic", p)
+	}
+	done := make(chan int, 1)
+	go func() {
+		code, _ := post()
+		done <- code
+	}()
+	select {
+	case code := <-done:
+		if code != http.StatusOK {
+			t.Fatalf("resubmission: status %d", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("resubmission still waiting on the panicked leader")
+	}
+	if n := runs.Load(); n != 2 {
+		t.Fatalf("runFn ran %d times, want 2", n)
+	}
+}
+
 // validRecord builds a minimal well-formed point record for protocol
 // tests.
 func validRecord(t *testing.T, key string) bench.PointRecord {
