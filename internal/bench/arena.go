@@ -61,23 +61,23 @@ type builtWorld struct {
 	base Work
 }
 
-// Work counts the simulation work of worlds: fluid re-solves, kernel
-// events dispatched and process resumes (coroutine switches into a
-// process).
+// Work counts the simulation work of worlds: fluid re-solves, fluid
+// mutations that skipped their re-solve, kernel events dispatched and
+// process resumes (coroutine switches into a process).
 type Work struct {
-	Solves, Events, Resumes uint64
+	Solves, Skips, Events, Resumes uint64
 }
 
 // workOf reads the counts of c's fluid model and kernel. Resetting a
 // world zeroes them, so a point reads them only after taking the world
 // over, never across a Reset.
 func workOf(c *machine.Cluster) Work {
-	return Work{Solves: c.Fluid.Solves(), Events: c.K.Steps(), Resumes: c.K.Resumes()}
+	return Work{Solves: c.Fluid.Solves(), Skips: c.Fluid.Skips(), Events: c.K.Steps(), Resumes: c.K.Resumes()}
 }
 
 // work totals the counts of every world a point execution released
 // (see Done).
-var work struct{ solves, events, resumes atomic.Uint64 }
+var work struct{ solves, skips, events, resumes atomic.Uint64 }
 
 // Done returns the simulation work the worlds built inside point
 // executions have done, process-wide, counting each world once when its
@@ -85,12 +85,12 @@ var work struct{ solves, events, resumes atomic.Uint64 }
 // around it, exact at any worker count while nothing else executes
 // points.
 func Done() Work {
-	return Work{Solves: work.solves.Load(), Events: work.events.Load(), Resumes: work.resumes.Load()}
+	return Work{Solves: work.solves.Load(), Skips: work.skips.Load(), Events: work.events.Load(), Resumes: work.resumes.Load()}
 }
 
 // Sub returns the work done from b to w.
 func (w Work) Sub(b Work) Work {
-	return Work{Solves: w.Solves - b.Solves, Events: w.Events - b.Events, Resumes: w.Resumes - b.Resumes}
+	return Work{Solves: w.Solves - b.Solves, Skips: w.Skips - b.Skips, Events: w.Events - b.Events, Resumes: w.Resumes - b.Resumes}
 }
 
 // worldArena is the global shape-keyed freelist.
@@ -174,6 +174,7 @@ func releaseWorlds(keep *worldKeeper) {
 		keep.built[i] = builtWorld{}
 		d := workOf(bw.c).Sub(bw.base)
 		work.solves.Add(d.Solves)
+		work.skips.Add(d.Skips)
 		work.events.Add(d.Events)
 		work.resumes.Add(d.Resumes)
 		if !keep.pools(bw.c) {

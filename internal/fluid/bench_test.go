@@ -94,33 +94,49 @@ func BenchmarkSolvePaperScale(b *testing.B) {
 	}
 }
 
-// churn runs start+cancel cycles (each triggers a re-solve) against a
-// loaded-node model — the dominant cost of fine-grained kernels. The
-// uses slice lives outside the loop: Start copies it, so steady-state
-// churn allocates only the Flow struct itself.
-func churn(b *testing.B, m *Model) {
+// churn runs start+cancel cycles of a flow with the given cap on the
+// first resource of a loaded-node model — the dominant cost of
+// fine-grained kernels — and reports the solves they cost. The uses
+// slice lives outside the loop: Start copies it, so steady-state churn
+// allocates only the Flow struct itself.
+func churn(b *testing.B, m *Model, cap float64) {
 	b.Helper()
 	uses := []Use{{m.resources[0], 1}}
+	solves := m.Solves()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := m.StartFlow("churn", 1e12, 12e9, uses, nil)
+		f := m.StartFlow("churn", 1e12, cap, uses, nil)
 		m.Cancel(f)
 	}
+	b.ReportMetric(float64(m.Solves()-solves)/float64(b.N), "solves/op")
 }
 
-func BenchmarkFlowChurn(b *testing.B) {
-	churn(b, benchTopology(b))
+// BenchmarkFlowChurnResolve starts and cancels an uncapped flow, which
+// saturates the resource it shares with three capped flows: each start
+// and cancel re-solves the component.
+func BenchmarkFlowChurnResolve(b *testing.B) {
+	churn(b, benchTopology(b), 0)
 }
 
-func BenchmarkFlowChurnReference(b *testing.B) {
+// BenchmarkFlowChurnResolveReference is the same churn through the
+// original map-based whole-model solver.
+func BenchmarkFlowChurnResolveReference(b *testing.B) {
 	m := benchTopology(b)
 	m.UseReference(true)
-	churn(b, m)
+	churn(b, m, 0)
 }
 
-// BenchmarkFlowChurnPaperScale starts and cancels a memory-stream flow
-// against the loaded henri-sized graph.
+// BenchmarkFlowChurnIsolated starts and cancels a flow capped well under
+// the room its resource has left: the flow is isolated, and neither the
+// start nor the cancel re-solves (see isolated).
+func BenchmarkFlowChurnIsolated(b *testing.B) {
+	churn(b, benchTopology(b), 12e9)
+}
+
+// BenchmarkFlowChurnPaperScale starts and cancels a capped memory-stream
+// flow on a saturated controller of the loaded henri-sized graph: each
+// start and cancel re-solves the node's component.
 func BenchmarkFlowChurnPaperScale(b *testing.B) {
-	churn(b, paperTopology(b))
+	churn(b, paperTopology(b), 12e9)
 }

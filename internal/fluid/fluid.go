@@ -15,7 +15,9 @@
 // (re)scheduled as a simulation event. Hold/Release coalesce the
 // re-solves of several mutations made at one instant into one, and the
 // loop slices that end together and start again at that instant are
-// renewed with one re-solve at most, usually none (see Renew).
+// renewed with one re-solve at most, usually none (see Renew). A start,
+// cancel or completion of a flow that cannot move any other flow's rate
+// skips its re-solve altogether (see isolated).
 //
 // # Solver implementation
 //
@@ -207,6 +209,7 @@ type Model struct {
 	lastUpdate sim.Time
 	next       *sim.Timer // reusable next-completion event
 	solves     uint64
+	skips      uint64 // mutations of isolated flows that skipped their solve
 	epoch      uint64 // component-traversal epoch
 
 	// reference forces the original whole-model map-based solver on
@@ -253,6 +256,7 @@ type Model struct {
 	compFlows []*Flow
 	compRes   []*Resource
 	done      []*Flow
+	sumKeys   []int64 // resum's (flow index, use index) keys
 
 	// Free lists for the model-owned per-flow bookkeeping arrays,
 	// recycled when a flow is removed, and for Flow structs explicitly
@@ -276,14 +280,30 @@ func (m *Model) complete() {
 		panic("fluid: completion timer fired while the model is held (a Hold leaked across a blocking call)")
 	}
 	m.advance()
-	if !m.park() {
-		m.resolveNow()
+	if m.park() {
+		return
 	}
+	if m.quiet() {
+		if done := m.collectDone(); len(done) == 1 && m.removeIsolated(done[0]) {
+			if f := done[0]; f.onDone != nil {
+				m.k.At(m.k.Now(), f.onDone)
+			}
+			m.skipped()
+			return
+		}
+	}
+	m.resolveNow()
 }
 
 // Solves reports how many times an allocation was recomputed (full or
-// component-scoped; for performance diagnostics).
+// component-scoped; for performance diagnostics). A start, cancel or
+// completion that skipped its solve (see Skips) is not a solve.
 func (m *Model) Solves() uint64 { return m.solves }
+
+// Skips reports how many starts, cancels and completions of isolated
+// flows left every other rate as it was and skipped their re-solve (see
+// isolated; for performance diagnostics).
+func (m *Model) Skips() uint64 { return m.skips }
 
 // Version tags the solver's numerical behaviour. Bump it whenever a
 // change can alter any computed rate or completion time by even an ulp:
@@ -406,7 +426,9 @@ func (m *Model) StartFlow(name string, work float64, cap float64, uses []Use, on
 	return m.Start(FlowSpec{Name: name, Work: work, Cap: cap, Uses: uses, OnDone: onDone})
 }
 
-// Start begins the flow described by spec.
+// Start begins the flow described by spec and re-solves the allocation
+// of the component it joins; a flow that cannot move any other rate
+// gets its rate without a solve (see isolated).
 func (m *Model) Start(spec FlowSpec) *Flow {
 	if spec.Work < 0 || math.IsNaN(spec.Work) {
 		panic(fmt.Sprintf("fluid: flow %q work %v must be non-negative", spec.Name, spec.Work))
@@ -452,6 +474,9 @@ func (m *Model) Start(spec FlowSpec) *Flow {
 	f.mark = 0
 	f.uses, f.usePos = m.newFlowArrays(spec.Uses)
 	m.attach(f)
+	if m.startIsolated(f) {
+		return f
+	}
 	m.dirtyFlows = append(m.dirtyFlows, f)
 	if spec.Work == 0 {
 		// Due at once: collect it now, hold or not (see Hold).
@@ -539,18 +564,25 @@ func (m *Model) Reset() {
 	m.dirtyRes = m.dirtyRes[:0]
 	m.done = m.done[:0]
 	m.solves = 0
+	m.skips = 0
 	m.holds = 0
 	m.pending = false
 	m.settledAt = -1
 	m.unpark()
 }
 
-// Cancel removes a flow without running its completion callback.
+// Cancel removes a flow without running its completion callback, and
+// re-solves the allocation of its component; an isolated flow leaves
+// without a solve (see isolated).
 func (m *Model) Cancel(f *Flow) {
 	if f.finished {
 		return
 	}
 	m.advance()
+	if m.quiet() && m.settled() && m.removeIsolated(f) {
+		m.skipped()
+		return
+	}
 	for _, u := range f.uses {
 		m.dirtyRes = append(m.dirtyRes, u.Resource)
 	}
@@ -711,6 +743,13 @@ func (m *Model) resolveKeeping(keepPlace bool) {
 			}
 		}
 	}
+	m.settle(keepPlace)
+}
+
+// settle ends a re-solve, or a skipped one: it runs the differential
+// oracle, arms the completion timer and notes whether the model is
+// settled.
+func (m *Model) settle(keepPlace bool) {
 	if m.differential && !m.reference {
 		// Check at quiescence, not after each scoped solve: mid-loop, a
 		// done-but-uncollected flow in an untouched component transiently
@@ -721,6 +760,164 @@ func (m *Model) resolveKeeping(keepPlace bool) {
 	m.settledAt = -1
 	if m.schedule(keepPlace) >= settleEps {
 		m.settledAt = m.k.Now()
+	}
+}
+
+// skipIsolated lets Start, Cancel and the completion timer skip the
+// re-solve of an isolated flow. It is a variable only so tests can force
+// the full path.
+var skipIsolated = true
+
+// slackMargin is the share of its capacity a resource must keep free,
+// with a flow at its rate, for the flow not to bind it (see isolated):
+// far above the rounding error of a solve, which leaves a bottleneck
+// saturated to within a few ulps.
+const slackMargin = 1e-9
+
+// quiet reports whether the rates in hand are those a solve of the
+// current state computes, so that an isolated mutation may skip its
+// solve.
+func (m *Model) quiet() bool {
+	return skipIsolated && !m.reference && m.holds == 0 && !m.pending &&
+		len(m.dirtyFlows) == 0 && len(m.dirtyRes) == 0 && len(m.parked) == 0
+}
+
+// skipped ends a mutation that skipped its solve.
+func (m *Model) skipped() {
+	m.skips++
+	m.settle(false)
+}
+
+// startIsolated gives the just-attached flow f the rate progressive
+// filling would fix it at, without a solve, if f is isolated at that
+// rate and runs at least settleEps; it reports whether it did.
+func (m *Model) startIsolated(f *Flow) bool {
+	if !m.quiet() || !m.settled() {
+		return false
+	}
+	rate, ok := isolatedRate(f)
+	if !ok || f.remaining/rate < settleEps || !m.isolated(f, rate, false) {
+		return false
+	}
+	f.rate = rate
+	m.resum(f)
+	m.skipped()
+	return true
+}
+
+// removeIsolated detaches f without a solve if f and the flow its
+// removal moves are isolated at their rates, and reports whether it did.
+// The caller has checked that the model is quiet.
+func (m *Model) removeIsolated(f *Flow) bool {
+	g := m.flows[len(m.flows)-1]
+	if !m.isolated(f, f.rate, true) || g != f && !m.isolated(g, g.rate, true) {
+		return false
+	}
+	m.detach(f)
+	m.dirtyFlows = m.dirtyFlows[:0] // the moved flow g keeps its rate
+	m.resum(f)
+	if g != f {
+		m.resum(g)
+	}
+	m.drop(f)
+	f.finished = true
+	return true
+}
+
+// isolated reports whether f is isolated at rate: it crosses no
+// resource twice, and every resource it crosses is its alone or keeps
+// slackMargin of its capacity free with f at rate. counted says whether
+// the loads in hand count f already.
+//
+// Starting, cancelling or completing an isolated flow moves no other
+// flow's rate, bit for bit: progressive filling picks a resource as a
+// bottleneck only at the level that saturates it, so a resource with
+// slack is never picked, with the flow or without it, and its avail/wsum
+// feed only its own candidate value. Every other resource sees the same
+// operations in the same order, and a resource the flow alone crosses
+// fixes only that flow. The flow's own rate is its cap or its tightest
+// private share (see isolatedRate). Such a mutation therefore skips the
+// solve: it sets the flow's rate, re-sums the loads of the resources it
+// touched in the solver's order (resum), and ends like a solve (settle),
+// so the completion timer is re-armed from the same place in the event
+// order.
+//
+// It skips only when the rates in hand are a solve's of the current
+// state and no flow is due, so that a solve would collect nothing:
+// outside reference mode, with no hold open, nothing pending, no dirty
+// seed, no parked flow, and the model settled (for a completion, exactly
+// one flow due, the completing one). A started flow must run at least
+// settleEps. A removal swap-moves the last flow into the freed slot,
+// which reorders the solver's sums on that flow's resources, so the
+// moved flow must be isolated too (or be the flow removed).
+func (m *Model) isolated(f *Flow, rate float64, counted bool) bool {
+	m.epoch++
+	for _, u := range f.uses {
+		r := u.Resource
+		if r.mark == m.epoch {
+			return false // crosses r twice
+		}
+		r.mark = m.epoch
+		if len(r.flows) == 1 {
+			continue
+		}
+		load := r.load
+		if !counted {
+			load += u.Weight * rate
+		}
+		if r.capacity-load < slackMargin*r.capacity {
+			return false
+		}
+	}
+	return true
+}
+
+// isolatedRate returns the rate progressive filling fixes f at when no
+// resource another flow crosses binds it: its normalised cap, or the
+// tightest share of a resource f alone crosses (avail/wsum there is
+// capacity/(weight·priority)), the cap only if strictly below, as in the
+// fill's capMin < fair, and scaled and clamped as fix does. ok is false
+// when neither bounds f: a shared resource does, and f is not isolated.
+func isolatedRate(f *Flow) (rate float64, ok bool) {
+	fair := math.Inf(1)
+	for _, u := range f.uses {
+		if r := u.Resource; len(r.flows) == 1 {
+			fair = min(fair, r.capacity/(u.Weight*f.priority))
+		}
+	}
+	if f.cap > 0 {
+		if c := f.cap / f.priority; c < fair {
+			fair = c
+		}
+	}
+	if math.IsInf(fair, 1) {
+		return 0, false
+	}
+	rate = fair * f.priority
+	if f.cap > 0 && rate > f.cap {
+		rate = f.cap
+	}
+	return rate, true
+}
+
+// resum recomputes the loads of the resources f crosses as solveScoped
+// sums them: over the flows in flow-list order, and each flow's uses in
+// order.
+func (m *Model) resum(f *Flow) {
+	for _, u := range f.uses {
+		r := u.Resource
+		keys := m.sumKeys[:0]
+		for _, ru := range r.flows {
+			keys = append(keys, int64(ru.f.index)<<32|int64(ru.idx))
+		}
+		slices.Sort(keys)
+		load := 0.0
+		for _, key := range keys {
+			g := m.flows[key>>32]
+			load += g.uses[key&(1<<32-1)].Weight * g.rate
+		}
+		r.load = load
+		m.sumKeys = keys
 	}
 }
 
@@ -1167,6 +1364,7 @@ func (m *Model) fillScan(fixed []bool, remaining int) {
 			remaining -= m.fixCaps(nil, &caps, capMin, fixed)
 		case bottleneck != nil:
 			// Fix every unfixed flow using the bottleneck at the fair rate.
+			left := remaining
 			for i, f := range m.compFlows {
 				if fixed[i] {
 					continue
@@ -1184,6 +1382,16 @@ func (m *Model) fillScan(fixed []bool, remaining int) {
 				m.fix(f, fair)
 				fixed[i] = true
 				remaining--
+			}
+			if remaining == left {
+				// Every flow on the bottleneck is fixed, but rounding in
+				// wsum's additions and subtractions left it a weight just
+				// above fix's 1e-12 clamp, with no availability left. It is
+				// drained, and leaves the filling as at the clamp; else this
+				// round would repeat forever. A filling that ends never
+				// meets such a round, so no result it computes moves.
+				// fillOrdered and the reference solver do the same.
+				m.wsum[bottleneck.id] = 0
 			}
 		default:
 			m.zeroUnfixed(fixed)
@@ -1356,6 +1564,11 @@ func (m *Model) fillOrdered(fixed []bool, remaining int) {
 					fixed[p] = true
 					remaining--
 				}
+			}
+			if len(batch) == 0 {
+				// Drained, as in fillScan.
+				m.wsum[bottleneck.id] = 0
+				h.remove(bottleneck.id)
 			}
 			s.batch = batch
 		default:

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -290,4 +291,37 @@ func TestUtilizationPartial(t *testing.T) {
 	if !almost(r.Utilization(), 0.25, 1e-9) {
 		t.Fatalf("utilization %v, want 0.25", r.Utilization())
 	}
+}
+
+// TestDrainedBottleneckTerminates: three heavy flows saturate a small
+// bus, and rounding leaves the bus a weight of 1.8e-12, above fix's
+// 1e-12 clamp, once all three are fixed; a fourth flow in the component
+// is still unfixed. The filling must drop the drained bus instead of
+// picking it again forever, on every fill path and in the reference
+// solver (armed as the oracle), and give the fourth flow what the
+// shared link leaves.
+func TestDrainedBottleneckTerminates(t *testing.T) {
+	eachFillPath(func(path string) {
+		done := make(chan *Flow, 1)
+		go func() {
+			k := sim.NewKernel(1)
+			m := NewModel(k)
+			m.differential = true
+			bus := m.NewResource("bus", 3)
+			link := m.NewResource("link", 100)
+			last := m.Start(FlowSpec{Name: "g", Work: 1e6, Uses: []Use{{link, 1}}})
+			m.Start(FlowSpec{Name: "f1", Work: 1e6, Priority: 1.5, Uses: []Use{{bus, 7848.7}, {link, 1}}})
+			m.Start(FlowSpec{Name: "f2", Work: 1e6, Priority: 0.5, Uses: []Use{{bus, 5250.2}}})
+			m.Start(FlowSpec{Name: "f3", Work: 1e6, Priority: 3, Uses: []Use{{bus, 4416.5}}})
+			done <- last
+		}()
+		select {
+		case g := <-done:
+			if r := g.Rate(); r < 99 || r > 100 {
+				t.Fatalf("%s: the link's other flow runs at %v, want what f1 leaves of 100", path, r)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the filling did not end", path)
+		}
+	})
 }

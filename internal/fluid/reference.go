@@ -92,6 +92,7 @@ func (m *Model) solveReferenceInPlace() {
 			}
 		case bottleneck != nil:
 			// Fix every unfixed flow using the bottleneck at the fair rate.
+			left := remaining
 			for i, f := range m.flows {
 				if fixed[i] {
 					continue
@@ -109,6 +110,11 @@ func (m *Model) solveReferenceInPlace() {
 				m.fixReference(f, fair, avail, wsum)
 				fixed[i] = true
 				remaining--
+			}
+			if remaining == left {
+				// A drained bottleneck (see fillScan): without this the
+				// round would repeat forever.
+				wsum[bottleneck] = 0
 			}
 		default:
 			// No bottleneck and no cap below it: flows whose every

@@ -313,12 +313,22 @@ func (n *Node) accountExec(core int, spec ComputeSpec, memNUMA int, exposure, rh
 // Stop it with the returned cancel function. Background streams do not
 // count in the stream census (they model coherence traffic, not
 // streaming reads), but they do consume controller bandwidth and raise
-// utilization, which feeds the access-latency model.
+// utilization, which feeds the access-latency model. The cancel
+// function recycles the flow's storage for the next start; calling it
+// again does nothing.
 func (n *Node) BackgroundStream(name string, from, to int, rate float64) (cancel func()) {
 	if rate <= 0 {
 		return func() {}
 	}
 	const forever = 1e18 // effectively unbounded work
-	flow := n.cluster.Fluid.StartFlow(name, forever, rate, n.memPath(from, to), nil)
-	return func() { n.cluster.Fluid.Cancel(flow) }
+	m := n.cluster.Fluid
+	flow := m.StartFlow(name, forever, rate, n.memPath(from, to), nil)
+	return func() {
+		if flow == nil {
+			return // cancelled already: the struct may be a later flow now
+		}
+		m.Cancel(flow)
+		m.Recycle(flow)
+		flow = nil
+	}
 }

@@ -174,6 +174,28 @@ func TestAccessLatencyInflatesUnderContention(t *testing.T) {
 	}
 }
 
+// TestBackgroundStreamCancelTwice: the cancel function recycles the
+// stream's flow, whose struct the next start reincarnates, so calling
+// it again must leave that later flow running.
+func TestBackgroundStreamCancelTwice(t *testing.T) {
+	c := henriCluster(t)
+	n := c.Nodes[0]
+	cancel := n.BackgroundStream("first", 0, 0, 5e9)
+	cancel()
+	later := n.BackgroundStream("later", 0, 0, 7e9)
+	cancel()
+	if got := c.Fluid.FlowCount(); got != 1 {
+		t.Fatalf("%d flows after a second cancel, want the later stream's 1", got)
+	}
+	if got, want := n.NUMA(0).Ctrl.Utilization(), 7e9/n.NUMA(0).Ctrl.Capacity(); got != want {
+		t.Fatalf("controller utilization %v, want the later stream's %v", got, want)
+	}
+	later()
+	if got := c.Fluid.FlowCount(); got != 0 {
+		t.Fatalf("%d flows after cancelling both streams", got)
+	}
+}
+
 func TestExecCyclesDuration(t *testing.T) {
 	c := henriCluster(t)
 	n := c.Nodes[0]

@@ -9,8 +9,9 @@ import (
 
 // BenchmarkCampaignCounters runs the golden henri campaign (seed 1, 3
 // runs, no point cache) and reports its deterministic counts: fluid
-// solves, kernel events, process resumes, points requested, points
-// executed and campaign-memo hits.
+// solves, fluid mutations that skipped their solve, kernel events,
+// process resumes, points requested, points executed and campaign-memo
+// hits.
 // They do not depend on the worker count or the host, so CI ratchets
 // them against BENCH_sim.json where it cannot ratchet a wall.
 func BenchmarkCampaignCounters(b *testing.B) {
@@ -31,6 +32,7 @@ func BenchmarkCampaignCounters(b *testing.B) {
 	}
 	work := bench.Done().Sub(before)
 	b.ReportMetric(float64(work.Solves)/float64(b.N), "solves/campaign")
+	b.ReportMetric(float64(work.Skips)/float64(b.N), "skips/campaign")
 	b.ReportMetric(float64(work.Events)/float64(b.N), "events/campaign")
 	b.ReportMetric(float64(work.Resumes)/float64(b.N), "resumes/campaign")
 	b.ReportMetric(float64(stats.Points()), "points/campaign")

@@ -44,7 +44,7 @@ func TestCampaignDeterministic(t *testing.T) {
 		t.Errorf("-j 1 executed %d points with %d memo hits, -j 8 %d with %d",
 			serialStats.Misses, serialStats.MemoHits, parallelStats.Misses, parallelStats.MemoHits)
 	}
-	if serialWork.Solves == 0 || serialWork.Events == 0 || serialWork.Resumes == 0 || serialWork != parallelWork {
+	if serialWork.Solves == 0 || serialWork.Skips == 0 || serialWork.Events == 0 || serialWork.Resumes == 0 || serialWork != parallelWork {
 		t.Errorf("-j 1 did %+v, -j 8 %+v", serialWork, parallelWork)
 	}
 	if len(serial) != len(exps) || len(parallel) != len(exps) {
