@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race verify bench cover cover-check results faults crash examples fuzz fabric serve load-test chaos-soak failover-drill clean
+.PHONY: all build test test-race verify bench profile cover cover-check results faults crash examples fuzz fabric serve load-test chaos-soak failover-drill clean
 
 all: build vet test test-race bench
 
@@ -42,6 +42,15 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime=200ms -run='^$$' ./internal/fluid ./internal/sim ./internal/stats ./internal/kernels ./internal/bench ./internal/runner > bench_output.txt
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' . >> bench_output.txt
 	$(GO) run ./cmd/benchreport -in bench_output.txt -out BENCH_sim.json
+
+# CPU profile of the golden campaign (BenchmarkCampaignCounters, 4
+# campaigns, no point cache), printed flat and cumulative: one command
+# to re-measure the terms a solver optimisation would go after. The
+# profile stays in cpu.pprof for `go tool pprof`.
+profile:
+	$(GO) test -bench='BenchmarkCampaignCounters$$' -benchtime=4x -run='^$$' -cpuprofile cpu.pprof ./internal/runner
+	$(GO) tool pprof -top -nodecount=40 cpu.pprof
+	$(GO) tool pprof -top -cum -nodecount=40 cpu.pprof
 
 # Total test coverage, and the ratchet: fail if total coverage drops
 # more than 0.5 points below the committed baseline

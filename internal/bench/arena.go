@@ -1,8 +1,8 @@
 package bench
 
 import (
+	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/machine"
 	"repro/internal/mpi"
@@ -44,6 +44,8 @@ type pooledWorld struct {
 type worldKeeper struct {
 	worlds []pooledWorld
 	built  []builtWorld
+	// family is the sweep family of the point (see Family).
+	family string
 }
 
 // keepers recycles the keepers of point executions, which
@@ -75,22 +77,58 @@ func workOf(c *machine.Cluster) Work {
 	return Work{Solves: c.Fluid.Solves(), Skips: c.Fluid.Skips(), Events: c.K.Steps(), Resumes: c.K.Resumes()}
 }
 
-// work totals the counts of every world a point execution released
-// (see Done).
-var work struct{ solves, skips, events, resumes atomic.Uint64 }
+// work totals, by sweep family, the counts of every world a point
+// execution released (see DoneByFamily).
+var work = struct {
+	mu       sync.Mutex
+	byFamily WorkByFamily
+}{byFamily: WorkByFamily{}}
 
-// Done returns the simulation work the worlds built inside point
-// executions have done, process-wide, counting each world once when its
-// point releases it. A campaign's work is the difference of two reads
-// around it, exact at any worker count while nothing else executes
-// points.
-func Done() Work {
-	return Work{Solves: work.solves.Load(), Skips: work.skips.Load(), Events: work.events.Load(), Resumes: work.resumes.Load()}
+// Family returns the sweep family of a point: the first segment of its
+// key ("contention", "fig10", "solo", ...).
+func Family(pointKey string) string {
+	fam, _, _ := strings.Cut(pointKey, "/")
+	return fam
+}
+
+// WorkByFamily is simulation work split by sweep family.
+type WorkByFamily map[string]Work
+
+// DoneByFamily returns the simulation work the worlds built inside
+// point executions have done, process-wide, by the family of the point
+// that built them, counting each world once when its point releases it.
+// A campaign's work is the difference of two reads around it, exact at
+// any worker count while nothing else executes points.
+func DoneByFamily() WorkByFamily {
+	work.mu.Lock()
+	defer work.mu.Unlock()
+	out := make(WorkByFamily, len(work.byFamily))
+	for fam, w := range work.byFamily {
+		out[fam] = w
+	}
+	return out
+}
+
+// Add returns w plus b.
+func (w Work) Add(b Work) Work {
+	return Work{Solves: w.Solves + b.Solves, Skips: w.Skips + b.Skips, Events: w.Events + b.Events, Resumes: w.Resumes + b.Resumes}
 }
 
 // Sub returns the work done from b to w.
 func (w Work) Sub(b Work) Work {
 	return Work{Solves: w.Solves - b.Solves, Skips: w.Skips - b.Skips, Events: w.Events - b.Events, Resumes: w.Resumes - b.Resumes}
+}
+
+// Sub returns the work done from b to w, family by family, leaving out
+// the families that did none.
+func (w WorkByFamily) Sub(b WorkByFamily) WorkByFamily {
+	out := WorkByFamily{}
+	for fam, x := range w {
+		if d := x.Sub(b[fam]); d != (Work{}) {
+			out[fam] = d
+		}
+	}
+	return out
 }
 
 // worldArena is the global shape-keyed freelist.
@@ -153,9 +191,10 @@ func (a *worldArena) put(pw pooledWorld) {
 // record, meter reads included, is sealed before this runs, so
 // unwinding them is invisible in results.
 //
-// Each world's work since the hand-over is folded into Done here,
-// before its kernel is shut down or the world is parked: a pooled world
-// zeroes its counts when the next point resets it.
+// Each world's work since the hand-over is folded into DoneByFamily
+// here, under the point's family, before its kernel is shut down or the
+// world is parked: a pooled world zeroes its counts when the next point
+// resets it.
 func releaseWorlds(keep *worldKeeper) {
 	// Decide what to park first: Shutdown ends blocked processes, after
 	// which an abandoned world would read as drained. Then shut down
@@ -170,18 +209,18 @@ func releaseWorlds(keep *worldKeeper) {
 	}
 	clear(keep.worlds[n:])
 	keep.worlds = keep.worlds[:n]
+	var done Work
 	for i, bw := range keep.built {
 		keep.built[i] = builtWorld{}
-		d := workOf(bw.c).Sub(bw.base)
-		work.solves.Add(d.Solves)
-		work.skips.Add(d.Skips)
-		work.events.Add(d.Events)
-		work.resumes.Add(d.Resumes)
+		done = done.Add(workOf(bw.c).Sub(bw.base))
 		if !keep.pools(bw.c) {
 			bw.c.K.Shutdown()
 		}
 	}
 	keep.built = keep.built[:0]
+	work.mu.Lock()
+	work.byFamily[keep.family] = work.byFamily[keep.family].Add(done)
+	work.mu.Unlock()
 	for i, pw := range keep.worlds {
 		keep.worlds[i] = pooledWorld{}
 		arena.put(pw)

@@ -24,12 +24,12 @@ import (
 )
 
 // fabricWorld builds a cluster sized to the fabric plus its routed
-// network for one run.
-func fabricWorld(env Env, spec *topology.FabricSpec, adaptive bool, seed int64) (*machine.Cluster, *net.Network) {
-	fab := spec.MustBuild()
+// network for one run. The worlds of a cell share one build of the
+// fabric, which no world mutates.
+func fabricWorld(env Env, fab *topology.Fabric, adaptive bool, seed int64) (*machine.Cluster, *net.Network) {
 	c := machine.NewCluster(env.Spec, fab.NHosts, seed)
 	env.track(c)
-	nw := net.NewFabric(c, spec, adaptive)
+	nw := net.NewOnFabric(c, fab, adaptive)
 	if env.Faults != nil {
 		nw.InstallFaults(fault.NewInjector(c, env.Faults, seed))
 	}
@@ -152,20 +152,21 @@ func fabricCell(env Env, cfg FabricConfig) FabricCell {
 	if spec == nil {
 		panic(fmt.Sprintf("bench: unknown fabric preset %q", cfg.Preset))
 	}
-	hosts := spec.MustBuild().NHosts
+	fab := spec.MustBuild()
+	hosts := fab.NHosts
 	cell := FabricCell{Preset: cfg.Preset, Routing: cfg.routing(), Jobs: cfg.Jobs}
 	var sumShared, sumAlone, sumRatio float64
 	ratios := 0
 	for run := 0; run < env.runs(); run++ {
 		seed := env.Seed + int64(run)
 		jobs := stripedJobs(hosts, cfg.Jobs)
-		c, nw := fabricWorld(env, spec, cfg.Adaptive, seed)
+		c, nw := fabricWorld(env, fab, cfg.Adaptive, seed)
 		shared := runFabricJobs(c, nw, jobs, cfg)
 		alone := make([]sim.Duration, len(jobs))
 		for j := range jobs {
 			solo := make([][]int, len(jobs)) // same job index, same name, idle peers
 			solo[j] = jobs[j]
-			cs, ns := fabricWorld(env, spec, cfg.Adaptive, seed)
+			cs, ns := fabricWorld(env, fab, cfg.Adaptive, seed)
 			alone[j] = runFabricJobs(cs, ns, solo, cfg)[j]
 		}
 		var worstShared, worstAlone sim.Duration
@@ -255,7 +256,7 @@ func fabricPingCell(env Env, preset string, adaptive bool) FabricPingCell {
 	cell := FabricPingCell{Preset: preset, Routing: routing}
 	var sumSmall, sumLarge float64
 	for run := 0; run < env.runs(); run++ {
-		c, nw := fabricWorld(env, spec, adaptive, env.Seed+int64(run))
+		c, nw := fabricWorld(env, fab, adaptive, env.Seed+int64(run))
 		src, dst := c.Nodes[0], c.Nodes[fab.NHosts-1]
 		cell.Hops = len(fab.Route(src.ID, dst.ID, nil, nil))
 		var small, large sim.Duration

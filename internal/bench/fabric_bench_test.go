@@ -12,7 +12,7 @@ import (
 
 // fabricFluid1k builds the fluid substrate of the 1024-host fat-tree
 // (k=16) the way the fabric experiments do, through machine.NewCluster
-// and net.NewFabric: every node's resources first, then one resource
+// and net.NewOnFabric: every node's resources first, then one resource
 // per directed link (6144 of them), so the model is ordered and sized
 // like a fabric-1k world. It is pre-loaded with `load` quasi-infinite
 // routed flows so every churn step re-solves against a realistically
@@ -27,7 +27,7 @@ func fabricFluid1k(tb testing.TB, load int) (*fluid.Model, *topology.Fabric, []*
 	}
 	fab := spec.MustBuild()
 	c := machine.NewCluster(topology.Henri(), fab.NHosts, 1)
-	nw := net.NewFabric(c, spec, false)
+	nw := net.NewOnFabric(c, fab, false)
 	m := c.Fluid
 	links := make([]*fluid.Resource, len(fab.Links))
 	for i := range links {
@@ -140,12 +140,11 @@ func TestFabricDifferentialK8(t *testing.T) {
 	}
 	fluid.SetDifferential(true)
 	defer fluid.SetDifferential(false)
-	spec := topology.FabricPreset("fattree-k8")
-	hosts := spec.MustBuild().NHosts
+	fab := topology.FabricPreset("fattree-k8").MustBuild()
 	for _, adaptive := range []bool{false, true} {
 		cfg := FabricConfig{Preset: "fattree-k8", Adaptive: adaptive, Jobs: 3, Rounds: 2, Bytes: 1 << 20, Shift: true}
-		c, nw := fabricWorld(quietEnv(), spec, adaptive, 1)
-		for j, ms := range runFabricJobs(c, nw, stripedJobs(hosts, cfg.Jobs), cfg) {
+		c, nw := fabricWorld(quietEnv(), fab, adaptive, 1)
+		for j, ms := range runFabricJobs(c, nw, stripedJobs(fab.NHosts, cfg.Jobs), cfg) {
 			if ms <= 0 {
 				t.Fatalf("%s: job %d reported makespan %v", cfg.routing(), j, ms)
 			}

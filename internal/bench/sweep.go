@@ -109,6 +109,7 @@ func ExecutePoint(env Env, p Point) PointRecord {
 	// Worlds built for this point are recycled through the arena once
 	// the record below is sealed (see arena.go).
 	keep := keepers.Get().(*worldKeeper)
+	keep.family = Family(p.Key)
 	iso.keeper = keep
 	defer func() {
 		releaseWorlds(keep)

@@ -283,16 +283,21 @@ func (m *Model) complete() {
 	if m.park() {
 		return
 	}
-	if m.quiet() {
-		if done := m.collectDone(); len(done) == 1 && m.removeIsolated(done[0]) {
-			if f := done[0]; f.onDone != nil {
-				m.k.At(m.k.Now(), f.onDone)
-			}
-			m.skipped()
-			return
-		}
+	if !m.quiet() {
+		m.resolveNow()
+		return
 	}
-	m.resolveNow()
+	done, next := m.collectDone()
+	if len(done) == 1 && m.removeIsolated(done[0]) {
+		if f := done[0]; f.onDone != nil {
+			m.k.At(m.k.Now(), f.onDone)
+		}
+		m.skipped(next)
+		return
+	}
+	// Nothing is dirty or pending, so the solve of resolveNow would find
+	// no seed, and its scan these very flows.
+	m.finish(done, next, false)
 }
 
 // Solves reports how many times an allocation was recomputed (full or
@@ -580,7 +585,8 @@ func (m *Model) Cancel(f *Flow) {
 	}
 	m.advance()
 	if m.quiet() && m.settled() && m.removeIsolated(f) {
-		m.skipped()
+		_, next := m.collectDone() // none due: the model was settled
+		m.skipped(next)
 		return
 	}
 	for _, u := range f.uses {
@@ -721,14 +727,19 @@ func (m *Model) resolveNow() { m.resolveKeeping(false) }
 // keeps its place in the event order (see materialize).
 func (m *Model) resolveKeeping(keepPlace bool) {
 	m.pending = false
+	m.solveDirty()
+	done, next := m.collectDone()
+	m.finish(done, next, keepPlace)
+}
+
+// finish ends a re-solve from its post-solve scan: the flows due and the
+// time to the next completion. It removes the due flows and re-solves
+// their components, scanning again, until a scan finds none due, then
+// settles with that scan's next completion.
+func (m *Model) finish(done []*Flow, next float64, keepPlace bool) {
 	// Completions may themselves add/remove flows from callbacks that run
 	// as separate events, so here we only: solve, complete-now, schedule.
-	for {
-		m.solveDirty()
-		done := m.collectDone()
-		if len(done) == 0 {
-			break
-		}
+	for len(done) > 0 {
 		for _, f := range done {
 			// The freed bandwidth redistributes inside f's component(s).
 			for _, u := range f.uses {
@@ -742,14 +753,17 @@ func (m *Model) resolveKeeping(keepPlace bool) {
 				m.k.At(m.k.Now(), f.onDone)
 			}
 		}
+		m.solveDirty()
+		done, next = m.collectDone()
 	}
-	m.settle(keepPlace)
+	m.settle(next, keepPlace)
 }
 
-// settle ends a re-solve, or a skipped one: it runs the differential
-// oracle, arms the completion timer and notes whether the model is
-// settled.
-func (m *Model) settle(keepPlace bool) {
+// settle ends a re-solve, or a skipped one, whose final scan found no
+// flow due and the next completion next seconds away: it runs the
+// differential oracle, arms the completion timer and notes whether the
+// model is settled.
+func (m *Model) settle(next float64, keepPlace bool) {
 	if m.differential && !m.reference {
 		// Check at quiescence, not after each scoped solve: mid-loop, a
 		// done-but-uncollected flow in an untouched component transiently
@@ -758,7 +772,8 @@ func (m *Model) settle(keepPlace bool) {
 		m.checkOracle()
 	}
 	m.settledAt = -1
-	if m.schedule(keepPlace) >= settleEps {
+	m.schedule(next, keepPlace)
+	if next >= settleEps {
 		m.settledAt = m.k.Now()
 	}
 }
@@ -782,10 +797,11 @@ func (m *Model) quiet() bool {
 		len(m.dirtyFlows) == 0 && len(m.dirtyRes) == 0 && len(m.parked) == 0
 }
 
-// skipped ends a mutation that skipped its solve.
-func (m *Model) skipped() {
+// skipped ends a mutation that skipped its solve, with the next
+// completion next seconds away.
+func (m *Model) skipped(next float64) {
 	m.skips++
-	m.settle(false)
+	m.settle(next, false)
 }
 
 // startIsolated gives the just-attached flow f the rate progressive
@@ -801,7 +817,8 @@ func (m *Model) startIsolated(f *Flow) bool {
 	}
 	f.rate = rate
 	m.resum(f)
-	m.skipped()
+	_, next := m.collectDone() // none due: settled, and f runs settleEps
+	m.skipped(next)
 	return true
 }
 
@@ -927,6 +944,16 @@ func endsWithin(f *Flow, secs float64) bool {
 	return f.remaining <= 0 || (f.rate > 0 && f.remaining/f.rate < secs)
 }
 
+// clears reports whether work lasts at least settleEps at f's ceiling
+// rate. The cap bounds the ceiling, so a cap that clears settleEps alone
+// spares the walk over f's resources.
+func clears(f *Flow, work float64) bool {
+	if f.cap > 0 && work >= settleEps*f.cap {
+		return true
+	}
+	return work >= settleEps*ceiling(f)
+}
+
 // ceiling is the highest rate any allocation could give f under the
 // current capacities: its cap, and no resource's capacity over f's
 // weight on it.
@@ -966,15 +993,24 @@ func (m *Model) park() bool {
 	if len(m.dirtyFlows) > 0 || len(m.dirtyRes) > 0 {
 		return false
 	}
+	// One scan, as collectDone's: the due flows, and the next completion
+	// of the others, which stay.
 	due := m.done[:0]
+	next := math.Inf(1)
 	for _, f := range m.flows {
-		if endsWithin(f, completeEps) {
-			if !f.renewable || f.total < settleEps*ceiling(f) {
+		t := math.Inf(1)
+		if f.rate > 0 {
+			t = f.remaining / f.rate
+		}
+		if f.remaining <= 0 || t < completeEps {
+			if !f.renewable || !clears(f, f.total) {
 				return false
 			}
 			due = append(due, f)
-		} else if f.remaining < settleEps*ceiling(f) {
+		} else if !clears(f, f.remaining) {
 			return false
+		} else if t < next {
+			next = t
 		}
 	}
 	m.done = due
@@ -1000,7 +1036,7 @@ func (m *Model) park() bool {
 	// The completion arms the timer here: take its place in the event
 	// order, for the other flows at the rates in hand.
 	m.next.Reserve()
-	m.schedule(true)
+	m.schedule(next, true)
 	m.settledAt = now
 	return true
 }
@@ -1089,16 +1125,26 @@ func panicParkedAcrossTime() {
 	panic("fluid: a parked flow spanned simulated time (its owner neither renewed it nor called the model at its completion)")
 }
 
-// collectDone returns flows whose remaining work is (numerically) zero,
-// in a scratch slice reused across calls.
-func (m *Model) collectDone() []*Flow {
+// collectDone returns the flows whose remaining work is (numerically)
+// zero, in a scratch slice reused across calls, and the time in seconds
+// to the earliest completion of the others at their current rates (+Inf
+// if none progresses). When no flow is due that is the instant schedule
+// arms the timer for: one scan after a solve serves both.
+func (m *Model) collectDone() ([]*Flow, float64) {
 	m.done = m.done[:0]
+	next := math.Inf(1)
 	for _, f := range m.flows {
-		if endsWithin(f, completeEps) {
+		if f.remaining <= 0 {
 			m.done = append(m.done, f)
+		} else if f.rate > 0 {
+			if t := f.remaining / f.rate; t < completeEps {
+				m.done = append(m.done, f)
+			} else if t < next {
+				next = t
+			}
 		}
 	}
-	return m.done
+	return m.done, next
 }
 
 // horizon bounds the completions the timer is armed for, in seconds of
@@ -1107,30 +1153,23 @@ func (m *Model) collectDone() []*Flow {
 // cancelled explicitly.
 const horizon = 1e8
 
-// schedule arms the next-completion event for the earliest completion
-// at the current rates and returns the time to it, in seconds (+Inf if
-// no flow progresses). With keepPlace the timer is re-armed in its place
-// in the event order (sim.Timer.Rearm).
-func (m *Model) schedule(keepPlace bool) float64 {
-	m.next.Stop()
-	best := math.Inf(1)
-	for _, f := range m.flows {
-		if f.rate > 0 {
-			if t := f.remaining / f.rate; t < best {
-				best = t
-			}
-		}
+// schedule arms the next-completion event next seconds from now, the
+// earliest completion at the current rates (as collectDone finds it), or
+// stops it if that is beyond horizon. With keepPlace the timer is
+// re-armed in its place in the event order (sim.Timer.Rearm). Either
+// way a pending event moves in place: the timer stops only when nothing
+// is due within horizon.
+func (m *Model) schedule(next float64, keepPlace bool) {
+	if next > horizon {
+		m.next.Stop()
+		return
 	}
-	if math.IsInf(best, 1) || best > horizon {
-		return best
-	}
-	at := m.k.Now().Add(sim.DurationOfSeconds(best))
+	at := m.k.Now().Add(sim.DurationOfSeconds(next))
 	if keepPlace {
 		m.next.Rearm(at)
 	} else {
 		m.next.Arm(at)
 	}
-	return best
 }
 
 // solveDirty re-solves the union of the connected components reachable
@@ -1309,6 +1348,7 @@ func (m *Model) solveScoped() {
 	}
 	fixed := m.fixed[:nf]
 	remaining := 0
+	capMin := math.Inf(1) // the smallest normalised cap, for fillScan's first round
 	for i, f := range m.compFlows {
 		f.rate = 0
 		if f.remaining <= 0 {
@@ -1320,12 +1360,17 @@ func (m *Model) solveScoped() {
 		for _, u := range f.uses {
 			m.wsum[u.Resource.id] += u.Weight * f.priority
 		}
+		if f.cap > 0 {
+			if c := f.cap / f.priority; c < capMin {
+				capMin = c
+			}
+		}
 		remaining++
 	}
 	if remaining > 0 && len(m.compRes) >= heapMinRes {
 		m.fillOrdered(fixed, remaining)
 	} else {
-		m.fillScan(fixed, remaining)
+		m.fillScan(fixed, remaining, capMin)
 	}
 	for _, f := range m.compFlows {
 		for _, u := range f.uses {
@@ -1336,13 +1381,23 @@ func (m *Model) solveScoped() {
 
 // fillScan runs the progressive-filling rounds by rescanning the
 // component's resources in every round: the cheapest way for the small
-// components of one node's resources. The smallest cap comes from a
-// capList, as in fillOrdered: in a task-runtime world every idle
-// worker's poll flow has its own cap, and rescanning every capped flow
-// in every round made the filling quadratic in the flow count.
-func (m *Model) fillScan(fixed []bool, remaining int) {
-	caps := m.sortCaps(m.caps[:0], fixed)
-	for remaining > 0 {
+// components of one node's resources. capMin is the smallest normalised
+// cap of an unfixed flow, which the first round uses as it stands. The
+// rounds after it take the smallest cap from a capList, as in
+// fillOrdered: in a task-runtime world every idle worker's poll flow has
+// its own cap, and rescanning every capped flow in every round made the
+// filling quadratic in the flow count. Most solves end in one round, so
+// the list is sorted only when a second round starts.
+func (m *Model) fillScan(fixed []bool, remaining int, capMin float64) {
+	var caps capList
+	capRounds := 0
+	for round := 0; remaining > 0; round++ {
+		if round > 0 {
+			if round == 1 {
+				caps = m.sortCaps(m.caps[:0], fixed)
+			}
+			capMin = caps.min(fixed)
+		}
 		// Candidate fair normalised rate: the tightest bottleneck.
 		bottleneck := (*Resource)(nil)
 		fair := math.Inf(1)
@@ -1357,9 +1412,12 @@ func (m *Model) fillScan(fixed []bool, remaining int) {
 				bottleneck = r
 			}
 		}
-		// Candidate: the smallest normalised cap among unfixed flows.
-		capMin := caps.min(fixed)
+		if capMin < fair {
+			capRounds++
+		}
 		switch {
+		case capMin < fair && round == 0:
+			remaining -= m.fixAtCap(capMin, fixed)
 		case capMin < fair:
 			remaining -= m.fixCaps(nil, &caps, capMin, fixed)
 		case bottleneck != nil:
@@ -1398,7 +1456,31 @@ func (m *Model) fillScan(fixed []bool, remaining int) {
 			remaining = 0
 		}
 	}
-	m.caps = caps.ent
+	if caps.ent != nil {
+		m.caps = caps.ent
+	}
+	if onFillScan != nil {
+		onFillScan(capRounds)
+	}
+}
+
+// onFillScan, when set, is told how many rounds of each fillScan fixed
+// flows at their caps. Tests only.
+var onFillScan func(capRounds int)
+
+// fixAtCap fixes, in compFlows order, every unfixed flow whose normalised
+// cap is capMin, the smallest, and returns how many it fixed: the flows
+// fixCaps fixes, in its order, without a sorted list.
+func (m *Model) fixAtCap(capMin float64, fixed []bool) int {
+	n := 0
+	for i, f := range m.compFlows {
+		if !fixed[i] && f.cap > 0 && f.cap/f.priority <= capMin {
+			m.fix(f, capMin)
+			fixed[i] = true
+			n++
+		}
+	}
+	return n
 }
 
 // zeroUnfixed ends progressive filling when there is no bottleneck and

@@ -151,7 +151,8 @@ func (tw *twin) applyBiased(op int) {
 // same mutations, one with the skip and one with it forced off. After every mutation the twins must agree bit for bit on
 // every rate, remaining work, load and the armed completion instant, and
 // on the OnDone order (sameState), and the skipping twin must match the
-// reference solver (its oracle is armed too). On every fill path, the
+// reference solver (its oracle is armed too) and an independent scan of
+// its due flows and next completion (checkSettled). On every fill path, the
 // skip must fire hundreds of times, or the storm proves nothing.
 func TestIsolatedSkipTwin(t *testing.T) {
 	eachFillPath(func(path string) {
@@ -167,6 +168,7 @@ func TestIsolatedSkipTwin(t *testing.T) {
 					withSkip(false, func() { off.applyBiased(op) })
 					sameState(t, off, on)
 					checkDifferential(t, on.m)
+					checkSettled(t, on.m)
 				}
 				withSkip(true, func() { on.k.RunUntil(on.k.Now().Add(60 * sim.Second)) })
 				withSkip(false, func() { off.k.RunUntil(off.k.Now().Add(60 * sim.Second)) })

@@ -275,8 +275,12 @@ func (m *Model) StopTrace() []Sample {
 func (m *Model) recompute() {
 	m.accrueEnergy()
 	changed := false
+	idle, active := m.targets()
 	for c := range m.coreGHz {
-		f := m.targetFreq(c)
+		f := idle
+		if m.active[c] {
+			f = active[m.class[c]]
+		}
 		if f != m.coreGHz[c] {
 			m.coreGHz[c] = f
 			changed = true
@@ -297,30 +301,32 @@ func (m *Model) recompute() {
 	}
 }
 
-// targetFreq and targetUncore read the frequency spec through a
-// pointer: they run for every core on every SetActive/SetIdle, and
-// copying the spec took half of targetFreq's time.
-func (m *Model) targetFreq(core int) float64 {
+// targets returns the frequency of an idle core and of an active core
+// of each vector class: a core's frequency depends on nothing else, so
+// recompute evaluates each class's turbo limit once per call, not once
+// per core. targets and targetUncore read the frequency spec through a
+// pointer: they run on every SetActive/SetIdle, and copying the spec
+// took half of their time.
+func (m *Model) targets() (idle float64, active [3]float64) {
 	fs := &m.spec.Freq
 	switch m.governor {
 	case Powersave:
-		return fs.CoreMin
+		return fs.CoreMin, [3]float64{fs.CoreMin, fs.CoreMin, fs.CoreMin}
 	case Userspace:
-		return m.userspaceGHz
+		u := m.userspaceGHz
+		return u, [3]float64{u, u, u}
 	}
 	// Performance governor.
-	if !m.active[core] {
-		return fs.CoreMin
+	for class, n := range m.activeByClass {
+		if !m.turboEnabled {
+			active[class] = fs.CoreBase
+		} else if limit := fs.Turbo[class].Limit(n); limit < fs.CoreMin {
+			active[class] = fs.CoreMin
+		} else {
+			active[class] = limit
+		}
 	}
-	if !m.turboEnabled {
-		return fs.CoreBase
-	}
-	class := m.class[core]
-	limit := fs.Turbo[class].Limit(m.activeByClass[class])
-	if limit < fs.CoreMin {
-		return fs.CoreMin
-	}
-	return limit
+	return fs.CoreMin, active
 }
 
 func (m *Model) targetUncore() float64 {

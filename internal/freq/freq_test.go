@@ -2,6 +2,7 @@ package freq
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/sim"
@@ -263,5 +264,63 @@ func TestPowerScalesCubicallyWithFrequency(t *testing.T) {
 	// Dynamic term: 0.35×(2.3³−1³) ≈ 3.9 W, plus nothing else changes.
 	if d := high - low; math.Abs(d-0.35*(2.3*2.3*2.3-1)) > 1e-9 {
 		t.Fatalf("frequency power delta %.2f W", d)
+	}
+}
+
+// targetFreq is the frequency of one core from the governor, turbo
+// state and census, worked out for that core alone: the reference that
+// recompute's per-class limits must reproduce.
+func targetFreq(m *Model, core int) float64 {
+	fs := &m.spec.Freq
+	switch m.governor {
+	case Powersave:
+		return fs.CoreMin
+	case Userspace:
+		return m.userspaceGHz
+	}
+	if !m.active[core] {
+		return fs.CoreMin
+	}
+	if !m.turboEnabled {
+		return fs.CoreBase
+	}
+	class := m.class[core]
+	limit := fs.Turbo[class].Limit(m.activeByClass[class])
+	if limit < fs.CoreMin {
+		return fs.CoreMin
+	}
+	return limit
+}
+
+// TestRecomputeMatchesPerCoreTarget applies random SetActive, SetIdle,
+// governor, userspace and turbo changes to a henri node whose AVX2 table
+// drops below the minimum frequency past six cores, and checks every
+// core's frequency against targetFreq after each change.
+func TestRecomputeMatchesPerCoreTarget(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		spec := topology.Henri()
+		spec.Freq.Turbo[topology.AVX2] = topology.TurboTable{{MaxActive: 2, Freq: 2.8}, {MaxActive: 6, Freq: 2.1}, {MaxActive: 36, Freq: 0.8}}
+		m := NewModel(sim.NewKernel(1), spec)
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(20); {
+			case op < 12:
+				m.SetActive(rng.Intn(spec.Cores()), topology.VecClass(rng.Intn(3)))
+			case op < 17:
+				m.SetIdle(rng.Intn(spec.Cores()))
+			case op < 18:
+				m.SetGovernor(Governor(rng.Intn(3)))
+			case op < 19:
+				m.SetUserspace(0.5 + rng.Float64()*2.5)
+			default:
+				m.SetTurbo(rng.Intn(3) > 0)
+			}
+			for c := 0; c < spec.Cores(); c++ {
+				if got, want := m.CoreGHz(c), targetFreq(m, c); got != want {
+					t.Fatalf("seed %d step %d: core %d at %v GHz, want %v (%s, turbo %v, census %v)",
+						seed, step, c, got, want, m.governor, m.turboEnabled, m.activeByClass)
+				}
+			}
+		}
 	}
 }

@@ -30,6 +30,14 @@ func NewFabric(c *machine.Cluster, spec *topology.FabricSpec, adaptive bool) *Ne
 	if err != nil {
 		panic(fmt.Sprintf("net: invalid fabric spec: %v", err))
 	}
+	return NewOnFabric(c, fab, adaptive)
+}
+
+// NewOnFabric is NewFabric over a fabric already built from its spec.
+// The network only reads fab, so the worlds of one fabric may share a
+// single build instead of each expanding the spec again.
+func NewOnFabric(c *machine.Cluster, fab *topology.Fabric, adaptive bool) *Network {
+	spec := &fab.Spec
 	if fab.NHosts != len(c.Nodes) {
 		panic(fmt.Sprintf("net: fabric has %d hosts, cluster has %d nodes", fab.NHosts, len(c.Nodes)))
 	}

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -11,9 +12,11 @@ import (
 // runs, no point cache) and reports its deterministic counts: fluid
 // solves, fluid mutations that skipped their solve, kernel events,
 // process resumes, points requested, points executed and campaign-memo
-// hits.
+// hits, and the solves and events of each sweep family (solves/<family>,
+// events/<family>; the family is the first segment of the point key), so
+// that a change in the totals lands on a named family.
 // They do not depend on the worker count or the host, so CI ratchets
-// them against BENCH_sim.json where it cannot ratchet a wall.
+// the totals against BENCH_sim.json where it cannot ratchet a wall.
 func BenchmarkCampaignCounters(b *testing.B) {
 	env, err := core.Env("henri", 1, 3)
 	if err != nil {
@@ -21,7 +24,7 @@ func BenchmarkCampaignCounters(b *testing.B) {
 	}
 	exps := core.Experiments()
 	var stats CacheStats
-	before := bench.Done()
+	before := bench.DoneByFamily()
 	for i := 0; i < b.N; i++ {
 		stats = CacheStats{}
 		for res := range Run(env, exps, Options{CacheStats: &stats}) {
@@ -30,7 +33,11 @@ func BenchmarkCampaignCounters(b *testing.B) {
 			}
 		}
 	}
-	work := bench.Done().Sub(before)
+	byFamily := bench.DoneByFamily().Sub(before)
+	var work bench.Work
+	for _, w := range byFamily {
+		work = work.Add(w)
+	}
 	b.ReportMetric(float64(work.Solves)/float64(b.N), "solves/campaign")
 	b.ReportMetric(float64(work.Skips)/float64(b.N), "skips/campaign")
 	b.ReportMetric(float64(work.Events)/float64(b.N), "events/campaign")
@@ -38,4 +45,13 @@ func BenchmarkCampaignCounters(b *testing.B) {
 	b.ReportMetric(float64(stats.Points()), "points/campaign")
 	b.ReportMetric(float64(stats.Misses), "executed/campaign")
 	b.ReportMetric(float64(stats.MemoHits), "memo_hits/campaign")
+	fams := make([]string, 0, len(byFamily))
+	for fam := range byFamily {
+		fams = append(fams, fam)
+	}
+	slices.Sort(fams)
+	for _, fam := range fams {
+		b.ReportMetric(float64(byFamily[fam].Solves)/float64(b.N), "solves/"+fam)
+		b.ReportMetric(float64(byFamily[fam].Events)/float64(b.N), "events/"+fam)
+	}
 }

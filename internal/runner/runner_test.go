@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -25,18 +26,18 @@ func testEnv(t *testing.T) bench.Env {
 // identical ordering and byte-identical rendered tables: concurrency
 // must never leak into the numbers, and a same-seed re-run must be a
 // fixed point. The counters BenchmarkCampaignCounters reports must be
-// exact too: points executed, memo hits, fluid solves, kernel events and
-// process resumes.
+// exact too: points executed, memo hits, and fluid solves, skips, kernel
+// events and process resumes, family by family.
 func TestCampaignDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-registry campaign; skipped with -short")
 	}
 	exps := core.Experiments()
-	run := func(workers int) ([]Result, CacheStats, bench.Work) {
+	run := func(workers int) ([]Result, CacheStats, bench.WorkByFamily) {
 		var stats CacheStats
-		before := bench.Done()
+		before := bench.DoneByFamily()
 		res := Collect(Run(testEnv(t), exps, Options{Workers: workers, CacheStats: &stats}))
-		return res, stats, bench.Done().Sub(before)
+		return res, stats, bench.DoneByFamily().Sub(before)
 	}
 	serial, serialStats, serialWork := run(1)
 	parallel, parallelStats, parallelWork := run(8)
@@ -44,7 +45,8 @@ func TestCampaignDeterministic(t *testing.T) {
 		t.Errorf("-j 1 executed %d points with %d memo hits, -j 8 %d with %d",
 			serialStats.Misses, serialStats.MemoHits, parallelStats.Misses, parallelStats.MemoHits)
 	}
-	if serialWork.Solves == 0 || serialWork.Skips == 0 || serialWork.Events == 0 || serialWork.Resumes == 0 || serialWork != parallelWork {
+	if w := serialWork["contention"]; w.Solves == 0 || w.Skips == 0 || w.Events == 0 || w.Resumes == 0 ||
+		!maps.Equal(serialWork, parallelWork) {
 		t.Errorf("-j 1 did %+v, -j 8 %+v", serialWork, parallelWork)
 	}
 	if len(serial) != len(exps) || len(parallel) != len(exps) {

@@ -42,8 +42,8 @@ func (a *event) before(b *event) bool {
 // eventHeap is a binary min-heap of events ordered by before, each
 // event keeping its own index so Cancel removes it in O(log n). No two
 // queued events share both instant and scheduling order (a Rearm reuses
-// the seq of its own cancelled event only), so the pop order is the
-// total (at, seq) order whatever the heap's shape.
+// only the seq its own timer took), so the pop order is the total
+// (at, seq) order whatever the heap's shape.
 type eventHeap []*event
 
 func (h *eventHeap) push(e *event) {
@@ -64,11 +64,19 @@ func (h *eventHeap) remove(i int) *event {
 	}
 	s[n] = nil
 	*h = s[:n]
-	if i != n && !h.down(i) {
-		h.up(i)
+	if i != n {
+		h.fix(i)
 	}
 	e.index = -1
 	return e
+}
+
+// fix restores the heap order after the event at index i changed its
+// instant or scheduling order.
+func (h eventHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
 }
 
 // up moves the event at index i towards the root until its parent runs
@@ -258,15 +266,20 @@ func (k *Kernel) At(t Time, fn func()) EventRef {
 
 // atSeq schedules fn at instant t with scheduling order seq.
 func (k *Kernel) atSeq(t Time, seq uint64, fn func()) EventRef {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, k.now))
-	}
+	k.checkFuture(t)
 	e := k.alloc()
 	e.at = t
 	e.seq = seq
 	e.fn = fn
 	k.events.push(e)
 	return EventRef{e, e.gen}
+}
+
+// checkFuture panics if t is before now.
+func (k *Kernel) checkFuture(t Time) {
+	if t < k.now {
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, k.now))
+	}
 }
 
 // After schedules fn to run d from now. Negative d panics.
@@ -358,7 +371,10 @@ func (k *Kernel) LiveProcs() int { return k.procs }
 // Re-arming implicitly stops a pending firing, and stopping a timer
 // that already fired is a no-op, so the common cancel-and-reschedule
 // pattern (e.g. a solver's next-completion event) costs no allocation
-// and needs no bookkeeping at the call site.
+// and needs no bookkeeping at the call site. Re-arming a pending timer
+// moves its event in place: it takes the instant and scheduling order
+// that cancelling it and scheduling it anew would give it, so the run
+// order is the same, without the round trip through the event pool.
 type Timer struct {
 	k   *Kernel
 	fn  func()
@@ -376,9 +392,9 @@ func (k *Kernel) NewTimer(fn func()) *Timer {
 
 // Arm (re)schedules the timer to fire at instant t.
 func (t *Timer) Arm(at Time) {
-	t.k.Cancel(t.ref)
-	t.ref = t.k.At(at, t.fn)
-	t.seq = t.ref.e.seq
+	t.seq = t.k.seq
+	t.k.seq++
+	t.Rearm(at)
 }
 
 // Reserve stops the timer and takes, at this call, the place in the
@@ -395,9 +411,18 @@ func (t *Timer) Reserve() {
 // that instant it runs where it would have run had it been armed for at
 // back then. A caller that works out late what it would have armed
 // earlier uses it to leave the order of same-instant events unchanged.
+// A pending event moves there in place: the queue pops in the total
+// order on (instant, scheduling order), so it runs where a cancelled and
+// re-pushed one would.
 func (t *Timer) Rearm(at Time) {
-	t.k.Cancel(t.ref)
-	t.ref = t.k.atSeq(at, t.seq, t.fn)
+	if !t.ref.Pending() {
+		t.ref = t.k.atSeq(at, t.seq, t.fn)
+		return
+	}
+	t.k.checkFuture(at)
+	e := t.ref.e
+	e.at, e.seq = at, t.seq
+	t.k.events.fix(e.index)
 }
 
 // ArmAfter (re)schedules the timer to fire d from now.
