@@ -102,9 +102,9 @@ func run(in, out, toText string) error {
 		}
 	}
 	if c, ok := benches["BenchmarkCampaignCounters"]; ok {
-		fmt.Printf("  campaign: %.0f solves, %.0f skips, %.0f events, %.0f resumes, %.0f points, %.0f executed, %.0f memo hits\n",
-			c.Metrics["solves/campaign"], c.Metrics["skips/campaign"], c.Metrics["events/campaign"], c.Metrics["resumes/campaign"],
-			c.Metrics["points/campaign"], c.Metrics["executed/campaign"], c.Metrics["memo_hits/campaign"])
+		fmt.Printf("  campaign: %.0f solves, %.0f skips, %.0f reuses, %.0f events, %.0f resumes, %.0f points, %.0f executed, %.0f memo hits\n",
+			c.Metrics["solves/campaign"], c.Metrics["skips/campaign"], c.Metrics["reuses/campaign"], c.Metrics["events/campaign"],
+			c.Metrics["resumes/campaign"], c.Metrics["points/campaign"], c.Metrics["executed/campaign"], c.Metrics["memo_hits/campaign"])
 	}
 	return nil
 }

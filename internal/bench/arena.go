@@ -64,17 +64,18 @@ type builtWorld struct {
 }
 
 // Work counts the simulation work of worlds: fluid re-solves, fluid
-// mutations that skipped their re-solve, kernel events dispatched and
-// process resumes (coroutine switches into a process).
+// mutations that skipped their re-solve, fluid starts and removals that
+// reused a recorded solve, kernel events dispatched and process resumes
+// (coroutine switches into a process).
 type Work struct {
-	Solves, Skips, Events, Resumes uint64
+	Solves, Skips, Reuses, Events, Resumes uint64
 }
 
 // workOf reads the counts of c's fluid model and kernel. Resetting a
 // world zeroes them, so a point reads them only after taking the world
 // over, never across a Reset.
 func workOf(c *machine.Cluster) Work {
-	return Work{Solves: c.Fluid.Solves(), Skips: c.Fluid.Skips(), Events: c.K.Steps(), Resumes: c.K.Resumes()}
+	return Work{Solves: c.Fluid.Solves(), Skips: c.Fluid.Skips(), Reuses: c.Fluid.Reuses(), Events: c.K.Steps(), Resumes: c.K.Resumes()}
 }
 
 // work totals, by sweep family, the counts of every world a point
@@ -111,12 +112,12 @@ func DoneByFamily() WorkByFamily {
 
 // Add returns w plus b.
 func (w Work) Add(b Work) Work {
-	return Work{Solves: w.Solves + b.Solves, Skips: w.Skips + b.Skips, Events: w.Events + b.Events, Resumes: w.Resumes + b.Resumes}
+	return Work{Solves: w.Solves + b.Solves, Skips: w.Skips + b.Skips, Reuses: w.Reuses + b.Reuses, Events: w.Events + b.Events, Resumes: w.Resumes + b.Resumes}
 }
 
 // Sub returns the work done from b to w.
 func (w Work) Sub(b Work) Work {
-	return Work{Solves: w.Solves - b.Solves, Skips: w.Skips - b.Skips, Events: w.Events - b.Events, Resumes: w.Resumes - b.Resumes}
+	return Work{Solves: w.Solves - b.Solves, Skips: w.Skips - b.Skips, Reuses: w.Reuses - b.Reuses, Events: w.Events - b.Events, Resumes: w.Resumes - b.Resumes}
 }
 
 // Sub returns the work done from b to w, family by family, leaving out
@@ -169,6 +170,7 @@ func (a *worldArena) put(pw pooledWorld) {
 	if a.count >= arenaCap {
 		a.mu.Unlock()
 		pw.c.K.Shutdown()
+		pw.c.Fluid.Retire()
 		return
 	}
 	shape := pw.c.Shape()
@@ -215,6 +217,7 @@ func releaseWorlds(keep *worldKeeper) {
 		done = done.Add(workOf(bw.c).Sub(bw.base))
 		if !keep.pools(bw.c) {
 			bw.c.K.Shutdown()
+			bw.c.Fluid.Retire()
 		}
 	}
 	keep.built = keep.built[:0]

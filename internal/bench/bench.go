@@ -327,23 +327,28 @@ func compAlone(env Env, comp ComputeConfig, commCore int) (bytesPerSec, secs sta
 		if core < 0 {
 			core = w.Rank(0).CommCore
 		}
-		cores := computeCores(env.Spec, comp.Cores, core)
-		for _, node := range c.Nodes {
-			node := node
-			for _, core := range cores {
-				core := core
-				c.K.Spawn("compute", func(p *sim.Proc) {
-					r := kernels.LoopN(p, node, core, comp.Slice, iters)
-					if node.ID == 0 {
-						bw = append(bw, r.BytesPerSec)
-						ss = append(ss, r.PerIter.Seconds())
-					}
-				})
+		spawnCores(c, computeCores(env.Spec, comp.Cores, core), func(p *sim.Proc, node *machine.Node, core int) {
+			r := kernels.LoopN(p, node, core, comp.Slice, iters)
+			if node.ID == 0 {
+				bw = append(bw, r.BytesPerSec)
+				ss = append(ss, r.PerIter.Seconds())
 			}
-		}
+		})
 		c.K.Run()
 	}
 	return stats.SummarizeInPlace(bw), stats.SummarizeInPlace(ss)
+}
+
+// spawnCores spawns a process running body on each of cores of every
+// node of c, node by node. The processes share body, so each spawn
+// closure holds three words, not a copy of the run's configuration.
+func spawnCores(c *machine.Cluster, cores []int, body func(p *sim.Proc, node *machine.Node, core int)) {
+	for _, node := range c.Nodes {
+		node := node // captured by value, not moved to the heap
+		for _, core := range cores {
+			c.K.Spawn("compute", func(p *sim.Proc) { body(p, node, core) })
+		}
+	}
 }
 
 // commAlone is step 2, communication without computation: the
@@ -376,19 +381,15 @@ func together(env Env, comm CommConfig, comp ComputeConfig) (bytesPerSec, secs, 
 		c, w := newWorld(env, env.Seed+int64(run))
 		pp := applyComm(w, comm)
 		commDone := false
-		cores := computeCores(env.Spec, comp.Cores, w.Rank(0).CommCore)
-		for _, node := range c.Nodes {
-			node := node
-			for _, core := range cores {
-				core := core
-				c.K.Spawn("compute", func(p *sim.Proc) {
-					r := kernels.LoopWhile(p, node, core, comp.Slice, func() bool { return !commDone })
-					if node.ID == 0 && r.Iters > 0 {
-						bw = append(bw, r.BytesPerSec)
-						ss = append(ss, r.PerIter.Seconds())
-					}
-				})
-			}
+		if cores := computeCores(env.Spec, comp.Cores, w.Rank(0).CommCore); len(cores) > 0 {
+			computing := func() bool { return !commDone } // the cores' loop condition, built once per run
+			spawnCores(c, cores, func(p *sim.Proc, node *machine.Node, core int) {
+				r := kernels.LoopWhile(p, node, core, comp.Slice, computing)
+				if node.ID == 0 && r.Iters > 0 {
+					bw = append(bw, r.BytesPerSec)
+					ss = append(ss, r.PerIter.Seconds())
+				}
+			})
 		}
 		var lats []sim.Duration
 		c.K.Spawn("init", func(p *sim.Proc) {

@@ -98,25 +98,29 @@ func BenchmarkSolvePaperScale(b *testing.B) {
 // first resource of a loaded-node model — the dominant cost of
 // fine-grained kernels — and reports the solves they cost. The uses
 // slice lives outside the loop: Start copies it, so steady-state churn
-// allocates only the Flow struct itself.
-func churn(b *testing.B, m *Model, cap float64) {
+// allocates only the Flow struct itself. With reuse false the model
+// re-solves what it has solved before (see reuseSolves), so the churn
+// measures real solves.
+func churn(b *testing.B, m *Model, cap float64, reuse bool) {
 	b.Helper()
-	uses := []Use{{m.resources[0], 1}}
-	solves := m.Solves()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := m.StartFlow("churn", 1e12, cap, uses, nil)
-		m.Cancel(f)
-	}
-	b.ReportMetric(float64(m.Solves()-solves)/float64(b.N), "solves/op")
+	withReuse(reuse, func() {
+		uses := []Use{{m.resources[0], 1}}
+		solves := m.Solves()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f := m.StartFlow("churn", 1e12, cap, uses, nil)
+			m.Cancel(f)
+		}
+		b.ReportMetric(float64(m.Solves()-solves)/float64(b.N), "solves/op")
+	})
 }
 
 // BenchmarkFlowChurnResolve starts and cancels an uncapped flow, which
 // saturates the resource it shares with three capped flows: each start
-// and cancel re-solves the component.
+// and cancel re-solves the component (reuse off).
 func BenchmarkFlowChurnResolve(b *testing.B) {
-	churn(b, benchTopology(b), 0)
+	churn(b, benchTopology(b), 0, false)
 }
 
 // BenchmarkFlowChurnResolveReference is the same churn through the
@@ -124,19 +128,27 @@ func BenchmarkFlowChurnResolve(b *testing.B) {
 func BenchmarkFlowChurnResolveReference(b *testing.B) {
 	m := benchTopology(b)
 	m.UseReference(true)
-	churn(b, m, 0)
+	churn(b, m, 0, false)
 }
 
 // BenchmarkFlowChurnIsolated starts and cancels a flow capped well under
 // the room its resource has left: the flow is isolated, and neither the
 // start nor the cancel re-solves (see isolated).
 func BenchmarkFlowChurnIsolated(b *testing.B) {
-	churn(b, benchTopology(b), 12e9)
+	churn(b, benchTopology(b), 12e9, true)
 }
 
 // BenchmarkFlowChurnPaperScale starts and cancels a capped memory-stream
 // flow on a saturated controller of the loaded henri-sized graph: each
-// start and cancel re-solves the node's component.
+// start and cancel re-solves the node's component (reuse off).
 func BenchmarkFlowChurnPaperScale(b *testing.B) {
-	churn(b, paperTopology(b), 12e9)
+	churn(b, paperTopology(b), 12e9, false)
+}
+
+// BenchmarkFlowChurnPaperScaleReuse is the same churn with reuse on:
+// after the first cycle every start writes back its recorded solve and
+// every cancel undoes the start, so no cycle solves (see startReused and
+// undo).
+func BenchmarkFlowChurnPaperScaleReuse(b *testing.B) {
+	churn(b, paperTopology(b), 12e9, true)
 }

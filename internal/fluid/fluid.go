@@ -17,7 +17,9 @@
 // loop slices that end together and start again at that instant are
 // renewed with one re-solve at most, usually none (see Renew). A start,
 // cancel or completion of a flow that cannot move any other flow's rate
-// skips its re-solve altogether (see isolated).
+// skips its re-solve altogether (see isolated), and one that takes the
+// model to a state it has solved before writes that solve back (see
+// reuse.go).
 //
 // # Solver implementation
 //
@@ -136,6 +138,7 @@ type Flow struct {
 	pos       int32  // position in compFlows during an ordered fill (fits the bools' padding)
 	index     int    // position in model.flows, -1 when removed
 	mark      uint64 // component-traversal epoch stamp
+	version   uint64 // the model's version after a recorded start of this flow, else 0 (see undo)
 }
 
 // FlowSpec describes a flow to start.
@@ -210,7 +213,15 @@ type Model struct {
 	next       *sim.Timer // reusable next-completion event
 	solves     uint64
 	skips      uint64 // mutations of isolated flows that skipped their solve
+	reuses     uint64 // starts and removals that wrote back a recorded solve
 	epoch      uint64 // component-traversal epoch
+
+	// version names the state that rates are solved for; versions is the
+	// last version handed out, and memo records starts by version (see
+	// reuse.go). The memo is nil until the first start it could record.
+	version  uint64
+	versions uint64
+	memo     *startMemo
 
 	// reference forces the original whole-model map-based solver on
 	// every re-solve (benchmarks and differential tests).
@@ -246,6 +257,9 @@ type Model struct {
 	renewed  int
 	parkedAt sim.Time
 	parkTail bool
+	// parkVersion is the version before the park, which the last renewal
+	// of a tail park restores.
+	parkVersion uint64
 
 	// Scratch buffers, reused across solves so the steady state
 	// allocates nothing. avail/wsum are indexed by Resource.id.
@@ -288,12 +302,21 @@ func (m *Model) complete() {
 		return
 	}
 	done, next := m.collectDone()
-	if len(done) == 1 && m.removeIsolated(done[0]) {
-		if f := done[0]; f.onDone != nil {
-			m.k.At(m.k.Now(), f.onDone)
+	if len(done) == 1 {
+		// Undo first: an isolated removal takes a fresh version, which
+		// would end the chain of states the memo can reach.
+		if f := done[0]; m.undo(f) {
+			if f.onDone != nil {
+				m.k.At(m.k.Now(), f.onDone)
+			}
+			done, next = m.collectDone()
+		} else if m.removeIsolated(f) {
+			if f.onDone != nil {
+				m.k.At(m.k.Now(), f.onDone)
+			}
+			m.skipped(next)
+			return
 		}
-		m.skipped(next)
-		return
 	}
 	// Nothing is dirty or pending, so the solve of resolveNow would find
 	// no seed, and its scan these very flows.
@@ -418,6 +441,7 @@ func (m *Model) SetCapacity(r *Resource, capacity float64) {
 	}
 	m.advance()
 	r.capacity = capacity
+	m.bump()
 	m.dirtyRes = append(m.dirtyRes, r)
 	m.resolve()
 }
@@ -433,7 +457,8 @@ func (m *Model) StartFlow(name string, work float64, cap float64, uses []Use, on
 
 // Start begins the flow described by spec and re-solves the allocation
 // of the component it joins; a flow that cannot move any other rate
-// gets its rate without a solve (see isolated).
+// gets its rate without a solve (see isolated), and a start the model
+// has solved before from this state reuses that solve (see startReused).
 func (m *Model) Start(spec FlowSpec) *Flow {
 	if spec.Work < 0 || math.IsNaN(spec.Work) {
 		panic(fmt.Sprintf("fluid: flow %q work %v must be non-negative", spec.Name, spec.Work))
@@ -477,9 +502,11 @@ func (m *Model) Start(spec FlowSpec) *Flow {
 	f.pooled = false
 	f.renewable = spec.Renewable
 	f.mark = 0
+	f.version = 0
 	f.uses, f.usePos = m.newFlowArrays(spec.Uses)
+	pre := m.version
 	m.attach(f)
-	if m.startIsolated(f) {
+	if m.startIsolated(f) || spec.Work > 0 && m.startReused(f, pre) {
 		return f
 	}
 	m.dirtyFlows = append(m.dirtyFlows, f)
@@ -525,6 +552,7 @@ func (m *Model) SetCap(f *Flow, cap float64) {
 	}
 	m.advance()
 	f.cap = cap
+	m.bump()
 	m.dirtyFlows = append(m.dirtyFlows, f)
 	m.resolve()
 }
@@ -570,24 +598,34 @@ func (m *Model) Reset() {
 	m.done = m.done[:0]
 	m.solves = 0
 	m.skips = 0
+	m.reuses = 0
 	m.holds = 0
 	m.pending = false
 	m.settledAt = -1
 	m.unpark()
+	m.memo.forget()
 }
 
 // Cancel removes a flow without running its completion callback, and
-// re-solves the allocation of its component; an isolated flow leaves
-// without a solve (see isolated).
+// re-solves the allocation of its component; the flow of the last start
+// leaves by restoring the rates from before it (see undo), and an
+// isolated flow without a solve (see isolated).
 func (m *Model) Cancel(f *Flow) {
 	if f.finished {
 		return
 	}
 	m.advance()
-	if m.quiet() && m.settled() && m.removeIsolated(f) {
-		_, next := m.collectDone() // none due: the model was settled
-		m.skipped(next)
-		return
+	if m.quiet() && m.settled() {
+		if m.undo(f) {
+			done, next := m.collectDone()
+			m.finish(done, next, false)
+			return
+		}
+		if m.removeIsolated(f) {
+			_, next := m.collectDone() // none due: the model was settled
+			m.skipped(next)
+			return
+		}
 	}
 	for _, u := range f.uses {
 		m.dirtyRes = append(m.dirtyRes, u.Resource)
@@ -607,6 +645,7 @@ func (m *Model) attach(f *Flow) {
 		r.flows = append(r.flows, resUse{f, i})
 	}
 	m.flows = append(m.flows, f)
+	m.bump()
 }
 
 // remove unlinks f from the flow list and from its resources'
@@ -653,6 +692,7 @@ func (m *Model) detach(f *Flow) {
 	m.flows[lastIdx] = nil
 	m.flows = m.flows[:lastIdx]
 	f.index = -1
+	m.bump()
 	if g != f {
 		m.dirtyFlows = append(m.dirtyFlows, g)
 	}
@@ -791,9 +831,9 @@ const slackMargin = 1e-9
 
 // quiet reports whether the rates in hand are those a solve of the
 // current state computes, so that an isolated mutation may skip its
-// solve.
+// solve and a recorded one may be reused.
 func (m *Model) quiet() bool {
-	return skipIsolated && !m.reference && m.holds == 0 && !m.pending &&
+	return !m.reference && m.holds == 0 && !m.pending &&
 		len(m.dirtyFlows) == 0 && len(m.dirtyRes) == 0 && len(m.parked) == 0
 }
 
@@ -808,7 +848,7 @@ func (m *Model) skipped(next float64) {
 // filling would fix it at, without a solve, if f is isolated at that
 // rate and runs at least settleEps; it reports whether it did.
 func (m *Model) startIsolated(f *Flow) bool {
-	if !m.quiet() || !m.settled() {
+	if !skipIsolated || !m.quiet() || !m.settled() {
 		return false
 	}
 	rate, ok := isolatedRate(f)
@@ -826,6 +866,9 @@ func (m *Model) startIsolated(f *Flow) bool {
 // removal moves are isolated at their rates, and reports whether it did.
 // The caller has checked that the model is quiet.
 func (m *Model) removeIsolated(f *Flow) bool {
+	if !skipIsolated {
+		return false
+	}
 	g := m.flows[len(m.flows)-1]
 	if !m.isolated(f, f.rate, true) || g != f && !m.isolated(g, g.rate, true) {
 		return false
@@ -1019,6 +1062,7 @@ func (m *Model) park() bool {
 	}
 	now := m.k.Now()
 	m.parkTail = due[0].index == len(m.flows)-len(due)
+	m.parkVersion = m.version
 	m.parked = append(m.parked[:0], due...)
 	m.renewed = 0
 	m.parkedAt = now
@@ -1085,6 +1129,7 @@ func (m *Model) Renew(f *Flow) bool {
 			// The list is back to the one the rates were solved for.
 			m.dirtyFlows = m.dirtyFlows[:0]
 			m.dirtyRes = m.dirtyRes[:0]
+			m.version = m.parkVersion
 		} else {
 			m.resolveNow()
 		}

@@ -8,29 +8,31 @@ import (
 )
 
 // runProgram drives the solver with an arbitrary byte-encoded sequence
-// of operations (add resources, start/cancel flows, change
-// capacities/caps, advance time), checking the core invariants after
+// of operations (add resources, start/cancel flows, start a flow like an
+// earlier one, change capacities/caps, advance time), checking the core invariants after
 // every step: feasibility (no resource over capacity), cap respect,
 // and non-negative rates/remaining work. With differential set, every
 // re-solve is additionally shadowed by the reference solver (the
 // oracle panics on any disagreement beyond one ulp). The program runs
 // on twin models, one skipping the solves of isolated flows and one
 // with the skip forced off, which must agree bit for bit after every
-// step (see sameState).
-func runProgram(t *testing.T, program []byte, differential bool) {
+// step (see sameState). The skipping twin also reuses recorded solves
+// and the other does not; runProgram returns the first.
+func runProgram(t *testing.T, program []byte, differential bool) *twin {
 	on, off := newProgramTwin(differential), newProgramTwin(differential)
 	step := func(op int, arg float64) {
-		withSkip(true, func() { on.program(op, arg) })
-		withSkip(false, func() { off.program(op, arg) })
+		withSkip(true, func() { withReuse(true, func() { on.program(op, arg) }) })
+		withSkip(false, func() { withReuse(false, func() { off.program(op, arg) }) })
 		on.checkInvariants(t)
 		off.checkInvariants(t)
 		sameState(t, off, on)
 	}
 	for i := 0; i+1 < len(program); i += 2 {
-		step(int(program[i]%7), float64(program[i+1]))
+		step(int(program[i]%8), float64(program[i+1]))
 	}
 	// Drain: every remaining event must fire without panicking.
 	step(drainOp, 0)
+	return on
 }
 
 // newProgramTwin returns an empty twin for runProgram.
@@ -65,9 +67,7 @@ func (tw *twin) program(op int, arg float64) {
 			spec.Cap = 1 + arg
 		}
 		spec.Uses = uses
-		f := m.Start(spec)
-		tw.ids[f] = len(tw.flows)
-		tw.flows = append(tw.flows, f)
+		tw.startSpec(spec)
 	case 3: // cancel a flow
 		if len(tw.flows) > 0 {
 			m.Cancel(tw.flows[int(arg)%len(tw.flows)])
@@ -85,9 +85,25 @@ func (tw *twin) program(op int, arg float64) {
 				m.SetCap(fl, 1+arg)
 			}
 		}
+	case 7: // start a flow again: an earlier one's uses, cap and priority
+		if len(tw.specs) > 0 {
+			spec := tw.specs[int(arg)%len(tw.specs)]
+			spec.Work = 1 + arg*1e3
+			tw.startSpec(spec)
+		}
 	case drainOp:
 		k.RunUntil(k.Now().Add(sim.Duration(10 * sim.Second)))
 	}
+}
+
+// startSpec starts a program's flow and keeps its spec.
+func (tw *twin) startSpec(spec FlowSpec) {
+	reuses := tw.m.Reuses()
+	f := tw.m.Start(spec)
+	tw.hits += tw.m.Reuses() - reuses
+	tw.ids[f] = len(tw.flows)
+	tw.flows = append(tw.flows, f)
+	tw.specs = append(tw.specs, spec)
 }
 
 // checkInvariants asserts the allocation invariants.
@@ -125,13 +141,33 @@ func FuzzSolverInvariants(f *testing.F) {
 	})
 }
 
+// reuseSeeds are FuzzFluid programs that reuse recorded solves: flows
+// started again like earlier ones over a saturated resource. In the
+// first, starts hit the memo and cancels undo them, around a capacity
+// change; in the second, a completion undoes its flow's start.
+var reuseSeeds = [][]byte{
+	{1, 60, 1, 60, 2, 200, 2, 200, 2, 200, 2, 1, 3, 3, 7, 3, 3, 4, 7, 3, 5, 0, 7, 3, 4, 255},
+	{1, 255, 1, 255, 2, 200, 2, 200, 2, 200, 2, 0, 4, 255, 7, 3, 4, 255, 4, 255, 4, 255, 7, 3, 4, 255, 4, 255, 4, 255},
+}
+
+// TestReuseSeedsReuse: each of reuseSeeds reaches both reuse paths, a
+// start that hits the memo and a removal that undoes a start.
+func TestReuseSeedsReuse(t *testing.T) {
+	for i, p := range reuseSeeds {
+		on := runProgram(t, p, true)
+		if hits, undos := on.hits, on.m.Reuses()-on.hits; hits == 0 || undos == 0 {
+			t.Errorf("seed %d: %d start hits, %d undos; want both", i, hits, undos)
+		}
+	}
+}
+
 // FuzzFluid is the differential fuzzer: the same operation programs,
 // but with the reference-solver oracle armed on every re-solve, so any
 // divergence between the incremental and the original solver is a
 // crash. Seeds are promoted from the cases that mattered during
 // development and from the property suite's interesting shapes. Every
 // program runs on every fill path (see eachFillPath), with the
-// isolated-flow skip on and off (see runProgram).
+// isolated-flow skip and the solve reuse on and off (see runProgram).
 func FuzzFluid(f *testing.F) {
 	// Two components, cancel the first flow: the swap-remove moves the
 	// last flow into slot 0, permuting fix order inside its component.
@@ -156,6 +192,9 @@ func FuzzFluid(f *testing.F) {
 	// past a swap-moved flow that is not isolated (second).
 	f.Add([]byte{0, 168, 6, 111, 3, 29, 6, 249, 2, 5, 0, 245, 0, 234, 2, 4, 0, 172, 3, 244, 0, 234, 2, 0, 3, 123, 2, 4, 5, 50})
 	f.Add([]byte{5, 187, 3, 44, 0, 159, 6, 197, 2, 3, 2, 0, 4, 249, 0, 223, 5, 110, 0, 181, 2, 4, 2, 1, 2, 2, 0, 157})
+	for _, p := range reuseSeeds {
+		f.Add(p)
+	}
 	f.Fuzz(func(t *testing.T, program []byte) {
 		eachFillPath(func(string) { runProgram(t, program, true) })
 	})

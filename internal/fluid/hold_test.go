@@ -30,6 +30,10 @@ type twin struct {
 	// loop).
 	loopEnd  int
 	renewals int
+	// specs holds the spec of each flow a program started (see program),
+	// and hits counts the starts that reused a recorded solve.
+	specs []FlowSpec
+	hits  uint64
 }
 
 func newTwin(seed int64, nRes, nFlows int) *twin {

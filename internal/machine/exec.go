@@ -310,25 +310,35 @@ func (n *Node) accountExec(core int, spec ComputeSpec, memNUMA int, exposure, rh
 // BackgroundStream injects a continuous memory traffic flow (e.g. the
 // cacheline traffic of polling workers hammering a shared task queue)
 // from NUMA `from` to memory on NUMA `to` at the given rate in bytes/s.
-// Stop it with the returned cancel function. Background streams do not
+// Stop it with the returned handle's Stop. Background streams do not
 // count in the stream census (they model coherence traffic, not
 // streaming reads), but they do consume controller bandwidth and raise
-// utilization, which feeds the access-latency model. The cancel
-// function recycles the flow's storage for the next start; calling it
-// again does nothing.
-func (n *Node) BackgroundStream(name string, from, to int, rate float64) (cancel func()) {
+// utilization, which feeds the access-latency model.
+func (n *Node) BackgroundStream(name string, from, to int, rate float64) Background {
 	if rate <= 0 {
-		return func() {}
+		return Background{}
 	}
 	const forever = 1e18 // effectively unbounded work
 	m := n.cluster.Fluid
-	flow := m.StartFlow(name, forever, rate, n.memPath(from, to), nil)
-	return func() {
-		if flow == nil {
-			return // cancelled already: the struct may be a later flow now
-		}
-		m.Cancel(flow)
-		m.Recycle(flow)
-		flow = nil
+	return Background{m: m, flow: m.StartFlow(name, forever, rate, n.memPath(from, to), nil)}
+}
+
+// Background is a running background stream (see BackgroundStream). It
+// is a plain value, so a caller can keep it on its stack; stop it
+// through one variable.
+type Background struct {
+	m    *fluid.Model
+	flow *fluid.Flow
+}
+
+// Stop cancels the stream and recycles its flow's storage for the next
+// start. Stopping it again does nothing: the struct may be a later flow
+// by then.
+func (b *Background) Stop() {
+	if b.flow == nil {
+		return
 	}
+	b.m.Cancel(b.flow)
+	b.m.Recycle(b.flow)
+	b.flow = nil
 }

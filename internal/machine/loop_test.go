@@ -221,11 +221,11 @@ func TestLoopsMatchSequentialSlices(t *testing.T) {
 			}
 		}
 		n := c.Nodes[0]
-		var cancel func()
-		c.K.At(sim.Time(500*sim.Microsecond), func() { cancel = n.BackgroundStream("bg", 0, 2, 4e9) })
+		var bg machine.Background
+		c.K.At(sim.Time(500*sim.Microsecond), func() { bg = n.BackgroundStream("bg", 0, 2, 4e9) })
 		c.K.At(sim.Time(sim.Millisecond), func() { n.Freq.SetUncoreFixed(1.6) })
 		c.K.At(sim.Time(1500*sim.Microsecond), func() { n.SetCoreSlowdown(7, 2) })
-		c.K.At(sim.Time(2*sim.Millisecond), func() { cancel(); n.Freq.SetUncoreDynamic() })
+		c.K.At(sim.Time(2*sim.Millisecond), func() { bg.Stop(); n.Freq.SetUncoreDynamic() })
 		c.K.At(sim.Time(4*sim.Millisecond), func() { stop = true })
 	}
 	seq := runLoops(true, 2*cores, workload)

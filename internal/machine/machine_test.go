@@ -153,9 +153,9 @@ func TestAccessLatencyInflatesUnderContention(t *testing.T) {
 	n.Freq.SetUncoreFixed(2.4)
 	quiet := n.AccessLatency(3, 0)
 	// Saturate NUMA 0's controller.
-	var cancels []func()
+	var hogs []Background
 	for i := 0; i < 20; i++ {
-		cancels = append(cancels, n.BackgroundStream("hog", 0, 0, 5e9))
+		hogs = append(hogs, n.BackgroundStream("hog", 0, 0, 5e9))
 	}
 	loaded := n.AccessLatency(3, 0)
 	if loaded <= quiet {
@@ -166,31 +166,31 @@ func TestAccessLatencyInflatesUnderContention(t *testing.T) {
 	if loaded > max {
 		t.Fatalf("latency %v beyond cap %v", loaded, max)
 	}
-	for _, cancel := range cancels {
-		cancel()
+	for i := range hogs {
+		hogs[i].Stop()
 	}
 	if got := n.AccessLatency(3, 0); got != quiet {
 		t.Fatalf("latency %v after cancel, want %v", got, quiet)
 	}
 }
 
-// TestBackgroundStreamCancelTwice: the cancel function recycles the
-// stream's flow, whose struct the next start reincarnates, so calling
-// it again must leave that later flow running.
+// TestBackgroundStreamCancelTwice: Stop recycles the stream's flow,
+// whose struct the next start reincarnates, so stopping the same handle
+// again must leave that later flow running.
 func TestBackgroundStreamCancelTwice(t *testing.T) {
 	c := henriCluster(t)
 	n := c.Nodes[0]
-	cancel := n.BackgroundStream("first", 0, 0, 5e9)
-	cancel()
+	first := n.BackgroundStream("first", 0, 0, 5e9)
+	first.Stop()
 	later := n.BackgroundStream("later", 0, 0, 7e9)
-	cancel()
+	first.Stop()
 	if got := c.Fluid.FlowCount(); got != 1 {
 		t.Fatalf("%d flows after a second cancel, want the later stream's 1", got)
 	}
 	if got, want := n.NUMA(0).Ctrl.Utilization(), 7e9/n.NUMA(0).Ctrl.Capacity(); got != want {
 		t.Fatalf("controller utilization %v, want the later stream's %v", got, want)
 	}
-	later()
+	later.Stop()
 	if got := c.Fluid.FlowCount(); got != 0 {
 		t.Fatalf("%d flows after cancelling both streams", got)
 	}

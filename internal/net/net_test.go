@@ -147,16 +147,16 @@ func TestPIOFarThreadFeelsLinkContention(t *testing.T) {
 	}
 	quiet := measure()
 	// Saturate the link 3→0 with streams from NUMA 3 cores to NUMA 0.
-	var cancels []func()
+	var hogs []machine.Background
 	for i := 0; i < 8; i++ {
-		cancels = append(cancels, n.BackgroundStream("hog", 3, 0, 10e9))
+		hogs = append(hogs, n.BackgroundStream("hog", 3, 0, 10e9))
 	}
 	loaded := measure()
 	if loaded <= quiet {
 		t.Fatalf("far-thread overhead under link load %v not above quiet %v", loaded, quiet)
 	}
-	for _, cancel := range cancels {
-		cancel()
+	for i := range hogs {
+		hogs[i].Stop()
 	}
 }
 

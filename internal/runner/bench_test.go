@@ -10,11 +10,12 @@ import (
 
 // BenchmarkCampaignCounters runs the golden henri campaign (seed 1, 3
 // runs, no point cache) and reports its deterministic counts: fluid
-// solves, fluid mutations that skipped their solve, kernel events,
-// process resumes, points requested, points executed and campaign-memo
-// hits, and the solves and events of each sweep family (solves/<family>,
-// events/<family>; the family is the first segment of the point key), so
-// that a change in the totals lands on a named family.
+// solves, fluid mutations that skipped their solve, fluid starts and
+// removals that reused a recorded solve, kernel events, process resumes,
+// points requested, points executed and campaign-memo hits, and the
+// solves, events and reuses of each sweep family (solves/<family>,
+// events/<family>, reuses/<family>; the family is the first segment of
+// the point key), so that a change in the totals lands on a named family.
 // They do not depend on the worker count or the host, so CI ratchets
 // the totals against BENCH_sim.json where it cannot ratchet a wall.
 func BenchmarkCampaignCounters(b *testing.B) {
@@ -40,6 +41,7 @@ func BenchmarkCampaignCounters(b *testing.B) {
 	}
 	b.ReportMetric(float64(work.Solves)/float64(b.N), "solves/campaign")
 	b.ReportMetric(float64(work.Skips)/float64(b.N), "skips/campaign")
+	b.ReportMetric(float64(work.Reuses)/float64(b.N), "reuses/campaign")
 	b.ReportMetric(float64(work.Events)/float64(b.N), "events/campaign")
 	b.ReportMetric(float64(work.Resumes)/float64(b.N), "resumes/campaign")
 	b.ReportMetric(float64(stats.Points()), "points/campaign")
@@ -53,5 +55,6 @@ func BenchmarkCampaignCounters(b *testing.B) {
 	for _, fam := range fams {
 		b.ReportMetric(float64(byFamily[fam].Solves)/float64(b.N), "solves/"+fam)
 		b.ReportMetric(float64(byFamily[fam].Events)/float64(b.N), "events/"+fam)
+		b.ReportMetric(float64(byFamily[fam].Reuses)/float64(b.N), "reuses/"+fam)
 	}
 }

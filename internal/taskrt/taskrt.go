@@ -380,7 +380,7 @@ func (rt *Runtime) workerLoop(p *sim.Proc, workerIdx, core int) {
 			}
 			stop := node.BackgroundStream(pollName, workerNUMA, rt.pollTarget(core), rt.pollTrafficRate(core))
 			rt.readySig.Wait(p)
-			stop()
+			stop.Stop()
 			if rt.shutdown || rt.paused || rt.throttled(workerIdx) {
 				continue
 			}
