@@ -79,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		retry    = fs.Int("retry", 0, "extra attempts for a failed experiment")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file (whole process: with -j>1 all workers share one profile)")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit (whole process: with -j>1 all workers share one profile)")
-		cacheDir = fs.String("cache", "results/.cache", "persistent point cache: a directory, or comma-separated interfd base URLs (http://...) to share a remote cache (several replicas hedge reads)")
+		cacheDir = fs.String("cache", "results/.cache", "persistent point cache: a directory, or comma-separated interfd base URLs (http://...) to share a remote cache (several replicas fail over)")
 		noCache  = fs.Bool("no-cache", false, "disable the persistent point cache (in-memory dedup stays on)")
 		cacheTop = fs.Bool("cache-stats", false, "print the point cache's disk occupancy (pack segments, pending writes) and hit rate after the campaign (requires a local directory -cache)")
 		remote   = fs.String("remote", "", "comma-separated interfd base URLs (e.g. http://a:7077,http://b:7077): submit the campaign to a healthy replica instead of executing locally, failing over on errors")
@@ -309,7 +309,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var localCache *runner.PointCache
 	var remoteResp *server.CampaignResponse
 	var replicaSet *replica.Set
-	var hedged *replica.Cache
 	if *remote != "" {
 		urls, err := replica.ParseList(*remote)
 		if err != nil {
@@ -339,9 +338,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				// remote store retries transient failures with backoff and
 				// sits behind a circuit breaker, so an unreachable daemon
 				// degrades to local recomputation instead of hammering a
-				// dead endpoint once per point. With several replicas the
-				// reads are hedged: a GET that outlives the adaptive hedge
-				// delay races a second replica and the first answer wins.
+				// dead endpoint once per point. With several replicas a
+				// read or write that fails on one replica is tried once on
+				// another healthy one.
 				urls, err := replica.ParseList(*cacheDir)
 				if err != nil {
 					fmt.Fprintln(stderr, "interference:", err)
@@ -349,9 +348,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 				var store runner.CacheStore
 				if len(urls) > 1 {
-					cacheSet := replica.NewSet(urls, replica.Options{Transport: chaosRT})
-					hedged = replica.NewCache(cacheSet, stats)
-					store = hedged
+					replicaSet = replica.NewSet(urls, replica.Options{Transport: chaosRT})
+					store = replica.NewCache(replicaSet)
 				} else {
 					rc := server.NewRemoteCache(urls[0])
 					rc.AttachStats(stats)
@@ -484,12 +482,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if replicaSet.Failovers() > 0 || replicaSet.Retried() > 0 || b.Denied() > 0 {
 			fmt.Fprintf(stderr, "replica set: %d failover(s), %d retried submission(s); retry budget granted %d, refused %d\n",
 				replicaSet.Failovers(), replicaSet.Retried(), b.Allowed(), b.Denied())
-		}
-	}
-	if !*quiet && hedged != nil {
-		if hedged.Hedges() > 0 || hedged.Failovers() > 0 {
-			fmt.Fprintf(stderr, "hedged cache: %d hedged read(s), %d won by the hedge, %d failover(s)\n",
-				hedged.Hedges(), hedged.HedgeWins(), hedged.Failovers())
 		}
 	}
 	if atomic.LoadInt64(&stats.Degraded) > 0 || (remoteResp != nil && remoteResp.Degraded) {

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -195,6 +197,44 @@ func TestLocalRunAgainstRemoteCache(t *testing.T) {
 	}
 	if !strings.Contains(warmErr.String(), url) {
 		t.Fatalf("recap does not name the remote cache:\n%s", warmErr.String())
+	}
+}
+
+// TestCacheFailsOverToLiveReplica: -cache with two replica URLs, the
+// first of which dies right after answering its readiness probe (every
+// later connection is refused, the shape a SIGKILL leaves). The
+// campaign is still served from the live replica's cache,
+// byte-identically, and the recap reports the failover.
+func TestCacheFailsOverToLiveReplica(t *testing.T) {
+	live := startDaemon(t, server.Config{CacheDir: filepath.Join(t.TempDir(), "cache")})
+	args := []string{"-exp", "fig3", "-runs", "1"}
+	var cold, coldErr strings.Builder
+	if code := run(append([]string{"-cache", live}, args...), &cold, &coldErr); code != 0 {
+		t.Fatalf("cold exit %d: %s", code, coldErr.String())
+	}
+
+	dead := httptest.NewUnstartedServer(nil)
+	ln := dead.Listener
+	dead.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Connection", "close")
+		ln.Close()
+		w.WriteHeader(http.StatusOK)
+	})
+	dead.Start()
+	t.Cleanup(dead.Close)
+
+	var stdout, stderr strings.Builder
+	if code := run(append([]string{"-cache", dead.URL + "," + live}, args...), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d with a dead replica: %s", code, stderr.String())
+	}
+	if stdout.String() != cold.String() {
+		t.Fatal("stdout differs when a replica dies")
+	}
+	if !strings.Contains(stderr.String(), "0 computed (100% served without executing)") {
+		t.Fatalf("points not served by the live replica:\n%s", stderr.String())
+	}
+	if !regexp.MustCompile(`replica set: [1-9][0-9]* failover\(s\)`).MatchString(stderr.String()) {
+		t.Fatalf("recap does not report the failover:\n%s", stderr.String())
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package replica is the client-side availability layer over a set of
 // interfd daemons: a health-gated replica picker, campaign submission
-// with failover, hedged cache reads, and a token-bucket retry budget
-// shared across submission and cache traffic.
+// and cache reads and writes with failover, and a token-bucket retry
+// budget shared across submission and cache traffic.
 //
 // The design leans on the property that makes failover uniquely cheap
 // here: every sweep point is deterministic and content-addressed, so a
@@ -23,9 +23,10 @@ import (
 )
 
 // Budget is a token-bucket retry budget. Every retry — a resubmitted
-// campaign, a failed-over cache read, a hedged GET — must first win a
-// token; first attempts are free. The bucket starts full and refills
-// continuously, so a brief blip retries immediately while a dead
+// campaign, a failed-over cache read or write, a remote-cache retry —
+// must first win a token; first attempts are free. The bucket starts
+// full and refills continuously, so a brief blip retries immediately
+// while a dead
 // replica drains the bucket once and then fails fast instead of
 // stampeding the survivors. One Budget is shared by a Set and every
 // Cache built on it, implementing server.RetryBudget.

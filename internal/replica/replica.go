@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -33,18 +32,15 @@ type Set struct {
 
 	client      *http.Client // submissions: campaigns legitimately run minutes
 	probeClient *http.Client // /readyz probes: answers are instant or useless
-
-	probeTTL time.Duration // how long a healthy verdict is trusted
-	downTTL  time.Duration // how long a failed replica is quarantined
+	backoff     *server.Backoff
 
 	maxAttempts int
 
 	mu    sync.Mutex
 	state []health
 	next  int // round-robin rotation
-	rng   *rand.Rand
 
-	failovers   atomic.Int64 // resubmissions that landed on a different replica
+	failovers   atomic.Int64 // submissions or cache operations that moved to another replica
 	submissions atomic.Int64
 	retried     atomic.Int64 // submission retries (any replica)
 }
@@ -54,6 +50,12 @@ type health struct {
 	checked time.Time
 }
 
+const (
+	probeTTL      = time.Second      // how long a healthy verdict is trusted
+	downTTL       = 2 * time.Second  // how long a failed replica is quarantined
+	submitTimeout = 30 * time.Minute // one submission round trip: a campaign legitimately computes for a long time
+)
+
 // Options tunes a Set; the zero value is production defaults.
 type Options struct {
 	// Transport replaces the HTTP transport (chaos drills).
@@ -62,12 +64,6 @@ type Options struct {
 	Clock chaos.Clock
 	// Budget gates retries; nil builds a default NewBudget.
 	Budget *Budget
-	// ProbeTTL / DownTTL override the health-cache windows
-	// (defaults 1s healthy, 2s quarantined).
-	ProbeTTL, DownTTL time.Duration
-	// SubmitTimeout bounds one submission round trip (default 30m —
-	// a campaign legitimately computes for a long time).
-	SubmitTimeout time.Duration
 	// MaxAttempts bounds submission tries across all replicas
 	// (default 2*len(urls)+2).
 	MaxAttempts int
@@ -108,34 +104,19 @@ func NewSet(urls []string, opts Options) *Set {
 	if opts.Budget == nil {
 		opts.Budget = NewBudget(0, 0, opts.Clock)
 	}
-	if opts.ProbeTTL <= 0 {
-		opts.ProbeTTL = time.Second
-	}
-	if opts.DownTTL <= 0 {
-		opts.DownTTL = 2 * time.Second
-	}
-	if opts.SubmitTimeout <= 0 {
-		opts.SubmitTimeout = 30 * time.Minute
-	}
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 2*len(urls) + 2
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = opts.Clock.Now().UnixNano()
 	}
 	return &Set{
 		urls:        urls,
 		rt:          opts.Transport,
 		clock:       opts.Clock,
 		budget:      opts.Budget,
-		client:      &http.Client{Timeout: opts.SubmitTimeout, Transport: opts.Transport},
+		client:      &http.Client{Timeout: submitTimeout, Transport: opts.Transport},
 		probeClient: &http.Client{Timeout: 2 * time.Second, Transport: opts.Transport},
-		probeTTL:    opts.ProbeTTL,
-		downTTL:     opts.DownTTL,
+		backoff:     server.NewBackoff(opts.Clock, opts.Seed),
 		maxAttempts: opts.MaxAttempts,
 		state:       make([]health, len(urls)),
-		rng:         rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -160,9 +141,9 @@ func (s *Set) healthyAt(i int) bool {
 	s.mu.Lock()
 	st := s.state[i]
 	s.mu.Unlock()
-	ttl := s.probeTTL
+	ttl := probeTTL
 	if !st.healthy && !st.checked.IsZero() {
-		ttl = s.downTTL
+		ttl = downTTL
 	}
 	if !st.checked.IsZero() && s.clock.Now().Before(st.checked.Add(ttl)) {
 		return st.healthy
@@ -275,11 +256,7 @@ func (s *Set) Submit(spec server.CampaignSpec, deadline time.Duration, apiKey st
 			return nil, fmt.Errorf("retry budget exhausted after %d attempts: %w", attempt+1, lastErr)
 		}
 		s.retried.Add(1)
-		if retryAfter > 0 {
-			s.sleep(retryAfter)
-		} else {
-			s.backoff(attempt)
-		}
+		s.backoff.Wait(attempt, retryAfter)
 	}
 }
 
@@ -310,7 +287,7 @@ func (s *Set) submitOnce(i int, body []byte, deadline time.Duration, apiKey stri
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
 		return nil, 0, &SubmitError{Status: resp.StatusCode, Msg: string(bytes.TrimSpace(payload))}
 	default:
-		ra, _ := server.ParseRetryAfter(resp.Header.Get("Retry-After"), maxRetryAfter)
+		ra, _ := server.ParseRetryAfter(resp.Header.Get("Retry-After"), server.RetryAfterCap)
 		return nil, ra, fmt.Errorf("%s answered %s: %s", s.urls[i], resp.Status, bytes.TrimSpace(payload))
 	}
 	var cr server.CampaignResponse
@@ -319,23 +296,3 @@ func (s *Set) submitOnce(i int, body []byte, deadline time.Duration, apiKey stri
 	}
 	return &cr, 0, nil
 }
-
-// maxRetryAfter caps how long a server-sent Retry-After may park a
-// resubmission; past this the client's own backoff is smarter.
-const maxRetryAfter = 5 * time.Second
-
-// backoff sleeps the jittered exponential delay for one retry attempt.
-func (s *Set) backoff(attempt int) {
-	base := 25 * time.Millisecond
-	max := time.Second
-	d := base << attempt
-	if d > max || d <= 0 {
-		d = max
-	}
-	s.mu.Lock()
-	jitter := 0.5 + s.rng.Float64()
-	s.mu.Unlock()
-	s.sleep(time.Duration(float64(d) * jitter))
-}
-
-func (s *Set) sleep(d time.Duration) { s.clock.Sleep(d) }

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/chaos"
-	"repro/internal/runner"
 	"repro/internal/server"
 )
 
@@ -249,7 +248,11 @@ func TestSubmitSendsDeadlineAndKey(t *testing.T) {
 	}
 }
 
-func TestHedgedLoadFailsOverOnFastFailure(t *testing.T) {
+// TestCacheLoadFailsOver: an I/O error on one replica quarantines it
+// and the load is served by another healthy replica, counted in the
+// Set's Failovers; a clean miss is an answer, not a failure, and fails
+// over nowhere.
+func TestCacheLoadFailsOver(t *testing.T) {
 	const key = "sweep/point=1"
 	bad, good := newFakeReplica(t), newFakeReplica(t)
 	bad.cacheGet = func(w http.ResponseWriter, r *http.Request) {
@@ -257,8 +260,7 @@ func TestHedgedLoadFailsOverOnFastFailure(t *testing.T) {
 	}
 	good.serveRecord(key)
 	set := NewSet([]string{bad.ts.URL, good.ts.URL}, Options{Seed: 1})
-	var stats runner.CacheStats
-	c := NewCache(set, &stats)
+	c := NewCache(set)
 	rec, ok, mismatch, ioErr := c.Load(key)
 	if !ok || mismatch || ioErr {
 		t.Fatalf("Load = ok=%v mismatch=%v ioErr=%v", ok, mismatch, ioErr)
@@ -266,61 +268,50 @@ func TestHedgedLoadFailsOverOnFastFailure(t *testing.T) {
 	if rec.Key != key {
 		t.Fatalf("rec.Key = %q", rec.Key)
 	}
-	if c.Failovers() != 1 {
-		t.Fatalf("Failovers = %d, want 1", c.Failovers())
+	if set.Failovers() != 1 {
+		t.Fatalf("Failovers = %d, want 1", set.Failovers())
 	}
-}
-
-func TestHedgedLoadRacesSlowReplica(t *testing.T) {
-	const key = "sweep/point=2"
-	slow, fast := newFakeReplica(t), newFakeReplica(t)
-	release := make(chan struct{})
-	t.Cleanup(func() { close(release) })
-	slow.cacheGet = func(w http.ResponseWriter, r *http.Request) {
-		select { // park until the test ends: a tail-latency straggler
-		case <-release:
-		case <-r.Context().Done():
+	// The quarantined replica is skipped, not failed over from, whichever
+	// replica the round robin starts at.
+	for i := 0; i < 2; i++ {
+		if _, ok, _, ioErr := c.Load(key); !ok || ioErr || set.Failovers() != 1 {
+			t.Fatalf("Load after quarantine = ok=%v ioErr=%v, Failovers = %d (want a hit on the healthy replica, 1)",
+				ok, ioErr, set.Failovers())
 		}
-		http.NotFound(w, r)
 	}
-	fast.serveRecord(key)
-	set := NewSet([]string{slow.ts.URL, fast.ts.URL}, Options{Seed: 1})
-	c := NewCache(set, nil)
-	c.SetHedgeDelay(5 * time.Millisecond)
-	done := make(chan bool, 1)
-	go func() {
-		_, ok, _, ioErr := c.Load(key)
-		done <- ok && !ioErr
-	}()
-	select {
-	case good := <-done:
-		if !good {
-			t.Fatal("hedged load failed")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("hedged load did not return while the primary hung")
+	if n := bad.gets.Load(); n != 1 {
+		t.Fatalf("bad replica saw %d GETs, want 1 (one attempt, then quarantine)", n)
 	}
-	if c.Hedges() != 1 {
-		t.Fatalf("Hedges = %d, want 1", c.Hedges())
-	}
-	if c.HedgeWins() != 1 {
-		t.Fatalf("HedgeWins = %d, want 1", c.HedgeWins())
-	}
-}
 
-func TestHedgedLoadMissIsNotHedged(t *testing.T) {
-	set := NewSet([]string{newFakeReplica(t).ts.URL, newFakeReplica(t).ts.URL}, Options{Seed: 1})
-	c := NewCache(set, nil)
-	_, ok, mismatch, ioErr := c.Load("sweep/point=3")
-	if ok || mismatch || ioErr {
+	miss := NewSet([]string{newFakeReplica(t).ts.URL, newFakeReplica(t).ts.URL}, Options{Seed: 1})
+	if _, ok, mismatch, ioErr := NewCache(miss).Load("sweep/point=3"); ok || mismatch || ioErr {
 		t.Fatalf("miss reported ok=%v mismatch=%v ioErr=%v", ok, mismatch, ioErr)
 	}
-	if c.Hedges() != 0 {
-		t.Fatalf("a fast miss hedged anyway: %d", c.Hedges())
+	if miss.Failovers() != 0 {
+		t.Fatalf("a clean miss failed over: %d", miss.Failovers())
 	}
 }
 
-func TestHedgedStoreFailsOver(t *testing.T) {
+// TestCacheLoadNoHealthyReplica: with every replica down a load is an
+// I/O error, never a silent miss.
+func TestCacheLoadNoHealthyReplica(t *testing.T) {
+	f := newFakeReplica(t)
+	f.ready.Store(false)
+	c := NewCache(NewSet([]string{f.ts.URL}, Options{Seed: 1}))
+	if _, ok, _, ioErr := c.Load("sweep/point=5"); ok || !ioErr {
+		t.Fatalf("Load = ok=%v ioErr=%v, want an I/O error", ok, ioErr)
+	}
+	if f.gets.Load() != 0 {
+		t.Fatal("an unready replica was read")
+	}
+	if err := c.Store("sweep/point=5", bench.PointRecord{Schema: bench.PointSchema}); err == nil {
+		t.Fatal("Store with no healthy replica reported success")
+	}
+}
+
+// TestCacheStoreFailsOver: a PUT refused by one replica lands on
+// another, counted in the Set's Failovers.
+func TestCacheStoreFailsOver(t *testing.T) {
 	good := newFakeReplica(t)
 	badTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/readyz" {
@@ -331,7 +322,7 @@ func TestHedgedStoreFailsOver(t *testing.T) {
 	}))
 	t.Cleanup(badTS.Close)
 	set := NewSet([]string{badTS.URL, good.ts.URL}, Options{Seed: 1})
-	c := NewCache(set, nil)
+	c := NewCache(set)
 	rec := bench.PointRecord{Schema: bench.PointSchema, Key: "sweep/point=4"}
 	if err := c.Store("sweep/point=4", rec); err != nil {
 		t.Fatal(err)
@@ -339,25 +330,7 @@ func TestHedgedStoreFailsOver(t *testing.T) {
 	if good.puts.Load() != 1 {
 		t.Fatalf("good replica saw %d PUTs, want 1", good.puts.Load())
 	}
-	if c.Failovers() != 1 {
-		t.Fatalf("Failovers = %d, want 1", c.Failovers())
-	}
-}
-
-func TestHedgeDelayAdapts(t *testing.T) {
-	c := &Cache{clock: chaos.Real(), minHedge: 2 * time.Millisecond, maxHedge: 250 * time.Millisecond}
-	if d := c.hedgeDelay(); d != 250*time.Millisecond {
-		t.Fatalf("cold delay = %v, want max", d)
-	}
-	for i := 0; i < 50; i++ {
-		c.observe(10 * time.Millisecond)
-	}
-	d := c.hedgeDelay()
-	if d < 2*time.Millisecond || d > 30*time.Millisecond {
-		t.Fatalf("adapted delay = %v, want near 10ms", d)
-	}
-	c.SetHedgeDelay(7 * time.Millisecond)
-	if d := c.hedgeDelay(); d != 7*time.Millisecond {
-		t.Fatalf("forced delay = %v", d)
+	if set.Failovers() != 1 {
+		t.Fatalf("Failovers = %d, want 1", set.Failovers())
 	}
 }

@@ -15,8 +15,8 @@ import (
 // policy — every client retries on the same schedule, queue sojourns
 // grow without bound for the campaigns that *are* admitted, and one
 // greedy client can occupy the whole queue. The overload controller
-// replaces it with three cooperating mechanisms, all fed by what the
-// daemon actually observes:
+// replaces it with two cooperating gates in front of the queue, both
+// fed by what the daemon actually observes:
 //
 //   - Deadline-aware admission: the daemon keeps EWMAs of per-point
 //     execution cost and points-per-experiment, so a submission's cost
@@ -31,14 +31,6 @@ import (
 //     number of active clients. One stampeding client saturates its
 //     share and gets 503s while everyone else's campaigns keep flowing.
 //
-//   - CoDel-style staleness drop: at dequeue the controller tracks how
-//     long campaigns sat queued. While the sojourn stays above target
-//     for a full interval the queue has collapsed into a standing
-//     buffer, and the controller sheds the dequeued campaign (the
-//     client resubmits against a live Retry-After) on the CoDel control
-//     law — successive drops accelerate by 1/sqrt(dropCount) until
-//     sojourns fall back under target.
-//
 // Every 503 carries a Retry-After computed from the observed drain
 // rate: (queued+1) / drain campaigns-per-second, clamped — so backoff
 // scales with real congestion instead of a constant that is wrong in
@@ -47,43 +39,23 @@ type overload struct {
 	clock      chaos.Clock
 	queueDepth int
 
-	codelTarget   time.Duration
-	codelInterval time.Duration
-	fairShare     int // fixed per-client cap; 0 = dynamic queueDepth/activeClients
-
 	mu           sync.Mutex
 	pointMs      float64 // EWMA ms per executed point
 	pointsPerExp float64 // EWMA points per experiment
 	drainPerSec  float64 // EWMA campaign completions per second
 	lastDone     time.Time
 	perClient    map[string]int
-	firstAbove   time.Time // CoDel: when the above-target interval expires
-	dropCount    int       // CoDel: drops in the current collapse episode
 
 	shedDeadline atomic.Int64 // refused: deadline cannot be met
 	shedFair     atomic.Int64 // refused: client over its fair share
-	shedCodel    atomic.Int64 // dropped at dequeue: standing-queue collapse
 }
 
 // ewmaAlpha weights new observations; ~0.2 keeps estimates responsive
 // to regime changes without tracking single-campaign noise.
 const ewmaAlpha = 0.2
 
-func newOverload(clock chaos.Clock, queueDepth int, target, interval time.Duration, fairShare int) *overload {
-	if target <= 0 {
-		target = 2 * time.Second
-	}
-	if interval <= 0 {
-		interval = 2 * target
-	}
-	return &overload{
-		clock:         clock,
-		queueDepth:    queueDepth,
-		codelTarget:   target,
-		codelInterval: interval,
-		fairShare:     fairShare,
-		perClient:     map[string]int{},
-	}
+func newOverload(clock chaos.Clock, queueDepth int) *overload {
+	return &overload{clock: clock, queueDepth: queueDepth, perClient: map[string]int{}}
 }
 
 func ewma(old, sample float64) float64 {
@@ -105,17 +77,11 @@ func (o *overload) reserve(client string) bool {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	share := o.fairShare
-	if share <= 0 {
-		active := len(o.perClient)
-		if o.perClient[client] == 0 {
-			active++
-		}
-		share = o.queueDepth / active
-		if share < 1 {
-			share = 1
-		}
+	active := len(o.perClient)
+	if o.perClient[client] == 0 {
+		active++
 	}
+	share := max(o.queueDepth/active, 1)
 	if o.perClient[client] >= share {
 		o.shedFair.Add(1)
 		return false
@@ -173,33 +139,6 @@ func (o *overload) overDeadline(exps int, queued int64, deadline time.Duration) 
 		return true
 	}
 	return false
-}
-
-// dequeue applies the CoDel control law to one campaign leaving the
-// queue after sojourn. It returns true when the campaign should be
-// shed: sojourns have stayed above target for a full interval, so the
-// queue is a standing buffer and draining it by serving ever-staler
-// work only makes every client slower.
-func (o *overload) dequeue(sojourn time.Duration) (drop bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	now := o.clock.Now()
-	if sojourn < o.codelTarget {
-		o.firstAbove = time.Time{}
-		o.dropCount = 0
-		return false
-	}
-	if o.firstAbove.IsZero() {
-		o.firstAbove = now.Add(o.codelInterval)
-		return false
-	}
-	if now.Before(o.firstAbove) {
-		return false
-	}
-	o.dropCount++
-	o.firstAbove = now.Add(time.Duration(float64(o.codelInterval) / math.Sqrt(float64(o.dropCount))))
-	o.shedCodel.Add(1)
-	return true
 }
 
 // observe feeds one completed campaign back into the estimators.

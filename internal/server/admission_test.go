@@ -98,7 +98,7 @@ func TestRemoteCacheBudgetGatesRetries(t *testing.T) {
 }
 
 func TestOverloadFairShare(t *testing.T) {
-	o := newOverload(chaos.NewFakeClock(), 4, 0, 0, 0)
+	o := newOverload(chaos.NewFakeClock(), 4)
 	for i := 0; i < 4; i++ {
 		if !o.reserve("key:a") {
 			t.Fatalf("lone client refused at %d of 4", i)
@@ -134,7 +134,7 @@ func TestOverloadFairShare(t *testing.T) {
 
 func TestOverloadDeadlineEstimate(t *testing.T) {
 	clk := chaos.NewFakeClock()
-	o := newOverload(clk, 64, 0, 0, 0)
+	o := newOverload(clk, 64)
 	if o.overDeadline(4, 100, time.Second) {
 		t.Fatal("refused with no cost history")
 	}
@@ -161,44 +161,9 @@ func TestOverloadDeadlineEstimate(t *testing.T) {
 	}
 }
 
-func TestOverloadCoDelLaw(t *testing.T) {
-	clk := chaos.NewFakeClock()
-	o := newOverload(clk, 64, 2*time.Second, 4*time.Second, 0)
-	if o.dequeue(time.Second) {
-		t.Fatal("under-target sojourn dropped")
-	}
-	if o.dequeue(3 * time.Second) {
-		t.Fatal("first above-target sojourn must only arm the interval")
-	}
-	clk.Advance(5 * time.Second)
-	if !o.dequeue(3 * time.Second) {
-		t.Fatal("sojourn above target for a full interval not dropped")
-	}
-	// Control law: the next drop threshold is interval/sqrt(1) = 4s out.
-	clk.Advance(3 * time.Second)
-	if o.dequeue(3 * time.Second) {
-		t.Fatal("dropped before the accelerated interval elapsed")
-	}
-	clk.Advance(2 * time.Second)
-	if !o.dequeue(3 * time.Second) {
-		t.Fatal("second drop of the episode missing")
-	}
-	// Recovery: one under-target sojourn ends the episode.
-	if o.dequeue(time.Second) {
-		t.Fatal("recovered sojourn dropped")
-	}
-	clk.Advance(10 * time.Second)
-	if o.dequeue(3 * time.Second) {
-		t.Fatal("post-recovery above-target sojourn must re-arm, not drop")
-	}
-	if o.shedCodel.Load() != 2 {
-		t.Fatalf("shedCodel = %d, want 2", o.shedCodel.Load())
-	}
-}
-
 func TestOverloadRetryAfterTracksDrain(t *testing.T) {
 	clk := chaos.NewFakeClock()
-	o := newOverload(clk, 64, 0, 0, 0)
+	o := newOverload(clk, 64)
 	if got := o.retryAfterSecs(10); got != 1 {
 		t.Fatalf("no-history Retry-After = %d, want 1", got)
 	}
@@ -277,10 +242,11 @@ func postSpecAs(t *testing.T, url string, spec CampaignSpec, apiKey, deadline st
 	return resp, payload
 }
 
-// TestServerFairShareShedding: a client saturating its per-client cap
-// gets 503s while a second client's submission is still admitted.
+// TestServerFairShareShedding: a client saturating its dynamic share of
+// the queue gets 503s while the queue still has room. Two active keys
+// against QueueDepth 6 give each a share of 3.
 func TestServerFairShareShedding(t *testing.T) {
-	s, ts := newTestServer(t, Config{QueueDepth: 6, MaxInflight: 1, FairShare: 3})
+	s, ts := newTestServer(t, Config{QueueDepth: 6, MaxInflight: 1})
 	release := make(chan struct{})
 	entered := make(chan struct{}, 16)
 	s.runFn = func(c *campaign) *CampaignResponse {
@@ -295,28 +261,28 @@ func TestServerFairShareShedding(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	codes := make(chan int, 8)
-	// The hog: one running + two queued = its whole share of 3.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		resp, _ := postSpecAs(t, ts.URL, spec(1), "hog", "")
-		codes <- resp.StatusCode
-	}()
-	<-entered
-	for i := int64(2); i <= 3; i++ {
-		i := i
+	submit := func(seed int64, key string) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, _ := postSpecAs(t, ts.URL, spec(i), "hog", "")
+			resp, _ := postSpecAs(t, ts.URL, spec(seed), key, "")
 			codes <- resp.StatusCode
 		}()
 	}
-	waitFor(t, func() bool { return s.queueDepth.Load() == 2 })
+	// The hog runs one campaign; a newcomer queues one, so two keys are
+	// active; the hog queues two more: one running + two queued is its
+	// whole share of 6/2 = 3.
+	submit(1, "hog")
+	<-entered
+	submit(5, "newcomer")
+	waitFor(t, func() bool { return s.queueDepth.Load() == 1 })
+	submit(2, "hog")
+	submit(3, "hog")
+	waitFor(t, func() bool { return s.queueDepth.Load() == 3 })
 
 	// The hog's fourth campaign is refused — fair share, with an
-	// adaptive Retry-After — while a newcomer is admitted: the queue
-	// still has room, only the hog's share is spent.
+	// adaptive Retry-After — although the queue still has room: only
+	// the hog's share is spent.
 	resp, payload := postSpecAs(t, ts.URL, spec(4), "hog", "")
 	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(payload), "fair share") {
 		t.Fatalf("hog's 4th campaign: %d %q", resp.StatusCode, payload)
@@ -324,13 +290,6 @@ func TestServerFairShareShedding(t *testing.T) {
 	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
 		t.Fatalf("fair-share 503 Retry-After = %q", resp.Header.Get("Retry-After"))
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		resp, _ := postSpecAs(t, ts.URL, spec(5), "newcomer", "")
-		codes <- resp.StatusCode
-	}()
-	waitFor(t, func() bool { return s.queueDepth.Load() == 3 })
 
 	for i := 0; i < 4; i++ { // one release per admitted campaign
 		release <- struct{}{}
@@ -396,26 +355,34 @@ func TestServerDeadlineShedding(t *testing.T) {
 	}
 }
 
-// TestServerOverloadStorm drives the daemon at ~2x its service capacity
-// from four rival clients and asserts the overload controller's
-// contract: every refusal is a 503 with an adaptive Retry-After, some
-// work still completes for every client, and the latency of what IS
-// served stays bounded instead of growing with the backlog.
+// TestServerOverloadStorm drives the daemon at twice its capacity:
+// more concurrent clients than QueueDepth + MaxInflight, spread over a
+// few API keys, each submitting back to back. It asserts the overload
+// controller's contract: both remaining gates fire (queue-full
+// rejections and fair-share sheds), every refusal is a 503 with an
+// adaptive Retry-After in [1,60], every key still gets work served,
+// and the latency of what IS served stays bounded instead of growing
+// with the backlog.
 func TestServerOverloadStorm(t *testing.T) {
-	s, ts := newTestServer(t, Config{QueueDepth: 8, MaxInflight: 2})
+	const queueDepth, maxInflight = 8, 2
+	s, ts := newTestServer(t, Config{QueueDepth: queueDepth, MaxInflight: maxInflight})
 	s.runFn = func(c *campaign) *CampaignResponse {
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 		return &CampaignResponse{ID: c.id, Cluster: c.cluster,
 			Cache: CacheSummary{Points: 10, Misses: 10}}
 	}
 
-	const clients = 4
-	const perClient = 12
+	// Four keys divide the queue into shares of 2, so a full queue and an
+	// over-share key both occur while the storm lasts.
+	const clients = 2 * (queueDepth + maxInflight)
+	const keys = 4
+	const perClient = 8
 	type sample struct {
 		code int
 		ms   float64
 	}
 	results := make(chan sample, clients*perClient)
+	servedBy := make([]int64, clients)
 	var wg sync.WaitGroup
 	for cl := 0; cl < clients; cl++ {
 		cl := cl
@@ -426,13 +393,19 @@ func TestServerOverloadStorm(t *testing.T) {
 				spec := CampaignSpec{Experiments: []string{"fig3"},
 					Seed: int64(cl*1000 + i + 1), Runs: 1}
 				start := time.Now()
-				resp, _ := postSpecAs(t, ts.URL, spec, fmt.Sprintf("client-%d", cl), "")
+				resp, _ := postSpecAs(t, ts.URL, spec, fmt.Sprintf("key-%d", cl%keys), "")
 				el := float64(time.Since(start).Microseconds()) / 1e3
-				if resp.StatusCode == http.StatusServiceUnavailable {
+				switch resp.StatusCode {
+				case http.StatusOK:
+					servedBy[cl]++
+				case http.StatusServiceUnavailable:
 					if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 || ra > 60 {
 						t.Errorf("503 Retry-After = %q, want an integer in [1,60]",
 							resp.Header.Get("Retry-After"))
 					}
+					// A short pause keeps the storm going for several
+					// service times instead of spinning through it.
+					time.Sleep(5 * time.Millisecond)
 				}
 				results <- sample{resp.StatusCode, el}
 			}
@@ -454,18 +427,31 @@ func TestServerOverloadStorm(t *testing.T) {
 			t.Fatalf("storm answer %d, want 200 or 503", r.code)
 		}
 	}
-	if served == 0 {
-		t.Fatal("overload shed everything; admission collapsed")
-	}
 	if served+shed != clients*perClient {
 		t.Fatalf("served %d + shed %d != %d", served, shed, clients*perClient)
 	}
-	sort.Float64s(latencies)
-	p99 := latencies[int(0.99*float64(len(latencies)-1))]
-	if p99 > 5000 {
-		t.Fatalf("p99 of served campaigns = %.0fms; overload control failed to bound latency", p99)
+	perKey := make([]int64, keys)
+	for cl, n := range servedBy {
+		perKey[cl%keys] += n
+	}
+	for k, n := range perKey {
+		if n == 0 {
+			t.Fatalf("key-%d got nothing served; fair share failed", k)
+		}
 	}
 	m := s.Metrics()
+	if m.Campaigns.Rejected == 0 || m.Overload.ShedFairShare == 0 {
+		t.Fatalf("storm did not exercise both gates: queue-full %d, fair share %d",
+			m.Campaigns.Rejected, m.Overload.ShedFairShare)
+	}
+	if got := m.Campaigns.Rejected + m.Overload.ShedFairShare + m.Overload.ShedDeadline; got != int64(shed) {
+		t.Fatalf("shed counters sum to %d, clients saw %d 503s", got, shed)
+	}
+	sort.Float64s(latencies)
+	p99 := latencies[int(0.99*float64(len(latencies)-1))]
+	if p99 > 2000 {
+		t.Fatalf("p99 of served campaigns = %.0fms; overload control failed to bound latency", p99)
+	}
 	if m.Overload.EstPointMs <= 0 || m.Overload.DrainPerSec <= 0 {
 		t.Fatalf("estimators did not learn: %+v", m.Overload)
 	}

@@ -160,15 +160,11 @@ type RemoteCache struct {
 	client *http.Client
 
 	retries    int
-	baseDelay  time.Duration
-	maxDelay   time.Duration
+	backoff    *Backoff
 	reqTimeout time.Duration // per-request deadline; a hung daemon cannot stall a worker shard
-	clock      chaos.Clock
 	retried    atomic.Int64
 	stats      *runner.CacheStats // optional; Retries flows into it
 	budget     RetryBudget        // optional; gates every retry when set
-	rngMu      sync.Mutex
-	rng        *rand.Rand
 }
 
 // RetryBudget gates retry traffic. Allow consumes one retry token and
@@ -179,10 +175,49 @@ type RetryBudget interface {
 	Allow() bool
 }
 
-// retryAfterCap bounds how long a server-sent Retry-After may park a
+// RetryAfterCap bounds how long a server-sent Retry-After may park a
 // client: an absurd or hostile value must not stall a worker for
-// minutes when recomputing the point locally is always available.
-const retryAfterCap = 5 * time.Second
+// minutes when recomputing the point locally is always available, and
+// past it the client's own backoff is smarter.
+const RetryAfterCap = 5 * time.Second
+
+// Backoff paces one remote client's retries; RemoteCache and the
+// replica set's submissions each pace theirs with one. Retry number
+// attempt waits the server's Retry-After when it sent one (the server
+// knows its own drain rate better than our guess), otherwise
+// 25ms<<attempt capped at 1s, with ±50% jitter so a fleet of clients
+// recovering together does not stampede the daemon.
+type Backoff struct {
+	base, max time.Duration
+	clock     chaos.Clock
+	mu        sync.Mutex
+	rng       *rand.Rand
+}
+
+// NewBackoff builds a backoff sleeping on clock, its jitter seeded by
+// seed (0 seeds from the clock).
+func NewBackoff(clock chaos.Clock, seed int64) *Backoff {
+	if seed == 0 {
+		seed = clock.Now().UnixNano()
+	}
+	return &Backoff{base: 25 * time.Millisecond, max: time.Second, clock: clock,
+		rng: rand.New(rand.NewSource(seed))}
+}
+
+// Wait sleeps before retry number attempt (0 for the first retry).
+func (b *Backoff) Wait(attempt int, retryAfter time.Duration) {
+	d := retryAfter
+	if d <= 0 {
+		d = b.base << attempt
+		if d > b.max || d <= 0 {
+			d = b.max
+		}
+		b.mu.Lock()
+		d = time.Duration(float64(d) * (0.5 + b.rng.Float64()))
+		b.mu.Unlock()
+	}
+	b.clock.Sleep(d)
+}
 
 // ParseRetryAfter interprets a Retry-After header as delay seconds.
 // Absent, non-numeric (HTTP-dates are not produced by interfd) or
@@ -213,11 +248,8 @@ func NewRemoteCache(baseURL string) *RemoteCache {
 		base:       baseURL,
 		client:     &http.Client{},
 		retries:    3,
-		baseDelay:  25 * time.Millisecond,
-		maxDelay:   time.Second,
+		backoff:    NewBackoff(chaos.Real(), 0),
 		reqTimeout: 10 * time.Second,
-		clock:      chaos.Real(),
-		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 }
 
@@ -232,10 +264,10 @@ func (rc *RemoteCache) SetRetries(retries int, base, max time.Duration) {
 		rc.retries = retries
 	}
 	if base > 0 {
-		rc.baseDelay = base
+		rc.backoff.base = base
 	}
 	if max > 0 {
-		rc.maxDelay = max
+		rc.backoff.max = max
 	}
 }
 
@@ -249,9 +281,6 @@ func (rc *RemoteCache) SetRequestTimeout(d time.Duration) {
 		rc.reqTimeout = d
 	}
 }
-
-// SetClock substitutes the backoff clock (tests pass chaos.FakeClock).
-func (rc *RemoteCache) SetClock(c chaos.Clock) { rc.clock = c }
 
 // SetBudget installs a shared retry budget: every retry must first win
 // a token, so a dying daemon cannot trigger an unbounded retry storm
@@ -278,28 +307,13 @@ func retryable(status int) bool {
 	return false
 }
 
-// noteRetry counts one retried attempt and sleeps before it: the
-// server's Retry-After when it sent one (capped — the server knows its
-// own drain rate better than our guess), otherwise exponential in the
-// attempt number, capped, with ±50% jitter so a fleet of clients
-// recovering together does not stampede the daemon.
+// noteRetry counts one retried attempt and sleeps its backoff.
 func (rc *RemoteCache) noteRetry(attempt int, retryAfter time.Duration) {
 	rc.retried.Add(1)
 	if rc.stats != nil {
 		atomic.AddInt64(&rc.stats.Retries, 1)
 	}
-	if retryAfter > 0 {
-		rc.clock.Sleep(retryAfter)
-		return
-	}
-	d := rc.baseDelay << attempt
-	if d > rc.maxDelay || d <= 0 {
-		d = rc.maxDelay
-	}
-	rc.rngMu.Lock()
-	jitter := 0.5 + rc.rng.Float64()
-	rc.rngMu.Unlock()
-	rc.clock.Sleep(time.Duration(float64(d) * jitter))
+	rc.backoff.Wait(attempt, retryAfter)
 }
 
 // allowRetry consults the shared retry budget, if any.
@@ -345,7 +359,7 @@ func (rc *RemoteCache) loadOnce(fullKey string) (rec bench.PointRecord, ok, mism
 		return bench.PointRecord{}, false, false, false, false, 0
 	default:
 		io.Copy(io.Discard, resp.Body)
-		retryAfter, _ = ParseRetryAfter(resp.Header.Get("Retry-After"), retryAfterCap)
+		retryAfter, _ = ParseRetryAfter(resp.Header.Get("Retry-After"), RetryAfterCap)
 		return bench.PointRecord{}, false, false, true, retryable(resp.StatusCode), retryAfter
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxSpecBytes+1))
@@ -402,7 +416,7 @@ func (rc *RemoteCache) storeOnce(fullKey string, body []byte) (err error, transi
 	defer resp.Body.Close()
 	_, copyErr := io.Copy(io.Discard, resp.Body)
 	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		retryAfter, _ = ParseRetryAfter(resp.Header.Get("Retry-After"), retryAfterCap)
+		retryAfter, _ = ParseRetryAfter(resp.Header.Get("Retry-After"), RetryAfterCap)
 		return fmt.Errorf("server: cache PUT rejected: %s", resp.Status), retryable(resp.StatusCode), retryAfter
 	}
 	if copyErr != nil {

@@ -166,8 +166,7 @@ type Metrics struct {
 	// Overload reports the adaptive admission controller: the cost and
 	// drain estimators behind deadline-aware admission and Retry-After,
 	// plus the shed counters by cause (fair-share refusal, hopeless
-	// deadline, CoDel queue-collapse drop; queue-full rejections stay
-	// under Campaigns.Rejected).
+	// deadline; queue-full rejections stay under Campaigns.Rejected).
 	Overload struct {
 		EstPointMs      float64 `json:"est_point_ms"`
 		EstPointsPerExp float64 `json:"est_points_per_exp"`
@@ -175,7 +174,6 @@ type Metrics struct {
 		RetryAfterS     int     `json:"retry_after_s"`
 		ShedFairShare   int64   `json:"shed_fair_share"`
 		ShedDeadline    int64   `json:"shed_deadline"`
-		ShedCodel       int64   `json:"shed_codel"`
 	} `json:"overload"`
 	Robustness struct {
 		Draining           bool                `json:"draining"`
@@ -211,7 +209,6 @@ func (s *Server) Metrics() Metrics {
 	m.Overload.RetryAfterS = s.ov.retryAfterSecs(s.queueDepth.Load())
 	m.Overload.ShedFairShare = s.ov.shedFair.Load()
 	m.Overload.ShedDeadline = s.ov.shedDeadline.Load()
-	m.Overload.ShedCodel = s.ov.shedCodel.Load()
 	m.Robustness.Draining = s.Draining()
 	if s.breaker != nil {
 		m.Robustness.Breaker = s.breaker.Stats()

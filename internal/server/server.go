@@ -75,15 +75,6 @@ type Config struct {
 	// campaign degrades to no-cache mode; <= 0 means
 	// runner.DefaultDegradeAfter.
 	DegradeAfter int
-	// CoDelTarget / CoDelInterval tune the staleness controller: when
-	// queue sojourns stay above Target for a full Interval, dequeued
-	// campaigns are shed until sojourns recover (see internal/server
-	// admission.go). <= 0 means 2s / 4s.
-	CoDelTarget   time.Duration
-	CoDelInterval time.Duration
-	// FairShare caps each client's outstanding campaigns. <= 0 means
-	// dynamic: QueueDepth divided by the number of active clients.
-	FairShare int
 }
 
 // Server is the campaign daemon. Create with New, serve Handler, and
@@ -183,7 +174,7 @@ func New(cfg Config) (*Server, error) {
 		queueSlots: make(chan struct{}, cfg.QueueDepth),
 		runSlots:   make(chan struct{}, cfg.MaxInflight),
 	}
-	s.ov = newOverload(s.clock, cfg.QueueDepth, cfg.CoDelTarget, cfg.CoDelInterval, cfg.FairShare)
+	s.ov = newOverload(s.clock, cfg.QueueDepth)
 	s.runFn = s.runCampaign
 	if cfg.CacheDir != "" {
 		cache, err := runner.OpenPointCacheFS(cfg.CacheDir, s.fs)
@@ -418,8 +409,8 @@ func (s *Server) submit(c *campaign) (*CampaignResponse, *submitError) {
 // overload controller: a client over its fair share or a deadline that
 // provably cannot be met is refused before consuming a queue slot, a
 // full queue rejects with a drain-rate-derived Retry-After, and a
-// campaign that sat queued past the CoDel collapse threshold is shed at
-// dequeue instead of serving stale work. Internal submissions (startup
+// campaign whose queue wait alone outlived its deadline is shed at
+// dequeue instead of running late. Internal submissions (startup
 // recovery) bypass the shedding paths — they are already-accepted work.
 func (s *Server) admit(c *campaign) (*CampaignResponse, *submitError) {
 	shed := func(counterMsg string) *submitError {
@@ -468,10 +459,6 @@ func (s *Server) admit(c *campaign) (*CampaignResponse, *submitError) {
 			s.ov.shedDeadline.Add(1)
 			s.logf("shed campaign %s: %v queued exceeds its %v deadline", c.id[:12], sojourn, c.deadline)
 			return nil, shed(fmt.Sprintf("queued %v, past the %v deadline; retry later", sojourn.Round(time.Millisecond), c.deadline))
-		}
-		if s.ov.dequeue(sojourn) {
-			s.logf("shed campaign %s: queue collapsed (%v sojourn)", c.id[:12], sojourn)
-			return nil, shed(fmt.Sprintf("queue collapsed (%v sojourn); shedding to recover, retry later", sojourn.Round(time.Millisecond)))
 		}
 	}
 
