@@ -147,7 +147,7 @@ chaos-soak:
 # REPLICA_SOAK_PER_CLIENT and FAILOVER_DRILL_CLIENTS /
 # FAILOVER_DRILL_PER_CLIENT.
 failover-drill:
-	$(GO) test -race -run 'TestFailoverSoak|TestCache.*FailsOver|TestServerOverloadStorm|TestInterfdFailoverDrill' -count=1 -v ./internal/replica/ ./internal/server/ ./cmd/interfd/ ./cmd/interference/
+	$(GO) test -race -run 'TestFailoverSoak|TestCache.*FailsOver|TestHedgedLoad|TestServerOverloadStorm|TestInterfdFailoverDrill' -count=1 -v ./internal/replica/ ./internal/server/ ./cmd/interfd/ ./cmd/interference/
 
 clean:
 	rm -rf results test_output.txt bench_output.txt

@@ -248,11 +248,11 @@ func TestSubmitSendsDeadlineAndKey(t *testing.T) {
 	}
 }
 
-// TestCacheLoadFailsOver: an I/O error on one replica quarantines it
-// and the load is served by another healthy replica, counted in the
-// Set's Failovers; a clean miss is an answer, not a failure, and fails
-// over nowhere.
-func TestCacheLoadFailsOver(t *testing.T) {
+// TestHedgedLoadFailsOverOnFastFailure: an I/O error on one replica
+// quarantines it and the load is served by another healthy replica,
+// counted in the Set's Failovers. The TestHedgedLoad names are older
+// than the unhedged cache and are kept for continuity.
+func TestHedgedLoadFailsOverOnFastFailure(t *testing.T) {
 	const key = "sweep/point=1"
 	bad, good := newFakeReplica(t), newFakeReplica(t)
 	bad.cacheGet = func(w http.ResponseWriter, r *http.Request) {
@@ -282,7 +282,11 @@ func TestCacheLoadFailsOver(t *testing.T) {
 	if n := bad.gets.Load(); n != 1 {
 		t.Fatalf("bad replica saw %d GETs, want 1 (one attempt, then quarantine)", n)
 	}
+}
 
+// TestHedgedLoadMissIsNotHedged: a clean miss is an answer, not a
+// failure, and fails over nowhere.
+func TestHedgedLoadMissIsNotHedged(t *testing.T) {
 	miss := NewSet([]string{newFakeReplica(t).ts.URL, newFakeReplica(t).ts.URL}, Options{Seed: 1})
 	if _, ok, mismatch, ioErr := NewCache(miss).Load("sweep/point=3"); ok || mismatch || ioErr {
 		t.Fatalf("miss reported ok=%v mismatch=%v ioErr=%v", ok, mismatch, ioErr)
