@@ -94,13 +94,14 @@ examples:
 
 # Short fuzz passes: fluid solver invariants, machine-spec JSON
 # parsing, fabric-spec JSON parsing, fault-schedule spec parsing,
-# campaign-spec submissions.
+# campaign-spec submissions, point-payload decoding.
 fuzz:
 	$(GO) test ./internal/fluid/ -fuzz FuzzSolverInvariants -fuzztime 30s
 	$(GO) test ./internal/topology/ -fuzz FuzzReadSpec -fuzztime 30s
 	$(GO) test ./internal/topology/ -fuzz FuzzFabricSpec -fuzztime 30s
 	$(GO) test ./internal/fault/ -fuzz FuzzParseSchedule -fuzztime 30s
 	$(GO) test ./internal/server/ -fuzz FuzzSubmitSpec -fuzztime 30s
+	$(GO) test ./internal/bench/ -fuzz FuzzDecodePayload -fuzztime 30s
 
 # The switched-fabric battery: topology shape/routing invariants, the
 # max-min property storm over random fabrics, the two-node degeneracy

@@ -57,13 +57,16 @@ func ablationCases() []ablationCase {
 	}
 }
 
+// ablationCell is one ablated model's headline metrics, the payload of
+// an ablation point.
+type ablationCell struct {
+	LatFactor, BwDrop, StreamGBps float64
+}
+
 // Ablation runs the Fig 4 full-load configuration (STREAM TRIAD on all
 // cores, data near NIC, comm thread far) under each ablated model and
 // reports the headline metrics.
 func Ablation(env Env) *trace.Table {
-	type ablationCell struct {
-		LatFactor, BwDrop, StreamGBps float64
-	}
 	cases := ablationCases()
 	pts := make([]Point, 0, len(cases))
 	for _, c := range cases {

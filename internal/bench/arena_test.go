@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"testing"
@@ -36,11 +35,7 @@ func encodeRecord(t *testing.T, rec PointRecord) []byte {
 	if rec.Panic != nil {
 		t.Fatalf("point %q panicked: %v", rec.Key, rec.Panic)
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return rec.EncodeBinary()
 }
 
 // TestPooledEnvMatchesFresh is the differential lock on the world

@@ -11,6 +11,14 @@ import (
 	"repro/internal/trace"
 )
 
+// collCell is one collective's quiet and contended completion time, the
+// payload of a collectives point.
+type collCell struct {
+	Op            string
+	Nodes         int
+	Quiet, Loaded sim.Duration
+}
+
 // ExtCollectives measures broadcast and allreduce completion times
 // across node counts, quiet and under full memory contention on every
 // node. The paper explicitly scopes collectives out (§2.1); this
@@ -21,11 +29,6 @@ func ExtCollectives(env Env) *trace.Table {
 	t := trace.NewTable("EXT — collectives under memory contention (built on the studied point-to-point layer)",
 		"op", "nodes", "size_B", "quiet_us", "contended_us", "slowdown")
 	const size = 1 << 20
-	type collCell struct {
-		Op            string
-		Nodes         int
-		Quiet, Loaded sim.Duration
-	}
 	var pts []Point
 	for _, op := range []string{"bcast", "allreduce"} {
 		for _, nodes := range []int{2, 4, 8} {

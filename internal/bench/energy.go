@@ -9,6 +9,15 @@ import (
 	"repro/internal/trace"
 )
 
+// energyCell is one phase at one core frequency, the payload of an
+// energy point.
+type energyCell struct {
+	Phase   string
+	GHz     float64
+	Elapsed sim.Duration
+	Joules  float64
+}
+
 // ExtEnergy quantifies the §7 related-work tradeoff (Lim et al. [14],
 // Sundriyal et al. [19]): lowering the CPU frequency during
 // communication phases saves energy — essentially for free on
@@ -27,12 +36,6 @@ func ExtEnergy(env Env) *trace.Table {
 	phases := []phase{
 		{"latency-bound (4B x 2000)", 4, 2000},
 		{"bandwidth-bound (16MB x 40)", 16 << 20, 40},
-	}
-	type energyCell struct {
-		Phase   string
-		GHz     float64
-		Elapsed sim.Duration
-		Joules  float64
 	}
 	var pts []Point
 	for _, ph := range phases {

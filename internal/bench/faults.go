@@ -155,6 +155,13 @@ func FaultsPingPong(env Env) *trace.Table {
 	return t
 }
 
+// overlapCell is the overlap benchmark under one fault scenario, the
+// payload of a faults/overlap point.
+type overlapCell struct {
+	Scenario string
+	Res      mpi.OverlapResult
+}
+
 // FaultsOverlap reports the communication/computation overlap benchmark
 // (after reference [7]) under targeted fault scenarios: degraded wires
 // stretch the communication phase, a NIC stall freezes it outright, and
@@ -182,10 +189,6 @@ func FaultsOverlap(env Env) *trace.Table {
 		scenarios = []sc{{"custom", env.Faults}}
 	}
 	const size = 16 << 20
-	type overlapCell struct {
-		Scenario string
-		Res      mpi.OverlapResult
-	}
 	pts := make([]Point, 0, len(scenarios))
 	for _, s := range scenarios {
 		s := s

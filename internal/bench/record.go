@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -13,25 +14,26 @@ import (
 // is a poor fit for that traffic: it re-escapes the embedded payload,
 // re-parses float64s, and costs an order of magnitude more CPU and
 // bytes than the record's information content. The binary form below is
-// the storage and wire format; JSON canonicalisation still happens
-// exactly once per point, at the API/golden edge (ExecutePoint encodes
-// the payload, RunPointsAs decodes it), so rendered outputs are
-// untouched.
+// the storage and wire format. The payload inside it is the point's
+// result as the payload codec (codec.go) encoded it: ExecutePoint
+// encodes it once, RunPointsAs decodes it, and the record carries the
+// bytes through untouched.
 //
 // Layout (all integers unsigned varints, floats IEEE-754 little-endian):
 //
 //	magic   "IPR1"               (4 bytes)
 //	schema  uvarint              (must equal PointSchema on decode)
 //	key     uvarint len + bytes
-//	payload uvarint len + bytes  (the JSON-canonical payload, verbatim)
+//	payload uvarint len + bytes  (the codec-encoded payload, verbatim)
 //	sim     float64              (SimSeconds)
 //	worlds  uvarint
 //	faults  10 × float64         (FaultTotals, field order below)
 //
 // The format is versioned twice: the magic pins the framing, and the
-// schema field pins the measurement semantics. It is the only record
-// encoding the cache and its wire protocol accept; a record of either
-// stale version degrades to a recompute, never to corrupt output.
+// schema field pins the payload codec and the measurement semantics.
+// It is the only record encoding the cache and its wire protocol
+// accept; a record of either stale version degrades to a recompute,
+// never to corrupt output.
 
 // recordMagic frames binary point records ("Interference Point Record,
 // framing 1").
@@ -117,25 +119,36 @@ func (t *FaultTotals) setFields(f [faultFields]float64) {
 	t.PeerDeaths, t.TasksReexecuted, t.RollbackIters, t.Checkpoints, t.RecoverySecs = f[5], f[6], f[7], f[8], f[9]
 }
 
-// recDecoder is a cursor over an encoded record that latches the first
-// error, so the decode above reads straight-line.
+// recDecoder is a cursor over an encoded record or payload that latches
+// the first error, so the decoders read straight-line.
 type recDecoder struct {
 	data []byte
 	err  error
 }
 
-var errShortRecord = fmt.Errorf("unexpected end of data")
+var errShortRecord = errors.New("unexpected end of data")
+
+func (d *recDecoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
 
 func (d *recDecoder) take(n int) []byte {
 	if d.err != nil || n < 0 || n > len(d.data) {
-		if d.err == nil {
-			d.err = errShortRecord
-		}
+		d.fail(errShortRecord)
 		return nil
 	}
 	b := d.data[:n]
 	d.data = d.data[n:]
 	return b
+}
+
+func (d *recDecoder) u8() byte {
+	if b := d.take(1); b != nil {
+		return b[0]
+	}
+	return 0
 }
 
 func (d *recDecoder) uvarint() uint64 {
@@ -144,11 +157,40 @@ func (d *recDecoder) uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(d.data)
 	if n <= 0 {
-		d.err = errShortRecord
+		d.fail(errShortRecord)
 		return 0
 	}
 	d.data = d.data[n:]
 	return v
+}
+
+func (d *recDecoder) varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.data)
+	if n <= 0 {
+		d.fail(errShortRecord)
+		return 0
+	}
+	d.data = d.data[n:]
+	return v
+}
+
+// length reads a nil-or-length prefix (0 for nil, else 1 + n) and
+// returns n, or -1 for nil. The n elements, each encoded in at least
+// each ≥ 1 bytes, must fit in the input left, so a corrupt prefix
+// cannot make the caller allocate past it.
+func (d *recDecoder) length(each int) int {
+	n := d.uvarint()
+	if n == 0 {
+		return -1
+	}
+	if n-1 > uint64(len(d.data)/each) {
+		d.fail(errShortRecord)
+		return -1
+	}
+	return int(n - 1)
 }
 
 func (d *recDecoder) u64() uint64 {

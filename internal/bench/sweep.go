@@ -8,10 +8,10 @@ package bench
 // results back by index — the rendered tables are byte-identical to a
 // serial run at every worker count.
 //
-// Point results are canonicalised through JSON: a freshly computed
-// point is marshalled and decoded through exactly the same path as a
-// point replayed from a persistent cache, so "cold" and "warm"
-// campaigns cannot diverge even by a formatting bit. The encoded
+// Point results are canonicalised through the payload codec (codec.go):
+// a freshly computed point is encoded and decoded through exactly the
+// same path as a point replayed from a persistent cache, so "cold" and
+// "warm" campaigns cannot diverge even by a bit. The encoded
 // PointRecord also carries the point's simulation accounting
 // (simulated seconds, world count, fault totals), which the owning
 // experiment's meter absorbs in index order — campaign summaries stay
@@ -23,17 +23,16 @@ package bench
 // from it reports itself as cached (see Meter.Replayed).
 
 import (
-	"encoding/json"
 	"fmt"
 	"slices"
 
 	"repro/internal/stats"
 )
 
-// PointSchema versions the encoded PointRecord format. Cached records
-// with a different schema are ignored (a stale cache degrades to a
-// recompute, never to corrupt output).
-const PointSchema = 1
+// PointSchema versions the encoded PointRecord format, payload codec
+// included. Cached records with a different schema are ignored (a stale
+// cache degrades to a recompute, never to corrupt output).
+const PointSchema = 2
 
 // SweepVersion versions the *measurement logic* of the sweep drivers:
 // bump it whenever a driver changes what a point with an existing key
@@ -54,8 +53,8 @@ type Point struct {
 	Key string
 	// Fn computes the cell against an isolated environment (fresh spec
 	// clone, fresh meter, inline nested sweeps). The returned value must
-	// survive a JSON round-trip unchanged: exported fields only, no NaN
-	// or ±Inf.
+	// survive a payload-codec round trip unchanged: exported fields only,
+	// no NaN or ±Inf, and of the type the sweep decodes it as.
 	Fn func(env Env) any
 }
 
@@ -67,8 +66,8 @@ type PointRecord struct {
 	// Key echoes the full cache key the record was computed under, so a
 	// poisoned or misfiled cache entry is detected by comparing the
 	// stored key against the requested one (never served silently).
-	Key     string          `json:"key"`
-	Payload json.RawMessage `json:"payload"`
+	Key     string `json:"key"`
+	Payload []byte `json:"payload"`
 	// Accounting of the execution, replayed into the owning
 	// experiment's meter on decode (cache hits included).
 	SimSeconds float64     `json:"sim_seconds"`
@@ -128,9 +127,9 @@ func ExecutePoint(env Env, p Point) PointRecord {
 	if rec.Panic != nil {
 		return rec
 	}
-	payload, err := json.Marshal(v)
+	payload, err := encodePayload(v)
 	if err != nil {
-		rec.Panic = fmt.Sprintf("bench: point %q result is not JSON-encodable: %v", p.Key, err)
+		rec.Panic = fmt.Sprintf("bench: point %q result is not encodable: %v", p.Key, err)
 		return rec
 	}
 	rec.Payload = payload
@@ -180,7 +179,7 @@ func runPoints(env Env, pts []Point) []PointRecord {
 func decodePoints[T any](pts []Point, recs []PointRecord) []T {
 	out := make([]T, len(recs))
 	for i, rec := range recs {
-		if err := json.Unmarshal(rec.Payload, &out[i]); err != nil {
+		if err := decodePayload(rec.Payload, &out[i]); err != nil {
 			panic(fmt.Sprintf("bench: decoding point %q: %v", pts[i].Key, err))
 		}
 	}

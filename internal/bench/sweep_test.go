@@ -41,15 +41,15 @@ func TestExecutePointCapturesPanic(t *testing.T) {
 	}
 }
 
-// TestExecutePointRejectsNaN: results that cannot survive a JSON
-// round-trip are turned into captured panics, not silent corruption.
+// TestExecutePointRejectsNaN: results that cannot survive a codec
+// round trip are turned into captured panics, not silent corruption.
 func TestExecutePointRejectsNaN(t *testing.T) {
 	rec := ExecutePoint(quietEnv(), Point{Key: "t/nan", Fn: func(Env) any {
 		return struct{ V float64 }{math.NaN()}
 	}})
 	s, ok := rec.Panic.(string)
-	if !ok || !strings.Contains(s, "not JSON-encodable") {
-		t.Fatalf("Panic = %v, want a JSON-encodability error", rec.Panic)
+	if !ok || !strings.Contains(s, "not encodable") {
+		t.Fatalf("Panic = %v, want an encodability error", rec.Panic)
 	}
 }
 
@@ -87,9 +87,9 @@ func TestRunPointsAsAbsorbsMeter(t *testing.T) {
 	}
 }
 
-// TestRunPointsAsMatchesDirectCall: the JSON round-trip that
+// TestRunPointsAsMatchesDirectCall: the codec round trip that
 // canonicalises point results must be lossless for the drivers' result
-// types (Go float64 JSON encoding round-trips bit-exactly).
+// types.
 func TestRunPointsAsMatchesDirectCall(t *testing.T) {
 	direct := Interference(quietEnv().Isolated(), LatencyConfig(), ComputeConfig{})
 	got := RunPointsAs[InterferenceResult](quietEnv().Isolated(), []Point{
@@ -170,7 +170,7 @@ func BenchmarkInterferencePoint(b *testing.B) {
 }
 
 // BenchmarkExecutePoint measures the full point envelope: isolation,
-// execution, and JSON canonicalisation of the record.
+// execution, and the payload encoding of the record.
 func BenchmarkExecutePoint(b *testing.B) {
 	benchExecutePoint(b, ComputeConfig{})
 }
