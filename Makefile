@@ -94,7 +94,8 @@ examples:
 
 # Short fuzz passes: fluid solver invariants, machine-spec JSON
 # parsing, fabric-spec JSON parsing, fault-schedule spec parsing,
-# campaign-spec submissions, point-payload decoding.
+# campaign-spec submissions, point-payload decoding, point-cache pack
+# and index parsing, table-cell formatting.
 fuzz:
 	$(GO) test ./internal/fluid/ -fuzz FuzzSolverInvariants -fuzztime 30s
 	$(GO) test ./internal/topology/ -fuzz FuzzReadSpec -fuzztime 30s
@@ -102,6 +103,9 @@ fuzz:
 	$(GO) test ./internal/fault/ -fuzz FuzzParseSchedule -fuzztime 30s
 	$(GO) test ./internal/server/ -fuzz FuzzSubmitSpec -fuzztime 30s
 	$(GO) test ./internal/bench/ -fuzz FuzzDecodePayload -fuzztime 30s
+	$(GO) test ./internal/runner/ -fuzz FuzzParseIdx -fuzztime 30s
+	$(GO) test ./internal/runner/ -fuzz FuzzScanPackRefs -fuzztime 30s
+	$(GO) test ./internal/trace/ -fuzz FuzzTableCell -fuzztime 30s
 
 # The switched-fabric battery: topology shape/routing invariants, the
 # max-min property storm over random fabrics, the two-node degeneracy

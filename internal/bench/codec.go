@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // Point payload codec.
@@ -44,6 +45,11 @@ import (
 // that are not strings or integers, recursive types and slices whose
 // elements encode to no bytes have no plan: encoding or decoding them
 // is an error that names the type.
+//
+// A struct decodes its bool, integer and float leaves through their
+// byte offset from the struct's address, nested and embedded structs'
+// leaves included, instead of a reflect.Value per field; the struct's
+// other fields, and every field on encode, go through reflection.
 
 // codec is the encode/decode plan of one type. min is the fewest bytes
 // a value of the type encodes to; it bounds how many elements a length
@@ -51,8 +57,28 @@ import (
 type codec struct {
 	enc func(e *encoder, v reflect.Value)
 	dec func(d *recDecoder, v reflect.Value)
-	min int
+	// at, set for the fixed-size scalar kinds, decodes a value straight
+	// into the memory p points to.
+	at func(d *recDecoder, p unsafe.Pointer)
+	// steps, set for a struct, decode its fields in encoding order, the
+	// fields of nested and embedded structs spliced in.
+	steps []fieldStep
+	min   int
 }
+
+// fieldStep decodes one field of a struct: a scalar leaf through at, at
+// off bytes from the struct's address; any other field through its
+// plan c, as the field index reaches it.
+type fieldStep struct {
+	off   uintptr
+	at    func(d *recDecoder, p unsafe.Pointer)
+	index []int
+	c     *codec
+}
+
+// offsetDecode lets struct plans decode scalar leaves through their
+// offsets. It is a variable only so tests can force the reflective path.
+var offsetDecode = true
 
 // codecs caches the plan of every type encoded or decoded so far.
 var codecs sync.Map // reflect.Type → *codec
@@ -102,8 +128,8 @@ func decodePayload(data []byte, dst any) error {
 	if d.err != nil {
 		return fmt.Errorf("bench: decoding %s: %w", t, d.err)
 	}
-	if len(d.data) != 0 {
-		return fmt.Errorf("bench: %d trailing bytes after %s", len(d.data), t)
+	if d.left() != 0 {
+		return fmt.Errorf("bench: %d trailing bytes after %s", d.left(), t)
 	}
 	return nil
 }
@@ -132,15 +158,15 @@ func plan(t reflect.Type, visiting map[reflect.Type]bool) (*codec, error) {
 
 	switch t.Kind() {
 	case reflect.Bool:
-		return &codec{enc: encBool, dec: decBool, min: 1}, nil
+		return &codec{enc: encBool, dec: decBool, at: decBoolAt, min: 1}, nil
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return &codec{enc: encInt, dec: decInt, min: 1}, nil
+		return &codec{enc: encInt, dec: decInt, at: intAt(t), min: 1}, nil
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		return &codec{enc: encUint, dec: decUint, min: 1}, nil
+		return &codec{enc: encUint, dec: decUint, at: uintAt(t), min: 1}, nil
 	case reflect.Float32:
-		return &codec{enc: encFloat32, dec: decFloat32, min: 4}, nil
+		return &codec{enc: encFloat32, dec: decFloat32, at: decFloat32At, min: 4}, nil
 	case reflect.Float64:
-		return &codec{enc: encFloat64, dec: decFloat64, min: 8}, nil
+		return &codec{enc: encFloat64, dec: decFloat64, at: decFloat64At, min: 8}, nil
 	case reflect.String:
 		return &codec{enc: encString, dec: decString, min: 1}, nil
 	case reflect.Pointer:
@@ -302,6 +328,7 @@ func planStruct(t reflect.Type, visiting map[reflect.Type]bool) (*codec, error) 
 		*codec
 	}
 	var fields []field
+	var steps []fieldStep
 	size := 0
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
@@ -317,6 +344,20 @@ func planStruct(t reflect.Type, visiting map[reflect.Type]bool) (*codec, error) 
 		}
 		fields = append(fields, field{i, c})
 		size += c.min
+		switch {
+		case c.at != nil:
+			steps = append(steps, fieldStep{off: f.Offset, at: c.at})
+		case f.Type.Kind() == reflect.Struct:
+			for _, s := range c.steps {
+				s.off += f.Offset
+				if s.index != nil {
+					s.index = append([]int{i}, s.index...)
+				}
+				steps = append(steps, s)
+			}
+		default:
+			steps = append(steps, fieldStep{index: []int{i}, c: c})
+		}
 	}
 	return &codec{
 		enc: func(e *encoder, v reflect.Value) {
@@ -325,11 +366,24 @@ func planStruct(t reflect.Type, visiting map[reflect.Type]bool) (*codec, error) 
 			}
 		},
 		dec: func(d *recDecoder, v reflect.Value) {
-			for _, f := range fields {
-				f.dec(d, v.Field(f.index))
+			if !offsetDecode {
+				for _, f := range fields {
+					f.dec(d, v.Field(f.index))
+				}
+				return
+			}
+			base := v.Addr().UnsafePointer()
+			for i := range steps {
+				s := &steps[i]
+				if s.at != nil {
+					s.at(d, unsafe.Add(base, s.off))
+				} else {
+					s.c.dec(d, v.FieldByIndex(s.index))
+				}
 			}
 		},
-		min: size,
+		steps: steps,
+		min:   size,
 	}, nil
 }
 
@@ -351,6 +405,16 @@ func decBool(d *recDecoder, v reflect.Value) {
 	}
 }
 
+func decBoolAt(d *recDecoder, p unsafe.Pointer) {
+	switch d.u8() {
+	case 0:
+	case 1:
+		*(*bool)(p) = true
+	default:
+		d.fail(errors.New("bad bool"))
+	}
+}
+
 func encInt(e *encoder, v reflect.Value) { e.buf = binary.AppendVarint(e.buf, v.Int()) }
 
 func decInt(d *recDecoder, v reflect.Value) {
@@ -362,6 +426,33 @@ func decInt(d *recDecoder, v reflect.Value) {
 	v.SetInt(x)
 }
 
+// intAt returns the pointer decoder of the signed integer type t.
+func intAt(t reflect.Type) func(d *recDecoder, p unsafe.Pointer) {
+	switch t.Kind() {
+	case reflect.Int8:
+		return decIntAt[int8](t)
+	case reflect.Int16:
+		return decIntAt[int16](t)
+	case reflect.Int32:
+		return decIntAt[int32](t)
+	case reflect.Int64:
+		return decIntAt[int64](t)
+	}
+	return decIntAt[int](t)
+}
+
+// decIntAt decodes a T, refusing as decInt does a value T cannot hold.
+func decIntAt[T int | int8 | int16 | int32 | int64](t reflect.Type) func(d *recDecoder, p unsafe.Pointer) {
+	return func(d *recDecoder, p unsafe.Pointer) {
+		x := d.varint()
+		if int64(T(x)) != x {
+			d.fail(fmt.Errorf("%d overflows %s", x, t))
+			return
+		}
+		*(*T)(p) = T(x)
+	}
+}
+
 func encUint(e *encoder, v reflect.Value) { e.buf = binary.AppendUvarint(e.buf, v.Uint()) }
 
 func decUint(d *recDecoder, v reflect.Value) {
@@ -371,6 +462,35 @@ func decUint(d *recDecoder, v reflect.Value) {
 		return
 	}
 	v.SetUint(x)
+}
+
+// uintAt returns the pointer decoder of the unsigned integer type t.
+func uintAt(t reflect.Type) func(d *recDecoder, p unsafe.Pointer) {
+	switch t.Kind() {
+	case reflect.Uint8:
+		return decUintAt[uint8](t)
+	case reflect.Uint16:
+		return decUintAt[uint16](t)
+	case reflect.Uint32:
+		return decUintAt[uint32](t)
+	case reflect.Uint64:
+		return decUintAt[uint64](t)
+	case reflect.Uintptr:
+		return decUintAt[uintptr](t)
+	}
+	return decUintAt[uint](t)
+}
+
+// decUintAt decodes a T, refusing as decUint does a value T cannot hold.
+func decUintAt[T uint | uint8 | uint16 | uint32 | uint64 | uintptr](t reflect.Type) func(d *recDecoder, p unsafe.Pointer) {
+	return func(d *recDecoder, p unsafe.Pointer) {
+		x := d.uvarint()
+		if uint64(T(x)) != x {
+			d.fail(fmt.Errorf("%d overflows %s", x, t))
+			return
+		}
+		*(*T)(p) = T(x)
+	}
 }
 
 func encFloat32(e *encoder, v reflect.Value) {
@@ -385,6 +505,12 @@ func decFloat32(d *recDecoder, v reflect.Value) {
 	}
 }
 
+func decFloat32At(d *recDecoder, p unsafe.Pointer) {
+	if b := d.take(4); b != nil {
+		*(*float32)(p) = math.Float32frombits(binary.LittleEndian.Uint32(b))
+	}
+}
+
 func encFloat64(e *encoder, v reflect.Value) {
 	if f := v.Float(); e.finite(f) {
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
@@ -394,6 +520,12 @@ func encFloat64(e *encoder, v reflect.Value) {
 func decFloat64(d *recDecoder, v reflect.Value) {
 	if b := d.take(8); b != nil {
 		v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(b)))
+	}
+}
+
+func decFloat64At(d *recDecoder, p unsafe.Pointer) {
+	if b := d.take(8); b != nil {
+		*(*float64)(p) = math.Float64frombits(binary.LittleEndian.Uint64(b))
 	}
 }
 

@@ -364,11 +364,12 @@ func TestPayloadLengthPrefixBounded(t *testing.T) {
 	}
 }
 
-// FuzzDecodePayload: arbitrary bytes decoded as a sweep result either
-// fail or yield a value that round-trips through the codec; they never
-// panic.
+// FuzzDecodePayload: arbitrary bytes decoded as any sweep result type
+// either fail or yield a value that round-trips through the codec; they
+// never panic; and the offset path decodes them exactly as the
+// reflective plan does, to the same value or the same error.
 func FuzzDecodePayload(f *testing.F) {
-	for _, zero := range []any{ContentionPoint{}, Fig2Result{}} {
+	for _, zero := range payloadTypes {
 		for _, v := range variants(reflect.TypeOf(zero)) {
 			data, err := encodePayload(v.Interface())
 			if err != nil {
@@ -380,16 +381,29 @@ func FuzzDecodePayload(f *testing.F) {
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkDecode(t, data, new(ContentionPoint))
-		checkDecode(t, data, new(Fig2Result))
+		for _, zero := range payloadTypes {
+			checkDecode(t, data, reflect.TypeOf(zero))
+		}
 	})
 }
 
-func checkDecode(t *testing.T, data []byte, dst any) {
-	if decodePayload(data, dst) != nil {
+func checkDecode(t *testing.T, data []byte, typ reflect.Type) {
+	dst := reflect.New(typ)
+	err := decodePayload(data, dst.Interface())
+	ref := reflect.New(typ)
+	offsetDecode = false
+	refErr := decodePayload(data, ref.Interface())
+	offsetDecode = true
+	if fmt.Sprint(err) != fmt.Sprint(refErr) {
+		t.Fatalf("%s: offset path err = %v, reflective plan err = %v", typ, err, refErr)
+	}
+	if err != nil {
 		return
 	}
-	v := reflect.ValueOf(dst).Elem()
+	v := dst.Elem()
+	if !sameBits(v, ref.Elem()) {
+		t.Fatalf("%s: offset path decoded %+v, reflective plan %+v", typ, v, ref.Elem())
+	}
 	again, err := encodePayload(v.Interface())
 	if err != nil {
 		return // the input held a NaN or ±Inf bit pattern
@@ -400,6 +414,120 @@ func checkDecode(t *testing.T, data []byte, dst any) {
 	}
 	if !reflect.DeepEqual(back.Elem().Interface(), v.Interface()) {
 		t.Fatalf("%s drifted on a second round trip", v.Type())
+	}
+}
+
+// sameBits is reflect.DeepEqual with floats compared by their bits, so
+// that values holding the same NaN compare equal.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Bool:
+		return a.Bool() == b.Bool()
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return a.Int() == b.Int()
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return a.Uint() == b.Uint()
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.String:
+		return a.String() == b.String()
+	case reflect.Pointer:
+		return a.IsNil() == b.IsNil() && (a.IsNil() || sameBits(a.Elem(), b.Elem()))
+	case reflect.Slice, reflect.Map:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		if a.Kind() == reflect.Map {
+			for _, k := range a.MapKeys() {
+				if y := b.MapIndex(k); !y.IsValid() || !sameBits(a.MapIndex(k), y) {
+					return false
+				}
+			}
+			return true
+		}
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	panic("sameBits: unexpected kind " + a.Kind().String())
+}
+
+// TestOffsetDecodeLeaves: every scalar kind, nested and embedded, and
+// the fields between them decode through the offset path as through the
+// reflective plan, overflow refusals included. (codecRules covers an
+// unexported embedded struct.)
+func TestOffsetDecodeLeaves(t *testing.T) {
+	type Leaves struct {
+		B   bool
+		I   int
+		I8  int8
+		I16 int16
+		I32 int32
+		I64 int64
+		U   uint
+		U8  uint8
+		U16 uint16
+		U32 uint32
+		U64 uint64
+		UP  uintptr
+		F32 float32
+		F64 float64
+		P   Placement
+	}
+	type outer struct {
+		Head string
+		Leaves
+		Mid   []int
+		Inner struct {
+			L    Leaves
+			Tail map[string]int
+		}
+		Arr [2]int16
+	}
+	var v outer
+	n := 0
+	fill(reflect.ValueOf(&v).Elem(), &n)
+	data, err := encodePayload(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDecode(t, data, reflect.TypeOf(v))
+	var got outer
+	if err := decodePayload(data, &got); err != nil || !reflect.DeepEqual(got, v) {
+		t.Fatalf("round trip: err %v\n got %+v\nwant %+v", err, got, v)
+	}
+	// A leaf given a value its type cannot hold fails with the
+	// reflective plan's message.
+	type level int8
+	for _, c := range []struct {
+		v    any
+		enc  []byte
+		want string
+	}{
+		{struct{ X int8 }{}, binary.AppendVarint(nil, 300), "300 overflows int8"},
+		{struct{ X int32 }{}, binary.AppendVarint(nil, math.MinInt32-1), "-2147483649 overflows int32"},
+		{struct{ X level }{}, binary.AppendVarint(nil, -129), "-129 overflows bench.level"},
+		{struct{ X uint16 }{}, binary.AppendUvarint(nil, 70000), "70000 overflows uint16"},
+		{struct{ X struct{ Y uint8 } }{}, binary.AppendUvarint(nil, 256), "256 overflows uint8"},
+	} {
+		typ := reflect.TypeOf(c.v)
+		checkDecode(t, c.enc, typ)
+		err := decodePayload(c.enc, reflect.New(typ).Interface())
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", typ, err, c.want)
+		}
 	}
 }
 

@@ -71,7 +71,8 @@ func (r PointRecord) EncodeBinary() []byte {
 // DecodeBinary parses a binary record, replacing the receiver. It
 // rejects framing it does not understand; schema validation is the
 // caller's business (the cache treats a schema mismatch as a miss, not
-// an error).
+// an error). The decoded Payload aliases data, which the caller must
+// therefore never write again.
 func (r *PointRecord) DecodeBinary(data []byte) error {
 	d := recDecoder{data: data}
 	if string(d.take(len(recordMagic))) != recordMagic {
@@ -89,8 +90,8 @@ func (r *PointRecord) DecodeBinary(data []byte) error {
 	if d.err != nil {
 		return fmt.Errorf("bench: truncated point record: %w", d.err)
 	}
-	if len(d.data) != 0 {
-		return fmt.Errorf("bench: %d trailing bytes after point record", len(d.data))
+	if d.left() != 0 {
+		return fmt.Errorf("bench: %d trailing bytes after point record", d.left())
 	}
 	*r = PointRecord{
 		Schema:     int(schema),
@@ -99,7 +100,9 @@ func (r *PointRecord) DecodeBinary(data []byte) error {
 		Worlds:     int(worlds),
 	}
 	if len(payload) > 0 {
-		r.Payload = append([]byte(nil), payload...)
+		// Aliased, not copied (see the Payload field); the full slice
+		// expression keeps an append from writing into data.
+		r.Payload = payload[:len(payload):len(payload)]
 	}
 	r.Faults.setFields(faults)
 	return nil
@@ -120,11 +123,16 @@ func (t *FaultTotals) setFields(f [faultFields]float64) {
 }
 
 // recDecoder is a cursor over an encoded record or payload that latches
-// the first error, so the decoders read straight-line.
+// the first error, so the decoders read straight-line. It advances an
+// offset rather than re-slicing data, so a read stores no pointer.
 type recDecoder struct {
 	data []byte
+	pos  int
 	err  error
 }
+
+// left returns the number of bytes not read yet.
+func (d *recDecoder) left() int { return len(d.data) - d.pos }
 
 var errShortRecord = errors.New("unexpected end of data")
 
@@ -135,12 +143,12 @@ func (d *recDecoder) fail(err error) {
 }
 
 func (d *recDecoder) take(n int) []byte {
-	if d.err != nil || n < 0 || n > len(d.data) {
+	if d.err != nil || n < 0 || n > d.left() {
 		d.fail(errShortRecord)
 		return nil
 	}
-	b := d.data[:n]
-	d.data = d.data[n:]
+	b := d.data[d.pos : d.pos+n]
+	d.pos += n
 	return b
 }
 
@@ -155,12 +163,12 @@ func (d *recDecoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(d.data)
+	v, n := binary.Uvarint(d.data[d.pos:])
 	if n <= 0 {
 		d.fail(errShortRecord)
 		return 0
 	}
-	d.data = d.data[n:]
+	d.pos += n
 	return v
 }
 
@@ -168,12 +176,12 @@ func (d *recDecoder) varint() int64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(d.data)
+	v, n := binary.Varint(d.data[d.pos:])
 	if n <= 0 {
 		d.fail(errShortRecord)
 		return 0
 	}
-	d.data = d.data[n:]
+	d.pos += n
 	return v
 }
 
@@ -186,7 +194,7 @@ func (d *recDecoder) length(each int) int {
 	if n == 0 {
 		return -1
 	}
-	if n-1 > uint64(len(d.data)/each) {
+	if n-1 > uint64(d.left()/each) {
 		d.fail(errShortRecord)
 		return -1
 	}

@@ -66,7 +66,11 @@ type PointRecord struct {
 	// Key echoes the full cache key the record was computed under, so a
 	// poisoned or misfiled cache entry is detected by comparing the
 	// stored key against the requested one (never served silently).
-	Key     string `json:"key"`
+	Key string `json:"key"`
+	// Payload is the codec-encoded result. It is read-only: a decoded
+	// record's Payload aliases the bytes it was decoded from (a pack
+	// page-in, a write-behind buffer entry or an HTTP body), so writing
+	// it would change every record sharing those bytes.
 	Payload []byte `json:"payload"`
 	// Accounting of the execution, replayed into the owning
 	// experiment's meter on decode (cache hits included).

@@ -58,3 +58,41 @@ func BenchmarkCampaignCounters(b *testing.B) {
 		b.ReportMetric(float64(byFamily[fam].Reuses)/float64(b.N), "reuses/"+fam)
 	}
 }
+
+// BenchmarkWarmReplay replays the golden henri campaign (seed 1, 3 runs)
+// from a point cache filled in set-up. Each op opens the cache, runs
+// every experiment and flushes, as a repeated `make verify` does; no
+// point executes, so the op is cache load, record and payload decode,
+// rendering and scheduling.
+func BenchmarkWarmReplay(b *testing.B) {
+	env, err := core.Env("henri", 1, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	exps := core.Experiments()
+	dir := b.TempDir()
+	campaign := func() CacheStats {
+		cache, err := OpenPointCache(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var stats CacheStats
+		for res := range Run(env, exps, Options{Cache: cache, CacheStats: &stats}) {
+			if res.Err != nil {
+				b.Fatalf("%s: %v", res.Exp.ID, res.Err)
+			}
+		}
+		if err := cache.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		return stats
+	}
+	campaign()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if stats := campaign(); stats.Misses != 0 {
+			b.Fatalf("warm replay executed %d points", stats.Misses)
+		}
+	}
+}

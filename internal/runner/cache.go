@@ -110,8 +110,21 @@ type CacheStore interface {
 // sha256 under which both the on-disk cache and the remote cache
 // protocol file the record.
 func CacheKeySum(fullKey string) string {
-	sum := sha256.Sum256([]byte(fullKey))
+	sum := keySum(fullKey)
 	return hex.EncodeToString(sum[:])
+}
+
+// keySum returns the raw content address of a full point key.
+func keySum(fullKey string) addr { return sha256.Sum256([]byte(fullKey)) }
+
+// parseAddr decodes a content address spelt as CacheKeySum spells it:
+// 64 lowercase hex digits.
+func parseAddr(sum string) (a addr, ok bool) {
+	if len(sum) != 2*sumBytes || strings.ToLower(sum) != sum {
+		return a, false
+	}
+	_, err := hex.Decode(a[:], []byte(sum))
+	return a, err == nil
 }
 
 // PointCache is a persistent, content-addressed store of computed sweep
@@ -129,11 +142,11 @@ type PointCache struct {
 	fs    chaos.FS
 
 	mu           sync.Mutex
-	pending      map[string][]byte // sum → binary record awaiting a flush
+	pending      map[addr][]byte // binary records awaiting a flush
 	pendingBytes int
-	index        map[string]packRef // sum → extent in a pack segment
-	packData     map[string][]byte  // pack path → bytes (lazy page-in)
-	scanned      map[string]bool    // pack paths already indexed
+	index        map[addr]packRef  // extent of each record in a pack segment
+	packData     map[string][]byte // pack path → bytes (lazy page-in)
+	scanned      map[string]bool   // pack paths already indexed
 	lastScan     time.Time
 
 	// flushEvery/flushBytes are the write-behind thresholds; tests
@@ -166,8 +179,8 @@ func OpenPointCacheFS(dir string, fsys chaos.FS) (*PointCache, error) {
 	c := &PointCache{
 		packs:      packs,
 		fs:         fsys,
-		pending:    make(map[string][]byte),
-		index:      make(map[string]packRef),
+		pending:    make(map[addr][]byte),
+		index:      make(map[addr]packRef),
 		packData:   make(map[string][]byte),
 		scanned:    make(map[string]bool),
 		flushEvery: defaultFlushEvery,
@@ -179,13 +192,17 @@ func OpenPointCacheFS(dir string, fsys chaos.FS) (*PointCache, error) {
 	return c, nil
 }
 
-// LoadSum returns the raw stored binary record for a content address,
-// as the remote cache protocol serves it. os.IsNotExist(err)
-// distinguishes absence from read failures. No validation happens here —
-// callers must verify the decoded record's key hashes back to sum
-// before trusting it.
+// LoadSum returns the raw stored binary record for a hex content
+// address, as the remote cache protocol serves it. os.IsNotExist(err)
+// distinguishes absence from read failures; an address that is not hex
+// sha256 is absent. No validation happens here — callers must verify
+// the decoded record's key hashes back to sum before trusting it.
 func (c *PointCache) LoadSum(sum string) ([]byte, error) {
-	data, found, err := c.lookup(sum)
+	a, ok := parseAddr(sum)
+	if !ok {
+		return nil, os.ErrNotExist
+	}
+	data, found, err := c.lookup(a)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +215,7 @@ func (c *PointCache) LoadSum(sum string) ([]byte, error) {
 // lookup resolves a content address to its raw stored bytes: pending
 // buffer, then pack index, then (on a miss) a throttled rescan of the
 // packs directory for segments flushed by other processes.
-func (c *PointCache) lookup(sum string) (data []byte, found bool, err error) {
+func (c *PointCache) lookup(sum addr) (data []byte, found bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if data, ok := c.pending[sum]; ok {
@@ -290,7 +307,7 @@ func (c *PointCache) scanPackLocked(path string) {
 // entry is never served). ioErr marks read failures distinct from
 // ordinary absence.
 func (c *PointCache) Load(fullKey string) (rec bench.PointRecord, ok, mismatch, ioErr bool) {
-	data, found, err := c.lookup(CacheKeySum(fullKey))
+	data, found, err := c.lookup(keySum(fullKey))
 	if err != nil {
 		return bench.PointRecord{}, false, false, true
 	}
@@ -326,7 +343,7 @@ func decodeStored(data []byte, fullKey string) (rec bench.PointRecord, ok, misma
 func (c *PointCache) Store(fullKey string, rec bench.PointRecord) error {
 	rec.Key = fullKey
 	data := rec.EncodeBinary()
-	sum := CacheKeySum(fullKey)
+	sum := keySum(fullKey)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, dup := c.pending[sum]; dup {
@@ -357,7 +374,7 @@ func (c *PointCache) flushLocked() error {
 	if err := c.writePackLocked(c.pending); err != nil {
 		return err
 	}
-	c.pending = make(map[string][]byte)
+	c.pending = make(map[addr][]byte)
 	c.pendingBytes = 0
 	return nil
 }
@@ -366,11 +383,8 @@ func (c *PointCache) flushLocked() error {
 // (seg-*.pack + seg-*.idx) and indexes it. The pack write is atomic
 // (temp + rename); the sidecar index is best-effort — a pack without
 // one is re-indexed by scanning.
-func (c *PointCache) writePackLocked(batch map[string][]byte) error {
-	pack, refs, err := buildPack(batch)
-	if err != nil {
-		return err
-	}
+func (c *PointCache) writePackLocked(batch map[addr][]byte) error {
+	pack, refs := buildPack(batch)
 	tmp, err := c.fs.CreateTemp(c.packs, ".tmp-*")
 	if err != nil {
 		return err
@@ -427,7 +441,7 @@ func (c *PointCache) writeIdx(seg string, refs []idxEntry) {
 func (c *PointCache) Entries(fn func(sum string, data []byte) error) error {
 	c.mu.Lock()
 	c.rescanLocked()
-	snap := make(map[string][]byte, len(c.pending)+len(c.index))
+	snap := make(map[addr][]byte, len(c.pending)+len(c.index))
 	for sum, data := range c.pending {
 		snap[sum] = data
 	}
@@ -441,7 +455,7 @@ func (c *PointCache) Entries(fn func(sum string, data []byte) error) error {
 	}
 	c.mu.Unlock()
 	for sum, data := range snap {
-		if err := fn(sum, data); err != nil {
+		if err := fn(hex.EncodeToString(sum[:]), data); err != nil {
 			return err
 		}
 	}

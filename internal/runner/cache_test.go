@@ -243,7 +243,7 @@ func TestPoisonedCacheEntryDetected(t *testing.T) {
 
 	// Poison one entry: rewrite its stored key inside the pack segment.
 	fullKey := pointBaseKey(env) + "/p/cell=1"
-	sum := CacheKeySum(fullKey)
+	sum := keySum(fullKey)
 	packs, err := os.ReadDir(filepath.Join(dir, "packs"))
 	if err != nil {
 		t.Fatal(err)
@@ -271,10 +271,7 @@ func TestPoisonedCacheEntryDetected(t *testing.T) {
 	}
 	rec.Key = "someone-elses-key"
 	entries[sum] = rec.EncodeBinary()
-	poisoned, refs, err := buildPack(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	poisoned, refs := buildPack(entries)
 	if err := os.WriteFile(packPath, poisoned, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -323,10 +320,7 @@ func TestCacheSchemaDriftIsMiss(t *testing.T) {
 // recomputed.
 func TestCacheCorruptEntryIsIOError(t *testing.T) {
 	dir := t.TempDir()
-	pack, refs, err := buildPack(map[string][]byte{CacheKeySum("k"): []byte("not a record")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pack, refs := buildPack(map[addr][]byte{keySum("k"): []byte("not a record")})
 	seg := filepath.Join(dir, "packs", "seg-corrupt")
 	if err := os.MkdirAll(filepath.Dir(seg), 0o755); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,10 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Pack segments are the point cache's batched storage unit: one flush of
@@ -40,7 +40,16 @@ const (
 	idxMagic  = "IPX1"
 	// sumBytes is the raw length of a content address (sha256).
 	sumBytes = 32
+	// minIdxEntry and minPackEntry are the fewest bytes an index or pack
+	// entry takes: the address and a one-byte varint or two.
+	minIdxEntry  = sumBytes + 2
+	minPackEntry = sumBytes + 1
 )
+
+// addr is a raw content address, the sha256 of a full point key. The
+// cache keys its index and write-behind buffer by it; the hex form
+// (CacheKeySum) is only for the remote protocol and Entries.
+type addr [sumBytes]byte
 
 // packRef locates one record inside a flushed pack segment.
 type packRef struct {
@@ -51,40 +60,33 @@ type packRef struct {
 
 // idxEntry is one (content address, extent) pair of a pack's index.
 type idxEntry struct {
-	sum string // hex
+	sum addr
 	off int
 	n   int
 }
 
-// buildPack serialises a batch of encoded records (keyed by hex content
-// address) into a pack image and its index entries, sorted by address.
-func buildPack(entries map[string][]byte) (pack []byte, refs []idxEntry, err error) {
-	sums := make([]string, 0, len(entries))
+// buildPack serialises a batch of encoded records into a pack image and
+// its index entries, sorted by address.
+func buildPack(entries map[addr][]byte) (pack []byte, refs []idxEntry) {
+	sums := make([]addr, 0, len(entries))
 	size := len(packMagic) + binary.MaxVarintLen64
 	for s, data := range entries {
-		if len(s) != 2*sumBytes {
-			return nil, nil, fmt.Errorf("runner: pack entry address %q is not a sha256", s)
-		}
 		sums = append(sums, s)
 		size += sumBytes + binary.MaxVarintLen64 + len(data)
 	}
-	sort.Strings(sums)
+	slices.SortFunc(sums, func(a, b addr) int { return bytes.Compare(a[:], b[:]) })
 	pack = make([]byte, 0, size)
 	pack = append(pack, packMagic...)
 	pack = binary.AppendUvarint(pack, uint64(len(sums)))
 	refs = make([]idxEntry, 0, len(sums))
 	for _, s := range sums {
-		raw, err := hex.DecodeString(s)
-		if err != nil {
-			return nil, nil, fmt.Errorf("runner: pack entry address %q: %w", s, err)
-		}
 		data := entries[s]
-		pack = append(pack, raw...)
+		pack = append(pack, s[:]...)
 		pack = binary.AppendUvarint(pack, uint64(len(data)))
 		refs = append(refs, idxEntry{sum: s, off: len(pack), n: len(data)})
 		pack = append(pack, data...)
 	}
-	return pack, refs, nil
+	return pack, refs
 }
 
 // encodeIdx serialises index entries into the sidecar format.
@@ -93,11 +95,7 @@ func encodeIdx(refs []idxEntry) []byte {
 	idx = append(idx, idxMagic...)
 	idx = binary.AppendUvarint(idx, uint64(len(refs)))
 	for _, e := range refs {
-		raw, err := hex.DecodeString(e.sum)
-		if err != nil || len(raw) != sumBytes {
-			continue // unreachable for refs built by buildPack
-		}
-		idx = append(idx, raw...)
+		idx = append(idx, e.sum[:]...)
 		idx = binary.AppendUvarint(idx, uint64(e.off))
 		idx = binary.AppendUvarint(idx, uint64(e.n))
 	}
@@ -126,6 +124,24 @@ func (c *packCursor) take(n int) []byte {
 	return b
 }
 
+// sum reads a content address.
+func (c *packCursor) sum() (s addr) {
+	copy(s[:], c.take(sumBytes))
+	return s
+}
+
+// count reads an entry count and refuses one whose entries, each at
+// least each bytes, could not fit in the bytes left, so a corrupt count
+// cannot make the caller allocate past the input.
+func (c *packCursor) count(each int) int {
+	n := c.uvarint()
+	if n > uint64(len(c.data)/each) {
+		c.fail("runner: pack entry count %d exceeds the %d bytes left", n, len(c.data))
+		return 0
+	}
+	return int(n)
+}
+
 func (c *packCursor) uvarint() uint64 {
 	if c.err != nil {
 		return 0
@@ -145,10 +161,10 @@ func parseIdx(data []byte) ([]idxEntry, error) {
 	if string(c.take(len(idxMagic))) != idxMagic {
 		return nil, fmt.Errorf("runner: bad pack index magic")
 	}
-	count := c.uvarint()
+	count := c.count(minIdxEntry)
 	refs := make([]idxEntry, 0, count)
-	for i := uint64(0); i < count && c.err == nil; i++ {
-		sum := hex.EncodeToString(c.take(sumBytes))
+	for i := 0; i < count && c.err == nil; i++ {
+		sum := c.sum()
 		off := c.uvarint()
 		n := c.uvarint()
 		refs = append(refs, idxEntry{sum: sum, off: int(off), n: int(n)})
@@ -167,10 +183,10 @@ func scanPackRefs(data []byte) ([]idxEntry, error) {
 	if string(c.take(len(packMagic))) != packMagic {
 		return nil, fmt.Errorf("runner: bad pack magic")
 	}
-	count := c.uvarint()
+	count := c.count(minPackEntry)
 	refs := make([]idxEntry, 0, count)
-	for i := uint64(0); i < count && c.err == nil; i++ {
-		sum := hex.EncodeToString(c.take(sumBytes))
+	for i := 0; i < count && c.err == nil; i++ {
+		sum := c.sum()
 		n := int(c.uvarint())
 		off := total - len(c.data)
 		if c.take(n) == nil {
@@ -188,12 +204,12 @@ func scanPackRefs(data []byte) ([]idxEntry, error) {
 }
 
 // parsePackEntries scans a pack into its raw records keyed by address.
-func parsePackEntries(data []byte) (map[string][]byte, error) {
+func parsePackEntries(data []byte) (map[addr][]byte, error) {
 	refs, err := scanPackRefs(data)
 	if err != nil {
 		return nil, err
 	}
-	entries := make(map[string][]byte, len(refs))
+	entries := make(map[addr][]byte, len(refs))
 	for _, e := range refs {
 		entries[e.sum] = append([]byte(nil), data[e.off:e.off+e.n]...)
 	}

@@ -6,6 +6,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -21,23 +22,46 @@ func NewTable(title string, columns ...string) *Table {
 	return &Table{Title: title, Columns: columns}
 }
 
-// Add appends a row, formatting each cell with %v (floats with %.4g).
+// Add appends a row, formatting each cell as fmt's %v would (floats as
+// %.4g). The common cell types skip fmt, since strconv yields the same
+// bytes, and the row's cells share one string.
 func (t *Table) Add(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.4g", v)
-		case float32:
-			row[i] = fmt.Sprintf("%.4g", v)
-		default:
-			row[i] = fmt.Sprint(c)
-		}
+	if len(cells) != len(t.Columns) {
+		panic(fmt.Sprintf("trace: row has %d cells, table has %d columns", len(cells), len(t.Columns)))
 	}
-	if len(row) != len(t.Columns) {
-		panic(fmt.Sprintf("trace: row has %d cells, table has %d columns", len(row), len(t.Columns)))
+	var scratch [256]byte
+	var endsBuf [16]int
+	b, ends := scratch[:0], endsBuf[:0]
+	for _, c := range cells {
+		b = appendCell(b, c)
+		ends = append(ends, len(b))
+	}
+	text := string(b)
+	row := make([]string, len(cells))
+	start := 0
+	for i, end := range ends {
+		row[i] = text[start:end]
+		start = end
 	}
 	t.Rows = append(t.Rows, row)
+}
+
+// appendCell appends one cell's text: strconv for strings, floats and
+// the int types, fmt for anything else.
+func appendCell(b []byte, c any) []byte {
+	switch v := c.(type) {
+	case string:
+		return append(b, v...)
+	case float64:
+		return strconv.AppendFloat(b, v, 'g', 4, 64)
+	case float32:
+		return strconv.AppendFloat(b, float64(v), 'g', 4, 32)
+	case int:
+		return strconv.AppendInt(b, int64(v), 10)
+	case int64:
+		return strconv.AppendInt(b, v, 10)
+	}
+	return fmt.Append(b, c)
 }
 
 // WriteCSV emits the table as CSV (RFC-4180-style quoting for cells
@@ -74,49 +98,72 @@ func (t *Table) WriteCSV(w io.Writer) error {
 // WriteASCII emits the table with aligned columns and a title rule,
 // readable on a terminal.
 func (t *Table) WriteASCII(w io.Writer) error {
+	_, err := w.Write(t.ascii())
+	return err
+}
+
+// String renders the ASCII form.
+func (t *Table) String() string { return string(t.ascii()) }
+
+// ascii renders the ASCII form into one buffer sized up front.
+func (t *Table) ascii() []byte {
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
 		widths[i] = len(c)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], len(c))
 		}
 	}
-	var b strings.Builder
+	line := 1 // the newline
+	for i, w := range widths {
+		if i > 0 {
+			line += 2
+		}
+		line += w
+	}
+	size := (len(t.Rows) + 2) * line
 	if t.Title != "" {
-		b.WriteString(t.Title + "\n")
-		b.WriteString(strings.Repeat("=", len(t.Title)) + "\n")
+		size += 2 * (len(t.Title) + 1)
 	}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c + strings.Repeat(" ", widths[i]-len(c)))
+	b := make([]byte, 0, size)
+	if t.Title != "" {
+		b = append(b, t.Title...)
+		b = append(b, '\n')
+		b = pad(b, '=', len(t.Title))
+		b = append(b, '\n')
+	}
+	b = appendRow(b, widths, t.Columns)
+	for i, w := range widths {
+		if i > 0 {
+			b = append(b, "  "...)
 		}
-		b.WriteString("\n")
+		b = pad(b, '-', w)
 	}
-	writeRow(t.Columns)
-	sep := make([]string, len(t.Columns))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
+	b = append(b, '\n')
 	for _, row := range t.Rows {
-		writeRow(row)
+		b = appendRow(b, widths, row)
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return b
 }
 
-// String renders the ASCII form.
-func (t *Table) String() string {
-	var b strings.Builder
-	if err := t.WriteASCII(&b); err != nil {
-		return fmt.Sprintf("trace: %v", err)
+// appendRow appends one line of cells, each padded to its column width.
+func appendRow(b []byte, widths []int, cells []string) []byte {
+	for i, c := range cells {
+		if i > 0 {
+			b = append(b, "  "...)
+		}
+		b = append(b, c...)
+		b = pad(b, ' ', widths[i]-len(c))
 	}
-	return b.String()
+	return append(b, '\n')
+}
+
+// pad appends n copies of c to b.
+func pad(b []byte, c byte, n int) []byte {
+	for ; n > 0; n-- {
+		b = append(b, c)
+	}
+	return b
 }
