@@ -146,13 +146,14 @@ chaos-soak:
 # soak (two replicas, one cache dir, a kill switch in the transport),
 # the replica cache's read and write failover (unit tests and a CLI run
 # whose first -cache replica dies), the server overload storm at 2x
-# capacity, and the end-to-end drill — two real interfd processes
+# capacity and the admission unit tests (fair share, drain-rate
+# Retry-After), and the end-to-end drill — two real interfd processes
 # sharing a -cache-dir, one SIGKILLed mid-storm, byte-identical
 # completion required. Size with REPLICA_SOAK_CLIENTS /
 # REPLICA_SOAK_PER_CLIENT and FAILOVER_DRILL_CLIENTS /
 # FAILOVER_DRILL_PER_CLIENT.
 failover-drill:
-	$(GO) test -race -run 'TestFailoverSoak|TestCache.*FailsOver|TestHedgedLoad|TestServerOverloadStorm|TestInterfdFailoverDrill' -count=1 -v ./internal/replica/ ./internal/server/ ./cmd/interfd/ ./cmd/interference/
+	$(GO) test -race -run 'TestFailoverSoak|TestCache.*FailsOver|TestHedgedLoad|TestServerOverloadStorm|TestOverload|TestServerFairShareShedding|TestInterfdFailoverDrill' -count=1 -v ./internal/replica/ ./internal/server/ ./cmd/interfd/ ./cmd/interference/
 
 clean:
 	rm -rf results test_output.txt bench_output.txt

@@ -156,7 +156,7 @@ func TestInterfdFailoverDrill(t *testing.T) {
 	oracleSet := replica.NewSet([]string{oracle.url}, replica.Options{Seed: 1})
 	want := make([]string, len(specs))
 	for i, spec := range specs {
-		cr, err := oracleSet.Submit(spec, 0, "")
+		cr, err := oracleSet.Submit(spec, "")
 		if err != nil {
 			t.Fatalf("oracle spec %d: %v", i, err)
 		}
@@ -195,7 +195,7 @@ func TestInterfdFailoverDrill(t *testing.T) {
 					a.kill(t) // a real SIGKILL, mid-storm
 				}
 				idx := (c + k) % len(specs)
-				cr, err := set.Submit(specs[idx], 0, fmt.Sprintf("client-%d", c))
+				cr, err := set.Submit(specs[idx], fmt.Sprintf("client-%d", c))
 				o := outcome{spec: idx, err: err}
 				if err == nil {
 					o.cmp = drillView(cr)
@@ -227,7 +227,7 @@ func TestInterfdFailoverDrill(t *testing.T) {
 	// same -cache-dir) must serve the widest spec entirely from disk.
 	fresh := startDaemonProc(t, bin, "-data", filepath.Join(t.TempDir(), "c"), "-cache-dir", shared, "-shards", "2", "-q", "-queue", queue)
 	freshSet := replica.NewSet([]string{fresh.url}, replica.Options{Seed: 1})
-	cr, err := freshSet.Submit(specs[2], 0, "post-storm")
+	cr, err := freshSet.Submit(specs[2], "post-storm")
 	if err != nil {
 		t.Fatalf("post-storm submission to a fresh replica: %v", err)
 	}

@@ -64,7 +64,7 @@ func run(args []string, stderr io.Writer) int {
 		maxRuns   = fs.Int("max-runs", 64, "largest per-configuration repetition count a client may request")
 		drain     = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain window on SIGINT/SIGTERM: in-flight campaigns get this long to finish")
 		campTO    = fs.Duration("campaign-timeout", 0, "per-campaign execution deadline; expired campaigns fail their remaining experiments (0 disables)")
-		chaosSpec = fs.String("chaos", "", "chaos schedule injected into the daemon's filesystem, e.g. \"enospc:p=0.05;torn:p=0.01\" (fault drills; see internal/chaos)")
+		chaosSpec = fs.String("chaos", "", "chaos schedule injected into the daemon's filesystem: semicolon-separated eio-read, eio-write, enospc or torn events, e.g. \"enospc:p=0.05;torn:p=0.01\" (fault drills; see internal/chaos)")
 		chaosSeed = fs.Int64("chaos-seed", 1, "seed for the deterministic chaos schedule (-chaos)")
 		quiet     = fs.Bool("q", false, "suppress per-campaign log lines")
 	)

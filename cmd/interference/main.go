@@ -83,7 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		noCache  = fs.Bool("no-cache", false, "disable the persistent point cache (in-memory dedup stays on)")
 		cacheTop = fs.Bool("cache-stats", false, "print the point cache's disk occupancy (pack segments, pending writes) and hit rate after the campaign (requires a local directory -cache)")
 		remote   = fs.String("remote", "", "comma-separated interfd base URLs (e.g. http://a:7077,http://b:7077): submit the campaign to a healthy replica instead of executing locally, failing over on errors")
-		deadline = fs.Duration("deadline", 0, "client deadline sent with a -remote submission (X-Deadline): the daemon refuses campaigns it predicts cannot finish in time; 0 sends none")
 		chaosStr = fs.String("chaos", "", "chaos schedule injected into daemon HTTP traffic, e.g. \"refuse:p=0.2;http:status=503,p=0.1\" (requires -remote or an http:// -cache)")
 		chaosSd  = fs.Int64("chaos-seed", 1, "seed for the deterministic chaos schedule (-chaos)")
 	)
@@ -128,14 +127,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 2
 			}
 		}
-	}
-	if explicit["deadline"] && *remote == "" {
-		fmt.Fprintln(stderr, "interference: -deadline requires -remote (it is sent to the daemon as X-Deadline)")
-		return 2
-	}
-	if *deadline < 0 {
-		fmt.Fprintf(stderr, "interference: -deadline %v is invalid: need a non-negative duration\n", *deadline)
-		return 2
 	}
 	// Chaos only makes sense where there is network traffic to disturb:
 	// a remote submission or a remote point cache. Local simulation is
@@ -320,7 +311,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *specFile != "" {
 			inline = env.Spec
 		}
-		results, remoteResp, err = submitRemote(replicaSet, inline, *cluster, todo, *seed, *runs, *format, *faults, *deadline, stats)
+		results, remoteResp, err = submitRemote(replicaSet, inline, *cluster, todo, *seed, *runs, *format, *faults, stats)
 		if err != nil {
 			fmt.Fprintln(stderr, "interference:", err)
 			return 1

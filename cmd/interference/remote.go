@@ -25,10 +25,9 @@ import (
 // runner.Result stream the output loop consumes. The returned stats
 // mirror the daemon's per-campaign cache accounting; the raw response
 // rides along so the caller can surface campaign-level degradation
-// (no-cache mode, expired deadline). deadline > 0 is forwarded as
-// X-Deadline so an overloaded daemon refuses infeasible work up front.
+// (no-cache mode, expired campaign timeout).
 func submitRemote(set *replica.Set, spec *topology.NodeSpec, cluster string, todo []core.Experiment,
-	seed int64, runs int, format, faults string, deadline time.Duration,
+	seed int64, runs int, format, faults string,
 	stats *runner.CacheStats) (<-chan runner.Result, *server.CampaignResponse, error) {
 
 	req := server.CampaignSpec{
@@ -45,7 +44,7 @@ func submitRemote(set *replica.Set, spec *topology.NodeSpec, cluster string, tod
 	for _, e := range todo {
 		req.Experiments = append(req.Experiments, e.ID)
 	}
-	cr, err := set.Submit(req, deadline, "")
+	cr, err := set.Submit(req, "")
 	if err != nil {
 		return nil, nil, err
 	}

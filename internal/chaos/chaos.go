@@ -1,11 +1,10 @@
 // Package chaos implements deterministic fault injection for the
 // service's *real* I/O — the mirror image of internal/fault, which
 // injects faults into the simulated cluster. A seeded Schedule DSL
-// describes transport faults (connection refusals, 5xx bursts, latency
-// spikes, truncated bodies) and filesystem faults (EIO, ENOSPC, torn
-// writes, fsync failures); an Injector decides, purely as a function of
-// (seed, operation label, per-label sequence number), which operations
-// fail. The decision stream for any label is therefore reproducible
+// describes transport faults (connection refusals, 5xx bursts,
+// truncated bodies) and filesystem faults (EIO, ENOSPC, torn writes);
+// an Injector decides, purely as a function of (seed, operation label,
+// per-label sequence number), which operations fail. The decision stream for any label is therefore reproducible
 // from the seed alone, independent of goroutine interleaving across
 // labels — exactly the discipline the simulation's fault layer already
 // follows, applied to the daemon's disk and network edges.
@@ -25,7 +24,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Kind enumerates the injectable real-I/O fault types.
@@ -38,8 +36,6 @@ const (
 	// HTTPError answers an HTTP round trip with a synthetic error
 	// status (default 503) without touching the network.
 	HTTPError
-	// Latency delays an HTTP round trip by Delay before performing it.
-	Latency
 	// Truncate performs the HTTP round trip but cuts the response body
 	// short (transport corruption a digest check must catch).
 	Truncate
@@ -52,20 +48,16 @@ const (
 	// TornWrite persists only the first half of a filesystem write and
 	// then fails — the on-disk signature of a crash mid-append.
 	TornWrite
-	// SyncErr fails an fsync.
-	SyncErr
 )
 
 var kindNames = map[Kind]string{
 	Refuse:    "refuse",
 	HTTPError: "http",
-	Latency:   "latency",
 	Truncate:  "truncate",
 	ReadErr:   "eio-read",
 	WriteErr:  "eio-write",
 	NoSpace:   "enospc",
 	TornWrite: "torn",
-	SyncErr:   "fsync",
 }
 
 func (k Kind) String() string {
@@ -83,19 +75,16 @@ const (
 	OpHTTP Op = iota
 	OpRead
 	OpWrite
-	OpSync
 )
 
 func (k Kind) op() Op {
 	switch k {
-	case Refuse, HTTPError, Latency, Truncate:
+	case Refuse, HTTPError, Truncate:
 		return OpHTTP
 	case ReadErr:
 		return OpRead
 	case WriteErr, NoSpace, TornWrite:
 		return OpWrite
-	case SyncErr:
-		return OpSync
 	}
 	return OpHTTP
 }
@@ -117,8 +106,6 @@ type Event struct {
 	Match string
 	// Status is the synthetic response code of an HTTPError event.
 	Status int
-	// Delay is the injected latency of a Latency event.
-	Delay time.Duration
 }
 
 // validate checks one event's fields.
@@ -137,11 +124,7 @@ func (e Event) validate() error {
 		if e.Status < 400 || e.Status > 599 {
 			return fmt.Errorf("chaos: http status %d outside [400,599]", e.Status)
 		}
-	case Latency:
-		if e.Delay <= 0 {
-			return fmt.Errorf("chaos: latency event needs delay>0")
-		}
-	case Refuse, Truncate, ReadErr, WriteErr, NoSpace, TornWrite, SyncErr:
+	case Refuse, Truncate, ReadErr, WriteErr, NoSpace, TornWrite:
 	default:
 		return fmt.Errorf("chaos: unknown event kind %d", int(e.Kind))
 	}
@@ -190,9 +173,6 @@ func (s *Schedule) String() string {
 		if e.Kind == HTTPError && e.Status != 503 {
 			kv = append(kv, fmt.Sprintf("status=%d", e.Status))
 		}
-		if e.Kind == Latency {
-			kv = append(kv, fmt.Sprintf("delay=%s", e.Delay))
-		}
 		if e.Match != "" {
 			kv = append(kv, "match="+e.Match)
 		}
@@ -212,13 +192,11 @@ func (s *Schedule) String() string {
 //
 //	refuse:p=0.3                        refuse 30% of round trips
 //	http:status=503,ops=1-20            503 burst on the first 20 requests
-//	latency:delay=50ms,p=0.5            half the round trips take 50ms extra
 //	truncate:p=0.2,match=/cache/        truncate 20% of cache responses
 //	eio-read:p=0.3,match=.pack          30% of cache pack page-ins fail
 //	eio-write:ops=1-4,match=campaigns   first 4 campaign-log appends fail
 //	enospc:p=0.2,match=.tmp-            disk-full on 20% of cache writes
 //	torn:ops=3-3,match=campaigns        the 3rd campaign-log append tears
-//	fsync:p=1                           every fsync fails
 //
 // p defaults to 1; ops windows are 1-based inclusive per operation
 // label; match is a substring filter on the label.
@@ -237,7 +215,7 @@ func ParseSpec(spec string) (*Schedule, error) {
 			}
 		}
 		if kind < 0 {
-			return nil, fmt.Errorf("chaos: unknown event kind %q (have refuse, http, latency, truncate, eio-read, eio-write, enospc, torn, fsync)", kindStr)
+			return nil, fmt.Errorf("chaos: unknown event kind %q (have refuse, http, truncate, eio-read, eio-write, enospc, torn)", kindStr)
 		}
 		e := Event{Kind: kind, P: 1, Status: 503}
 		if args != "" {
@@ -287,13 +265,6 @@ func (e *Event) setOption(key, val string) error {
 			return fmt.Errorf("chaos: bad status %q", val)
 		}
 		return nil
-	case "delay":
-		d, err := time.ParseDuration(val)
-		if err != nil {
-			return fmt.Errorf("chaos: bad delay %q: %v", val, err)
-		}
-		e.Delay = d
-		return nil
 	case "match":
 		e.Match = val
 		return nil
@@ -319,7 +290,7 @@ type Injector struct {
 
 	ops      atomic.Int64
 	injected atomic.Int64
-	byKind   [SyncErr + 1]atomic.Int64
+	byKind   [TornWrite + 1]atomic.Int64
 }
 
 // NewInjector binds a schedule to a seed. A nil schedule yields an

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Clock abstracts wall-clock waiting so backoff loops, latency
-// injection and drain polling can run against a fake clock in tests:
+// Clock abstracts wall-clock waiting so backoff loops and drain
+// polling can run against a fake clock in tests:
 // a chaos shutdown test advances time explicitly instead of sleeping.
 type Clock interface {
 	Now() time.Time

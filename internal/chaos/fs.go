@@ -10,8 +10,8 @@ import (
 // FS is the slice of the filesystem the durability layers use (point
 // cache, campaign state log). The production
 // implementation passes straight through to the os package; Flaky wraps
-// any FS with injected EIO/ENOSPC/torn-write/fsync faults so tests and
-// drills can exercise every degradation path deterministically.
+// any FS with injected EIO/ENOSPC/torn-write faults so tests and drills
+// can exercise every degradation path deterministically.
 type FS interface {
 	MkdirAll(path string, perm fs.FileMode) error
 	ReadFile(name string) ([]byte, error)
@@ -49,12 +49,12 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	return os.CreateTemp(dir, pattern)
 }
 
-// Flaky wraps a filesystem with fault injection: reads, writes and
-// fsyncs consult the injector (labelled "read:<base>", "write:<label>",
-// "sync:<label>") and fail with realistic errors when the schedule says
-// so. Torn writes persist half the buffer before failing — the on-disk
-// state of a process killed mid-append — so recovery paths see real
-// corruption, not just error returns. Rename, remove and mkdir pass
+// Flaky wraps a filesystem with fault injection: reads and writes
+// consult the injector (labelled "read:<base>", "write:<label>") and
+// fail with realistic errors when the schedule says so. Torn writes
+// persist half the buffer before failing — the on-disk state of a
+// process killed mid-append — so recovery paths see real corruption,
+// not just error returns. Rename, remove and mkdir pass
 // through untouched (the cache's atomic-rename protocol
 // corrupts through torn temp-file writes, never through rename).
 func Flaky(base FS, inj *Injector) FS {
@@ -102,7 +102,7 @@ func (f *flakyFS) CreateTemp(dir, pattern string) (File, error) {
 	return &flakyFile{File: file, inj: f.inj, label: pattern}, nil
 }
 
-// flakyFile injects write/sync faults into one open file.
+// flakyFile injects write faults into one open file.
 type flakyFile struct {
 	File
 	inj   *Injector
@@ -126,11 +126,4 @@ func (f *flakyFile) Write(p []byte) (int, error) {
 		return n, &fs.PathError{Op: "write", Path: f.Name(), Err: syscall.EIO}
 	}
 	return f.File.Write(p)
-}
-
-func (f *flakyFile) Sync() error {
-	if ev, ok := f.inj.Decide(OpSync, "sync:"+f.label); ok && ev.Kind == SyncErr {
-		return &fs.PathError{Op: "sync", Path: f.Name(), Err: syscall.EIO}
-	}
-	return f.File.Sync()
 }

@@ -12,9 +12,9 @@ import (
 
 // Transport is an instrumented http.RoundTripper: every round trip
 // consults the injector (labelled "METHOD host/path") and may be
-// refused outright, answered with a synthetic 5xx, delayed, or have its
-// response body truncated mid-stream. Wrap any HTTP client's transport
-// with it to chaos-test the client's retry, verification and fallback
+// refused outright, answered with a synthetic 5xx, or have its response
+// body truncated mid-stream. Wrap any HTTP client's transport with it
+// to chaos-test the client's retry, verification and fallback
 // paths against a healthy server.
 type Transport struct {
 	// Base performs the real round trips; nil means
@@ -22,8 +22,6 @@ type Transport struct {
 	Base http.RoundTripper
 	// Inj decides the faults; nil injects nothing.
 	Inj *Injector
-	// Clock sleeps Latency events; nil means the real clock.
-	Clock Clock
 }
 
 func (t *Transport) base() http.RoundTripper {
@@ -61,13 +59,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			resp.Header.Set("Retry-After", "1")
 		}
 		return resp, nil
-	case Latency:
-		clock := t.Clock
-		if clock == nil {
-			clock = Real()
-		}
-		clock.Sleep(ev.Delay)
-		return t.base().RoundTrip(req)
 	case Truncate:
 		resp, err := t.base().RoundTrip(req)
 		if err != nil || resp.Body == nil {
@@ -80,9 +71,11 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // truncateAt picks how many bytes of a body to deliver before the cut:
-// half of a known length, a small prefix of an unknown one.
+// half of a known length, a small prefix of an unknown one. A known
+// length under two bytes (a 204 ack) is cut before its first byte, so
+// the fault always surfaces as a read error.
 func truncateAt(contentLength int64) int64 {
-	if contentLength > 1 {
+	if contentLength >= 0 {
 		return contentLength / 2
 	}
 	return 16

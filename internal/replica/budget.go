@@ -23,13 +23,12 @@ import (
 )
 
 // Budget is a token-bucket retry budget. Every retry — a resubmitted
-// campaign, a failed-over cache read or write, a remote-cache retry —
-// must first win a token; first attempts are free. The bucket starts
-// full and refills continuously, so a brief blip retries immediately
-// while a dead
+// campaign or a failed-over cache read or write — must first win a
+// token; first attempts are free. The bucket starts full and refills
+// continuously, so a brief blip retries immediately while a dead
 // replica drains the bucket once and then fails fast instead of
 // stampeding the survivors. One Budget is shared by a Set and every
-// Cache built on it, implementing server.RetryBudget.
+// Cache built on it.
 type Budget struct {
 	mu     sync.Mutex
 	clock  chaos.Clock

@@ -92,7 +92,7 @@ func TestFailoverSoak(t *testing.T) {
 	oracleSet := NewSet([]string{oracleTS.URL}, Options{Seed: 1})
 	want := make([]string, len(specs))
 	for i, spec := range specs {
-		cr, err := oracleSet.Submit(spec, 0, "")
+		cr, err := oracleSet.Submit(spec, "")
 		if err != nil {
 			t.Fatalf("oracle spec %d: %v", i, err)
 		}
@@ -137,7 +137,7 @@ func TestFailoverSoak(t *testing.T) {
 					drill.Kill(victim) // SIGKILL replica A mid-storm
 				}
 				idx := (c + k) % len(specs)
-				cr, err := set.Submit(specs[idx], 0, fmt.Sprintf("client-%d", c))
+				cr, err := set.Submit(specs[idx], fmt.Sprintf("client-%d", c))
 				o := outcome{spec: idx, err: err}
 				if err == nil {
 					o.cmp = soakView(cr)

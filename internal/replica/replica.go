@@ -217,11 +217,9 @@ func (e *SubmitError) Error() string {
 // Submit posts one campaign spec to a healthy replica, failing over on
 // refused connections, 5xx answers and draining daemons. Each retry
 // consumes a budget token and sleeps the server's Retry-After when one
-// was sent (capped), else jittered exponential backoff. deadline > 0
-// rides along as X-Deadline so the daemon can refuse work it cannot
-// finish in time; apiKey (optional) identifies the client for fair
-// queueing.
-func (s *Set) Submit(spec server.CampaignSpec, deadline time.Duration, apiKey string) (*server.CampaignResponse, error) {
+// was sent (capped), else jittered exponential backoff. apiKey
+// (optional) identifies the client for fair queueing.
+func (s *Set) Submit(spec server.CampaignSpec, apiKey string) (*server.CampaignResponse, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
@@ -238,7 +236,7 @@ func (s *Set) Submit(spec server.CampaignSpec, deadline time.Duration, apiKey st
 				s.failovers.Add(1)
 			}
 			var resp *server.CampaignResponse
-			resp, retryAfter, err = s.submitOnce(i, body, deadline, apiKey)
+			resp, retryAfter, err = s.submitOnce(i, body, apiKey)
 			if err == nil {
 				return resp, nil
 			}
@@ -261,15 +259,12 @@ func (s *Set) Submit(spec server.CampaignSpec, deadline time.Duration, apiKey st
 }
 
 // submitOnce performs one POST /campaign against replica i.
-func (s *Set) submitOnce(i int, body []byte, deadline time.Duration, apiKey string) (*server.CampaignResponse, time.Duration, error) {
+func (s *Set) submitOnce(i int, body []byte, apiKey string) (*server.CampaignResponse, time.Duration, error) {
 	req, err := http.NewRequest(http.MethodPost, s.urls[i]+"/campaign", bytes.NewReader(body))
 	if err != nil {
 		return nil, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if deadline > 0 {
-		req.Header.Set("X-Deadline", deadline.String())
-	}
 	if apiKey != "" {
 		req.Header.Set("X-API-Key", apiKey)
 	}

@@ -121,7 +121,7 @@ func TestSubmitFailsOver(t *testing.T) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	}
 	s := NewSet([]string{bad.ts.URL, good.ts.URL}, Options{Seed: 1})
-	resp, err := s.Submit(testSpec(), 0, "")
+	resp, err := s.Submit(testSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSubmitSkipsUnreadyReplica(t *testing.T) {
 	drain, good := newFakeReplica(t), newFakeReplica(t)
 	drain.ready.Store(false)
 	s := NewSet([]string{drain.ts.URL, good.ts.URL}, Options{Seed: 1})
-	if _, err := s.Submit(testSpec(), 0, ""); err != nil {
+	if _, err := s.Submit(testSpec(), ""); err != nil {
 		t.Fatal(err)
 	}
 	if n := drain.submits.Load(); n != 0 {
@@ -157,7 +157,7 @@ func TestSubmitPermanentErrorDoesNotRetry(t *testing.T) {
 		http.Error(w, "unknown experiment", http.StatusBadRequest)
 	}
 	s := NewSet([]string{f.ts.URL}, Options{Seed: 1})
-	_, err := s.Submit(testSpec(), 0, "")
+	_, err := s.Submit(testSpec(), "")
 	se, ok := err.(*SubmitError)
 	if !ok {
 		t.Fatalf("err = %v, want *SubmitError", err)
@@ -185,7 +185,7 @@ func TestSubmitHonorsRetryAfter(t *testing.T) {
 	s := NewSet([]string{f.ts.URL}, Options{Clock: clk, Seed: 1})
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.Submit(testSpec(), 0, "")
+		_, err := s.Submit(testSpec(), "")
 		done <- err
 	}()
 	// The retry must park on the server's Retry-After, driven by the
@@ -217,7 +217,7 @@ func TestSubmitRetryBudgetExhausted(t *testing.T) {
 	}
 	b := NewBudget(1, 0.001, chaos.Real())
 	s := NewSet([]string{f.ts.URL, f.ts.URL}, Options{Budget: b, MaxAttempts: 50, Seed: 1})
-	_, err := s.Submit(testSpec(), 0, "")
+	_, err := s.Submit(testSpec(), "")
 	if err == nil || !strings.Contains(err.Error(), "retry budget exhausted") {
 		t.Fatalf("err = %v, want retry-budget failure", err)
 	}
@@ -230,18 +230,14 @@ func TestSubmitRetryBudgetExhausted(t *testing.T) {
 
 func TestSubmitSendsDeadlineAndKey(t *testing.T) {
 	f := newFakeReplica(t)
-	var gotDeadline, gotKey string
+	var gotKey string
 	f.campaign = func(w http.ResponseWriter, r *http.Request) {
-		gotDeadline = r.Header.Get("X-Deadline")
 		gotKey = r.Header.Get("X-API-Key")
 		json.NewEncoder(w).Encode(server.CampaignResponse{ID: "ok"})
 	}
 	s := NewSet([]string{f.ts.URL}, Options{Seed: 1})
-	if _, err := s.Submit(testSpec(), 90*time.Second, "alice"); err != nil {
+	if _, err := s.Submit(testSpec(), "alice"); err != nil {
 		t.Fatal(err)
-	}
-	if gotDeadline != "1m30s" {
-		t.Fatalf("X-Deadline = %q", gotDeadline)
 	}
 	if gotKey != "alice" {
 		t.Fatalf("X-API-Key = %q", gotKey)

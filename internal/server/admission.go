@@ -15,21 +15,12 @@ import (
 // policy — every client retries on the same schedule, queue sojourns
 // grow without bound for the campaigns that *are* admitted, and one
 // greedy client can occupy the whole queue. The overload controller
-// replaces it with two cooperating gates in front of the queue, both
-// fed by what the daemon actually observes:
-//
-//   - Deadline-aware admission: the daemon keeps EWMAs of per-point
-//     execution cost and points-per-experiment, so a submission's cost
-//     is estimated as exps x E[points/exp] x E[ms/point]. A client that
-//     sends X-Deadline is refused up front when estimated queue wait +
-//     estimated cost cannot fit the deadline — a fast, honest "no"
-//     instead of a slow failure that wastes a queue slot.
-//
-//   - Per-client fair queueing: outstanding campaigns are counted per
-//     client (X-API-Key, falling back to the remote address) and each
-//     client is capped at its share of the queue, QueueDepth over the
-//     number of active clients. One stampeding client saturates its
-//     share and gets 503s while everyone else's campaigns keep flowing.
+// adds per-client fair queueing in front of the queue: outstanding
+// campaigns are counted per client (X-API-Key, falling back to the
+// remote address) and each client is capped at its share of the queue,
+// QueueDepth over the number of active clients. One stampeding client
+// saturates its share and gets 503s while everyone else's campaigns
+// keep flowing.
 //
 // Every 503 carries a Retry-After computed from the observed drain
 // rate: (queued+1) / drain campaigns-per-second, clamped — so backoff
@@ -39,15 +30,12 @@ type overload struct {
 	clock      chaos.Clock
 	queueDepth int
 
-	mu           sync.Mutex
-	pointMs      float64 // EWMA ms per executed point
-	pointsPerExp float64 // EWMA points per experiment
-	drainPerSec  float64 // EWMA campaign completions per second
-	lastDone     time.Time
-	perClient    map[string]int
+	mu          sync.Mutex
+	drainPerSec float64 // EWMA campaign completions per second
+	lastDone    time.Time
+	perClient   map[string]int
 
-	shedDeadline atomic.Int64 // refused: deadline cannot be met
-	shedFair     atomic.Int64 // refused: client over its fair share
+	shedFair atomic.Int64 // refused: client over its fair share
 }
 
 // ewmaAlpha weights new observations; ~0.2 keeps estimates responsive
@@ -104,51 +92,10 @@ func (o *overload) release(client string) {
 	}
 }
 
-// estimateMs predicts one campaign's execution cost from the cost
-// EWMAs; 0 means "no history yet" and admission stays optimistic.
-func (o *overload) estimateMs(exps int) float64 {
+// observe feeds one campaign completion into the drain-rate EWMA.
+func (o *overload) observe() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return float64(exps) * o.pointsPerExp * o.pointMs
-}
-
-// waitMs predicts the queue wait ahead of a new submission from the
-// observed drain rate.
-func (o *overload) waitMs(queued int64) float64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.drainPerSec <= 0 {
-		return 0
-	}
-	return float64(queued) / o.drainPerSec * 1e3
-}
-
-// overDeadline reports whether a campaign with the given client
-// deadline is predicted to miss it (estimated wait + estimated cost),
-// in which case admission refuses it immediately.
-func (o *overload) overDeadline(exps int, queued int64, deadline time.Duration) bool {
-	if deadline <= 0 {
-		return false
-	}
-	est := o.estimateMs(exps) + o.waitMs(queued)
-	if est <= 0 {
-		return false
-	}
-	if est > float64(deadline.Milliseconds()) {
-		o.shedDeadline.Add(1)
-		return true
-	}
-	return false
-}
-
-// observe feeds one completed campaign back into the estimators.
-func (o *overload) observe(points int64, exps int, execMs float64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if exps > 0 && points > 0 {
-		o.pointsPerExp = ewma(o.pointsPerExp, float64(points)/float64(exps))
-		o.pointMs = ewma(o.pointMs, execMs/float64(points))
-	}
 	now := o.clock.Now()
 	if !o.lastDone.IsZero() {
 		if dt := now.Sub(o.lastDone).Seconds(); dt > 0 {
@@ -178,9 +125,9 @@ func (o *overload) retryAfterSecs(queued int64) int {
 	return secs
 }
 
-// snapshot reports the controller's state for /metrics.
-func (o *overload) snapshot() (pointMs, pointsPerExp, drainPerSec float64) {
+// snapshot reports the observed drain rate for /metrics.
+func (o *overload) snapshot() (drainPerSec float64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.pointMs, o.pointsPerExp, o.drainPerSec
+	return o.drainPerSec
 }

@@ -73,30 +73,6 @@ func TestRemoteCacheRequestTimeout(t *testing.T) {
 	}
 }
 
-type denyBudget struct{}
-
-func (denyBudget) Allow() bool { return false }
-
-// TestRemoteCacheBudgetGatesRetries: with an exhausted shared budget
-// the per-operation retry count is irrelevant — one attempt, no storm.
-func TestRemoteCacheBudgetGatesRetries(t *testing.T) {
-	var hits int
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits++
-		http.Error(w, "boom", http.StatusInternalServerError)
-	}))
-	defer ts.Close()
-	rc := NewRemoteCache(ts.URL)
-	rc.SetRetries(3, time.Millisecond, time.Millisecond)
-	rc.SetBudget(denyBudget{})
-	if _, _, _, ioErr := rc.Load("k"); !ioErr {
-		t.Fatal("failing Load did not report ioErr")
-	}
-	if hits != 1 {
-		t.Fatalf("server saw %d attempts, want 1 (budget must gate retries)", hits)
-	}
-}
-
 func TestOverloadFairShare(t *testing.T) {
 	o := newOverload(chaos.NewFakeClock(), 4)
 	for i := 0; i < 4; i++ {
@@ -132,44 +108,15 @@ func TestOverloadFairShare(t *testing.T) {
 	}
 }
 
-func TestOverloadDeadlineEstimate(t *testing.T) {
-	clk := chaos.NewFakeClock()
-	o := newOverload(clk, 64)
-	if o.overDeadline(4, 100, time.Second) {
-		t.Fatal("refused with no cost history")
-	}
-	o.observe(100, 2, 1000) // 50 points/exp, 10ms/point
-	clk.Advance(time.Second)
-	o.observe(100, 2, 1000) // drain: 1 campaign/s
-	if est := o.estimateMs(2); est != 1000 {
-		t.Fatalf("estimateMs(2) = %v, want 1000", est)
-	}
-	if w := o.waitMs(3); w != 3000 {
-		t.Fatalf("waitMs(3) = %v, want 3000", w)
-	}
-	if !o.overDeadline(2, 3, 2*time.Second) { // 1000 + 3000 > 2000
-		t.Fatal("hopeless deadline admitted")
-	}
-	if o.overDeadline(2, 0, 2*time.Second) { // 1000 < 2000
-		t.Fatal("feasible deadline refused")
-	}
-	if o.overDeadline(2, 3, 0) {
-		t.Fatal("no deadline must mean no deadline gate")
-	}
-	if o.shedDeadline.Load() != 1 {
-		t.Fatalf("shedDeadline = %d", o.shedDeadline.Load())
-	}
-}
-
 func TestOverloadRetryAfterTracksDrain(t *testing.T) {
 	clk := chaos.NewFakeClock()
 	o := newOverload(clk, 64)
 	if got := o.retryAfterSecs(10); got != 1 {
 		t.Fatalf("no-history Retry-After = %d, want 1", got)
 	}
-	o.observe(10, 1, 100)
+	o.observe()
 	clk.Advance(time.Second)
-	o.observe(10, 1, 100) // 1 campaign/s drain
+	o.observe() // 1 campaign/s drain
 	if got := o.retryAfterSecs(5); got != 6 {
 		t.Fatalf("Retry-After = %d, want 6 (queue of 5 at 1/s)", got)
 	}
@@ -178,45 +125,8 @@ func TestOverloadRetryAfterTracksDrain(t *testing.T) {
 	}
 }
 
-// TestOverloadLearnsFromExecutedPointsOnly: the cost estimator is fed
-// the points a campaign executed, not the points it requested, so
-// repeats served entirely from the point cache leave the per-point cost
-// where the cold campaign put it instead of dragging it toward zero.
-func TestOverloadLearnsFromExecutedPointsOnly(t *testing.T) {
-	s, _ := newTestServer(t, Config{Clock: chaos.NewFakeClock()})
-	cold := true
-	s.runFn = func(c *campaign) *CampaignResponse {
-		resp := &CampaignResponse{ID: c.id, Cluster: c.cluster, Cache: CacheSummary{Points: 10, Hits: 10}}
-		if cold {
-			time.Sleep(5 * time.Millisecond) // a cold campaign costs real time
-			resp.Cache = CacheSummary{Points: 10, Misses: 10}
-		}
-		return resp
-	}
-	c, err := compile(CampaignSpec{Experiments: []string{"fig3"}, Seed: 1, Runs: 1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, serr := s.submit(c); serr != nil {
-		t.Fatal(serr)
-	}
-	want := s.Metrics().Overload
-	if want.EstPointMs <= 0 {
-		t.Fatalf("cold campaign taught no per-point cost: %+v", want)
-	}
-	cold = false
-	for i := 0; i < 5; i++ {
-		if _, serr := s.submit(c); serr != nil {
-			t.Fatal(serr)
-		}
-	}
-	if got := s.Metrics().Overload; got.EstPointMs != want.EstPointMs || got.EstPointsPerExp != want.EstPointsPerExp {
-		t.Fatalf("cached repeats moved the estimator: %+v, want %+v", got, want)
-	}
-}
-
-// postSpecAs submits a campaign under a client identity and deadline.
-func postSpecAs(t *testing.T, url string, spec CampaignSpec, apiKey, deadline string) (*http.Response, []byte) {
+// postSpecAs submits a campaign under a client identity.
+func postSpecAs(t *testing.T, url string, spec CampaignSpec, apiKey string) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -229,9 +139,6 @@ func postSpecAs(t *testing.T, url string, spec CampaignSpec, apiKey, deadline st
 	req.Header.Set("Content-Type", "application/json")
 	if apiKey != "" {
 		req.Header.Set("X-API-Key", apiKey)
-	}
-	if deadline != "" {
-		req.Header.Set("X-Deadline", deadline)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -265,7 +172,7 @@ func TestServerFairShareShedding(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, _ := postSpecAs(t, ts.URL, spec(seed), key, "")
+			resp, _ := postSpecAs(t, ts.URL, spec(seed), key)
 			codes <- resp.StatusCode
 		}()
 	}
@@ -283,7 +190,7 @@ func TestServerFairShareShedding(t *testing.T) {
 	// The hog's fourth campaign is refused — fair share, with an
 	// adaptive Retry-After — although the queue still has room: only
 	// the hog's share is spent.
-	resp, payload := postSpecAs(t, ts.URL, spec(4), "hog", "")
+	resp, payload := postSpecAs(t, ts.URL, spec(4), "hog")
 	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(payload), "fair share") {
 		t.Fatalf("hog's 4th campaign: %d %q", resp.StatusCode, payload)
 	}
@@ -319,42 +226,6 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestServerDeadlineShedding: a deadline the cost model says cannot be
-// met is refused up front; a feasible one is served; a malformed one is
-// a 400.
-func TestServerDeadlineShedding(t *testing.T) {
-	s, ts := newTestServer(t, Config{QueueDepth: 4, MaxInflight: 1})
-	s.runFn = func(c *campaign) *CampaignResponse {
-		return &CampaignResponse{ID: c.id, Cluster: c.cluster}
-	}
-	// Teach the cost model: 1000 points/exp at 10ms each = 10s per
-	// single-experiment campaign.
-	s.ov.observe(1000, 1, 10000)
-
-	spec := CampaignSpec{Experiments: []string{"fig3"}, Seed: 1, Runs: 1}
-	resp, payload := postSpecAs(t, ts.URL, spec, "", "1s")
-	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(payload), "deadline") {
-		t.Fatalf("hopeless deadline: %d %q", resp.StatusCode, payload)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("deadline 503 has no Retry-After")
-	}
-	spec.Seed = 2
-	if resp, payload := postSpecAs(t, ts.URL, spec, "", "5m"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("feasible deadline: %d %q", resp.StatusCode, payload)
-	}
-	spec.Seed = 3
-	if resp, _ := postSpecAs(t, ts.URL, spec, "", "soon"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed deadline: %d", resp.StatusCode)
-	}
-	if resp, _ := postSpecAs(t, ts.URL, spec, "", "-3s"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative deadline: %d", resp.StatusCode)
-	}
-	if got := s.Metrics().Overload.ShedDeadline; got != 1 {
-		t.Fatalf("shed_deadline = %d, want 1", got)
-	}
-}
-
 // TestServerOverloadStorm drives the daemon at twice its capacity:
 // more concurrent clients than QueueDepth + MaxInflight, spread over a
 // few API keys, each submitting back to back. It asserts the overload
@@ -368,8 +239,7 @@ func TestServerOverloadStorm(t *testing.T) {
 	s, ts := newTestServer(t, Config{QueueDepth: queueDepth, MaxInflight: maxInflight})
 	s.runFn = func(c *campaign) *CampaignResponse {
 		time.Sleep(10 * time.Millisecond)
-		return &CampaignResponse{ID: c.id, Cluster: c.cluster,
-			Cache: CacheSummary{Points: 10, Misses: 10}}
+		return &CampaignResponse{ID: c.id, Cluster: c.cluster}
 	}
 
 	// Four keys divide the queue into shares of 2, so a full queue and an
@@ -393,7 +263,7 @@ func TestServerOverloadStorm(t *testing.T) {
 				spec := CampaignSpec{Experiments: []string{"fig3"},
 					Seed: int64(cl*1000 + i + 1), Runs: 1}
 				start := time.Now()
-				resp, _ := postSpecAs(t, ts.URL, spec, fmt.Sprintf("key-%d", cl%keys), "")
+				resp, _ := postSpecAs(t, ts.URL, spec, fmt.Sprintf("key-%d", cl%keys))
 				el := float64(time.Since(start).Microseconds()) / 1e3
 				switch resp.StatusCode {
 				case http.StatusOK:
@@ -444,7 +314,7 @@ func TestServerOverloadStorm(t *testing.T) {
 		t.Fatalf("storm did not exercise both gates: queue-full %d, fair share %d",
 			m.Campaigns.Rejected, m.Overload.ShedFairShare)
 	}
-	if got := m.Campaigns.Rejected + m.Overload.ShedFairShare + m.Overload.ShedDeadline; got != int64(shed) {
+	if got := m.Campaigns.Rejected + m.Overload.ShedFairShare; got != int64(shed) {
 		t.Fatalf("shed counters sum to %d, clients saw %d 503s", got, shed)
 	}
 	sort.Float64s(latencies)
@@ -452,8 +322,8 @@ func TestServerOverloadStorm(t *testing.T) {
 	if p99 > 2000 {
 		t.Fatalf("p99 of served campaigns = %.0fms; overload control failed to bound latency", p99)
 	}
-	if m.Overload.EstPointMs <= 0 || m.Overload.DrainPerSec <= 0 {
-		t.Fatalf("estimators did not learn: %+v", m.Overload)
+	if m.Overload.DrainPerSec <= 0 {
+		t.Fatalf("drain estimator did not learn: %+v", m.Overload)
 	}
 	t.Logf("storm: served=%d shed=%d p99=%.1fms shed_fair=%d rejected=%d",
 		served, shed, p99, m.Overload.ShedFairShare, m.Campaigns.Rejected)

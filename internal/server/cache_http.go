@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,11 +27,11 @@ import (
 //	GET /cache/{sum}  -> 200 + record bytes (+ X-Content-SHA256), 404 miss
 //	PUT /cache/{sum}  <- record bytes + X-Content-SHA256, 204 on store
 //
-// {sum} is the content address: hex sha256 of the record's full point
-// key (runner.CacheKeySum). Record bytes travel as
-// application/octet-stream in the binary record encoding
-// (bench.PointRecord.EncodeBinary, "IPR1" framing) — the only encoding
-// either end accepts. Verification happens on both ends. The server
+// {sum} is the content address: lowercase hex sha256 of the record's
+// full point key (runner.CacheKeySum); any other spelling is a 400 on
+// both verbs. Record bytes travel as application/octet-stream in the
+// binary record encoding (bench.PointRecord.EncodeBinary, "IPR1"
+// framing) — the only encoding either end accepts. Verification happens on both ends. The server
 // refuses a PUT whose body digest does not match its header, whose body
 // is not a binary record, or whose embedded key does not hash to the
 // addressed sum, so a client can never misfile an entry;
@@ -45,12 +46,9 @@ func bodySum(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// validSum accepts only the spelling runner.CacheKeySum produces.
 func validSum(sum string) bool {
-	if len(sum) != sha256.Size*2 {
-		return false
-	}
-	_, err := hex.DecodeString(sum)
-	return err == nil
+	return len(sum) == sha256.Size*2 && strings.Trim(sum, "0123456789abcdef") == ""
 }
 
 // handleCacheGet serves the raw stored record for a content address.
@@ -62,7 +60,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	sum := r.PathValue("sum")
 	if !validSum(sum) {
 		s.proto.rejected.Add(1)
-		http.Error(w, "interfd: cache key must be a hex sha256", http.StatusBadRequest)
+		http.Error(w, "interfd: cache key must be a lowercase hex sha256", http.StatusBadRequest)
 		return
 	}
 	if s.cache == nil {
@@ -93,7 +91,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	sum := r.PathValue("sum")
 	if !validSum(sum) {
 		s.proto.rejected.Add(1)
-		http.Error(w, "interfd: cache key must be a hex sha256", http.StatusBadRequest)
+		http.Error(w, "interfd: cache key must be a lowercase hex sha256", http.StatusBadRequest)
 		return
 	}
 	if s.cache == nil {
@@ -164,15 +162,6 @@ type RemoteCache struct {
 	reqTimeout time.Duration // per-request deadline; a hung daemon cannot stall a worker shard
 	retried    atomic.Int64
 	stats      *runner.CacheStats // optional; Retries flows into it
-	budget     RetryBudget        // optional; gates every retry when set
-}
-
-// RetryBudget gates retry traffic. Allow consumes one retry token and
-// reports whether the retry may proceed; a shared token bucket (see
-// internal/replica) bounds the total retry volume a fleet of clients
-// can aim at a struggling daemon, across submission and cache traffic.
-type RetryBudget interface {
-	Allow() bool
 }
 
 // RetryAfterCap bounds how long a server-sent Retry-After may park a
@@ -282,12 +271,6 @@ func (rc *RemoteCache) SetRequestTimeout(d time.Duration) {
 	}
 }
 
-// SetBudget installs a shared retry budget: every retry must first win
-// a token, so a dying daemon cannot trigger an unbounded retry storm
-// across submission and cache traffic. nil (the default) leaves
-// retries bounded only by the per-operation retry count.
-func (rc *RemoteCache) SetBudget(b RetryBudget) { rc.budget = b }
-
 // AttachStats mirrors the retry counter into a campaign's CacheStats
 // so recaps and responses report it.
 func (rc *RemoteCache) AttachStats(s *runner.CacheStats) { rc.stats = s }
@@ -316,11 +299,6 @@ func (rc *RemoteCache) noteRetry(attempt int, retryAfter time.Duration) {
 	rc.backoff.Wait(attempt, retryAfter)
 }
 
-// allowRetry consults the shared retry budget, if any.
-func (rc *RemoteCache) allowRetry() bool {
-	return rc.budget == nil || rc.budget.Allow()
-}
-
 // Load implements runner.CacheStore over GET /cache/{sum}, retrying
 // transient failures.
 func (rc *RemoteCache) Load(fullKey string) (rec bench.PointRecord, ok, mismatch, ioErr bool) {
@@ -328,7 +306,7 @@ func (rc *RemoteCache) Load(fullKey string) (rec bench.PointRecord, ok, mismatch
 		var transient bool
 		var retryAfter time.Duration
 		rec, ok, mismatch, ioErr, transient, retryAfter = rc.loadOnce(fullKey)
-		if !transient || attempt >= rc.retries || !rc.allowRetry() {
+		if !transient || attempt >= rc.retries {
 			return rec, ok, mismatch, ioErr
 		}
 		rc.noteRetry(attempt, retryAfter)
@@ -392,7 +370,7 @@ func (rc *RemoteCache) Store(fullKey string, rec bench.PointRecord) error {
 	body := rec.EncodeBinary()
 	for attempt := 0; ; attempt++ {
 		err, transient, retryAfter := rc.storeOnce(fullKey, body)
-		if !transient || attempt >= rc.retries || !rc.allowRetry() {
+		if !transient || attempt >= rc.retries {
 			return err
 		}
 		rc.noteRetry(attempt, retryAfter)

@@ -158,23 +158,20 @@ type Metrics struct {
 		P50Ms float64 `json:"p50_ms"`
 		P99Ms float64 `json:"p99_ms"`
 	} `json:"latency"`
+	// Overload reports the adaptive admission controller: the drain
+	// rate behind Retry-After, the Retry-After a rejection would carry
+	// now, and the fair-share refusals (queue-full rejections stay under
+	// Campaigns.Rejected).
+	Overload struct {
+		DrainPerSec   float64 `json:"drain_per_sec"`
+		RetryAfterS   int     `json:"retry_after_s"`
+		ShedFairShare int64   `json:"shed_fair_share"`
+	} `json:"overload"`
 	// Robustness reports the daemon's degradation machinery: drain
 	// state, the cache circuit breaker, campaigns running without a
 	// cache or deadline-expired, failed campaign-log appends and
 	// point-cache flushes, worker shards restarted after panics, and
 	// corrupt campaign-log records skipped at boot.
-	// Overload reports the adaptive admission controller: the cost and
-	// drain estimators behind deadline-aware admission and Retry-After,
-	// plus the shed counters by cause (fair-share refusal, hopeless
-	// deadline; queue-full rejections stay under Campaigns.Rejected).
-	Overload struct {
-		EstPointMs      float64 `json:"est_point_ms"`
-		EstPointsPerExp float64 `json:"est_points_per_exp"`
-		DrainPerSec     float64 `json:"drain_per_sec"`
-		RetryAfterS     int     `json:"retry_after_s"`
-		ShedFairShare   int64   `json:"shed_fair_share"`
-		ShedDeadline    int64   `json:"shed_deadline"`
-	} `json:"overload"`
 	Robustness struct {
 		Draining           bool                `json:"draining"`
 		Breaker            runner.BreakerStats `json:"breaker"`
@@ -205,10 +202,9 @@ func (s *Server) Metrics() Metrics {
 	m.CacheProtocol.Puts = s.proto.puts.Load()
 	m.CacheProtocol.Rejected = s.proto.rejected.Load()
 	m.Latency.P50Ms, m.Latency.P99Ms, m.Latency.Count = percentilesOf(&s.latency)
-	m.Overload.EstPointMs, m.Overload.EstPointsPerExp, m.Overload.DrainPerSec = s.ov.snapshot()
+	m.Overload.DrainPerSec = s.ov.snapshot()
 	m.Overload.RetryAfterS = s.ov.retryAfterSecs(s.queueDepth.Load())
 	m.Overload.ShedFairShare = s.ov.shedFair.Load()
-	m.Overload.ShedDeadline = s.ov.shedDeadline.Load()
 	m.Robustness.Draining = s.Draining()
 	if s.breaker != nil {
 		m.Robustness.Breaker = s.breaker.Stats()

@@ -352,16 +352,6 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.client = clientKey(r)
-	if h := r.Header.Get("X-Deadline"); h != "" {
-		d, err := time.ParseDuration(h)
-		if err != nil || d < 0 {
-			s.badSpecs.Add(1)
-			http.Error(w, "interfd: X-Deadline must be a non-negative Go duration (e.g. 30s)",
-				http.StatusBadRequest)
-			return
-		}
-		c.deadline = d
-	}
 	resp, serr := s.submit(c)
 	if serr != nil {
 		if serr.status == http.StatusServiceUnavailable {
@@ -406,23 +396,22 @@ func (s *Server) submit(c *campaign) (*CampaignResponse, *submitError) {
 }
 
 // admit applies the Slurm-style bounded queue plus the adaptive
-// overload controller: a client over its fair share or a deadline that
-// provably cannot be met is refused before consuming a queue slot, a
-// full queue rejects with a drain-rate-derived Retry-After, and a
-// campaign whose queue wait alone outlived its deadline is shed at
-// dequeue instead of running late. Internal submissions (startup
-// recovery) bypass the shedding paths — they are already-accepted work.
+// overload controller: a client over its fair share is refused before
+// consuming a queue slot, and a full queue rejects with a
+// drain-rate-derived Retry-After. Internal submissions (startup
+// recovery) bypass the fair-share gate — they are already-accepted
+// work.
 func (s *Server) admit(c *campaign) (*CampaignResponse, *submitError) {
 	shed := func(counterMsg string) *submitError {
 		return &submitError{http.StatusServiceUnavailable, counterMsg,
 			s.ov.retryAfterSecs(s.queueDepth.Load())}
 	}
 	if !c.internal {
-		// A full queue outranks the softer gates: "queue is full" is the
-		// truthful rejection whoever submitted, and fair-share/deadline
-		// shedding should only ever explain a refusal the queue itself
-		// would have admitted. Racy reads are fine — the non-blocking
-		// slot acquire below is the authoritative check.
+		// A full queue outranks fair share: "queue is full" is the
+		// truthful rejection whoever submitted, and fair-share shedding
+		// should only ever explain a refusal the queue itself would have
+		// admitted. Racy reads are fine — the non-blocking slot acquire
+		// below is the authoritative check.
 		if len(s.queueSlots) >= cap(s.queueSlots) {
 			s.rejected.Add(1)
 			s.logf("rejected campaign %s: queue full (%d waiting)", c.id[:12], s.queueDepth.Load())
@@ -433,10 +422,6 @@ func (s *Server) admit(c *campaign) (*CampaignResponse, *submitError) {
 			return nil, shed("client is over its fair share of the admission queue; retry later")
 		}
 		defer s.ov.release(c.client)
-		if s.ov.overDeadline(len(c.exps), s.queueDepth.Load(), c.deadline) {
-			s.logf("shed campaign %s: estimated cost exceeds the %v deadline", c.id[:12], c.deadline)
-			return nil, shed(fmt.Sprintf("estimated completion exceeds the %v deadline; raise it or retry later", c.deadline))
-		}
 	}
 	select {
 	case s.queueSlots <- struct{}{}:
@@ -447,20 +432,10 @@ func (s *Server) admit(c *campaign) (*CampaignResponse, *submitError) {
 	}
 	defer func() { <-s.queueSlots }()
 
-	enqueued := s.clock.Now()
 	s.queueDepth.Add(1)
 	s.runSlots <- struct{}{}
 	s.queueDepth.Add(-1)
 	defer func() { <-s.runSlots }()
-
-	if !c.internal {
-		sojourn := s.clock.Now().Sub(enqueued)
-		if c.deadline > 0 && sojourn > c.deadline {
-			s.ov.shedDeadline.Add(1)
-			s.logf("shed campaign %s: %v queued exceeds its %v deadline", c.id[:12], sojourn, c.deadline)
-			return nil, shed(fmt.Sprintf("queued %v, past the %v deadline; retry later", sojourn.Round(time.Millisecond), c.deadline))
-		}
-	}
 
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -471,9 +446,7 @@ func (s *Server) admit(c *campaign) (*CampaignResponse, *submitError) {
 	resp := s.runFn(c)
 	resp.WallMs = float64(time.Since(start).Microseconds()) / 1e3
 	s.latency.add(resp.WallMs)
-	// The cost estimator learns from executed points only: a repeat
-	// served from the point cache costs next to nothing per point.
-	s.ov.observe(resp.Cache.Misses, len(c.exps), resp.WallMs)
+	s.ov.observe()
 	s.logState(stateEntry{ID: c.id, Status: "done"})
 	s.completed.Add(1)
 	s.logf("campaign %s: %d experiments on %s in %.0fms (%d/%d points served without executing, %d errors)",

@@ -409,6 +409,11 @@ func TestCacheProtocolVerification(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET after PUT: %d", code)
 	}
+	// An uppercase address names no entry: GET refuses it as PUT does,
+	// instead of answering a miss for a record that is stored.
+	if code, _, _ := get("/cache/" + strings.ToUpper(sum)); code != http.StatusBadRequest {
+		t.Fatalf("GET uppercase sum: %d, want 400", code)
+	}
 	if got := hdr.Get(shaHeader); got != bodySum(served) {
 		t.Fatalf("served digest %q does not cover the served bytes", got)
 	}

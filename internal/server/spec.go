@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -61,11 +60,10 @@ type campaign struct {
 	env     bench.Env
 
 	// Admission metadata (not part of the campaign identity): the
-	// fair-queueing client key, the client's X-Deadline, and whether
-	// this is an internal submission (startup recovery) that must not
-	// be shed by the overload controller.
+	// fair-queueing client key, and whether this is an internal
+	// submission (startup recovery) that must not be shed by the
+	// overload controller.
 	client   string
-	deadline time.Duration
 	internal bool
 }
 
