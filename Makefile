@@ -134,26 +134,25 @@ load-test:
 # The chaos battery under the race detector: the load storm against
 # daemons with failing disks and a hostile network, asserting
 # byte-identity, the exactly-once bound, breaker/degradation behaviour
-# and graceful shutdown, plus the runner.Flight unit tests and the
+# and graceful shutdown, a CLI -remote run retrying one injected 503,
+# 500 or cut response, plus the runner.Flight unit tests and the
 # regressions for a panicked flight leader and a cancelled campaign.
 # Reproduce a red run with its printed seed:
 # CHAOS_SEED=<n> make chaos-soak. Size with CHAOS_SOAK_CLIENTS /
 # CHAOS_SOAK_PER_CLIENT.
 chaos-soak:
-	$(GO) test -race -run 'TestServerChaosSoak|TestRemoteCacheChaosTransport|TestDaemonGracefulShutdown|TestDaemonChaosDrill|TestFlight|PanickedLeader|TestCancelledCampaignJoinsNothing' -count=1 -v ./internal/runner/ ./internal/server/ ./cmd/interfd/
+	$(GO) test -race -run 'TestServerChaosSoak|TestRemoteRetriesTransientFailure|TestDaemonGracefulShutdown|TestDaemonChaosDrill|TestFlight|PanickedLeader|TestCancelledCampaignJoinsNothing' -count=1 -v ./internal/runner/ ./internal/server/ ./cmd/interfd/ ./cmd/interference/
 
 # The stampede battery under the race detector: the in-process failover
 # soak (two replicas, one cache dir, a kill switch in the transport),
-# the replica cache's read and write failover (unit tests and a CLI run
-# whose first -cache replica dies), the server overload storm at 2x
-# capacity and the admission unit tests (fair share, drain-rate
-# Retry-After), and the end-to-end drill — two real interfd processes
-# sharing a -cache-dir, one SIGKILLed mid-storm, byte-identical
-# completion required. Size with REPLICA_SOAK_CLIENTS /
+# the server overload storm at 2x capacity and the admission unit tests
+# (fair share, drain-rate Retry-After), and the end-to-end drill — two
+# real interfd processes sharing a -cache-dir, one SIGKILLed
+# mid-storm, byte-identical completion required. Size with REPLICA_SOAK_CLIENTS /
 # REPLICA_SOAK_PER_CLIENT and FAILOVER_DRILL_CLIENTS /
 # FAILOVER_DRILL_PER_CLIENT.
 failover-drill:
-	$(GO) test -race -run 'TestFailoverSoak|TestCache.*FailsOver|TestHedgedLoad|TestServerOverloadStorm|TestOverload|TestServerFairShareShedding|TestInterfdFailoverDrill' -count=1 -v ./internal/replica/ ./internal/server/ ./cmd/interfd/ ./cmd/interference/
+	$(GO) test -race -run 'TestFailoverSoak|TestServerOverloadStorm|TestOverload|TestServerFairShareShedding|TestInterfdFailoverDrill' -count=1 -v ./internal/replica/ ./internal/server/ ./cmd/interfd/
 
 clean:
 	rm -rf results test_output.txt bench_output.txt

@@ -108,9 +108,9 @@ func TestFaultsStdoutDeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestRetryFlagSurvivesTransientDeadline: -retry with a generous second
-// attempt lets a deadline-prone campaign finish (the deadline is per
-// attempt, so this mostly exercises flag plumbing end to end).
+// TestRetryFlagPlumbed: -retry and -timeout reach a local campaign,
+// which still finishes (the deadline is per attempt and generous, so
+// this exercises flag plumbing end to end).
 func TestRetryFlagPlumbed(t *testing.T) {
 	code, _, stderr := runCLI("-exp", "sec5.2", "-runs", "1", "-q", "-retry", "2", "-timeout", "5m")
 	if code != 0 {

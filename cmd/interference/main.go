@@ -79,11 +79,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		retry    = fs.Int("retry", 0, "extra attempts for a failed experiment")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file (whole process: with -j>1 all workers share one profile)")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit (whole process: with -j>1 all workers share one profile)")
-		cacheDir = fs.String("cache", "results/.cache", "persistent point cache: a directory, or comma-separated interfd base URLs (http://...) to share a remote cache (several replicas fail over)")
+		cacheDir = fs.String("cache", "results/.cache", "persistent point cache directory (share points with other processes by pointing them, or interfd -cache-dir, at the same directory)")
 		noCache  = fs.Bool("no-cache", false, "disable the persistent point cache (in-memory dedup stays on)")
-		cacheTop = fs.Bool("cache-stats", false, "print the point cache's disk occupancy (pack segments, pending writes) and hit rate after the campaign (requires a local directory -cache)")
+		cacheTop = fs.Bool("cache-stats", false, "print the point cache's disk occupancy (pack segments, pending writes) and hit rate after the campaign (requires a -cache directory)")
 		remote   = fs.String("remote", "", "comma-separated interfd base URLs (e.g. http://a:7077,http://b:7077): submit the campaign to a healthy replica instead of executing locally, failing over on errors")
-		chaosStr = fs.String("chaos", "", "chaos schedule injected into daemon HTTP traffic, e.g. \"refuse:p=0.2;http:status=503,p=0.1\" (requires -remote or an http:// -cache)")
+		chaosStr = fs.String("chaos", "", "chaos schedule injected into daemon HTTP traffic, e.g. \"refuse:p=0.2;http:status=503,p=0.1\" (requires -remote)")
 		chaosSd  = fs.Int64("chaos-seed", 1, "seed for the deterministic chaos schedule (-chaos)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -116,8 +116,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			{"cache", "the daemon owns the point cache"},
 			{"no-cache", "the daemon owns the point cache"},
 			{"cache-stats", "the daemon owns the point cache"},
-			{"timeout", "attempt deadlines are a daemon-side setting"},
-			{"retry", "retries are a daemon-side setting"},
+			{"timeout", "the daemon runs each experiment once, bounded only by its -campaign-timeout"},
+			{"retry", "the daemon runs each experiment once, with no retries"},
 			{"update", "goldens must be regenerated by a local run (the solver's differential oracle only arms locally)"},
 			{"cpuprofile", "nothing executes locally under -remote"},
 			{"memprofile", "nothing executes locally under -remote"},
@@ -128,20 +128,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	// Chaos only makes sense where there is network traffic to disturb:
-	// a remote submission or a remote point cache. Local simulation is
-	// deterministic by construction; refusing -chaos there keeps "my run
-	// was chaos-free" an invariant rather than a hope.
-	remoteCacheURL := !*noCache &&
-		(strings.HasPrefix(*cacheDir, "http://") || strings.HasPrefix(*cacheDir, "https://"))
-	if *cacheTop && (*noCache || remoteCacheURL) {
+	cacheURL := strings.HasPrefix(*cacheDir, "http://") || strings.HasPrefix(*cacheDir, "https://")
+	if *cacheTop && (*noCache || cacheURL) {
 		fmt.Fprintln(stderr, "interference: -cache-stats requires a local directory -cache (disk occupancy is a local-cache concept)")
 		return 2
 	}
+	if cacheURL {
+		// A daemon's points are shared by submitting to it, or by
+		// pointing -cache and interfd -cache-dir at one directory; a URL
+		// here would otherwise be opened as a relative directory path.
+		fmt.Fprintf(stderr, "interference: -cache takes a directory, not a URL: submit to the daemon with -remote %s, or point -cache and interfd -cache-dir at one directory\n",
+			*cacheDir)
+		return 2
+	}
+	// Chaos only makes sense where there is network traffic to disturb:
+	// a remote submission. Local simulation is deterministic by
+	// construction; refusing -chaos there keeps "my run was chaos-free"
+	// an invariant rather than a hope.
 	var chaosRT http.RoundTripper
 	if *chaosStr != "" {
-		if *remote == "" && !remoteCacheURL {
-			fmt.Fprintln(stderr, "interference: -chaos requires -remote or an http(s):// -cache (it injects faults into daemon traffic)")
+		if *remote == "" {
+			fmt.Fprintln(stderr, "interference: -chaos requires -remote (it injects faults into daemon traffic)")
 			return 2
 		}
 		sched, err := chaos.ParseSpec(*chaosStr)
@@ -296,7 +303,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stats := &runner.CacheStats{}
 	cacheLabel := "persistent cache disabled"
 	var results <-chan runner.Result
-	var breaker *runner.Breaker
 	var localCache *runner.PointCache
 	var remoteResp *server.CampaignResponse
 	var replicaSet *replica.Set
@@ -323,43 +329,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			CacheStats: stats,
 		}
 		if !*noCache {
-			if remoteCacheURL {
-				// Local execution against a daemon's shared cache: points
-				// computed here are published for every other client. The
-				// remote store retries transient failures with backoff and
-				// sits behind a circuit breaker, so an unreachable daemon
-				// degrades to local recomputation instead of hammering a
-				// dead endpoint once per point. With several replicas a
-				// read or write that fails on one replica is tried once on
-				// another healthy one.
-				urls, err := replica.ParseList(*cacheDir)
-				if err != nil {
-					fmt.Fprintln(stderr, "interference:", err)
-					return 2
-				}
-				var store runner.CacheStore
-				if len(urls) > 1 {
-					replicaSet = replica.NewSet(urls, replica.Options{Transport: chaosRT})
-					store = replica.NewCache(replicaSet)
-				} else {
-					rc := server.NewRemoteCache(urls[0])
-					rc.AttachStats(stats)
-					if chaosRT != nil {
-						rc.SetTransport(chaosRT)
-					}
-					store = rc
-				}
-				breaker = runner.NewBreaker(store, 0, 0)
-				opts.Cache = breaker
-			} else {
-				cache, err := runner.OpenPointCache(*cacheDir)
-				if err != nil {
-					fmt.Fprintln(stderr, "interference:", err)
-					return 2
-				}
-				opts.Cache = cache
-				localCache = cache
+			cache, err := runner.OpenPointCache(*cacheDir)
+			if err != nil {
+				fmt.Fprintln(stderr, "interference:", err)
+				return 2
 			}
+			opts.Cache = cache
+			localCache = cache
 			cacheLabel = *cacheDir
 		}
 		results = runner.Run(env, todo, opts)
@@ -444,9 +420,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if stats.Mismatches > 0 || stats.Errors > 0 {
 			line += fmt.Sprintf("; %d key mismatches, %d I/O errors", stats.Mismatches, stats.Errors)
 		}
-		if r := atomic.LoadInt64(&stats.Retries); r > 0 {
-			line += fmt.Sprintf("; %d transient failures retried", r)
-		}
 		if sk := atomic.LoadInt64(&stats.Skipped); sk > 0 {
 			line += fmt.Sprintf("; %d cache ops skipped", sk)
 		}
@@ -461,12 +434,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ds.Packs, ds.PackedEntries, ds.PendingEntries)
 		fmt.Fprintf(stderr, "cache hit rate: %.0f%% (%d of %d points served without executing)\n",
 			stats.HitRate()*100, stats.Points()-atomic.LoadInt64(&stats.Misses), stats.Points())
-	}
-	if !*quiet && breaker != nil {
-		if bs := breaker.Stats(); bs.Trips > 0 {
-			fmt.Fprintf(stderr, "cache breaker: %d trip(s), %d recover(ies), %d op(s) suppressed while open (state: %s)\n",
-				bs.Trips, bs.Recoveries, bs.Skipped, bs.StateName)
-		}
 	}
 	if !*quiet && replicaSet != nil {
 		b := replicaSet.Budget()

@@ -199,18 +199,23 @@ func TestCacheStatsFlag(t *testing.T) {
 }
 
 // TestCacheStatsNeedsLocalCache: disk occupancy is a local-cache
-// concept; -cache-stats with -no-cache or a remote cache URL is a
-// usage error.
+// concept; -cache-stats with -no-cache or a URL -cache is a usage
+// error. -cache takes only a directory: a daemon URL there is refused
+// with a pointer to -remote, never opened as a relative path.
 func TestCacheStatsNeedsLocalCache(t *testing.T) {
-	for _, extra := range [][]string{
-		{"-no-cache"},
-		{"-cache", "http://localhost:1"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-cache-stats", "-no-cache"}, "-cache-stats"},
+		{[]string{"-cache-stats", "-cache", "http://localhost:1"}, "-cache-stats"},
+		{[]string{"-cache", "http://localhost:1"}, "-remote http://localhost:1"},
+		{[]string{"-cache", "https://localhost:1"}, "-remote https://localhost:1"},
 	} {
 		var stdout, stderr strings.Builder
-		args := append([]string{"-exp", "fig3", "-cache-stats"}, extra...)
-		code := run(args, &stdout, &stderr)
-		if code != 2 || !strings.Contains(stderr.String(), "-cache-stats") {
-			t.Fatalf("%v: exit %d, stderr %q", extra, code, stderr.String())
+		code := run(append([]string{"-exp", "fig3"}, tc.args...), &stdout, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), tc.want) {
+			t.Fatalf("%v: exit %d, stderr %q (want %q)", tc.args, code, stderr.String(), tc.want)
 		}
 	}
 }

@@ -58,7 +58,6 @@ func submitRemote(set *replica.Set, spec *topology.NodeSpec, cluster string, tod
 	atomic.StoreInt64(&stats.FlightHits, cr.Cache.FlightHits)
 	atomic.StoreInt64(&stats.Mismatches, cr.Cache.Mismatches)
 	atomic.StoreInt64(&stats.Errors, cr.Cache.Errors)
-	atomic.StoreInt64(&stats.Retries, cr.Cache.Retries)
 	atomic.StoreInt64(&stats.Skipped, cr.Cache.Skipped)
 	if cr.Degraded {
 		atomic.StoreInt64(&stats.Degraded, 1)

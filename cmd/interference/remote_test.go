@@ -1,7 +1,6 @@
 package main
 
 import (
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -175,69 +174,6 @@ func TestRemoteRecapNamesDaemon(t *testing.T) {
 	}
 }
 
-// TestLocalRunAgainstRemoteCache: -cache with an http URL executes
-// locally but publishes and consumes points through the daemon's shared
-// cache — the second run is fully served.
-func TestLocalRunAgainstRemoteCache(t *testing.T) {
-	url := startDaemon(t, server.Config{CacheDir: filepath.Join(t.TempDir(), "cache")})
-	args := []string{"-exp", "fig3", "-runs", "1", "-cache", url}
-	var cold, coldErr strings.Builder
-	if code := run(args, &cold, &coldErr); code != 0 {
-		t.Fatalf("cold exit %d: %s", code, coldErr.String())
-	}
-	var warm, warmErr strings.Builder
-	if code := run(args, &warm, &warmErr); code != 0 {
-		t.Fatalf("warm exit %d: %s", code, warmErr.String())
-	}
-	if warm.String() != cold.String() {
-		t.Fatal("warm remote-cache stdout differs from cold")
-	}
-	if !strings.Contains(warmErr.String(), "0 computed (100% served without executing)") {
-		t.Fatalf("warm run not served by the daemon's cache:\n%s", warmErr.String())
-	}
-	if !strings.Contains(warmErr.String(), url) {
-		t.Fatalf("recap does not name the remote cache:\n%s", warmErr.String())
-	}
-}
-
-// TestCacheFailsOverToLiveReplica: -cache with two replica URLs, the
-// first of which dies right after answering its readiness probe (every
-// later connection is refused, the shape a SIGKILL leaves). The
-// campaign is still served from the live replica's cache,
-// byte-identically, and the recap reports the failover.
-func TestCacheFailsOverToLiveReplica(t *testing.T) {
-	live := startDaemon(t, server.Config{CacheDir: filepath.Join(t.TempDir(), "cache")})
-	args := []string{"-exp", "fig3", "-runs", "1"}
-	var cold, coldErr strings.Builder
-	if code := run(append([]string{"-cache", live}, args...), &cold, &coldErr); code != 0 {
-		t.Fatalf("cold exit %d: %s", code, coldErr.String())
-	}
-
-	dead := httptest.NewUnstartedServer(nil)
-	ln := dead.Listener
-	dead.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Connection", "close")
-		ln.Close()
-		w.WriteHeader(http.StatusOK)
-	})
-	dead.Start()
-	t.Cleanup(dead.Close)
-
-	var stdout, stderr strings.Builder
-	if code := run(append([]string{"-cache", dead.URL + "," + live}, args...), &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d with a dead replica: %s", code, stderr.String())
-	}
-	if stdout.String() != cold.String() {
-		t.Fatal("stdout differs when a replica dies")
-	}
-	if !strings.Contains(stderr.String(), "0 computed (100% served without executing)") {
-		t.Fatalf("points not served by the live replica:\n%s", stderr.String())
-	}
-	if !regexp.MustCompile(`replica set: [1-9][0-9]* failover\(s\)`).MatchString(stderr.String()) {
-		t.Fatalf("recap does not report the failover:\n%s", stderr.String())
-	}
-}
-
 // TestChaosRequiresRemoteTraffic: -chaos injects into daemon HTTP
 // traffic, so it is a usage error anywhere there is none — purely local
 // runs stay provably chaos-free.
@@ -246,8 +182,8 @@ func TestChaosRequiresRemoteTraffic(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-exp", "fig3", "-chaos", "refuse:p=1"}, "-chaos requires"},
-		{[]string{"-exp", "fig3", "-no-cache", "-chaos", "refuse:p=1"}, "-chaos requires"},
+		{[]string{"-exp", "fig3", "-chaos", "refuse:p=1"}, "-chaos requires -remote"},
+		{[]string{"-exp", "fig3", "-no-cache", "-chaos", "refuse:p=1"}, "-chaos requires -remote"},
 		{[]string{"-exp", "fig3", "-chaos-seed", "3"}, "-chaos-seed without -chaos"},
 		{[]string{"-remote", "http://localhost:1", "-exp", "fig3", "-chaos", "bogus:p=1"}, "chaos"},
 	}
@@ -258,33 +194,6 @@ func TestChaosRequiresRemoteTraffic(t *testing.T) {
 		} else if !strings.Contains(stderr.String(), tc.want) {
 			t.Errorf("%v: stderr %q does not contain %q", tc.args, stderr.String(), tc.want)
 		}
-	}
-}
-
-// TestChaosRetriesAgainstRemoteCache: a 5xx burst injected into the
-// remote-cache traffic is absorbed by the client's backoff retries —
-// stdout stays byte-identical to a fault-free run and the recap reports
-// the retries.
-func TestChaosRetriesAgainstRemoteCache(t *testing.T) {
-	url := startDaemon(t, server.Config{CacheDir: filepath.Join(t.TempDir(), "cache")})
-	args := []string{"-exp", "fig3", "-runs", "1", "-seed", "1"}
-	_, clean, cleanErr := runCLI(args...)
-	if clean == "" {
-		t.Fatalf("fault-free run produced nothing: %s", cleanErr)
-	}
-	var stdout, stderr strings.Builder
-	chaosArgs := append([]string{"-cache", url, "-chaos", "http:status=503,ops=1-2", "-chaos-seed", "7"}, args...)
-	if code := run(chaosArgs, &stdout, &stderr); code != 0 {
-		t.Fatalf("chaos run exit %d: %s", code, stderr.String())
-	}
-	if stdout.String() != clean {
-		t.Fatal("stdout drifted under injected 5xx bursts")
-	}
-	if !strings.Contains(stderr.String(), "CHAOS ACTIVE") || !strings.Contains(stderr.String(), "seed 7") {
-		t.Fatalf("chaos drill not announced with its seed:\n%s", stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "transient failures retried") {
-		t.Fatalf("recap does not report the retries:\n%s", stderr.String())
 	}
 }
 
@@ -308,5 +217,36 @@ func TestChaosRefusalOnSubmission(t *testing.T) {
 	}
 	if stdout.Len() != 0 {
 		t.Fatalf("refused submission still produced output: %q", stdout.String())
+	}
+}
+
+// TestRemoteRetriesTransientFailure: one transient failure of the only
+// -remote replica (a 503 with its Retry-After, a 500, or a response cut
+// mid-body) is retried on that replica. The run exits 0, prints what a
+// local run prints, and the recap reports the retried submission.
+func TestRemoteRetriesTransientFailure(t *testing.T) {
+	url := startDaemon(t, server.Config{CacheDir: filepath.Join(t.TempDir(), "cache")})
+	args := []string{"-exp", "fig3", "-runs", "1", "-seed", "1"}
+	_, local, localErr := runCLI(args...)
+	if local == "" {
+		t.Fatalf("local run produced nothing: %s", localErr)
+	}
+	recap := regexp.MustCompile(`replica set: 0 failover\(s\), 1 retried submission\(s\)`)
+	for _, sched := range []string{
+		"http:status=503,ops=1-1,match=/campaign",
+		"http:status=500,ops=1-1,match=/campaign",
+		"truncate:ops=1-1,match=/campaign",
+	} {
+		var stdout, stderr strings.Builder
+		if code := run(append([]string{"-remote", url, "-chaos", sched}, args...), &stdout, &stderr); code != 0 {
+			t.Errorf("%s: exit %d: %s", sched, code, stderr.String())
+			continue
+		}
+		if stdout.String() != local {
+			t.Errorf("%s: stdout differs from a local run:\n got %q\nwant %q", sched, stdout.String(), local)
+		}
+		if !recap.MatchString(stderr.String()) {
+			t.Errorf("%s: recap does not report the retried submission:\n%s", sched, stderr.String())
+		}
 	}
 }

@@ -9,15 +9,14 @@ import (
 
 // Binary PointRecord encoding.
 //
-// The campaign cache moves PointRecords constantly — every Store, every
-// Load, every wire round-trip of the remote cache protocol — and JSON
-// is a poor fit for that traffic: it re-escapes the embedded payload,
-// re-parses float64s, and costs an order of magnitude more CPU and
-// bytes than the record's information content. The binary form below is
-// the storage and wire format. The payload inside it is the point's
-// result as the payload codec (codec.go) encoded it: ExecutePoint
-// encodes it once, RunPointsAs decodes it, and the record carries the
-// bytes through untouched.
+// The campaign cache moves PointRecords constantly — every Store and
+// every Load — and JSON is a poor fit for that traffic: it re-escapes
+// the embedded payload, re-parses float64s, and costs an order of
+// magnitude more CPU and bytes than the record's information content.
+// The binary form below is the storage format. The payload inside it
+// is the point's result as the payload codec (codec.go) encoded it:
+// ExecutePoint encodes it once, RunPointsAs decodes it, and the record
+// carries the bytes through untouched.
 //
 // Layout (all integers unsigned varints, floats IEEE-754 little-endian):
 //

@@ -192,7 +192,7 @@ func (s *Schedule) String() string {
 //
 //	refuse:p=0.3                        refuse 30% of round trips
 //	http:status=503,ops=1-20            503 burst on the first 20 requests
-//	truncate:p=0.2,match=/cache/        truncate 20% of cache responses
+//	truncate:p=0.2,match=/campaign      truncate 20% of campaign responses
 //	eio-read:p=0.3,match=.pack          30% of cache pack page-ins fail
 //	eio-write:ops=1-4,match=campaigns   first 4 campaign-log appends fail
 //	enospc:p=0.2,match=.tmp-            disk-full on 20% of cache writes
@@ -274,7 +274,7 @@ func (e *Event) setOption(key, val string) error {
 
 // Injector decides which instrumented operations fail, deterministically
 // from the seed. Each operation label (e.g. "write:campaigns.jsonl",
-// "GET host/cache/ab12…") carries its own sequence counter, and a fault
+// "POST host/campaign") carries its own sequence counter, and a fault
 // decision is a pure function of (seed, event index, label, sequence
 // number) — so the outcome stream per label is independent of how
 // operations on *different* labels interleave, and a failing run is

@@ -1,7 +1,7 @@
 // Package replica is the client-side availability layer over a set of
 // interfd daemons: a health-gated replica picker, campaign submission
-// and cache reads and writes with failover, and a token-bucket retry
-// budget shared across submission and cache traffic.
+// with failover, and a token-bucket retry budget with jittered backoff
+// that bounds how hard a client retries.
 //
 // The design leans on the property that makes failover uniquely cheap
 // here: every sweep point is deterministic and content-addressed, so a
@@ -15,6 +15,8 @@
 package replica
 
 import (
+	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,13 +24,11 @@ import (
 	"repro/internal/chaos"
 )
 
-// Budget is a token-bucket retry budget. Every retry — a resubmitted
-// campaign or a failed-over cache read or write — must first win a
-// token; first attempts are free. The bucket starts full and refills
-// continuously, so a brief blip retries immediately while a dead
-// replica drains the bucket once and then fails fast instead of
-// stampeding the survivors. One Budget is shared by a Set and every
-// Cache built on it.
+// Budget is a token-bucket retry budget. Every resubmission of a
+// campaign must first win a token; first attempts are free. The
+// bucket starts full and refills continuously, so a brief blip retries
+// immediately while a dead replica drains the bucket once and then
+// fails fast instead of stampeding the survivors.
 type Budget struct {
 	mu     sync.Mutex
 	clock  chaos.Clock
@@ -92,3 +92,67 @@ func (b *Budget) Allow() bool {
 // refused; their sum is the total retry demand the client generated.
 func (b *Budget) Allowed() int64 { return b.allowed.Load() }
 func (b *Budget) Denied() int64  { return b.denied.Load() }
+
+// RetryAfterCap bounds how long a server-sent Retry-After may park a
+// client: an absurd or hostile value must not stall a submission for
+// minutes, and past it the client's own backoff is smarter.
+const RetryAfterCap = 5 * time.Second
+
+// Backoff paces a Set's submission retries. Retry number attempt waits
+// the server's Retry-After when it sent one (the server knows its own
+// drain rate better than our guess), otherwise 25ms<<attempt capped at
+// 1s, with ±50% jitter so a fleet of clients recovering together does
+// not stampede the daemon.
+type Backoff struct {
+	clock chaos.Clock
+	mu    sync.Mutex
+	rng   *rand.Rand
+}
+
+const (
+	backoffBase = 25 * time.Millisecond
+	backoffMax  = time.Second
+)
+
+// NewBackoff builds a backoff sleeping on clock, its jitter seeded by
+// seed (0 seeds from the clock).
+func NewBackoff(clock chaos.Clock, seed int64) *Backoff {
+	if seed == 0 {
+		seed = clock.Now().UnixNano()
+	}
+	return &Backoff{clock: clock, rng: rand.New(rand.NewSource(seed))}
+}
+
+// Wait sleeps before retry number attempt (0 for the first retry).
+func (b *Backoff) Wait(attempt int, retryAfter time.Duration) {
+	d := retryAfter
+	if d <= 0 {
+		d = backoffBase << attempt
+		if d > backoffMax || d <= 0 {
+			d = backoffMax
+		}
+		b.mu.Lock()
+		d = time.Duration(float64(d) * (0.5 + b.rng.Float64()))
+		b.mu.Unlock()
+	}
+	b.clock.Sleep(d)
+}
+
+// ParseRetryAfter interprets a Retry-After header as delay seconds.
+// Absent, non-numeric (HTTP-dates are not produced by interfd) or
+// negative values report ok=false — the caller falls back to its own
+// jittered exponential backoff. Huge values are capped to max.
+func ParseRetryAfter(v string, max time.Duration) (time.Duration, bool) {
+	if v == "" {
+		return 0, false
+	}
+	secs, err := strconv.ParseFloat(v, 64)
+	if err != nil || secs < 0 {
+		return 0, false
+	}
+	d := time.Duration(secs * float64(time.Second))
+	if max > 0 && (d > max || d < 0) { // < 0: float overflow into the sign bit
+		d = max
+	}
+	return d, true
+}

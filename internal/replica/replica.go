@@ -20,19 +20,19 @@ import (
 // skips replicas known to be down or draining. Submission fails over:
 // a refused connection, a 5xx, or a draining daemon marks the replica
 // down and resubmits the campaign to a healthy one, budget-gated and
-// honoring the server's Retry-After. Exactly-once execution is not the
+// honoring the server's Retry-After; with no healthy replica left, the
+// one that failed last is retried. Exactly-once execution is not the
 // Set's job — it is bounded by the replicas' shared content-addressed
 // cache and campaign singleflight, which turn a resubmission into a
 // cheap cache replay.
 type Set struct {
 	urls   []string
-	rt     http.RoundTripper
 	clock  chaos.Clock
 	budget *Budget
 
 	client      *http.Client // submissions: campaigns legitimately run minutes
 	probeClient *http.Client // /readyz probes: answers are instant or useless
-	backoff     *server.Backoff
+	backoff     *Backoff
 
 	maxAttempts int
 
@@ -40,7 +40,7 @@ type Set struct {
 	state []health
 	next  int // round-robin rotation
 
-	failovers   atomic.Int64 // submissions or cache operations that moved to another replica
+	failovers   atomic.Int64 // submissions that moved to another replica
 	submissions atomic.Int64
 	retried     atomic.Int64 // submission retries (any replica)
 }
@@ -109,12 +109,11 @@ func NewSet(urls []string, opts Options) *Set {
 	}
 	return &Set{
 		urls:        urls,
-		rt:          opts.Transport,
 		clock:       opts.Clock,
 		budget:      opts.Budget,
 		client:      &http.Client{Timeout: submitTimeout, Transport: opts.Transport},
 		probeClient: &http.Client{Timeout: 2 * time.Second, Transport: opts.Transport},
-		backoff:     server.NewBackoff(opts.Clock, opts.Seed),
+		backoff:     NewBackoff(opts.Clock, opts.Seed),
 		maxAttempts: opts.MaxAttempts,
 		state:       make([]health, len(urls)),
 	}
@@ -123,12 +122,11 @@ func NewSet(urls []string, opts Options) *Set {
 // URLs reports the replica base URLs in order.
 func (s *Set) URLs() []string { return append([]string(nil), s.urls...) }
 
-// Budget exposes the shared retry budget so cache traffic can be gated
-// by the same bucket.
+// Budget exposes the retry budget for the client's recap.
 func (s *Set) Budget() *Budget { return s.budget }
 
-// Failovers counts submissions or cache operations that moved to a
-// different replica after a failure.
+// Failovers counts submissions that moved to a different replica after
+// a failure.
 func (s *Set) Failovers() int64 { return s.failovers.Load() }
 
 // Retried counts submission retries (same or different replica).
@@ -192,17 +190,6 @@ func (s *Set) pick() (int, bool) {
 	return 0, false
 }
 
-// pickOther returns a healthy replica other than exclude.
-func (s *Set) pickOther(exclude int) (int, bool) {
-	for k := 1; k < len(s.urls); k++ {
-		i := (exclude + k) % len(s.urls)
-		if s.healthyAt(i) {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // SubmitError is a permanent, replica-independent submission failure
 // (the daemon answered 4xx); retrying elsewhere cannot change it.
 type SubmitError struct {
@@ -217,7 +204,11 @@ func (e *SubmitError) Error() string {
 // Submit posts one campaign spec to a healthy replica, failing over on
 // refused connections, 5xx answers and draining daemons. Each retry
 // consumes a budget token and sleeps the server's Retry-After when one
-// was sent (capped), else jittered exponential backoff. apiKey
+// was sent (capped), else jittered exponential backoff. A failed
+// replica is quarantined for downTTL, which outlasts every backoff, so
+// when no replica is healthy the retry goes back to the one that failed
+// last: a lone daemon's transient failure (a 5xx, a cut response, a
+// full queue) is retried, not reported as an empty fleet. apiKey
 // (optional) identifies the client for fair queueing.
 func (s *Set) Submit(spec server.CampaignSpec, apiKey string) (*server.CampaignResponse, error) {
 	body, err := json.Marshal(spec)
@@ -229,7 +220,11 @@ func (s *Set) Submit(spec server.CampaignSpec, apiKey string) (*server.CampaignR
 	lastFailed := -1
 	for attempt := 0; ; attempt++ {
 		var retryAfter time.Duration
-		if i, ok := s.pick(); !ok {
+		i, ok := s.pick()
+		if !ok && lastFailed >= 0 {
+			i, ok = lastFailed, true
+		}
+		if !ok {
 			lastErr = fmt.Errorf("no replica of %s is healthy", strings.Join(s.urls, ","))
 		} else {
 			if lastFailed >= 0 && i != lastFailed {
@@ -282,7 +277,7 @@ func (s *Set) submitOnce(i int, body []byte, apiKey string) (*server.CampaignRes
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
 		return nil, 0, &SubmitError{Status: resp.StatusCode, Msg: string(bytes.TrimSpace(payload))}
 	default:
-		ra, _ := server.ParseRetryAfter(resp.Header.Get("Retry-After"), server.RetryAfterCap)
+		ra, _ := ParseRetryAfter(resp.Header.Get("Retry-After"), RetryAfterCap)
 		return nil, ra, fmt.Errorf("%s answered %s: %s", s.urls[i], resp.Status, bytes.TrimSpace(payload))
 	}
 	var cr server.CampaignResponse

@@ -9,22 +9,18 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/chaos"
 	"repro/internal/server"
 )
 
 // fakeReplica is a minimal stand-in for an interfd daemon: scripted
-// /readyz, /campaign and /cache behavior.
+// /readyz and /campaign behavior.
 type fakeReplica struct {
 	t        *testing.T
 	ts       *httptest.Server
 	ready    atomic.Bool
 	submits  atomic.Int64
-	gets     atomic.Int64
-	puts     atomic.Int64
 	campaign func(w http.ResponseWriter, r *http.Request)
-	cacheGet func(w http.ResponseWriter, r *http.Request)
 }
 
 func newFakeReplica(t *testing.T) *fakeReplica {
@@ -46,32 +42,9 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 		}
 		json.NewEncoder(w).Encode(server.CampaignResponse{ID: "ok"})
 	})
-	mux.HandleFunc("GET /cache/{sum}", func(w http.ResponseWriter, r *http.Request) {
-		f.gets.Add(1)
-		if f.cacheGet != nil {
-			f.cacheGet(w, r)
-			return
-		}
-		http.NotFound(w, r)
-	})
-	mux.HandleFunc("PUT /cache/{sum}", func(w http.ResponseWriter, r *http.Request) {
-		f.puts.Add(1)
-		w.WriteHeader(http.StatusNoContent)
-	})
 	f.ts = httptest.NewServer(mux)
 	t.Cleanup(f.ts.Close)
 	return f
-}
-
-// serveRecord makes the replica's cache answer every GET with a valid
-// record for key.
-func (f *fakeReplica) serveRecord(key string) {
-	rec := bench.PointRecord{Schema: bench.PointSchema, Key: key, Payload: json.RawMessage(`{"v":1}`)}
-	body := rec.EncodeBinary()
-	f.cacheGet = func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(body)
-	}
 }
 
 func testSpec() server.CampaignSpec {
@@ -91,6 +64,32 @@ func TestParseList(t *testing.T) {
 	}
 	if _, err := ParseList(" , "); err == nil {
 		t.Fatal("empty list accepted")
+	}
+}
+
+func TestParseRetryAfter(t *testing.T) {
+	cap := 5 * time.Second
+	cases := []struct {
+		in   string
+		want time.Duration
+		ok   bool
+	}{
+		{"", 0, false},    // absent: caller backs off on its own
+		{"abc", 0, false}, // non-numeric
+		{"Fri, 07 Aug 2026 00:00:00 GMT", 0, false}, // HTTP-date form: not produced by interfd
+		{"-3", 0, false},                       // negative
+		{"2", 2 * time.Second, true},           //
+		{"0", 0, true},                         // explicit zero is honored as "now"
+		{"0.25", 250 * time.Millisecond, true}, // fractional seconds
+		{"86400", cap, true},                   // huge: capped
+		{"1e300", cap, true},                   // absurd: float overflow must still cap
+		{"9223372036854775807", cap, true},     // int64-overflow territory
+	}
+	for _, c := range cases {
+		got, ok := ParseRetryAfter(c.in, cap)
+		if got != c.want || ok != c.ok {
+			t.Errorf("ParseRetryAfter(%q) = (%v, %v), want (%v, %v)", c.in, got, ok, c.want, c.ok)
+		}
 	}
 }
 
@@ -148,6 +147,31 @@ func TestSubmitSkipsUnreadyReplica(t *testing.T) {
 	}
 	if s.Failovers() != 0 {
 		t.Fatalf("Failovers = %d, want 0 (health gate is not a failover)", s.Failovers())
+	}
+}
+
+// TestSubmitRetriesLoneReplica: a lone replica's transient failure is
+// retried on that replica, although the failure quarantined it for
+// longer than the backoff waits.
+func TestSubmitRetriesLoneReplica(t *testing.T) {
+	f := newFakeReplica(t)
+	var n atomic.Int64
+	f.campaign = func(w http.ResponseWriter, r *http.Request) {
+		if n.Add(1) == 1 {
+			http.Error(w, "boom", http.StatusInternalServerError)
+			return
+		}
+		json.NewEncoder(w).Encode(server.CampaignResponse{ID: "ok"})
+	}
+	s := NewSet([]string{f.ts.URL}, Options{Seed: 1})
+	if _, err := s.Submit(testSpec(), ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.submits.Load(); got != 2 {
+		t.Fatalf("submissions = %d, want 2", got)
+	}
+	if s.Retried() != 1 || s.Failovers() != 0 {
+		t.Fatalf("Retried = %d, Failovers = %d; want 1, 0", s.Retried(), s.Failovers())
 	}
 }
 
@@ -241,96 +265,5 @@ func TestSubmitSendsDeadlineAndKey(t *testing.T) {
 	}
 	if gotKey != "alice" {
 		t.Fatalf("X-API-Key = %q", gotKey)
-	}
-}
-
-// TestHedgedLoadFailsOverOnFastFailure: an I/O error on one replica
-// quarantines it and the load is served by another healthy replica,
-// counted in the Set's Failovers. The TestHedgedLoad names are older
-// than the unhedged cache and are kept for continuity.
-func TestHedgedLoadFailsOverOnFastFailure(t *testing.T) {
-	const key = "sweep/point=1"
-	bad, good := newFakeReplica(t), newFakeReplica(t)
-	bad.cacheGet = func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "boom", http.StatusInternalServerError)
-	}
-	good.serveRecord(key)
-	set := NewSet([]string{bad.ts.URL, good.ts.URL}, Options{Seed: 1})
-	c := NewCache(set)
-	rec, ok, mismatch, ioErr := c.Load(key)
-	if !ok || mismatch || ioErr {
-		t.Fatalf("Load = ok=%v mismatch=%v ioErr=%v", ok, mismatch, ioErr)
-	}
-	if rec.Key != key {
-		t.Fatalf("rec.Key = %q", rec.Key)
-	}
-	if set.Failovers() != 1 {
-		t.Fatalf("Failovers = %d, want 1", set.Failovers())
-	}
-	// The quarantined replica is skipped, not failed over from, whichever
-	// replica the round robin starts at.
-	for i := 0; i < 2; i++ {
-		if _, ok, _, ioErr := c.Load(key); !ok || ioErr || set.Failovers() != 1 {
-			t.Fatalf("Load after quarantine = ok=%v ioErr=%v, Failovers = %d (want a hit on the healthy replica, 1)",
-				ok, ioErr, set.Failovers())
-		}
-	}
-	if n := bad.gets.Load(); n != 1 {
-		t.Fatalf("bad replica saw %d GETs, want 1 (one attempt, then quarantine)", n)
-	}
-}
-
-// TestHedgedLoadMissIsNotHedged: a clean miss is an answer, not a
-// failure, and fails over nowhere.
-func TestHedgedLoadMissIsNotHedged(t *testing.T) {
-	miss := NewSet([]string{newFakeReplica(t).ts.URL, newFakeReplica(t).ts.URL}, Options{Seed: 1})
-	if _, ok, mismatch, ioErr := NewCache(miss).Load("sweep/point=3"); ok || mismatch || ioErr {
-		t.Fatalf("miss reported ok=%v mismatch=%v ioErr=%v", ok, mismatch, ioErr)
-	}
-	if miss.Failovers() != 0 {
-		t.Fatalf("a clean miss failed over: %d", miss.Failovers())
-	}
-}
-
-// TestCacheLoadNoHealthyReplica: with every replica down a load is an
-// I/O error, never a silent miss.
-func TestCacheLoadNoHealthyReplica(t *testing.T) {
-	f := newFakeReplica(t)
-	f.ready.Store(false)
-	c := NewCache(NewSet([]string{f.ts.URL}, Options{Seed: 1}))
-	if _, ok, _, ioErr := c.Load("sweep/point=5"); ok || !ioErr {
-		t.Fatalf("Load = ok=%v ioErr=%v, want an I/O error", ok, ioErr)
-	}
-	if f.gets.Load() != 0 {
-		t.Fatal("an unready replica was read")
-	}
-	if err := c.Store("sweep/point=5", bench.PointRecord{Schema: bench.PointSchema}); err == nil {
-		t.Fatal("Store with no healthy replica reported success")
-	}
-}
-
-// TestCacheStoreFailsOver: a PUT refused by one replica lands on
-// another, counted in the Set's Failovers.
-func TestCacheStoreFailsOver(t *testing.T) {
-	good := newFakeReplica(t)
-	badTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/readyz" {
-			w.WriteHeader(http.StatusOK)
-			return
-		}
-		http.Error(w, "disk full", http.StatusInternalServerError)
-	}))
-	t.Cleanup(badTS.Close)
-	set := NewSet([]string{badTS.URL, good.ts.URL}, Options{Seed: 1})
-	c := NewCache(set)
-	rec := bench.PointRecord{Schema: bench.PointSchema, Key: "sweep/point=4"}
-	if err := c.Store("sweep/point=4", rec); err != nil {
-		t.Fatal(err)
-	}
-	if good.puts.Load() != 1 {
-		t.Fatalf("good replica saw %d PUTs, want 1", good.puts.Load())
-	}
-	if set.Failovers() != 1 {
-		t.Fatalf("Failovers = %d, want 1", set.Failovers())
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -46,10 +45,6 @@ type CacheStats struct {
 	// Errors counts failed cache reads/writes (best-effort: the point
 	// is computed as if uncached).
 	Errors int64
-	// Retries counts transient cache-transport failures that were
-	// retried (remote cache only; a retry that ultimately succeeds adds
-	// here but not to Errors).
-	Retries int64
 	// Skipped counts cache operations not attempted because the
 	// campaign degraded to no-cache mode or a circuit breaker was open.
 	Skipped int64
@@ -87,15 +82,14 @@ func (s *CacheStats) Add(o *CacheStats) {
 	atomic.AddInt64(&s.FlightHits, atomic.LoadInt64(&o.FlightHits))
 	atomic.AddInt64(&s.Mismatches, atomic.LoadInt64(&o.Mismatches))
 	atomic.AddInt64(&s.Errors, atomic.LoadInt64(&o.Errors))
-	atomic.AddInt64(&s.Retries, atomic.LoadInt64(&o.Retries))
 	atomic.AddInt64(&s.Skipped, atomic.LoadInt64(&o.Skipped))
 	atomic.AddInt64(&s.Degraded, atomic.LoadInt64(&o.Degraded))
 }
 
 // CacheStore is the persistence layer of the point cache: the on-disk
-// PointCache implements it, and a service can substitute a remote
-// content-addressed store speaking the same load/store contract. Both
-// methods must be safe for concurrent use.
+// PointCache implements it, and wrappers such as the circuit Breaker
+// speak the same load/store contract. Both methods must be safe for
+// concurrent use.
 type CacheStore interface {
 	// Load retrieves the record stored under fullKey. ok is false on any
 	// miss; mismatch marks a poisoned entry (stored key differs from the
@@ -106,26 +100,8 @@ type CacheStore interface {
 	Store(fullKey string, rec bench.PointRecord) error
 }
 
-// CacheKeySum returns the content address of a full point key: the hex
-// sha256 under which both the on-disk cache and the remote cache
-// protocol file the record.
-func CacheKeySum(fullKey string) string {
-	sum := keySum(fullKey)
-	return hex.EncodeToString(sum[:])
-}
-
 // keySum returns the raw content address of a full point key.
 func keySum(fullKey string) addr { return sha256.Sum256([]byte(fullKey)) }
-
-// parseAddr decodes a content address spelt as CacheKeySum spells it:
-// 64 lowercase hex digits.
-func parseAddr(sum string) (a addr, ok bool) {
-	if len(sum) != 2*sumBytes || strings.ToLower(sum) != sum {
-		return a, false
-	}
-	_, err := hex.Decode(a[:], []byte(sum))
-	return a, err == nil
-}
 
 // PointCache is a persistent, content-addressed store of computed sweep
 // points, safe for concurrent use. Writes are batched: Store appends to
@@ -190,26 +166,6 @@ func OpenPointCacheFS(dir string, fsys chaos.FS) (*PointCache, error) {
 	c.rescanLocked() // index segments left by earlier processes
 	c.mu.Unlock()
 	return c, nil
-}
-
-// LoadSum returns the raw stored binary record for a hex content
-// address, as the remote cache protocol serves it. os.IsNotExist(err)
-// distinguishes absence from read failures; an address that is not hex
-// sha256 is absent. No validation happens here — callers must verify
-// the decoded record's key hashes back to sum before trusting it.
-func (c *PointCache) LoadSum(sum string) ([]byte, error) {
-	a, ok := parseAddr(sum)
-	if !ok {
-		return nil, os.ErrNotExist
-	}
-	data, found, err := c.lookup(a)
-	if err != nil {
-		return nil, err
-	}
-	if !found {
-		return nil, os.ErrNotExist
-	}
-	return data, nil
 }
 
 // lookup resolves a content address to its raw stored bytes: pending
@@ -432,34 +388,6 @@ func (c *PointCache) writeIdx(seg string, refs []idxEntry) {
 	if err := c.fs.Rename(tmp.Name(), filepath.Join(c.packs, seg+".idx")); err != nil {
 		c.fs.Remove(tmp.Name())
 	}
-}
-
-// Entries invokes fn for every record the cache can serve, passing the
-// content address and the raw stored binary record. Pending entries
-// shadow packed ones. Iteration order is unspecified. fn's first error
-// aborts the walk.
-func (c *PointCache) Entries(fn func(sum string, data []byte) error) error {
-	c.mu.Lock()
-	c.rescanLocked()
-	snap := make(map[addr][]byte, len(c.pending)+len(c.index))
-	for sum, data := range c.pending {
-		snap[sum] = data
-	}
-	for sum, ref := range c.index {
-		if _, dup := snap[sum]; dup {
-			continue
-		}
-		if data, err := c.packSliceLocked(ref); err == nil {
-			snap[sum] = data
-		}
-	}
-	c.mu.Unlock()
-	for sum, data := range snap {
-		if err := fn(hex.EncodeToString(sum[:]), data); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // DiskStats describes the cache's on-disk occupancy for -cache-stats.

@@ -47,8 +47,7 @@ const (
 )
 
 // addr is a raw content address, the sha256 of a full point key. The
-// cache keys its index and write-behind buffer by it; the hex form
-// (CacheKeySum) is only for the remote protocol and Entries.
+// cache keys its index and write-behind buffer by it.
 type addr [sumBytes]byte
 
 // packRef locates one record inside a flushed pack segment.

@@ -38,8 +38,8 @@ func mustOpen(t *testing.T, dir string) *PointCache {
 }
 
 // TestCacheWriteBehindReadYourWrites: a stored record is visible to
-// Load and LoadSum before any flush, served from the pending buffer in
-// the binary encoding.
+// Load before any flush, served from the pending buffer in the binary
+// encoding.
 func TestCacheWriteBehindReadYourWrites(t *testing.T) {
 	c := mustOpen(t, t.TempDir())
 	rec := testRecord("wb/k")
@@ -53,13 +53,13 @@ func TestCacheWriteBehindReadYourWrites(t *testing.T) {
 	if got.SimSeconds != rec.SimSeconds || !bytes.Equal(got.Payload, rec.Payload) {
 		t.Fatalf("pending round-trip drift: %+v vs %+v", got, rec)
 	}
-	raw, err := c.LoadSum(CacheKeySum("wb/k"))
-	if err != nil {
-		t.Fatal(err)
+	raw, found, err := c.lookup(keySum("wb/k"))
+	if !found || err != nil {
+		t.Fatalf("pending entry not found by address: found=%v err=%v", found, err)
 	}
 	var back bench.PointRecord
 	if err := back.DecodeBinary(raw); err != nil || back.Key != "wb/k" {
-		t.Fatalf("LoadSum of a pending entry: key %q, err %v; want the binary record", back.Key, err)
+		t.Fatalf("raw pending entry: key %q, err %v; want the binary record", back.Key, err)
 	}
 }
 

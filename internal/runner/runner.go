@@ -35,8 +35,8 @@ type Options struct {
 	// reported as failed. 0 means one attempt only.
 	Retries int
 	// Cache, when non-nil, persists computed sweep points
-	// content-addressed by configuration (local PointCache or a remote
-	// store): repeated campaigns replay unchanged points instead of
+	// content-addressed by configuration (a PointCache, possibly behind
+	// a Breaker): repeated campaigns replay unchanged points instead of
 	// recomputing them.
 	Cache CacheStore
 	// CacheStats, when non-nil, receives the campaign's point-level

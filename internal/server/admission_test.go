@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,64 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/chaos"
 )
-
-func TestParseRetryAfter(t *testing.T) {
-	cap := 5 * time.Second
-	cases := []struct {
-		in   string
-		want time.Duration
-		ok   bool
-	}{
-		{"", 0, false},    // absent: caller backs off on its own
-		{"abc", 0, false}, // non-numeric
-		{"Fri, 07 Aug 2026 00:00:00 GMT", 0, false}, // HTTP-date form: not produced by interfd
-		{"-3", 0, false},                       // negative
-		{"2", 2 * time.Second, true},           //
-		{"0", 0, true},                         // explicit zero is honored as "now"
-		{"0.25", 250 * time.Millisecond, true}, // fractional seconds
-		{"86400", cap, true},                   // huge: capped
-		{"1e300", cap, true},                   // absurd: float overflow must still cap
-		{"9223372036854775807", cap, true},     // int64-overflow territory
-	}
-	for _, c := range cases {
-		got, ok := ParseRetryAfter(c.in, cap)
-		if got != c.want || ok != c.ok {
-			t.Errorf("ParseRetryAfter(%q) = (%v, %v), want (%v, %v)", c.in, got, ok, c.want, c.ok)
-		}
-	}
-}
-
-// TestRemoteCacheRequestTimeout: a daemon that accepts the connection
-// and then hangs must not stall a worker shard — the per-request
-// timeout turns the hang into an ordinary transient I/O error.
-func TestRemoteCacheRequestTimeout(t *testing.T) {
-	unblock := make(chan struct{})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select { // hang until the client gives up and the test tears down
-		case <-unblock:
-		case <-r.Context().Done():
-		}
-	}))
-	defer ts.Close()
-	defer close(unblock)
-	rc := NewRemoteCache(ts.URL)
-	rc.SetRetries(0, time.Millisecond, time.Millisecond)
-	rc.SetRequestTimeout(50 * time.Millisecond)
-	start := time.Now()
-	_, ok, _, ioErr := rc.Load("some/key")
-	if ok || !ioErr {
-		t.Fatalf("hung Load = ok=%v ioErr=%v, want a clean I/O error", ok, ioErr)
-	}
-	if el := time.Since(start); el > 5*time.Second {
-		t.Fatalf("Load took %v; the request timeout did not fire", el)
-	}
-	if err := rc.Store("some/key", bench.PointRecord{Schema: bench.PointSchema, Key: "some/key"}); err == nil {
-		t.Fatal("hung Store reported success")
-	}
-}
 
 func TestOverloadFairShare(t *testing.T) {
 	o := newOverload(chaos.NewFakeClock(), 4)

@@ -9,11 +9,8 @@ import (
 	"sync"
 	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
-	"repro/internal/runner"
 )
 
 // chaosSeed returns the soak seed: CHAOS_SEED from the environment (the
@@ -329,41 +326,4 @@ func seedCache(t *testing.T, specs ...CampaignSpec) (string, int64) {
 		t.Fatal(err)
 	}
 	return dir, points
-}
-
-// TestRemoteCacheChaosTransport: a RemoteCache speaking to a perfectly
-// healthy daemon through a hostile network (refused connections, 5xx
-// bursts, truncated bodies) absorbs the faults with retries — the
-// campaign's bytes are identical to a fault-free local run.
-func TestRemoteCacheChaosTransport(t *testing.T) {
-	seed := chaosSeed(t)
-	_, ts := newTestServer(t, Config{CacheDir: filepath.Join(t.TempDir(), "cache")})
-	inj := chaos.NewInjector(seed, mustChaosSpec(t, "refuse:p=0.3;http:status=503,p=0.2;truncate:p=0.15"))
-	rc := NewRemoteCache(ts.URL)
-	rc.SetTransport(&chaos.Transport{Inj: inj})
-	rc.SetRetries(3, time.Millisecond, 4*time.Millisecond)
-	stats := &runner.CacheStats{}
-	rc.AttachStats(stats)
-
-	env, err := core.Env("henri", 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, ok := core.ByID("ext-sched")
-	if !ok {
-		t.Fatal("ext-sched not registered")
-	}
-	res := runner.Collect(runner.Run(env, []core.Experiment{exp},
-		runner.Options{Workers: 2, Format: "ascii", Cache: rc, CacheStats: stats}))
-	if res[0].Err != nil {
-		t.Fatalf("seed %d: campaign through hostile network failed: %v", seed, res[0].Err)
-	}
-	if want := localRendered(t, "henri", 1, 1, "ext-sched")[0]; res[0].Rendered != want {
-		t.Fatalf("seed %d: output drifted under transport chaos", seed)
-	}
-	if inj.Injected() > 0 && rc.Retries() == 0 {
-		t.Fatalf("seed %d: %d transport faults injected but nothing retried", seed, inj.Injected())
-	}
-	t.Logf("seed %d: transport chaos: %d faults injected, %d retries, cache errors %d",
-		seed, inj.Injected(), rc.Retries(), stats.Errors)
 }

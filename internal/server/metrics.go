@@ -61,7 +61,6 @@ type CacheSummary struct {
 	FlightHits int64   `json:"flight_hits"`
 	Mismatches int64   `json:"mismatches"`
 	Errors     int64   `json:"errors"`
-	Retries    int64   `json:"retries,omitempty"`
 	Skipped    int64   `json:"skipped,omitempty"`
 	HitRate    float64 `json:"hit_rate"`
 }
@@ -75,15 +74,9 @@ func summarize(s *runner.CacheStats) CacheSummary {
 		FlightHits: atomic.LoadInt64(&s.FlightHits),
 		Mismatches: atomic.LoadInt64(&s.Mismatches),
 		Errors:     atomic.LoadInt64(&s.Errors),
-		Retries:    atomic.LoadInt64(&s.Retries),
 		Skipped:    atomic.LoadInt64(&s.Skipped),
 		HitRate:    s.HitRate(),
 	}
-}
-
-// protoCounters counts remote cache protocol traffic.
-type protoCounters struct {
-	gets, getHits, puts, rejected atomic.Int64
 }
 
 // latencyRecorder keeps a bounded reservoir of campaign latencies for
@@ -146,13 +139,7 @@ type Metrics struct {
 		QueueDepth int64 `json:"queue_depth"`
 		Inflight   int64 `json:"inflight"`
 	} `json:"campaigns"`
-	Cache         CacheSummary `json:"cache"`
-	CacheProtocol struct {
-		Gets     int64 `json:"gets"`
-		GetHits  int64 `json:"get_hits"`
-		Puts     int64 `json:"puts"`
-		Rejected int64 `json:"rejected"`
-	} `json:"cache_protocol"`
+	Cache   CacheSummary `json:"cache"`
 	Latency struct {
 		Count int64   `json:"count"`
 		P50Ms float64 `json:"p50_ms"`
@@ -197,11 +184,7 @@ func (s *Server) Metrics() Metrics {
 	m.Campaigns.QueueDepth = s.queueDepth.Load()
 	m.Campaigns.Inflight = s.inflight.Load()
 	m.Cache = summarize(&s.cacheTotals)
-	m.CacheProtocol.Gets = s.proto.gets.Load()
-	m.CacheProtocol.GetHits = s.proto.getHits.Load()
-	m.CacheProtocol.Puts = s.proto.puts.Load()
-	m.CacheProtocol.Rejected = s.proto.rejected.Load()
-	m.Latency.P50Ms, m.Latency.P99Ms, m.Latency.Count = percentilesOf(&s.latency)
+	m.Latency.P50Ms, m.Latency.P99Ms, m.Latency.Count = s.latency.percentiles()
 	m.Overload.DrainPerSec = s.ov.snapshot()
 	m.Overload.RetryAfterS = s.ov.retryAfterSecs(s.queueDepth.Load())
 	m.Overload.ShedFairShare = s.ov.shedFair.Load()
@@ -219,11 +202,6 @@ func (s *Server) Metrics() Metrics {
 	m.Robustness.CampaignLogSkipped = s.stateSkipped.Load()
 	m.Shards = s.cfg.Shards
 	return m
-}
-
-func percentilesOf(l *latencyRecorder) (p50, p99 float64, count int64) {
-	p50, p99, count = l.percentiles()
-	return
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

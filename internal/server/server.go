@@ -3,8 +3,9 @@
 // runs) to an HTTP/JSON daemon, a bounded admission queue schedules
 // them Slurm-style, and every campaign's sweep points fan out across a
 // server-wide worker-shard set. The content-addressed point cache is
-// shared by all campaigns and exposed over a remote GET/PUT protocol,
-// in-flight computations are deduplicated across concurrent clients,
+// shared by all campaigns and written only by them (clients read it
+// through /campaign), in-flight computations are deduplicated across
+// concurrent clients,
 // and a JSONL campaign log makes the daemon crash-safe: a killed daemon
 // re-runs unfinished campaigns on restart, and their points land in the
 // point cache, the only layer that replays results, so a re-submitted
@@ -108,7 +109,6 @@ type Server struct {
 	stateSkipped       atomic.Int64 // corrupt campaign-log records skipped at boot
 
 	cacheTotals runner.CacheStats
-	proto       protoCounters
 	latency     latencyRecorder
 	ov          *overload
 
@@ -289,8 +289,6 @@ func (s *Server) Close() error {
 // Handler returns the daemon's HTTP API:
 //
 //	POST /campaign     submit a campaign spec, respond with its results
-//	GET  /cache/{sum}  fetch a cached point record by content address
-//	PUT  /cache/{sum}  store a point record (sha256-verified)
 //	GET  /metrics      queue/cache/latency/robustness counters as JSON
 //	GET  /experiments  the experiment registry
 //	GET  /healthz      liveness probe (503 once draining)
@@ -298,8 +296,6 @@ func (s *Server) Close() error {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /campaign", s.handleCampaign)
-	mux.HandleFunc("GET /cache/{sum}", s.handleCacheGet)
-	mux.HandleFunc("PUT /cache/{sum}", s.handleCachePut)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /experiments", s.handleExperiments)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

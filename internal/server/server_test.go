@@ -2,8 +2,9 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -324,108 +325,83 @@ func TestServerCampaignDedupReleasesPanickedLeader(t *testing.T) {
 	}
 }
 
-// validRecord builds a minimal well-formed point record for protocol
-// tests.
-func validRecord(t *testing.T, key string) bench.PointRecord {
-	t.Helper()
-	return bench.PointRecord{
-		Schema:     bench.PointSchema,
-		Key:        key,
-		Payload:    json.RawMessage(`{"v":1}`),
-		SimSeconds: 1,
-		Worlds:     1,
-	}
+// recordingStore is a runner.CacheStore that never hits and keeps
+// every record a campaign stores: a source of real point records,
+// under their real keys, for a client to forge.
+type recordingStore struct {
+	mu   sync.Mutex
+	recs []bench.PointRecord
 }
 
-// TestCacheProtocolVerification: the remote cache endpoint verifies
-// sha256 on both directions and refuses misfiled entries.
-func TestCacheProtocolVerification(t *testing.T) {
-	s, ts := newTestServer(t, Config{CacheDir: filepath.Join(t.TempDir(), "cache")})
+func (r *recordingStore) Load(string) (bench.PointRecord, bool, bool, bool) {
+	return bench.PointRecord{}, false, false, false
+}
 
-	get := func(path string) (int, []byte, http.Header) {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, b, resp.Header
+func (r *recordingStore) Store(key string, rec bench.PointRecord) error {
+	rec.Key = key
+	r.mu.Lock()
+	r.recs = append(r.recs, rec)
+	r.mu.Unlock()
+	return nil
+}
+
+// TestClientCannotFileResults: only the daemon's own campaigns write
+// its point cache. A client PUTs fig3's point records under their real
+// content addresses (hex sha256 of the full key), each with one payload
+// byte flipped and a correct body digest. The daemon refuses the
+// writes, serves none of them, and renders what a local run renders.
+func TestClientCannotFileResults(t *testing.T) {
+	env, err := core.Env("henri", 1, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	put := func(sum string, body []byte, digest string) int {
-		req, err := http.NewRequest(http.MethodPut, ts.URL+"/cache/"+sum, bytes.NewReader(body))
+	exp, ok := core.ByID("fig3")
+	if !ok {
+		t.Fatal("fig3 not registered")
+	}
+	store := &recordingStore{}
+	local := runner.Collect(runner.Run(env, []core.Experiment{exp}, runner.Options{Workers: 2, Cache: store}))
+	if local[0].Err != nil {
+		t.Fatal(local[0].Err)
+	}
+	if len(store.recs) == 0 {
+		t.Fatal("local fig3 stored no point records")
+	}
+
+	_, ts := newTestServer(t, Config{CacheDir: filepath.Join(t.TempDir(), "cache")})
+	for _, rec := range store.recs {
+		forged := rec
+		forged.Payload = append([]byte(nil), rec.Payload...)
+		forged.Payload[len(forged.Payload)-1] ^= 1
+		body := forged.EncodeBinary()
+		addr := sha256.Sum256([]byte(rec.Key))
+		digest := sha256.Sum256(body)
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/cache/"+hex.EncodeToString(addr[:]), bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if digest != "" {
-			req.Header.Set(shaHeader, digest)
-		}
+		req.Header.Set("Content-Type", "application/octet-stream")
+		req.Header.Set("X-Content-SHA256", hex.EncodeToString(digest[:]))
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		return resp.StatusCode
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("PUT of a forged record: %d, want 404 or 405", resp.StatusCode)
+		}
 	}
 
-	if code, _, _ := get("/cache/nothex"); code != http.StatusBadRequest {
-		t.Fatalf("GET bad sum: %d, want 400", code)
+	code, body, cr := postSpec(t, ts.URL, CampaignSpec{Experiments: []string{"fig3"}, Seed: 1, Runs: 1})
+	if code != http.StatusOK || cr.Errors != 0 {
+		t.Fatalf("campaign after the forged PUTs: %d: %s", code, body)
 	}
-	missing := runner.CacheKeySum("no such key")
-	if code, _, _ := get("/cache/" + missing); code != http.StatusNotFound {
-		t.Fatalf("GET miss: %d, want 404", code)
+	if cr.Cache.Hits != 0 {
+		t.Errorf("campaign served %d point(s) from client-filed records", cr.Cache.Hits)
 	}
-
-	// A well-formed record stored under its own content address.
-	rec := validRecord(t, "henri/point/1")
-	body := rec.EncodeBinary()
-	sum := runner.CacheKeySum(rec.Key)
-	// The same record as JSON is refused: binary records are the only
-	// encoding the protocol speaks.
-	asJSON, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code := put(sum, asJSON, bodySum(asJSON)); code != http.StatusBadRequest {
-		t.Fatalf("JSON PUT: %d, want 400", code)
-	}
-	if code := put(sum, body, ""); code != http.StatusBadRequest {
-		t.Fatalf("PUT without digest: %d, want 400", code)
-	}
-	if code := put(sum, body, strings.Repeat("0", 64)); code != http.StatusBadRequest {
-		t.Fatalf("PUT with wrong digest: %d, want 400", code)
-	}
-	// Misfiled: the body is valid but addressed under a different key's
-	// sum.
-	wrongSum := runner.CacheKeySum("some other key")
-	if code := put(wrongSum, body, bodySum(body)); code != http.StatusBadRequest {
-		t.Fatalf("misfiled PUT: %d, want 400", code)
-	}
-	if code := put(sum, body, bodySum(body)); code != http.StatusNoContent {
-		t.Fatalf("valid PUT: %d, want 204", code)
-	}
-
-	code, served, hdr := get("/cache/" + sum)
-	if code != http.StatusOK {
-		t.Fatalf("GET after PUT: %d", code)
-	}
-	// An uppercase address names no entry: GET refuses it as PUT does,
-	// instead of answering a miss for a record that is stored.
-	if code, _, _ := get("/cache/" + strings.ToUpper(sum)); code != http.StatusBadRequest {
-		t.Fatalf("GET uppercase sum: %d, want 400", code)
-	}
-	if got := hdr.Get(shaHeader); got != bodySum(served) {
-		t.Fatalf("served digest %q does not cover the served bytes", got)
-	}
-	if ct := hdr.Get("Content-Type"); ct != "application/octet-stream" {
-		t.Fatalf("GET Content-Type %q, want application/octet-stream", ct)
-	}
-	if !bytes.Equal(served, body) {
-		t.Fatal("GET did not serve the stored binary record verbatim")
-	}
-	m := s.Metrics()
-	if m.CacheProtocol.Rejected < 5 || m.CacheProtocol.Puts < 5 || m.CacheProtocol.GetHits < 1 {
-		t.Fatalf("protocol counters: %+v", m.CacheProtocol)
+	if got := cr.Results[0].Rendered; got != local[0].Rendered {
+		t.Fatalf("daemon output differs from a local run:\n got %q\nwant %q", got, local[0].Rendered)
 	}
 }
 
@@ -459,118 +435,6 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	hz.Body.Close()
 	if hz.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", hz.StatusCode)
-	}
-}
-
-// TestRemoteCachePoisoned: a corrupted entry in the daemon's store must
-// be detected by the client through the embedded-key check, counted as
-// a mismatch, recomputed locally, and never change the output.
-func TestRemoteCachePoisoned(t *testing.T) {
-	cacheDir := filepath.Join(t.TempDir(), "cache")
-	s, ts := newTestServer(t, Config{CacheDir: cacheDir})
-	rc := NewRemoteCache(ts.URL)
-
-	env, err := core.Env("henri", 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, ok := core.ByID("fig3")
-	if !ok {
-		t.Fatal("fig3 not registered")
-	}
-	exps := []core.Experiment{e}
-
-	campaign := func() (*runner.CacheStats, string) {
-		stats := &runner.CacheStats{}
-		res := runner.Collect(runner.Run(env, exps, runner.Options{Workers: 2, CacheStats: stats, Cache: rc}))
-		if res[0].Err != nil {
-			t.Fatal(res[0].Err)
-		}
-		return stats, res[0].Rendered
-	}
-
-	cold, want := campaign()
-	if atomic.LoadInt64(&cold.Misses) == 0 {
-		t.Fatal("cold run hit an empty cache")
-	}
-	warm, got := campaign()
-	if got != want {
-		t.Fatal("warm remote-cache run differs from cold")
-	}
-	if atomic.LoadInt64(&warm.Misses) != 0 || atomic.LoadInt64(&warm.Hits) == 0 {
-		t.Fatalf("warm run not fully served: %+v", warm)
-	}
-
-	// Poison every stored entry: keep it a valid record, but for a
-	// different key than its content address claims. Flush the daemon's
-	// write-behind buffer into pack segments (the PUTs arrived outside a
-	// server-side campaign, so nothing flushed them yet), flip one byte of
-	// each record's stored key in place — same length, so the sidecar
-	// indexes still locate every record — and hand the directory to a
-	// fresh daemon: the restarted-with-a-tampered-store scenario.
-	if err := s.cache.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	packs, err := filepath.Glob(filepath.Join(cacheDir, "packs", "*.pack"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	images := make(map[string][]byte, len(packs))
-	for _, p := range packs {
-		if images[p], err = os.ReadFile(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	disk, err := runner.OpenPointCache(cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	poisoned := 0
-	err = disk.Entries(func(sum string, data []byte) error {
-		var rec bench.PointRecord
-		if err := rec.DecodeBinary(data); err != nil {
-			return err
-		}
-		for _, img := range images {
-			if at := bytes.Index(img, data); at >= 0 {
-				img[at+bytes.Index(data, []byte(rec.Key))] ^= 1
-				poisoned++
-				return nil
-			}
-		}
-		return fmt.Errorf("record %s is in no pack file", sum[:12])
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if poisoned == 0 {
-		t.Fatal("no cache entries found to poison")
-	}
-	for p, img := range images {
-		if err := os.WriteFile(p, img, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, ts2 := newTestServer(t, Config{CacheDir: cacheDir})
-	rc = NewRemoteCache(ts2.URL)
-
-	after, got := campaign()
-	if got != want {
-		t.Fatal("output changed after cache poisoning — poisoned entries were served")
-	}
-	if m := atomic.LoadInt64(&after.Mismatches); m != int64(poisoned) {
-		t.Fatalf("detected %d mismatches, poisoned %d entries", m, poisoned)
-	}
-	if atomic.LoadInt64(&after.Misses) != atomic.LoadInt64(&cold.Misses) {
-		t.Fatalf("poisoned run recomputed %d points, cold run computed %d",
-			atomic.LoadInt64(&after.Misses), atomic.LoadInt64(&cold.Misses))
-	}
-
-	// The recompute repaired the store: the next run is fully served
-	// again.
-	healed, got := campaign()
-	if got != want || atomic.LoadInt64(&healed.Misses) != 0 || atomic.LoadInt64(&healed.Mismatches) != 0 {
-		t.Fatalf("store not healed after recompute: %+v", healed)
 	}
 }
 
