@@ -152,3 +152,19 @@ func TestFabricDifferentialK8(t *testing.T) {
 		c.K.Shutdown()
 	}
 }
+
+// BenchmarkFabricWorld1k measures one world build of the fabric
+// experiments on the 1024-host fat-tree (k=16): the henri cluster, its
+// 6144 routed links and nothing run on it. The fabric itself is built
+// once, as a cell shares it across its worlds. BENCH_sim.json records
+// its ns, B and allocs per op; the CI pointperf job ratchets the
+// allocations.
+func BenchmarkFabricWorld1k(b *testing.B) {
+	fab := topology.FabricPreset("fattree-k16").MustBuild()
+	env := Env{Spec: topology.Henri(), Seed: 1, Runs: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fabricWorld(env, fab, false, int64(i))
+	}
+}

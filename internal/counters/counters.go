@@ -21,7 +21,11 @@ type Core struct {
 
 // Set holds the counters of one node.
 type Set struct {
+	// cores is allocated by the first Core call: a node that never
+	// computes, like every host of a fabric world, keeps it nil, and the
+	// sums read a nil array as zeros.
 	cores []Core
+	n     int // core count
 	// BytesSent/BytesReceived count NIC traffic, with the time spent
 	// sending (for the "sending bandwidth" metric of §6).
 	BytesSent     float64
@@ -50,7 +54,7 @@ type Set struct {
 }
 
 // NewSet returns counters for n cores.
-func NewSet(n int) *Set { return &Set{cores: make([]Core, n)} }
+func NewSet(n int) *Set { return &Set{n: n} }
 
 // Reset zeroes every counter.
 func (s *Set) Reset() {
@@ -74,8 +78,11 @@ func (s *Set) Reset() {
 
 // Core returns a pointer to core i's counters.
 func (s *Set) Core(i int) *Core {
-	if i < 0 || i >= len(s.cores) {
-		panic(fmt.Sprintf("counters: core %d out of range [0,%d)", i, len(s.cores)))
+	if i < 0 || i >= s.n {
+		panic(fmt.Sprintf("counters: core %d out of range [0,%d)", i, s.n))
+	}
+	if s.cores == nil {
+		s.cores = make([]Core, s.n)
 	}
 	return &s.cores[i]
 }

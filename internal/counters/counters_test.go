@@ -102,3 +102,19 @@ func TestPropertyStallFractionBounded(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A set whose cores never ran a slice reads zero everywhere without
+// allocating its per-core array; the first Core call allocates it.
+func TestUnusedSetStaysEmpty(t *testing.T) {
+	s := NewSet(36)
+	s.Reset()
+	if s.StallFraction() != 0 || s.TotalFlops() != 0 || s.TotalMemBytes() != 0 || s.SendBandwidth() != 0 {
+		t.Fatal("an unused set reads non-zero")
+	}
+	if s.cores != nil {
+		t.Fatal("reading the sums allocated the per-core array")
+	}
+	if *s.Core(35) != (Core{}) || len(s.cores) != 36 {
+		t.Fatalf("first Core call: %d cores", len(s.cores))
+	}
+}

@@ -278,6 +278,11 @@ type Model struct {
 	freeUses  [][]Use
 	freePos   [][]int
 	freeFlows []*Flow
+
+	// slab backs the Resource structs NewResource hands out: one array
+	// per chunk instead of one allocation per resource. A full chunk is
+	// left to the resources it holds and a new one started (see Reserve).
+	slab []Resource
 }
 
 // NewModel returns an empty fluid model driven by kernel k.
@@ -422,11 +427,30 @@ func (m *Model) NewResource(name string, capacity float64) *Resource {
 	if capacity <= 0 || math.IsNaN(capacity) {
 		panic(fmt.Sprintf("fluid: resource %q capacity %v must be positive", name, capacity))
 	}
-	r := &Resource{name: name, capacity: capacity, model: m, id: len(m.resources)}
+	if len(m.slab) == cap(m.slab) {
+		m.slab = make([]Resource, 0, max(16, len(m.resources)))
+	}
+	m.slab = append(m.slab, Resource{name: name, capacity: capacity, model: m, id: len(m.resources)})
+	r := &m.slab[len(m.slab)-1]
 	m.resources = append(m.resources, r)
 	m.avail = append(m.avail, 0)
 	m.wsum = append(m.wsum, 0)
 	return r
+}
+
+// Resources returns the model's resources in id order, which is their
+// creation order. The slice is the model's own: read it, never modify it.
+func (m *Model) Resources() []*Resource { return m.resources }
+
+// Reserve makes room for n more resources, for a builder that knows how
+// many it will create: the next n NewResource calls then grow no array.
+func (m *Model) Reserve(n int) {
+	m.resources = slices.Grow(m.resources, n)
+	m.avail = slices.Grow(m.avail, n)
+	m.wsum = slices.Grow(m.wsum, n)
+	if cap(m.slab)-len(m.slab) < n {
+		m.slab = make([]Resource, 0, n)
+	}
 }
 
 // SetCapacity changes a resource's capacity and re-solves the

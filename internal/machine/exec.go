@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/fluid"
 	"repro/internal/sim"
@@ -166,7 +167,7 @@ func (n *Node) execSlices(p *sim.Proc, core int, spec ComputeSpec, next func() b
 		ctrl = n.NUMA(memNUMA).Ctrl
 	}
 	fl := n.cluster.Fluid
-	rk := &n.coreFlow[core]
+	rk := n.slot(core)
 	done := n.cluster.K.GetSignal()
 
 	fl.Hold()
@@ -250,10 +251,10 @@ func (n *Node) execSlices(p *sim.Proc, core int, spec ComputeSpec, next func() b
 // slice.
 func (n *Node) computeName(core int) string {
 	if n.computeNames == nil {
-		n.computeNames = make([]string, len(n.coreFlow))
+		n.computeNames = make([]string, n.Spec.Cores())
 	}
 	if n.computeNames[core] == "" {
-		n.computeNames[core] = fmt.Sprintf("n%d.c%d.compute", n.ID, core)
+		n.computeNames[core] = "n" + strconv.Itoa(n.ID) + ".c" + strconv.Itoa(core) + ".compute"
 	}
 	return n.computeNames[core]
 }

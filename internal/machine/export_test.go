@@ -34,7 +34,7 @@ func (n *Node) SequentialExecCompute(p *sim.Proc, core int, spec ComputeSpec) si
 	start := p.Now()
 	done := n.cluster.K.GetSignal()
 
-	rk := &n.coreFlow[core]
+	rk := n.slot(core)
 	rk.class = spec.Class
 	var flow *fluid.Flow
 	if spec.Bytes == 0 {

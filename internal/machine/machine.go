@@ -8,6 +8,7 @@ package machine
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/counters"
 	"repro/internal/fluid"
@@ -33,9 +34,10 @@ func NewCluster(spec *topology.NodeSpec, n int, seed int64) *Cluster {
 		panic(fmt.Sprintf("machine: invalid spec %q: %v", spec.Name, err))
 	}
 	k := sim.NewKernel(seed)
-	c := &Cluster{K: k, Fluid: fluid.NewModel(k), Spec: spec}
-	for i := 0; i < n; i++ {
-		c.Nodes = append(c.Nodes, newNode(c, i, spec))
+	c := &Cluster{K: k, Fluid: fluid.NewModel(k), Spec: spec, Nodes: make([]*Node, n)}
+	c.Fluid.Reserve(n * nodeResources(spec))
+	for i := range c.Nodes {
+		c.Nodes[i] = newNode(c, i, spec)
 	}
 	return c
 }
@@ -143,8 +145,9 @@ type Node struct {
 	PCIeTx, PCIeRx *fluid.Resource
 
 	// coreFlow tracks the active compute flow per core so frequency
-	// changes can rescale its rate cap. One preallocated slot per core;
-	// a slot is live while its flow field is non-nil.
+	// changes can rescale its rate cap: one slot per core, allocated by
+	// the first compute slice (see slot), so a node that never computes
+	// has none. A slot is live while its flow field is non-nil.
 	coreFlow []runningKernel
 
 	// computeNames caches the default per-core compute-flow names
@@ -204,6 +207,16 @@ func (rk *runningKernel) cap() float64 {
 	return byteRate / slow
 }
 
+// nodeResources returns how many fluid resources newNode creates for a
+// node of spec: a controller per NUMA node, a mesh link per
+// intra-socket NUMA pair, a UPI link per socket pair, and PCIe's two
+// halves.
+func nodeResources(spec *topology.NodeSpec) int {
+	mesh := spec.Sockets * spec.NUMAPerSocket * (spec.NUMAPerSocket - 1) / 2
+	upi := spec.Sockets * (spec.Sockets - 1) / 2
+	return spec.NUMANodes() + mesh + upi + 2
+}
+
 func newNode(c *Cluster, id int, spec *topology.NodeSpec) *Node {
 	n := &Node{
 		ID:       id,
@@ -212,17 +225,15 @@ func newNode(c *Cluster, id int, spec *topology.NodeSpec) *Node {
 		Counters: counters.NewSet(spec.Cores()),
 		cluster:  c,
 		links:    make(map[linkKey]*fluid.Resource),
-		coreFlow: make([]runningKernel, spec.Cores()),
 		upSig:    sim.NewSignal(c.K),
 	}
-	for i := range n.coreFlow {
-		n.coreFlow[i].node = n
-		n.coreFlow[i].core = i
-	}
-	for i := 0; i < spec.NUMANodes(); i++ {
-		name := fmt.Sprintf("n%d.ctrl%d", id, i)
-		// Capacity at current (idle) uncore; updated by the listener.
-		n.numa = append(n.numa, &NUMA{ID: i, Ctrl: c.Fluid.NewResource(name, 1)})
+	prefix := "n" + strconv.Itoa(id) + "."
+	// Controllers start at their idle capacity: no stream, the uncore at
+	// its initial clock (updateCtrlCapacities with an empty census).
+	ctrl := spec.Mem.CtrlGBs * 1e9 * n.Freq.UncoreScale()
+	n.numa = make([]*NUMA, spec.NUMANodes())
+	for i := range n.numa {
+		n.numa[i] = &NUMA{ID: i, Ctrl: c.Fluid.NewResource(prefix+"ctrl"+strconv.Itoa(i), ctrl)}
 	}
 	// Intra-socket NUMA pairs (sub-NUMA clustering halves) get private
 	// mesh links; every cross-socket pair shares the single UPI/xGMI
@@ -233,23 +244,35 @@ func newNode(c *Cluster, id int, spec *topology.NodeSpec) *Node {
 		for b := a + 1; b < spec.NUMANodes(); b++ {
 			sa, sb := spec.SocketOfNUMA(a), spec.SocketOfNUMA(b)
 			if sa == sb {
-				name := fmt.Sprintf("n%d.mesh%d-%d", id, a, b)
+				name := prefix + "mesh" + strconv.Itoa(a) + "-" + strconv.Itoa(b)
 				n.links[linkKey{a, b}] = c.Fluid.NewResource(name, spec.Mem.MeshGBs*1e9)
 				continue
 			}
 			sk := mkLinkKey(sa, sb)
 			if upi[sk] == nil {
-				name := fmt.Sprintf("n%d.upi%d-%d", id, sa, sb)
+				name := prefix + "upi" + strconv.Itoa(sa) + "-" + strconv.Itoa(sb)
 				upi[sk] = c.Fluid.NewResource(name, spec.Mem.LinkGBs*1e9)
 			}
 			n.links[linkKey{a, b}] = upi[sk]
 		}
 	}
-	n.PCIeTx = c.Fluid.NewResource(fmt.Sprintf("n%d.pcie-tx", id), spec.NIC.PCIeGBs*1e9)
-	n.PCIeRx = c.Fluid.NewResource(fmt.Sprintf("n%d.pcie-rx", id), spec.NIC.PCIeGBs*1e9)
+	n.PCIeTx = c.Fluid.NewResource(prefix+"pcie-tx", spec.NIC.PCIeGBs*1e9)
+	n.PCIeRx = c.Fluid.NewResource(prefix+"pcie-rx", spec.NIC.PCIeGBs*1e9)
 	n.Freq.OnChange(n.onFreqChange)
-	n.updateCtrlCapacities()
 	return n
+}
+
+// slot returns core's compute-flow slot, allocating the node's slots on
+// its first compute slice.
+func (n *Node) slot(core int) *runningKernel {
+	if n.coreFlow == nil {
+		n.coreFlow = make([]runningKernel, n.Spec.Cores())
+		for i := range n.coreFlow {
+			n.coreFlow[i].node = n
+			n.coreFlow[i].core = i
+		}
+	}
+	return &n.coreFlow[core]
 }
 
 // Cluster returns the cluster the node belongs to.
@@ -429,6 +452,9 @@ func (n *Node) SetCoreSlowdown(core int, f float64) {
 		}
 	}
 	n.slow[core] = f
+	if n.coreFlow == nil {
+		return // no slice has run yet: the first one starts at the slowed cap
+	}
 	if rk := &n.coreFlow[core]; rk.flow != nil && !rk.flow.Finished() {
 		n.cluster.Fluid.SetCap(rk.flow, rk.cap())
 	}

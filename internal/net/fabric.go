@@ -12,6 +12,7 @@ package net
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/fluid"
 	"repro/internal/machine"
@@ -51,11 +52,12 @@ func NewOnFabric(c *machine.Cluster, fab *topology.Fabric, adaptive bool) *Netwo
 		nw.hopLat = topology.DefaultHopLatencyNs
 	}
 	nw.links = make([]*fluid.Resource, len(fab.Links))
+	c.Fluid.Reserve(len(fab.Links))
 	for i, l := range fab.Links {
 		name := fab.LinkName(i)
 		if spec.Kind == topology.FabricDirect {
 			// The legacy wire names, in the legacy enumeration order.
-			name = fmt.Sprintf("wire%d-%d", l.From, l.To)
+			name = "wire" + strconv.Itoa(l.From) + "-" + strconv.Itoa(l.To)
 		}
 		nw.links[i] = c.Fluid.NewResource(name, nw.linkBase)
 	}

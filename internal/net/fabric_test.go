@@ -1,8 +1,10 @@
 package net
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/fluid"
@@ -73,6 +75,37 @@ func TestFabricTwoNodeDegeneratesToLegacy(t *testing.T) {
 	for i := range lt {
 		if lt[i] != ft[i] {
 			t.Fatalf("event %d: legacy at %v, two-node fabric at %v", i, lt[i], ft[i])
+		}
+	}
+}
+
+// A fabric world's resources are its nodes' and then one per link, in
+// link order, named "fl<index>.<from>-<to>". The worlds of a cell build
+// concurrently from one shared Fabric, and share its names.
+func TestFabricWorldLinkNames(t *testing.T) {
+	fab := topology.FabricPreset("fattree-k4").MustBuild()
+	worlds := make([]*machine.Cluster, 2)
+	done := make(chan struct{})
+	for w := range worlds {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			worlds[w] = machine.NewCluster(topology.Henri(), fab.NHosts, 1)
+			NewOnFabric(worlds[w], fab, w == 1)
+		}()
+	}
+	for range worlds {
+		<-done
+	}
+	for _, c := range worlds {
+		res := c.Fluid.Resources()
+		nodeRes := len(res) - len(fab.Links)
+		if nodeRes <= 0 || !strings.HasPrefix(res[nodeRes-1].Name(), fmt.Sprintf("n%d.", fab.NHosts-1)) {
+			t.Fatalf("%d resources for %d links: the nodes' do not come first", len(res), len(fab.Links))
+		}
+		for i, l := range fab.Links {
+			if got, want := res[nodeRes+i].Name(), fmt.Sprintf("fl%d.%d-%d", i, l.From, l.To); got != want {
+				t.Fatalf("link %d named %q, want %q", i, got, want)
+			}
 		}
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"strconv"
 )
 
 // Fabric kind names accepted in FabricSpec.Kind.
@@ -176,6 +177,11 @@ type Fabric struct {
 
 	// dragonfly+ shape.
 	groups, routers, perLeaf int
+
+	// linkNames holds LinkName's strings, built by Build before the
+	// fabric is shared, so that its worlds share them and read them
+	// without a lock.
+	linkNames []string
 }
 
 // Build expands the spec into an explicit fabric. The spec is validated
@@ -193,6 +199,7 @@ func (s *FabricSpec) Build() (*Fabric, error) {
 	case FabricDragonflyPlus:
 		f.buildDfly(s.Groups, s.RoutersPerGroup, s.HostsPerRouter)
 	}
+	f.nameLinks()
 	return f, nil
 }
 
@@ -220,9 +227,15 @@ func (f *Fabric) addPair(a, b int) {
 }
 
 // LinkName names a link for fluid-resource debugging ("fl12.3-17").
-func (f *Fabric) LinkName(i int) string {
-	l := f.Links[i]
-	return fmt.Sprintf("fl%d.%d-%d", i, l.From, l.To)
+func (f *Fabric) LinkName(i int) string { return f.linkNames[i] }
+
+// nameLinks names every link once, for the worlds built on the fabric
+// to share.
+func (f *Fabric) nameLinks() {
+	f.linkNames = make([]string, len(f.Links))
+	for i, l := range f.Links {
+		f.linkNames[i] = "fl" + strconv.Itoa(i) + "." + strconv.Itoa(l.From) + "-" + strconv.Itoa(l.To)
+	}
 }
 
 // buildDirect wires every ordered host pair, in the same (i, j)

@@ -205,6 +205,19 @@ func TestFabricPresetsValid(t *testing.T) {
 	}
 }
 
+// Build names every link "fl<index>.<from>-<to>" once, for LinkName to
+// hand out.
+func TestFabricLinkNames(t *testing.T) {
+	for _, name := range FabricPresetNames() {
+		f := FabricPreset(name).MustBuild()
+		for i, l := range f.Links {
+			if got, want := f.LinkName(i), fmt.Sprintf("fl%d.%d-%d", i, l.From, l.To); got != want {
+				t.Fatalf("%s: link %d named %q, want %q", name, i, got, want)
+			}
+		}
+	}
+}
+
 func TestFabricSpecJSONRoundTrip(t *testing.T) {
 	for _, name := range FabricPresetNames() {
 		s := FabricPreset(name)
