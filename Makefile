@@ -116,12 +116,13 @@ fuzz:
 fabric:
 	$(GO) test -race -count=1 -run 'Fabric' ./internal/topology/ ./internal/net/ ./internal/bench/ ./internal/runner/ ./internal/server/
 
-# Boot the campaign daemon on :7077 with its cache and durability state
-# under interfd-data/ (clients: `interference -remote http://host:7077`
-# or raw POSTs to /campaign; see EXPERIMENTS.md). SIGINT/SIGTERM drain
+# Boot the campaign daemon on :7077 with its point cache under
+# interfd-data/ (clients: `interference -remote http://host:7077` or raw
+# POSTs to /campaign; see EXPERIMENTS.md). SIGINT/SIGTERM drain
 # gracefully: admission closes, in-flight campaigns finish within
-# -drain-timeout (default 30s), state is flushed, exit 0 — campaigns
-# that outlive the window simply resume on the next start.
+# -drain-timeout (default 30s), the cache is flushed, exit 0 — a client
+# resubmits a campaign that outlived the window, replaying its flushed
+# points.
 serve:
 	$(GO) run ./cmd/interfd
 
@@ -135,13 +136,14 @@ load-test:
 # daemons with failing disks and a hostile network, asserting
 # byte-identity, the exactly-once bound, breaker/degradation behaviour
 # and graceful shutdown, a CLI -remote run retrying one injected 503,
-# 500 or cut response, plus the runner.Flight unit tests and the
+# 500 or cut response, torn point-cache pack and index writes, plus the
+# runner.Flight unit tests and the
 # regressions for a panicked flight leader and a cancelled campaign.
 # Reproduce a red run with its printed seed:
 # CHAOS_SEED=<n> make chaos-soak. Size with CHAOS_SOAK_CLIENTS /
 # CHAOS_SOAK_PER_CLIENT.
 chaos-soak:
-	$(GO) test -race -run 'TestServerChaosSoak|TestRemoteRetriesTransientFailure|TestDaemonGracefulShutdown|TestDaemonChaosDrill|TestFlight|PanickedLeader|TestCancelledCampaignJoinsNothing' -count=1 -v ./internal/runner/ ./internal/server/ ./cmd/interfd/ ./cmd/interference/
+	$(GO) test -race -run 'TestServerChaosSoak|TestRemoteRetriesTransientFailure|TestDaemonGracefulShutdown|TestDaemonChaosDrill|TestCacheTornWrite|TestFlight|PanickedLeader|TestCancelledCampaignJoinsNothing' -count=1 -v ./internal/runner/ ./internal/server/ ./cmd/interfd/ ./cmd/interference/
 
 # The stampede battery under the race detector: the in-process failover
 # soak (two replicas, one cache dir, a kill switch in the transport),

@@ -9,24 +9,22 @@
 //
 // Usage:
 //
-//	interfd                              # listen on :7077, state under interfd-data/
+//	interfd                              # listen on :7077, point cache under interfd-data/
 //	interfd -addr :9000 -shards 8
 //	interfd -data /var/lib/interfd -queue 128 -inflight 4
 //	interfd -cache-dir /mnt/shared/points        # replicas dedupe via shared storage
 //	interfd -chaos "enospc:p=0.05" -chaos-seed 7   # fault drill
 //
-// The daemon is crash-safe: accepted campaigns are logged before they
-// run, computed points land in the content-addressed point cache (the
-// only layer that replays results), and on restart unfinished campaigns
-// re-execute (cached points replay), so a re-submitted spec is served
-// from the cache with byte-identical output.
+// The point cache is the daemon's only persistent state: it is flushed
+// as each experiment finishes, so after a kill a client re-submitting
+// the spec replays the finished experiments with byte-identical output
+// and executes only the rest.
 //
 // SIGINT/SIGTERM trigger a graceful drain: admission closes (new
 // campaigns get 503, /healthz and /readyz report draining), in-flight
-// campaigns run to completion within -drain-timeout, durability logs
-// are flushed, and the process exits 0. Campaigns that outlive the
-// drain window are simply re-run on the next start, exactly like a
-// hard kill.
+// campaigns run to completion within -drain-timeout, the point cache is
+// flushed, and the process exits 0. Campaigns that outlive the drain
+// window are exactly a hard kill: their clients resubmit.
 package main
 
 import (
@@ -56,7 +54,7 @@ func run(args []string, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr      = fs.String("addr", ":7077", "listen address")
-		data      = fs.String("data", "interfd-data", "data directory (point cache + durability state); \"\" disables persistence")
+		data      = fs.String("data", "interfd-data", "data directory holding the point cache; \"\" disables persistence")
 		cacheDir  = fs.String("cache-dir", "", "point-cache directory override (default <data>/cache); point replicas at shared storage so computed points are deduplicated fleet-wide")
 		shards    = fs.Int("shards", 0, "worker shards executing sweep points; 0 = GOMAXPROCS")
 		queue     = fs.Int("queue", 64, "admission queue depth: campaigns waiting beyond this are rejected with 503")
@@ -88,7 +86,6 @@ func run(args []string, stderr io.Writer) int {
 	}
 	if *data != "" {
 		cfg.CacheDir = filepath.Join(*data, "cache")
-		cfg.StateDir = filepath.Join(*data, "state")
 	}
 	if *cacheDir != "" {
 		cfg.CacheDir = *cacheDir
@@ -109,9 +106,6 @@ func run(args []string, stderr io.Writer) int {
 		return 1
 	}
 	defer s.Close()
-	if n := s.Recovering(); n > 0 {
-		fmt.Fprintf(stderr, "interfd: resuming %d unfinished campaign(s) from %s\n", n, *data)
-	}
 
 	// Subscribe to signals before the listener opens so a SIGTERM racing
 	// startup still drains instead of killing the process mid-boot.
@@ -139,7 +133,7 @@ func run(args []string, stderr io.Writer) int {
 		// Order matters: stop admission first so /campaign 503s and the
 		// queue can only shrink, then unwind the HTTP server (in-flight
 		// request handlers are the campaigns we are waiting for), then
-		// wait for the queue itself and flush the durability logs.
+		// wait for the queue itself and flush the point cache.
 		s.BeginDrain()
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
@@ -147,7 +141,7 @@ func run(args []string, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "interfd:", err)
 		}
 		if err := s.Drain(ctx); err != nil {
-			fmt.Fprintf(stderr, "interfd: %v; unfinished campaigns resume on next start\n", err)
+			fmt.Fprintf(stderr, "interfd: %v; clients resubmit unfinished campaigns\n", err)
 		}
 		if err := s.Close(); err != nil {
 			fmt.Fprintln(stderr, "interfd:", err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -72,8 +73,9 @@ func startDaemon(t *testing.T, args []string) (string, chan int, *syncBuffer) {
 }
 
 // TestDaemonGracefulShutdown: SIGTERM drains the daemon — the served
-// campaign completes, durability state is flushed, the process exits 0,
-// and a fresh daemon on the same data directory has nothing to recover.
+// campaign completes, the point cache is flushed, the process exits 0,
+// and a fresh daemon on the same data directory serves the spec without
+// executing a point.
 func TestDaemonGracefulShutdown(t *testing.T) {
 	dir := t.TempDir()
 	base, exit, log := startDaemon(t, []string{"-data", dir, "-shards", "2", "-drain-timeout", "30s"})
@@ -104,30 +106,38 @@ func TestDaemonGracefulShutdown(t *testing.T) {
 		t.Fatalf("drain never completed:\n%s", out)
 	}
 
-	// A clean drain leaves no unfinished campaigns behind.
-	s, err := server.New(server.Config{
-		CacheDir: filepath.Join(dir, "cache"),
-		StateDir: filepath.Join(dir, "state"),
-		Shards:   2,
-	})
+	// A clean drain landed every point: a fresh daemon on the same data
+	// directory replays the spec.
+	s, err := server.New(server.Config{CacheDir: filepath.Join(dir, "cache"), Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if n := s.Recovering(); n != 0 {
-		t.Fatalf("drained daemon left %d campaign(s) to recover", n)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err = http.Post(ts.URL+"/campaign", "application/json", bytes.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("resubmission after the drain: %d: %s", resp.StatusCode, body)
+	}
+	if m := s.Metrics(); m.Cache.Misses != 0 {
+		t.Fatalf("resubmission after a clean drain executed %d points, want 0", m.Cache.Misses)
 	}
 }
 
 // TestDaemonChaosDrill: the -chaos flag arms the filesystem injector
 // (announced with its seed for reproduction) and the daemon still
-// serves correct results while its campaign-log appends fail, counting
-// each lost append as a durability warning.
+// serves correct results while its point-cache pack writes fail,
+// counting each failed flush as a durability warning.
 func TestDaemonChaosDrill(t *testing.T) {
 	dir := t.TempDir()
 	base, exit, log := startDaemon(t, []string{
 		"-data", dir, "-shards", "2",
-		"-chaos", "eio-write:match=campaigns.jsonl", "-chaos-seed", "7",
+		"-chaos", "eio-write:match=.tmp-", "-chaos-seed", "7",
 	})
 	if out := log.String(); !strings.Contains(out, "CHAOS ACTIVE") || !strings.Contains(out, "seed 7") {
 		t.Fatalf("chaos drill not announced:\n%s", out)
@@ -147,7 +157,7 @@ func TestDaemonChaosDrill(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cr.Errors != 0 {
-		t.Fatalf("campaign-log chaos failed the campaign: %s", body)
+		t.Fatalf("pack-write chaos failed the campaign: %s", body)
 	}
 	resp, err = http.Get(base + "/metrics")
 	if err != nil {
@@ -160,7 +170,7 @@ func TestDaemonChaosDrill(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.Robustness.DurabilityWarnings == 0 {
-		t.Fatalf("campaign-log chaos left durability_warnings at 0: %+v", m.Robustness)
+		t.Fatalf("pack-write chaos left durability_warnings at 0: %+v", m.Robustness)
 	}
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)

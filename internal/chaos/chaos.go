@@ -11,10 +11,10 @@
 //
 // The package only provides the schedule, the injector and two
 // instrumented shims (an http.RoundTripper and a filesystem); the
-// layers above consume it: the point cache and the daemon's campaign
-// log write through a chaos.FS, and the remote-cache client dials
-// through a chaos.Transport. Production wiring uses the pass-through OS
-// filesystem and a nil injector, which cost nothing.
+// layers above consume it: the point cache writes through a chaos.FS,
+// and the remote submission client dials through a chaos.Transport.
+// Production wiring uses the pass-through OS filesystem and a nil
+// injector, which cost nothing.
 package chaos
 
 import (
@@ -102,7 +102,7 @@ type Event struct {
 	From, To int64
 	// Match restricts the event to operation labels containing this
 	// substring ("" matches every label). Transport labels look like
-	// "GET host/path"; filesystem labels like "write:campaigns.jsonl".
+	// "GET host/path"; filesystem labels like "write:.tmp-*".
 	Match string
 	// Status is the synthetic response code of an HTTPError event.
 	Status int
@@ -194,9 +194,9 @@ func (s *Schedule) String() string {
 //	http:status=503,ops=1-20            503 burst on the first 20 requests
 //	truncate:p=0.2,match=/campaign      truncate 20% of campaign responses
 //	eio-read:p=0.3,match=.pack          30% of cache pack page-ins fail
-//	eio-write:ops=1-4,match=campaigns   first 4 campaign-log appends fail
+//	eio-write:ops=1-4,match=.tmp-       first 4 cache temp-file writes fail
 //	enospc:p=0.2,match=.tmp-            disk-full on 20% of cache writes
-//	torn:ops=3-3,match=campaigns        the 3rd campaign-log append tears
+//	torn:ops=3-3,match=.tmp-            the 3rd cache temp-file write tears
 //
 // p defaults to 1; ops windows are 1-based inclusive per operation
 // label; match is a substring filter on the label.
@@ -273,7 +273,7 @@ func (e *Event) setOption(key, val string) error {
 }
 
 // Injector decides which instrumented operations fail, deterministically
-// from the seed. Each operation label (e.g. "write:campaigns.jsonl",
+// from the seed. Each operation label (e.g. "write:.tmp-*",
 // "POST host/campaign") carries its own sequence counter, and a fault
 // decision is a pure function of (seed, event index, label, sequence
 // number) — so the outcome stream per label is independent of how

@@ -172,7 +172,7 @@ func TestNilInjector(t *testing.T) {
 // torn writes leave real partial bytes on disk.
 func TestFlakyFS(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "campaigns.jsonl")
+	path := filepath.Join(dir, "seg-1.pack")
 
 	t.Run("eio-read", func(t *testing.T) {
 		fsys := Flaky(OS(), NewInjector(1, mustParse(t, "eio-read:ops=1-1")))
@@ -188,13 +188,13 @@ func TestFlakyFS(t *testing.T) {
 	})
 
 	t.Run("enospc-then-torn", func(t *testing.T) {
-		p2 := filepath.Join(dir, "log2")
 		fsys := Flaky(OS(), NewInjector(1, mustParse(t, "enospc:ops=1-1;torn:ops=2-2")))
-		f, err := fsys.OpenFile(p2, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := fsys.CreateTemp(dir, ".tmp-*")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer f.Close()
+		p2 := f.Name()
 		if n, err := f.Write([]byte("abcdef")); n != 0 || !errors.Is(err, syscall.ENOSPC) {
 			t.Fatalf("first write: n=%d err=%v, want 0, ENOSPC", n, err)
 		}

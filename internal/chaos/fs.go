@@ -7,8 +7,7 @@ import (
 	"syscall"
 )
 
-// FS is the slice of the filesystem the durability layers use (point
-// cache, campaign state log). The production
+// FS is the slice of the filesystem the point cache uses. The production
 // implementation passes straight through to the os package; Flaky wraps
 // any FS with injected EIO/ENOSPC/torn-write faults so tests and drills
 // can exercise every degradation path deterministically.
@@ -16,7 +15,6 @@ type FS interface {
 	MkdirAll(path string, perm fs.FileMode) error
 	ReadFile(name string) ([]byte, error)
 	ReadDir(name string) ([]fs.DirEntry, error)
-	OpenFile(name string, flag int, perm fs.FileMode) (File, error)
 	CreateTemp(dir, pattern string) (File, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
@@ -25,7 +23,6 @@ type FS interface {
 // File is the writable-file slice of FS consumers' needs.
 type File interface {
 	Write(p []byte) (int, error)
-	Sync() error
 	Close() error
 	Name() string
 }
@@ -41,10 +38,6 @@ func (osFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(na
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
 
-func (osFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
-	return os.OpenFile(name, flag, perm)
-}
-
 func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	return os.CreateTemp(dir, pattern)
 }
@@ -53,8 +46,8 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 // consult the injector (labelled "read:<base>", "write:<label>") and
 // fail with realistic errors when the schedule says so. Torn writes
 // persist half the buffer before failing — the on-disk state of a
-// process killed mid-append — so recovery paths see real corruption,
-// not just error returns. Rename, remove and mkdir pass
+// process killed mid-write — so the cache's temp-file cleanup meets
+// real partial bytes, not just error returns. Rename, remove and mkdir pass
 // through untouched (the cache's atomic-rename protocol
 // corrupts through torn temp-file writes, never through rename).
 func Flaky(base FS, inj *Injector) FS {
@@ -84,14 +77,6 @@ func (f *flakyFS) ReadFile(name string) ([]byte, error) {
 		return nil, &fs.PathError{Op: "read", Path: name, Err: syscall.EIO}
 	}
 	return f.base.ReadFile(name)
-}
-
-func (f *flakyFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
-	file, err := f.base.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return &flakyFile{File: file, inj: f.inj, label: label(name)}, nil
 }
 
 func (f *flakyFS) CreateTemp(dir, pattern string) (File, error) {

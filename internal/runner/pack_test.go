@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/stats"
 )
@@ -124,6 +125,98 @@ func TestCachePackWithoutIdxIsScanned(t *testing.T) {
 	if _, ok, _, _ := reopened.Load("noidx/k"); !ok {
 		t.Fatal("record lost with its sidecar index")
 	}
+}
+
+// TestCacheTornWrite: a temp-file write torn half-way by a dying disk
+// never surfaces as a segment. A torn pack write fails the flush, leaves
+// no file behind and keeps the batch pending (still served, landed by
+// the next flush); a torn sidecar index costs only a pack scan when the
+// cache is reopened.
+func TestCacheTornWrite(t *testing.T) {
+	keys := []string{"torn/a", "torn/b", "torn/c"}
+	// packFiles lists the segment files and leftover temp files.
+	packFiles := func(t *testing.T, dir string) (packs, idxs, tmps []string) {
+		t.Helper()
+		ents, err := os.ReadDir(filepath.Join(dir, "packs"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, de := range ents {
+			switch name := de.Name(); {
+			case strings.HasPrefix(name, ".tmp-"):
+				tmps = append(tmps, name)
+			case strings.HasSuffix(name, ".pack"):
+				packs = append(packs, name)
+			case strings.HasSuffix(name, ".idx"):
+				idxs = append(idxs, name)
+			}
+		}
+		return packs, idxs, tmps
+	}
+	// storeAll buffers every key in a cache whose temp-file writes go
+	// through the torn-write schedule.
+	storeAll := func(t *testing.T, dir, spec string) *PointCache {
+		t.Helper()
+		inj := chaos.NewInjector(1, mustChaos(t, spec))
+		c, err := OpenPointCacheFS(dir, chaos.Flaky(chaos.OS(), inj))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if err := c.Store(k, testRecord(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	loadAll := func(t *testing.T, c *PointCache, when string) {
+		t.Helper()
+		for _, k := range keys {
+			if got, ok, mismatch, ioErr := c.Load(k); !ok || mismatch || ioErr || got.Key != k {
+				t.Fatalf("%s: %s: ok=%v mismatch=%v ioErr=%v key %q", when, k, ok, mismatch, ioErr, got.Key)
+			}
+		}
+	}
+
+	t.Run("pack", func(t *testing.T) {
+		dir := t.TempDir()
+		c := storeAll(t, dir, "torn:ops=1-1,match=.tmp-")
+		if err := c.Flush(); err == nil {
+			t.Fatal("flush with a torn pack write succeeded")
+		}
+		if packs, idxs, tmps := packFiles(t, dir); len(packs)+len(idxs)+len(tmps) != 0 {
+			t.Fatalf("torn pack write left files behind: packs %v, idx %v, temp %v", packs, idxs, tmps)
+		}
+		if st := c.DiskStats(); st.PendingEntries != len(keys) {
+			t.Fatalf("after the torn flush: %+v, want all %d records pending", st, len(keys))
+		}
+		loadAll(t, c, "pending after the torn flush")
+		if err := c.Flush(); err != nil {
+			t.Fatalf("retried flush: %v", err)
+		}
+		if packs, idxs, tmps := packFiles(t, dir); len(packs) != 1 || len(idxs) != 1 || len(tmps) != 0 {
+			t.Fatalf("after the retried flush: packs %v, idx %v, temp %v", packs, idxs, tmps)
+		}
+		loadAll(t, mustOpen(t, dir), "reopened")
+	})
+
+	t.Run("idx", func(t *testing.T) {
+		dir := t.TempDir()
+		c := storeAll(t, dir, "torn:ops=2-2,match=.tmp-")
+		if err := c.Flush(); err != nil {
+			t.Fatalf("a torn sidecar index failed the flush: %v", err)
+		}
+		packs, idxs, tmps := packFiles(t, dir)
+		if len(packs) != 1 || len(idxs)+len(tmps) != 0 {
+			t.Fatalf("after a torn index write: packs %v, idx %v, temp %v", packs, idxs, tmps)
+		}
+		reopened := mustOpen(t, dir)
+		// Only the scan fallback pages the pack in while indexing it.
+		if _, scanned := reopened.packData[filepath.Join(dir, "packs", packs[0])]; !scanned {
+			t.Fatal("reopened cache did not rebuild the pack's index by scanning it")
+		}
+		loadAll(t, reopened, "reopened")
+	})
 }
 
 // TestCacheBatchFlushThreshold: the write-behind buffer flushes itself

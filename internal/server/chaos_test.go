@@ -70,12 +70,13 @@ func soakStorm(t *testing.T, url string, specs []CampaignSpec, clients, perClien
 // against daemons whose filesystem is actively failing, and the test
 // demands the exactly-once and byte-identity contracts still hold.
 //
-// Scenario A (durability chaos): torn writes and EIO on the campaign
-// log, ENOSPC on point-cache pack flushes. Results must be
-// byte-identical to a fault-free baseline, the cache exactly-once bound
-// must hold with equality (a failed flush keeps its records pending and
-// served), losses must surface as durability warnings, and a clean
-// daemon must reopen the mangled state without error.
+// Scenario A (durability chaos): torn writes, EIO and ENOSPC on the
+// point cache's temp files, so pack and index flushes fail. Results
+// must be byte-identical to a fault-free baseline, the cache
+// exactly-once bound must hold with equality (a failed flush keeps its
+// records pending and served), losses must surface as durability
+// warnings, and a fresh daemon on a healthy disk must serve every
+// resubmitted spec byte-identically from what the flushes left behind.
 //
 // Scenario B (full chaos): EIO on pack page-ins from a pre-seeded cache
 // (degrading campaigns to no-cache mode, tripping the circuit breaker)
@@ -142,18 +143,16 @@ func TestServerChaosSoak(t *testing.T) {
 	}
 
 	t.Run("durability", func(t *testing.T) {
-		spec := "torn:p=0.25,match=campaigns.jsonl;eio-write:p=0.25,match=campaigns.jsonl;enospc:p=0.5,match=.tmp-"
+		spec := "torn:p=0.2,match=.tmp-;eio-write:p=0.2,match=.tmp-;enospc:p=0.2,match=.tmp-"
 		inj := chaos.NewInjector(seed, mustChaosSpec(t, spec))
-		dir := t.TempDir()
-		cfg := Config{
-			CacheDir:    filepath.Join(dir, "cache"),
-			StateDir:    filepath.Join(dir, "state"),
+		cacheDir := filepath.Join(t.TempDir(), "cache")
+		s, ts := newTestServer(t, Config{
+			CacheDir:    cacheDir,
 			Shards:      4,
 			QueueDepth:  clients*perClient + 8,
 			MaxInflight: 4,
 			FS:          chaos.Flaky(chaos.OS(), inj),
-		}
-		s, ts := newTestServer(t, cfg)
+		})
 		views, specIdx := soakStorm(t, ts.URL, specs, clients, perClient)
 		for i, v := range views {
 			if v != want[specIdx[i]] {
@@ -172,32 +171,48 @@ func TestServerChaosSoak(t *testing.T) {
 		if inj.Injected() > 0 && m.Robustness.DurabilityWarnings == 0 {
 			t.Fatalf("seed %d: %d faults injected but zero durability warnings", seed, inj.Injected())
 		}
-		t.Logf("seed %d: durability chaos: %d faults injected (%d on cache flushes), %d durability warnings",
-			seed, inj.Injected(), inj.InjectedKind(chaos.NoSpace), m.Robustness.DurabilityWarnings)
+		t.Logf("seed %d: durability chaos: %d faults injected (%d torn, %d EIO, %d ENOSPC), %d durability warnings",
+			seed, inj.Injected(), inj.InjectedKind(chaos.TornWrite), inj.InjectedKind(chaos.WriteErr),
+			inj.InjectedKind(chaos.NoSpace), m.Robustness.DurabilityWarnings)
 
-		// The mangled state must reopen cleanly on a healthy filesystem;
-		// campaigns whose "done" marker was lost simply re-run (cache
-		// replays their points). Close's final flush still runs on the
-		// flaky filesystem, so an injected ENOSPC there is a durability
-		// loss like any other, not a failure.
-		if err := s.Close(); err != nil && !errors.Is(err, syscall.ENOSPC) {
-			t.Fatalf("seed %d: closing chaos daemon: %v", seed, err)
+		// Close's final flush still runs on the flaky filesystem, so an
+		// injected fault there is a durability loss like any other, not
+		// a failure: the records it could not land stay pending, and the
+		// next daemon executes them again.
+		closeErr := s.Close()
+		if closeErr != nil && !errors.Is(closeErr, syscall.ENOSPC) && !errors.Is(closeErr, syscall.EIO) {
+			t.Fatalf("seed %d: closing chaos daemon: %v", seed, closeErr)
 		}
-		cfg.FS = nil
-		fresh, err := New(cfg)
-		if err != nil {
-			t.Fatalf("seed %d: reopening state written under chaos: %v", seed, err)
+		lost := int64(s.cache.DiskStats().PendingEntries)
+		if closeErr == nil && lost != 0 {
+			t.Fatalf("seed %d: Close returned nil with %d records pending", seed, lost)
 		}
-		defer fresh.Close()
-		fresh.WaitRecovery()
-		// Every recovered campaign must reach a terminal state. Two storm
-		// submissions of the same spec can both lose their "done" marker
-		// to the chaos, in which case recovery resubmits both and the
-		// campaign singleflight merges them — those finish as Deduped,
-		// not Completed.
-		if fm := fresh.Metrics(); fm.Campaigns.Completed+fm.Campaigns.Deduped != fm.Campaigns.Recovered {
-			t.Fatalf("seed %d: recovery incomplete after chaos: %+v", seed, fm.Campaigns)
+		// The clients resubmit every storm spec to a fresh daemon on a
+		// healthy disk over the same cache: torn and failed temp files
+		// must never surface as served bytes.
+		fresh, freshTS := newTestServer(t, Config{CacheDir: cacheDir, Shards: 4})
+		for i := range specs {
+			if !covered[i] {
+				continue
+			}
+			code, body, cr := postSpec(t, freshTS.URL, specs[i])
+			if code != http.StatusOK {
+				t.Fatalf("seed %d: resubmitting spec %d: %d: %s", seed, i, code, body)
+			}
+			if v := comparableView(cr); v != want[i] {
+				t.Fatalf("seed %d: resubmitted spec %d drifted after durability chaos:\n got %s\nwant %s",
+					seed, i, v, want[i])
+			}
 		}
+		// Every record a flush landed replays, so the resubmissions
+		// execute exactly what Close could not land: nothing after a
+		// clean Close.
+		fm := fresh.Metrics()
+		if fm.Cache.Misses != lost {
+			t.Fatalf("seed %d: resubmissions executed %d points, want the %d records the chaos daemon could not land (close error %v, cache %+v)",
+				seed, fm.Cache.Misses, lost, closeErr, fm.Cache)
+		}
+		t.Logf("seed %d: resubmitted to a fresh daemon: close error %v, %d points executed", seed, closeErr, fm.Cache.Misses)
 	})
 
 	t.Run("full", func(t *testing.T) {
@@ -209,8 +224,7 @@ func TestServerChaosSoak(t *testing.T) {
 		// temp files, so loads and flushes both fail. A degrade threshold
 		// of one error turns the guaranteed read faults into degraded
 		// campaigns, and a tight breaker exercises trip → probe → recover
-		// when the failures streak. This daemon runs without a StateDir —
-		// durability chaos is scenario A's business.
+		// when the failures streak.
 		var seedSpecs []CampaignSpec
 		for i, sp := range specs {
 			if covered[i] && sp.Seed == 1 {

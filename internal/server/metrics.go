@@ -135,7 +135,6 @@ type Metrics struct {
 		Rejected   int64 `json:"rejected"`
 		BadSpecs   int64 `json:"bad_specs"`
 		Deduped    int64 `json:"deduped"`
-		Recovered  int64 `json:"recovered"`
 		QueueDepth int64 `json:"queue_depth"`
 		Inflight   int64 `json:"inflight"`
 	} `json:"campaigns"`
@@ -156,9 +155,8 @@ type Metrics struct {
 	} `json:"overload"`
 	// Robustness reports the daemon's degradation machinery: drain
 	// state, the cache circuit breaker, campaigns running without a
-	// cache or deadline-expired, failed campaign-log appends and
-	// point-cache flushes, worker shards restarted after panics, and
-	// corrupt campaign-log records skipped at boot.
+	// cache or deadline-expired, failed point-cache flushes, and worker
+	// shards restarted after panics.
 	Robustness struct {
 		Draining           bool                `json:"draining"`
 		Breaker            runner.BreakerStats `json:"breaker"`
@@ -167,7 +165,6 @@ type Metrics struct {
 		DurabilityWarnings int64               `json:"durability_warnings"`
 		DrainRejected      int64               `json:"drain_rejected"`
 		ShardRestarts      int64               `json:"shard_restarts"`
-		CampaignLogSkipped int64               `json:"campaign_log_skipped_records"`
 	} `json:"robustness"`
 	Shards int `json:"shards"`
 }
@@ -180,7 +177,6 @@ func (s *Server) Metrics() Metrics {
 	m.Campaigns.Rejected = s.rejected.Load()
 	m.Campaigns.BadSpecs = s.badSpecs.Load()
 	m.Campaigns.Deduped = s.dedups.Load()
-	m.Campaigns.Recovered = s.recovered.Load()
 	m.Campaigns.QueueDepth = s.queueDepth.Load()
 	m.Campaigns.Inflight = s.inflight.Load()
 	m.Cache = summarize(&s.cacheTotals)
@@ -199,7 +195,6 @@ func (s *Server) Metrics() Metrics {
 	m.Robustness.DurabilityWarnings = s.durabilityWarnings.Load()
 	m.Robustness.DrainRejected = s.drainRejects.Load()
 	m.Robustness.ShardRestarts = s.pool.Restarts()
-	m.Robustness.CampaignLogSkipped = s.stateSkipped.Load()
 	m.Shards = s.cfg.Shards
 	return m
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -119,16 +118,12 @@ func TestServerDrainLifecycle(t *testing.T) {
 	}
 }
 
-// TestServerDrainTimeoutRecovery: a drain that times out leaves the
-// unfinished campaign "accepted" in the state log; the next daemon on
-// the same state recovers and completes it.
-func TestServerDrainTimeoutRecovery(t *testing.T) {
+// TestServerDrainTimeout: a drain that times out reports the
+// unfinished campaign; after the operator kills the daemon, the next
+// daemon on the same cache serves the client's resubmission.
+func TestServerDrainTimeout(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{
-		CacheDir: filepath.Join(dir, "cache"),
-		StateDir: filepath.Join(dir, "state"),
-		Shards:   2,
-	}
+	cfg := Config{CacheDir: filepath.Join(dir, "cache"), Shards: 2}
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -160,17 +155,16 @@ func TestServerDrainTimeoutRecovery(t *testing.T) {
 	}
 	close(release)
 
-	b, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	b, ts := newTestServer(t, cfg)
+	code, body, cr := postSpec(t, ts.URL, spec)
+	if code != http.StatusOK {
+		t.Fatalf("resubmission after an aborted drain: %d: %s", code, body)
 	}
-	defer b.Close()
-	if got := b.Recovering(); got != 1 {
-		t.Fatalf("recovering %d campaigns after an aborted drain, want 1", got)
+	if want := localRendered(t, "henri", 1, 1, "ext-sched"); cr.Errors != 0 || cr.Results[0].Rendered != want[0] {
+		t.Fatalf("resubmission after an aborted drain differs from a clean local run: %s", body)
 	}
-	b.WaitRecovery()
 	if m := b.Metrics(); m.Campaigns.Completed != 1 {
-		t.Fatalf("recovered campaign did not complete: %+v", m.Campaigns)
+		t.Fatalf("resubmitted campaign did not complete: %+v", m.Campaigns)
 	}
 }
 
@@ -231,70 +225,28 @@ func TestServerReadyzQueueFull(t *testing.T) {
 	}
 }
 
-// TestStateLogSkipsMidFileCorruption: a corrupt record in the middle of
-// the campaign log (torn write isolated on its own line) is skipped and
-// counted; the accepted campaigns on either side are still recovered.
-func TestStateLogSkipsMidFileCorruption(t *testing.T) {
-	dir := t.TempDir()
-	stateDir := filepath.Join(dir, "state")
-	if err := os.MkdirAll(stateDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	c1, err := compile(CampaignSpec{Experiments: []string{"ext-sched"}, Runs: 1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := compile(CampaignSpec{Experiments: []string{"fig3"}, Runs: 1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1, _ := json.Marshal(stateEntry{Schema: stateSchema, ID: c1.id, Status: "accepted", Spec: &c1.spec})
-	e2, _ := json.Marshal(stateEntry{Schema: stateSchema, ID: c2.id, Status: "accepted", Spec: &c2.spec})
-	log := string(e1) + "\n" + `{"schema":1,"id":"torn-in-the-mi` + "\n" + string(e2) + "\n"
-	if err := os.WriteFile(filepath.Join(stateDir, "campaigns.jsonl"), []byte(log), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{StateDir: stateDir, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := s.Recovering(); got != 2 {
-		t.Fatalf("recovering %d campaigns, want both sides of the corrupt record", got)
-	}
-	s.WaitRecovery()
-	m := s.Metrics()
-	if m.Campaigns.Completed != 2 {
-		t.Fatalf("recovered campaigns did not complete: %+v", m.Campaigns)
-	}
-	if m.Robustness.CampaignLogSkipped != 1 {
-		t.Fatalf("campaign_log_skipped_records = %d, want 1", m.Robustness.CampaignLogSkipped)
-	}
-}
-
-// TestServerCampaignLogFailureDegradesGracefully: when every
-// campaign-log append fails (dead disk under the state dir), campaigns
-// still serve correct results — counted as durability warnings —
-// instead of failing, and a repeat is still served from the point cache.
-func TestServerCampaignLogFailureDegradesGracefully(t *testing.T) {
-	inj := chaos.NewInjector(1, mustChaosSpec(t, "eio-write:match=campaigns.jsonl"))
-	dir := t.TempDir()
+// TestServerPackWriteFailureDegradesGracefully: when every point-cache
+// pack write fails (dead disk under the cache dir), campaigns still
+// serve correct results — each failed flush counted as a durability
+// warning — instead of failing, and a repeat is still served from the
+// records the failed flushes kept pending.
+func TestServerPackWriteFailureDegradesGracefully(t *testing.T) {
+	inj := chaos.NewInjector(1, mustChaosSpec(t, "eio-write:match=.tmp-"))
 	s, ts := newTestServer(t, Config{
-		CacheDir: filepath.Join(dir, "cache"),
-		StateDir: filepath.Join(dir, "state"),
+		CacheDir: filepath.Join(t.TempDir(), "cache"),
 		FS:       chaos.Flaky(chaos.OS(), inj),
 	})
 	want := localRendered(t, "henri", 1, 1, "ext-sched")
 	for _, phase := range []string{"cold", "repeat"} {
 		code, body, cr := postSpec(t, ts.URL, CampaignSpec{Experiments: []string{"ext-sched"}, Seed: 1, Runs: 1})
 		if code != http.StatusOK {
-			t.Fatalf("%s campaign under campaign-log failure: %d: %s", phase, code, body)
+			t.Fatalf("%s campaign under pack-write failure: %d: %s", phase, code, body)
 		}
 		if cr.Errors != 0 {
-			t.Fatalf("%s: campaign-log failure caused %d experiment errors; durability loss must not fail results", phase, cr.Errors)
+			t.Fatalf("%s: pack-write failure caused %d experiment errors; durability loss must not fail results", phase, cr.Errors)
 		}
 		if cr.Results[0].Rendered != want[0] {
-			t.Fatalf("%s: output drifted under campaign-log failure", phase)
+			t.Fatalf("%s: output drifted under pack-write failure", phase)
 		}
 		if cached := cr.Results[0].Cached; cached != (phase == "repeat") {
 			t.Fatalf("%s: cached = %v", phase, cached)

@@ -5,11 +5,10 @@
 // server-wide worker-shard set. The content-addressed point cache is
 // shared by all campaigns and written only by them (clients read it
 // through /campaign), in-flight computations are deduplicated across
-// concurrent clients,
-// and a JSONL campaign log makes the daemon crash-safe: a killed daemon
-// re-runs unfinished campaigns on restart, and their points land in the
-// point cache, the only layer that replays results, so a re-submitted
-// spec is served byte-identically without executing.
+// concurrent clients, and the point cache is the daemon's only
+// persistent state: it is flushed as each experiment finishes, so a
+// client re-submitting the spec of a killed campaign replays the
+// finished experiments byte-identically and executes only the rest.
 package server
 
 import (
@@ -19,10 +18,8 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"path/filepath"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,8 +33,8 @@ type Config struct {
 	// CacheDir roots the persistent point cache; "" disables it (points
 	// are still deduplicated in memory across concurrent campaigns).
 	CacheDir string
-	// StateDir holds the campaign log of accepted work; "" disables it
-	// (a killed daemon then forgets its unfinished campaigns).
+	// StateDir is ignored: the daemon keeps no state beside the point
+	// cache. A client resubmits a killed campaign's spec instead.
 	StateDir string
 	// Shards is the size of the server-wide point-execution worker set;
 	// <= 0 means runtime.GOMAXPROCS(0).
@@ -52,16 +49,16 @@ type Config struct {
 	// MaxRuns bounds the per-configuration repetition count a client
 	// may request; <= 0 means 64.
 	MaxRuns int
-	// Log receives one line per accepted/rejected/recovered campaign;
-	// nil discards.
+	// Log receives one line per accepted/rejected campaign; nil
+	// discards.
 	Log io.Writer
 	// CampaignTimeout bounds each campaign's execution wall-clock; an
 	// expired campaign fails its remaining experiments fast (points
 	// already running finish) and is flagged TimedOut in the response.
 	// <= 0 disables the deadline.
 	CampaignTimeout time.Duration
-	// FS is the filesystem for the cache and durability layers; nil
-	// means the real one. Fault drills pass chaos.Flaky.
+	// FS is the filesystem for the point cache; nil means the real
+	// one. Fault drills pass chaos.Flaky.
 	FS chaos.FS
 	// Clock paces drain polling; nil means the real clock (tests drive
 	// a chaos.FakeClock).
@@ -82,7 +79,6 @@ type Config struct {
 // Close when done.
 type Server struct {
 	cfg     Config
-	fs      chaos.FS
 	clock   chaos.Clock
 	pool    *runner.SharedPool
 	flight  runner.Flight[bench.PointRecord] // dedups points across campaigns
@@ -99,14 +95,12 @@ type Server struct {
 	rejected  atomic.Int64 // queue-full rejections
 	badSpecs  atomic.Int64 // 4xx submissions
 	dedups    atomic.Int64 // campaigns served by joining an identical in-flight one
-	recovered atomic.Int64 // campaigns re-run at startup
 
 	draining           atomic.Bool  // shutdown in progress: admission closed
 	drainRejects       atomic.Int64 // submissions refused while draining
 	timeouts           atomic.Int64 // campaigns that blew CampaignTimeout
 	degradedCampaigns  atomic.Int64 // campaigns that switched to no-cache mode
-	durabilityWarnings atomic.Int64 // failed campaign-log appends and point-cache flushes
-	stateSkipped       atomic.Int64 // corrupt campaign-log records skipped at boot
+	durabilityWarnings atomic.Int64 // failed point-cache flushes
 
 	cacheTotals runner.CacheStats
 	latency     latencyRecorder
@@ -115,14 +109,7 @@ type Server struct {
 	// campaigns dedups identical concurrent submissions.
 	campaigns runner.Flight[submitted]
 
-	mu       sync.Mutex
-	stateLog chaos.File
-	// stateDirty means the campaign log may end mid-line (failed
-	// append); the next append leads with a newline to isolate it.
-	stateDirty bool
-	closed     bool
-
-	recovery sync.WaitGroup
+	closed atomic.Bool
 
 	// runFn executes one validated campaign; tests stub it to probe the
 	// HTTP layer without simulating anything.
@@ -146,11 +133,8 @@ type submitError struct {
 
 func (e *submitError) Error() string { return e.msg }
 
-// New builds a daemon: opens the point cache and the campaign log,
-// starts the worker shards, and re-runs any campaign that was accepted
-// but not completed when the previous process died (its points land in
-// the point cache, so a client re-submitting the spec is served from it
-// byte-identically).
+// New builds a daemon: opens the point cache (whose pack segments are
+// all a previous process leaves behind) and starts the worker shards.
 func New(cfg Config) (*Server, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
@@ -169,7 +153,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:        cfg,
-		fs:         cfg.FS,
 		clock:      cfg.Clock,
 		queueSlots: make(chan struct{}, cfg.QueueDepth),
 		runSlots:   make(chan struct{}, cfg.MaxInflight),
@@ -177,52 +160,19 @@ func New(cfg Config) (*Server, error) {
 	s.ov = newOverload(s.clock, cfg.QueueDepth)
 	s.runFn = s.runCampaign
 	if cfg.CacheDir != "" {
-		cache, err := runner.OpenPointCacheFS(cfg.CacheDir, s.fs)
+		cache, err := runner.OpenPointCacheFS(cfg.CacheDir, cfg.FS)
 		if err != nil {
 			return nil, err
 		}
 		s.cache = cache
 		s.breaker = runner.NewBreaker(cache, cfg.BreakerFailLimit, cfg.BreakerProbeEvery)
 	}
-	var pending []*campaign
-	if cfg.StateDir != "" {
-		if err := s.fs.MkdirAll(cfg.StateDir, 0o755); err != nil {
-			return nil, fmt.Errorf("server: creating state dir: %w", err)
-		}
-		var err error
-		pending, err = s.openStateLog(filepath.Join(cfg.StateDir, "campaigns.jsonl"))
-		if err != nil {
-			return nil, err
-		}
-	}
 	s.pool = runner.NewSharedPool(cfg.Shards)
-
-	// Resume campaigns the previous process accepted but never finished.
-	// They run through the normal submission path (queue slots and all),
-	// concurrently with fresh client traffic; the point flight dedups
-	// any overlap with a client re-submitting the same spec.
-	for _, c := range pending {
-		c := c
-		c.internal = true // recovery must not be shed by overload control
-		s.recovered.Add(1)
-		s.recovery.Add(1)
-		go func() {
-			defer s.recovery.Done()
-			s.logf("recovering campaign %s (%d experiments)", c.id[:12], len(c.exps))
-			if _, err := s.submit(c); err != nil {
-				s.logf("recovery of %s failed: %s", c.id[:12], err.msg)
-			}
-		}()
-	}
 	return s, nil
 }
 
-// Recovering reports how many unfinished campaigns this daemon picked
-// up at startup; WaitRecovery blocks until they have been re-run.
-func (s *Server) Recovering() int  { return int(s.recovered.Load()) }
-func (s *Server) WaitRecovery()    { s.recovery.Wait() }
-func (s *Server) CacheDir() string { return s.cfg.CacheDir }
-func (s *Server) Shards() int      { return s.cfg.Shards }
+// Shards is the size of the daemon's point-execution worker set.
+func (s *Server) Shards() int { return s.cfg.Shards }
 
 // BeginDrain closes admission: new campaign submissions are refused
 // with 503 while campaigns already admitted keep running. Idempotent.
@@ -232,9 +182,9 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain blocks until every admitted campaign has finished (the queue
-// and run slots are empty) and the cache and campaign log are flushed,
-// or ctx expires — in which case the unfinished campaigns stay
-// "accepted" in the state log and are recovered by the next New. Call BeginDrain
+// and run slots are empty) and the point cache is flushed, or ctx
+// expires — in which case the unfinished campaigns' clients resubmit,
+// replaying the experiments whose points were flushed. Call BeginDrain
 // first so the population being waited on cannot grow.
 func (s *Server) Drain(ctx context.Context) error {
 	for {
@@ -245,7 +195,6 @@ func (s *Server) Drain(ctx context.Context) error {
 					s.logf("drain: flushing point cache: %v", err)
 				}
 			}
-			s.syncStateLog()
 			return nil
 		}
 		select {
@@ -257,33 +206,19 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Close releases the daemon: the shard set, the point cache (flushed)
-// and the campaign log. Campaigns still executing keep computing on
-// their own request goroutines but can no longer log completion —
-// exactly the state a killed process leaves behind, which New recovers
-// from.
+// Close releases the daemon: the shard set and the point cache
+// (flushed). Campaigns still executing keep computing on their own
+// request goroutines; a client resubmitting one later replays whatever
+// points were flushed, exactly as after a killed process.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	s.closed = true
-	stateLog := s.stateLog
-	s.stateLog = nil
-	s.mu.Unlock()
-
 	s.pool.Close()
-	var err error
 	if s.cache != nil {
-		err = s.cache.Close()
+		return s.cache.Close()
 	}
-	if stateLog != nil {
-		if cerr := stateLog.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return nil
 }
 
 // Handler returns the daemon's HTTP API:
@@ -394,31 +329,27 @@ func (s *Server) submit(c *campaign) (*CampaignResponse, *submitError) {
 // admit applies the Slurm-style bounded queue plus the adaptive
 // overload controller: a client over its fair share is refused before
 // consuming a queue slot, and a full queue rejects with a
-// drain-rate-derived Retry-After. Internal submissions (startup
-// recovery) bypass the fair-share gate — they are already-accepted
-// work.
+// drain-rate-derived Retry-After.
 func (s *Server) admit(c *campaign) (*CampaignResponse, *submitError) {
 	shed := func(counterMsg string) *submitError {
 		return &submitError{http.StatusServiceUnavailable, counterMsg,
 			s.ov.retryAfterSecs(s.queueDepth.Load())}
 	}
-	if !c.internal {
-		// A full queue outranks fair share: "queue is full" is the
-		// truthful rejection whoever submitted, and fair-share shedding
-		// should only ever explain a refusal the queue itself would have
-		// admitted. Racy reads are fine — the non-blocking slot acquire
-		// below is the authoritative check.
-		if len(s.queueSlots) >= cap(s.queueSlots) {
-			s.rejected.Add(1)
-			s.logf("rejected campaign %s: queue full (%d waiting)", c.id[:12], s.queueDepth.Load())
-			return nil, shed(fmt.Sprintf("admission queue is full (%d campaigns waiting); retry later", s.queueDepth.Load()))
-		}
-		if !s.ov.reserve(c.client) {
-			s.logf("shed campaign %s: client %s over its fair share", c.id[:12], c.client)
-			return nil, shed("client is over its fair share of the admission queue; retry later")
-		}
-		defer s.ov.release(c.client)
+	// A full queue outranks fair share: "queue is full" is the truthful
+	// rejection whoever submitted, and fair-share shedding should only
+	// ever explain a refusal the queue itself would have admitted. Racy
+	// reads are fine — the non-blocking slot acquire below is the
+	// authoritative check.
+	if len(s.queueSlots) >= cap(s.queueSlots) {
+		s.rejected.Add(1)
+		s.logf("rejected campaign %s: queue full (%d waiting)", c.id[:12], s.queueDepth.Load())
+		return nil, shed(fmt.Sprintf("admission queue is full (%d campaigns waiting); retry later", s.queueDepth.Load()))
 	}
+	if !s.ov.reserve(c.client) {
+		s.logf("shed campaign %s: client %s over its fair share", c.id[:12], c.client)
+		return nil, shed("client is over its fair share of the admission queue; retry later")
+	}
+	defer s.ov.release(c.client)
 	select {
 	case s.queueSlots <- struct{}{}:
 	default:
@@ -437,13 +368,11 @@ func (s *Server) admit(c *campaign) (*CampaignResponse, *submitError) {
 	defer s.inflight.Add(-1)
 
 	s.accepted.Add(1)
-	s.logState(stateEntry{ID: c.id, Status: "accepted", Spec: &c.spec})
 	start := time.Now()
 	resp := s.runFn(c)
 	resp.WallMs = float64(time.Since(start).Microseconds()) / 1e3
 	s.latency.add(resp.WallMs)
 	s.ov.observe()
-	s.logState(stateEntry{ID: c.id, Status: "done"})
 	s.completed.Add(1)
 	s.logf("campaign %s: %d experiments on %s in %.0fms (%d/%d points served without executing, %d errors)",
 		c.id[:12], len(c.exps), c.cluster, resp.WallMs,

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -438,25 +437,22 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestServerKillAndResume: a daemon killed mid-campaign (accepted
-// logged, one experiment's points cached, no done marker) must resume
-// the campaign on restart and then serve the full spec byte-identically
-// from the point cache.
+// TestServerKillAndResume: a daemon killed mid-campaign leaves only
+// the pack segments of the experiments it finished. A restarted daemon
+// serves the client's resubmission byte-identically, replaying those
+// experiments from the point cache and executing exactly the points
+// that had not landed; a second resubmission executes nothing.
 func TestServerKillAndResume(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{
-		CacheDir: filepath.Join(dir, "cache"),
-		StateDir: filepath.Join(dir, "state"),
-		Shards:   2,
-	}
+	cfg := Config{CacheDir: filepath.Join(dir, "cache"), Shards: 2}
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The stub runs the first experiment for real (so its points land in
-	// the cache) and then parks — the campaign never logs "done", exactly a
-	// process killed mid-campaign.
+	// The stub runs the first experiment for real (so its points are
+	// flushed to the cache) and then parks — a process killed
+	// mid-campaign.
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
@@ -479,74 +475,46 @@ func TestServerKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restart on the same state. The new daemon must notice the
-	// unfinished campaign and re-run it to completion.
-	b, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// What a cold daemon executes for ext-sched alone: the points the
+	// kill left unfinished.
+	cold, coldTS := newTestServer(t, Config{})
+	if code, body, _ := postSpec(t, coldTS.URL, CampaignSpec{Experiments: []string{"ext-sched"}, Seed: 1, Runs: 1}); code != http.StatusOK {
+		t.Fatalf("cold ext-sched: %d: %s", code, body)
 	}
-	defer b.Close()
-	if got := b.Recovering(); got != 1 {
-		t.Fatalf("recovering %d campaigns, want 1", got)
+	rest := cold.Metrics().Cache.Misses
+	if rest == 0 {
+		t.Fatal("cold ext-sched executed no points")
 	}
-	b.WaitRecovery()
 
-	ts := httptest.NewServer(b.Handler())
-	defer ts.Close()
+	b, ts := newTestServer(t, cfg)
+	want := localRendered(t, "henri", 1, 1, "fig3", "ext-sched")
 	code, body, cr := postSpec(t, ts.URL, spec)
 	if code != http.StatusOK {
 		t.Fatalf("resubmit after restart: %d: %s", code, body)
 	}
-	want := localRendered(t, "henri", 1, 1, "fig3", "ext-sched")
 	for i, er := range cr.Results {
-		if !er.Cached {
-			t.Errorf("%s not replayed from the point cache after recovery", er.ID)
-		}
 		if er.Rendered != want[i] {
-			t.Errorf("%s replay differs from a clean local run:\n got %q\nwant %q", er.ID, er.Rendered, want[i])
+			t.Errorf("%s resubmission differs from a clean local run:\n got %q\nwant %q", er.ID, er.Rendered, want[i])
 		}
 	}
+	if !cr.Results[0].Cached {
+		t.Errorf("fig3 finished before the kill but was not replayed from the point cache")
+	}
+	if got := b.Metrics().Cache.Misses; got != rest {
+		t.Fatalf("resubmission executed %d points, want %d (ext-sched alone)", got, rest)
+	}
 
-	// A third daemon on the same state has nothing to recover: the done
-	// marker landed.
-	cclean, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// Every point has landed now: a repeat executes nothing.
+	code, body, cr = postSpec(t, ts.URL, spec)
+	if code != http.StatusOK {
+		t.Fatalf("second resubmission: %d: %s", code, body)
 	}
-	defer cclean.Close()
-	if got := cclean.Recovering(); got != 0 {
-		t.Fatalf("restart after completion still recovers %d campaigns", got)
+	for i, er := range cr.Results {
+		if !er.Cached || er.Rendered != want[i] {
+			t.Errorf("%s second resubmission: cached=%v, byte-identical=%v", er.ID, er.Cached, er.Rendered == want[i])
+		}
 	}
-}
-
-// TestStateLogTornTail: a torn trailing line (killed mid-append) must
-// not poison recovery — entries before the tear load, the tear is
-// dropped.
-func TestStateLogTornTail(t *testing.T) {
-	dir := t.TempDir()
-	stateDir := filepath.Join(dir, "state")
-	if err := os.MkdirAll(stateDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	c, err := compile(CampaignSpec{Experiments: []string{"ext-sched"}, Runs: 1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepted, _ := json.Marshal(stateEntry{Schema: stateSchema, ID: c.id, Status: "accepted", Spec: &c.spec})
-	log := string(accepted) + "\n" + `{"schema":1,"id":"torn`
-	if err := os.WriteFile(filepath.Join(stateDir, "campaigns.jsonl"), []byte(log), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{StateDir: stateDir, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := s.Recovering(); got != 1 {
-		t.Fatalf("recovering %d campaigns, want the one before the torn tail", got)
-	}
-	s.WaitRecovery()
-	if m := s.Metrics(); m.Campaigns.Completed != 1 {
-		t.Fatalf("recovered campaign did not complete: %+v", m.Campaigns)
+	if got := b.Metrics().Cache.Misses; got != rest {
+		t.Fatalf("second resubmission executed %d points, want 0", got-rest)
 	}
 }

@@ -59,12 +59,9 @@ type campaign struct {
 	exps    []core.Experiment
 	env     bench.Env
 
-	// Admission metadata (not part of the campaign identity): the
-	// fair-queueing client key, and whether this is an internal
-	// submission (startup recovery) that must not be shed by the
-	// overload controller.
-	client   string
-	internal bool
+	// client is the fair-queueing key (admission metadata, not part of
+	// the campaign identity).
+	client string
 }
 
 // parseSpec decodes and validates one submission. Every error is a
