@@ -149,19 +149,25 @@ func runCrashPingPong(env Env, sched *fault.Schedule) (iters int, detectedUs flo
 			det.Stop()
 		}
 	})
+	var respErr error
 	c.K.Spawn("ft-resp", func(p *sim.Proc) {
 		r := w.Rank(1)
 		buf := r.Node.Alloc(size, r.Node.Spec.NIC.NUMA)
-		for i := 0; i < maxIters; i++ {
-			if r.RecvFT(p, 0, tag, buf, size) != nil {
-				return
+		for i := 0; i < maxIters && respErr == nil; i++ {
+			if respErr = r.RecvFT(p, 0, tag, buf, size); respErr == nil {
+				respErr = r.SendFT(p, 0, tag+1, buf, size)
 			}
-			if r.SendFT(p, 0, tag+1, buf, size) != nil {
-				return
-			}
+		}
+		// The initiator now waits on a responder that is gone for good:
+		// stop the detector so the world drains.
+		if respErr != nil && det != nil {
+			det.Stop()
 		}
 	})
 	c.K.Run()
+	if status == "completed" && respErr != nil {
+		status = "responder: " + respErr.Error()
+	}
 	if det != nil && det.Dead(1) {
 		detectedUs = sim.Duration(det.DeadAt(1)).Seconds() * 1e6
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -74,6 +75,25 @@ func TestCrashPingPongDetectionWindow(t *testing.T) {
 	iters, detectedUs, _, status = runCrashPingPong(env, nil)
 	if status != "completed" || detectedUs != 0 {
 		t.Fatalf("healthy run: %d iters, detected %g, status %q", iters, detectedUs, status)
+	}
+}
+
+// TestCrashPingPongReportsFailedOperations: SendFT/RecvFT return retry
+// exhaustion (no detector needed) and the death of the initiator's node
+// as errors, and the row reports whichever side failed instead of
+// panicking or hanging.
+func TestCrashPingPongReportsFailedOperations(t *testing.T) {
+	for _, tc := range []struct{ spec, status string }{
+		{"loss:p=1", "fault: eager transfer n0→n1 failed after 9 attempts"},
+		{"crash:node=0,at=1ms", "responder: mpi: peer rank is dead"},
+	} {
+		sched, err := fault.ParseSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, status := runCrashPingPong(quietEnv(), sched); status != tc.status {
+			t.Errorf("%s: status %q, want %q", tc.spec, status, tc.status)
+		}
 	}
 }
 

@@ -33,8 +33,10 @@ type Set struct {
 	SendBusySecs  float64
 	// Fault/recovery accounting, fed by the MPI layer under fault
 	// injection (all zero on healthy runs): retransmissions performed,
-	// retransmission-timeout expiries, receive-timeout expiries, and
-	// transmissions the injector dropped or corrupted.
+	// retransmission-timeout expiries, and transmissions the injector
+	// dropped or corrupted. RecvTimeouts is always zero (the MPI layer
+	// has no timed receive); it stays because the point record's fault
+	// fields include it.
 	SendRetries   float64
 	SendTimeouts  float64
 	RecvTimeouts  float64

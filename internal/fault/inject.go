@@ -122,12 +122,10 @@ type Injector struct {
 	// Crash bookkeeping: one flag per node, flipped by armed crash and
 	// recover transitions. Watched signals are broadcast on every
 	// transition so processes blocked on a transfer- or protocol-signal
-	// can wake up and re-check liveness; onCrash callbacks run (in event
-	// context) when a node goes down.
-	crashy  bool
-	down    []bool
-	watch   []*sim.Signal
-	onCrash []func(node int)
+	// can wake up and re-check liveness.
+	crashy bool
+	down   []bool
+	watch  []*sim.Signal
 }
 
 // frozenWireFactor is the capacity multiplier applied to every wire
@@ -194,9 +192,9 @@ func (inj *Injector) armCrash(e Event) {
 }
 
 // setDown flips a node's crash state: the machine layer gates its
-// execution primitives, every wire touching it freezes, crash callbacks
-// fire (on the down transition) and watched signals are broadcast so
-// blocked waiters re-check liveness. Runs in event context.
+// execution primitives, every wire touching it freezes, and watched
+// signals are broadcast so blocked waiters re-check liveness. Runs in
+// event context.
 func (inj *Injector) setDown(node int, down bool) {
 	if node < 0 || node >= len(inj.down) || inj.down[node] == down {
 		return
@@ -204,11 +202,6 @@ func (inj *Injector) setDown(node int, down bool) {
 	inj.down[node] = down
 	inj.cluster.Nodes[node].SetDown(down)
 	inj.push()
-	if down {
-		for _, fn := range inj.onCrash {
-			fn(node)
-		}
-	}
 	for _, s := range inj.watch {
 		s.Broadcast()
 	}
@@ -222,12 +215,6 @@ func (inj *Injector) Crashy() bool { return inj.crashy }
 // Crashed reports whether a node is currently down.
 func (inj *Injector) Crashed(node int) bool {
 	return node >= 0 && node < len(inj.down) && inj.down[node]
-}
-
-// OnCrash registers a callback run (in event context) whenever a node
-// goes down.
-func (inj *Injector) OnCrash(fn func(node int)) {
-	inj.onCrash = append(inj.onCrash, fn)
 }
 
 // WatchCrash registers a signal to be broadcast on every crash/recover
@@ -248,9 +235,6 @@ func (inj *Injector) WatchCrash(s *sim.Signal) (unwatch func()) {
 
 // Policy returns the effective retry policy.
 func (inj *Injector) Policy() RetryPolicy { return inj.policy }
-
-// Rng returns the injector's dedicated deterministic random source.
-func (inj *Injector) Rng() *rand.Rand { return inj.rng }
 
 // Lossy reports whether the schedule contains loss/corruption events at
 // all. It is a static property: the MPI layer selects its code path per

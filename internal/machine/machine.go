@@ -473,9 +473,6 @@ func (n *Node) SetDown(down bool) {
 	}
 }
 
-// Down reports whether the node is currently fail-stopped.
-func (n *Node) Down() bool { return n.down }
-
 // gateUp blocks p while the node is down. Called at the top of every
 // execution primitive: a crashed node's processes stop at the next
 // slice boundary and resume only on recovery.

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -121,74 +120,6 @@ func TestRetryExhaustionFailsTransfer(t *testing.T) {
 			c.K.Run()
 			t.Fatal("total loss did not fail the transfer")
 		})
-	}
-}
-
-func TestRecvTimeout(t *testing.T) {
-	c, w := faultWorld(t, 1, "")
-	b := w.Rank(1)
-	rbuf := b.Node.Alloc(4096, 0)
-	var err error
-	var at sim.Time
-	c.K.Spawn("recv", func(p *sim.Proc) {
-		err = b.RecvTimeout(p, 0, 5, rbuf, 4096, 50*sim.Microsecond)
-		at = p.Now()
-	})
-	c.K.Run()
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	if at != sim.Time(50*sim.Microsecond) {
-		t.Fatalf("timed out at %v, want 50us", at)
-	}
-	if got := b.Node.Counters.RecvTimeouts; got != 1 {
-		t.Fatalf("RecvTimeouts %v, want 1", got)
-	}
-}
-
-func TestRecvTimeoutWithdrawsPendingReceive(t *testing.T) {
-	c, w := faultWorld(t, 1, "")
-	a, b := w.Rank(0), w.Rank(1)
-	buf := a.Node.Alloc(4096, 0)
-	rbuf := b.Node.Alloc(4096, 0)
-	var timedOut, late error
-	c.K.Spawn("recv", func(p *sim.Proc) {
-		// First receive gives up before the message is sent; the message
-		// must then land in the unexpected queue and complete a later
-		// receive instead of waking the abandoned one.
-		timedOut = b.RecvTimeout(p, 0, 5, rbuf, 4096, 10*sim.Microsecond)
-		late = b.RecvTimeout(p, 0, 5, rbuf, 4096, sim.Second)
-	})
-	c.K.Spawn("send", func(p *sim.Proc) {
-		p.Sleep(100 * sim.Microsecond)
-		a.Send(p, 1, 5, buf, 4096)
-	})
-	c.K.Run()
-	if !errors.Is(timedOut, ErrTimeout) {
-		t.Fatalf("first receive: %v, want ErrTimeout", timedOut)
-	}
-	if late != nil {
-		t.Fatalf("second receive failed: %v", late)
-	}
-	if got := b.Node.Counters.BytesReceived; got != 4096 {
-		t.Fatalf("BytesReceived %v, want 4096", got)
-	}
-}
-
-func TestRecvTimeoutCompletesWhenMessageArrives(t *testing.T) {
-	c, w := faultWorld(t, 1, "")
-	a, b := w.Rank(0), w.Rank(1)
-	buf := a.Node.Alloc(4096, 0)
-	rbuf := b.Node.Alloc(4096, 0)
-	var err error
-	c.K.Spawn("send", func(p *sim.Proc) { a.Send(p, 1, 5, buf, 4096) })
-	c.K.Spawn("recv", func(p *sim.Proc) { err = b.RecvTimeout(p, 0, 5, rbuf, 4096, sim.Second) })
-	c.K.Run()
-	if err != nil {
-		t.Fatalf("RecvTimeout with an in-flight message: %v", err)
-	}
-	if got := b.Node.Counters.RecvTimeouts; got != 0 {
-		t.Fatalf("RecvTimeouts %v, want 0", got)
 	}
 }
 

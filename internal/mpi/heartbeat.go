@@ -16,6 +16,12 @@ import (
 // rank stays dead even if its node later recovers — rejoining a
 // shrunken communicator is out of scope, as in ULFM.
 //
+// There is one point-to-point protocol (send/recv in mpi.go): SendFT
+// and RecvFT hand it the world's detector, Send and Recv hand it nil. A
+// nil *Detector is a detector that never declares a death — Dead
+// reports false and Watch does nothing — so the protocol's waits need
+// no separate healthy path.
+//
 // The probe itself is modelled out of band: a monitor reads the fault
 // injector's crash ground truth instead of exchanging real heartbeat
 // messages (which would perturb the measured traffic). The probe's
@@ -141,9 +147,10 @@ func (d *Detector) declareDead(rank int) {
 	}
 }
 
-// Dead reports whether a rank has been declared dead.
+// Dead reports whether a rank has been declared dead; always false on
+// a nil detector.
 func (d *Detector) Dead(rank int) bool {
-	return rank >= 0 && rank < len(d.alive) && !d.alive[rank]
+	return d != nil && rank >= 0 && rank < len(d.alive) && !d.alive[rank]
 }
 
 // DeadAt returns the declaration instant of a dead rank, -1 otherwise.
@@ -175,7 +182,11 @@ func (d *Detector) OnDeath(fn func(rank int)) {
 // Watch registers a signal to be broadcast on every death declaration,
 // so a process blocked on a protocol signal a dead peer will never fire
 // wakes up and re-checks Dead. Unregister with the returned function.
+// On a nil detector it registers nothing.
 func (d *Detector) Watch(s *sim.Signal) (unwatch func()) {
+	if d == nil {
+		return func() {}
+	}
 	d.watch = append(d.watch, s)
 	return func() {
 		for i, x := range d.watch {

@@ -35,11 +35,12 @@ type World struct {
 	inj *fault.Injector
 	// det is the heartbeat failure detector, armed by StartHeartbeat on
 	// worlds whose fault schedule contains node crashes; nil otherwise.
+	// SendFT and RecvFT pass it to the protocol, Send and Recv pass nil.
 	det *Detector
 	// freeMsgs recycles message structs (with their embedded signals and
-	// bound-method callbacks) on healthy worlds. Lossy/crashy worlds
-	// never pool: retransmission timers and detector watchers can hold a
-	// message past its normal release point.
+	// bound-method callbacks) on healthy worlds. Receives under an
+	// injector or a detector never pool: retransmission timers and
+	// detector watchers can hold a message past its normal release point.
 	freeMsgs []*message
 }
 
@@ -114,12 +115,12 @@ type message struct {
 
 	// Rendezvous: the receiver broadcasts cts once its buffer is ready
 	// and the CTS control message has crossed the wire; the sender
-	// broadcasts dmaDone when the RDMA write has fully landed. The ctsOK
-	// and dmaOK flags record those completions as state, so a
-	// fault-tolerant waiter woken by a crash broadcast (not by the
-	// protocol signal itself) can distinguish "done" from "peer died".
+	// broadcasts dmaDone when the RDMA write has fully landed. Waiters
+	// loop on the arrived, ctsOK and dmaOK flags, not on the signals: a
+	// failure detector's death declaration broadcasts the same signals
+	// (Detector.Watch), and a waiter it woke with its flag still clear
+	// re-checks whether the peer died.
 	srcRank *Rank
-	srcBuf  *machine.Buffer
 	rbuf    *machine.Buffer // receiver's landing buffer, set before CTS
 	cts     *sim.Signal
 	ctsOK   bool
@@ -127,11 +128,11 @@ type message struct {
 	dmaOK   bool
 
 	// Fault recovery: delivered dedups retransmitted RTS (the sender
-	// reuses the same message object per attempt), and resendCTS, set by
-	// the receiver once it has answered, re-sends the CTS when a
-	// duplicate RTS reveals the previous CTS was lost.
+	// reuses the same message object per attempt), and answered, set
+	// once the receiver has sent its CTS, makes a duplicate RTS re-send
+	// the CTS (the duplicate reveals that the previous CTS was lost).
 	delivered bool
-	resendCTS func()
+	answered  bool
 
 	// peer is the destination rank, read by the cached wire-arrival
 	// callbacks below. They are bound once per message lifetime so the
@@ -160,8 +161,8 @@ func (m *message) eagerWireArrival() {
 // eagerPayload streams the eager payload into the receiver's internal
 // buffers.
 func (m *message) eagerPayload(tp *sim.Proc) {
-	// A payload dropped by a node crash never arrives; the
-	// fault-tolerant receive path detects the dead sender instead.
+	// A payload dropped by a node crash never arrives; a receive
+	// watching the failure detector learns of the dead sender instead.
 	if !m.srcRank.world.nw.TransferEager(tp, m.srcRank.Node, m.peer.Node, m.size) {
 		return
 	}
@@ -169,11 +170,29 @@ func (m *message) eagerPayload(tp *sim.Proc) {
 	m.arrivedSig.Broadcast()
 }
 
-// rtsArrive delivers a rendezvous RTS on the healthy path.
-func (m *message) rtsArrive() { m.peer.deliver(m) }
+// rtsArrive delivers a rendezvous RTS.
+func (m *message) rtsArrive() { m.peer.deliverRTS(m) }
 
 // ctsArrive completes the receiver's CTS control message.
 func (m *message) ctsArrive() { m.ctsOK = true; m.cts.Broadcast() }
+
+// sendCTS answers a rendezvous RTS on behalf of the receiver m.peer.
+// Under a lossy schedule the CTS itself can be lost or corrupted; the
+// sender's RTS retransmission then re-triggers it (deliverRTS).
+func (m *message) sendCTS() {
+	node, w := m.peer.Node, m.peer.world
+	if inj := w.inj; inj != nil && inj.Lossy() {
+		switch inj.Tx() {
+		case fault.TxCorrupt:
+			node.Counters.MsgsCorrupted++
+			return
+		case fault.TxLost:
+			node.Counters.MsgsLost++
+			return
+		}
+	}
+	w.cluster.K.After(node.Jitter(w.nw.WireLatency(), node.Spec.NIC.NoiseFrac), m.ctsFn)
+}
 
 // getMsg returns a message with fresh protocol state, recycled from the
 // world's free list when possible.
@@ -185,12 +204,11 @@ func (w *World) getMsg() *message {
 		m.eager = false
 		m.arrived = false
 		m.srcRank = nil
-		m.srcBuf = nil
 		m.rbuf = nil
 		m.ctsOK = false
 		m.dmaOK = false
 		m.delivered = false
-		m.resendCTS = nil
+		m.answered = false
 		m.peer = nil
 		return m
 	}
@@ -207,9 +225,10 @@ func (w *World) getMsg() *message {
 	return m
 }
 
-// putMsg recycles a fully completed message. Only the healthy paths
-// call it: under fault injection a message can outlive its receive
-// through retransmission timers and crash watchers.
+// putMsg recycles a fully completed message. Only receives on worlds
+// without a fault injector and without a detector call it: otherwise a
+// message can outlive its receive through retransmission timers and
+// crash watchers.
 func (w *World) putMsg(m *message) {
 	w.freeMsgs = append(w.freeMsgs, m)
 }
@@ -233,8 +252,9 @@ type Rank struct {
 	unexp   map[matchKey][]*message
 
 	// freePRs recycles posted-receive slots. A pendingRecv is only ever
-	// referenced by its waiter and the pending queue, and WaitTimeout
-	// cancels its timer on wake, so recycling is safe on every world.
+	// referenced by its waiter, the pending queue and, while the waiter
+	// blocks, the detector's watch list, so recycling is safe on every
+	// world.
 	freePRs []*pendingRecv
 }
 
@@ -285,14 +305,14 @@ func (r *Rank) deliver(m *message) {
 
 // deliverRTS routes a (possibly retransmitted) rendezvous RTS: the
 // first copy goes through normal matching; a duplicate — the sender
-// retransmits when no CTS arrived within its timeout — re-triggers the
+// retransmits when no CTS arrived within its timeout — re-sends the
 // CTS if the receiver has already answered (the CTS was lost on the
 // wire), and is ignored otherwise (the receiver simply has not posted
 // its receive yet). Runs in event context.
 func (r *Rank) deliverRTS(m *message) {
 	if m.delivered {
-		if m.resendCTS != nil {
-			m.resendCTS()
+		if m.answered {
+			m.sendCTS()
 		}
 		return
 	}
@@ -301,27 +321,32 @@ func (r *Rank) deliverRTS(m *message) {
 }
 
 // match returns the oldest unexpected message for key, or registers a
-// pending receive and blocks p until one arrives.
-func (r *Rank) match(p *sim.Proc, key matchKey) *message {
-	m, _ := r.matchTimeout(p, key, 0)
-	return m
-}
-
-// matchTimeout is match with a deadline: it reports false when no
-// message arrived within d (a non-positive d waits forever). On timeout
-// the pending receive is withdrawn, so a message arriving later is
-// queued as unexpected instead of completing a receive nobody waits on.
-func (r *Rank) matchTimeout(p *sim.Proc, key matchKey, d sim.Duration) (*message, bool) {
-	if q := r.unexp[key]; len(q) > 0 {
-		m := q[0]
-		copy(q, q[1:])
-		q[len(q)-1] = nil
-		r.unexp[key] = q[:len(q)-1]
-		return m, true
-	}
-	pr := r.getPR()
-	r.pending[key] = append(r.pending[key], pr)
-	if !pr.sig.WaitTimeout(p, d) {
+// pending receive and blocks p until one arrives. It returns nil once
+// det declares the source dead with nothing matched: the death
+// declaration wakes the posted receive, which is withdrawn so that a
+// message arriving later is queued as unexpected.
+func (r *Rank) match(p *sim.Proc, key matchKey, det *Detector) *message {
+	for {
+		if q := r.unexp[key]; len(q) > 0 {
+			m := q[0]
+			copy(q, q[1:])
+			q[len(q)-1] = nil
+			r.unexp[key] = q[:len(q)-1]
+			return m
+		}
+		if det.Dead(key.src) {
+			return nil
+		}
+		pr := r.getPR()
+		r.pending[key] = append(r.pending[key], pr)
+		unwatch := det.Watch(pr.sig)
+		pr.sig.Wait(p)
+		unwatch()
+		m := pr.msg
+		r.putPR(pr)
+		if m != nil {
+			return m
+		}
 		q := r.pending[key]
 		for i, x := range q {
 			if x == pr {
@@ -329,12 +354,21 @@ func (r *Rank) matchTimeout(p *sim.Proc, key matchKey, d sim.Duration) (*message
 				break
 			}
 		}
-		r.putPR(pr)
-		return nil, false
 	}
-	m := pr.msg
-	r.putPR(pr)
-	return m, true
+}
+
+// await blocks p on sig until *done is set, or returns ErrPeerDead once
+// det declares peer dead first. A nil det never declares a death.
+func await(p *sim.Proc, det *Detector, peer int, sig *sim.Signal, done *bool) error {
+	unwatch := det.Watch(sig)
+	defer unwatch()
+	for !*done {
+		if det.Dead(peer) {
+			return ErrPeerDead
+		}
+		sig.Wait(p)
+	}
+	return nil
 }
 
 // gateComm blocks p while a comm-thread hang fault is active on this
@@ -345,13 +379,38 @@ func (r *Rank) gateComm(p *sim.Proc) {
 	}
 }
 
+// ErrPeerDead reports that the failure detector declared the peer rank
+// dead before the operation could complete.
+var ErrPeerDead = errors.New("mpi: peer rank is dead")
+
 // Send transmits size bytes of buf to rank dst with the given tag,
 // blocking p (the communication thread) until the send completes
 // locally: for eager messages, once the payload has been handed to the
-// NIC; for rendezvous messages, once the RDMA transfer has finished.
+// NIC; for rendezvous messages, once the RDMA transfer has finished. It
+// panics with a *fault.TransferError when a lossy schedule exhausts the
+// retry budget.
 func (r *Rank) Send(p *sim.Proc, dst, tag int, buf *machine.Buffer, size int64) {
+	if err := r.send(p, dst, tag, buf, size, nil); err != nil {
+		panic(err)
+	}
+}
+
+// SendFT is the fault-tolerant Send: it returns ErrPeerDead once the
+// world's failure detector declares dst dead (before or during the
+// operation), and returns retry exhaustion as a *fault.TransferError
+// instead of panicking. Without a detector no death is ever declared.
+func (r *Rank) SendFT(p *sim.Proc, dst, tag int, buf *machine.Buffer, size int64) error {
+	return r.send(p, dst, tag, buf, size, r.world.det)
+}
+
+// send is the one send protocol behind Send and SendFT. Every wait on
+// the peer watches det; a nil det never declares a death.
+func (r *Rank) send(p *sim.Proc, dst, tag int, buf *machine.Buffer, size int64, det *Detector) error {
 	if size < 0 || (buf != nil && size > buf.Size) {
 		panic(fmt.Sprintf("mpi: send size %d out of buffer bounds", size))
+	}
+	if det.Dead(dst) {
+		return ErrPeerDead
 	}
 	r.gateComm(p)
 	start := p.Now()
@@ -360,6 +419,7 @@ func (r *Rank) Send(p *sim.Proc, dst, tag int, buf *machine.Buffer, size int64) 
 	nw := r.world.nw
 	node := r.Node
 	inj := r.world.inj
+	lossy := inj != nil && inj.Lossy()
 
 	bufNUMA := node.Spec.NIC.NUMA
 	if buf != nil {
@@ -370,45 +430,44 @@ func (r *Rank) Send(p *sim.Proc, dst, tag int, buf *machine.Buffer, size int64) 
 	if size <= r.eagerMax() {
 		// Eager: stage the payload into pre-registered NIC-NUMA buffers
 		// while the NIC already streams it out (staging and injection
-		// pipeline packet by packet); Send completes locally once the
-		// staging copy is done. The payload lands in the receiver's
-		// internal buffers.
-		dataNUMA := node.Spec.NIC.NUMA
-		if buf != nil {
-			dataNUMA = buf.NUMA
-		}
-		if inj != nil && inj.Lossy() {
-			// Each transmission attempt can be dropped or corrupted;
-			// losses are detected by retransmission timeout, corruptions
-			// by the receiver's checksum after the wasted transfer.
-			for attempt := 0; ; attempt++ {
-				switch inj.Tx() {
-				case fault.TxOK:
-					r.injectEager(p, peer, tag, size, dataNUMA)
-					r.accountSend(size, p.Now().Sub(start))
-					return
-				case fault.TxCorrupt:
-					node.Counters.MsgsCorrupted++
-					// The doomed payload still crosses the wire before
-					// the receiver discards it.
-					if size > 0 {
-						nw.Memcpy(p, node, r.CommCore, dataNUMA, node.Spec.NIC.NUMA, size)
-						nw.TransferEager(p, node, peer.Node, size)
-					}
-				default: // TxLost
-					node.Counters.MsgsLost++
-				}
-				node.Counters.SendTimeouts++
-				if attempt >= inj.Policy().MaxRetries {
-					panic(&fault.TransferError{Op: "eager", Src: node.ID, Dst: peer.Node.ID, Attempts: attempt + 1})
-				}
-				node.Counters.SendRetries++
-				p.Sleep(inj.Backoff(attempt))
+		// pipeline packet by packet); the send completes locally once
+		// the staging copy is done. The payload lands in the receiver's
+		// internal buffers. Under a lossy schedule each transmission
+		// attempt can be dropped or corrupted; losses are detected by
+		// retransmission timeout, corruptions by the receiver's checksum
+		// after the wasted transfer.
+		for attempt := 0; lossy; attempt++ {
+			if det.Dead(dst) {
+				return ErrPeerDead
 			}
+			tx := inj.Tx()
+			if tx == fault.TxOK {
+				break
+			}
+			if tx == fault.TxCorrupt {
+				node.Counters.MsgsCorrupted++
+				// The doomed payload still crosses the wire before the
+				// receiver discards it.
+				if size > 0 {
+					nw.Memcpy(p, node, r.CommCore, bufNUMA, node.Spec.NIC.NUMA, size)
+					nw.TransferEager(p, node, peer.Node, size)
+				}
+			} else {
+				node.Counters.MsgsLost++
+			}
+			node.Counters.SendTimeouts++
+			if attempt >= inj.Policy().MaxRetries {
+				return &fault.TransferError{Op: "eager", Src: node.ID, Dst: peer.Node.ID, Attempts: attempt + 1}
+			}
+			node.Counters.SendRetries++
+			p.Sleep(inj.Backoff(attempt))
 		}
-		r.injectEager(p, peer, tag, size, dataNUMA)
+		// An eager send to a dead (not yet declared) peer completes
+		// locally like real MPI: the payload is dropped on the crashed
+		// node's NIC and the error surfaces on a later operation.
+		r.injectEager(p, peer, tag, size, bufNUMA)
 		r.accountSend(size, p.Now().Sub(start))
-		return
+		return nil
 	}
 
 	// Rendezvous: register the buffer (pin-down cache), send RTS, wait
@@ -416,48 +475,63 @@ func (r *Rank) Send(p *sim.Proc, dst, tag int, buf *machine.Buffer, size int64) 
 	r.register(p, buf)
 	m := r.world.getMsg()
 	m.src, m.tag, m.size = r.ID, tag, size
-	m.srcRank, m.srcBuf = r, buf
-	m.peer = peer
-	if inj != nil && inj.Lossy() {
+	m.srcRank, m.peer = r, peer
+	rts := m.rtsFn
+	if det != nil {
+		// A crashed node's NIC drops incoming control messages.
+		rts = func() {
+			if inj == nil || !inj.Crashed(peer.Node.ID) {
+				m.rtsArrive()
+			}
+		}
+	}
+	if lossy {
 		// RTS/CTS recovery: retransmit the RTS with exponential backoff
 		// until the CTS arrives. The receiver dedups duplicate RTS (see
 		// deliverRTS) and re-sends a lost CTS when a duplicate shows the
 		// handshake stalled on its side.
 		for attempt := 0; ; attempt++ {
+			if det.Dead(dst) {
+				return ErrPeerDead
+			}
 			switch inj.Tx() {
 			case fault.TxOK:
-				lat := node.Jitter(nw.WireLatency(), node.Spec.NIC.NoiseFrac)
-				k.After(lat, func() { peer.deliverRTS(m) })
+				k.After(node.Jitter(nw.WireLatency(), node.Spec.NIC.NoiseFrac), rts)
 			case fault.TxCorrupt:
 				node.Counters.MsgsCorrupted++
 			default: // TxLost
 				node.Counters.MsgsLost++
 			}
-			if m.cts.WaitTimeout(p, inj.Backoff(attempt)) {
+			if m.cts.WaitTimeout(p, inj.Backoff(attempt)) && m.ctsOK {
 				break
 			}
 			node.Counters.SendTimeouts++
 			if attempt >= inj.Policy().MaxRetries {
-				panic(&fault.TransferError{Op: "rendezvous", Src: node.ID, Dst: peer.Node.ID, Attempts: attempt + 1})
+				return &fault.TransferError{Op: "rendezvous", Src: node.ID, Dst: peer.Node.ID, Attempts: attempt + 1}
 			}
 			node.Counters.SendRetries++
 		}
 	} else {
-		lat := node.Jitter(nw.WireLatency(), node.Spec.NIC.NoiseFrac)
-		k.After(lat, m.rtsFn)
-		m.cts.Wait(p)
+		k.After(node.Jitter(nw.WireLatency(), node.Spec.NIC.NoiseFrac), rts)
+		if err := await(p, det, dst, m.cts, &m.ctsOK); err != nil {
+			return err
+		}
 	}
 	// Process the CTS before programming the RDMA engine.
 	node.ExecCycles(p, r.CommCore, node.Spec.NIC.RecvCycles/2)
-	nw.TransferDMA(p, node, buf, peer.Node, m.recvBuf(), size)
+	if !nw.TransferDMA(p, node, buf, peer.Node, m.rbuf, size) && det != nil {
+		// A node crash cut the RDMA write; the detector will declare the
+		// death shortly, so report it now.
+		return ErrPeerDead
+	}
 	m.dmaOK = true
 	m.dmaDone.Broadcast()
 	r.accountSend(size, p.Now().Sub(start))
+	return nil
 }
 
 // injectEager performs one successful eager transmission: schedule the
-// wire delivery and pay the staging copy. Shared by the healthy path and
-// the winning attempt of the lossy retransmission loop.
+// wire delivery and pay the staging copy.
 func (r *Rank) injectEager(p *sim.Proc, peer *Rank, tag int, size int64, dataNUMA int) {
 	node := r.Node
 	nw := r.world.nw
@@ -472,121 +546,75 @@ func (r *Rank) injectEager(p *sim.Proc, peer *Rank, tag int, size int64, dataNUM
 	nw.Memcpy(p, node, r.CommCore, dataNUMA, node.Spec.NIC.NUMA, size)
 }
 
-// recvBuf is set by the receiver before broadcasting CTS.
-func (m *message) recvBuf() *machine.Buffer { return m.rbuf }
-
-// ErrTimeout reports that a timed receive expired before a matching
-// message arrived.
-var ErrTimeout = errors.New("mpi: receive timed out")
-
 // Recv receives a message from rank src with the given tag into buf,
 // blocking p until the payload is fully in place.
 func (r *Rank) Recv(p *sim.Proc, src, tag int, buf *machine.Buffer, size int64) {
+	if err := r.recv(p, src, tag, buf, size, nil); err != nil {
+		panic(err)
+	}
+}
+
+// RecvFT is the fault-tolerant Recv: it returns ErrPeerDead when the
+// world's failure detector declares src dead, before a matching message
+// arrives or while the payload is still in flight. Without a detector
+// no death is ever declared.
+func (r *Rank) RecvFT(p *sim.Proc, src, tag int, buf *machine.Buffer, size int64) error {
+	return r.recv(p, src, tag, buf, size, r.world.det)
+}
+
+// recv is the one receive protocol behind Recv and RecvFT: match, then
+// drain the eager payload into the user buffer, or answer the
+// rendezvous RTS with a CTS and wait for the RDMA write to land. Every
+// wait on the sender watches det; a nil det never declares a death.
+func (r *Rank) recv(p *sim.Proc, src, tag int, buf *machine.Buffer, size int64, det *Detector) error {
 	if size < 0 || (buf != nil && size > buf.Size) {
 		panic(fmt.Sprintf("mpi: recv size %d out of buffer bounds", size))
 	}
 	r.gateComm(p)
-	m := r.match(p, matchKey{src, tag})
-	r.complete(p, m, buf, size)
-}
-
-// RecvTimeout is Recv with a deadline on the matching phase: if no
-// message from src with the given tag arrives within d, the posted
-// receive is withdrawn, the node's receive-timeout counter is bumped,
-// and ErrTimeout is returned (a non-positive d waits forever). Once a
-// message has matched, completion proceeds without further deadline —
-// the payload is already committed to the wire.
-func (r *Rank) RecvTimeout(p *sim.Proc, src, tag int, buf *machine.Buffer, size int64, d sim.Duration) error {
-	if size < 0 || (buf != nil && size > buf.Size) {
-		panic(fmt.Sprintf("mpi: recv size %d out of buffer bounds", size))
+	m := r.match(p, matchKey{src, tag}, det)
+	if m == nil {
+		return ErrPeerDead
 	}
-	r.gateComm(p)
-	m, ok := r.matchTimeout(p, matchKey{src, tag}, d)
-	if !ok {
-		r.Node.Counters.RecvTimeouts++
-		return ErrTimeout
-	}
-	r.complete(p, m, buf, size)
-	return nil
-}
-
-// complete finishes a matched receive: drain the eager payload into the
-// user buffer, or answer the rendezvous RTS with a CTS and wait for the
-// RDMA write to land.
-func (r *Rank) complete(p *sim.Proc, m *message, buf *machine.Buffer, size int64) {
-	nw := r.world.nw
-	node := r.Node
-	k := r.world.cluster.K
-	inj := r.world.inj
-
 	if m.size > size {
 		panic(fmt.Sprintf("mpi: message of %d bytes into %d-byte receive", m.size, size))
 	}
-	if m.eager {
-		if !m.arrived {
-			m.arrivedSig.Wait(p)
-		}
-		dNUMA := node.Spec.NIC.NUMA
-		if buf != nil {
-			dNUMA = buf.NUMA
-		}
-		nw.RecvOverhead(p, node, r.CommCore, dNUMA)
-		// Deliver from the internal NIC-NUMA buffers to the user buffer.
-		dstNUMA := node.Spec.NIC.NUMA
-		if buf != nil {
-			dstNUMA = buf.NUMA
-		}
-		nw.Memcpy(p, node, r.CommCore, node.Spec.NIC.NUMA, dstNUMA, m.size)
-		r.Node.Counters.BytesReceived += float64(m.size)
-		if inj == nil {
-			// The receiver is the last toucher on the healthy path: the
-			// payload process has broadcast and exited before the wait
-			// above returned.
-			r.world.putMsg(m)
-		}
-		return
-	}
-
-	// Rendezvous: process the RTS, prepare (register) the landing
-	// buffer, return CTS, wait for the RDMA write to land, complete.
-	// The control messages cost real software time at both ends — part
-	// of why MPI libraries only switch to rendezvous past a threshold.
-	node.ExecCycles(p, r.CommCore, (node.Spec.NIC.RecvCycles+node.Spec.NIC.SendCycles)/2)
-	r.register(p, buf)
-	m.rbuf = buf
-	if inj != nil && inj.Lossy() {
-		// The CTS itself can be lost or corrupted; the sender's RTS
-		// retransmission re-triggers it via resendCTS (deliverRTS).
-		sendCTS := func() {
-			switch inj.Tx() {
-			case fault.TxCorrupt:
-				node.Counters.MsgsCorrupted++
-				return
-			case fault.TxLost:
-				node.Counters.MsgsLost++
-				return
-			}
-			lat := node.Jitter(nw.WireLatency(), node.Spec.NIC.NoiseFrac)
-			k.After(lat, func() { m.ctsOK = true; m.cts.Broadcast() })
-		}
-		m.resendCTS = sendCTS
-		sendCTS()
-	} else {
-		lat := node.Jitter(nw.WireLatency(), node.Spec.NIC.NoiseFrac)
-		k.After(lat, m.ctsFn)
-	}
-	m.dmaDone.Wait(p)
-	rNUMA := node.Spec.NIC.NUMA
+	nw := r.world.nw
+	node := r.Node
+	bufNUMA := node.Spec.NIC.NUMA
 	if buf != nil {
-		rNUMA = buf.NUMA
+		bufNUMA = buf.NUMA
 	}
-	nw.RecvOverhead(p, node, r.CommCore, rNUMA)
-	r.Node.Counters.BytesReceived += float64(m.size)
-	if inj == nil {
-		// The sender's last touch is the dmaDone broadcast that released
-		// the wait above; from here only the receiver sees m.
+	if m.eager {
+		if err := await(p, det, src, m.arrivedSig, &m.arrived); err != nil {
+			return err
+		}
+		nw.RecvOverhead(p, node, r.CommCore, bufNUMA)
+		// Deliver from the internal NIC-NUMA buffers to the user buffer.
+		nw.Memcpy(p, node, r.CommCore, node.Spec.NIC.NUMA, bufNUMA, m.size)
+	} else {
+		// Rendezvous: process the RTS, prepare (register) the landing
+		// buffer, return CTS, wait for the RDMA write to land, complete.
+		// The control messages cost real software time at both ends —
+		// part of why MPI libraries only switch to rendezvous past a
+		// threshold.
+		node.ExecCycles(p, r.CommCore, (node.Spec.NIC.RecvCycles+node.Spec.NIC.SendCycles)/2)
+		r.register(p, buf)
+		m.rbuf = buf
+		m.answered = true
+		m.sendCTS()
+		if err := await(p, det, src, m.dmaDone, &m.dmaOK); err != nil {
+			return err
+		}
+		nw.RecvOverhead(p, node, r.CommCore, bufNUMA)
+	}
+	node.Counters.BytesReceived += float64(m.size)
+	if r.world.inj == nil && det == nil {
+		// The receiver is the last toucher: the eager payload process
+		// has broadcast and exited, and the sender's last touch is the
+		// dmaDone broadcast that released the wait above.
 		r.world.putMsg(m)
 	}
+	return nil
 }
 
 // register pays the memory-registration cost for a rendezvous buffer
