@@ -81,18 +81,25 @@ func TestCrashPingPongDetectionWindow(t *testing.T) {
 // TestCrashPingPongReportsFailedOperations: SendFT/RecvFT return retry
 // exhaustion (no detector needed) and the death of the initiator's node
 // as errors, and the row reports whichever side failed instead of
-// panicking or hanging.
+// panicking or hanging. A responder that exhausts its retries stops the
+// detector, so a crash of its node scheduled later is never declared.
 func TestCrashPingPongReportsFailedOperations(t *testing.T) {
-	for _, tc := range []struct{ spec, status string }{
-		{"loss:p=1", "fault: eager transfer n0→n1 failed after 9 attempts"},
-		{"crash:node=0,at=1ms", "responder: mpi: peer rank is dead"},
+	for _, tc := range []struct {
+		spec, status string
+		iters        int
+	}{
+		{"loss:p=1", "fault: eager transfer n0→n1 failed after 9 attempts", 0},
+		{"crash:node=0,at=1ms", "responder: mpi: peer rank is dead", 133},
+		{"loss:p=0.5;crash:node=1,at=20ms", "responder: fault: eager transfer n1→n0 failed after 9 attempts", 79},
 	} {
 		sched, err := fault.ParseSpec(tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, status := runCrashPingPong(quietEnv(), sched); status != tc.status {
-			t.Errorf("%s: status %q, want %q", tc.spec, status, tc.status)
+		iters, detectedUs, _, status := runCrashPingPong(quietEnv(), sched)
+		if status != tc.status || iters != tc.iters || detectedUs != 0 {
+			t.Errorf("%s: %d iters, detected at %gus, status %q; want %d, 0, %q",
+				tc.spec, iters, detectedUs, status, tc.iters, tc.status)
 		}
 	}
 }

@@ -129,23 +129,10 @@ func TestRecvFTSurfacesPeerDeath(t *testing.T) {
 	if !errors.Is(got, ErrPeerDead) {
 		t.Fatalf("RecvFT from a crashed peer returned %v, want ErrPeerDead", got)
 	}
-}
-
-func TestFTDegradesToPlainOpsWithoutDetector(t *testing.T) {
-	// No heartbeat armed: SendFT/RecvFT are byte-for-byte the plain
-	// operations and never error in a healthy world.
-	cl, w := faultWorld(t, 1, "")
-	a, b := w.Rank(0), w.Rank(1)
-	sbuf := a.Node.Alloc(4096, 0)
-	rbuf := b.Node.Alloc(4096, 0)
-	var serr, rerr error
-	cl.K.Spawn("send", func(p *sim.Proc) { serr = a.SendFT(p, 1, 5, sbuf, 4096) })
-	cl.K.Spawn("recv", func(p *sim.Proc) { rerr = b.RecvFT(p, 0, 5, rbuf, 4096) })
-	cl.K.Run()
-	if serr != nil || rerr != nil {
-		t.Fatalf("FT ops errored without a detector: %v / %v", serr, rerr)
-	}
-	if got := b.Node.Counters.BytesReceived; got != 4096 {
-		t.Fatalf("BytesReceived %v, want 4096", got)
+	// The death woke the posted receive, which must be withdrawn: a
+	// message arriving later would otherwise be handed to a slot nobody
+	// waits on.
+	if q := a.pending[matchKey{1, 11}]; len(q) != 0 {
+		t.Fatalf("%d posted receives left after the death", len(q))
 	}
 }
