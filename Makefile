@@ -92,12 +92,14 @@ examples:
 	$(GO) run ./examples/distributed
 	$(GO) run ./examples/faults
 
-# Short fuzz passes: fluid solver invariants, machine-spec JSON
-# parsing, fabric-spec JSON parsing, fault-schedule spec parsing,
+# Short fuzz passes: fluid solver invariants, the fluid differential
+# fuzzer (every program on both fill paths under the reference-solver
+# oracle), machine-spec JSON parsing, fabric-spec JSON parsing, fault-schedule spec parsing,
 # campaign-spec submissions, point-payload decoding, point-cache pack
 # and index parsing, table-cell formatting.
 fuzz:
 	$(GO) test ./internal/fluid/ -fuzz FuzzSolverInvariants -fuzztime 30s
+	$(GO) test ./internal/fluid/ -fuzz FuzzFluid -fuzztime 30s
 	$(GO) test ./internal/topology/ -fuzz FuzzReadSpec -fuzztime 30s
 	$(GO) test ./internal/topology/ -fuzz FuzzFabricSpec -fuzztime 30s
 	$(GO) test ./internal/fault/ -fuzz FuzzParseSchedule -fuzztime 30s

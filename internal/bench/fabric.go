@@ -14,6 +14,7 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/fault"
 	"repro/internal/machine"
@@ -90,18 +91,26 @@ func runFabricJobs(c *machine.Cluster, nw *net.Network, jobs [][]int, cfg Fabric
 		}
 		barrier := sim.NewSignal(c.K)
 		arrived, finished := 0, 0
+		// One buffer per host, on its NIC's NUMA node: a host's sends
+		// read it and the transfers into it write it, every round.
+		bufs := make([]*machine.Buffer, len(hosts))
+		for idx, h := range hosts {
+			n := c.Nodes[h]
+			bufs[idx] = n.Alloc(cfg.Bytes, n.Spec.NIC.NUMA)
+		}
+		prefix := "job" + strconv.Itoa(j) + ".h"
 		for idx := range hosts {
 			idx := idx
 			src := c.Nodes[hosts[idx]]
-			srcBuf := src.Alloc(cfg.Bytes, src.Spec.NIC.NUMA)
-			c.K.Spawn(fmt.Sprintf("job%d.h%d", j, hosts[idx]), func(p *sim.Proc) {
+			srcBuf := bufs[idx]
+			c.K.Spawn(prefix+strconv.Itoa(hosts[idx]), func(p *sim.Proc) {
 				for r := 0; r < cfg.Rounds; r++ {
 					shift := 1
 					if cfg.Shift {
 						shift = 1 + r%(len(hosts)-1)
 					}
-					dst := c.Nodes[hosts[(idx+shift)%len(hosts)]]
-					dstBuf := dst.Alloc(cfg.Bytes, dst.Spec.NIC.NUMA)
+					to := (idx + shift) % len(hosts)
+					dst, dstBuf := c.Nodes[hosts[to]], bufs[to]
 					nw.SendOverhead(p, src, 0, src.Spec.NIC.NUMA)
 					p.Sleep(src.Jitter(nw.PathLatency(src.ID, dst.ID), src.Spec.NIC.NoiseFrac))
 					nw.TransferDMA(p, src, srcBuf, dst, dstBuf, cfg.Bytes)

@@ -21,9 +21,10 @@ type Core struct {
 
 // Set holds the counters of one node.
 type Set struct {
-	// cores is allocated by the first Core call: a node that never
-	// computes, like every host of a fabric world, keeps it nil, and the
-	// sums read a nil array as zeros.
+	// cores grows up to the highest core touched so far: a node that
+	// never computes keeps it nil, and one whose only work is the send
+	// overhead on core 0, like every host of a fabric world, keeps one
+	// entry. The sums read the cores past its end as zeros.
 	cores []Core
 	n     int // core count
 	// BytesSent/BytesReceived count NIC traffic, with the time spent
@@ -78,13 +79,19 @@ func (s *Set) Reset() {
 	s.RecoverySecs = 0
 }
 
-// Core returns a pointer to core i's counters.
+// Core returns a pointer to core i's counters. The pointer stays valid
+// only until a higher core is first touched, which may move the array.
 func (s *Set) Core(i int) *Core {
 	if i < 0 || i >= s.n {
 		panic(fmt.Sprintf("counters: core %d out of range [0,%d)", i, s.n))
 	}
-	if s.cores == nil {
-		s.cores = make([]Core, s.n)
+	if i >= len(s.cores) {
+		if i >= cap(s.cores) {
+			c := make([]Core, i+1, min(max(2*cap(s.cores), i+1), s.n))
+			copy(c, s.cores)
+			s.cores = c
+		}
+		s.cores = s.cores[:i+1]
 	}
 	return &s.cores[i]
 }

@@ -104,7 +104,8 @@ func TestPropertyStallFractionBounded(t *testing.T) {
 }
 
 // A set whose cores never ran a slice reads zero everywhere without
-// allocating its per-core array; the first Core call allocates it.
+// allocating its per-core array; the array then grows only up to the
+// highest core touched, keeping what the lower cores accrued.
 func TestUnusedSetStaysEmpty(t *testing.T) {
 	s := NewSet(36)
 	s.Reset()
@@ -114,7 +115,15 @@ func TestUnusedSetStaysEmpty(t *testing.T) {
 	if s.cores != nil {
 		t.Fatal("reading the sums allocated the per-core array")
 	}
-	if *s.Core(35) != (Core{}) || len(s.cores) != 36 {
-		t.Fatalf("first Core call: %d cores", len(s.cores))
+	s.AddExec(0, 100, 25, 0, 0)
+	if len(s.cores) != 1 || cap(s.cores) != 1 {
+		t.Fatalf("core 0 touched: %d cores (capacity %d), want 1", len(s.cores), cap(s.cores))
+	}
+	s.AddExec(2, 100, 75, 0, 0)
+	if *s.Core(35) != (Core{}) || len(s.cores) != 36 || cap(s.cores) != 36 {
+		t.Fatalf("core 35 touched: %d cores (capacity %d), want 36", len(s.cores), cap(s.cores))
+	}
+	if got := s.StallFraction(); got != 0.5 {
+		t.Fatalf("stall fraction %v after growing, want 0.5", got)
 	}
 }

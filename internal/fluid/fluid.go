@@ -42,6 +42,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -1259,20 +1260,13 @@ func (m *Model) solveDirty() {
 	m.solveScoped()
 }
 
-// Size cutoffs between the two paths of each ordering decision below.
-// Both paths of a decision produce the same order, so the cutoffs move
-// speed, never results; they are variables only so tests can force
+// heapMinRes is the component size (in resources) from which
+// progressive filling selects bottlenecks from a heap (fillOrdered)
+// instead of rescanning the component every round (fillScan). Both
+// paths fix the same flows in the same order, so the cutoff moves
+// speed, never results; it is a variable only so tests can force
 // either path.
-var (
-	// heapMinRes is the component size (in resources) from which
-	// progressive filling selects bottlenecks from a heap (fillOrdered)
-	// instead of rescanning the component every round (fillScan).
-	heapMinRes = 64
-	// sortRatio: collectComponent sorts a component into canonical order
-	// when the model has more than sortRatio times as many flows (or
-	// resources) as the component, and scans the model otherwise.
-	sortRatio = 8
-)
+var heapMinRes = 64
 
 // collectComponent walks the resource/flow bipartite graph from the
 // dirty seeds and fills compFlows/compRes with the touched component(s)
@@ -1281,14 +1275,11 @@ var (
 // the scoped solve below replays its exact arithmetic.
 //
 // The walk appends members in discovery order (compRes doubles as its
-// work queue). Each list is then put in canonical order by whichever is
-// cheaper for its size: a component much smaller than the model is
-// sorted (flows by index, resources by id); a larger one is rebuilt by
-// scanning the global slice for the traversal marks, which is linear
-// with an early exit and beats a sort when the component is most of the
-// model. On a 1k-host fabric a transfer's component is a small part of
-// the model and every link resource is created after every node
-// resource, so a scan would walk all node resources on each solve.
+// work queue). Canonical order is then read off a bitset of the
+// members' dense ids (Flow.index, Resource.id): the walk over its set
+// bits in ascending order costs the component's size plus one word per
+// 64 ids of the range the members span, with no comparison sort and no
+// scan of the model's lists.
 //
 // Flows with no remaining work are members (their rate must drop to
 // zero like a full solve would) but do not propagate connectivity:
@@ -1318,60 +1309,64 @@ func (m *Model) collectComponent() {
 		}
 	}
 
-	sortFlows := len(flows) < len(m.flows)/sortRatio
-	sortRes := len(res) < len(m.resources)/sortRatio
-	if sortFlows || sortRes {
-		// Sorting the dense integer keys, then looking the members up by
-		// them, beats sorting the pointers with a comparator that chases
-		// each one.
+	if len(flows) > 1 || len(res) > 1 {
 		s := scratchPool.Get().(*solveScratch)
-		if sortFlows {
-			order := s.order[:0]
-			for _, f := range flows {
-				order = append(order, int32(f.index))
-			}
-			slices.Sort(order)
-			for i, j := range order {
-				flows[i] = m.flows[j]
-			}
-			s.order = order
+		ids := &s.ids
+		ids.reset(len(m.flows))
+		for _, f := range flows {
+			ids.add(f.index)
 		}
-		if sortRes {
-			order := s.order[:0]
-			for _, r := range res {
-				order = append(order, int32(r.id))
-			}
-			slices.Sort(order)
-			for i, j := range order {
-				res[i] = m.resources[j]
-			}
-			s.order = order
+		flows = takeOrdered(ids, flows[:0], m.flows)
+		ids.reset(len(m.resources))
+		for _, r := range res {
+			ids.add(r.id)
 		}
+		res = takeOrdered(ids, res[:0], m.resources)
 		scratchPool.Put(s)
 	}
-	if n := len(flows); !sortFlows {
-		flows = flows[:0]
-		for _, f := range m.flows {
-			if f.mark == epoch {
-				flows = append(flows, f)
-				if len(flows) == n {
-					break
-				}
-			}
-		}
-	}
-	if n := len(res); !sortRes {
-		res = res[:0]
-		for _, r := range m.resources {
-			if r.mark == epoch {
-				res = append(res, r)
-				if len(res) == n {
-					break
-				}
-			}
-		}
-	}
 	m.compFlows, m.compRes = flows, res
+	if onCollect != nil {
+		onCollect(m)
+	}
+}
+
+// onCollect, when set, is called after each collectComponent. Tests
+// only.
+var onCollect func(m *Model)
+
+// idSet is a set of dense ids held as a bitset. Only the words from lo
+// to hi can hold set bits, and takeOrdered clears each word it walks,
+// so an empty set is all zeros and a pooled one needs no clearing.
+type idSet struct {
+	words  []uint64
+	lo, hi int
+}
+
+// reset readies the set, which must be empty, for ids below n.
+func (b *idSet) reset(n int) {
+	if w := (n + 63) >> 6; len(b.words) < w {
+		b.words = make([]uint64, w)
+	}
+	b.lo, b.hi = len(b.words), -1
+}
+
+// add puts id in the set.
+func (b *idSet) add(id int) {
+	w := id >> 6
+	b.words[w] |= 1 << (id & 63)
+	b.lo, b.hi = min(b.lo, w), max(b.hi, w)
+}
+
+// takeOrdered appends all[id] for each id in b, in ascending order, to
+// out, and clears the words it walks, leaving b empty for a reset.
+func takeOrdered[T any](b *idSet, out, all []T) []T {
+	for w := b.lo; w <= b.hi; w++ {
+		for x := b.words[w]; x != 0; x &= x - 1 {
+			out = append(out, all[w<<6|bits.TrailingZeros64(x)])
+		}
+		b.words[w] = 0
+	}
+	return out
 }
 
 // visitFlow marks f as a member of the component being collected,
@@ -1565,13 +1560,13 @@ func (m *Model) zeroUnfixed(fixed []bool) {
 	}
 }
 
-// solveScratch is the working storage of the ordered paths
-// (collectComponent's sorts, fillOrdered). It comes from a shared pool
-// rather than from the model: fabric worlds are built fresh for every
-// run, and per-model arrays sized to the model would be allocated again
-// with each of them. It holds no pointers.
+// solveScratch is the working storage of collectComponent's canonical
+// order and of fillOrdered. It comes from a shared pool rather than
+// from the model: fabric worlds are built fresh for every run, and
+// per-model arrays sized to the model would be allocated again with
+// each of them. It holds no pointers.
 type solveScratch struct {
-	order []int32
+	ids   idSet
 	heap  resHeap
 	caps  []capEntry
 	batch []int32
@@ -1668,7 +1663,10 @@ func (m *Model) fixCaps(h *resHeap, c *capList, capMin float64, fixed []bool) in
 //     bottleneck, as in the scan (c < +Inf never holds);
 //   - the smallest normalised cap comes from a capList, as in fillScan;
 //   - the flows crossing the bottleneck come from its adjacency list,
-//     sorted back into compFlows order before they are fixed.
+//     sorted back into compFlows order before they are fixed;
+//   - a resource that can never be a round's bottleneck (see neverBinds)
+//     stays out of the heap: the scan passes it over in every round, so
+//     the heap need not rank it.
 //
 // Each round costs O(log n) per resource touched instead of O(n), which
 // pays off on the thousands of resources of a fabric component; on a
@@ -1677,14 +1675,23 @@ func (m *Model) fillOrdered(fixed []bool, remaining int) {
 	s := scratchPool.Get().(*solveScratch)
 	h := &s.heap
 	h.reset(len(m.resources))
+	left := 0
 	for _, r := range m.compRes {
-		if w := m.wsum[r.id]; w > 0 {
-			h.add(m.avail[r.id]/w, r.id)
-		} else {
+		w := m.wsum[r.id]
+		switch {
+		case w <= 0:
 			h.absent(r.id)
+		case neverBinds(r):
+			h.absent(r.id)
+			left++
+		default:
+			h.add(m.avail[r.id]/w, r.id)
 		}
 	}
 	h.init()
+	if onFillOrdered != nil {
+		onFillOrdered(left)
+	}
 	for i, f := range m.compFlows {
 		f.pos = int32(i)
 	}
@@ -1731,10 +1738,55 @@ func (m *Model) fillOrdered(fixed []bool, remaining int) {
 	scratchPool.Put(s)
 }
 
-// fixOrdered is fix plus the heap upkeep: the resources of f get their
-// new key, or leave the heap once no unfixed flow weighs on them (wsum
-// only falls during filling, so a resource never re-enters). With no
-// heap (fillScan) it is fix alone.
+// onFillOrdered, when set, is told how many resources with unfixed
+// flows each fillOrdered left out of its heap. Tests only.
+var onFillOrdered func(left int)
+
+// Bounds of neverBinds (see there and DESIGN.md §4).
+const (
+	// neverBindsEps is the relative margin by which a resource's capacity
+	// must exceed the most its flows can take.
+	neverBindsEps = 1e-9
+	// neverBindsSpread bounds uses × (largest / smallest normalised cap)
+	// of the resource's flows, so that neverBindsEps covers the rounding
+	// in its availability and weight sums.
+	neverBindsSpread = 1 << 19
+)
+
+// neverBinds reports whether r, which has unfinished flows, can never be
+// picked as a bottleneck while its component is filled: every
+// unfinished flow crossing it is capped, and its capacity exceeds, by a
+// relative margin of neverBindsEps, the load those flows put on it at
+// their caps. A fixed flow's rate is at most its cap, so r's key
+// avail/wsum stays strictly above the normalised cap of each of its
+// unfixed flows, hence above the smallest unfixed cap: every round in
+// which r could rank first fixes flows at their caps instead. The
+// margin covers the rounding of the bookkeeping when the spread bound
+// holds (DESIGN.md §4 has the proof).
+func neverBinds(r *Resource) bool {
+	sum, n := 0.0, 0
+	lo, hi := math.Inf(1), 0.0
+	for _, ru := range r.flows {
+		f := ru.f
+		if f.remaining <= 0 {
+			continue
+		}
+		if f.cap <= 0 {
+			return false
+		}
+		sum += f.uses[ru.idx].Weight * f.cap
+		c := f.cap / f.priority
+		lo, hi = min(lo, c), max(hi, c)
+		n++
+	}
+	return r.capacity > (1+neverBindsEps)*sum && float64(n)*hi <= neverBindsSpread*lo
+}
+
+// fixOrdered is fix plus the heap upkeep: the resources of f in the
+// heap get their new key, or leave it once no unfixed flow weighs on
+// them (wsum only falls during filling, so a resource never re-enters).
+// Resources out of the heap need no upkeep. With no heap (fillScan) it
+// is fix alone.
 func (m *Model) fixOrdered(h *resHeap, f *Flow, normRate float64) {
 	m.fix(f, normRate)
 	if h == nil {
@@ -1742,6 +1794,9 @@ func (m *Model) fixOrdered(h *resHeap, f *Flow, normRate float64) {
 	}
 	for _, u := range f.uses {
 		id := u.Resource.id
+		if !h.has(id) {
+			continue
+		}
 		if w := m.wsum[id]; w > 0 {
 			h.update(id, m.avail[id]/w)
 		} else {

@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -322,6 +323,40 @@ func TestDrainedBottleneckTerminates(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: the filling did not end", path)
+		}
+	})
+}
+
+// TestNeverBindsTie: a link whose key ties the smallest normalised cap
+// is picked by the scan (a cap round needs the cap strictly below every
+// key), so the heap must rank it, not leave it out as one that never
+// binds. Link l1 carries one flow at capacity equal to its cap; link l2
+// one flow whose weighted cap rounds to one ulp below the capacity,
+// while the key still rounds to the cap. Each tie decides whether the
+// link's flow is fixed in a bottleneck round of its own or with the cap
+// round, and so the order of the subtractions on the shared bus, which
+// shows in the last bits of the uncapped flow's rate.
+func TestNeverBindsTie(t *testing.T) {
+	defer func() { onFillOrdered = nil }()
+	eachFillPath(func(path string) {
+		k := sim.NewKernel(1)
+		m := NewModel(k)
+		m.differential = true
+		l1 := m.NewResource("l1", 3)
+		l2 := m.NewResource("l2", 0.9) // 0.3·3 rounds to 0.8999999999999999
+		bus := m.NewResource("bus", 20)
+		m.Start(FlowSpec{Name: "b", Work: 1e6, Cap: 6, Priority: 2, Uses: []Use{{bus, 0.1}}})
+		m.Start(FlowSpec{Name: "a1", Work: 1e6, Cap: 3, Uses: []Use{{l1, 1}, {bus, 0.7}}})
+		m.Start(FlowSpec{Name: "a2", Work: 1e6, Cap: 3, Uses: []Use{{l2, 0.3}, {bus, 1.3}}})
+		left := 0
+		onFillOrdered = func(n int) { left += n }
+		d := m.Start(FlowSpec{Name: "d", Work: 1e6, Uses: []Use{{bus, 1}}})
+		checkDifferential(t, m)
+		if strings.HasPrefix(path, "heap") && left != 0 {
+			t.Fatalf("%d tied links left out of the heap, want none", left)
+		}
+		if r := d.Rate(); r != 13.399999999999999 {
+			t.Fatalf("%s: uncapped flow at %v, want 13.399999999999999 (the links' flows fixed before b's)", path, r)
 		}
 	})
 }

@@ -2,8 +2,9 @@ package fluid
 
 // resHeap is an indexed binary min-heap of resource ids ordered by
 // (key, id): the order in which progressive filling picks bottlenecks.
-// slot maps a resource id to its entry's index, -1 once removed; only
-// the ids added since the last reset have a meaningful slot.
+// slot maps a resource id to its entry's index, -1 once removed or if
+// never added (absent); only the ids added or marked absent since the
+// last reset have a meaningful slot.
 type resHeap struct {
 	ent  []heapEntry
 	slot []int32
@@ -35,6 +36,9 @@ func (h *resHeap) add(key float64, id int) {
 
 // absent records that id is not in the heap.
 func (h *resHeap) absent(id int) { h.slot[id] = -1 }
+
+// has reports whether id is in the heap.
+func (h *resHeap) has(id int) bool { return h.slot[id] >= 0 }
 
 func (h *resHeap) init() {
 	for i := len(h.ent)/2 - 1; i >= 0; i-- {

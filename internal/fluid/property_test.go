@@ -1,8 +1,10 @@
 package fluid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -125,24 +127,46 @@ func checkDifferential(t *testing.T, m *Model) {
 	}
 }
 
-// eachFillPath calls fn under every combination of the solver's two
-// size-selected paths — bottleneck scan or heap, canonical order from a
-// model scan or a sort — forced whatever the component size, so every
-// path sees every input.
+// eachFillPath calls fn on each of the solver's two size-selected fill
+// paths — bottleneck scan or heap — forced whatever the component size,
+// so every path sees every input. The "+sort" runs also check, after
+// every component collection, that the members come in canonical order
+// (checkCanonical).
 func eachFillPath(fn func(path string)) {
-	heap, ratio := heapMinRes, sortRatio
-	defer func() { heapMinRes, sortRatio = heap, ratio }()
+	heap := heapMinRes
+	defer func() { heapMinRes, onCollect = heap, nil }()
 	for _, p := range []struct {
-		name        string
-		heap, ratio int
+		name   string
+		heap   int
+		sorted bool
 	}{
-		{"scan", math.MaxInt, math.MaxInt},
-		{"scan+sort", math.MaxInt, 1},
-		{"heap", 0, math.MaxInt},
-		{"heap+sort", 0, 1},
+		{"scan", math.MaxInt, false},
+		{"scan+sort", math.MaxInt, true},
+		{"heap", 0, false},
+		{"heap+sort", 0, true},
 	} {
-		heapMinRes, sortRatio = p.heap, p.ratio
+		heapMinRes, onCollect = p.heap, nil
+		if p.sorted {
+			onCollect = checkCanonical
+		}
 		fn(p.name)
+	}
+}
+
+// checkCanonical panics unless the collected component lists its flows
+// in strictly ascending flow-list position and its resources in
+// strictly ascending id: the orders the whole-model solver iterates in,
+// which the bitset walk must reproduce from any discovery order.
+func checkCanonical(m *Model) {
+	for i := 1; i < len(m.compFlows); i++ {
+		if a, b := m.compFlows[i-1].index, m.compFlows[i].index; a >= b {
+			panic(fmt.Sprintf("component flows out of order: index %d before %d", a, b))
+		}
+	}
+	for i := 1; i < len(m.compRes); i++ {
+		if a, b := m.compRes[i-1].id, m.compRes[i].id; a >= b {
+			panic(fmt.Sprintf("component resources out of order: id %d before %d", a, b))
+		}
 	}
 }
 
@@ -172,8 +196,13 @@ func TestPropertyMaxMinInvariants(t *testing.T) {
 // incremental allocation against the reference solver — both through
 // the oracle armed on every resolve and explicitly after every step —
 // on both fill paths forced, and at the real size cutoffs over worlds
-// large enough to cross them.
+// large enough to cross them. The heap fills must leave resources that
+// can never bind out of their heaps (see neverBinds), or the storms
+// prove nothing about that exclusion.
 func TestPropertyDifferential(t *testing.T) {
+	defer func() { onFillOrdered = nil }()
+	left := 0
+	onFillOrdered = func(n int) { left += n }
 	storm := func(t *testing.T, seeds int64, maxRes, maxFlows int) {
 		for seed := int64(0); seed < seeds; seed++ {
 			rng := rand.New(rand.NewSource(seed))
@@ -190,10 +219,24 @@ func TestPropertyDifferential(t *testing.T) {
 			checkDifferential(t, m)
 		}
 	}
+	wantLeft := func(t *testing.T, path string) {
+		t.Logf("%d resources left out of heaps", left)
+		if !strings.HasPrefix(path, "scan") && left == 0 {
+			t.Fatal("no heap fill left a resource out")
+		}
+	}
 	eachFillPath(func(path string) {
-		t.Run(path, func(t *testing.T) { storm(t, 150, 12, 25) })
+		t.Run(path, func(t *testing.T) {
+			left = 0
+			storm(t, 150, 12, 25)
+			wantLeft(t, path)
+		})
 	})
-	t.Run("cutoffs", func(t *testing.T) { storm(t, 6, 240, 400) })
+	t.Run("cutoffs", func(t *testing.T) {
+		left = 0
+		storm(t, 6, 240, 400)
+		wantLeft(t, "cutoffs")
+	})
 }
 
 // TestPropertyHoldWindows extends the differential storm with random

@@ -101,7 +101,7 @@ func (n *Node) reset(spec *topology.NodeSpec) {
 	n.updateCtrlCapacities()
 	for a := 0; a < spec.NUMANodes(); a++ {
 		for b := a + 1; b < spec.NUMANodes(); b++ {
-			r := n.links[linkKey{a, b}]
+			r := n.Link(a, b)
 			if spec.SocketOfNUMA(a) == spec.SocketOfNUMA(b) {
 				n.cluster.Fluid.SetCapacity(r, spec.Mem.MeshGBs*1e9)
 			} else {
@@ -111,16 +111,6 @@ func (n *Node) reset(spec *topology.NodeSpec) {
 	}
 	n.cluster.Fluid.SetCapacity(n.PCIeTx, spec.NIC.PCIeGBs*1e9)
 	n.cluster.Fluid.SetCapacity(n.PCIeRx, spec.NIC.PCIeGBs*1e9)
-}
-
-// linkKey identifies an unordered NUMA pair.
-type linkKey struct{ a, b int }
-
-func mkLinkKey(a, b int) linkKey {
-	if a > b {
-		a, b = b, a
-	}
-	return linkKey{a, b}
 }
 
 // NUMA is one NUMA node: a memory controller plus stream bookkeeping.
@@ -138,8 +128,10 @@ type Node struct {
 	Counters *counters.Set
 	cluster  *Cluster
 
-	numa  []*NUMA
-	links map[linkKey]*fluid.Resource
+	numa []*NUMA
+	// links holds the inter-NUMA link of each unordered NUMA pair, in
+	// the order of pairIndex.
+	links []*fluid.Resource
 	// PCIeTx and PCIeRx are the outbound and inbound halves of the
 	// full-duplex PCIe link between the NIC and the memory system.
 	PCIeTx, PCIeRx *fluid.Resource
@@ -224,7 +216,6 @@ func newNode(c *Cluster, id int, spec *topology.NodeSpec) *Node {
 		Freq:     freq.NewModel(c.K, spec),
 		Counters: counters.NewSet(spec.Cores()),
 		cluster:  c,
-		links:    make(map[linkKey]*fluid.Resource),
 		upSig:    sim.NewSignal(c.K),
 	}
 	prefix := "n" + strconv.Itoa(id) + "."
@@ -238,22 +229,26 @@ func newNode(c *Cluster, id int, spec *topology.NodeSpec) *Node {
 	// Intra-socket NUMA pairs (sub-NUMA clustering halves) get private
 	// mesh links; every cross-socket pair shares the single UPI/xGMI
 	// resource of the socket pair — that is the physical bus computing
-	// cores saturate once they spill onto the far socket (Fig 4a).
-	upi := make(map[linkKey]*fluid.Resource)
-	for a := 0; a < spec.NUMANodes(); a++ {
-		for b := a + 1; b < spec.NUMANodes(); b++ {
+	// cores saturate once they spill onto the far socket (Fig 4a). The
+	// socket pair's resource is made for its first NUMA pair, the first
+	// NUMA nodes of the two sockets, and looked up there for the others.
+	nn, per := spec.NUMANodes(), spec.NUMAPerSocket
+	n.links = make([]*fluid.Resource, 0, nn*(nn-1)/2)
+	for a := 0; a < nn; a++ {
+		for b := a + 1; b < nn; b++ {
 			sa, sb := spec.SocketOfNUMA(a), spec.SocketOfNUMA(b)
-			if sa == sb {
+			var r *fluid.Resource
+			switch {
+			case sa == sb:
 				name := prefix + "mesh" + strconv.Itoa(a) + "-" + strconv.Itoa(b)
-				n.links[linkKey{a, b}] = c.Fluid.NewResource(name, spec.Mem.MeshGBs*1e9)
-				continue
-			}
-			sk := mkLinkKey(sa, sb)
-			if upi[sk] == nil {
+				r = c.Fluid.NewResource(name, spec.Mem.MeshGBs*1e9)
+			case a == sa*per && b == sb*per:
 				name := prefix + "upi" + strconv.Itoa(sa) + "-" + strconv.Itoa(sb)
-				upi[sk] = c.Fluid.NewResource(name, spec.Mem.LinkGBs*1e9)
+				r = c.Fluid.NewResource(name, spec.Mem.LinkGBs*1e9)
+			default:
+				r = n.links[pairIndex(sa*per, sb*per, nn)]
 			}
-			n.links[linkKey{a, b}] = upi[sk]
+			n.links = append(n.links, r)
 		}
 	}
 	n.PCIeTx = c.Fluid.NewResource(prefix+"pcie-tx", spec.NIC.PCIeGBs*1e9)
@@ -294,7 +289,17 @@ func (n *Node) Link(a, b int) *fluid.Resource {
 	if a == b {
 		panic("machine: no self-link")
 	}
-	return n.links[mkLinkKey(a, b)]
+	a, b = n.NUMA(a).ID, n.NUMA(b).ID // range checks
+	if a > b {
+		a, b = b, a
+	}
+	return n.links[pairIndex(a, b, len(n.numa))]
+}
+
+// pairIndex is the position of the NUMA pair a < b among the pairs of
+// nn NUMA nodes listed a-major: (0,1), (0,2), …, (1,2), …
+func pairIndex(a, b, nn int) int {
+	return a*(2*nn-a-1)/2 + b - a - 1
 }
 
 // onFreqChange rescales uncore-clocked controller capacities and the

@@ -10,6 +10,7 @@ package net
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/fault"
 	"repro/internal/fluid"
@@ -38,10 +39,10 @@ type Network struct {
 	useBuf []fluid.Use
 
 	// Lazily cached flow names for the transfer hot paths, so repeated
-	// transfers between the same endpoints don't re-Sprintf.
+	// transfers between the same endpoints don't rebuild them.
 	memcpyNames []string
-	dmaNames    map[[2]int]string
-	eagerNames  map[[2]int]string
+	dmaNames    map[int]string // key: src·nodes + dst
+	eagerNames  map[int]string
 
 	// Fabric mode (NewFabric): transfers route over an explicit
 	// switched topology instead of the dedicated per-pair wires above.
@@ -100,28 +101,31 @@ func (nw *Network) memcpyName(id int) string {
 }
 
 func (nw *Network) dmaName(src, dst int) string {
-	if nw.dmaNames == nil {
-		nw.dmaNames = make(map[[2]int]string)
-	}
-	key := [2]int{src, dst}
-	name, ok := nw.dmaNames[key]
-	if !ok {
-		name = fmt.Sprintf("dma.n%d->n%d", src, dst)
-		nw.dmaNames[key] = name
-	}
-	return name
+	return nw.pairName(&nw.dmaNames, "dma.n", src, dst)
 }
 
 func (nw *Network) eagerName(src, dst int) string {
-	if nw.eagerNames == nil {
-		nw.eagerNames = make(map[[2]int]string)
+	return nw.pairName(&nw.eagerNames, "eager.n", src, dst)
+}
+
+// pairName returns the name prefix+"<src>->n<dst>" from names, keyed by
+// the pair's index in the node-count square, building and caching it on
+// first use.
+func (nw *Network) pairName(names *map[int]string, prefix string, src, dst int) string {
+	key := src*len(nw.cluster.Nodes) + dst
+	if name, ok := (*names)[key]; ok {
+		return name
 	}
-	key := [2]int{src, dst}
-	name, ok := nw.eagerNames[key]
-	if !ok {
-		name = fmt.Sprintf("eager.n%d->n%d", src, dst)
-		nw.eagerNames[key] = name
+	if *names == nil {
+		*names = make(map[int]string)
 	}
+	var b [32]byte
+	buf := append(b[:0], prefix...)
+	buf = strconv.AppendInt(buf, int64(src), 10)
+	buf = append(buf, "->n"...)
+	buf = strconv.AppendInt(buf, int64(dst), 10)
+	name := string(buf)
+	(*names)[key] = name
 	return name
 }
 
