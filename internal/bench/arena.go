@@ -37,10 +37,12 @@ type pooledWorld struct {
 	w *mpi.World
 }
 
-// worldKeeper collects the worlds one point execution builds, so they
-// can be released together once the point's record (including its meter
-// reads) is sealed: the poolable worlds, and every world, pooled or not.
-// Point execution is single-threaded, so the keeper needs no lock.
+// worldKeeper is the only registry of the worlds one point execution
+// builds: ExecutePoint seals the point's record from them (simulated
+// seconds, world count, fault totals), and releaseWorlds releases them
+// together once it is sealed. It holds the poolable worlds, and every
+// world, pooled or not. Point execution is single-threaded, so the
+// keeper needs no lock.
 type worldKeeper struct {
 	worlds []pooledWorld
 	built  []builtWorld
@@ -190,8 +192,8 @@ func (a *worldArena) put(pw pooledWorld) {
 // such defer is the world's fault-injector unwatch; a compute slice cut
 // short leaves its core active and its stream counted, in a world that
 // is never parked. Both stay inside their own world, and the point's
-// record, meter reads included, is sealed before this runs, so
-// unwinding them is invisible in results.
+// record is sealed from its worlds before this runs, so unwinding them
+// is invisible in results.
 //
 // Each world's work since the hand-over is folded into DoneByFamily
 // here, under the point's family, before its kernel is shut down or the

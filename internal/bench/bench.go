@@ -32,9 +32,9 @@ type Env struct {
 	// Runs is how many times each configuration is repeated to build the
 	// decile bands.
 	Runs int
-	// Meter, when non-nil, is notified of every simulated world the
-	// drivers build, for per-experiment accounting (world count, total
-	// simulated seconds). Nil disables accounting.
+	// Meter, when non-nil, absorbs the accounting of every point record
+	// the experiment's sweeps return (world count, total simulated
+	// seconds, fault totals). Nil disables accounting.
 	Meter *Meter
 	// Faults, when non-nil, is installed into every world the drivers
 	// build: each run gets a fresh fault.Injector seeded from the run's
@@ -85,17 +85,22 @@ func (e Env) Isolated() Env {
 	return e
 }
 
-// track registers a freshly built world's kernel with the meter and,
-// inside a point execution, the world with the point's keeper, which
-// counts the simulation work it does from here on and shuts its kernel's
-// process coroutines down once the point is done with it.
+// track registers a freshly built world with the point's keeper, the
+// only registry of the worlds a point builds: ExecutePoint seals the
+// point's record from it, and releaseWorlds counts the simulation work
+// the world does from here on and shuts its kernel's process coroutines
+// down once the point is done with it. Outside a point the world is not
+// accounted; a campaign experiment (one with a scheduler) must build
+// every world inside a point, or the point cache could not replay it,
+// so there track panics.
 func (e Env) track(c *machine.Cluster) {
-	if e.Meter != nil {
-		e.Meter.track(c.K)
+	if e.keeper == nil {
+		if e.Sched != nil {
+			panic("bench: a campaign experiment built a world outside a sweep point (compile it into points, see RunPointsAs)")
+		}
+		return
 	}
-	if e.keeper != nil {
-		e.keeper.built = append(e.keeper.built, builtWorld{c: c, base: workOf(c)})
-	}
+	e.keeper.built = append(e.keeper.built, builtWorld{c: c, base: workOf(c)})
 }
 
 // DefaultEnv returns the environment used by the harness: the henri
@@ -197,7 +202,7 @@ func computeCores(spec *topology.NodeSpec, n, commCore int) []int {
 }
 
 // newWorld builds a fresh cluster + network + MPI world for one run and
-// registers it with the environment's meter. When the environment
+// registers it with the point's keeper. When the environment
 // carries a fault schedule, a fresh injector (seeded from this world's
 // seed) is installed on the network before the MPI world binds to it.
 func newWorld(env Env, seed int64) (*machine.Cluster, *mpi.World) {
@@ -212,11 +217,6 @@ func newWorld(env Env, seed int64) (*machine.Cluster, *mpi.World) {
 			pw.w.Network().Reset()
 			pw.w.Reset()
 			env.track(pw.c)
-			if env.Meter != nil {
-				for _, n := range pw.c.Nodes {
-					env.Meter.TrackCounters(n.Counters)
-				}
-			}
 			env.keeper.worlds = append(env.keeper.worlds, pw)
 			return pw.c, pw.w
 		}
@@ -232,11 +232,6 @@ func newWorld(env Env, seed int64) (*machine.Cluster, *mpi.World) {
 	}
 	if env.Faults != nil {
 		nw.InstallFaults(fault.NewInjector(c, env.Faults, seed))
-	}
-	if env.Meter != nil {
-		for _, n := range c.Nodes {
-			env.Meter.TrackCounters(n.Counters)
-		}
 	}
 	w := mpi.NewWorld(c, nw)
 	// Tracked once built, as a rewound world is, so its setup solves are

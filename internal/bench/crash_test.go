@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/counters"
 	"repro/internal/fault"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestCrashCGResidualMatchesHealthy pins the central fault-tolerance
@@ -115,14 +117,37 @@ func TestCrashTablesDeterministic(t *testing.T) {
 	}
 }
 
-// TestMeterCrashCounters: the crash-recovery work is accounted on the
-// nodes and aggregated by the meter, so the campaign summary can report
-// it.
-func TestMeterCrashCounters(t *testing.T) {
+// pointFaults runs an experiment with its points executed inline and
+// sums the fault totals their records carry.
+func pointFaults(exp func(Env) *trace.Table) counters.Faults {
+	rr := &recordsRunner{}
 	env := quietEnv()
-	env.Meter = &Meter{}
-	CrashCG(env)
-	ft := env.Meter.FaultTotals()
+	env.Sched = rr
+	exp(env)
+	var ft counters.Faults
+	for _, rec := range rr.recs {
+		ft.Add(rec.Faults)
+	}
+	return ft
+}
+
+// recordsRunner executes points inline and keeps their records.
+type recordsRunner struct{ recs []PointRecord }
+
+func (r *recordsRunner) RunPoints(env Env, pts []Point) []PointRecord {
+	recs := make([]PointRecord, len(pts))
+	for i, p := range pts {
+		recs[i] = ExecutePoint(env, p)
+	}
+	r.recs = append(r.recs, recs...)
+	return recs
+}
+
+// TestMeterCrashCounters: the crash-recovery work is accounted on the
+// nodes and sealed into the point records, so the campaign summary can
+// report it.
+func TestMeterCrashCounters(t *testing.T) {
+	ft := pointFaults(CrashCG)
 	if !ft.Any() {
 		t.Fatal("crash experiment left no fault totals")
 	}
@@ -136,31 +161,12 @@ func TestMeterCrashCounters(t *testing.T) {
 		t.Fatalf("lost-progress time not accounted: %+v", ft)
 	}
 
-	env2 := quietEnv()
-	env2.Meter = &Meter{}
-	CrashPingPong(env2)
-	ft2 := env2.Meter.FaultTotals()
+	ft2 := pointFaults(CrashPingPong)
 	if ft2.PeerDeaths == 0 {
 		t.Fatalf("ping-pong crash scenarios recorded no deaths: %+v", ft2)
 	}
 	if ft2.TasksReexecuted != 0 || ft2.Checkpoints != 0 {
 		t.Fatalf("ping-pong has no task runtime, yet: %+v", ft2)
-	}
-}
-
-// TestFaultTotalsMergeAllCounters guards the aggregation paths: every
-// counter visible in a Set must survive add+merge into the totals.
-func TestFaultTotalsMergeAllCounters(t *testing.T) {
-	var a, b FaultTotals
-	a.SendRetries, a.PeerDeaths, a.RecoverySecs = 1, 2, 3
-	b.TasksReexecuted, b.RollbackIters, b.Checkpoints = 4, 5, 6
-	a.merge(b)
-	if a.SendRetries != 1 || a.PeerDeaths != 2 || a.RecoverySecs != 3 ||
-		a.TasksReexecuted != 4 || a.RollbackIters != 5 || a.Checkpoints != 6 {
-		t.Fatalf("merge dropped counters: %+v", a)
-	}
-	if !a.Any() {
-		t.Fatal("Any() misses crash counters")
 	}
 }
 

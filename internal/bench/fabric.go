@@ -34,11 +34,6 @@ func fabricWorld(env Env, fab *topology.Fabric, adaptive bool, seed int64) (*mac
 	if env.Faults != nil {
 		nw.InstallFaults(fault.NewInjector(c, env.Faults, seed))
 	}
-	if env.Meter != nil {
-		for _, n := range c.Nodes {
-			env.Meter.TrackCounters(n.Counters)
-		}
-	}
 	return c, nw
 }
 

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/counters"
 	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/mpi"
@@ -48,11 +49,11 @@ func FaultIntensitySchedule(x float64) *fault.Schedule {
 	}
 }
 
-// faultTotals sums the fault/recovery counters over a cluster's nodes.
-func faultTotals(c *machine.Cluster) FaultTotals {
-	var t FaultTotals
+// clusterFaults sums the fault/recovery counters over a cluster's nodes.
+func clusterFaults(c *machine.Cluster) counters.Faults {
+	var t counters.Faults
 	for _, n := range c.Nodes {
-		t.add(n.Counters)
+		t.Add(n.Counters.Faults)
 	}
 	return t
 }
@@ -60,9 +61,9 @@ func faultTotals(c *machine.Cluster) FaultTotals {
 // runFaultPingPong runs the plain ping-pong (communication only) under
 // the environment's schedule and returns the per-iteration latencies in
 // seconds plus the aggregated recovery counters.
-func runFaultPingPong(env Env, cc CommConfig) ([]float64, FaultTotals) {
+func runFaultPingPong(env Env, cc CommConfig) ([]float64, counters.Faults) {
 	lats := make([]float64, 0, env.runs()*cc.Iters)
-	var tot FaultTotals
+	var tot counters.Faults
 	for run := 0; run < env.runs(); run++ {
 		c, w := newWorld(env, env.Seed+int64(run))
 		pp := applyComm(w, cc)
@@ -73,7 +74,7 @@ func runFaultPingPong(env Env, cc CommConfig) ([]float64, FaultTotals) {
 		for _, l := range ls {
 			lats = append(lats, l.Seconds())
 		}
-		tot.merge(faultTotals(c))
+		tot.Add(clusterFaults(c))
 	}
 	return lats, tot
 }

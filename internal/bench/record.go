@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/counters"
 )
 
 // Binary PointRecord encoding.
@@ -26,7 +28,7 @@ import (
 //	payload uvarint len + bytes  (the codec-encoded payload, verbatim)
 //	sim     float64              (SimSeconds)
 //	worlds  uvarint
-//	faults  10 × float64         (FaultTotals, field order below)
+//	faults  10 × float64         (counters.Faults, field order below)
 //
 // The format is versioned twice: the magic pins the framing, and the
 // schema field pins the payload codec and the measurement semantics.
@@ -38,7 +40,7 @@ import (
 // framing 1").
 const recordMagic = "IPR1"
 
-// faultFields is the number of float64 counters in FaultTotals; bump
+// faultFields is the number of float64 counters in counters.Faults; bump
 // the magic when it changes.
 const faultFields = 10
 
@@ -61,8 +63,8 @@ func (r PointRecord) EncodeBinary() []byte {
 	buf = append(buf, r.Payload...)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.SimSeconds))
 	buf = binary.AppendUvarint(buf, uint64(r.Worlds))
-	for _, v := range r.Faults.fields() {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	for _, v := range faultFieldsOf(&r.Faults) {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(*v))
 	}
 	return buf
 }
@@ -82,9 +84,9 @@ func (r *PointRecord) DecodeBinary(data []byte) error {
 	payload := d.take(int(d.uvarint()))
 	sim := math.Float64frombits(d.u64())
 	worlds := d.uvarint()
-	var faults [faultFields]float64
-	for i := range faults {
-		faults[i] = math.Float64frombits(d.u64())
+	var faults counters.Faults
+	for _, v := range faultFieldsOf(&faults) {
+		*v = math.Float64frombits(d.u64())
 	}
 	if d.err != nil {
 		return fmt.Errorf("bench: truncated point record: %w", d.err)
@@ -97,28 +99,22 @@ func (r *PointRecord) DecodeBinary(data []byte) error {
 		Key:        string(key),
 		SimSeconds: sim,
 		Worlds:     int(worlds),
+		Faults:     faults,
 	}
 	if len(payload) > 0 {
 		// Aliased, not copied (see the Payload field); the full slice
 		// expression keeps an append from writing into data.
 		r.Payload = payload[:len(payload):len(payload)]
 	}
-	r.Faults.setFields(faults)
 	return nil
 }
 
-// fields returns the counters in encoding order.
-func (t FaultTotals) fields() [faultFields]float64 {
-	return [faultFields]float64{
-		t.SendRetries, t.SendTimeouts, t.RecvTimeouts, t.MsgsLost, t.MsgsCorrupted,
-		t.PeerDeaths, t.TasksReexecuted, t.RollbackIters, t.Checkpoints, t.RecoverySecs,
+// faultFieldsOf returns pointers to f's counters in encoding order.
+func faultFieldsOf(f *counters.Faults) [faultFields]*float64 {
+	return [faultFields]*float64{
+		&f.SendRetries, &f.SendTimeouts, &f.RecvTimeouts, &f.MsgsLost, &f.MsgsCorrupted,
+		&f.PeerDeaths, &f.TasksReexecuted, &f.RollbackIters, &f.Checkpoints, &f.RecoverySecs,
 	}
-}
-
-// setFields is the inverse of fields.
-func (t *FaultTotals) setFields(f [faultFields]float64) {
-	t.SendRetries, t.SendTimeouts, t.RecvTimeouts, t.MsgsLost, t.MsgsCorrupted = f[0], f[1], f[2], f[3], f[4]
-	t.PeerDeaths, t.TasksReexecuted, t.RollbackIters, t.Checkpoints, t.RecoverySecs = f[5], f[6], f[7], f[8], f[9]
 }
 
 // recDecoder is a cursor over an encoded record or payload that latches

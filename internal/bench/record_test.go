@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/counters"
 )
 
 // TestRecordBinaryRoundTrip: the binary codec must reproduce every
@@ -14,7 +16,7 @@ func TestRecordBinaryRoundTrip(t *testing.T) {
 		Payload:    []byte(`{"lat_us":1.5,"bw":[1,2,3]}`),
 		SimSeconds: 12.0625,
 		Worlds:     7,
-		Faults: FaultTotals{
+		Faults: counters.Faults{
 			SendRetries: 1, SendTimeouts: 2, RecvTimeouts: 3, MsgsLost: 4,
 			MsgsCorrupted: 5, PeerDeaths: 6, TasksReexecuted: 7,
 			RollbackIters: 8, Checkpoints: 9, RecoverySecs: 10.5,

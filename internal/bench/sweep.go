@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/counters"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -74,9 +76,9 @@ type PointRecord struct {
 	Payload []byte `json:"payload"`
 	// Accounting of the execution, replayed into the owning
 	// experiment's meter on decode (cache hits included).
-	SimSeconds float64     `json:"sim_seconds"`
-	Worlds     int         `json:"worlds"`
-	Faults     FaultTotals `json:"faults"`
+	SimSeconds float64         `json:"sim_seconds"`
+	Worlds     int             `json:"worlds"`
+	Faults     counters.Faults `json:"faults"`
 	// Panic carries a panic value raised while computing the point; it
 	// is re-raised on the owning experiment's goroutine by RunPointsAs
 	// (a point executed by a stranger's worker must fail the experiment
@@ -137,9 +139,16 @@ func ExecutePoint(env Env, p Point) PointRecord {
 		return rec
 	}
 	rec.Payload = payload
-	rec.SimSeconds = iso.Meter.SimSeconds()
-	rec.Worlds = iso.Meter.Worlds()
-	rec.Faults = iso.Meter.FaultTotals()
+	// What the point's nested sweeps absorbed comes first, then each
+	// world in build order: the order every float sum has always had.
+	rec.SimSeconds, rec.Worlds, rec.Faults = iso.Meter.SimSeconds(), iso.Meter.Worlds(), iso.Meter.Faults()
+	for _, bw := range keep.built {
+		rec.SimSeconds += sim.Duration(bw.c.K.Now()).Seconds()
+		for _, n := range bw.c.Nodes {
+			rec.Faults.Add(n.Counters.Faults)
+		}
+	}
+	rec.Worlds += len(keep.built)
 	return rec
 }
 

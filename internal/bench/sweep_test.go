@@ -7,7 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/counters"
+	"repro/internal/fault"
 	"repro/internal/kernels"
+	"repro/internal/sim"
 )
 
 // TestExecutePointIsolation: a point mutating its spec must not leak the
@@ -67,23 +70,84 @@ func TestRunPointsAsRepanicsInOwner(t *testing.T) {
 	t.Fatal("no panic")
 }
 
-// TestRunPointsAsAbsorbsMeter: the owner's meter must account for every
-// point's simulated work exactly as a direct serial run would.
+// TestRunPointsAsAbsorbsMeter: the owner's meter totals exactly what its
+// points' records carry, in index order, while worlds built outside a
+// point are not accounted at all.
 func TestRunPointsAsAbsorbsMeter(t *testing.T) {
-	direct := quietEnv().Isolated()
-	Interference(direct, LatencyConfig(), ComputeConfig{})
+	pts := []Point{
+		{Key: "t/latency", Fn: func(e Env) any { return Interference(e, LatencyConfig(), ComputeConfig{}) }},
+		{Key: "t/bandwidth", Fn: func(e Env) any { return Interference(e, BandwidthConfig(), ComputeConfig{}) }},
+	}
+	var worlds int
+	var secs float64
+	for _, p := range pts {
+		rec := ExecutePoint(quietEnv(), p)
+		worlds += rec.Worlds
+		secs += rec.SimSeconds
+	}
+	if worlds == 0 || secs <= 0 {
+		t.Fatalf("records account %d worlds, %v s", worlds, secs)
+	}
 
 	swept := quietEnv().Isolated()
-	pts := []Point{{Key: "t/interference", Fn: func(e Env) any {
-		return Interference(e, LatencyConfig(), ComputeConfig{})
-	}}}
 	RunPointsAs[InterferenceResult](swept, pts)
-
-	if swept.Meter.Worlds() != direct.Meter.Worlds() {
-		t.Fatalf("worlds: swept %d, direct %d", swept.Meter.Worlds(), direct.Meter.Worlds())
+	if got := swept.Meter.Worlds(); got != worlds {
+		t.Fatalf("worlds: meter %d, records %d", got, worlds)
 	}
-	if s, d := swept.Meter.SimSeconds(), direct.Meter.SimSeconds(); s != d {
-		t.Fatalf("sim seconds: swept %v, direct %v", s, d)
+	if got := swept.Meter.SimSeconds(); got != secs {
+		t.Fatalf("sim seconds: meter %v, records %v", got, secs)
+	}
+
+	direct := quietEnv().Isolated()
+	Interference(direct, LatencyConfig(), ComputeConfig{})
+	if w, s := direct.Meter.Worlds(), direct.Meter.SimSeconds(); w != 0 || s != 0 {
+		t.Fatalf("a direct run outside any point was accounted: %d worlds, %v s", w, s)
+	}
+}
+
+// TestExecutePointSealsFromEveryWorld: a point's record accounts for the
+// worlds it built itself and for those its nested sweeps built, and its
+// simulated seconds and fault totals are the sums over them all.
+func TestExecutePointSealsFromEveryWorld(t *testing.T) {
+	sched, err := fault.ParseSpec("loss:p=0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := quietEnv()
+	env.Faults = sched
+	var secs [2]float64
+	var faults [2]counters.Faults
+	// pingWorld runs one lossy ping-pong in a world of its own and notes
+	// the world's end time and fault counters.
+	pingWorld := func(env Env, i int) {
+		c, w := newWorld(env, env.Seed+int64(i))
+		pp := applyComm(w, LatencyConfig())
+		c.K.Spawn("init", func(p *sim.Proc) { pp.Initiate(p, w.Rank(0), 1) })
+		c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
+		c.K.Run()
+		secs[i], faults[i] = sim.Duration(c.K.Now()).Seconds(), clusterFaults(c)
+	}
+	rec := ExecutePoint(env, Point{Key: "t/nested", Fn: func(e Env) any {
+		pingWorld(e, 0)
+		RunPointsAs[struct{}](e, []Point{{Key: "t/inner", Fn: func(e Env) any {
+			pingWorld(e, 1)
+			return struct{}{}
+		}}})
+		return struct{}{}
+	}})
+	if rec.Panic != nil {
+		t.Fatal(rec.Panic)
+	}
+	if rec.Worlds != 2 {
+		t.Fatalf("Worlds = %d, want 2", rec.Worlds)
+	}
+	if want := secs[1] + secs[0]; rec.SimSeconds != want {
+		t.Fatalf("SimSeconds = %v, want %v", rec.SimSeconds, want)
+	}
+	want := faults[1]
+	want.Add(faults[0])
+	if rec.Faults != want || faults[0].MsgsLost == 0 || faults[1].MsgsLost == 0 {
+		t.Fatalf("Faults = %+v, want %+v with losses in both worlds", rec.Faults, want)
 	}
 }
 

@@ -98,23 +98,22 @@ func TestExperimentsSmokeAndFormats(t *testing.T) {
 }
 
 // recordingRunner executes points inline, like a nil scheduler, and
-// sums the points it ran and the worlds their records account for.
-type recordingRunner struct{ points, worlds int }
+// counts the points it ran.
+type recordingRunner struct{ points int }
 
 func (r *recordingRunner) RunPoints(env bench.Env, pts []bench.Point) []bench.PointRecord {
 	recs := make([]bench.PointRecord, len(pts))
 	for i, p := range pts {
 		recs[i] = bench.ExecutePoint(env, p)
 		r.points++
-		r.worlds += recs[i].Worlds
 	}
 	return recs
 }
 
 // TestEveryExperimentIsASweep: every registered experiment describes
-// its sweep and compiles into points, and builds no world outside one —
-// the experiment's meter counts exactly the worlds its point records
-// carry — so the point cache can replay every experiment.
+// its sweep and compiles into points, and builds no world outside one
+// (with a scheduler installed, such a world panics), so the point cache
+// can replay every experiment.
 func TestEveryExperimentIsASweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole registry; skipped with -short")
@@ -129,14 +128,10 @@ func TestEveryExperimentIsASweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			rr := &recordingRunner{}
-			env.Meter, env.Sched = &bench.Meter{}, rr
+			env.Sched = rr
 			e.Run(env)
 			if rr.points == 0 {
 				t.Fatal("compiled no points")
-			}
-			if got := env.Meter.Worlds(); got != rr.worlds {
-				t.Fatalf("meter counts %d worlds, its %d point records %d: worlds were built outside a point",
-					got, rr.points, rr.worlds)
 			}
 		})
 	}

@@ -32,29 +32,51 @@ type Set struct {
 	BytesSent     float64
 	BytesReceived float64
 	SendBusySecs  float64
-	// Fault/recovery accounting, fed by the MPI layer under fault
-	// injection (all zero on healthy runs): retransmissions performed,
-	// retransmission-timeout expiries, and transmissions the injector
-	// dropped or corrupted. RecvTimeouts is always zero (the MPI layer
-	// has no timed receive); it stays because the point record's fault
-	// fields include it.
+	Faults
+}
+
+// Faults holds a node's fault and recovery counters; a point record
+// carries their sums over the point's worlds.
+type Faults struct {
+	// Fed by the MPI layer under fault injection (all zero on healthy
+	// runs): retransmissions performed, retransmission-timeout expiries,
+	// and transmissions the injector dropped or corrupted. RecvTimeouts
+	// is always zero (the MPI layer has no timed receive); it stays
+	// because the point record's fault fields include it.
 	SendRetries   float64
 	SendTimeouts  float64
 	RecvTimeouts  float64
 	MsgsLost      float64
 	MsgsCorrupted float64
-	// Crash-recovery accounting, fed by the failure detector and the
-	// resilient task runtime (all zero without node crashes): peer death
-	// declarations observed by this node, tasks re-executed because their
-	// original execution (or its output) was lost with a crashed node,
-	// iterations rolled back to the last checkpoint, checkpoints taken,
-	// and the sim-time spent re-doing lost progress.
+	// Fed by the failure detector and the resilient task runtime (all
+	// zero without node crashes): peer death declarations observed by
+	// this node, tasks re-executed because their original execution (or
+	// its output) was lost with a crashed node, iterations rolled back
+	// to the last checkpoint, checkpoints taken, and the sim-time spent
+	// re-doing lost progress.
 	PeerDeaths      float64
 	TasksReexecuted float64
 	RollbackIters   float64
 	Checkpoints     float64
 	RecoverySecs    float64
 }
+
+// Add accrues o into f, field by field.
+func (f *Faults) Add(o Faults) {
+	f.SendRetries += o.SendRetries
+	f.SendTimeouts += o.SendTimeouts
+	f.RecvTimeouts += o.RecvTimeouts
+	f.MsgsLost += o.MsgsLost
+	f.MsgsCorrupted += o.MsgsCorrupted
+	f.PeerDeaths += o.PeerDeaths
+	f.TasksReexecuted += o.TasksReexecuted
+	f.RollbackIters += o.RollbackIters
+	f.Checkpoints += o.Checkpoints
+	f.RecoverySecs += o.RecoverySecs
+}
+
+// Any reports whether any fault or recovery activity was counted.
+func (f Faults) Any() bool { return f != Faults{} }
 
 // NewSet returns counters for n cores.
 func NewSet(n int) *Set { return &Set{n: n} }
@@ -67,16 +89,7 @@ func (s *Set) Reset() {
 	s.BytesSent = 0
 	s.BytesReceived = 0
 	s.SendBusySecs = 0
-	s.SendRetries = 0
-	s.SendTimeouts = 0
-	s.RecvTimeouts = 0
-	s.MsgsLost = 0
-	s.MsgsCorrupted = 0
-	s.PeerDeaths = 0
-	s.TasksReexecuted = 0
-	s.RollbackIters = 0
-	s.Checkpoints = 0
-	s.RecoverySecs = 0
+	s.Faults = Faults{}
 }
 
 // Core returns a pointer to core i's counters. The pointer stays valid

@@ -2,6 +2,7 @@ package counters
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -61,9 +62,11 @@ func TestResetZeroesEverything(t *testing.T) {
 	s.BytesSent = 9
 	s.BytesReceived = 9
 	s.SendBusySecs = 9
+	s.MsgsLost = 9
+	s.RecoverySecs = 9
 	s.Reset()
 	if s.StallFraction() != 0 || s.TotalFlops() != 0 || s.BytesSent != 0 ||
-		s.BytesReceived != 0 || s.SendBusySecs != 0 {
+		s.BytesReceived != 0 || s.SendBusySecs != 0 || s.Faults.Any() {
 		t.Fatal("Reset left residue")
 	}
 }
@@ -125,5 +128,31 @@ func TestUnusedSetStaysEmpty(t *testing.T) {
 	}
 	if got := s.StallFraction(); got != 0.5 {
 		t.Fatalf("stall fraction %v after growing, want 0.5", got)
+	}
+}
+
+// TestFaultsAddAllCounters guards the one aggregation path of the fault
+// counters: Add must accrue every field, and Any must see each one.
+func TestFaultsAddAllCounters(t *testing.T) {
+	var a, b Faults
+	bv := reflect.ValueOf(&b).Elem()
+	for i := 0; i < bv.NumField(); i++ {
+		bv.Field(i).SetFloat(float64(i + 1))
+	}
+	a.Add(b)
+	a.Add(b)
+	av := reflect.ValueOf(a)
+	for i := 0; i < av.NumField(); i++ {
+		if got := av.Field(i).Float(); got != float64(2*(i+1)) {
+			t.Errorf("Add: %s = %v, want %v", av.Type().Field(i).Name, got, 2*(i+1))
+		}
+		var one Faults
+		reflect.ValueOf(&one).Elem().Field(i).SetFloat(1)
+		if !one.Any() {
+			t.Errorf("Any misses %s", av.Type().Field(i).Name)
+		}
+	}
+	if (Faults{}).Any() {
+		t.Error("Any on zero counters")
 	}
 }

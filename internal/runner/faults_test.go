@@ -122,9 +122,9 @@ func TestFaultCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFaultTotalsReachMetrics: the runner surfaces the MPI layer's
-// recovery counters through the per-experiment metrics.
-func TestFaultTotalsReachMetrics(t *testing.T) {
+// TestFaultsReachMetrics: the runner surfaces the MPI layer's recovery
+// counters through the per-experiment metrics.
+func TestFaultsReachMetrics(t *testing.T) {
 	sched, err := fault.ParseSpec("loss:p=0.3")
 	if err != nil {
 		t.Fatal(err)

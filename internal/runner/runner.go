@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/counters"
 	"repro/internal/trace"
 )
 
@@ -98,7 +99,7 @@ type Metrics struct {
 	Attempts int
 	// Faults aggregates the fault/recovery counters over every world
 	// the experiment built; all zero for healthy runs.
-	Faults bench.FaultTotals
+	Faults counters.Faults
 }
 
 // Run executes exps over a bounded worker pool and returns a channel
@@ -245,7 +246,7 @@ func execute(env bench.Env, e core.Experiment, index int, format string) Result 
 		SimSeconds: iso.Meter.SimSeconds(),
 		Worlds:     iso.Meter.Worlds(),
 		Tables:     len(res.Tables),
-		Faults:     iso.Meter.FaultTotals(),
+		Faults:     iso.Meter.Faults(),
 	}
 	for _, t := range res.Tables {
 		res.Metrics.Rows += len(t.Rows)

@@ -154,6 +154,25 @@ func TestRunnerIsolatesEnv(t *testing.T) {
 	}
 }
 
+// TestWorldOutsideAPointFails: an experiment that builds a world
+// outside a sweep point (one the point cache could not replay) fails
+// with an error naming it; the rest of the campaign completes.
+func TestWorldOutsideAPointFails(t *testing.T) {
+	direct := core.Experiment{ID: "direct", Title: "t", Run: func(e bench.Env) []*trace.Table {
+		bench.Interference(e, bench.LatencyConfig(), bench.ComputeConfig{})
+		return okTable()
+	}}
+	ok := core.Experiment{ID: "ok", Title: "t", Run: func(bench.Env) []*trace.Table { return okTable() }}
+	res := Collect(Run(testEnv(t), []core.Experiment{direct, ok}, Options{Workers: 2}))
+	if err := res[0].Err; err == nil || !strings.Contains(err.Error(), "experiment direct") ||
+		!strings.Contains(err.Error(), "outside a sweep point") {
+		t.Fatalf("direct world not refused: %v", err)
+	}
+	if res[1].Err != nil {
+		t.Fatalf("sibling damaged: %v", res[1].Err)
+	}
+}
+
 // TestRunnerPanicIsolation: a panicking experiment is reported as an
 // error in its slot; the rest of the campaign completes.
 func TestRunnerPanicIsolation(t *testing.T) {

@@ -7,8 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/counters"
 	"repro/internal/runner"
 )
 
@@ -42,14 +42,14 @@ type ExperimentResult struct {
 	Error    string `json:"error,omitempty"`
 	// Cached marks a result replayed from the point cache (see
 	// runner.Result.Cached).
-	Cached     bool              `json:"cached,omitempty"`
-	SimSeconds float64           `json:"sim_seconds"`
-	Worlds     int               `json:"worlds"`
-	Tables     int               `json:"tables"`
-	Rows       int               `json:"rows"`
-	Attempts   int               `json:"attempts"`
-	WallMs     float64           `json:"wall_ms"`
-	Faults     bench.FaultTotals `json:"faults"`
+	Cached     bool            `json:"cached,omitempty"`
+	SimSeconds float64         `json:"sim_seconds"`
+	Worlds     int             `json:"worlds"`
+	Tables     int             `json:"tables"`
+	Rows       int             `json:"rows"`
+	Attempts   int             `json:"attempts"`
+	WallMs     float64         `json:"wall_ms"`
+	Faults     counters.Faults `json:"faults"`
 }
 
 // CacheSummary is a CacheStats snapshot in wire form.
