@@ -26,9 +26,12 @@ func TestJobsZeroMeansGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestInvalidRetryAndTimeoutRejected: a negative -timeout is rejected,
+// and -retry is an unknown flag (experiments are deterministic, so a
+// rerun of a failed one would fail the same way).
 func TestInvalidRetryAndTimeoutRejected(t *testing.T) {
-	if code, _, stderr := runCLI("-exp", "sec5.2", "-retry", "-1"); code != 2 || !strings.Contains(stderr, "-retry") {
-		t.Fatalf("-retry -1: exit %d, stderr %q", code, stderr)
+	if code, _, stderr := runCLI("-exp", "sec5.2", "-retry", "1"); code != 2 || !strings.Contains(stderr, "not defined: -retry") {
+		t.Fatalf("-retry 1: exit %d, stderr %q", code, stderr)
 	}
 	if code, _, stderr := runCLI("-exp", "sec5.2", "-timeout", "-5s"); code != 2 || !strings.Contains(stderr, "-timeout") {
 		t.Fatalf("-timeout -5s: exit %d, stderr %q", code, stderr)
@@ -108,11 +111,11 @@ func TestFaultsStdoutDeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestRetryFlagPlumbed: -retry and -timeout reach a local campaign,
-// which still finishes (the deadline is per attempt and generous, so
-// this exercises flag plumbing end to end).
+// TestRetryFlagPlumbed: -timeout reaches a local campaign, which still
+// finishes (the deadline is per experiment and generous, so this
+// exercises flag plumbing end to end).
 func TestRetryFlagPlumbed(t *testing.T) {
-	code, _, stderr := runCLI("-exp", "sec5.2", "-runs", "1", "-q", "-retry", "2", "-timeout", "5m")
+	code, _, stderr := runCLI("-exp", "sec5.2", "-runs", "1", "-q", "-timeout", "5m")
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}

@@ -76,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quiet    = fs.Bool("q", false, "suppress progress messages and the summary table")
 		faults   = fs.String("faults", "", "fault schedule spec, e.g. \"loss:p=0.1;degrade:factor=0.5\" (see fault.ParseSpec); defaults -exp to the faults family")
 		timeout  = fs.Duration("timeout", 0, "per-experiment wall-clock deadline; 0 disables")
-		retry    = fs.Int("retry", 0, "extra attempts for a failed experiment")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file (whole process: with -j>1 all workers share one profile)")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit (whole process: with -j>1 all workers share one profile)")
 		cacheDir = fs.String("cache", "results/.cache", "persistent point cache directory (share points with other processes by pointing them, or interfd -cache-dir, at the same directory)")
@@ -117,7 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			{"no-cache", "the daemon owns the point cache"},
 			{"cache-stats", "the daemon owns the point cache"},
 			{"timeout", "the daemon runs each experiment once, bounded only by its -campaign-timeout"},
-			{"retry", "the daemon runs each experiment once, with no retries"},
 			{"update", "goldens must be regenerated by a local run (the solver's differential oracle only arms locally)"},
 			{"cpuprofile", "nothing executes locally under -remote"},
 			{"memprofile", "nothing executes locally under -remote"},
@@ -170,10 +168,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *jobs < 1 {
 		fmt.Fprintf(stderr, "interference: -j %d is invalid: need at least one worker (or 0 for GOMAXPROCS)\n", *jobs)
-		return 2
-	}
-	if *retry < 0 {
-		fmt.Fprintf(stderr, "interference: -retry %d is invalid: need a non-negative attempt count\n", *retry)
 		return 2
 	}
 	if *timeout < 0 {
@@ -325,8 +319,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cacheLabel = "remote: " + *remote
 	} else {
 		opts := runner.Options{
-			Workers: *jobs, Format: *format, Deadline: *timeout, Retries: *retry,
-			CacheStats: stats,
+			Workers: *jobs, Format: *format, Deadline: *timeout, CacheStats: stats,
 		}
 		if !*noCache {
 			cache, err := runner.OpenPointCache(*cacheDir)
@@ -454,7 +447,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "\ninterference: %d of %d experiments failed:\n", failed, len(done))
 		for _, res := range done {
 			if res.Err != nil {
-				fmt.Fprintf(stderr, "  %-16s %v (after %d attempt(s))\n", res.Exp.ID, res.Err, res.Metrics.Attempts)
+				fmt.Fprintf(stderr, "  %-16s %v\n", res.Exp.ID, res.Err)
 			}
 		}
 		return 1

@@ -79,7 +79,6 @@ func submitRemote(set *replica.Set, spec *topology.NodeSpec, cluster string, tod
 					Worlds:     er.Worlds,
 					Tables:     er.Tables,
 					Rows:       er.Rows,
-					Attempts:   er.Attempts,
 					Faults:     er.Faults,
 				},
 			}

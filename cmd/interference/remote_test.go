@@ -39,7 +39,6 @@ func TestRemoteRejectsLocalFlags(t *testing.T) {
 		{"-no-cache"},
 		{"-cache-stats"},
 		{"-timeout", "5s"},
-		{"-retry", "2"},
 		{"-update"},
 		{"-cpuprofile", "cpu.out"},
 		{"-memprofile", "mem.out"},

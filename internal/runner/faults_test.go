@@ -2,7 +2,6 @@ package runner
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +18,7 @@ func okTable() []*trace.Table {
 }
 
 // TestDeadlineAbandonsSlowExperiment: an experiment that overruns the
-// per-attempt deadline is reported as failed while its siblings
+// per-experiment deadline is reported as failed while its siblings
 // complete.
 func TestDeadlineAbandonsSlowExperiment(t *testing.T) {
 	slow := core.Experiment{ID: "slow", Title: "t", Run: func(bench.Env) []*trace.Table {
@@ -34,50 +33,6 @@ func TestDeadlineAbandonsSlowExperiment(t *testing.T) {
 	}
 	if res[1].Err != nil {
 		t.Fatalf("sibling damaged by deadline: %v", res[1].Err)
-	}
-}
-
-// TestRetriesRecoverFlakyExperiment: a transiently failing experiment
-// succeeds within its retry budget and reports how many attempts it
-// took; without a budget it fails.
-func TestRetriesRecoverFlakyExperiment(t *testing.T) {
-	var calls atomic.Int64
-	flaky := core.Experiment{ID: "flaky", Title: "t", Run: func(bench.Env) []*trace.Table {
-		if calls.Add(1) < 3 {
-			panic("transient")
-		}
-		return okTable()
-	}}
-	res := Collect(Run(testEnv(t), []core.Experiment{flaky}, Options{Retries: 2}))
-	if res[0].Err != nil {
-		t.Fatalf("flaky experiment failed despite retry budget: %v", res[0].Err)
-	}
-	if got := res[0].Metrics.Attempts; got != 3 {
-		t.Fatalf("Attempts = %d, want 3", got)
-	}
-
-	calls.Store(0)
-	res = Collect(Run(testEnv(t), []core.Experiment{flaky}, Options{}))
-	if res[0].Err == nil {
-		t.Fatal("flaky experiment succeeded without retries")
-	}
-	if got := res[0].Metrics.Attempts; got != 1 {
-		t.Fatalf("Attempts = %d, want 1", got)
-	}
-}
-
-// TestRetryExhaustionReportsLastError: a permanently failing experiment
-// burns the whole budget and surfaces the error.
-func TestRetryExhaustionReportsLastError(t *testing.T) {
-	boom := core.Experiment{ID: "boom", Title: "t", Run: func(bench.Env) []*trace.Table {
-		panic("kaboom")
-	}}
-	res := Collect(Run(testEnv(t), []core.Experiment{boom}, Options{Retries: 2}))
-	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "kaboom") {
-		t.Fatalf("err = %v", res[0].Err)
-	}
-	if got := res[0].Metrics.Attempts; got != 3 {
-		t.Fatalf("Attempts = %d, want 3 (1 + 2 retries)", got)
 	}
 }
 

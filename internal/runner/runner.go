@@ -27,14 +27,10 @@ type Options struct {
 	Workers int
 	// Format selects the rendering ("ascii" or "csv"); "" means ascii.
 	Format string
-	// Deadline bounds each experiment attempt's wall-clock time; an
-	// attempt that overruns is abandoned and reported as a failure
-	// (possibly retried, see Retries). 0 disables the deadline.
+	// Deadline bounds each experiment's wall-clock time; an experiment
+	// that overruns is abandoned and reported as a failure. 0 disables
+	// the deadline.
 	Deadline time.Duration
-	// Retries re-runs a failed attempt (panic, render error or blown
-	// deadline) up to this many extra times before the experiment is
-	// reported as failed. 0 means one attempt only.
-	Retries int
 	// Cache, when non-nil, persists computed sweep points
 	// content-addressed by configuration (a PointCache, possibly behind
 	// a Breaker): repeated campaigns replay unchanged points instead of
@@ -95,8 +91,6 @@ type Metrics struct {
 	Worlds     int
 	// Tables and Rows count the result set.
 	Tables, Rows int
-	// Attempts is how many times the experiment ran (1 + retries used).
-	Attempts int
 	// Faults aggregates the fault/recovery counters over every world
 	// the experiment built; all zero for healthy runs.
 	Faults counters.Faults
@@ -154,7 +148,7 @@ func Run(env bench.Env, exps []core.Experiment, opts Options) <-chan Result {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := range jobs {
-				slots[i] <- runOne(env, exps[i], i, format, opts)
+				slots[i] <- runOne(env, exps[i], i, format, opts.Deadline)
 			}
 			// Out of experiments: keep executing other experiments'
 			// points until the campaign ends. On a shared pool the
@@ -188,26 +182,15 @@ func Collect(results <-chan Result) []Result {
 	return out
 }
 
-// runOne executes a single experiment, retrying failed attempts up to
-// Options.Retries times, so a campaign degrades gracefully: one broken
-// experiment yields one failed Result while every other experiment
-// completes.
-func runOne(env bench.Env, e core.Experiment, index int, format string, opts Options) Result {
-	for attempt := 0; ; attempt++ {
-		res := attemptOne(env, e, index, format, opts.Deadline)
-		res.Metrics.Attempts = attempt + 1
-		if res.Err == nil || attempt >= opts.Retries {
-			return res
-		}
-	}
-}
-
-// attemptOne runs one attempt of an experiment against an isolated
-// environment, converting panics into errors and enforcing the
-// wall-clock deadline. A blown deadline abandons the attempt's
-// goroutine (a simulated experiment cannot be interrupted; the
-// goroutine finishes on its own and its result is discarded).
-func attemptOne(env bench.Env, e core.Experiment, index int, format string, deadline time.Duration) Result {
+// runOne runs a single experiment against an isolated environment,
+// converting panics into errors and enforcing the wall-clock deadline,
+// so a campaign degrades gracefully: one broken experiment yields one
+// failed Result while every other experiment completes. It runs once:
+// experiments are deterministic, so a rerun would fail the same way. A
+// blown deadline abandons the experiment's goroutine (a simulated
+// experiment cannot be interrupted; the goroutine finishes on its own
+// and its result is discarded).
+func runOne(env bench.Env, e core.Experiment, index int, format string, deadline time.Duration) Result {
 	start := time.Now()
 	done := make(chan Result, 1)
 	go func() { done <- execute(env, e, index, format) }()
@@ -226,7 +209,7 @@ func attemptOne(env bench.Env, e core.Experiment, index int, format string, dead
 	}
 }
 
-// execute performs the experiment body and accounting of one attempt.
+// execute performs the experiment body and its accounting.
 func execute(env bench.Env, e core.Experiment, index int, format string) Result {
 	res := Result{Exp: e, Index: index}
 	iso := env.Isolated()

@@ -47,7 +47,6 @@ type ExperimentResult struct {
 	Worlds     int             `json:"worlds"`
 	Tables     int             `json:"tables"`
 	Rows       int             `json:"rows"`
-	Attempts   int             `json:"attempts"`
 	WallMs     float64         `json:"wall_ms"`
 	Faults     counters.Faults `json:"faults"`
 }

@@ -424,7 +424,7 @@ func (s *Server) runCampaign(c *campaign) *CampaignResponse {
 		}
 		m := res.Metrics
 		er.SimSeconds, er.Worlds, er.Tables, er.Rows = m.SimSeconds, m.Worlds, m.Tables, m.Rows
-		er.Attempts, er.WallMs, er.Faults = m.Attempts, float64(m.Wall.Milliseconds()), m.Faults
+		er.WallMs, er.Faults = float64(m.Wall.Milliseconds()), m.Faults
 		if res.Err != nil {
 			er.Error = res.Err.Error()
 			er.Rendered = ""
