@@ -379,7 +379,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			if ft := res.Metrics.Faults; ft.Any() {
 				line += fmt.Sprintf("; faults: %.0f retries, %.0f timeouts, %.0f lost, %.0f corrupted",
-					ft.SendRetries, ft.SendTimeouts+ft.RecvTimeouts, ft.MsgsLost, ft.MsgsCorrupted)
+					ft.SendRetries, ft.SendTimeouts, ft.MsgsLost, ft.MsgsCorrupted)
 				if ft.PeerDeaths > 0 || ft.TasksReexecuted > 0 || ft.RollbackIters > 0 || ft.Checkpoints > 0 {
 					line += fmt.Sprintf("; crashes: %.0f deaths seen, %.0f tasks re-executed, %.0f iters rolled back, %.0f checkpoints, %.2fms recovering",
 						ft.PeerDeaths, ft.TasksReexecuted, ft.RollbackIters, ft.Checkpoints, ft.RecoverySecs*1e3)

@@ -28,7 +28,7 @@ import (
 //	payload uvarint len + bytes  (the codec-encoded payload, verbatim)
 //	sim     float64              (SimSeconds)
 //	worlds  uvarint
-//	faults  10 × float64         (counters.Faults, field order below)
+//	faults  9 × float64          (counters.Faults, field order below)
 //
 // The format is versioned twice: the magic pins the framing, and the
 // schema field pins the payload codec and the measurement semantics.
@@ -40,9 +40,12 @@ import (
 // framing 1").
 const recordMagic = "IPR1"
 
-// faultFields is the number of float64 counters in counters.Faults; bump
-// the magic when it changes.
-const faultFields = 10
+// faultFields is the number of float64 counters in counters.Faults.
+// Bump PointSchema when it changes, not the magic: the schema is part of
+// every cache key, so the old records simply miss, while a magic bump
+// keeps the old keys, decodes each stale record as an I/O error, and
+// DefaultDegradeAfter such errors switch a campaign to no-cache mode.
+const faultFields = 9
 
 // EncodeBinary renders the record in the binary cache format. The Panic
 // field is not encoded (panics are never cached).
@@ -112,7 +115,7 @@ func (r *PointRecord) DecodeBinary(data []byte) error {
 // faultFieldsOf returns pointers to f's counters in encoding order.
 func faultFieldsOf(f *counters.Faults) [faultFields]*float64 {
 	return [faultFields]*float64{
-		&f.SendRetries, &f.SendTimeouts, &f.RecvTimeouts, &f.MsgsLost, &f.MsgsCorrupted,
+		&f.SendRetries, &f.SendTimeouts, &f.MsgsLost, &f.MsgsCorrupted,
 		&f.PeerDeaths, &f.TasksReexecuted, &f.RollbackIters, &f.Checkpoints, &f.RecoverySecs,
 	}
 }

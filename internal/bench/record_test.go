@@ -17,9 +17,9 @@ func TestRecordBinaryRoundTrip(t *testing.T) {
 		SimSeconds: 12.0625,
 		Worlds:     7,
 		Faults: counters.Faults{
-			SendRetries: 1, SendTimeouts: 2, RecvTimeouts: 3, MsgsLost: 4,
-			MsgsCorrupted: 5, PeerDeaths: 6, TasksReexecuted: 7,
-			RollbackIters: 8, Checkpoints: 9, RecoverySecs: 10.5,
+			SendRetries: 1, SendTimeouts: 2, MsgsLost: 3, MsgsCorrupted: 4,
+			PeerDeaths: 5, TasksReexecuted: 6, RollbackIters: 7,
+			Checkpoints: 8, RecoverySecs: 9.5,
 		},
 	}
 	empty := PointRecord{Schema: PointSchema, Key: "k"}

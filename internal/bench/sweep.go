@@ -34,7 +34,7 @@ import (
 // PointSchema versions the encoded PointRecord format, payload codec
 // included. Cached records with a different schema are ignored (a stale
 // cache degrades to a recompute, never to corrupt output).
-const PointSchema = 2
+const PointSchema = 3
 
 // SweepVersion versions the *measurement logic* of the sweep drivers:
 // bump it whenever a driver changes what a point with an existing key
@@ -64,31 +64,31 @@ type Point struct {
 // payload plus the simulation accounting its execution produced. It is
 // the unit stored in the campaign's content-addressed cache.
 type PointRecord struct {
-	Schema int `json:"schema"`
+	Schema int
 	// Key echoes the full cache key the record was computed under, so a
 	// poisoned or misfiled cache entry is detected by comparing the
 	// stored key against the requested one (never served silently).
-	Key string `json:"key"`
+	Key string
 	// Payload is the codec-encoded result. It is read-only: a decoded
 	// record's Payload aliases the bytes it was decoded from (a pack
 	// page-in, a write-behind buffer entry or an HTTP body), so writing
 	// it would change every record sharing those bytes.
-	Payload []byte `json:"payload"`
+	Payload []byte
 	// Accounting of the execution, replayed into the owning
 	// experiment's meter on decode (cache hits included).
-	SimSeconds float64         `json:"sim_seconds"`
-	Worlds     int             `json:"worlds"`
-	Faults     counters.Faults `json:"faults"`
+	SimSeconds float64
+	Worlds     int
+	Faults     counters.Faults
 	// Panic carries a panic value raised while computing the point; it
 	// is re-raised on the owning experiment's goroutine by RunPointsAs
 	// (a point executed by a stranger's worker must fail the experiment
 	// that owns it, not the one that happened to run it). Never stored
 	// in the cache.
-	Panic any `json:"-"`
+	Panic any
 	// Cached marks a record loaded from the point cache instead of
 	// executed; the campaign scheduler sets it on a cache hit. Never
 	// stored in the cache.
-	Cached bool `json:"-"`
+	Cached bool
 }
 
 // PointRunner schedules compiled sweeps. The campaign runner installs

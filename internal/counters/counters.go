@@ -40,12 +40,9 @@ type Set struct {
 type Faults struct {
 	// Fed by the MPI layer under fault injection (all zero on healthy
 	// runs): retransmissions performed, retransmission-timeout expiries,
-	// and transmissions the injector dropped or corrupted. RecvTimeouts
-	// is always zero (the MPI layer has no timed receive); it stays
-	// because the point record's fault fields include it.
+	// and transmissions the injector dropped or corrupted.
 	SendRetries   float64
 	SendTimeouts  float64
-	RecvTimeouts  float64
 	MsgsLost      float64
 	MsgsCorrupted float64
 	// Fed by the failure detector and the resilient task runtime (all
@@ -65,7 +62,6 @@ type Faults struct {
 func (f *Faults) Add(o Faults) {
 	f.SendRetries += o.SendRetries
 	f.SendTimeouts += o.SendTimeouts
-	f.RecvTimeouts += o.RecvTimeouts
 	f.MsgsLost += o.MsgsLost
 	f.MsgsCorrupted += o.MsgsCorrupted
 	f.PeerDeaths += o.PeerDeaths
