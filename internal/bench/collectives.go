@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/fault"
 	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/mpi"
@@ -56,11 +57,16 @@ func ExtCollectives(env Env) *trace.Table {
 }
 
 // runCollective times one collective over `nodes` ranks, with
-// `computeCores` STREAM cores per node running beside it.
+// `computeCores` STREAM cores per node running beside it. A fault
+// schedule on the environment is installed as newWorld installs it.
 func runCollective(env Env, op string, nodes int, size int64, computeCores int) sim.Duration {
 	c := machine.NewCluster(env.Spec, nodes, env.Seed)
 	env.track(c)
-	w := mpi.NewWorld(c, net.New(c))
+	nw := net.New(c)
+	if env.Faults != nil {
+		nw.InstallFaults(fault.NewInjector(c, env.Faults, env.Seed))
+	}
+	w := mpi.NewWorld(c, nw)
 	stop := false
 	for _, node := range c.Nodes {
 		node := node

@@ -1,6 +1,11 @@
 package bench
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/fault"
+)
 
 func TestExtEnergyTradeoff(t *testing.T) {
 	// Lim et al. [14] (paper §7): lowering the CPU frequency during a
@@ -72,5 +77,33 @@ func TestExtCollectivesShape(t *testing.T) {
 	a8 := get("allreduce", "8")
 	if a8.quiet <= b8.quiet {
 		t.Fatalf("allreduce (%v) not slower than bcast (%v)", a8.quiet, b8.quiet)
+	}
+}
+
+// TestExtCollectivesUnderFaults: a fault schedule on the environment
+// reaches the collectives' worlds. Every row of a lossy run differs
+// from the healthy one, and the point records count the lost messages.
+func TestExtCollectivesUnderFaults(t *testing.T) {
+	healthy := ExtCollectives(quietEnv())
+	sched, err := fault.ParseSpec("loss:p=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := quietEnv()
+	env.Faults = sched
+	rr := &recordsRunner{}
+	env.Sched = rr
+	lossy := ExtCollectives(env)
+	for i, row := range lossy.Rows {
+		if reflect.DeepEqual(row, healthy.Rows[i]) {
+			t.Errorf("row %v unchanged under loss", row)
+		}
+	}
+	var lost float64
+	for _, rec := range rr.recs {
+		lost += rec.Faults.MsgsLost
+	}
+	if lost == 0 {
+		t.Fatal("lossy collectives' records count no lost messages")
 	}
 }
