@@ -40,7 +40,8 @@ type Env struct {
 	// build: each run gets a fresh fault.Injector seeded from the run's
 	// world seed, so injection composes with the usual seed+run
 	// reproducibility. Nil runs healthy worlds with an unchanged event
-	// sequence.
+	// sequence. The worlds of tuning.WorkerSweep (ext-tuner, ext-throttle,
+	// ext-sched) take no schedule yet and always run healthy.
 	Faults *fault.Schedule
 	// Sched, when non-nil, executes compiled sweep points (see sweep.go)
 	// on a campaign-wide pool, possibly replaying them from a persistent

@@ -38,7 +38,9 @@ type Options struct {
 	Scheduler    taskrt.SchedulerPolicy
 	CommThrottle int
 	// Track, when non-nil, is called with the cluster of every simulated
-	// world the sweep builds (campaign accounting; see bench.Meter).
+	// world the sweep builds, before it runs: the bench drivers pass the
+	// point's world registry, from which the point's record is sealed
+	// (see bench.ExecutePoint).
 	Track func(*machine.Cluster)
 }
 
