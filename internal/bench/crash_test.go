@@ -120,7 +120,7 @@ func TestCrashTablesDeterministic(t *testing.T) {
 // pointFaults runs an experiment with its points executed inline and
 // sums the fault totals their records carry.
 func pointFaults(exp func(Env) *trace.Table) counters.Faults {
-	rr := &recordsRunner{}
+	rr := &recordingRunner{}
 	env := quietEnv()
 	env.Sched = rr
 	exp(env)
@@ -129,18 +129,6 @@ func pointFaults(exp func(Env) *trace.Table) counters.Faults {
 		ft.Add(rec.Faults)
 	}
 	return ft
-}
-
-// recordsRunner executes points inline and keeps their records.
-type recordsRunner struct{ recs []PointRecord }
-
-func (r *recordsRunner) RunPoints(env Env, pts []Point) []PointRecord {
-	recs := make([]PointRecord, len(pts))
-	for i, p := range pts {
-		recs[i] = ExecutePoint(env, p)
-	}
-	r.recs = append(r.recs, recs...)
-	return recs
 }
 
 // TestMeterCrashCounters: the crash-recovery work is accounted on the

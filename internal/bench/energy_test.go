@@ -91,7 +91,7 @@ func TestExtCollectivesUnderFaults(t *testing.T) {
 	}
 	env := quietEnv()
 	env.Faults = sched
-	rr := &recordsRunner{}
+	rr := &recordingRunner{}
 	env.Sched = rr
 	lossy := ExtCollectives(env)
 	for i, row := range lossy.Rows {

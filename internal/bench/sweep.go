@@ -140,7 +140,8 @@ func ExecutePoint(env Env, p Point) PointRecord {
 	}
 	rec.Payload = payload
 	// What the point's nested sweeps absorbed comes first, then each
-	// world in build order: the order every float sum has always had.
+	// world in build order: the float sums, and so the cached record
+	// bytes, depend on this order.
 	rec.SimSeconds, rec.Worlds, rec.Faults = iso.Meter.SimSeconds(), iso.Meter.Worlds(), iso.Meter.Faults()
 	for _, bw := range keep.built {
 		rec.SimSeconds += sim.Duration(bw.c.K.Now()).Seconds()

@@ -167,8 +167,12 @@ func TestRunPointsAsMatchesDirectCall(t *testing.T) {
 }
 
 // recordingRunner proves RunPointsAs routes through Env.Sched and keeps
-// index alignment regardless of the runner's execution order.
-type recordingRunner struct{ keys []string }
+// index alignment regardless of the runner's execution order. It keeps
+// the keys it ran, in execution order, and the records, in index order.
+type recordingRunner struct {
+	keys []string
+	recs []PointRecord
+}
 
 func (r *recordingRunner) RunPoints(env Env, pts []Point) []PointRecord {
 	recs := make([]PointRecord, len(pts))
@@ -177,6 +181,7 @@ func (r *recordingRunner) RunPoints(env Env, pts []Point) []PointRecord {
 		r.keys = append(r.keys, pts[i].Key)
 		recs[i] = ExecutePoint(env, pts[i])
 	}
+	r.recs = append(r.recs, recs...)
 	return recs
 }
 
