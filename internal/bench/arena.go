@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/counters"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -30,6 +31,13 @@ import (
 // Worlds are keyed by the node shape so a point that mutates per-spec
 // scalars (frequencies, bandwidths, NIC parameters) still reuses a
 // world of the same geometry — Reset rebinds every spec-derived value.
+//
+// Fabric worlds never reach the arena: a 1,024-host world would pin
+// megabytes and thousands of parked coroutines for the life of the
+// process. fabricWorld instead rewinds a point's own drained fabric
+// world for the point's later runs, under the same conditions bar the
+// fault schedule (a fresh injector is installed after the rewind), and
+// the keeper seals each rewound world's accounting first (see seal).
 
 // pooledWorld is one reusable world.
 type pooledWorld struct {
@@ -60,9 +68,49 @@ var keepers = sync.Pool{New: func() any { return new(worldKeeper) }}
 // fresh and a rewound world (Reset re-applies only the capacities the
 // previous point moved), so counting from the hand-over keeps the
 // counts independent of which worlds the arena happened to hold.
+//
+// A world the point rewinds for a later run of its own is sealed first
+// (see seal): the entry keeps what the world did until then and drops
+// the cluster, and the rewound world gets an entry of its own. So every
+// cluster is live in exactly one entry, the last one built on it.
 type builtWorld struct {
-	c    *machine.Cluster
-	base Work
+	c      *machine.Cluster
+	base   Work
+	sealed worldAccount
+}
+
+// worldAccount is what one world contributes to its point's record and
+// to DoneByFamily: the simulated seconds its kernel covered, its nodes'
+// fault and recovery totals, and its work since the hand-over.
+type worldAccount struct {
+	simSeconds float64
+	faults     counters.Faults
+	work       Work
+}
+
+// account returns the world's accounting: the one sealed at its rewind,
+// or the live one of a world the point still holds.
+func (bw *builtWorld) account() worldAccount {
+	if bw.c == nil {
+		return bw.sealed
+	}
+	a := worldAccount{simSeconds: sim.Duration(bw.c.K.Now()).Seconds(), work: workOf(bw.c).Sub(bw.base)}
+	for _, n := range bw.c.Nodes {
+		a.faults.Add(n.Counters.Faults)
+	}
+	return a
+}
+
+// seal freezes the accounting of c's live entry before the point
+// resets c for another run, which zeroes everything account reads.
+func (keep *worldKeeper) seal(c *machine.Cluster) {
+	for i := len(keep.built) - 1; i >= 0; i-- {
+		if bw := &keep.built[i]; bw.c == c {
+			bw.sealed, bw.c = bw.account(), nil
+			return
+		}
+	}
+	panic("bench: sealing a world the point did not build")
 }
 
 // Work counts the simulation work of worlds: fluid re-solves, fluid
@@ -214,13 +262,14 @@ func releaseWorlds(keep *worldKeeper) {
 	clear(keep.worlds[n:])
 	keep.worlds = keep.worlds[:n]
 	var done Work
-	for i, bw := range keep.built {
-		keep.built[i] = builtWorld{}
-		done = done.Add(workOf(bw.c).Sub(bw.base))
-		if !keep.pools(bw.c) {
+	for i := range keep.built {
+		bw := &keep.built[i]
+		done = done.Add(bw.account().work)
+		if bw.c != nil && !keep.pools(bw.c) {
 			bw.c.K.Shutdown()
 			bw.c.Fluid.Retire()
 		}
+		*bw = builtWorld{}
 	}
 	keep.built = keep.built[:0]
 	work.mu.Lock()

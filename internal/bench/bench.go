@@ -56,10 +56,11 @@ type Env struct {
 	// family sizes its own clusters and ignores this field.
 	Fabric *topology.FabricSpec
 	// NoPool disables world recycling for points run under this
-	// environment: every newWorld builds from scratch even when the
-	// arena holds a compatible drained world. The differential tests use
-	// it to check that pooled and fresh execution produce byte-identical
-	// records; production campaigns leave it false.
+	// environment: every world is built from scratch, with no arena hit
+	// in newWorld and no rewind of a point's fabric world in fabricWorld.
+	// The differential tests use it to check that recycled and fresh
+	// execution produce byte-identical records; production campaigns
+	// leave it false.
 	NoPool bool
 
 	// keeper, set by ExecutePoint on the point's isolated clone,

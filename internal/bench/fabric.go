@@ -24,13 +24,25 @@ import (
 	"repro/internal/trace"
 )
 
-// fabricWorld builds a cluster sized to the fabric plus its routed
-// network for one run. The worlds of a cell share one build of the
-// fabric, which no world mutates.
-func fabricWorld(env Env, fab *topology.Fabric, adaptive bool, seed int64) (*machine.Cluster, *net.Network) {
-	c := machine.NewCluster(env.Spec, fab.NHosts, seed)
-	env.track(c)
-	nw := net.NewOnFabric(c, fab, adaptive)
+// fabricWorld returns a cluster sized to the fabric plus its routed
+// network for one run. c and nw are the world the point ran before on
+// the same fabric and routing, nil on its first run. A drained one is
+// rewound instead of rebuilt when the point may recycle worlds: its
+// keeper seals what the world did so far, then the cluster and network
+// go back to their freshly built state, which replays a fresh world's
+// event sequence bit for bit. The worlds of a cell share one build of
+// the fabric, which no world mutates.
+func fabricWorld(env Env, fab *topology.Fabric, adaptive bool, seed int64, c *machine.Cluster, nw *net.Network) (*machine.Cluster, *net.Network) {
+	if c != nil && env.keeper != nil && !env.NoPool && drained(c.K) {
+		env.keeper.seal(c)
+		c.Reset(env.Spec, seed)
+		nw.Reset()
+		env.track(c)
+	} else {
+		c = machine.NewCluster(env.Spec, fab.NHosts, seed)
+		env.track(c)
+		nw = net.NewOnFabric(c, fab, adaptive)
+	}
 	if env.Faults != nil {
 		nw.InstallFaults(fault.NewInjector(c, env.Faults, seed))
 	}
@@ -161,17 +173,19 @@ func fabricCell(env Env, cfg FabricConfig) FabricCell {
 	cell := FabricCell{Preset: cfg.Preset, Routing: cfg.routing(), Jobs: cfg.Jobs}
 	var sumShared, sumAlone, sumRatio float64
 	ratios := 0
+	var c *machine.Cluster
+	var nw *net.Network
 	for run := 0; run < env.runs(); run++ {
 		seed := env.Seed + int64(run)
 		jobs := stripedJobs(hosts, cfg.Jobs)
-		c, nw := fabricWorld(env, fab, cfg.Adaptive, seed)
+		c, nw = fabricWorld(env, fab, cfg.Adaptive, seed, c, nw)
 		shared := runFabricJobs(c, nw, jobs, cfg)
 		alone := make([]sim.Duration, len(jobs))
 		for j := range jobs {
 			solo := make([][]int, len(jobs)) // same job index, same name, idle peers
 			solo[j] = jobs[j]
-			cs, ns := fabricWorld(env, fab, cfg.Adaptive, seed)
-			alone[j] = runFabricJobs(cs, ns, solo, cfg)[j]
+			c, nw = fabricWorld(env, fab, cfg.Adaptive, seed, c, nw)
+			alone[j] = runFabricJobs(c, nw, solo, cfg)[j]
 		}
 		var worstShared, worstAlone sim.Duration
 		for j := range jobs {
@@ -205,6 +219,12 @@ func fabricCell(env Env, cfg FabricConfig) FabricCell {
 // job count × both routing policies on one fabric preset. Each cell is
 // one schedulable sweep point.
 func FabricInterference(env Env, preset string, jobCounts []int) []FabricCell {
+	return RunPointsAs[FabricCell](env, fabricInterferencePoints(preset, jobCounts))
+}
+
+// fabricInterferencePoints compiles the interference grid into points,
+// minimal routing first.
+func fabricInterferencePoints(preset string, jobCounts []int) []Point {
 	var pts []Point
 	for _, adaptive := range []bool{false, true} {
 		for _, jobs := range jobCounts {
@@ -218,7 +238,7 @@ func FabricInterference(env Env, preset string, jobCounts []int) []FabricCell {
 			})
 		}
 	}
-	return RunPointsAs[FabricCell](env, pts)
+	return pts
 }
 
 // FabricInterferenceTable renders the interference grid.
@@ -259,8 +279,10 @@ func fabricPingCell(env Env, preset string, adaptive bool) FabricPingCell {
 	}
 	cell := FabricPingCell{Preset: preset, Routing: routing}
 	var sumSmall, sumLarge float64
+	var c *machine.Cluster
+	var nw *net.Network
 	for run := 0; run < env.runs(); run++ {
-		c, nw := fabricWorld(env, fab, adaptive, env.Seed+int64(run))
+		c, nw = fabricWorld(env, fab, adaptive, env.Seed+int64(run), c, nw)
 		src, dst := c.Nodes[0], c.Nodes[fab.NHosts-1]
 		cell.Hops = len(fab.Route(src.ID, dst.ID, nil, nil))
 		var small, large sim.Duration
@@ -289,6 +311,12 @@ func fabricPingCell(env Env, preset string, adaptive bool) FabricPingCell {
 // FabricPingPong measures diameter pings over the given presets under
 // both routing policies.
 func FabricPingPong(env Env, presets []string) []FabricPingCell {
+	return RunPointsAs[FabricPingCell](env, fabricPingPoints(presets))
+}
+
+// fabricPingPoints compiles the diameter pings into points, one per
+// preset and routing.
+func fabricPingPoints(presets []string) []Point {
 	var pts []Point
 	for _, preset := range presets {
 		for _, adaptive := range []bool{false, true} {
@@ -303,7 +331,7 @@ func FabricPingPong(env Env, presets []string) []FabricPingCell {
 			})
 		}
 	}
-	return RunPointsAs[FabricPingCell](env, pts)
+	return pts
 }
 
 // FabricPingTable renders the diameter pings. Adjacent minimal and

@@ -143,7 +143,7 @@ func TestFabricDifferentialK8(t *testing.T) {
 	fab := topology.FabricPreset("fattree-k8").MustBuild()
 	for _, adaptive := range []bool{false, true} {
 		cfg := FabricConfig{Preset: "fattree-k8", Adaptive: adaptive, Jobs: 3, Rounds: 2, Bytes: 1 << 20, Shift: true}
-		c, nw := fabricWorld(quietEnv(), fab, adaptive, 1)
+		c, nw := fabricWorld(quietEnv(), fab, adaptive, 1, nil, nil)
 		for j, ms := range runFabricJobs(c, nw, stripedJobs(fab.NHosts, cfg.Jobs), cfg) {
 			if ms <= 0 {
 				t.Fatalf("%s: job %d reported makespan %v", cfg.routing(), j, ms)
@@ -153,18 +153,37 @@ func TestFabricDifferentialK8(t *testing.T) {
 	}
 }
 
-// BenchmarkFabricWorld1k measures one world build of the fabric
+// BenchmarkFabricWorld1k measures one fresh world build of the fabric
 // experiments on the 1024-host fat-tree (k=16): the henri cluster, its
 // 6144 routed links and nothing run on it. The fabric itself is built
-// once, as a cell shares it across its worlds. BENCH_sim.json records
-// its ns, B and allocs per op; the CI pointperf job ratchets the
-// allocations.
+// once, as a cell shares it across its worlds. A cell builds one such
+// world per point and rewinds it for every later world (see
+// BenchmarkFabricCell1k). BENCH_sim.json records its ns, B and allocs
+// per op; the CI pointperf job ratchets the allocations.
 func BenchmarkFabricWorld1k(b *testing.B) {
 	fab := topology.FabricPreset("fattree-k16").MustBuild()
 	env := Env{Spec: topology.Henri(), Seed: 1, Runs: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fabricWorld(env, fab, false, int64(i))
+		fabricWorld(env, fab, false, int64(i), nil, nil)
+	}
+}
+
+// BenchmarkFabricCell1k measures one fabric-1k point end to end through
+// ExecutePoint: four striped jobs on the 1024-host fat-tree under
+// minimal routing, one run, so one world built and rewound for the four
+// solo baselines. BENCH_sim.json records its ns, B and allocs per op;
+// the CI pointperf job ratchets the allocations.
+func BenchmarkFabricCell1k(b *testing.B) {
+	p := fabricInterferencePoints("fattree-k16", []int{4})[0]
+	env := DefaultEnv()
+	env.Runs = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := ExecutePoint(env, p); rec.Panic != nil {
+			b.Fatal(rec.Panic)
+		}
 	}
 }

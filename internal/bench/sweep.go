@@ -27,7 +27,6 @@ import (
 	"slices"
 
 	"repro/internal/counters"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -143,11 +142,10 @@ func ExecutePoint(env Env, p Point) PointRecord {
 	// world in build order: the float sums, and so the cached record
 	// bytes, depend on this order.
 	rec.SimSeconds, rec.Worlds, rec.Faults = iso.Meter.SimSeconds(), iso.Meter.Worlds(), iso.Meter.Faults()
-	for _, bw := range keep.built {
-		rec.SimSeconds += sim.Duration(bw.c.K.Now()).Seconds()
-		for _, n := range bw.c.Nodes {
-			rec.Faults.Add(n.Counters.Faults)
-		}
+	for i := range keep.built {
+		a := keep.built[i].account()
+		rec.SimSeconds += a.simSeconds
+		rec.Faults.Add(a.faults)
 	}
 	rec.Worlds += len(keep.built)
 	return rec

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/fluid"
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -385,6 +386,60 @@ func TestFabricInstallFaultsScalesLinks(t *testing.T) {
 		}
 		if got := nw.Link(i).Capacity(); got != want {
 			t.Fatalf("link %d capacity %v after pair degrade, want %v", i, got, want)
+		}
+	}
+}
+
+// --- Reset ---------------------------------------------------------------
+
+// fluidRows lists a model's resources in id order, one "id name
+// capacity" row each, the capacity in exact bits.
+func fluidRows(m *fluid.Model) []string {
+	rows := make([]string, len(m.Resources()))
+	for i, r := range m.Resources() {
+		rows[i] = fmt.Sprintf("%d %s %x", i, r.Name(), math.Float64bits(r.Capacity()))
+	}
+	return rows
+}
+
+// A rewound fabric world must hold the resources a fresh build creates:
+// the same ids, names and capacities. The rewound world first ran a
+// transfer under an all-links degrade, which Cluster.Reset and
+// Network.Reset must undo — the links included.
+func TestFabricResetMatchesFresh(t *testing.T) {
+	sched, err := fault.ParseSpec("degrade:factor=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 7
+	for _, name := range topology.FabricPresetNames() {
+		fab := topology.FabricPreset(name).MustBuild()
+		spec := topology.Henri()
+		fresh := machine.NewCluster(spec, fab.NHosts, seed)
+		NewOnFabric(fresh, fab, false)
+		want := fluidRows(fresh.Fluid)
+
+		c := machine.NewCluster(spec, fab.NHosts, seed)
+		nw := NewOnFabric(c, fab, false)
+		nw.InstallFaults(fault.NewInjector(c, sched, seed))
+		src, dst := c.Nodes[0], c.Nodes[fab.NHosts-1]
+		c.K.Spawn("xfer", func(p *sim.Proc) {
+			nw.TransferDMA(p, src, src.Alloc(1<<20, 0), dst, dst.Alloc(1<<20, 0), 1<<20)
+		})
+		c.K.Run()
+		if nw.Link(0).Capacity() == fresh.Fluid.Resources()[len(want)-len(fab.Links)].Capacity() {
+			t.Fatalf("%s: the degrade left link 0 at its healthy capacity", name)
+		}
+		c.Reset(spec, seed)
+		nw.Reset()
+		got := fluidRows(c.Fluid)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d resources after Reset, a fresh build has %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s after Reset: resource %s, want %s", name, got[i], want[i])
+			}
 		}
 	}
 }
