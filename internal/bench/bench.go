@@ -301,16 +301,18 @@ func cellResults(env Env, comp ComputeConfig, comms ...CommConfig) []Interferenc
 }
 
 // The protocol steps below each loop over the runs in order (run r on
-// seed Seed+r, one fresh world per run) and summarise their samples.
-// Their accumulators are preallocated to their exact final sizes: one
-// compute sample per (run, node-0 core) and one latency sample per
-// (run, ping-pong iteration). These appends are the hottest measurement
-// path of every sweep point.
+// seed Seed+r, one fresh world per run; compAlone may stop after run 0)
+// and summarise their samples. Their accumulators are preallocated to
+// their exact final sizes: one compute sample per (run, node-0 core)
+// and one latency sample per (run, ping-pong iteration). These appends
+// are the hottest measurement path of every sweep point.
 
 // compAlone is step 1, computation without communication: it returns
 // the per-core bytes/s and seconds per iteration of comp's cores, which
 // skip commCore (-1: each rank's default communication core). It depends
-// on the communication side only through that core.
+// on the communication side only through that core. Computation alone
+// never draws, so a healthy run 0 is every run: its samples are
+// repeated for the others instead of simulating identical worlds.
 func compAlone(env Env, comp ComputeConfig, commCore int) (bytesPerSec, secs stats.Summary) {
 	bw := make([]float64, 0, env.runs()*comp.Cores)
 	ss := make([]float64, 0, env.runs()*comp.Cores)
@@ -332,8 +334,29 @@ func compAlone(env Env, comp ComputeConfig, commCore int) (bytesPerSec, secs sta
 			}
 		})
 		c.K.Run()
+		if run == 0 && compAloneOnce && seedFree(env, c.K) {
+			n := len(bw)
+			for r := 1; r < env.runs(); r++ {
+				bw = append(bw, bw[:n]...)
+				ss = append(ss, ss[:n]...)
+			}
+			break
+		}
 	}
 	return stats.SummarizeInPlace(bw), stats.SummarizeInPlace(ss)
+}
+
+// compAloneOnce lets compAlone stand its first run in for the others
+// when that run never read its seed (see seedFree). Tests turn it off
+// to force every run to execute.
+var compAloneOnce = true
+
+// seedFree reports whether a run that ended on kernel k followed a
+// course its seed did not choose, so a run at any other seed would
+// repeat it bit for bit: no fault injector (it draws from the run's
+// seed) and no draw from the kernel's random source.
+func seedFree(env Env, k *sim.Kernel) bool {
+	return env.Faults == nil && !k.Drew()
 }
 
 // spawnCores spawns a process running body on each of cores of every

@@ -266,7 +266,9 @@ type FabricPingCell struct {
 
 // fabricPingCell measures one (preset, routing) diameter ping. On the
 // idle fabric the adaptive row must be identical to the minimal one —
-// the routing-independence property, locked into the golden file.
+// the routing-independence property, locked into the golden file. A
+// run whose ping never finishes (a crashed peer) contributes no sample:
+// the cell averages the completed runs, and reports zeros if none did.
 func fabricPingCell(env Env, preset string, adaptive bool) FabricPingCell {
 	spec := topology.FabricPreset(preset)
 	if spec == nil {
@@ -279,6 +281,7 @@ func fabricPingCell(env Env, preset string, adaptive bool) FabricPingCell {
 	}
 	cell := FabricPingCell{Preset: preset, Routing: routing}
 	var sumSmall, sumLarge float64
+	completed := 0
 	var c *machine.Cluster
 	var nw *net.Network
 	for run := 0; run < env.runs(); run++ {
@@ -286,6 +289,7 @@ func fabricPingCell(env Env, preset string, adaptive bool) FabricPingCell {
 		src, dst := c.Nodes[0], c.Nodes[fab.NHosts-1]
 		cell.Hops = len(fab.Route(src.ID, dst.ID, nil, nil))
 		var small, large sim.Duration
+		finished := false
 		c.K.Spawn("ping", func(p *sim.Proc) {
 			srcBuf := src.Alloc(64<<20, src.Spec.NIC.NUMA)
 			dstBuf := dst.Alloc(64<<20, dst.Spec.NIC.NUMA)
@@ -298,13 +302,20 @@ func fabricPingCell(env Env, preset string, adaptive bool) FabricPingCell {
 			start = p.Now()
 			nw.TransferDMA(p, src, srcBuf, dst, dstBuf, 64<<20)
 			large = p.Now().Sub(start)
+			finished = true
 		})
 		c.K.Run()
+		if !finished {
+			continue
+		}
 		sumSmall += small.Seconds()
 		sumLarge += float64(64<<20) / large.Seconds() / 1e9
+		completed++
 	}
-	cell.SmallSecs = sumSmall / float64(env.runs())
-	cell.LargeGBs = sumLarge / float64(env.runs())
+	if completed > 0 {
+		cell.SmallSecs = sumSmall / float64(completed)
+		cell.LargeGBs = sumLarge / float64(completed)
+	}
 	return cell
 }
 

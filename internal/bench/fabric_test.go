@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/fault"
@@ -23,7 +24,7 @@ func fabricExec(env Env, p Point) (PointRecord, Work) {
 // that builds every world afresh, at two seeds, healthy and under each
 // kind of fault a fabric world takes. A crash leaves its world
 // undrained, so the run after it builds a fresh one; a point that
-// panics (the crashed ping has no bandwidth) must panic alike.
+// panics must panic alike.
 func TestFabricRewindMatchesFresh(t *testing.T) {
 	var pts []Point
 	pts = append(pts, fabricInterferencePoints("fattree-k4", []int{2, 3, 4})...)
@@ -100,5 +101,32 @@ func TestFabricWorldRewinds(t *testing.T) {
 	c, nw := fabricWorld(quietEnv(), fab, false, 1, nil, nil)
 	if c2, _ := fabricWorld(quietEnv(), fab, false, 2, c, nw); c2 == c {
 		t.Fatal("a fabric world outside a point was rewound")
+	}
+}
+
+// TestFabricPingCrashedPeer: a ping whose peer crashes never finishes,
+// so its run has no sample; the fabric-pingpong preset under a crash
+// schedule must still return finite cells (zeros when no run finished)
+// that the point codec can encode.
+func TestFabricPingCrashedPeer(t *testing.T) {
+	env := DefaultEnv()
+	sched, err := fault.ParseSpec("crash:node=1,at=200us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Faults = sched
+	cells := FabricPingPong(env, []string{"fattree-k4", "dflyplus-small"})
+	if len(cells) != 4 {
+		t.Fatalf("%d cells, want 4", len(cells))
+	}
+	for _, c := range cells {
+		for _, v := range []float64{c.SmallSecs, c.LargeGBs} {
+			if math.IsInf(v, 0) || math.IsNaN(v) || v < 0 {
+				t.Fatalf("%s %s: non-finite or negative field in %+v", c.Preset, c.Routing, c)
+			}
+		}
+		if (c.SmallSecs == 0) != (c.LargeGBs == 0) {
+			t.Fatalf("%s %s: a cell averages both transfers over the same runs: %+v", c.Preset, c.Routing, c)
+		}
 	}
 }

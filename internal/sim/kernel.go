@@ -226,6 +226,11 @@ func (k *Kernel) Rand() *rand.Rand {
 	return k.rng
 }
 
+// Drew reports whether anything drew from the random source since
+// NewKernel or the last Reset. A simulation that never did never read
+// its seed, so it runs the same course at every seed.
+func (k *Kernel) Drew() bool { return k.seeded }
+
 // Steps reports how many events have been executed so far, since
 // NewKernel or the last Reset. A Sleep that ends in place (see
 // Proc.Sleep) is not an event and does not count.

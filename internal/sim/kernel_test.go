@@ -227,3 +227,22 @@ func TestRandAfterResetMatchesFreshKernel(t *testing.T) {
 		t.Fatalf("after Reset(7) on an unseeded source: %v, want %v", got, want)
 	}
 }
+
+func TestKernelDrew(t *testing.T) {
+	k := NewKernel(3)
+	if k.Drew() {
+		t.Fatal("Drew after NewKernel")
+	}
+	k.Rand().Int63()
+	if !k.Drew() {
+		t.Fatal("no Drew after Rand")
+	}
+	k.Reset(7)
+	if k.Drew() {
+		t.Fatal("Drew after Reset")
+	}
+	k.Rand()
+	if !k.Drew() {
+		t.Fatal("no Drew after Rand on a reset kernel")
+	}
+}

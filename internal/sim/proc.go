@@ -273,11 +273,16 @@ func (s *Signal) WaitTimeout(p *Proc, d Duration) bool {
 	return !timedOut
 }
 
-// Broadcast wakes every waiter, oldest first.
+// Broadcast wakes every waiter, oldest first: the wakeups are the
+// events successive Signal calls would schedule, and the queue empties
+// once, in place, keeping its capacity.
 func (s *Signal) Broadcast() {
-	for len(s.waiters) > 0 {
-		s.Signal()
+	for i, p := range s.waiters {
+		s.waiters[i] = nil
+		p.blocked = false
+		s.k.At(s.k.now, p.runFn)
 	}
+	s.waiters = s.waiters[:0]
 }
 
 // Waiters returns the number of processes blocked on the signal.

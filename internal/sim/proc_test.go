@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -87,6 +88,48 @@ func TestSignalBroadcast(t *testing.T) {
 	k.Run()
 	if n != 5 {
 		t.Fatalf("broadcast woke %d of 5", n)
+	}
+}
+
+// TestBroadcastMatchesSignals pins Broadcast to the events of a
+// sequence of Signal calls: the same wake order and the same event
+// count, for a crowd of waiters that keep running after they wake.
+func TestBroadcastMatchesSignals(t *testing.T) {
+	const n = 1000
+	run := func(wake func(s *Signal)) ([]int, uint64) {
+		k := NewKernel(1)
+		s := NewSignal(k)
+		var order []int
+		for i := 0; i < n; i++ {
+			i := i
+			k.Spawn("w", func(p *Proc) {
+				s.Wait(p)
+				order = append(order, i)
+				p.Sleep(Duration(i % 3))
+				order = append(order, -i)
+			})
+		}
+		k.Spawn("waker", func(p *Proc) {
+			p.Sleep(10)
+			wake(s)
+			if s.Waiters() != 0 {
+				t.Errorf("%d waiters left after waking all", s.Waiters())
+			}
+		})
+		k.Run()
+		return order, k.Steps()
+	}
+	wantOrder, wantSteps := run(func(s *Signal) {
+		for s.Waiters() > 0 {
+			s.Signal()
+		}
+	})
+	gotOrder, gotSteps := run((*Signal).Broadcast)
+	if len(gotOrder) != 2*n || !slices.Equal(gotOrder, wantOrder) {
+		t.Fatalf("Broadcast wake order differs from sequential Signal calls")
+	}
+	if gotSteps != wantSteps {
+		t.Fatalf("Broadcast took %d steps, sequential Signal calls %d", gotSteps, wantSteps)
 	}
 }
 
