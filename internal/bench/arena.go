@@ -23,8 +23,8 @@ import (
 //
 //   - healthy (no fault injector): fault schedules leave retransmission
 //     timers, watchers and per-run injector state behind;
-//   - legacy two-node network (no fabric): fabric experiments size their
-//     own clusters and bypass newWorld anyway;
+//   - two nodes: the shape key has no node count, so newWorld pools
+//     two-node worlds only, never the collectives' 4- and 8-node ones;
 //   - drained kernel: no pending events and no live processes (a world
 //     left mid-flight is shut down instead, see releaseWorlds).
 //

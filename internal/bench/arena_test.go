@@ -126,7 +126,7 @@ func TestPointReleasesWorldGoroutines(t *testing.T) {
 			return lats
 		}},
 		{Key: "t/leak/stuck", Fn: func(e Env) any {
-			c, _ := newWorld(e, e.Seed)
+			c, _ := newWorld(e, 2, e.Seed)
 			never := c.K.GetSignal()
 			c.K.Spawn("stuck", func(p *sim.Proc) {
 				defer func() { unwound++ }()

@@ -37,24 +37,17 @@ type Env struct {
 	// seconds, fault totals). Nil disables accounting.
 	Meter *Meter
 	// Faults, when non-nil, is installed into every world the drivers
-	// build: each run gets a fresh fault.Injector seeded from the run's
-	// world seed, so injection composes with the usual seed+run
-	// reproducibility. Nil runs healthy worlds with an unchanged event
-	// sequence. The worlds of tuning.WorkerSweep (ext-tuner, ext-throttle,
-	// ext-sched) take no schedule yet and always run healthy.
+	// build (newWorld, fabricWorld, and the worlds tuning.WorkerSweep
+	// gets from World): each run gets a fresh fault.Injector seeded from
+	// the run's world seed, so injection composes with the usual
+	// seed+run reproducibility. Nil runs healthy worlds with an
+	// unchanged event sequence.
 	Faults *fault.Schedule
 	// Sched, when non-nil, executes compiled sweep points (see sweep.go)
 	// on a campaign-wide pool, possibly replaying them from a persistent
 	// cache. Nil runs sweep points inline, serially, with identical
 	// output.
 	Sched PointRunner
-	// Fabric, when non-nil, replaces the legacy two-node full mesh with
-	// a routed fabric (internal/topology) in every world the drivers
-	// build. The paper's experiments are two-ranked, so the fabric must
-	// have exactly two hosts (the "two-node" preset degenerates
-	// byte-identically to the legacy network); the fabric-* experiment
-	// family sizes its own clusters and ignores this field.
-	Fabric *topology.FabricSpec
 	// NoPool disables world recycling for points run under this
 	// environment: every world is built from scratch, with no arena hit
 	// in newWorld and no rewind of a point's fabric world in fabricWorld.
@@ -76,10 +69,6 @@ type Env struct {
 func (e Env) Isolated() Env {
 	e.Spec = e.Spec.Clone()
 	e.Meter = &Meter{}
-	if e.Fabric != nil {
-		fab := *e.Fabric
-		e.Fabric = &fab
-	}
 	// World recycling is scoped to one point execution; an isolated
 	// clone starts outside any such scope (ExecutePoint installs its
 	// own keeper explicitly).
@@ -203,42 +192,31 @@ func computeCores(spec *topology.NodeSpec, n, commCore int) []int {
 	return cores
 }
 
-// newWorld builds a fresh cluster + network + MPI world for one run and
-// registers it with the point's keeper. When the environment
-// carries a fault schedule, a fresh injector (seeded from this world's
-// seed) is installed on the network before the MPI world binds to it.
-func newWorld(env Env, seed int64) (*machine.Cluster, *mpi.World) {
-	// Healthy legacy-network worlds built inside a point execution are
-	// recycled through the arena: a pooled world is rewound to exactly
-	// the state a fresh build would have, so the event sequence — and
-	// therefore every golden — is unchanged.
-	poolable := env.keeper != nil && !env.NoPool && env.Faults == nil && env.Fabric == nil
+// newWorld builds the world of one run: a cluster of `nodes` nodes on
+// the legacy full-mesh network, adopted by the point (see adopt), and
+// the MPI world bound to it. It is the constructor of every MPI world
+// the drivers run; the fabric-* family's worlds come from fabricWorld.
+func newWorld(env Env, nodes int, seed int64) (*machine.Cluster, *mpi.World) {
+	// Healthy two-node worlds built inside a point execution are
+	// recycled through the arena (whose shape key has no node count): a
+	// pooled world is rewound to exactly the state a fresh build would
+	// have, so the event sequence — and therefore every golden — is
+	// unchanged.
+	poolable := nodes == 2 && env.keeper != nil && !env.NoPool && env.Faults == nil
 	if poolable {
 		if pw, ok := arena.get(machine.ShapeOf(env.Spec)); ok {
 			pw.c.Reset(env.Spec, seed)
 			pw.w.Network().Reset()
 			pw.w.Reset()
-			env.track(pw.c)
+			env.adopt(pw.c, pw.w.Network(), seed)
 			env.keeper.worlds = append(env.keeper.worlds, pw)
 			return pw.c, pw.w
 		}
 	}
-	c := machine.NewCluster(env.Spec, 2, seed)
-	var nw *net.Network
-	if env.Fabric != nil {
-		// NewFabric rejects a fabric whose host count differs from the
-		// cluster's two ranks.
-		nw = net.NewFabric(c, env.Fabric, false)
-	} else {
-		nw = net.New(c)
-	}
-	if env.Faults != nil {
-		nw.InstallFaults(fault.NewInjector(c, env.Faults, seed))
-	}
+	c := machine.NewCluster(env.Spec, nodes, seed)
+	nw := net.New(c)
+	env.adopt(c, nw, seed)
 	w := mpi.NewWorld(c, nw)
-	// Tracked once built, as a rewound world is, so its setup solves are
-	// not the point's (see builtWorld).
-	env.track(c)
 	if poolable {
 		env.keeper.worlds = append(env.keeper.worlds, pooledWorld{c: c, w: w})
 	}
@@ -247,6 +225,27 @@ func newWorld(env Env, seed int64) (*machine.Cluster, *mpi.World) {
 	// (the monitors tick until stopped, so Run() would never drain). The
 	// crash-aware drivers arm it themselves and Stop() it when done.
 	return c, w
+}
+
+// World returns the two-node world of one run at seed, built as every
+// driver builds its worlds (see newWorld): it carries the environment's
+// fault schedule and is registered with the point that builds it.
+// tuning.Options.World takes it.
+func (e Env) World(seed int64) (*machine.Cluster, *mpi.World) {
+	return newWorld(e, 2, seed)
+}
+
+// adopt is the last step of every world build, fresh or rewound: it
+// installs a fresh injector seeded from the run's world seed when the
+// environment carries a fault schedule, then registers the world with
+// the point's keeper. It runs before an MPI world binds to nw, which
+// reads the injector, and it is tracked once built, so the build's
+// setup solves are not the point's (see builtWorld).
+func (e Env) adopt(c *machine.Cluster, nw *net.Network, seed int64) {
+	if e.Faults != nil {
+		nw.InstallFaults(fault.NewInjector(c, e.Faults, seed))
+	}
+	e.track(c)
 }
 
 // applyComm binds the communication threads and builds the ping-pong.
@@ -321,7 +320,7 @@ func compAlone(env Env, comp ComputeConfig, commCore int) (bytesPerSec, secs sta
 		iters = 3
 	}
 	for run := 0; comp.Cores > 0 && run < env.runs(); run++ {
-		c, w := newWorld(env, env.Seed+int64(run))
+		c, w := newWorld(env, 2, env.Seed+int64(run))
 		core := commCore
 		if core < 0 {
 			core = w.Rank(0).CommCore
@@ -377,7 +376,7 @@ func spawnCores(c *machine.Cluster, cores []int, body func(p *sim.Proc, node *ma
 func commAlone(env Env, comm CommConfig) stats.Summary {
 	lat := make([]float64, 0, env.runs()*comm.Iters)
 	for run := 0; run < env.runs(); run++ {
-		c, w := newWorld(env, env.Seed+int64(run))
+		c, w := newWorld(env, 2, env.Seed+int64(run))
 		pp := applyComm(w, comm)
 		var lats []sim.Duration
 		c.K.Spawn("init", func(p *sim.Proc) { lats = pp.Initiate(p, w.Rank(0), 1) })
@@ -398,7 +397,7 @@ func together(env Env, comm CommConfig, comp ComputeConfig) (bytesPerSec, secs, 
 	ss := make([]float64, 0, env.runs()*comp.Cores)
 	lat := make([]float64, 0, env.runs()*comm.Iters)
 	for run := 0; run < env.runs(); run++ {
-		c, w := newWorld(env, env.Seed+int64(run))
+		c, w := newWorld(env, 2, env.Seed+int64(run))
 		pp := applyComm(w, comm)
 		commDone := false
 		if cores := computeCores(env.Spec, comp.Cores, w.Rank(0).CommCore); len(cores) > 0 {

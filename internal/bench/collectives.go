@@ -3,11 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/kernels"
-	"repro/internal/machine"
-	"repro/internal/mpi"
-	"repro/internal/net"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -57,16 +53,9 @@ func ExtCollectives(env Env) *trace.Table {
 }
 
 // runCollective times one collective over `nodes` ranks, with
-// `computeCores` STREAM cores per node running beside it. A fault
-// schedule on the environment is installed as newWorld installs it.
+// `computeCores` STREAM cores per node running beside it.
 func runCollective(env Env, op string, nodes int, size int64, computeCores int) sim.Duration {
-	c := machine.NewCluster(env.Spec, nodes, env.Seed)
-	env.track(c)
-	nw := net.New(c)
-	if env.Faults != nil {
-		nw.InstallFaults(fault.NewInjector(c, env.Faults, env.Seed))
-	}
-	w := mpi.NewWorld(c, nw)
+	c, w := newWorld(env, nodes, env.Seed)
 	stop := false
 	for _, node := range c.Nodes {
 		node := node

@@ -67,7 +67,7 @@ func TestSeedFreeNeedsNoDraw(t *testing.T) {
 	if k := sim.NewKernel(1); !seedFree(env, k) {
 		t.Fatal("a kernel that never drew is not seed-free")
 	}
-	c, _ := newWorld(env, 1)
+	c, _ := newWorld(env, 2, 1)
 	c.K.Spawn("jitter", func(p *sim.Proc) { p.Sleep(c.Nodes[0].Jitter(sim.Microsecond, 0.1)) })
 	c.K.Run()
 	if seedFree(env, c.K) {

@@ -121,7 +121,7 @@ func crashSchedule(node int, at sim.Duration) *fault.Schedule {
 func runCrashPingPong(env Env, sched *fault.Schedule) (iters int, detectedUs float64, latUs float64, status string) {
 	fenv := env
 	fenv.Faults = sched
-	c, w := newWorld(fenv, fenv.Seed)
+	c, w := newWorld(fenv, 2, fenv.Seed)
 	var det *mpi.Detector
 	if sched.Crashy() {
 		det = w.StartHeartbeat(mpi.DefaultHeartbeat())

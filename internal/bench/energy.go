@@ -44,7 +44,7 @@ func ExtEnergy(env Env) *trace.Table {
 			pts = append(pts, Point{
 				Key: fmt.Sprintf("energy/size=%d/iters=%d/ghz=%g", ph.size, ph.iters, ghz),
 				Fn: func(env Env) any {
-					c, w := newWorld(env, env.Seed)
+					c, w := newWorld(env, 2, env.Seed)
 					for i := 0; i < 2; i++ {
 						r := w.Rank(i)
 						r.SetCommCore(env.Spec.LastCoreOfNUMA(env.Spec.NIC.NUMA))

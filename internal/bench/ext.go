@@ -55,7 +55,7 @@ func ExtTuner(env Env) *trace.Table {
 			Fn: func(env Env) any {
 				res := tuning.WorkerSweep(tuning.Options{
 					Spec:         env.Spec,
-					Track:        env.track,
+					World:        env.World,
 					Seed:         env.Seed,
 					App:          extCGApp(env.Spec),
 					WorkerCounts: []int{n},
@@ -96,7 +96,7 @@ func ExtThrottle(env Env) *trace.Table {
 			Fn: func(env Env) any {
 				res := tuning.WorkerSweep(tuning.Options{
 					Spec:         env.Spec,
-					Track:        env.track,
+					World:        env.World,
 					Seed:         env.Seed,
 					App:          extCGApp(env.Spec),
 					WorkerCounts: []int{30},
@@ -136,7 +136,7 @@ func ExtScheduler(env Env) *trace.Table {
 			Fn: func(env Env) any {
 				res := tuning.WorkerSweep(tuning.Options{
 					Spec:         env.Spec,
-					Track:        env.track,
+					World:        env.World,
 					Seed:         env.Seed,
 					App:          spreadApp,
 					WorkerCounts: []int{30},
@@ -165,7 +165,7 @@ func ExtOverlap(env Env) *trace.Table {
 		pts = append(pts, Point{
 			Key: fmt.Sprintf("ext/overlap/size=%d", size),
 			Fn: func(env Env) any {
-				c, w := newWorld(env, env.Seed)
+				c, w := newWorld(env, 2, env.Seed)
 				// Computation sized to the nominal transfer time at wire speed.
 				transferSecs := float64(size) / (env.Spec.NIC.WireGBs * 1e9)
 				flops := transferSecs * 2.5e9 * env.Spec.FlopsPerCycle[topology.Scalar]

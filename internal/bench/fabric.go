@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/net"
 	"repro/internal/sim"
@@ -37,15 +36,11 @@ func fabricWorld(env Env, fab *topology.Fabric, adaptive bool, seed int64, c *ma
 		env.keeper.seal(c)
 		c.Reset(env.Spec, seed)
 		nw.Reset()
-		env.track(c)
 	} else {
 		c = machine.NewCluster(env.Spec, fab.NHosts, seed)
-		env.track(c)
 		nw = net.NewOnFabric(c, fab, adaptive)
 	}
-	if env.Faults != nil {
-		nw.InstallFaults(fault.NewInjector(c, env.Faults, seed))
-	}
+	env.adopt(c, nw, seed)
 	return c, nw
 }
 

@@ -65,7 +65,7 @@ func runFaultPingPong(env Env, cc CommConfig) ([]float64, counters.Faults) {
 	lats := make([]float64, 0, env.runs()*cc.Iters)
 	var tot counters.Faults
 	for run := 0; run < env.runs(); run++ {
-		c, w := newWorld(env, env.Seed+int64(run))
+		c, w := newWorld(env, 2, env.Seed+int64(run))
 		pp := applyComm(w, cc)
 		var ls []sim.Duration
 		c.K.Spawn("init", func(p *sim.Proc) { ls = pp.Initiate(p, w.Rank(0), 1) })
@@ -198,7 +198,7 @@ func FaultsOverlap(env Env) *trace.Table {
 			Fn: func(env Env) any {
 				fenv := env
 				fenv.Faults = s.sched
-				c, w := newWorld(fenv, fenv.Seed)
+				c, w := newWorld(fenv, 2, fenv.Seed)
 				transferSecs := float64(size) / (env.Spec.NIC.WireGBs * 1e9)
 				flops := transferSecs * 2.5e9 * env.Spec.FlopsPerCycle[topology.Scalar]
 				ov := &mpi.Overlap{

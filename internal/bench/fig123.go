@@ -48,7 +48,7 @@ func Fig1Frequencies(env Env, sizes []int64) []FrequencyPoint {
 						spec := env.Spec
 						lats := make([]float64, 0, env.runs()*pingIters(size))
 						for run := 0; run < env.runs(); run++ {
-							c, w := newWorld(env, env.Seed+int64(run))
+							c, w := newWorld(env, 2, env.Seed+int64(run))
 							for i := 0; i < 2; i++ {
 								r := w.Rank(i)
 								r.SetCommCore(spec.LastCoreOfNUMA(spec.NIC.NUMA))
@@ -144,7 +144,7 @@ func Fig2FrequencyTrace(env Env) Fig2Result {
 // fig2CommOnly is case (A): the latency benchmark alone, tracing the
 // initiator node's frequencies.
 func fig2CommOnly(env Env) Fig2Result {
-	c, w := newWorld(env, env.Seed)
+	c, w := newWorld(env, 2, env.Seed)
 	pp := applyComm(w, CommConfig{CommCore: -1, BufNUMA: -1, Size: 4, Iters: 30, Warmup: 5})
 	w.Rank(0).Node.Freq.StartTrace()
 	var lats []sim.Duration
@@ -156,7 +156,7 @@ func fig2CommOnly(env Env) Fig2Result {
 
 // fig2Idle is case (B): all cores asleep.
 func fig2Idle(env Env) Fig2Result {
-	c, w := newWorld(env, env.Seed)
+	c, w := newWorld(env, 2, env.Seed)
 	n := w.Rank(0).Node
 	n.Freq.StartTrace()
 	c.K.Spawn("sleep", func(p *sim.Proc) { p.Sleep(sim.Duration(10 * sim.Millisecond)) })
@@ -167,7 +167,7 @@ func fig2Idle(env Env) Fig2Result {
 // fig2CommCompute is case (C): the latency benchmark beside 20
 // prime-counting cores on each node.
 func fig2CommCompute(env Env) Fig2Result {
-	c, w := newWorld(env, env.Seed)
+	c, w := newWorld(env, 2, env.Seed)
 	pp := applyComm(w, CommConfig{CommCore: -1, BufNUMA: -1, Size: 4, Iters: 30, Warmup: 5})
 	n := w.Rank(0).Node
 	n.Freq.StartTrace()
@@ -203,15 +203,15 @@ func fig2CommCompute(env Env) Fig2Result {
 
 // measureBandwidthOnce runs one 64MB ping-pong (optionally beside a
 // CPU-bound kernel on `cores` cores) and returns the median bandwidth.
-// The probe always runs once, on healthy worlds of the legacy network,
-// whatever the campaign's run count, fault schedule or fabric.
+// The probe always runs once, on healthy worlds, whatever the
+// campaign's run count or fault schedule.
 func measureBandwidthOnce(env Env, cores int) float64 {
 	comm := BandwidthConfig()
 	comp := ComputeConfig{}
 	if cores > 0 {
 		comp = ComputeConfig{Slice: kernels.PrimeCountDefault(), Cores: cores}
 	}
-	env.Runs, env.Faults, env.Fabric = 1, nil, nil
+	env.Runs, env.Faults = 1, nil
 	r := Interference(env, comm, comp)
 	if cores > 0 {
 		return r.BandwidthTogether()
@@ -253,7 +253,7 @@ func Fig3AVX(env Env, coreCounts []int) []Fig3Result {
 					LatencyWith:      r.CommTogether,
 				}
 				// Probe the frequencies in the side-by-side state.
-				c, w := newWorld(env, env.Seed)
+				c, w := newWorld(env, 2, env.Seed)
 				n := w.Rank(0).Node
 				for _, core := range computeCores(env.Spec, nc, w.Rank(0).CommCore) {
 					n.Freq.SetActive(core, topology.AVX512)

@@ -15,7 +15,7 @@ import (
 
 // starpuPair builds a two-node cluster with one runtime per node.
 func starpuPair(env Env, seed int64, commCore int, workers []int, backoff taskrt.Backoff) (*machine.Cluster, *mpi.World, [2]*taskrt.Runtime) {
-	c, w := newWorld(env, seed)
+	c, w := newWorld(env, 2, seed)
 	var rts [2]*taskrt.Runtime
 	for i := 0; i < 2; i++ {
 		if commCore >= 0 {

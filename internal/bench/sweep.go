@@ -40,7 +40,7 @@ const PointSchema = 3
 // computes (protocol steps, iteration counts, derived statistics), so
 // content-addressed caches keyed before the change miss instead of
 // serving measurements of the old logic.
-const SweepVersion = 3
+const SweepVersion = 4
 
 // Point is one independently schedulable cell of an experiment's
 // parameter grid.

@@ -120,7 +120,7 @@ func TestExecutePointSealsFromEveryWorld(t *testing.T) {
 	// pingWorld runs one lossy ping-pong in a world of its own and notes
 	// the world's end time and fault counters.
 	pingWorld := func(env Env, i int) {
-		c, w := newWorld(env, env.Seed+int64(i))
+		c, w := newWorld(env, 2, env.Seed+int64(i))
 		pp := applyComm(w, LatencyConfig())
 		c.K.Spawn("init", func(p *sim.Proc) { pp.Initiate(p, w.Rank(0), 1) })
 		c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })

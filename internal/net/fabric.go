@@ -1,13 +1,13 @@
 package net
 
-// Fabric-backed interconnects. NewFabric replaces the legacy full mesh
-// of dedicated wires with an explicit switched fabric from
+// Fabric-backed interconnects. NewOnFabric replaces the legacy full
+// mesh of dedicated wires with an explicit switched fabric from
 // internal/topology: every directed fabric link becomes one fluid
 // resource, and each transfer's path is routed hop by hop, so
 // transfers of different jobs contend exactly on the links their
 // routes share. A "direct" two-host fabric creates the same resources
 // in the same order with the same names and capacities as the legacy
-// New — the differential battery in internal/runner holds the two
+// New — TestFabricTwoNodeDegeneratesToLegacy holds the two
 // byte-identical.
 
 import (
@@ -20,23 +20,14 @@ import (
 	"repro/internal/topology"
 )
 
-// NewFabric builds the interconnect of cluster c over the given fabric
-// spec. The spec must validate and its host count must equal the
-// cluster's node count (hosts and nodes are identified one-to-one).
-// When adaptive is true, transfer routing picks the least-loaded
-// up-link at each decision, falling back to the minimal choice on ties;
-// minimal routing otherwise.
-func NewFabric(c *machine.Cluster, spec *topology.FabricSpec, adaptive bool) *Network {
-	fab, err := spec.Build()
-	if err != nil {
-		panic(fmt.Sprintf("net: invalid fabric spec: %v", err))
-	}
-	return NewOnFabric(c, fab, adaptive)
-}
-
-// NewOnFabric is NewFabric over a fabric already built from its spec.
-// The network only reads fab, so the worlds of one fabric may share a
-// single build instead of each expanding the spec again.
+// NewOnFabric builds the interconnect of cluster c over a fabric built
+// from its spec (topology.FabricSpec.Build). The fabric's host count
+// must equal the cluster's node count (hosts and nodes are identified
+// one-to-one). When adaptive is true, transfer routing picks the
+// least-loaded up-link at each decision, falling back to the minimal
+// choice on ties; minimal routing otherwise. The network only reads
+// fab, so the worlds of one fabric may share a single build instead of
+// each expanding the spec again.
 func NewOnFabric(c *machine.Cluster, fab *topology.Fabric, adaptive bool) *Network {
 	spec := &fab.Spec
 	if fab.NHosts != len(c.Nodes) {

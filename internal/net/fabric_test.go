@@ -19,8 +19,17 @@ import (
 // The "direct" two-host fabric must be indistinguishable from the
 // legacy full mesh: same resources, created in the same order, with
 // the same names and capacities, so every experiment's event sequence
-// is byte-identical. (The runner-level differential test replays whole
-// campaigns; this pins the mechanism.)
+// is byte-identical.
+
+// newFabric builds the interconnect of c over the fabric spec, which
+// must validate.
+func newFabric(c *machine.Cluster, spec *topology.FabricSpec, adaptive bool) *Network {
+	fab, err := spec.Build()
+	if err != nil {
+		panic(fmt.Sprintf("net: invalid fabric spec: %v", err))
+	}
+	return NewOnFabric(c, fab, adaptive)
+}
 
 // transferScript runs a fixed mix of DMA and eager transfers and
 // returns every completion instant.
@@ -52,7 +61,7 @@ func TestFabricTwoNodeDegeneratesToLegacy(t *testing.T) {
 	legacyC := machine.NewCluster(topology.Henri(), 2, 1)
 	legacy := New(legacyC)
 	fabC := machine.NewCluster(topology.Henri(), 2, 1)
-	fabric := NewFabric(fabC, topology.TwoNodeFabric(), false)
+	fabric := newFabric(fabC, topology.TwoNodeFabric(), false)
 
 	// Same wire resources: names, capacities, enumeration order.
 	for i, want := range []string{"wire0-1", "wire1-0"} {
@@ -122,7 +131,7 @@ func sequentialTransfers(t *testing.T, preset string, adaptive bool) []sim.Time 
 	spec := topology.FabricPreset(preset)
 	fab := spec.MustBuild()
 	c := machine.NewCluster(topology.Henri(), fab.NHosts, 1)
-	nw := NewFabric(c, spec, adaptive)
+	nw := newFabric(c, spec, adaptive)
 	rng := rand.New(rand.NewSource(7))
 	type pair struct{ src, dst int }
 	var pairs []pair
@@ -173,7 +182,7 @@ func TestFabricSharedUpLinkHalvesThroughput(t *testing.T) {
 	spec := topology.FabricPreset("fattree-k4")
 	fab := spec.MustBuild()
 	c := machine.NewCluster(topology.Henri(), fab.NHosts, 1)
-	nw := NewFabric(c, spec, false)
+	nw := newFabric(c, spec, false)
 	// Hosts 0 and 1 share edge(0,0); destinations 4 and 6 both hash to
 	// aggregation position 0, so both routes cross the same edge→agg
 	// up-link (asserted, not assumed).
@@ -207,7 +216,7 @@ func TestFabricPathLatencyCountsSwitches(t *testing.T) {
 	spec := topology.FabricPreset("fattree-k4")
 	fab := spec.MustBuild()
 	c := machine.NewCluster(topology.Henri(), fab.NHosts, 1)
-	nw := NewFabric(c, spec, false)
+	nw := newFabric(c, spec, false)
 	// Cross-pod: 6 links, 5 switches.
 	want := nw.WireLatency() + sim.Duration(5*topology.DefaultHopLatencyNs)
 	if got := nw.PathLatency(0, 15); got != want {
@@ -360,7 +369,7 @@ func TestFabricInstallFaultsScalesLinks(t *testing.T) {
 	spec := topology.FabricPreset("fattree-k4")
 	fab := spec.MustBuild()
 	c := machine.NewCluster(topology.Henri(), fab.NHosts, 1)
-	nw := NewFabric(c, spec, false)
+	nw := newFabric(c, spec, false)
 	base := nw.Link(0).Capacity()
 
 	// Exercise the callback InstallFaults binds, through the same

@@ -44,7 +44,7 @@ type Network struct {
 	dmaNames    map[int]string // key: src·nodes + dst
 	eagerNames  map[int]string
 
-	// Fabric mode (NewFabric): transfers route over an explicit
+	// Fabric mode (NewOnFabric): transfers route over an explicit
 	// switched topology instead of the dedicated per-pair wires above.
 	fab      *topology.Fabric
 	links    []*fluid.Resource // one per directed fabric link

@@ -411,7 +411,7 @@ func (c *PointCache) DiskStats() DiskStats {
 
 // pointBaseKey fingerprints everything outside the point's own key that
 // determines its value: the solver and sweep-logic versions, the record
-// schema, the cluster spec, seed, run count, fault schedule and fabric.
+// schema, the cluster spec, seed, run count and fault schedule.
 // The output format is not part of it (point payloads are structured
 // data, rendered later).
 func pointBaseKey(env bench.Env) string {
@@ -423,17 +423,9 @@ func pointBaseKey(env bench.Env) string {
 	if env.Faults != nil {
 		faults = env.Faults.String()
 	}
-	fabric := ""
-	if env.Fabric != nil {
-		if b, err := json.Marshal(env.Fabric); err == nil {
-			fabric = string(b)
-		} else {
-			fabric = err.Error()
-		}
-	}
 	h := sha256.New()
-	fmt.Fprintf(h, "schema=%d|sweep=%d|fluid=%d|%s|seed=%d|runs=%d|faults=%s|fabric=%s",
-		bench.PointSchema, bench.SweepVersion, fluid.Version, spec, env.Seed, env.Runs, faults, fabric)
+	fmt.Fprintf(h, "schema=%d|sweep=%d|fluid=%d|%s|seed=%d|runs=%d|faults=%s",
+		bench.PointSchema, bench.SweepVersion, fluid.Version, spec, env.Seed, env.Runs, faults)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/trace"
 )
 
@@ -389,6 +390,15 @@ func TestPointBaseKeySensitivity(t *testing.T) {
 	specEnv.Spec = base.Spec.Clone()
 	specEnv.Spec.CoresPerNUMA++
 	mutations["spec"] = specEnv
+	for _, spec := range []string{"loss:p=0.1", "loss:p=0.2"} {
+		sched, err := fault.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faultsEnv := base
+		faultsEnv.Faults = sched
+		mutations["faults "+spec] = faultsEnv
+	}
 	for name, env := range mutations {
 		k := pointBaseKey(env)
 		if prev, dup := seen[k]; dup {

@@ -3,58 +3,9 @@ package runner
 import (
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/topology"
 	"repro/internal/trace"
 )
-
-// fabricEnv is testEnv with the two-node direct fabric installed: the
-// degenerate fabric that must be indistinguishable from the legacy
-// network.
-func twoNodeEnv(t *testing.T) bench.Env {
-	env := testEnv(t)
-	env.Fabric = topology.TwoNodeFabric()
-	return env
-}
-
-// TestTwoNodeFabricDifferential is the refactor guard of the fabric
-// generalisation: the solver-hostile campaigns (fig4's full
-// interference sweep, faults-crash-cg's mid-solve flow cancellations)
-// run on the legacy network and on the two-node fabric, at -j 1 and
-// -j 8, and every rendered byte must be identical — the fabric code
-// path creates the same fluid resources in the same order, so the
-// whole event history degenerates exactly.
-func TestTwoNodeFabricDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-campaign differential sweep; skipped with -short")
-	}
-	var exps []core.Experiment
-	for _, id := range []string{"fig4", "faults-crash-cg"} {
-		e, ok := core.ByID(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		exps = append(exps, e)
-	}
-	legacy := Collect(Run(testEnv(t), exps, Options{Workers: 1}))
-	for _, workers := range []int{1, 8} {
-		fabric := Collect(Run(twoNodeEnv(t), exps, Options{Workers: workers}))
-		for i, r := range fabric {
-			if r.Err != nil {
-				t.Fatalf("j%d: %s on two-node fabric failed: %v", workers, exps[i].ID, r.Err)
-			}
-			if legacy[i].Err != nil {
-				t.Fatalf("%s on legacy network failed: %v", exps[i].ID, legacy[i].Err)
-			}
-			if r.Rendered != legacy[i].Rendered {
-				t.Errorf("%s differs between legacy network and two-node fabric at j%d:\n%s",
-					exps[i].ID, workers,
-					trace.UnifiedDiff("legacy", "two-node-fabric", legacy[i].Rendered, r.Rendered))
-			}
-		}
-	}
-}
 
 // TestFabricGoldenLock verifies the fabric experiments against their
 // committed goldens (same lock the core golden test provides for the

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -78,7 +79,10 @@ func TestFaultCampaignDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestFaultsReachMetrics: the runner surfaces the MPI layer's recovery
-// counters through the per-experiment metrics.
+// counters through the per-experiment metrics, for the faults family
+// and for the drivers whose worlds come from elsewhere than a protocol
+// step (tuning.WorkerSweep's, the collectives' n-node worlds). ext-sched
+// is left out: its application sends no message, so loss cannot draw.
 func TestFaultsReachMetrics(t *testing.T) {
 	sched, err := fault.ParseSpec("loss:p=0.3")
 	if err != nil {
@@ -86,16 +90,70 @@ func TestFaultsReachMetrics(t *testing.T) {
 	}
 	env := testEnv(t)
 	env.Faults = sched
-	e, ok := core.ByID("faults-pingpong")
-	if !ok {
-		t.Fatal("faults-pingpong not registered")
+	var exps []core.Experiment
+	for _, id := range []string{"faults-pingpong", "ext-tuner", "ext-throttle", "ext-collectives"} {
+		e, ok := core.ByID(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		exps = append(exps, e)
 	}
-	res := Collect(Run(env, []core.Experiment{e}, Options{}))
-	if res[0].Err != nil {
-		t.Fatal(res[0].Err)
+	for _, r := range Collect(Run(env, exps, Options{Workers: 2})) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Exp.ID, r.Err)
+		}
+		ft := r.Metrics.Faults
+		if !ft.Any() || ft.SendRetries == 0 || ft.MsgsLost == 0 {
+			t.Errorf("%s: fault totals missing from metrics: %+v", r.Exp.ID, ft)
+		}
 	}
-	ft := res[0].Metrics.Faults
-	if !ft.Any() || ft.SendRetries == 0 || ft.MsgsLost == 0 {
-		t.Fatalf("fault totals missing from metrics: %+v", ft)
+}
+
+// TestEveryExperimentHonoursFaults: a fault schedule reaches every world
+// of every registered experiment, so no experiment renders the same
+// bytes healthy and faulty (a driver that built a healthy world would
+// fill caches with healthy numbers under the faulty key). The schedule
+// degrades the wires and slows every core of node 1, which moves a
+// result whether the experiment communicates or only computes. It holds
+// no loss: beside the straggler, some ping-pongs would exhaust their
+// retries. The faulty bytes must also differ from those under a
+// schedule that injects nothing (a full-speed degrade), which the
+// faults family labels the same way, so a driver that only relabels
+// its rows under a schedule fails too.
+func TestEveryExperimentHonoursFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three full campaigns; skipped with -short")
+	}
+	env := testEnv(t)
+	cores := make([]string, env.Spec.Cores())
+	for i := range cores {
+		cores[i] = strconv.Itoa(i)
+	}
+	exps := core.Experiments()
+	render := func(spec string) []Result {
+		env := env
+		if spec != "" {
+			sched, err := fault.ParseSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env.Faults = sched
+		}
+		res := Collect(Run(env, exps, Options{Workers: 2}))
+		for _, r := range res {
+			if r.Err != nil {
+				t.Fatalf("%s under %q: %v", r.Exp.ID, spec, r.Err)
+			}
+		}
+		return res
+	}
+	faultySpec := "degrade:factor=0.5;straggler:factor=2,node=1,cores=" + strings.Join(cores, "+")
+	faulty := render(faultySpec)
+	for _, base := range []string{"", "degrade:factor=1"} {
+		for i, r := range render(base) {
+			if r.Rendered == faulty[i].Rendered {
+				t.Errorf("%s renders the same bytes under %q as under %q (empty: healthy)", r.Exp.ID, faultySpec, base)
+			}
+		}
 	}
 }

@@ -177,10 +177,17 @@ func waitFor(t *testing.T, cond func() bool) {
 // adaptive Retry-After in [1,60], every key still gets work served,
 // and the latency of what IS served stays bounded instead of growing
 // with the backlog.
+//
+// The storm opens with a script, so that both gates fire whatever the
+// timing: campaigns hold their slots until the script ends, one key
+// exceeds its share while the queue has room, the other keys fill the
+// queue, and a last client finds it full. Then the storm runs free.
 func TestServerOverloadStorm(t *testing.T) {
 	const queueDepth, maxInflight = 8, 2
 	s, ts := newTestServer(t, Config{QueueDepth: queueDepth, MaxInflight: maxInflight})
+	gate := make(chan struct{})
 	s.runFn = func(c *campaign) *CampaignResponse {
+		<-gate
 		time.Sleep(10 * time.Millisecond)
 		return &CampaignResponse{ID: c.id, Cluster: c.cluster}
 	}
@@ -194,15 +201,42 @@ func TestServerOverloadStorm(t *testing.T) {
 		code int
 		ms   float64
 	}
+	// A client submits its first campaign on its turn in the script,
+	// the rest once the gate is open.
+	turns := make([]chan struct{}, clients)
+	for cl := range turns {
+		turns[cl] = make(chan struct{})
+	}
+	turn := func(cl int) {
+		close(turns[cl])
+		turns[cl] = nil
+	}
+	var openOnce sync.Once
+	open := func() {
+		openOnce.Do(func() {
+			close(gate)
+			for cl, ch := range turns {
+				if ch != nil {
+					turn(cl)
+				}
+			}
+		})
+	}
+	defer open() // a failed script must not leave handlers blocked
 	results := make(chan sample, clients*perClient)
 	servedBy := make([]int64, clients)
 	var wg sync.WaitGroup
 	for cl := 0; cl < clients; cl++ {
-		cl := cl
+		cl, first := cl, turns[cl]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
+				if i == 0 {
+					<-first
+				} else {
+					<-gate
+				}
 				spec := CampaignSpec{Experiments: []string{"fig3"},
 					Seed: int64(cl*1000 + i + 1), Runs: 1}
 				start := time.Now()
@@ -224,6 +258,24 @@ func TestServerOverloadStorm(t *testing.T) {
 			}
 		}()
 	}
+
+	// Client cl submits under key cl%keys. One campaign per key makes
+	// four keys active, so each key's share is 2; key-0 takes its second.
+	admitted := func(cl int) {
+		turn(cl)
+		waitFor(t, func() bool { return len(s.queueSlots) == cl+1 })
+	}
+	for cl := 0; cl <= keys; cl++ {
+		admitted(cl)
+	}
+	turn(2 * keys) // key-0's third: over its share, with 3 queue slots free
+	waitFor(t, func() bool { return s.ov.shedFair.Load() == 1 })
+	for cl := keys + 1; cl < 2*keys; cl++ {
+		admitted(cl) // keys 1-3 take their second: the queue is full
+	}
+	turn(3 * keys)
+	waitFor(t, func() bool { return s.rejected.Load() == 1 })
+	open()
 	wg.Wait()
 	close(results)
 

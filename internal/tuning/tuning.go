@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mpi"
-	"repro/internal/net"
 	"repro/internal/taskrt"
 	"repro/internal/topology"
 )
@@ -28,6 +27,11 @@ type Options struct {
 	// Spec is the machine model; Seed the simulation seed.
 	Spec *topology.NodeSpec
 	Seed int64
+	// World builds the two-node world of one run at a seed. The sweep
+	// builds no world itself: the bench drivers pass bench.Env.World,
+	// which installs the environment's fault schedule and registers the
+	// world with the point that builds it (see bench.ExecutePoint).
+	World func(seed int64) (*machine.Cluster, *mpi.World)
 	// App builds the iterative application to tune (a fresh value per
 	// run; its Slice closures must not retain state across runs).
 	App func() *taskrt.App
@@ -37,11 +41,6 @@ type Options struct {
 	// Scheduler and CommThrottle configure the runtime under test.
 	Scheduler    taskrt.SchedulerPolicy
 	CommThrottle int
-	// Track, when non-nil, is called with the cluster of every simulated
-	// world the sweep builds, before it runs: the bench drivers pass the
-	// point's world registry, from which the point's record is sealed
-	// (see bench.ExecutePoint).
-	Track func(*machine.Cluster)
 }
 
 // Point is one sweep measurement.
@@ -80,11 +79,7 @@ func DefaultCounts(spec *topology.NodeSpec) []int {
 // measurement.
 func runOnce(o Options, nworkers int) Point {
 	spec := o.Spec
-	c := machine.NewCluster(spec, 2, o.Seed)
-	if o.Track != nil {
-		o.Track(c)
-	}
-	w := mpi.NewWorld(c, net.New(c))
+	c, w := o.World(o.Seed)
 	commCore := spec.LastCoreOfNUMA(spec.NUMANodes() - 1)
 	var workers []int
 	for core := 1; core < spec.Cores() && len(workers) < nworkers; core++ {
@@ -117,8 +112,8 @@ func runOnce(o Options, nworkers int) Point {
 
 // WorkerSweep measures the application at every candidate worker count.
 func WorkerSweep(o Options) Result {
-	if o.Spec == nil || o.App == nil {
-		panic("tuning: Options.Spec and Options.App are required")
+	if o.Spec == nil || o.App == nil || o.World == nil {
+		panic("tuning: Options.Spec, Options.App and Options.World are required")
 	}
 	counts := o.WorkerCounts
 	if len(counts) == 0 {

@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/machine"
+	"repro/internal/mpi"
+	"repro/internal/net"
 	"repro/internal/taskrt"
 	"repro/internal/topology"
 )
@@ -13,6 +15,13 @@ func quietHenri() *topology.NodeSpec {
 	spec := topology.Henri()
 	spec.NIC.NoiseFrac = 0
 	return spec
+}
+
+// quietWorld builds the healthy two-node world of one run on
+// quietHenri, as the bench drivers' World would outside a campaign.
+func quietWorld(seed int64) (*machine.Cluster, *mpi.World) {
+	c := machine.NewCluster(quietHenri(), 2, seed)
+	return c, mpi.NewWorld(c, net.New(c))
 }
 
 // cgApp is a communication-heavy, memory-bound iterative app: past the
@@ -44,7 +53,7 @@ func cpuApp() *taskrt.App {
 
 func TestSweepSeriesComplete(t *testing.T) {
 	res := WorkerSweep(Options{
-		Spec: quietHenri(), Seed: 1, App: cgApp,
+		Spec: quietHenri(), Seed: 1, World: quietWorld, App: cgApp,
 		WorkerCounts: []int{2, 8, 34},
 	})
 	if len(res.Series) != 3 {
@@ -62,7 +71,7 @@ func TestSweepSeriesComplete(t *testing.T) {
 
 func TestAutotuneCPUBoundPrefersAllWorkers(t *testing.T) {
 	best := Autotune(Options{
-		Spec: quietHenri(), Seed: 1, App: cpuApp,
+		Spec: quietHenri(), Seed: 1, World: quietWorld, App: cpuApp,
 		WorkerCounts: []int{2, 8, 34},
 	})
 	if best != 34 {
@@ -76,7 +85,7 @@ func TestAutotuneMemoryBoundAvoidsFullMachine(t *testing.T) {
 	// (≈ 4 cores per NUMA node on henri), extra workers add nothing to
 	// compute but keep degrading communication (§8's motivation).
 	res := WorkerSweep(Options{
-		Spec: quietHenri(), Seed: 1, App: cgApp,
+		Spec: quietHenri(), Seed: 1, World: quietWorld, App: cgApp,
 		WorkerCounts: []int{2, 8, 16, 24, 34},
 	})
 	if res.Best.Workers == 34 {
@@ -94,15 +103,15 @@ func TestSweepValidation(t *testing.T) {
 			t.Fatal("out-of-range worker count accepted")
 		}
 	}()
-	WorkerSweep(Options{Spec: quietHenri(), Seed: 1, App: cgApp, WorkerCounts: []int{99}})
+	WorkerSweep(Options{Spec: quietHenri(), Seed: 1, World: quietWorld, App: cgApp, WorkerCounts: []int{99}})
 }
 
 func TestThrottleRecoversSendBandwidth(t *testing.T) {
 	// §8: pausing workers during communication phases must improve the
 	// sending bandwidth of a contention-bound app.
-	base := runOnce(Options{Spec: quietHenri(), Seed: 1, App: cgApp}, 30)
+	base := runOnce(Options{Spec: quietHenri(), Seed: 1, World: quietWorld, App: cgApp}, 30)
 	throttled := runOnce(Options{
-		Spec: quietHenri(), Seed: 1, App: cgApp, CommThrottle: 24,
+		Spec: quietHenri(), Seed: 1, World: quietWorld, App: cgApp, CommThrottle: 24,
 	}, 30)
 	if throttled.SendBandwidth <= base.SendBandwidth {
 		t.Fatalf("throttling did not improve send bandwidth: %.0f → %.0f MB/s",
@@ -124,9 +133,9 @@ func TestNUMALocalSchedulerSpeedsUpCrossNUMAWork(t *testing.T) {
 			Iterations:   2,
 		}
 	}
-	fifo := runOnce(Options{Spec: quietHenri(), Seed: 1, App: spread}, 30)
+	fifo := runOnce(Options{Spec: quietHenri(), Seed: 1, World: quietWorld, App: spread}, 30)
 	local := runOnce(Options{
-		Spec: quietHenri(), Seed: 1, App: spread, Scheduler: taskrt.NUMALocal,
+		Spec: quietHenri(), Seed: 1, World: quietWorld, App: spread, Scheduler: taskrt.NUMALocal,
 	}, 30)
 	if local.IterSeconds >= fifo.IterSeconds*0.95 {
 		t.Fatalf("NUMA-local scheduling did not help cross-NUMA work: %.4fs → %.4fs",

@@ -97,6 +97,7 @@ func Autotune(cfg Config, opts TuneOptions) (TuneResult, error) {
 	res := tuning.WorkerSweep(tuning.Options{
 		Spec:         spec,
 		Seed:         env.Seed,
+		World:        env.World,
 		App:          app,
 		WorkerCounts: opts.WorkerCounts,
 		Scheduler:    scheduler,
