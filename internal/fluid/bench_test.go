@@ -152,3 +152,40 @@ func BenchmarkFlowChurnPaperScale(b *testing.B) {
 func BenchmarkFlowChurnPaperScaleReuse(b *testing.B) {
 	churn(b, paperTopology(b), 12e9, true)
 }
+
+// BenchmarkIsolatedBurst starts 1,024 capped flows at one instant, each
+// on a NIC of its own and one of 16 roomy links that carry 64 flows in
+// flight: a fabric-1k round's hosts starting their transfers when its
+// barrier releases. One op is the whole burst; every start is isolated,
+// and every start after the first folds into the first one's scan (see
+// startIsolated).
+func BenchmarkIsolatedBurst(b *testing.B) {
+	const hosts, links = 1024, 16
+	uses := make([][]Use, hosts)
+	var scans uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		k := sim.NewKernel(1)
+		m := NewModel(k)
+		m.differential = false
+		var link []*Resource
+		for l := 0; l < links; l++ {
+			link = append(link, m.NewResource("link", 1e4))
+		}
+		for h := range uses {
+			uses[h] = []Use{{m.NewResource("nic", 50), 1}, {link[h%links], 1}}
+		}
+		for j := 0; j < 4*links; j++ {
+			m.StartFlow("bg", 1e3, float64(10+j%3*5), []Use{{link[j%links], 1}}, nil)
+		}
+		k.RunUntil(k.Now().Add(sim.Millisecond))
+		before := m.scans
+		b.StartTimer()
+		for _, u := range uses {
+			m.StartFlow("dma", 1e3, 5, u, nil)
+		}
+		scans += m.scans - before
+	}
+	b.ReportMetric(float64(scans)/float64(b.N), "scans/op")
+}

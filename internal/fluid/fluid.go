@@ -249,6 +249,16 @@ type Model struct {
 	// from its end under the rates then current, as found by a re-solve
 	// or a scan at that instant (see settled). -1 when unknown.
 	settledAt sim.Time
+	// scanNext is the next completion, in seconds, that the last scan
+	// (collectDone) found when it found no flow due, for as long as it
+	// holds; -1 once a bump, an advance that moves time or Reset has made
+	// it stale (a solve needs a dirty seed, which only a mutation that
+	// bumps adds). An isolated start folds its flow into it instead of
+	// scanning again (see startIsolated).
+	scanNext float64
+	// scans counts collectDone's scans, and folds the isolated starts
+	// that folded into scanNext instead (for tests).
+	scans, folds uint64
 
 	// parked lists, in park order, the flows the last completion parked
 	// at parkedAt; the first renewed of them have been renewed since, the
@@ -288,7 +298,7 @@ type Model struct {
 
 // NewModel returns an empty fluid model driven by kernel k.
 func NewModel(k *sim.Kernel) *Model {
-	m := &Model{k: k, differential: differentialDefault, settledAt: -1}
+	m := &Model{k: k, differential: differentialDefault, settledAt: -1, scanNext: -1}
 	m.next = k.NewTimer(m.complete)
 	return m
 }
@@ -529,9 +539,9 @@ func (m *Model) Start(spec FlowSpec) *Flow {
 	f.mark = 0
 	f.version = 0
 	f.uses, f.usePos = m.newFlowArrays(spec.Uses)
-	pre := m.version
+	pre, scanNext := m.version, m.scanNext
 	m.attach(f)
-	if m.startIsolated(f) || spec.Work > 0 && m.startReused(f, pre) {
+	if m.startIsolated(f, scanNext) || spec.Work > 0 && m.startReused(f, pre) {
 		return f
 	}
 	m.dirtyFlows = append(m.dirtyFlows, f)
@@ -627,6 +637,9 @@ func (m *Model) Reset() {
 	m.holds = 0
 	m.pending = false
 	m.settledAt = -1
+	m.scanNext = -1
+	m.scans = 0
+	m.folds = 0
 	m.unpark()
 	m.memo.forget()
 }
@@ -734,6 +747,7 @@ func (m *Model) advance() {
 	}
 	dt := now.Sub(m.lastUpdate).Seconds()
 	m.lastUpdate = now
+	m.scanNext = -1
 	for _, f := range m.flows {
 		f.remaining -= f.rate * dt
 		if f.remaining < 0 {
@@ -871,8 +885,16 @@ func (m *Model) skipped(next float64) {
 
 // startIsolated gives the just-attached flow f the rate progressive
 // filling would fix it at, without a solve, if f is isolated at that
-// rate and runs at least settleEps; it reports whether it did.
-func (m *Model) startIsolated(f *Flow) bool {
+// rate and runs at least settleEps; it reports whether it did. scanNext
+// is the model's scanNext from just before f was attached.
+//
+// Its cost follows f's path, not the flow count. f is the tail of the
+// flow list and crosses each resource once, so its term comes last in
+// the in-order sum resum would recompute: it is added to each load. No
+// other flow's work or rate moved since the scan that left scanNext, so
+// the scan it would run finds the smaller of scanNext and f's own
+// completion (see DESIGN.md §4, "Folding an isolated start").
+func (m *Model) startIsolated(f *Flow, scanNext float64) bool {
 	if !skipIsolated || !m.quiet() || !m.settled() {
 		return false
 	}
@@ -881,8 +903,17 @@ func (m *Model) startIsolated(f *Flow) bool {
 		return false
 	}
 	f.rate = rate
-	m.resum(f)
-	_, next := m.collectDone() // none due: settled, and f runs settleEps
+	for _, u := range f.uses {
+		u.Resource.load += u.Weight * rate
+	}
+	next := scanNext
+	if next < 0 {
+		_, next = m.collectDone() // none due: settled, and f runs settleEps
+	} else {
+		next = min(next, f.remaining/rate)
+		m.scanNext = next
+		m.folds++
+	}
 	m.skipped(next)
 	return true
 }
@@ -922,10 +953,10 @@ func (m *Model) removeIsolated(f *Flow) bool {
 // operations in the same order, and a resource the flow alone crosses
 // fixes only that flow. The flow's own rate is its cap or its tightest
 // private share (see isolatedRate). Such a mutation therefore skips the
-// solve: it sets the flow's rate, re-sums the loads of the resources it
-// touched in the solver's order (resum), and ends like a solve (settle),
-// so the completion timer is re-armed from the same place in the event
-// order.
+// solve: it sets the flow's rate, brings the loads of the resources it
+// touched to the solver's in-order sums (resum; a start adds its own
+// term at the tail), and ends like a solve (settle), so the completion
+// timer is re-armed from the same place in the event order.
 //
 // It skips only when the rates in hand are a solve's of the current
 // state and no flow is due, so that a solve would collect nothing:
@@ -1201,6 +1232,7 @@ func panicParkedAcrossTime() {
 // if none progresses). When no flow is due that is the instant schedule
 // arms the timer for: one scan after a solve serves both.
 func (m *Model) collectDone() ([]*Flow, float64) {
+	m.scans++
 	m.done = m.done[:0]
 	next := math.Inf(1)
 	for _, f := range m.flows {
@@ -1213,6 +1245,10 @@ func (m *Model) collectDone() ([]*Flow, float64) {
 				next = t
 			}
 		}
+	}
+	m.scanNext = -1
+	if len(m.done) == 0 {
+		m.scanNext = next
 	}
 	return m.done, next
 }

@@ -56,6 +56,50 @@ func TestIsolatedSkip(t *testing.T) {
 	}
 }
 
+// TestIsolatedBurst starts 1,024 isolated flows at one instant, with
+// flows in flight, as a fabric's hosts start their transfers when a
+// barrier releases. Every start must skip its solve and leave the model
+// where an independent scan (checkSettled) and the reference solver
+// (checkDifferential) put it, and the whole burst must scan the flows
+// once: its first start scans, and every later one folds into that scan.
+func TestIsolatedBurst(t *testing.T) {
+	const hosts, links = 1024, 16
+	k := sim.NewKernel(1)
+	m := NewModel(k)
+	m.differential = false // checkDifferential runs the reference after every start
+	rng := rand.New(rand.NewSource(1))
+	var link, nic []*Resource
+	for i := 0; i < links; i++ {
+		link = append(link, m.NewResource("link", 1e4))
+	}
+	for i := 0; i < hosts; i++ {
+		nic = append(nic, m.NewResource("nic", 50))
+	}
+	for i := 0; i < 4*links; i++ {
+		m.Start(FlowSpec{Name: "bg", Work: 1e3 * (1 + rng.Float64()), Cap: float64(10 + i%3*5), Uses: []Use{{link[i%links], 1}}})
+	}
+	k.RunUntil(k.Now().Add(sim.Second)) // time moves: the last scan no longer holds
+	solves, skips, folds := m.Solves(), m.Skips(), m.folds
+	var scans uint64
+	for i := 0; i < hosts; i++ {
+		before := m.scans
+		// One normalised cap fixes the whole burst in one round of the
+		// reference's filling.
+		pri := float64(1 + i%3)
+		m.Start(FlowSpec{Name: "dma", Work: 1 + rng.Float64()*100, Cap: 5 * pri, Priority: pri,
+			Uses: []Use{{nic[i], 1}, {link[rng.Intn(links)], 0.5 + rng.Float64()}}})
+		scans += m.scans - before
+		checkSettled(t, m)
+		checkDifferential(t, m)
+	}
+	if m.Solves() != solves || m.Skips()-skips != hosts {
+		t.Fatalf("burst: %d solves, %d skips; want 0 and %d", m.Solves()-solves, m.Skips()-skips, hosts)
+	}
+	if scans != 1 || m.folds-folds != hosts-1 {
+		t.Fatalf("burst: %d scans, %d folded starts; want 1 and %d", scans, m.folds-folds, hosts-1)
+	}
+}
+
 // isolatedTwin builds one side of TestIsolatedSkipTwin: a few shared
 // resources, roomy enough that most capped flows leave them slack.
 func isolatedTwin(seed int64) *twin {
@@ -109,7 +153,8 @@ func (tw *twin) startBiased(secs float64) {
 // (sometimes under the load, saturating the resource), 7 set a cap, 8
 // let time pass, 9 run one event, 10 start a zero-work flow, 11 start a
 // flow due in 5 ns behind a start or cancel scheduled for that instant,
-// which then runs while the flow is due but not yet collected.
+// which then runs while the flow is due but not yet collected, 12 start a
+// burst of two to nine flows at one instant.
 func (tw *twin) applyBiased(op int) {
 	switch op {
 	case 0, 1, 2:
@@ -141,29 +186,36 @@ func (tw *twin) applyBiased(op int) {
 	case 11:
 		tw.k.At(tw.k.Now().Add(5), func() { tw.applyBiased(tw.rng.Intn(6)) })
 		tw.startBiased(4.5e-9)
+	case 12:
+		for n := 2 + tw.rng.Intn(8); n > 0; n-- {
+			tw.startBiased(0)
+		}
 	}
 }
 
 // TestIsolatedSkipTwin storms worlds biased towards isolated mutations
 // — caps well under capacity, resources of a flow's own, priorities ≠ 1,
-// multi-hop routes, flows crossing a resource twice, flows due now and
-// mutations at the instant a flow falls due — on twins that take the
-// same mutations, one with the skip and one with it forced off. After every mutation the twins must agree bit for bit on
-// every rate, remaining work, load and the armed completion instant, and
-// on the OnDone order (sameState), and the skipping twin must match the
-// reference solver (its oracle is armed too) and an independent scan of
-// its due flows and next completion (checkSettled). On every fill path, the
-// skip must fire hundreds of times, or the storm proves nothing.
+// multi-hop routes, flows crossing a resource twice, flows due now,
+// mutations at the instant a flow falls due and bursts of starts at one
+// instant — on twins that take the same mutations, one with the skip and
+// one with it forced off. After every mutation the twins must agree bit
+// for bit on every rate, remaining work, load and the armed completion
+// instant, and on the OnDone order (sameState), and the skipping twin
+// must match the reference solver (its oracle is armed too) and an
+// independent scan of its due flows and next completion (checkSettled).
+// On every fill path, the skip must fire hundreds of times, and a start
+// must fold into the last scan hundreds of times, or the storm proves
+// nothing.
 func TestIsolatedSkipTwin(t *testing.T) {
 	eachFillPath(func(path string) {
 		t.Run(path, func(t *testing.T) {
-			var skips uint64
+			var skips, folds uint64
 			for seed := int64(0); seed < 40; seed++ {
 				ctl := rand.New(rand.NewSource(seed + 1<<20))
 				on, off := isolatedTwin(seed), isolatedTwin(seed)
 				on.m.differential = true
 				for step := 0; step < 80; step++ {
-					op := ctl.Intn(12)
+					op := ctl.Intn(13)
 					withSkip(true, func() { on.applyBiased(op) })
 					withSkip(false, func() { off.applyBiased(op) })
 					sameState(t, off, on)
@@ -177,10 +229,14 @@ func TestIsolatedSkipTwin(t *testing.T) {
 					t.Fatalf("seed %d: %d skips with the skip forced off", seed, off.m.Skips())
 				}
 				skips += on.m.Skips()
+				folds += on.m.folds
 			}
-			t.Logf("%d skips", skips)
+			t.Logf("%d skips, %d folded starts", skips, folds)
 			if skips < 300 {
 				t.Fatalf("the skip fired %d times, want at least 300", skips)
+			}
+			if folds < 300 {
+				t.Fatalf("a start folded into the last scan %d times, want at least 300", folds)
 			}
 		})
 	})

@@ -89,10 +89,12 @@ type memoUse struct {
 	weight float64
 }
 
-// bump gives the model a fresh version: its state changed.
+// bump gives the model a fresh version: its state changed, so the last
+// scan's next completion no longer holds.
 func (m *Model) bump() {
 	m.versions++
 	m.version = m.versions
+	m.scanNext = -1
 }
 
 // Reuses reports how many starts and removals wrote back a recorded

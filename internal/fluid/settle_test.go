@@ -16,9 +16,12 @@ import (
 
 // checkSettled compares the model, after a mutation, with an independent
 // scan of every flow: no flow may be due, collectDone must report no due
-// flow and the same next completion, and the completion timer must be
-// armed for that completion, counted from the instant the model last
-// advanced to, or be stopped if it is beyond horizon.
+// flow and the same next completion, the completion timer must be armed
+// for that completion, counted from the instant the model last advanced
+// to, or be stopped if it is beyond horizon, and the next completion the
+// model keeps for a start to fold into (scanNext), if it keeps one, must
+// be that completion. The check leaves scanNext as it found it, so that
+// its own scan cannot stand in for one the model skipped.
 func checkSettled(t *testing.T, m *Model) {
 	t.Helper()
 	best := math.Inf(1)
@@ -30,6 +33,10 @@ func checkSettled(t *testing.T, m *Model) {
 			best = min(best, f.remaining/f.rate)
 		}
 	}
+	if kept := m.scanNext; kept >= 0 && math.Float64bits(kept) != math.Float64bits(best) {
+		t.Fatalf("the model keeps next completion %v; the scan finds %v", kept, best)
+	}
+	defer func(kept float64) { m.scanNext = kept }(m.scanNext)
 	done, next := m.collectDone()
 	if len(done) != 0 || math.Float64bits(next) != math.Float64bits(best) {
 		t.Fatalf("collectDone: %d due, next %v; the scan finds none due, next %v", len(done), next, best)

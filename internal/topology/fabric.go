@@ -176,7 +176,7 @@ type Fabric struct {
 	half int
 
 	// dragonfly+ shape.
-	groups, routers, perLeaf int
+	routers, perLeaf int
 
 	// linkNames holds LinkName's strings, built by Build before the
 	// fabric is shared, so that its worlds share them and read them
@@ -220,7 +220,10 @@ func (f *Fabric) addLink(from, to int) int {
 	return idx
 }
 
-// addPair appends both directions of a full-duplex link.
+// addPair appends both directions of a full-duplex link. A fat-tree
+// adds only pairs, and a dragonfly+ adds its g·r·(g-1) global links,
+// an even number, between its pairs, so the two directions of a pair
+// sit at indices li and li^1 (see down).
 func (f *Fabric) addPair(a, b int) {
 	f.addLink(a, b)
 	f.addLink(b, a)
@@ -312,7 +315,7 @@ func (f *Fabric) buildFatTree(k int) {
 // in leaf order, followed by the global links in ascending peer-group
 // order.
 func (f *Fabric) buildDfly(g, r, perLeaf int) {
-	f.groups, f.routers, f.perLeaf = g, r, perLeaf
+	f.routers, f.perLeaf = r, perLeaf
 	f.NHosts = g * r * perLeaf
 	f.NSwitches = 2 * g * r
 	f.linkAt = make([][]int, f.NHosts+f.NSwitches)
@@ -409,16 +412,9 @@ func (f *Fabric) Route(src, dst int, load LoadFunc, buf []int) []int {
 // up returns node n's i-th up-link (linkAt orders up-links first).
 func (f *Fabric) up(n, i int) int { return f.linkAt[n][i] }
 
-// downTo returns the link from switch sw to neighbor `to`, by scanning
-// sw's links (switch radix is small and constant per family).
-func (f *Fabric) downTo(sw, to int) int {
-	for _, li := range f.linkAt[sw] {
-		if f.Links[li].To == to {
-			return li
-		}
-	}
-	panic(fmt.Sprintf("topology: no link %d→%d", sw, to))
-}
+// down returns the link into node n from its i-th up-neighbor: the
+// reverse of n's i-th up-link, which addPair put beside it.
+func (f *Fabric) down(n, i int) int { return f.up(n, i) ^ 1 }
 
 func (f *Fabric) routeFatTree(src, dst int, load LoadFunc, buf []int) []int {
 	half := f.half
@@ -428,7 +424,7 @@ func (f *Fabric) routeFatTree(src, dst int, load LoadFunc, buf []int) []int {
 	dstEdge := f.NHosts + dp*half + de
 	buf = append(buf, f.up(src, 0)) // host → edge
 	if srcEdge == dstEdge {
-		return append(buf, f.downTo(srcEdge, dst))
+		return append(buf, f.down(dst, 0))
 	}
 	// Up to an aggregation switch: D-mod-k hash, adaptive override.
 	a := pick(half, dst%half, load, func(c int) int { return f.up(srcEdge, c) })
@@ -436,46 +432,49 @@ func (f *Fabric) routeFatTree(src, dst int, load LoadFunc, buf []int) []int {
 	srcAgg := f.Links[aggUp].To
 	buf = append(buf, aggUp)
 	if sp == dp {
-		return append(buf, f.downTo(srcAgg, dstEdge), f.downTo(dstEdge, dst))
+		return append(buf, f.down(dstEdge, a), f.down(dst, 0))
 	}
 	// Up to a core switch of srcAgg's column; it lands on the same
 	// aggregation position a in the destination pod.
 	i := pick(half, (dst/half)%half, load, func(c int) int { return f.up(srcAgg, c) })
-	coreUp := f.up(srcAgg, i)
-	core := f.Links[coreUp].To
 	dstAgg := f.NHosts + f.Spec.K*half + dp*half + a
 	return append(buf,
-		coreUp,
-		f.downTo(core, dstAgg),
-		f.downTo(dstAgg, dstEdge),
-		f.downTo(dstEdge, dst),
+		f.up(srcAgg, i),
+		f.down(dstAgg, i), // the core is dstAgg's i-th up-neighbor too
+		f.down(dstEdge, a),
+		f.down(dst, 0),
 	)
 }
 
 func (f *Fabric) routeDfly(src, dst int, load LoadFunc, buf []int) []int {
-	g, r, perLeaf := f.groups, f.routers, f.perLeaf
+	r, perLeaf := f.routers, f.perLeaf
 	sg, sl := src/(r*perLeaf), (src/perLeaf)%r
 	dg, dl := dst/(r*perLeaf), (dst/perLeaf)%r
 	srcLeaf := f.NHosts + sg*r + sl
 	dstLeaf := f.NHosts + dg*r + dl
 	buf = append(buf, f.up(src, 0)) // host → leaf
 	if srcLeaf == dstLeaf {
-		return append(buf, f.downTo(srcLeaf, dst))
+		return append(buf, f.down(dst, 0))
 	}
 	// Choose a spine rail: destination hash, adaptive override on the
 	// leaf's up-link loads.
 	s := pick(r, dst%r, load, func(c int) int { return f.up(srcLeaf, c) })
 	spineUp := f.up(srcLeaf, s)
-	srcSpine := f.Links[spineUp].To
 	buf = append(buf, spineUp)
 	if sg == dg {
-		return append(buf, f.downTo(srcSpine, dstLeaf), f.downTo(dstLeaf, dst))
+		return append(buf, f.down(dstLeaf, s), f.down(dst, 0))
 	}
-	dstSpine := f.NHosts + g*r + dg*r + s
+	// The global rail hop: srcSpine's links are its r down-links, then
+	// one per other group in ascending order.
+	srcSpine := f.Links[spineUp].To
+	rail := r + dg
+	if dg > sg {
+		rail--
+	}
 	return append(buf,
-		f.downTo(srcSpine, dstSpine), // global rail hop
-		f.downTo(dstSpine, dstLeaf),
-		f.downTo(dstLeaf, dst),
+		f.linkAt[srcSpine][rail],
+		f.down(dstLeaf, s),
+		f.down(dst, 0),
 	)
 }
 
