@@ -10,7 +10,8 @@
 //
 // The JSON records ns/op, B/op, allocs/op and every b.ReportMetric
 // figure of each benchmark — among them the deterministic counts CI
-// ratchets (solves/slice; solves, events and resumes per campaign) —
+// ratchets (solves/slice; resumes/push; solves, events and resumes per
+// campaign) —
 // plus the optimized-vs-reference solver ratios the acceptance bar
 // tracks.
 // End-to-end walls are cmd/benchmark's job, not this file's.

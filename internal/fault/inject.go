@@ -278,20 +278,32 @@ func (inj *Injector) GateNIC(p *sim.Proc, node int) { inj.gate(p, inj.stalls, no
 // GateComm blocks p while node's communication thread is hung.
 func (inj *Injector) GateComm(p *sim.Proc, node int) { inj.gate(p, inj.hangs, node) }
 
+// NICStall reports the instant node's NIC stall ends, and false when
+// its NIC is not stalled now: the step GateNIC repeats, for event code
+// that waits without a process.
+func (inj *Injector) NICStall(node int) (sim.Time, bool) { return inj.until(inj.stalls, node) }
+
 func (inj *Injector) gate(p *sim.Proc, events []Event, node int) {
 	for {
-		var until sim.Time = -1
-		now := p.Now()
-		for _, e := range events {
-			if (e.Node < 0 || e.Node == node) && e.window(now) && e.end() > until {
-				until = e.end()
-			}
-		}
-		if until < 0 {
+		until, ok := inj.until(events, node)
+		if !ok {
 			return
 		}
-		p.Sleep(until.Sub(now))
+		p.Sleep(until.Sub(p.Now()))
 	}
+}
+
+// until returns the latest end of the windows of events active on node
+// now, and false when none is.
+func (inj *Injector) until(events []Event, node int) (sim.Time, bool) {
+	var until sim.Time = -1
+	now := inj.k.Now()
+	for _, e := range events {
+		if (e.Node < 0 || e.Node == node) && e.window(now) && e.end() > until {
+			until = e.end()
+		}
+	}
+	return until, until >= 0
 }
 
 // armStraggler schedules the slowdown transitions of one event.

@@ -138,15 +138,16 @@ type message struct {
 	// callbacks below. They are bound once per message lifetime so the
 	// healthy hot paths schedule arrivals without per-send closures.
 	peer      *Rank
-	deliverFn func()          // eagerWireArrival
-	payloadFn func(*sim.Proc) // eagerPayload
-	rtsFn     func()          // rtsArrive
-	ctsFn     func()          // ctsArrive
+	deliverFn func()     // eagerWireArrival
+	payloadFn func()     // eagerPayload
+	landedFn  func(bool) // eagerLanded
+	rtsFn     func()     // rtsArrive
+	ctsFn     func()     // ctsArrive
 }
 
 // eagerWireArrival runs when an eager message's first packet crosses
-// the wire: the payload streams in on its own process while the
-// envelope is delivered for matching.
+// the wire: the payload streams in from the next event slot of this
+// instant while the envelope is delivered for matching.
 func (m *message) eagerWireArrival() {
 	if m.size == 0 {
 		m.arrived = true
@@ -154,20 +155,25 @@ func (m *message) eagerWireArrival() {
 		m.peer.deliver(m)
 		return
 	}
-	m.srcRank.world.cluster.K.Spawn("eager-payload", m.payloadFn)
+	k := m.srcRank.world.cluster.K
+	k.At(k.Now(), m.payloadFn)
 	m.peer.deliver(m)
 }
 
 // eagerPayload streams the eager payload into the receiver's internal
 // buffers.
-func (m *message) eagerPayload(tp *sim.Proc) {
-	// A payload dropped by a node crash never arrives; a receive
-	// watching the failure detector learns of the dead sender instead.
-	if !m.srcRank.world.nw.TransferEager(tp, m.srcRank.Node, m.peer.Node, m.size) {
-		return
+func (m *message) eagerPayload() {
+	m.srcRank.world.nw.StartEager(m.srcRank.Node, m.peer.Node, m.size, m.landedFn)
+}
+
+// eagerLanded ends the eager payload's transfer. A payload dropped by a
+// node crash never arrives; a receive watching the failure detector
+// learns of the dead sender instead.
+func (m *message) eagerLanded(landed bool) {
+	if landed {
+		m.arrived = true
+		m.arrivedSig.Broadcast()
 	}
-	m.arrived = true
-	m.arrivedSig.Broadcast()
 }
 
 // rtsArrive delivers a rendezvous RTS.
@@ -220,6 +226,7 @@ func (w *World) getMsg() *message {
 	}
 	m.deliverFn = m.eagerWireArrival
 	m.payloadFn = m.eagerPayload
+	m.landedFn = m.eagerLanded
 	m.rtsFn = m.rtsArrive
 	m.ctsFn = m.ctsArrive
 	return m
@@ -609,9 +616,10 @@ func (r *Rank) recv(p *sim.Proc, src, tag int, buf *machine.Buffer, size int64, 
 	}
 	node.Counters.BytesReceived += float64(m.size)
 	if r.world.inj == nil && det == nil {
-		// The receiver is the last toucher: the eager payload process
-		// has broadcast and exited, and the sender's last touch is the
-		// dmaDone broadcast that released the wait above.
+		// The receiver is the last toucher: the eager payload's transfer
+		// ended with the arrivedSig broadcast that released the wait
+		// above, and the sender's last touch is the dmaDone broadcast
+		// that released the other.
 		r.world.putMsg(m)
 	}
 	return nil

@@ -44,6 +44,9 @@ type Network struct {
 	dmaNames    map[int]string // key: src·nodes + dst
 	eagerNames  map[int]string
 
+	// freeEager recycles eager payload transfers (StartEager).
+	freeEager []*eager
+
 	// Fabric mode (NewOnFabric): transfers route over an explicit
 	// switched topology instead of the dedicated per-pair wires above.
 	fab      *topology.Fabric
@@ -306,7 +309,7 @@ func (nw *Network) dmaUses(buf []fluid.Use, src *machine.Node, srcNUMA int, dst 
 // dies, the frozen in-flight flow is cancelled (the NIC drops it) and
 // waitFlow reports false.
 func (nw *Network) waitFlow(p *sim.Proc, flow *fluid.Flow, done *sim.Signal, srcID, dstID int) bool {
-	if nw.inj == nil || !nw.inj.Crashy() {
+	if !nw.crashy() {
 		done.Wait(p)
 		return true
 	}
@@ -321,6 +324,9 @@ func (nw *Network) waitFlow(p *sim.Proc, flow *fluid.Flow, done *sim.Signal, src
 	}
 	return true
 }
+
+// crashy reports whether the network's fault schedule crashes nodes.
+func (nw *Network) crashy() bool { return nw.inj != nil && nw.inj.Crashy() }
 
 // TransferDMA moves `bytes` from srcBuf to dstBuf as one zero-copy RDMA
 // flow, blocking p until the last byte lands. The flow's arbitration
@@ -389,17 +395,148 @@ func (nw *Network) Memcpy(p *sim.Proc, n *machine.Node, core int, srcNUMA, dstNU
 
 // TransferEager moves `bytes` over the wire into the receiver's
 // internal (pre-registered, NIC-NUMA) buffers, blocking p until the
-// message has landed there. The sender-side staging copy and the
-// receiver-side delivery copy are performed by the caller (mpi) around
-// this transfer. The flow crosses both PCIe links, the wire, and the
-// NIC-NUMA controllers of both ends. Reports false when a node crash
-// dropped the transfer mid-flight (crash schedules only).
+// message has landed there: StartEager, with p parked until the
+// transfer ends. Reports false when a node crash dropped the transfer
+// mid-flight (crash schedules only).
 func (nw *Network) TransferEager(p *sim.Proc, src, dst *machine.Node, bytes int64) bool {
 	if bytes <= 0 {
 		return true
 	}
-	nw.gateNIC(p, src.ID)
-	nw.gateNIC(p, dst.ID)
+	landed, ended, parked := false, false, false
+	nw.StartEager(src, dst, bytes, func(ok bool) {
+		landed, ended = ok, true
+		if parked {
+			p.Resume()
+		}
+	})
+	if !ended {
+		parked = true
+		p.Park()
+	}
+	return landed
+}
+
+// eager is one eager payload crossing the network into the receiver's
+// internal buffers without a process: the steps a process would take
+// between its blocking calls — wait out a NIC stall at either end,
+// start the flow, wait for it, and on crash schedules watch both ends
+// and drop the frozen flow when one dies — run as a chain of
+// continuations, each in the event slot where that process would have
+// resumed (see sim.Cont). The network recycles them.
+type eager struct {
+	nw       *Network
+	src, dst *machine.Node
+	bytes    int64
+	then     func(landed bool)
+	phase    eagerPhase
+	flow     *fluid.Flow
+	done     *sim.Signal
+	unwatch  func()
+	cont     sim.Cont // runs step
+}
+
+// eagerPhase is the step an eager transfer's continuation takes next.
+type eagerPhase int
+
+const (
+	eagerGateSrc eagerPhase = iota // wait out a NIC stall at the source
+	eagerGateDst                   // then at the destination
+	eagerWait                      // the flow is in flight
+)
+
+// StartEager begins moving `bytes` > 0 from src into dst's internal
+// buffers, in event context or in a process, and calls then when the
+// transfer has ended — in event context, or at once if it ends within
+// the call — with whether the payload landed (false: a node crash
+// dropped it). The flow crosses both PCIe links, the wire, and the
+// NIC-NUMA controllers of both ends; the sender-side staging copy and
+// the receiver-side delivery copy are performed by the caller (mpi)
+// around it.
+func (nw *Network) StartEager(src, dst *machine.Node, bytes int64, then func(landed bool)) {
+	var x *eager
+	if n := len(nw.freeEager); n > 0 {
+		x = nw.freeEager[n-1]
+		nw.freeEager[n-1] = nil
+		nw.freeEager = nw.freeEager[:n-1]
+	} else {
+		x = &eager{nw: nw}
+		x.cont = sim.MakeCont(x.step)
+	}
+	x.src, x.dst, x.bytes, x.then = src, dst, bytes, then
+	x.phase = eagerGateSrc
+	x.step()
+}
+
+// step advances the transfer by one wakeup: past the NIC-stall gates it
+// starts the flow and waits for it, like waitFlow.
+func (x *eager) step() {
+	nw := x.nw
+	if x.phase != eagerWait {
+		if !x.gate() {
+			return
+		}
+		x.start()
+		x.phase = eagerWait
+		if !nw.crashy() {
+			x.done.WaitCont(&x.cont)
+			return
+		}
+	} else if !nw.crashy() {
+		x.end(true)
+		return
+	}
+	landed := x.flow.Finished()
+	if !landed {
+		if !nw.inj.Crashed(x.src.ID) && !nw.inj.Crashed(x.dst.ID) {
+			x.done.WaitCont(&x.cont)
+			return
+		}
+		nw.cluster.Fluid.Cancel(x.flow)
+	}
+	x.unwatch()
+	x.unwatch = nil
+	x.end(landed)
+}
+
+// gate waits out a NIC stall at the source, then at the destination —
+// a stall that ends into another is waited out in turn, as
+// fault.Injector.GateNIC does — and reports whether both ends are
+// clear. Otherwise the continuation sleeps until the stall ends.
+func (x *eager) gate() bool {
+	for inj := x.nw.inj; inj != nil && x.phase < eagerWait; x.phase++ {
+		node := x.src
+		if x.phase == eagerGateDst {
+			node = x.dst
+		}
+		if until, stalled := inj.NICStall(node.ID); stalled {
+			k := x.nw.cluster.K
+			k.SleepCont(&x.cont, until.Sub(k.Now()))
+			return false
+		}
+	}
+	return true
+}
+
+// end finishes the transfer, recycles it and calls then.
+func (x *eager) end(landed bool) {
+	nw, then := x.nw, x.then
+	if nw.inj == nil {
+		// Healthy worlds: nothing else can reach the finished flow or its
+		// completion signal (crashy worlds may still hold both through
+		// watchers and frozen-wire bookkeeping, so they keep allocating).
+		nw.cluster.K.PutSignal(x.done)
+		nw.cluster.Fluid.Recycle(x.flow)
+	}
+	x.flow, x.done, x.then = nil, nil, nil
+	nw.freeEager = append(nw.freeEager, x)
+	then(landed)
+}
+
+// start starts the payload's flow. On crash schedules its completion
+// signal is watched, so a crash or recovery wakes the transfer to
+// re-check both ends.
+func (x *eager) start() {
+	nw, src, dst := x.nw, x.src, x.dst
 	pri := (src.DMAPriority(src.Spec.NIC.NUMA) + dst.DMAPriority(dst.Spec.NIC.NUMA)) / 2
 	cap := nw.cluster.Spec.NIC.WireGBs * 1e9 * min(ioScale(src), ioScale(dst))
 	nw.useBuf = append(nw.useBuf[:0],
@@ -411,19 +548,16 @@ func (nw *Network) TransferEager(p *sim.Proc, src, dst *machine.Node, bytes int6
 		fluid.Use{Resource: dst.PCIeRx, Weight: 1},
 		fluid.Use{Resource: dst.NUMA(dst.Spec.NIC.NUMA).Ctrl, Weight: 1},
 	)
-	done := nw.cluster.K.GetSignal()
-	flow := nw.cluster.Fluid.Start(fluid.FlowSpec{
+	x.done = nw.cluster.K.GetSignal()
+	x.flow = nw.cluster.Fluid.Start(fluid.FlowSpec{
 		Name:     nw.eagerName(src.ID, dst.ID),
-		Work:     float64(bytes),
+		Work:     float64(x.bytes),
 		Cap:      cap,
 		Priority: pri,
 		Uses:     nw.useBuf,
-		OnDone:   done.BroadcastFn(),
+		OnDone:   x.done.BroadcastFn(),
 	})
-	ok := nw.waitFlow(p, flow, done, src.ID, dst.ID)
-	if nw.inj == nil {
-		nw.cluster.K.PutSignal(done)
-		nw.cluster.Fluid.Recycle(flow)
+	if nw.crashy() {
+		x.unwatch = nw.inj.WatchCrash(x.done)
 	}
-	return ok
 }

@@ -1,9 +1,11 @@
 package net
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -229,5 +231,49 @@ func TestWireSharedByOppositeTransfersIndependently(t *testing.T) {
 		if gbps < 10.0 {
 			t.Fatalf("duplex transfer at %.2f GB/s, want ~10.9 each way", gbps)
 		}
+	}
+}
+
+// TestTransferEagerFaults drives one 64 KiB eager transfer through the
+// fault paths of its continuation chain: a NIC stall at the destination
+// delays the start by the stall, a crash mid-flight drops the payload
+// at the crash instant, and a transfer to a node already down ends
+// within the call, without parking its process.
+func TestTransferEagerFaults(t *testing.T) {
+	run := func(spec string, start sim.Duration) (sim.Time, bool) {
+		c, nw := testNet(t)
+		if spec != "" {
+			s, err := fault.ParseSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nw.InstallFaults(fault.NewInjector(c, s, 1))
+		}
+		var end sim.Time
+		landed := false
+		c.K.Spawn("e", func(p *sim.Proc) {
+			p.Sleep(start)
+			landed = nw.TransferEager(p, c.Nodes[0], c.Nodes[1], 64<<10)
+			end = p.Now()
+		})
+		c.K.Run()
+		if c.K.LiveProcs() != 0 {
+			t.Fatalf("%s: transfer never ended", spec)
+		}
+		return end, landed
+	}
+	d, ok := run("", 0)
+	if !ok || d <= 0 {
+		t.Fatalf("healthy transfer: landed %v after %v", ok, d)
+	}
+	if end, ok := run("stall:node=1,at=0us,for=20us", 0); !ok || end != sim.Time(20*sim.Microsecond)+d {
+		t.Fatalf("stalled transfer: landed %v at %v, want true at 20µs + %v", ok, end, d)
+	}
+	mid := d / 2
+	if end, ok := run(fmt.Sprintf("crash:node=1,at=%dns", mid), 0); ok || end != mid {
+		t.Fatalf("crash mid-flight: landed %v at %v, want false at %v", ok, end, mid)
+	}
+	if end, ok := run("crash:node=1,at=0us", sim.Microsecond); ok || end != sim.Time(sim.Microsecond) {
+		t.Fatalf("transfer to a crashed node: landed %v at %v, want false at 1µs", ok, end)
 	}
 }

@@ -100,3 +100,31 @@ func BenchmarkSignalWake(b *testing.B) {
 	b.ResetTimer()
 	k.Run()
 }
+
+// BenchmarkContinuationWake is BenchmarkSignalWake with a continuation
+// in the waiter's place: each wakeup runs the callback in the event slot
+// the waiter process would resume in, with no coroutine switch.
+func BenchmarkContinuationWake(b *testing.B) {
+	k := NewKernel(1)
+	s := NewSignal(k)
+	woken := 0
+	var c Cont
+	c = MakeCont(func() {
+		if woken++; woken < b.N {
+			s.WaitCont(&c)
+		}
+	})
+	s.WaitCont(&c)
+	k.Spawn("waker", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			s.Signal()
+			p.Sleep(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	if woken != b.N {
+		b.Fatalf("%d wakeups for %d signals", woken, b.N)
+	}
+}

@@ -187,14 +187,15 @@ func (k *Kernel) Reset(seed int64) {
 	k.seeded = false
 }
 
-// Shutdown ends the coroutine of every process of the kernel. Parked
-// (recycled) processes simply exit. A process still blocked mid-body is
-// unwound: its pending Sleep or Wait panics with a sentinel that the
-// process wrapper swallows, so the body's defers run once, and it counts
-// as finished. A panic raised by such a defer is dropped with the
-// kernel's state. Call Shutdown from outside process context before
-// abandoning a kernel so its coroutines don't outlive it. The kernel
-// remains usable: events still pending for a stopped process are no-ops,
+// Shutdown ends the coroutine of every process of the kernel. Recycled
+// (finished) processes simply exit. A process still blocked mid-body,
+// or parked by Proc.Park, is unwound: its pending Sleep, Wait or Park
+// panics with a sentinel that the process wrapper swallows, so the
+// body's defers run once, and it counts as finished. A panic raised by
+// such a defer is dropped with the kernel's state. Call Shutdown from
+// outside process context before abandoning a kernel so its coroutines
+// don't outlive it. The kernel remains usable: events still pending for
+// a stopped process, or for its continuation (Proc.Cont), are no-ops,
 // and the next Spawn starts a fresh coroutine.
 func (k *Kernel) Shutdown() {
 	for i, p := range k.all {

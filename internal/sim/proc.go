@@ -34,12 +34,15 @@ type Proc struct {
 	yieldFn  func(struct{}) bool
 	stop     func()
 	finished bool
+	parked   bool // suspended by Park: a wakeup runs contFn
 	panicVal any
-	blocked  bool // waiting on a Signal (not a timer)
-	// runFn is the p.run method value, captured once at first Spawn so
-	// the hot wake paths (Sleep, Signal) don't allocate a fresh
-	// bound-method closure per block.
-	runFn func()
+	// wake is the process's wakeup, the entry a Signal wait queues, and
+	// while the process is parked its continuation (Proc.Cont), which
+	// runs contFn instead. Its fire is the p.run method value, bound
+	// once at first Spawn so the hot wake paths (Sleep, Signal) don't
+	// allocate a fresh bound-method closure per block.
+	wake   Cont
+	contFn func()
 	// fn is the body of the current incarnation. Finished processes park
 	// their coroutine in loop() and are recycled by the next Spawn with a
 	// new fn.
@@ -66,12 +69,12 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 		p.fn = fn
 	} else {
 		p = &Proc{k: k, name: name, fn: fn}
-		p.runFn = p.run
+		p.wake = Cont{fire: p.run}
 		p.next, p.stop = iter.Pull(p.loop)
 		k.all = append(k.all, p)
 	}
 	k.procs++
-	k.At(k.now, p.runFn)
+	k.At(k.now, p.wake.fire)
 	return p
 }
 
@@ -102,13 +105,18 @@ func (p *Proc) call(fn func(*Proc)) {
 	fn(p)
 }
 
-// run transfers control to the process and blocks the kernel until the
-// process yields (blocks) or finishes. Only ever called from kernel
-// (event handler) context. A finished process is parked for reuse
-// before any panic it raised is re-thrown: the coroutine survives
-// either way.
+// run is the process's wakeup. It transfers control to the process and
+// blocks the kernel until the process yields (blocks) or finishes, or
+// runs the process's continuation instead while the process is parked.
+// Only ever called from kernel (event handler) context. A finished
+// process is recycled before any panic it raised is re-thrown: the
+// coroutine survives either way.
 func (p *Proc) run() {
 	if p.finished {
+		return
+	}
+	if p.parked {
+		p.contFn()
 		return
 	}
 	p.k.resumes++
@@ -161,21 +169,105 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	k := p.k
-	if at := k.now.Add(d); at <= k.horizon && (len(k.events) == 0 || at < k.events[0].at) {
-		k.now = at
+	if p.k.sleepInPlace(d) {
 		return
 	}
-	k.After(d, p.runFn)
+	p.k.After(d, p.wake.fire)
 	p.yield()
 }
 
-// Signal is a deterministic condition variable for processes. Waiters
-// are woken in FIFO order through the event queue, so wake order is
-// reproducible.
+// sleepInPlace reports whether a sleep of d ≥ 0 taken now ends in place
+// (see Proc.Sleep), and if so moves the clock to its end.
+func (k *Kernel) sleepInPlace(d Duration) bool {
+	if at := k.now.Add(d); at <= k.horizon && (len(k.events) == 0 || at < k.events[0].at) {
+		k.now = at
+		return true
+	}
+	return false
+}
+
+// Park suspends the process with no wakeup of its own arranged: event
+// code resumes it with Resume, typically p's continuation (see
+// Proc.Cont) once it ran the steps the process would have run itself
+// and found that the process has to take over.
+func (p *Proc) Park() {
+	p.parked = true
+	p.yield()
+}
+
+// Resume switches into a parked process at once, from event code: the
+// process continues inside the running event, exactly as if that event
+// were its wakeup, and Resume returns once it blocks or finishes. It
+// counts as a resume. Resuming a process that is not parked panics.
+func (p *Proc) Resume() {
+	if !p.parked {
+		panic(fmt.Sprintf("sim: Resume of process %q, which is not parked", p.name))
+	}
+	p.parked = false
+	p.run()
+}
+
+// Cont is a continuation: a callback that a Signal wakeup or a sleep
+// runs in the very event slot where a process blocked in the same call
+// would resume, with no coroutine switch. A Signal orders process and
+// continuation waiters alike, FIFO, and Kernel.SleepCont ends in place
+// exactly where Proc.Sleep does. Code that a process would run between
+// two blocking calls can therefore run as a chain of continuations
+// instead, taking every event at the same (instant, scheduling order);
+// a process waiting on such a chain parks (Proc.Park) until the chain
+// resumes it.
+//
+// A continuation runs in event context: it must not block, and it may
+// call Resume. It is re-armed by calling Kernel.SleepCont or
+// Signal.WaitCont again, typically from its own callback. Signals and
+// the event queue hold its address, so it lives in one place — a field
+// of the struct whose state its callback advances — and is not copied
+// once armed.
+type Cont struct {
+	// fire is what a wakeup runs: the callback itself, or Proc.run for
+	// a process's continuation.
+	fire func()
+}
+
+// MakeCont returns a continuation that runs fn, to be stored in place
+// (see Cont).
+func MakeCont(fn func()) Cont { return Cont{fire: fn} }
+
+// Cont returns the continuation of p, set to run fn: p's own wakeup,
+// which runs fn instead of resuming p while p is parked. A process has
+// one continuation, and each call re-targets it. Arm it only while p is
+// parked, or with a Signal.WaitCont just before p parks: a wakeup that
+// finds p not parked resumes p. Once Kernel.Shutdown has stopped p, a
+// wakeup of its continuation still pending does nothing, as a pending
+// wakeup of p itself does.
+func (p *Proc) Cont(fn func()) *Cont {
+	p.contFn = fn
+	return &p.wake
+}
+
+// SleepCont runs c d from now, in the slot where a process calling
+// Sleep(d) at this point would resume: when that sleep would end in
+// place, SleepCont moves the clock and runs the callback at once, with
+// no event queued.
+func (k *Kernel) SleepCont(c *Cont, d Duration) {
+	if d < 0 {
+		d = 0
+	}
+	if k.sleepInPlace(d) {
+		c.fire()
+		return
+	}
+	k.After(d, c.fire)
+}
+
+// Signal is a deterministic condition variable for processes and
+// continuations. Waiters are woken in FIFO order through the event
+// queue, so wake order is reproducible.
 type Signal struct {
-	k       *Kernel
-	waiters []*Proc
+	k *Kernel
+	// waiters holds each waiter's wakeup: a process's own (Proc.wake) or
+	// a continuation, one pointer per entry either way.
+	waiters []*Cont
 	// broadcastFn caches the Broadcast method value so completion hooks
 	// (e.g. fluid-flow OnDone) don't allocate a bound closure per use.
 	broadcastFn func()
@@ -219,9 +311,14 @@ func (s *Signal) BroadcastFn() func() {
 // Wait suspends p until another process or event calls Signal or
 // Broadcast.
 func (s *Signal) Wait(p *Proc) {
-	p.blocked = true
-	s.waiters = append(s.waiters, p)
+	s.waiters = append(s.waiters, &p.wake)
 	p.yield()
+}
+
+// WaitCont queues c as a waiter: the Signal or Broadcast that would wake
+// a process waiting here runs c, in that process's wakeup slot.
+func (s *Signal) WaitCont(c *Cont) {
+	s.waiters = append(s.waiters, c)
 }
 
 // Signal wakes the oldest waiter, if any. The waiter resumes at the
@@ -233,12 +330,11 @@ func (s *Signal) Signal() {
 	if n == 0 {
 		return
 	}
-	p := s.waiters[0]
+	c := s.waiters[0]
 	copy(s.waiters, s.waiters[1:])
 	s.waiters[n-1] = nil
 	s.waiters = s.waiters[:n-1]
-	p.blocked = false
-	s.k.At(s.k.now, p.runFn)
+	s.k.At(s.k.now, c.fire)
 }
 
 // WaitTimeout suspends p until the signal fires or d elapses, whichever
@@ -259,11 +355,10 @@ func (s *Signal) WaitTimeout(p *Proc, d Duration) bool {
 	timedOut := false
 	timer := s.k.After(d, func() {
 		for i, w := range s.waiters {
-			if w == p {
+			if w == &p.wake {
 				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
 				timedOut = true
-				p.blocked = false
-				s.k.At(s.k.now, p.runFn)
+				s.k.At(s.k.now, p.wake.fire)
 				return
 			}
 		}
@@ -277,15 +372,15 @@ func (s *Signal) WaitTimeout(p *Proc, d Duration) bool {
 // events successive Signal calls would schedule, and the queue empties
 // once, in place, keeping its capacity.
 func (s *Signal) Broadcast() {
-	for i, p := range s.waiters {
+	for i, c := range s.waiters {
 		s.waiters[i] = nil
-		p.blocked = false
-		s.k.At(s.k.now, p.runFn)
+		s.k.At(s.k.now, c.fire)
 	}
 	s.waiters = s.waiters[:0]
 }
 
-// Waiters returns the number of processes blocked on the signal.
+// Waiters returns the number of processes and continuations waiting on
+// the signal.
 func (s *Signal) Waiters() int { return len(s.waiters) }
 
 // Queue is a deterministic FIFO mailbox between processes: Push never
@@ -311,9 +406,7 @@ func (q *Queue[T]) Pop(p *Proc) T {
 	for len(q.items) == 0 {
 		q.sig.Wait(p)
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v
+	return q.pop()
 }
 
 // TryPop removes and returns the oldest item without blocking.
@@ -322,9 +415,17 @@ func (q *Queue[T]) TryPop() (T, bool) {
 	if len(q.items) == 0 {
 		return zero, false
 	}
+	return q.pop(), true
+}
+
+// pop removes the oldest item, clearing its slot so the backing array
+// does not keep it reachable.
+func (q *Queue[T]) pop() T {
+	var zero T
 	v := q.items[0]
+	q.items[0] = zero
 	q.items = q.items[1:]
-	return v, true
+	return v
 }
 
 // Len returns the number of queued items.

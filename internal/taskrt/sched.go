@@ -47,35 +47,33 @@ func (rt *Runtime) queueHomeNUMA(q int) int {
 	return rt.cfg.QueueNUMA
 }
 
-// popOrder returns the ready lists a worker on `numa` inspects, in
-// order: local, central, then the other NUMA lists (stealing).
-func (rt *Runtime) popOrder(numa int) []int {
-	if rt.cfg.Scheduler == EagerFIFO {
-		return []int{rt.centralQueue()}
-	}
-	order := []int{numa, rt.centralQueue()}
-	for n := 0; n < rt.node.Spec.NUMANodes(); n++ {
-		if n != numa {
-			order = append(order, n)
+// tryPop pops the oldest task of the first non-empty ready list in the
+// worker's pop order — local, central, then the other NUMA lists
+// (stealing) — and returns it with the list it came from, or nil. With
+// steal=false only the local and central lists are inspected; workers
+// try that first and steal from remote lists only after an extra poll
+// period, giving local workers priority on their own tasks (standard
+// work-stealing etiquette). EagerFIFO has the central list only.
+func (rt *Runtime) tryPop(numa int, steal bool) (*Task, int) {
+	local := rt.cfg.Scheduler == NUMALocal
+	if local {
+		if t, ok := rt.queues[numa].TryPop(); ok {
+			return t, numa
 		}
 	}
-	return order
-}
-
-// tryPop scans the worker's pop order and returns a task plus the list
-// it came from. With steal=false only the local and central lists are
-// inspected; workers try that first and steal from remote lists only
-// after an extra poll period, giving local workers priority on their
-// own tasks (standard work-stealing etiquette).
-func (rt *Runtime) tryPop(numa int, steal bool) (*Task, int, bool) {
-	order := rt.popOrder(numa)
-	if !steal && rt.cfg.Scheduler == NUMALocal {
-		order = order[:2] // local + central
+	central := rt.centralQueue()
+	if t, ok := rt.queues[central].TryPop(); ok {
+		return t, central
 	}
-	for _, q := range order {
-		if t, ok := rt.queues[q].TryPop(); ok {
-			return t, q, true
+	if local && steal {
+		for q := 0; q < central; q++ {
+			if q == numa {
+				continue
+			}
+			if t, ok := rt.queues[q].TryPop(); ok {
+				return t, q
+			}
 		}
 	}
-	return nil, 0, false
+	return nil, 0
 }

@@ -1,6 +1,7 @@
 package taskrt
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/machine"
@@ -49,12 +50,28 @@ func TestPopOrderPrefersLocalThenCentral(t *testing.T) {
 		Node: c.Nodes[0], MainCore: 0, CommCore: 35,
 		WorkerCores: []int{1}, Scheduler: NUMALocal,
 	})
-	order := rt.popOrder(2)
-	if order[0] != 2 || order[1] != rt.centralQueue() {
-		t.Fatalf("pop order %v", order)
+	// One task on every ready list: a worker on NUMA 2 pops its local
+	// list, then the central one, and steals from the other three only
+	// when allowed to.
+	lists := rt.centralQueue() + 1
+	for q := 0; q < lists; q++ {
+		rt.queues[q].Push(NewTask(machine.ComputeSpec{}))
 	}
-	if len(order) != 5 { // local + central + 3 steal targets
-		t.Fatalf("pop order %v incomplete", order)
+	var order []int
+	for {
+		task, q := rt.tryPop(2, len(order) >= 2)
+		if task == nil {
+			break
+		}
+		order = append(order, q)
+		if len(order) == 2 {
+			if task, _ := rt.tryPop(2, false); task != nil {
+				t.Fatalf("pop order %v: popped a remote list without stealing", order)
+			}
+		}
+	}
+	if want := []int{2, rt.centralQueue(), 0, 1, 3}; !slices.Equal(order, want) {
+		t.Fatalf("pop order %v, want %v", order, want)
 	}
 }
 

@@ -226,11 +226,11 @@ func (rt *Runtime) Start() {
 		panic("taskrt: Start called twice")
 	}
 	rt.started = true
+	workers := make([]worker, len(rt.cfg.WorkerCores))
 	for i, core := range rt.cfg.WorkerCores {
-		i, core := i, core
-		rt.k.Spawn(fmt.Sprintf("worker.n%d.c%d", rt.node.ID, core), func(p *sim.Proc) {
-			rt.workerLoop(p, i, core)
-		})
+		w := &workers[i]
+		*w = worker{rt: rt, idx: i, core: core, numa: rt.node.Spec.NUMAOfCore(core)}
+		rt.k.Spawn(fmt.Sprintf("worker.n%d.c%d", rt.node.ID, core), w.run)
 	}
 	if rt.cfg.Rank != nil {
 		rt.k.Spawn(fmt.Sprintf("commthread.n%d", rt.node.ID), func(p *sim.Proc) {
@@ -351,61 +351,141 @@ func (rt *Runtime) commFinished() {
 	}
 }
 
-// workerLoop is the life of one worker (§5.4): poll, execute, repeat.
-func (rt *Runtime) workerLoop(p *sim.Proc, workerIdx, core int) {
-	node := rt.node
-	workerNUMA := node.Spec.NUMAOfCore(core)
-	// The polling flow's name, built on the worker's first idle wait.
-	var pollName string
+// worker is one worker thread (§5.4): poll, execute, repeat. Its
+// process runs the tasks it wins and blocks on pause, throttle and
+// shutdown. The idle protocol, from going idle to winning or losing a
+// pushed task, runs as the process's continuation (step) in the event
+// slots where the process would have woken, so the process is switched
+// into only once it holds a task or must block.
+type worker struct {
+	rt              *Runtime
+	idx, core, numa int // index in WorkerCores, core, the core's NUMA node
+	p               *sim.Proc
+	cont            *sim.Cont // p's continuation, running step
+	phase           idlePhase
+	// polling is the polling traffic flow while the worker is idle;
+	// pollName, its name, is built on the worker's first idle wait.
+	polling  machine.Background
+	pollName string
+	// task is the task the worker popped and fromQ its ready list.
+	task  *Task
+	fromQ int
+}
+
+// idlePhase is the step of the idle protocol the worker's continuation
+// takes on its next wakeup.
+type idlePhase int
+
+const (
+	idleWoken  idlePhase = iota // a push (or pause, throttle, shutdown) woke the worker
+	idleNotice                  // the worker notices the push at its next poll
+	idleSteal                   // one more poll period, then it may steal
+)
+
+// run is the life of the worker's process.
+func (w *worker) run(p *sim.Proc) {
+	rt, node := w.rt, w.rt.node
+	w.p = p
+	w.cont = p.Cont(w.step)
 	for !rt.shutdown {
 		if rt.paused {
-			node.Freq.SetIdle(core)
+			node.Freq.SetIdle(w.core)
 			rt.pauseSig.Wait(p)
 			continue
 		}
-		if rt.throttled(workerIdx) {
+		if rt.throttled(w.idx) {
 			// Communication phase: park until the request list drains
 			// (§8 future work; disabled unless Config.CommThrottle > 0).
-			node.Freq.SetIdle(core)
+			node.Freq.SetIdle(w.core)
 			rt.commIdleSig.Wait(p)
 			continue
 		}
-		// Busy-waiting burns the core at full speed.
-		node.Freq.SetActive(core, topology.Scalar)
-		t, fromQ, ok := rt.tryPop(workerNUMA, true)
-		if !ok {
-			// Idle: install the polling traffic flow and wait for work.
-			if pollName == "" {
-				pollName = fmt.Sprintf("poll.n%d.c%d", node.ID, core)
-			}
-			stop := node.BackgroundStream(pollName, workerNUMA, rt.pollTarget(core), rt.pollTrafficRate(core))
-			rt.readySig.Wait(p)
-			stop.Stop()
-			if rt.shutdown || rt.paused || rt.throttled(workerIdx) {
-				continue
-			}
-			// The worker notices the push only at its next poll:
-			// half a period on average, plus the contended pop. Local and
-			// central tasks first; stealing waits one more period so the
-			// data-local worker wins its own tasks.
-			p.Sleep(rt.pollPeriod(core) / 2)
-			t, fromQ, ok = rt.tryPop(workerNUMA, false)
-			if !ok {
-				p.Sleep(rt.pollPeriod(core))
-				t, fromQ, ok = rt.tryPop(workerNUMA, true)
-			}
-			if !ok {
-				continue // another worker won the race
-			}
+		if !w.poll() {
+			p.Park()
 		}
+		t := w.task
+		if t == nil {
+			continue // shutdown, pause or throttle
+		}
+		w.task = nil
 		// Pop: lock + head update on the ready list's home NUMA node.
-		node.MemAccesses(p, core, rt.queueHomeNUMA(fromQ), 2)
+		node.MemAccesses(p, w.core, rt.queueHomeNUMA(w.fromQ), 2)
 		start := p.Now()
-		node.ExecCompute(p, core, t.Spec)
-		rt.traceEvent(core, "task", t.Spec.Name, start, p.Now())
+		node.ExecCompute(p, w.core, t.Spec)
+		rt.traceEvent(w.core, "task", t.Spec.Name, start, p.Now())
 		rt.complete(t)
 	}
-	node.Freq.SetIdle(core)
+	node.Freq.SetIdle(w.core)
+}
+
+// poll is the head of the worker loop past its blocking checks, in the
+// process or its continuation: busy-wait on the ready lists. It reports
+// whether the process must run, because the worker won a task (w.task)
+// or must block on shutdown, pause or throttle. Otherwise the worker
+// has gone idle: its polling traffic flows and its continuation waits
+// for the next push.
+func (w *worker) poll() bool {
+	rt := w.rt
+	if w.held() {
+		return true
+	}
+	// Busy-waiting burns the core at full speed.
+	rt.node.Freq.SetActive(w.core, topology.Scalar)
+	if w.pop(true) {
+		return true
+	}
+	// Idle: install the polling traffic flow and wait for work.
+	if w.pollName == "" {
+		w.pollName = fmt.Sprintf("poll.n%d.c%d", rt.node.ID, w.core)
+	}
+	w.polling = rt.node.BackgroundStream(w.pollName, w.numa, rt.pollTarget(w.core), rt.pollTrafficRate(w.core))
+	w.phase = idleWoken
+	rt.readySig.WaitCont(w.cont)
+	return false
+}
+
+// held reports whether the worker must stop polling and block:
+// shutdown, pause or throttle.
+func (w *worker) held() bool {
+	rt := w.rt
+	return rt.shutdown || rt.paused || rt.throttled(w.idx)
+}
+
+// pop tries the worker's ready lists (see tryPop) and reports whether
+// it won a task.
+func (w *worker) pop(steal bool) bool {
+	w.task, w.fromQ = w.rt.tryPop(w.numa, steal)
+	return w.task != nil
+}
+
+// step is the idle protocol after the worker's wakeup, one phase per
+// wakeup, in event context. The worker notices a push only at its next
+// poll: half a period on average, plus the contended pop. Local and
+// central tasks first; stealing waits one more period so the data-local
+// worker wins its own tasks. A worker that lost the race polls again.
+func (w *worker) step() {
+	rt := w.rt
+	switch w.phase {
+	case idleWoken:
+		w.polling.Stop()
+		if w.held() {
+			w.p.Resume()
+			return
+		}
+		w.phase = idleNotice
+		rt.k.SleepCont(w.cont, rt.pollPeriod(w.core)/2)
+	case idleNotice:
+		if w.pop(false) {
+			w.p.Resume()
+			return
+		}
+		w.phase = idleSteal
+		rt.k.SleepCont(w.cont, rt.pollPeriod(w.core))
+	case idleSteal:
+		if w.pop(true) || w.poll() {
+			w.p.Resume()
+		}
+	}
 }
 
 // complete marks t done, releases dependants, and fires callbacks.
