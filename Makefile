@@ -83,7 +83,8 @@ crash:
 	$(GO) run ./cmd/interference -exp faults-crash-pingpong
 	$(GO) run ./cmd/interference -exp faults-crash-cg
 
-# Run every example program.
+# Run every example program, then the ping-pong sweep (to 4 KiB) and
+# the cluster preset summary.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/placement
@@ -92,6 +93,8 @@ examples:
 	$(GO) run ./examples/autotune
 	$(GO) run ./examples/distributed
 	$(GO) run ./examples/faults
+	$(GO) run ./cmd/pingpong -max 4096
+	$(GO) run ./cmd/topo
 
 # Short fuzz passes: fluid solver invariants, the fluid differential
 # fuzzer (every program on both fill paths under the reference-solver

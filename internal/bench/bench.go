@@ -260,7 +260,7 @@ func applyComm(w *mpi.World, cc CommConfig) *mpi.PingPong {
 		if cc.BufNUMA >= 0 {
 			numa = cc.BufNUMA
 		}
-		buf := r.Node.Alloc(maxInt64(cc.Size, 1), numa)
+		buf := r.Node.Alloc(max(cc.Size, 1), numa)
 		if i == 0 {
 			pp.InitBuf = buf
 		} else {
@@ -279,7 +279,9 @@ func Interference(env Env, comm CommConfig, comp ComputeConfig) InterferenceResu
 	res := InterferenceResult{Size: comm.Size}
 	res.ComputeAlone, res.ComputeSecsAlone = compAlone(env, comp, comm.CommCore)
 	res.CommAlone = commAlone(env, comm)
-	res.ComputeTogether, res.ComputeSecsTogether, res.CommTogether = together(env, comm, comp)
+	if comp.Cores > 0 {
+		res.ComputeTogether, res.ComputeSecsTogether, res.CommTogether = together(env, comm, comp)
+	}
 	return res
 }
 
@@ -377,14 +379,7 @@ func commAlone(env Env, comm CommConfig) stats.Summary {
 	lat := make([]float64, 0, env.runs()*comm.Iters)
 	for run := 0; run < env.runs(); run++ {
 		c, w := newWorld(env, 2, env.Seed+int64(run))
-		pp := applyComm(w, comm)
-		var lats []sim.Duration
-		c.K.Spawn("init", func(p *sim.Proc) { lats = pp.Initiate(p, w.Rank(0), 1) })
-		c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
-		c.K.Run()
-		for _, l := range lats {
-			lat = append(lat, l.Seconds())
-		}
+		lat = append(lat, runPingPong(c, w, applyComm(w, comm), 0, nil)...)
 	}
 	return stats.SummarizeInPlace(lat)
 }
@@ -396,39 +391,59 @@ func together(env Env, comm CommConfig, comp ComputeConfig) (bytesPerSec, secs, 
 	bw := make([]float64, 0, env.runs()*comp.Cores)
 	ss := make([]float64, 0, env.runs()*comp.Cores)
 	lat := make([]float64, 0, env.runs()*comm.Iters)
+	record := func(r kernels.LoopResult) {
+		bw = append(bw, r.BytesPerSec)
+		ss = append(ss, r.PerIter.Seconds())
+	}
 	for run := 0; run < env.runs(); run++ {
 		c, w := newWorld(env, 2, env.Seed+int64(run))
 		pp := applyComm(w, comm)
-		commDone := false
-		if cores := computeCores(env.Spec, comp.Cores, w.Rank(0).CommCore); len(cores) > 0 {
-			computing := func() bool { return !commDone } // the cores' loop condition, built once per run
-			spawnCores(c, cores, func(p *sim.Proc, node *machine.Node, core int) {
-				r := kernels.LoopWhile(p, node, core, comp.Slice, computing)
-				if node.ID == 0 && r.Iters > 0 {
-					bw = append(bw, r.BytesPerSec)
-					ss = append(ss, r.PerIter.Seconds())
-				}
-			})
-		}
-		var lats []sim.Duration
-		c.K.Spawn("init", func(p *sim.Proc) {
-			// Let computation reach steady state before measuring.
-			p.Sleep(sim.Duration(2 * sim.Millisecond))
-			lats = pp.Initiate(p, w.Rank(0), 1)
-			commDone = true
-		})
-		c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
-		c.K.Run()
-		for _, l := range lats {
-			lat = append(lat, l.Seconds())
-		}
+		stop := computeBeside(c, computeCores(env.Spec, comp.Cores, w.Rank(0).CommCore), comp.Slice, record)
+		// Let computation reach steady state before measuring.
+		lat = append(lat, runPingPong(c, w, pp, sim.Duration(2*sim.Millisecond), stop)...)
 	}
 	return stats.SummarizeInPlace(bw), stats.SummarizeInPlace(ss), stats.SummarizeInPlace(lat)
 }
 
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
+// runPingPong runs pp between the two ranks of w to completion: the
+// initiator on rank 0, which first sleeps warm when it is positive,
+// then the responder on rank 1. done, when non-nil, runs in the
+// initiator right after its last iteration. It returns the initiator's
+// half-round-trip latencies in seconds.
+func runPingPong(c *machine.Cluster, w *mpi.World, pp *mpi.PingPong, warm sim.Duration, done func()) []float64 {
+	var lats []sim.Duration
+	c.K.Spawn("init", func(p *sim.Proc) {
+		if warm > 0 {
+			p.Sleep(warm)
+		}
+		lats = pp.Initiate(p, w.Rank(0), 1)
+		if done != nil {
+			done()
+		}
+	})
+	c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
+	c.K.Run()
+	secs := make([]float64, len(lats))
+	for i, l := range lats {
+		secs[i] = l.Seconds()
 	}
-	return b
+	return secs
+}
+
+// computeBeside spawns a loop of slice on each of cores of every node
+// of c (see spawnCores) that runs beside a communication until the
+// returned stop is called: each loop then ends at its first slice
+// boundary, so it always finishes the slice in flight. record, when
+// non-nil, gets the result of each node-0 loop that completed an
+// iteration.
+func computeBeside(c *machine.Cluster, cores []int, slice machine.ComputeSpec, record func(kernels.LoopResult)) (stop func()) {
+	stopped := false
+	computing := func() bool { return !stopped } // the loops' condition, built once per world
+	spawnCores(c, cores, func(p *sim.Proc, node *machine.Node, core int) {
+		r := kernels.LoopWhile(p, node, core, slice, computing)
+		if record != nil && node.ID == 0 && r.Iters > 0 {
+			record(r)
+		}
+	})
+	return func() { stopped = true }
 }

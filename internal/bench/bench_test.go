@@ -3,6 +3,9 @@ package bench
 import (
 	"testing"
 
+	"repro/internal/kernels"
+	"repro/internal/machine"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -16,14 +19,117 @@ func quietEnv() Env {
 
 func TestInterferenceProtocolBaseline(t *testing.T) {
 	// No computation: comm-alone and together must agree.
-	r := Interference(quietEnv(), LatencyConfig(), ComputeConfig{})
-	if r.CommAlone.N == 0 || r.CommTogether.N == 0 {
+	env := quietEnv()
+	alone := commAlone(env, LatencyConfig())
+	_, _, with := together(env, LatencyConfig(), ComputeConfig{})
+	if alone.N == 0 || with.N == 0 {
 		t.Fatal("missing samples")
 	}
-	rel := r.CommTogether.Median / r.CommAlone.Median
+	rel := with.Median / alone.Median
 	if rel < 0.95 || rel > 1.05 {
-		t.Fatalf("no-compute latency drifted: alone %v together %v", r.CommAlone.Median, r.CommTogether.Median)
+		t.Fatalf("no-compute latency drifted: alone %v together %v", alone.Median, with.Median)
 	}
+	// A comm-only Interference has no side-by-side step to run.
+	if r := Interference(env, LatencyConfig(), ComputeConfig{}); r.CommAlone != alone || r.CommTogether.N != 0 {
+		t.Fatalf("comm-only Interference: alone %+v together %+v, want alone %+v and no together samples",
+			r.CommAlone, r.CommTogether, alone)
+	}
+}
+
+// TestComputeBesideStopsWithCommunication pins the side-by-side stop
+// rule: every compute loop runs until the communication beside it has
+// ended, stops at its first slice boundary after that, and leaves the
+// kernel drained. The slice is short next to the communication, so a
+// stop at any other instant shows.
+func TestComputeBesideStopsWithCommunication(t *testing.T) {
+	env := quietEnv()
+	slice := kernels.StreamTriad(4<<10, env.Spec.NIC.NUMA)
+	warm := sim.Duration(2 * sim.Millisecond)
+	type loop struct {
+		end sim.Time
+		r   kernels.LoopResult
+	}
+	// record keeps each reported loop with its end: it runs in the loop's
+	// process as the loop returns.
+	record := func(c *machine.Cluster, loops *[]loop) func(kernels.LoopResult) {
+		return func(r kernels.LoopResult) { *loops = append(*loops, loop{c.K.Now(), r}) }
+	}
+	check := func(t *testing.T, c *machine.Cluster, loops []loop, cores int, commEnd sim.Time) {
+		t.Helper()
+		if n := c.K.LiveProcs(); n != 0 {
+			t.Fatalf("%d processes still live: the kernel did not drain", n)
+		}
+		if len(loops) != cores {
+			t.Fatalf("%d node-0 loops completed an iteration, want all %d", len(loops), cores)
+		}
+		for i, l := range loops {
+			if l.end < commEnd || l.end.Sub(commEnd) > l.r.PerIter {
+				t.Errorf("loop %d (%d iterations of %v) ended at %v; the communication ended at %v",
+					i, l.r.Iters, l.r.PerIter, l.end, commEnd)
+			}
+		}
+	}
+
+	t.Run("together", func(t *testing.T) {
+		c, w := newWorld(env, 2, env.Seed)
+		pp := applyComm(w, LatencyConfig())
+		var loops []loop
+		stop := computeBeside(c, computeCores(env.Spec, 4, w.Rank(0).CommCore), slice, record(c, &loops))
+		var commEnd sim.Time
+		lats := runPingPong(c, w, pp, warm, func() { commEnd = c.K.Now(); stop() })
+		// The measured iterations alone take 2·Σlat after the warm-up
+		// sleep: the ping-pong cannot have ended sooner.
+		least := warm.Seconds()
+		for _, l := range lats {
+			least += 2 * l
+		}
+		if commEnd.Sub(0).Seconds() < least-1e-12 {
+			t.Fatalf("done ran at %v, before the ping-pong's %d iterations could end (%gs)", commEnd, len(lats), least)
+		}
+		check(t, c, loops, 4, commEnd)
+	})
+
+	t.Run("collective", func(t *testing.T) {
+		// runCollective's shape: an allreduce over four nodes beside
+		// every other core of each node, stopped by the last rank done.
+		const nodes, size = 4, 1 << 20
+		c, w := newWorld(env, nodes, env.Seed)
+		cores := computeCores(env.Spec, env.Spec.Cores()-1, w.Rank(0).CommCore)
+		var loops []loop
+		stop := computeBeside(c, cores, slice, record(c, &loops))
+		var commEnd sim.Time
+		remaining := nodes
+		for i := 0; i < nodes; i++ {
+			r := w.Rank(i)
+			c.K.Spawn("coll", func(p *sim.Proc) {
+				p.Sleep(warm)
+				r.Allreduce(p, 1, r.Node.Alloc(size, env.Spec.NIC.NUMA), size)
+				if remaining--; remaining == 0 {
+					commEnd = p.Now()
+					stop()
+				}
+			})
+		}
+		c.K.Run()
+		if commEnd.Sub(0) <= warm {
+			t.Fatalf("allreduce ended at %v, not after the %v warm-up", commEnd, warm)
+		}
+		check(t, c, loops, len(cores), commEnd)
+
+		// runCollective itself leaves its world drained, quiet and loaded.
+		kenv := env
+		kenv.keeper = &worldKeeper{}
+		for _, n := range []int{0, env.Spec.Cores() - 1} {
+			if d := runCollective(kenv, "allreduce", nodes, size, n); d <= 0 {
+				t.Fatalf("runCollective with %d cores: duration %v", n, d)
+			}
+		}
+		for _, b := range kenv.keeper.built {
+			if n := b.c.K.LiveProcs(); n != 0 {
+				t.Fatalf("runCollective left %d processes live", n)
+			}
+		}
+	})
 }
 
 func TestComputeCoresSkipCommCore(t *testing.T) {

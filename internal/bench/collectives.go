@@ -53,21 +53,11 @@ func ExtCollectives(env Env) *trace.Table {
 }
 
 // runCollective times one collective over `nodes` ranks, with
-// `computeCores` STREAM cores per node running beside it.
-func runCollective(env Env, op string, nodes int, size int64, computeCores int) sim.Duration {
+// `streamCores` STREAM cores per node running beside it.
+func runCollective(env Env, op string, nodes int, size int64, streamCores int) sim.Duration {
 	c, w := newWorld(env, nodes, env.Seed)
-	stop := false
-	for _, node := range c.Nodes {
-		node := node
-		for _, core := range computeCoresList(env, computeCores, w.Rank(node.ID).CommCore) {
-			core := core
-			c.K.Spawn("stream", func(p *sim.Proc) {
-				kernels.LoopWhile(p, node, core,
-					kernels.StreamTriad(kernels.DefaultStreamElems, env.Spec.NIC.NUMA),
-					func() bool { return !stop })
-			})
-		}
-	}
+	stop := computeBeside(c, computeCores(env.Spec, streamCores, w.Rank(0).CommCore),
+		kernels.StreamTriad(kernels.DefaultStreamElems, env.Spec.NIC.NUMA), nil)
 	var finish sim.Time
 	remaining := nodes
 	for i := 0; i < nodes; i++ {
@@ -89,18 +79,10 @@ func runCollective(env Env, op string, nodes int, size int64, computeCores int) 
 			}
 			remaining--
 			if remaining == 0 {
-				stop = true
+				stop()
 			}
 		})
 	}
 	c.K.Run()
 	return finish.Sub(sim.Time(2 * sim.Millisecond))
-}
-
-// computeCoresList mirrors computeCores but tolerates zero.
-func computeCoresList(env Env, n, commCore int) []int {
-	if n <= 0 {
-		return nil
-	}
-	return computeCores(env.Spec, n, commCore)
 }

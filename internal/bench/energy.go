@@ -53,13 +53,8 @@ func ExtEnergy(env Env) *trace.Table {
 					}
 					pp := &mpi.PingPong{Size: ph.size, Iters: ph.iters, Warmup: 0}
 					var elapsed sim.Duration
-					c.K.Spawn("init", func(p *sim.Proc) {
-						start := p.Now()
-						pp.Initiate(p, w.Rank(0), 1)
-						elapsed = p.Now().Sub(start)
-					})
-					c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
-					c.K.Run()
+					start := c.K.Now()
+					runPingPong(c, w, pp, 0, func() { elapsed = c.K.Now().Sub(start) })
 					return energyCell{
 						Phase: ph.name, GHz: ghz, Elapsed: elapsed,
 						Joules: w.Rank(0).Node.Freq.EnergyJoules(),

@@ -164,23 +164,7 @@ func ExtOverlap(env Env) *trace.Table {
 		size := size
 		pts = append(pts, Point{
 			Key: fmt.Sprintf("ext/overlap/size=%d", size),
-			Fn: func(env Env) any {
-				c, w := newWorld(env, 2, env.Seed)
-				// Computation sized to the nominal transfer time at wire speed.
-				transferSecs := float64(size) / (env.Spec.NIC.WireGBs * 1e9)
-				flops := transferSecs * 2.5e9 * env.Spec.FlopsPerCycle[topology.Scalar]
-				ov := &mpi.Overlap{
-					Size:        size,
-					Compute:     machine.ComputeSpec{Flops: flops, Class: topology.Scalar},
-					ComputeCore: 1,
-					Iters:       4,
-				}
-				var res mpi.OverlapResult
-				c.K.Spawn("overlap", func(p *sim.Proc) { res = ov.Run(p, w.Rank(0), 1) })
-				c.K.Spawn("peer", func(p *sim.Proc) { ov.RunPeer(p, w.Rank(1), 0) })
-				c.K.Run()
-				return res
-			},
+			Fn:  func(env Env) any { return runOverlap(env, size) },
 		})
 	}
 	t := trace.NewTable("EXT — communication/computation overlap (after Denis & Trahay [7])",
@@ -190,4 +174,24 @@ func ExtOverlap(env Env) *trace.Table {
 			res.Together.Micros(), res.Ratio)
 	}
 	return t
+}
+
+// runOverlap runs the overlap benchmark (after reference [7]) for
+// size-byte messages on one world at env's seed, its computation sized
+// to the nominal transfer time at wire speed.
+func runOverlap(env Env, size int64) mpi.OverlapResult {
+	c, w := newWorld(env, 2, env.Seed)
+	transferSecs := float64(size) / (env.Spec.NIC.WireGBs * 1e9)
+	flops := transferSecs * 2.5e9 * env.Spec.FlopsPerCycle[topology.Scalar]
+	ov := &mpi.Overlap{
+		Size:        size,
+		Compute:     machine.ComputeSpec{Flops: flops, Class: topology.Scalar},
+		ComputeCore: 1,
+		Iters:       4,
+	}
+	var res mpi.OverlapResult
+	c.K.Spawn("overlap", func(p *sim.Proc) { res = ov.Run(p, w.Rank(0), 1) })
+	c.K.Spawn("peer", func(p *sim.Proc) { ov.RunPeer(p, w.Rank(1), 0) })
+	c.K.Run()
+	return res
 }

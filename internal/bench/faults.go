@@ -9,7 +9,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -66,14 +65,7 @@ func runFaultPingPong(env Env, cc CommConfig) ([]float64, counters.Faults) {
 	var tot counters.Faults
 	for run := 0; run < env.runs(); run++ {
 		c, w := newWorld(env, 2, env.Seed+int64(run))
-		pp := applyComm(w, cc)
-		var ls []sim.Duration
-		c.K.Spawn("init", func(p *sim.Proc) { ls = pp.Initiate(p, w.Rank(0), 1) })
-		c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
-		c.K.Run()
-		for _, l := range ls {
-			lats = append(lats, l.Seconds())
-		}
+		lats = append(lats, runPingPong(c, w, applyComm(w, cc), 0, nil)...)
 		tot.Add(clusterFaults(c))
 	}
 	return lats, tot
@@ -100,10 +92,6 @@ func faultScenarios(env Env) []struct {
 	return out
 }
 
-// FaultsPingPong reports ping-pong latency (4 B) and bandwidth (64 MB)
-// under increasing fault intensity, alongside the recovery work done:
-// retransmissions, expired timeouts, and the transmissions the injector
-// dropped or corrupted.
 // faultsPPCell is the cached payload of one FaultsPingPong scenario.
 type faultsPPCell struct {
 	Scenario  string
@@ -115,6 +103,10 @@ type faultsPPCell struct {
 	Corrupted float64
 }
 
+// FaultsPingPong reports ping-pong latency (4 B) and bandwidth (64 MB)
+// under increasing fault intensity, alongside the recovery work done:
+// retransmissions, expired timeouts, and the transmissions the injector
+// dropped or corrupted.
 func FaultsPingPong(env Env) *trace.Table {
 	var pts []Point
 	for _, sc := range faultScenarios(env) {
@@ -196,22 +188,8 @@ func FaultsOverlap(env Env) *trace.Table {
 		pts = append(pts, Point{
 			Key: fmt.Sprintf("faults/overlap/%s", s.name),
 			Fn: func(env Env) any {
-				fenv := env
-				fenv.Faults = s.sched
-				c, w := newWorld(fenv, 2, fenv.Seed)
-				transferSecs := float64(size) / (env.Spec.NIC.WireGBs * 1e9)
-				flops := transferSecs * 2.5e9 * env.Spec.FlopsPerCycle[topology.Scalar]
-				ov := &mpi.Overlap{
-					Size:        size,
-					Compute:     machine.ComputeSpec{Flops: flops, Class: topology.Scalar},
-					ComputeCore: 1,
-					Iters:       4,
-				}
-				var res mpi.OverlapResult
-				c.K.Spawn("overlap", func(p *sim.Proc) { res = ov.Run(p, w.Rank(0), 1) })
-				c.K.Spawn("peer", func(p *sim.Proc) { ov.RunPeer(p, w.Rank(1), 0) })
-				c.K.Run()
-				return overlapCell{Scenario: s.name, Res: res}
+				env.Faults = s.sched
+				return overlapCell{Scenario: s.name, Res: runOverlap(env, size)}
 			},
 		})
 	}

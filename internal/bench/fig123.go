@@ -57,15 +57,7 @@ func Fig1Frequencies(env Env, sizes []int64) []FrequencyPoint {
 							}
 							pp := applyComm(w, CommConfig{CommCore: -1, BufNUMA: -1, Size: size,
 								Iters: pingIters(size), Warmup: 2})
-							pp.InitBuf = w.Rank(0).Node.Alloc(maxInt64(size, 1), spec.NIC.NUMA)
-							pp.RespBuf = w.Rank(1).Node.Alloc(maxInt64(size, 1), spec.NIC.NUMA)
-							var ls []sim.Duration
-							c.K.Spawn("init", func(p *sim.Proc) { ls = pp.Initiate(p, w.Rank(0), 1) })
-							c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
-							c.K.Run()
-							for _, l := range ls {
-								lats = append(lats, l.Seconds())
-							}
+							lats = append(lats, runPingPong(c, w, pp, 0, nil)...)
 						}
 						return FrequencyPoint{
 							CoreGHz: cf, UncoreGHz: uf, Size: size,
@@ -147,11 +139,8 @@ func fig2CommOnly(env Env) Fig2Result {
 	c, w := newWorld(env, 2, env.Seed)
 	pp := applyComm(w, CommConfig{CommCore: -1, BufNUMA: -1, Size: 4, Iters: 30, Warmup: 5})
 	w.Rank(0).Node.Freq.StartTrace()
-	var lats []sim.Duration
-	c.K.Spawn("init", func(p *sim.Proc) { lats = pp.Initiate(p, w.Rank(0), 1) })
-	c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
-	c.K.Run()
-	return Fig2Result{TraceA: w.Rank(0).Node.Freq.StopTrace(), LatencyAlone: summarizeDur(lats)}
+	lats := runPingPong(c, w, pp, 0, nil)
+	return Fig2Result{TraceA: w.Rank(0).Node.Freq.StopTrace(), LatencyAlone: stats.SummarizeInPlace(lats)}
 }
 
 // fig2Idle is case (B): all cores asleep.
@@ -171,33 +160,14 @@ func fig2CommCompute(env Env) Fig2Result {
 	pp := applyComm(w, CommConfig{CommCore: -1, BufNUMA: -1, Size: 4, Iters: 30, Warmup: 5})
 	n := w.Rank(0).Node
 	n.Freq.StartTrace()
-	commDone := false
 	var secs []float64
-	for _, node := range c.Nodes {
-		node := node
-		for _, core := range computeCores(env.Spec, 20, w.Rank(0).CommCore) {
-			core := core
-			c.K.Spawn("prime", func(p *sim.Proc) {
-				r := kernels.LoopWhile(p, node, core, kernels.PrimeCountDefault(),
-					func() bool { return !commDone })
-				if node.ID == 0 && r.Iters > 0 {
-					secs = append(secs, r.PerIter.Seconds())
-				}
-			})
-		}
-	}
-	var lats []sim.Duration
-	c.K.Spawn("init", func(p *sim.Proc) {
-		p.Sleep(sim.Duration(sim.Millisecond))
-		lats = pp.Initiate(p, w.Rank(0), 1)
-		commDone = true
-	})
-	c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
-	c.K.Run()
+	stop := computeBeside(c, computeCores(env.Spec, 20, w.Rank(0).CommCore), kernels.PrimeCountDefault(),
+		func(r kernels.LoopResult) { secs = append(secs, r.PerIter.Seconds()) })
+	lats := runPingPong(c, w, pp, sim.Duration(sim.Millisecond), stop)
 	return Fig2Result{
 		TraceC:          n.Freq.StopTrace(),
-		LatencyTogether: summarizeDur(lats),
-		ComputeSecs:     stats.Summarize(secs),
+		LatencyTogether: stats.SummarizeInPlace(lats),
+		ComputeSecs:     stats.SummarizeInPlace(secs),
 	}
 }
 
@@ -285,12 +255,4 @@ func Fig3Table(rs []Fig3Result) *trace.Table {
 			r.ComputeCoreGHz, r.CommCoreGHz)
 	}
 	return t
-}
-
-func summarizeDur(ds []sim.Duration) stats.Summary {
-	xs := make([]float64, len(ds))
-	for i, d := range ds {
-		xs[i] = d.Seconds()
-	}
-	return stats.Summarize(xs)
 }

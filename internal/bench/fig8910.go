@@ -34,39 +34,43 @@ func starpuPair(env Env, seed int64, commCore int, workers []int, backoff taskrt
 	return c, w, rts
 }
 
-// starpuLatency runs a runtime-level ping-pong and returns the
-// half-round-trip latencies.
-func starpuLatency(env Env, seed int64, size int64, commCore, dataNUMA int,
-	workers []int, backoff taskrt.Backoff, paused bool) []float64 {
-	c, _, rts := starpuPair(env, seed, commCore, workers, backoff)
-	if paused {
-		rts[0].PauseWorkers()
-		rts[1].PauseWorkers()
+// starpuLatency runs the runtime-level latency ping-pong (4 B) once per
+// run (run r on seed Seed+r, one fresh pair of runtimes per run) and
+// summarises the half-round-trip latencies in seconds across
+// iterations and runs.
+func starpuLatency(env Env, commCore, dataNUMA int,
+	workers []int, backoff taskrt.Backoff, paused bool) stats.Summary {
+	numa := env.Spec.NIC.NUMA
+	if dataNUMA >= 0 {
+		numa = dataNUMA
 	}
-	var pps [2]*taskrt.PingPong
-	for i := 0; i < 2; i++ {
-		numa := env.Spec.NIC.NUMA
-		if dataNUMA >= 0 {
-			numa = dataNUMA
+	lat := make([]float64, 0, env.runs()*15)
+	for run := 0; run < env.runs(); run++ {
+		c, _, rts := starpuPair(env, env.Seed+int64(run), commCore, workers, backoff)
+		if paused {
+			rts[0].PauseWorkers()
+			rts[1].PauseWorkers()
 		}
-		pps[i] = &taskrt.PingPong{
-			Size: size, Iters: 15, Warmup: 3,
-			Buf: c.Nodes[i].Alloc(maxInt64(size, 1), numa),
+		var pps [2]*taskrt.PingPong
+		for i := 0; i < 2; i++ {
+			pps[i] = &taskrt.PingPong{
+				Size: 4, Iters: 15, Warmup: 3,
+				Buf: c.Nodes[i].Alloc(4, numa),
+			}
+		}
+		var lats []sim.Duration
+		c.K.Spawn("init", func(p *sim.Proc) {
+			lats = pps[0].Initiate(p, rts[0], 1)
+			rts[0].Shutdown()
+			rts[1].Shutdown()
+		})
+		c.K.Spawn("resp", func(p *sim.Proc) { pps[1].Respond(p, rts[1], 0) })
+		c.K.RunUntil(sim.Time(60 * sim.Second))
+		for _, l := range lats {
+			lat = append(lat, l.Seconds())
 		}
 	}
-	var lats []sim.Duration
-	c.K.Spawn("init", func(p *sim.Proc) {
-		lats = pps[0].Initiate(p, rts[0], 1)
-		rts[0].Shutdown()
-		rts[1].Shutdown()
-	})
-	c.K.Spawn("resp", func(p *sim.Proc) { pps[1].Respond(p, rts[1], 0) })
-	c.K.RunUntil(sim.Time(60 * sim.Second))
-	xs := make([]float64, len(lats))
-	for i, l := range lats {
-		xs[i] = l.Seconds()
-	}
-	return xs
+	return stats.SummarizeInPlace(lat)
 }
 
 // RuntimeOverheadResult compares raw-MPI and runtime latency (§5.2).
@@ -90,12 +94,7 @@ func RuntimeOverhead(env Env) RuntimeOverheadResult {
 
 func runtimeOverhead(env Env) RuntimeOverheadResult {
 	raw := Interference(env, LatencyConfig(), ComputeConfig{})
-	var lats []float64
-	for run := 0; run < env.runs(); run++ {
-		lats = append(lats, starpuLatency(env, env.Seed+int64(run), 4, -1, -1,
-			[]int{1, 2}, taskrt.DefaultBackoff, true)...)
-	}
-	rt := stats.Summarize(lats)
+	rt := starpuLatency(env, -1, -1, []int{1, 2}, taskrt.DefaultBackoff, true)
 	return RuntimeOverheadResult{
 		Cluster:         env.Spec.Name,
 		RawLatency:      raw.CommAlone,
@@ -137,15 +136,10 @@ func Fig8Runtime(env Env) []Fig8Point {
 					if !threadClose {
 						threadNUMA = spec.NUMANodes() - 1
 					}
-					commCore := spec.LastCoreOfNUMA(threadNUMA)
-					lats := make([]float64, 0, env.runs()*15)
-					for run := 0; run < env.runs(); run++ {
-						lats = append(lats, starpuLatency(env, env.Seed+int64(run), 4,
-							commCore, dataNUMA, []int{1, 2}, taskrt.DefaultBackoff, true)...)
-					}
 					return Fig8Point{
 						DataClose: dataClose, ThreadClose: threadClose,
-						Latency: stats.SummarizeInPlace(lats),
+						Latency: starpuLatency(env, spec.LastCoreOfNUMA(threadNUMA), dataNUMA,
+							[]int{1, 2}, taskrt.DefaultBackoff, true),
 					}
 				},
 			})
@@ -203,12 +197,7 @@ func Fig9Polling(env Env) []Fig9Point {
 		pts = append(pts, Point{
 			Key: fmt.Sprintf("fig9/%s/workers=%d", cfg.Label, len(workers)),
 			Fn: func(env Env) any {
-				lats := make([]float64, 0, env.runs()*15)
-				for run := 0; run < env.runs(); run++ {
-					lats = append(lats, starpuLatency(env, env.Seed+int64(run), 4,
-						commCore, -1, workers, cfg.Backoff, cfg.Paused)...)
-				}
-				cfg.Latency = stats.SummarizeInPlace(lats)
+				cfg.Latency = starpuLatency(env, commCore, -1, workers, cfg.Backoff, cfg.Paused)
 				return cfg
 			},
 		})

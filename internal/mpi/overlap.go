@@ -36,7 +36,7 @@ func (o *Overlap) Run(p *sim.Proc, r *Rank, peer int) OverlapResult {
 	if iters <= 0 {
 		iters = 3
 	}
-	buf := r.Node.Alloc(max64(o.Size, 1), r.Node.Spec.NIC.NUMA)
+	buf := r.Node.Alloc(max(o.Size, 1), r.Node.Spec.NIC.NUMA)
 	node := r.Node
 
 	var res OverlapResult
@@ -90,7 +90,7 @@ func (o *Overlap) RunPeer(p *sim.Proc, r *Rank, peer int) {
 	if iters <= 0 {
 		iters = 3
 	}
-	buf := r.Node.Alloc(max64(o.Size, 1), r.Node.Spec.NIC.NUMA)
+	buf := r.Node.Alloc(max(o.Size, 1), r.Node.Spec.NIC.NUMA)
 	// Phases 1 and 3 each perform iters receive+ack rounds.
 	for phase := 0; phase < 2; phase++ {
 		for i := 0; i < iters; i++ {

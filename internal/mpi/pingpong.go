@@ -21,7 +21,8 @@ type PingPong struct {
 	InitBuf, RespBuf *machine.Buffer
 }
 
-// pingTagBase separates concurrent ping-pong streams from other traffic.
+// pingTag separates ping-pong traffic from other traffic: the ping
+// travels on pingTag and the echo on pingTag+1.
 const pingTag = 7000
 
 // Initiate runs the initiator side on rank r against peer, returning
@@ -32,7 +33,7 @@ const pingTag = 7000
 func (pp *PingPong) Initiate(p *sim.Proc, r *Rank, peer int) []sim.Duration {
 	buf := pp.InitBuf
 	if buf == nil {
-		buf = r.Node.Alloc(max64(pp.Size, 1), r.Node.Spec.NIC.NUMA)
+		buf = r.Node.Alloc(max(pp.Size, 1), r.Node.Spec.NIC.NUMA)
 	}
 	r.Node.Freq.SetActive(r.CommCore, topology.Scalar)
 	defer r.Node.Freq.SetIdle(r.CommCore)
@@ -53,7 +54,7 @@ func (pp *PingPong) Initiate(p *sim.Proc, r *Rank, peer int) []sim.Duration {
 func (pp *PingPong) Respond(p *sim.Proc, r *Rank, peer int) {
 	buf := pp.RespBuf
 	if buf == nil {
-		buf = r.Node.Alloc(max64(pp.Size, 1), r.Node.Spec.NIC.NUMA)
+		buf = r.Node.Alloc(max(pp.Size, 1), r.Node.Spec.NIC.NUMA)
 	}
 	r.Node.Freq.SetActive(r.CommCore, topology.Scalar)
 	defer r.Node.Freq.SetIdle(r.CommCore)
@@ -71,11 +72,4 @@ func Bandwidth(size int64, latency sim.Duration) float64 {
 		return 0
 	}
 	return float64(size) / latency.Seconds()
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

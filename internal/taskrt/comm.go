@@ -154,7 +154,7 @@ type PingPong struct {
 func (pp *PingPong) Initiate(p *sim.Proc, rt *Runtime, peer int) []sim.Duration {
 	buf := pp.Buf
 	if buf == nil {
-		buf = rt.node.Alloc(max64(pp.Size, 1), rt.node.Spec.NIC.NUMA)
+		buf = rt.node.Alloc(max(pp.Size, 1), rt.node.Spec.NIC.NUMA)
 	}
 	lats := make([]sim.Duration, 0, pp.Iters)
 	for i := 0; i < pp.Warmup+pp.Iters; i++ {
@@ -176,7 +176,7 @@ func (pp *PingPong) Initiate(p *sim.Proc, rt *Runtime, peer int) []sim.Duration 
 func (pp *PingPong) Respond(p *sim.Proc, rt *Runtime, peer int) {
 	buf := pp.Buf
 	if buf == nil {
-		buf = rt.node.Alloc(max64(pp.Size, 1), rt.node.Spec.NIC.NUMA)
+		buf = rt.node.Alloc(max(pp.Size, 1), rt.node.Spec.NIC.NUMA)
 	}
 	for i := 0; i < pp.Warmup+pp.Iters; i++ {
 		var rdone bool
@@ -193,13 +193,6 @@ func (pp *PingPong) Respond(p *sim.Proc, rt *Runtime, peer int) {
 }
 
 const starpuTag = 9000
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // String implements fmt.Stringer for diagnostics.
 func (rt *Runtime) String() string {

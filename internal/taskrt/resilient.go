@@ -255,8 +255,8 @@ func (st *resilientRun) drive(p *sim.Proc, id int) {
 	if numa < 0 {
 		numa = node.Spec.NIC.NUMA
 	}
-	sendBuf := node.Alloc(max64(app.MsgSize, 1), numa)
-	recvBuf := node.Alloc(max64(app.MsgSize, 1), numa)
+	sendBuf := node.Alloc(max(app.MsgSize, 1), numa)
+	recvBuf := node.Alloc(max(app.MsgSize, 1), numa)
 
 	myEpoch := st.epoch
 	members := append([]int(nil), st.alive...)
