@@ -114,8 +114,8 @@ fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzTableCell -fuzztime 30s
 
 # The switched-fabric battery: topology shape/routing invariants, the
-# max-min property storm over random fabrics, the two-node degeneracy
-# differential (fabric vs legacy network, byte-identical), the fabric
+# max-min property storm over random fabrics, the pinned two-node
+# network (wire names, capacity, latency, transfer instants), the fabric
 # experiment determinism sweep, the 128-host multi-job worlds under the
 # fluid differential oracle (TestFabricDifferentialK8), and the 1k-host
 # solve budget — all under the race detector.

@@ -193,9 +193,10 @@ func computeCores(spec *topology.NodeSpec, n, commCore int) []int {
 }
 
 // newWorld builds the world of one run: a cluster of `nodes` nodes on
-// the legacy full-mesh network, adopted by the point (see adopt), and
-// the MPI world bound to it. It is the constructor of every MPI world
-// the drivers run; the fabric-* family's worlds come from fabricWorld.
+// the paper's network (net.New: one wire per node pair), adopted by the
+// point (see adopt), and the MPI world bound to it. It is the
+// constructor of every MPI world the drivers run; the fabric-* family's
+// worlds come from fabricWorld.
 func newWorld(env Env, nodes int, seed int64) (*machine.Cluster, *mpi.World) {
 	// Healthy two-node worlds built inside a point execution are
 	// recycled through the arena (whose shape key has no node count): a

@@ -81,7 +81,7 @@ func TestEagerPayloadCrashMidFlight(t *testing.T) {
 	const spec = "crash:node=0,at=9us"
 	probe := newEagerStream(t, spec, 8, true)
 	probe.c.K.RunUntil(sim.Time(9*sim.Microsecond) - 1)
-	if probe.w.Network().Wire(0, 1).Utilization() == 0 {
+	if probe.w.Network().Link(0).Utilization() == 0 {
 		t.Fatal("no payload on the wire just before the crash")
 	}
 	probe.c.K.Shutdown()

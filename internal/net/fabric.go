@@ -1,18 +1,16 @@
 package net
 
-// Fabric-backed interconnects. NewOnFabric replaces the legacy full
-// mesh of dedicated wires with an explicit switched fabric from
-// internal/topology: every directed fabric link becomes one fluid
-// resource, and each transfer's path is routed hop by hop, so
-// transfers of different jobs contend exactly on the links their
-// routes share. A "direct" two-host fabric creates the same resources
-// in the same order with the same names and capacities as the legacy
-// New — TestFabricTwoNodeDegeneratesToLegacy holds the two
-// byte-identical.
+// The interconnect as a fabric. Every network routes over an explicit
+// fabric from internal/topology: every directed fabric link becomes one
+// fluid resource, and each transfer's path is routed hop by hop, so
+// transfers contend exactly on the links their routes share. The
+// paper's two-node network is the two-host direct fabric that New
+// builds: links "wire0-1" and "wire1-0", each a one-link route with no
+// switch — TestFabricTwoNodeWireModel pins its names, capacity, latency
+// and transfer completion instants.
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/fluid"
 	"repro/internal/machine"
@@ -29,77 +27,60 @@ import (
 // fab, so the worlds of one fabric may share a single build instead of
 // each expanding the spec again.
 func NewOnFabric(c *machine.Cluster, fab *topology.Fabric, adaptive bool) *Network {
-	spec := &fab.Spec
 	if fab.NHosts != len(c.Nodes) {
 		panic(fmt.Sprintf("net: fabric has %d hosts, cluster has %d nodes", fab.NHosts, len(c.Nodes)))
 	}
-	nw := &Network{cluster: c, fab: fab, adaptive: adaptive}
-	nw.linkBase = spec.LinkGBs * 1e9
-	if spec.LinkGBs == 0 {
-		nw.linkBase = c.Spec.NIC.WireGBs * 1e9
-	}
-	nw.hopLat = spec.HopLatencyNs
-	if nw.hopLat == 0 {
-		nw.hopLat = topology.DefaultHopLatencyNs
-	}
+	nw := &Network{cluster: c, fab: fab}
+	rate := nw.linkRate()
 	nw.links = make([]*fluid.Resource, len(fab.Links))
 	c.Fluid.Reserve(len(fab.Links))
-	for i, l := range fab.Links {
-		name := fab.LinkName(i)
-		if spec.Kind == topology.FabricDirect {
-			// The legacy wire names, in the legacy enumeration order.
-			name = "wire" + strconv.Itoa(l.From) + "-" + strconv.Itoa(l.To)
-		}
-		nw.links[i] = c.Fluid.NewResource(name, nw.linkBase)
+	for i := range fab.Links {
+		nw.links[i] = c.Fluid.NewResource(fab.LinkName(i), rate)
 	}
-	nw.loadFn = func(li int) float64 { return nw.links[li].Utilization() }
+	if adaptive {
+		nw.load = func(li int) float64 { return nw.links[li].Utilization() }
+	}
 	return nw
 }
 
-// Fabric returns the routed fabric, or nil on a legacy full-mesh
-// network.
-func (nw *Network) Fabric() *topology.Fabric { return nw.fab }
+// linkRate is the healthy capacity of every link in B/s: the fabric
+// spec's LinkGBs, or else the NIC wire rate of the cluster's current
+// spec.
+func (nw *Network) linkRate() float64 {
+	if gbs := nw.fab.Spec.LinkGBs; gbs != 0 {
+		return gbs * 1e9
+	}
+	return nw.cluster.Spec.NIC.WireGBs * 1e9
+}
 
-// Link returns the fluid resource of fabric link i (fabric networks
-// only).
+// Link returns the fluid resource of fabric link i.
 func (nw *Network) Link(i int) *fluid.Resource { return nw.links[i] }
 
-// Adaptive reports whether transfers route adaptively.
-func (nw *Network) Adaptive() bool { return nw.adaptive }
-
-// scaleFabricLinks is the fault injector's wire-scaling callback on
-// fabric networks. from < 0 scales every link (in enumeration order —
-// deterministic); a directed host pair scales the links of the pair's
-// minimal route, the deterministic path a healthy world would use.
-func (nw *Network) scaleFabricLinks(from, to int, factor float64) {
+// scaleLinks is the fault injector's wire-scaling callback. from < 0
+// scales every link (in enumeration order — deterministic); a directed
+// host pair scales the links of the pair's minimal route, the
+// deterministic path a healthy world would use.
+func (nw *Network) scaleLinks(from, to int, factor float64) {
+	rate := nw.linkRate() * factor
 	if from < 0 {
 		for _, r := range nw.links {
-			nw.cluster.Fluid.SetCapacity(r, nw.linkBase*factor)
+			nw.cluster.Fluid.SetCapacity(r, rate)
 		}
 		return
 	}
 	nw.routeBuf = nw.fab.Route(from, to, nil, nw.routeBuf)
 	for _, li := range nw.routeBuf {
-		nw.cluster.Fluid.SetCapacity(nw.links[li], nw.linkBase*factor)
+		nw.cluster.Fluid.SetCapacity(nw.links[li], rate)
 	}
 }
 
-// pathUses appends the wire segment of a transfer path from host src
-// to host dst: the single dedicated wire on legacy networks, the
-// routed multi-hop link sequence on fabrics. Adaptive routing reads
-// each candidate link's current fluid utilization at decision time —
-// the simulation is single-threaded and deterministic, so the load
-// snapshot (and hence the route) is a pure function of simulated
-// history.
+// pathUses appends the routed link sequence of a transfer path from
+// host src to host dst. Adaptive routing reads each candidate link's
+// current fluid utilization at decision time — the simulation is
+// single-threaded and deterministic, so the load snapshot (and hence
+// the route) is a pure function of simulated history.
 func (nw *Network) pathUses(uses []fluid.Use, src, dst int) []fluid.Use {
-	if nw.fab == nil {
-		return append(uses, fluid.Use{Resource: nw.Wire(src, dst), Weight: 1})
-	}
-	var load topology.LoadFunc
-	if nw.adaptive {
-		load = nw.loadFn
-	}
-	nw.routeBuf = nw.fab.Route(src, dst, load, nw.routeBuf)
+	nw.routeBuf = nw.fab.Route(src, dst, nw.load, nw.routeBuf)
 	for _, li := range nw.routeBuf {
 		uses = append(uses, fluid.Use{Resource: nw.links[li], Weight: 1})
 	}
@@ -107,15 +88,16 @@ func (nw *Network) pathUses(uses []fluid.Use, src, dst int) []fluid.Use {
 }
 
 // PathLatency returns the one-way hardware latency from host src to
-// host dst: the wire latency on legacy and direct networks, plus one
-// hop latency per switch traversed on the minimal route of a switched
-// fabric. (Minimal and adaptive routes of a family traverse the same
-// number of switches, so latency does not depend on the policy.)
+// host dst: the wire latency plus one hop latency per switch traversed
+// on the minimal route (none on a direct fabric's one-link route).
+// Minimal and adaptive routes of a family traverse the same number of
+// switches, so latency does not depend on the policy.
 func (nw *Network) PathLatency(src, dst int) sim.Duration {
-	if nw.fab == nil || nw.fab.Spec.Kind == topology.FabricDirect {
-		return nw.WireLatency()
+	hop := nw.fab.Spec.HopLatencyNs
+	if hop == 0 {
+		hop = topology.DefaultHopLatencyNs
 	}
 	nw.routeBuf = nw.fab.Route(src, dst, nil, nw.routeBuf)
 	switches := len(nw.routeBuf) - 1
-	return nw.WireLatency() + sim.Duration(float64(switches)*nw.hopLat)
+	return nw.WireLatency() + sim.Duration(float64(switches)*hop)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,12 +15,11 @@ import (
 	"repro/internal/topology"
 )
 
-// --- Two-node degeneracy -------------------------------------------------
+// --- The paper's two-node network ----------------------------------------
 //
-// The "direct" two-host fabric must be indistinguishable from the
-// legacy full mesh: same resources, created in the same order, with
-// the same names and capacities, so every experiment's event sequence
-// is byte-identical.
+// New builds the two-host direct fabric: one full-duplex wire, whose
+// names, capacity, latency and transfer timings every paper experiment
+// depends on.
 
 // newFabric builds the interconnect of c over the fabric spec, which
 // must validate.
@@ -57,35 +57,34 @@ func transferScript(c *machine.Cluster, nw *Network) []sim.Time {
 	return times
 }
 
-func TestFabricTwoNodeDegeneratesToLegacy(t *testing.T) {
-	legacyC := machine.NewCluster(topology.Henri(), 2, 1)
-	legacy := New(legacyC)
-	fabC := machine.NewCluster(topology.Henri(), 2, 1)
-	fabric := newFabric(fabC, topology.TwoNodeFabric(), false)
-
-	// Same wire resources: names, capacities, enumeration order.
+// TestFabricTwoNodeWireModel pins New's two-node network: links
+// "wire0-1" and "wire1-0" in that order, at the NIC wire rate, each a
+// one-link route with the bare wire latency. The transfer script's
+// completion instants are the ones the dedicated per-pair wires gave
+// before the direct fabric replaced them, so the test fails if the
+// two-node wire model moves.
+func TestFabricTwoNodeWireModel(t *testing.T) {
+	c := machine.NewCluster(topology.Henri(), 2, 1)
+	nw := New(c)
+	if len(nw.links) != 2 {
+		t.Fatalf("two-node network has %d links, want 2", len(nw.links))
+	}
 	for i, want := range []string{"wire0-1", "wire1-0"} {
-		if got := fabric.Link(i).Name(); got != want {
-			t.Fatalf("fabric link %d named %q, want %q", i, got, want)
+		if got := nw.Link(i).Name(); got != want {
+			t.Fatalf("link %d named %q, want %q", i, got, want)
+		}
+		if got, want := nw.Link(i).Capacity(), c.Spec.NIC.WireGBs*1e9; got != want {
+			t.Fatalf("link %d capacity %v, want the NIC wire rate %v", i, got, want)
 		}
 	}
-	if got, want := fabric.Link(0).Capacity(), legacy.Wire(0, 1).Capacity(); got != want {
-		t.Fatalf("fabric link capacity %v, legacy wire %v", got, want)
-	}
-	if got, want := fabric.PathLatency(0, 1), legacy.WireLatency(); got != want {
-		t.Fatalf("fabric path latency %v, legacy wire latency %v", got, want)
-	}
-
-	// Same transfer script, bitwise-equal event times.
-	lt := transferScript(legacyC, legacy)
-	ft := transferScript(fabC, fabric)
-	if len(lt) != len(ft) {
-		t.Fatalf("script lengths differ: %d vs %d", len(lt), len(ft))
-	}
-	for i := range lt {
-		if lt[i] != ft[i] {
-			t.Fatalf("event %d: legacy at %v, two-node fabric at %v", i, lt[i], ft[i])
+	for _, pair := range [][2]int{{0, 1}, {1, 0}} {
+		if got, want := nw.PathLatency(pair[0], pair[1]), nw.WireLatency(); got != want {
+			t.Fatalf("path latency %d→%d is %v, want the wire latency %v", pair[0], pair[1], got, want)
 		}
+	}
+	want := []sim.Time{769598, 771048, 771048, 777061} // ns
+	if got := transferScript(c, nw); !slices.Equal(got, want) {
+		t.Fatalf("transfers completed at %v, want %v", got, want)
 	}
 }
 
@@ -374,15 +373,15 @@ func TestFabricInstallFaultsScalesLinks(t *testing.T) {
 
 	// Exercise the callback InstallFaults binds, through the same
 	// signature the injector drives it with.
-	nw.scaleFabricLinks(-1, -1, 0.5)
+	nw.scaleLinks(-1, -1, 0.5)
 	for i := 0; i < len(fab.Links); i++ {
 		if got := nw.Link(i).Capacity(); got != base*0.5 {
 			t.Fatalf("link %d capacity %v after all-links degrade, want %v", i, got, base*0.5)
 		}
 	}
-	nw.scaleFabricLinks(-1, -1, 1)
+	nw.scaleLinks(-1, -1, 1)
 	// Per-pair degrade hits exactly the minimal route's links.
-	nw.scaleFabricLinks(0, 15, 0.25)
+	nw.scaleLinks(0, 15, 0.25)
 	route := fab.Route(0, 15, nil, nil)
 	onRoute := make(map[int]bool, len(route))
 	for _, li := range route {
@@ -414,40 +413,65 @@ func fluidRows(m *fluid.Model) []string {
 // A rewound fabric world must hold the resources a fresh build creates:
 // the same ids, names and capacities. The rewound world first ran a
 // transfer under an all-links degrade, which Cluster.Reset and
-// Network.Reset must undo — the links included.
+// Network.Reset must undo — the links included. Every preset is
+// checked, the direct fabric New builds at 1, 2 and 4 hosts, and a
+// two-node henri world rewound onto a spec with a faster NIC wire, as
+// the arena rebinds pooled worlds: its links must take the new rate.
 func TestFabricResetMatchesFresh(t *testing.T) {
 	sched, err := fault.ParseSpec("degrade:factor=0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const seed = 7
+	henri := topology.Henri()
+	fastWire := henri.Clone()
+	fastWire.NIC.WireGBs *= 2
+	type world struct {
+		name   string
+		fab    *topology.Fabric
+		rewind *topology.NodeSpec // the spec the world is rewound onto
+	}
+	var worlds []world
 	for _, name := range topology.FabricPresetNames() {
-		fab := topology.FabricPreset(name).MustBuild()
-		spec := topology.Henri()
-		fresh := machine.NewCluster(spec, fab.NHosts, seed)
+		worlds = append(worlds, world{name, topology.FabricPreset(name).MustBuild(), henri})
+	}
+	for _, hosts := range []int{1, 2, 4} {
+		worlds = append(worlds, world{fmt.Sprintf("direct-%d", hosts), topology.ClusterFabric(hosts), henri})
+	}
+	worlds = append(worlds, world{"direct-2 onto a faster wire", topology.ClusterFabric(2), fastWire})
+	for _, w := range worlds {
+		fab := w.fab
+		fresh := machine.NewCluster(w.rewind, fab.NHosts, seed)
 		NewOnFabric(fresh, fab, false)
 		want := fluidRows(fresh.Fluid)
 
-		c := machine.NewCluster(spec, fab.NHosts, seed)
+		c := machine.NewCluster(henri, fab.NHosts, seed)
 		nw := NewOnFabric(c, fab, false)
 		nw.InstallFaults(fault.NewInjector(c, sched, seed))
-		src, dst := c.Nodes[0], c.Nodes[fab.NHosts-1]
-		c.K.Spawn("xfer", func(p *sim.Proc) {
-			nw.TransferDMA(p, src, src.Alloc(1<<20, 0), dst, dst.Alloc(1<<20, 0), 1<<20)
-		})
-		c.K.Run()
-		if nw.Link(0).Capacity() == fresh.Fluid.Resources()[len(want)-len(fab.Links)].Capacity() {
-			t.Fatalf("%s: the degrade left link 0 at its healthy capacity", name)
+		if len(fab.Links) > 0 {
+			src, dst := c.Nodes[0], c.Nodes[fab.NHosts-1]
+			c.K.Spawn("xfer", func(p *sim.Proc) {
+				nw.TransferDMA(p, src, src.Alloc(1<<20, 0), dst, dst.Alloc(1<<20, 0), 1<<20)
+			})
 		}
-		c.Reset(spec, seed)
+		c.K.Run()
+		if len(fab.Links) > 0 && nw.Link(0).Capacity() == henri.NIC.WireGBs*1e9 {
+			t.Fatalf("%s: the degrade left link 0 at its healthy capacity", w.name)
+		}
+		c.Reset(w.rewind, seed)
 		nw.Reset()
 		got := fluidRows(c.Fluid)
 		if len(got) != len(want) {
-			t.Fatalf("%s: %d resources after Reset, a fresh build has %d", name, len(got), len(want))
+			t.Fatalf("%s: %d resources after Reset, a fresh build has %d", w.name, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("%s after Reset: resource %s, want %s", name, got[i], want[i])
+				t.Fatalf("%s after Reset: resource %s, want %s", w.name, got[i], want[i])
+			}
+		}
+		for i := range fab.Links {
+			if got, want := nw.Link(i).Capacity(), w.rewind.NIC.WireGBs*1e9; got != want {
+				t.Fatalf("%s after Reset: link %d at %v, want the rewind spec's wire rate %v", w.name, i, got, want)
 			}
 		}
 	}

@@ -1,4 +1,4 @@
-// Package net models the cluster interconnect: full-duplex wires
+// Package net models the cluster interconnect: full-duplex links
 // between nodes, the NIC's PIO path for small messages (doorbell +
 // descriptor writes by the CPU, sensitive to core frequency, NUMA
 // placement and memory-bus contention) and the NIC's DMA path for large
@@ -9,7 +9,6 @@ package net
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"repro/internal/fault"
@@ -19,13 +18,14 @@ import (
 	"repro/internal/topology"
 )
 
-// Network connects the nodes of a cluster with point-to-point
-// full-duplex wires (one fluid resource per direction per pair).
+// Network connects the nodes of a cluster over a fabric of directed
+// links, one fluid resource per link. New builds the paper's network,
+// the direct fabric of one full-duplex wire per node pair; NewOnFabric
+// builds any fabric of internal/topology, switched ones included.
 type Network struct {
 	cluster *machine.Cluster
-	wires   map[[2]int]*fluid.Resource // key: [from, to]
 	// inj, when non-nil, is the fault injector bound to this network:
-	// it scales wire capacities (link degradation) and gates operations
+	// it scales link capacities (link degradation) and gates operations
 	// on NIC stalls. Nil on healthy worlds — every consult below is
 	// nil-guarded so the fault-free path is byte-identical to before the
 	// fault subsystem existed.
@@ -34,8 +34,7 @@ type Network struct {
 	// useBuf is scratch for assembling per-transfer fluid paths:
 	// fluid.Start copies its Uses, so the transfer hot paths build the
 	// path in place (the sim kernel never preempts between the build and
-	// the Start that consumes it). The exported DMAUses keeps allocating
-	// because callers may retain its result.
+	// the Start that consumes it).
 	useBuf []fluid.Use
 
 	// Lazily cached flow names for the transfer hot paths, so repeated
@@ -47,47 +46,28 @@ type Network struct {
 	// freeEager recycles eager payload transfers (StartEager).
 	freeEager []*eager
 
-	// Fabric mode (NewOnFabric): transfers route over an explicit
-	// switched topology instead of the dedicated per-pair wires above.
 	fab      *topology.Fabric
 	links    []*fluid.Resource // one per directed fabric link
-	adaptive bool
-	loadFn   topology.LoadFunc // links[i].Utilization, for adaptive routing
+	load     topology.LoadFunc // links[i].Utilization under adaptive routing, else nil
 	routeBuf []int             // scratch for Route (same discipline as useBuf)
-	linkBase float64           // healthy per-link capacity, B/s
-	hopLat   float64           // per-switch-hop latency, ns
 }
 
-// New builds the interconnect for a cluster.
+// New builds the paper's interconnect for a cluster: the direct fabric
+// of one full-duplex wire per node pair (topology.ClusterFabric).
 func New(c *machine.Cluster) *Network {
-	nw := &Network{cluster: c, wires: make(map[[2]int]*fluid.Resource)}
-	for i := range c.Nodes {
-		for j := range c.Nodes {
-			if i == j {
-				continue
-			}
-			name := fmt.Sprintf("wire%d-%d", i, j)
-			nw.wires[[2]int{i, j}] = c.Fluid.NewResource(name, c.Spec.NIC.WireGBs*1e9)
-		}
-	}
-	return nw
+	return NewOnFabric(c, topology.ClusterFabric(len(c.Nodes)), false)
 }
 
 // Reset rewinds the network to its freshly built state against the
 // cluster's (possibly re-bound) spec: the fault injector is unbound and
-// every wire or fabric link gets its healthy capacity back. Cached flow
-// names survive — they depend only on node ids.
+// every link gets its healthy capacity back, which a link that inherits
+// the NIC wire rate takes from the current spec. Cached flow names
+// survive — they depend only on node ids.
 func (nw *Network) Reset() {
 	nw.inj = nil
-	if nw.fab != nil {
-		for _, r := range nw.links {
-			nw.cluster.Fluid.SetCapacity(r, nw.linkBase)
-		}
-		return
-	}
-	base := nw.cluster.Spec.NIC.WireGBs * 1e9
-	for _, r := range nw.wires {
-		nw.cluster.Fluid.SetCapacity(r, base)
+	rate := nw.linkRate()
+	for _, r := range nw.links {
+		nw.cluster.Fluid.SetCapacity(r, rate)
 	}
 }
 
@@ -133,36 +113,13 @@ func (nw *Network) pairName(names *map[int]string, prefix string, src, dst int) 
 }
 
 // InstallFaults binds a fault injector to the network: LinkDegrade
-// events scale wire capacities (relative to the spec's healthy
-// capacity), NICStall events gate the PIO path and transfer starts, and
-// the MPI layer above reads the injector back via Faults for loss,
-// corruption and comm-thread hangs.
+// events scale link capacities (relative to their healthy capacity,
+// see scaleLinks), NICStall events gate the PIO path and transfer
+// starts, and the MPI layer above reads the injector back via Faults
+// for loss, corruption and comm-thread hangs.
 func (nw *Network) InstallFaults(inj *fault.Injector) {
 	nw.inj = inj
-	if nw.fab != nil {
-		inj.BindWires(nw.scaleFabricLinks)
-		return
-	}
-	base := nw.cluster.Spec.NIC.WireGBs * 1e9
-	inj.BindWires(func(from, to int, factor float64) {
-		if from < 0 { // every wire, in deterministic order
-			keys := make([][2]int, 0, len(nw.wires))
-			for key := range nw.wires {
-				keys = append(keys, key)
-			}
-			sort.Slice(keys, func(i, j int) bool {
-				if keys[i][0] != keys[j][0] {
-					return keys[i][0] < keys[j][0]
-				}
-				return keys[i][1] < keys[j][1]
-			})
-			for _, key := range keys {
-				nw.cluster.Fluid.SetCapacity(nw.wires[key], base*factor)
-			}
-			return
-		}
-		nw.cluster.Fluid.SetCapacity(nw.Wire(from, to), base*factor)
-	})
+	inj.BindWires(nw.scaleLinks)
 }
 
 // Faults returns the installed fault injector, or nil on healthy worlds.
@@ -173,15 +130,6 @@ func (nw *Network) gateNIC(p *sim.Proc, id int) {
 	if nw.inj != nil {
 		nw.inj.GateNIC(p, id)
 	}
-}
-
-// Wire returns the directed wire resource from node i to node j.
-func (nw *Network) Wire(i, j int) *fluid.Resource {
-	w, ok := nw.wires[[2]int{i, j}]
-	if !ok {
-		panic(fmt.Sprintf("net: no wire %d→%d", i, j))
-	}
-	return w
 }
 
 // WireLatency returns the one-way hardware latency of the interconnect.
@@ -275,17 +223,11 @@ func ioScale(n *machine.Node) float64 {
 	return 1 - 0.04*(n.Spec.Freq.UncoreMax/f-1)
 }
 
-// DMAUses assembles the fluid path of an RDMA transfer of a buffer on
-// srcNUMA of node src to a buffer on dstNUMA of node dst: source
-// controller (+ link to the NIC when the data is far from it), source
-// PCIe, the directed wire, destination PCIe and destination controller
-// (+ link).
-func (nw *Network) DMAUses(src *machine.Node, srcNUMA int, dst *machine.Node, dstNUMA int) []fluid.Use {
-	return nw.dmaUses(make([]fluid.Use, 0, 7), src, srcNUMA, dst, dstNUMA)
-}
-
-// dmaUses is DMAUses appending into a caller-supplied buffer (the
-// transfer paths pass the network's scratch).
+// dmaUses appends onto buf the fluid path of an RDMA transfer of a
+// buffer on srcNUMA of node src to a buffer on dstNUMA of node dst:
+// source controller (+ link to the NIC when the data is far from it),
+// source PCIe, the routed links, destination PCIe and destination
+// controller (+ link). The transfer paths pass the network's scratch.
 func (nw *Network) dmaUses(buf []fluid.Use, src *machine.Node, srcNUMA int, dst *machine.Node, dstNUMA int) []fluid.Use {
 	uses := append(buf, fluid.Use{Resource: src.NUMA(srcNUMA).Ctrl, Weight: 1})
 	if srcNUMA != src.Spec.NIC.NUMA {

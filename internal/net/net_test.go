@@ -18,32 +18,31 @@ func testNet(t *testing.T) (*machine.Cluster, *Network) {
 }
 
 func TestWiresAreDirectedPerPair(t *testing.T) {
-	c, nw := testNet(t)
-	if nw.Wire(0, 1) == nw.Wire(1, 0) {
-		t.Fatal("wire directions share a resource; full duplex expected")
+	_, nw := testNet(t)
+	if len(nw.links) != 2 || nw.Link(0) == nw.Link(1) {
+		t.Fatalf("%d links; full duplex expected: one resource per direction", len(nw.links))
 	}
-	if got := nw.Wire(0, 1).Capacity(); math.Abs(got-10.9e9) > 1 {
+	if got := nw.Link(0).Capacity(); math.Abs(got-10.9e9) > 1 {
 		t.Fatalf("wire capacity %v, want 10.9e9", got)
 	}
-	_ = c
 	defer func() {
 		if recover() == nil {
-			t.Fatal("self-wire lookup did not panic")
+			t.Fatal("self-wire route did not panic")
 		}
 	}()
-	nw.Wire(0, 0)
+	nw.pathUses(nil, 0, 0)
 }
 
 func TestDMAUsesPaths(t *testing.T) {
 	c, nw := testNet(t)
 	src, dst := c.Nodes[0], c.Nodes[1]
 	// Data on the NIC NUMA node (0) at both ends: ctrl+pcie+wire+pcie+ctrl.
-	near := nw.DMAUses(src, 0, dst, 0)
+	near := nw.dmaUses(nil, src, 0, dst, 0)
 	if len(near) != 5 {
 		t.Fatalf("near-near path has %d uses, want 5", len(near))
 	}
 	// Data far from the NIC on both ends: + one link per end.
-	far := nw.DMAUses(src, 3, dst, 3)
+	far := nw.dmaUses(nil, src, 3, dst, 3)
 	if len(far) != 7 {
 		t.Fatalf("far-far path has %d uses, want 7", len(far))
 	}

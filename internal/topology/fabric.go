@@ -190,6 +190,11 @@ func (s *FabricSpec) Build() (*Fabric, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	return s.build(), nil
+}
+
+// build expands a spec that needs no validation.
+func (s *FabricSpec) build() *Fabric {
 	f := &Fabric{Spec: *s}
 	switch s.Kind {
 	case FabricDirect:
@@ -200,7 +205,16 @@ func (s *FabricSpec) Build() (*Fabric, error) {
 		f.buildDfly(s.Groups, s.RoutersPerGroup, s.HostsPerRouter)
 	}
 	f.nameLinks()
-	return f, nil
+	return f
+}
+
+// ClusterFabric returns the direct fabric of a cluster of hosts nodes:
+// the paper's network of one full-duplex wire per node pair, the
+// network net.New builds. Unlike a direct spec file, which Validate
+// holds to at least 2 hosts, it accepts a single host, which has no
+// links.
+func ClusterFabric(hosts int) *Fabric {
+	return (&FabricSpec{Kind: FabricDirect, Hosts: hosts}).build()
 }
 
 // MustBuild is Build for specs known statically (presets, tests).
@@ -229,22 +243,28 @@ func (f *Fabric) addPair(a, b int) {
 	f.addLink(b, a)
 }
 
-// LinkName names a link for fluid-resource debugging ("fl12.3-17").
+// LinkName names a link for fluid-resource debugging: "wire3-1" on a
+// direct fabric, "fl12.3-17" on a switched one.
 func (f *Fabric) LinkName(i int) string { return f.linkNames[i] }
 
 // nameLinks names every link once, for the worlds built on the fabric
 // to share.
 func (f *Fabric) nameLinks() {
 	f.linkNames = make([]string, len(f.Links))
+	direct := f.Spec.Kind == FabricDirect
 	for i, l := range f.Links {
-		f.linkNames[i] = "fl" + strconv.Itoa(i) + "." + strconv.Itoa(l.From) + "-" + strconv.Itoa(l.To)
+		if direct {
+			f.linkNames[i] = "wire" + strconv.Itoa(l.From) + "-" + strconv.Itoa(l.To)
+		} else {
+			f.linkNames[i] = "fl" + strconv.Itoa(i) + "." + strconv.Itoa(l.From) + "-" + strconv.Itoa(l.To)
+		}
 	}
 }
 
-// buildDirect wires every ordered host pair, in the same (i, j)
-// enumeration order as the legacy full mesh — the two-node preset
-// therefore creates its fluid resources in exactly the historical
-// order, part of the byte-identity argument (DESIGN.md §12).
+// buildDirect wires every ordered host pair in (i, j) order, so the
+// link from i to j has index i·(hosts-1) + j, less one past the self
+// slot (Route). The paper's two-node network is the two-host case:
+// links 0→1 and 1→0, in that order (DESIGN.md §12).
 func (f *Fabric) buildDirect(hosts int) {
 	f.NHosts = hosts
 	f.linkAt = make([][]int, hosts)
@@ -480,10 +500,9 @@ func (f *Fabric) routeDfly(src, dst int, load LoadFunc, buf []int) []int {
 
 // Fabric presets: the shapes the experiments and the fuzz corpus use.
 
-// TwoNodeFabric is the degenerate fabric of the paper's original
-// model: two hosts, one full-duplex wire. Running any two-node
-// experiment through it must be byte-identical to the legacy network
-// (the differential battery in internal/runner enforces this).
+// TwoNodeFabric is the spec of the paper's own network: two hosts, one
+// full-duplex wire — the fabric net.New builds for a two-node cluster
+// (ClusterFabric(2)).
 func TwoNodeFabric() *FabricSpec { return &FabricSpec{Kind: FabricDirect, Hosts: 2} }
 
 // FatTreeFabric returns the k-ary fat-tree spec (k³/4 hosts).

@@ -138,9 +138,9 @@ func TestFabricAdaptiveAvoidsLoad(t *testing.T) {
 	}
 }
 
-// Direct fabrics must enumerate links in the legacy full-mesh order:
-// (0,1), (0,2), ..., (1,0), ... — the two-node byte-identity argument
-// leans on this.
+// Direct fabrics must enumerate links in (from, to) order: (0,1),
+// (0,2), ..., (1,0), ... — the one-link routes, and the resource order
+// of the paper's two-node network, lean on this.
 func TestDirectFabricLinkOrder(t *testing.T) {
 	f := (&FabricSpec{Kind: FabricDirect, Hosts: 3}).MustBuild()
 	want := []FabricLink{{0, 1}, {0, 2}, {1, 0}, {1, 2}, {2, 0}, {2, 1}}
@@ -205,13 +205,17 @@ func TestFabricPresetsValid(t *testing.T) {
 	}
 }
 
-// Build names every link "fl<index>.<from>-<to>" once, for LinkName to
-// hand out.
+// Build names every link once, for LinkName to hand out: a direct
+// fabric's "wire<from>-<to>", a switched one's "fl<index>.<from>-<to>".
 func TestFabricLinkNames(t *testing.T) {
 	for _, name := range FabricPresetNames() {
 		f := FabricPreset(name).MustBuild()
 		for i, l := range f.Links {
-			if got, want := f.LinkName(i), fmt.Sprintf("fl%d.%d-%d", i, l.From, l.To); got != want {
+			want := fmt.Sprintf("fl%d.%d-%d", i, l.From, l.To)
+			if f.Spec.Kind == FabricDirect {
+				want = fmt.Sprintf("wire%d-%d", l.From, l.To)
+			}
+			if got := f.LinkName(i); got != want {
 				t.Fatalf("%s: link %d named %q, want %q", name, i, got, want)
 			}
 		}
