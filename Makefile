@@ -140,7 +140,7 @@ load-test:
 
 # The chaos battery under the race detector: the load storm against
 # daemons with failing disks and a hostile network, asserting
-# byte-identity, the exactly-once bound, breaker/degradation behaviour
+# byte-identity, the exactly-once bound, degradation behaviour
 # and graceful shutdown, a CLI -remote run retrying one injected 503,
 # 500 or cut response, torn point-cache pack and index writes, plus the
 # runner.Flight unit tests and the
@@ -149,7 +149,7 @@ load-test:
 # CHAOS_SEED=<n> make chaos-soak. Size with CHAOS_SOAK_CLIENTS /
 # CHAOS_SOAK_PER_CLIENT.
 chaos-soak:
-	$(GO) test -race -run 'TestServerChaosSoak|TestRemoteRetriesTransientFailure|TestDaemonGracefulShutdown|TestDaemonChaosDrill|TestCacheTornWrite|TestFlight|PanickedLeader|TestCancelledCampaignJoinsNothing' -count=1 -v ./internal/runner/ ./internal/server/ ./cmd/interfd/ ./cmd/interference/
+	$(GO) test -race -run 'TestServerChaosSoak|TestCampaignDegrade|TestHealedDiskServesNextCampaign|TestRemoteRetriesTransientFailure|TestDaemonGracefulShutdown|TestDaemonChaosDrill|TestCacheTornWrite|TestFlight|PanickedLeader|TestCancelledCampaignJoinsNothing' -count=1 -v ./internal/runner/ ./internal/server/ ./cmd/interfd/ ./cmd/interference/
 
 # The stampede battery under the race detector: the in-process failover
 # soak (two replicas, one cache dir, a kill switch in the transport),

@@ -44,7 +44,8 @@ const recordMagic = "IPR1"
 // Bump PointSchema when it changes, not the magic: the schema is part of
 // every cache key, so the old records simply miss, while a magic bump
 // keeps the old keys, decodes each stale record as an I/O error, and
-// DefaultDegradeAfter such errors switch a campaign to no-cache mode.
+// those errors spend the campaign's cache-error budget
+// (runner.DefaultDegradeAfter) until it degrades to no-cache mode.
 const faultFields = 9
 
 // EncodeBinary renders the record in the binary cache format. The Panic

@@ -46,7 +46,7 @@ type CacheStats struct {
 	// is computed as if uncached).
 	Errors int64
 	// Skipped counts cache operations not attempted because the
-	// campaign degraded to no-cache mode or a circuit breaker was open.
+	// campaign degraded to no-cache mode.
 	Skipped int64
 	// Degraded is 1 once the campaign has permanently switched to
 	// no-cache mode after repeated cache failures (Add sums it, so a
@@ -87,9 +87,8 @@ func (s *CacheStats) Add(o *CacheStats) {
 }
 
 // CacheStore is the persistence layer of the point cache: the on-disk
-// PointCache implements it, and wrappers such as the circuit Breaker
-// speak the same load/store contract. Both methods must be safe for
-// concurrent use.
+// PointCache implements it, and tests substitute failing stores. Both
+// methods must be safe for concurrent use.
 type CacheStore interface {
 	// Load retrieves the record stored under fullKey. ok is false on any
 	// miss; mismatch marks a poisoned entry (stored key differs from the
@@ -441,8 +440,9 @@ type pointScheduler struct {
 	ctx    context.Context            // nil means never cancelled
 	base   string
 
-	// degradeAfter is the consecutive-ish cache-error budget: once
-	// errCount reaches it the campaign flips to no-cache mode for good
+	// degradeAfter is the campaign's cache-error budget: errCount is
+	// cumulative (a success never resets it), and once it reaches the
+	// budget the campaign flips to no-cache mode for good
 	// (degraded=1, stats.Degraded=1) and every later cache op is
 	// skipped instead of attempted. Keeps a campaign from paying a
 	// timeout or EIO per point when the cache layer is sick.

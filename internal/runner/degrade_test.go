@@ -62,101 +62,6 @@ func (s *faultyStore) ops() int {
 	return s.loads + s.stores
 }
 
-// TestBreakerTripProbeRecover walks the full state machine: consecutive
-// failures trip the circuit, suppressed operations are answered locally
-// (clean miss / dropped write), the probe window sends real operations
-// through, and a successful probe closes the circuit again.
-func TestBreakerTripProbeRecover(t *testing.T) {
-	store := newFaultyStore()
-	store.setFailing(true)
-	b := NewBreaker(store, 3, 7)
-
-	for i := 0; i < 3; i++ {
-		if _, _, _, ioErr := b.Load("k"); !ioErr {
-			t.Fatalf("failure %d not surfaced while closed", i)
-		}
-	}
-	st := b.Stats()
-	if st.State != BreakerOpen || st.Trips != 1 {
-		t.Fatalf("after 3 failures: %+v, want open with 1 trip", st)
-	}
-
-	// Open: ops 1-6 after the trip are suppressed, op 7 is the probe.
-	before := store.ops()
-	for i := 0; i < 3; i++ {
-		if _, ok, _, ioErr := b.Load("k"); ok || ioErr {
-			t.Fatalf("suppressed load %d not a clean miss", i)
-		}
-		if err := b.Store("k", bench.PointRecord{}); err != nil {
-			t.Fatalf("suppressed store %d errored: %v", i, err)
-		}
-	}
-	if store.ops() != before {
-		t.Fatalf("suppressed ops reached the store (%d -> %d)", before, store.ops())
-	}
-	store.setFailing(false)
-	b.Load("k") // 7th op since trip: half-open probe, succeeds
-	st = b.Stats()
-	if st.State != BreakerClosed || st.Recoveries != 1 || st.Probes != 1 || st.Skipped != 6 {
-		t.Fatalf("after successful probe: %+v", st)
-	}
-	// Closed again: traffic flows.
-	before = store.ops()
-	b.Load("k")
-	if store.ops() != before+1 {
-		t.Fatal("recovered breaker still suppressing")
-	}
-}
-
-// TestBreakerFailedProbeStaysOpen: a probe that fails leaves the
-// circuit open and does not count as a trip.
-func TestBreakerFailedProbeStaysOpen(t *testing.T) {
-	store := newFaultyStore()
-	store.setFailing(true)
-	b := NewBreaker(store, 1, 2)
-	b.Load("k") // trips
-	b.Load("k") // suppressed (1st since open)
-	b.Load("k") // probe, fails
-	st := b.Stats()
-	if st.State != BreakerOpen || st.Trips != 1 || st.Probes != 1 {
-		t.Fatalf("after failed probe: %+v", st)
-	}
-}
-
-// TestBreakerCampaignFallsBackToRecompute: a campaign over a dead cache
-// behind a breaker completes with byte-identical output — the breaker
-// converts cache failures into recomputation, and stops hammering the
-// store after the trip.
-func TestBreakerCampaignFallsBackToRecompute(t *testing.T) {
-	exps := []core.Experiment{sweepExp("a", 6, nil), sweepExp("b", 11, nil)}
-	plain := Collect(Run(testEnv(t), exps, Options{Workers: 2}))
-
-	store := newFaultyStore()
-	store.setFailing(true)
-	b := NewBreaker(store, 3, 1000) // probe window longer than the campaign
-	var stats CacheStats
-	res := Collect(Run(testEnv(t), exps, Options{Workers: 2, Cache: b, CacheStats: &stats}))
-	for i := range exps {
-		if res[i].Err != nil {
-			t.Fatalf("%s failed: %v", exps[i].ID, res[i].Err)
-		}
-		if res[i].Rendered != plain[i].Rendered {
-			t.Errorf("%s: output drifted under a dead cache:\n%s", exps[i].ID,
-				trace.UnifiedDiff("plain", "breaker", plain[i].Rendered, res[i].Rendered))
-		}
-	}
-	if stats.Misses != 17 {
-		t.Fatalf("misses = %d, want 17 (every point recomputed)", stats.Misses)
-	}
-	st := b.Stats()
-	if st.Trips != 1 || st.Skipped == 0 {
-		t.Fatalf("breaker stats %+v, want 1 trip and suppressed traffic", st)
-	}
-	if store.ops() > 6 {
-		t.Fatalf("dead store saw %d ops; breaker should have capped it near failLimit", store.ops())
-	}
-}
-
 // TestCampaignDegradesToNoCache: repeated cache I/O errors flip the
 // campaign to no-cache mode — later points skip the cache entirely,
 // the degradation is flagged in the stats, and output is unharmed.
@@ -269,54 +174,5 @@ func TestSharedPoolShardRestart(t *testing.T) {
 	res := Collect(Run(testEnv(t), exps, Options{Workers: 2, SharedPool: sp}))
 	if res[0].Err != nil {
 		t.Fatalf("campaign after shard restart failed: %v", res[0].Err)
-	}
-}
-
-// TestBreakerHalfOpenProbeRace drives an open breaker from two
-// goroutines at once and asserts the probe admission stays exact: per
-// probeEvery-window of operations, exactly one touches the store, no
-// matter how the goroutines interleave. Run under -race this also
-// proves the half-open bookkeeping is free of data races.
-func TestBreakerHalfOpenProbeRace(t *testing.T) {
-	store := newFaultyStore()
-	store.setFailing(true)
-	const probeEvery = 16
-	b := NewBreaker(store, 1, probeEvery)
-	// Trip the circuit, then freeze the store in failure so every probe
-	// fails and the breaker stays open for the whole race.
-	b.Load("trip")
-	if b.Stats().State != BreakerOpen {
-		t.Fatal("breaker did not trip")
-	}
-	opsBefore := store.ops()
-
-	const goroutines = 2
-	const perG = 8 * probeEvery // 2×8×16 = 16 windows in total
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				b.Load("race")
-			}
-		}()
-	}
-	wg.Wait()
-
-	wantProbes := goroutines * perG / probeEvery
-	if got := store.ops() - opsBefore; got != wantProbes {
-		t.Fatalf("store saw %d probes for %d ops, want exactly %d",
-			got, goroutines*perG, wantProbes)
-	}
-	st := b.Stats()
-	if st.Probes != int64(wantProbes) { // the tripping Load ran closed, so it is not a probe
-		t.Fatalf("Probes = %d, want %d", st.Probes, wantProbes)
-	}
-	if st.Skipped != int64(goroutines*perG-wantProbes) {
-		t.Fatalf("Skipped = %d, want %d", st.Skipped, goroutines*perG-wantProbes)
-	}
-	if st.State != BreakerOpen {
-		t.Fatal("failed probes must leave the circuit open")
 	}
 }

@@ -32,9 +32,8 @@ type Options struct {
 	// the deadline.
 	Deadline time.Duration
 	// Cache, when non-nil, persists computed sweep points
-	// content-addressed by configuration (a PointCache, possibly behind
-	// a Breaker): repeated campaigns replay unchanged points instead of
-	// recomputing them.
+	// content-addressed by configuration (a PointCache): repeated
+	// campaigns replay unchanged points instead of recomputing them.
 	Cache CacheStore
 	// CacheStats, when non-nil, receives the campaign's point-level
 	// cache accounting (hits, misses, memo hits).

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/counters"
 	"repro/internal/runner"
+	"repro/internal/stats"
 )
 
 // CampaignResponse is the wire format of one served campaign: the
@@ -102,8 +103,8 @@ func (l *latencyRecorder) add(ms float64) {
 	l.count++
 }
 
-// percentiles returns the p50/p99 of the recorded window (nearest-rank)
-// and the lifetime sample count.
+// percentiles returns the p50/p99 of the recorded window (linearly
+// interpolated, see stats.Quantile) and the lifetime sample count.
 func (l *latencyRecorder) percentiles() (p50, p99 float64, count int64) {
 	l.mu.Lock()
 	sorted := append([]float64(nil), l.samples...)
@@ -113,17 +114,7 @@ func (l *latencyRecorder) percentiles() (p50, p99 float64, count int64) {
 		return 0, 0, count
 	}
 	sort.Float64s(sorted)
-	rank := func(p float64) float64 {
-		i := int(p*float64(len(sorted))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(sorted) {
-			i = len(sorted) - 1
-		}
-		return sorted[i]
-	}
-	return rank(0.50), rank(0.99), count
+	return stats.Quantile(sorted, 0.50), stats.Quantile(sorted, 0.99), count
 }
 
 // Metrics is the /metrics document.
@@ -153,17 +144,16 @@ type Metrics struct {
 		ShedFairShare int64   `json:"shed_fair_share"`
 	} `json:"overload"`
 	// Robustness reports the daemon's degradation machinery: drain
-	// state, the cache circuit breaker, campaigns running without a
-	// cache or deadline-expired, failed point-cache flushes, and worker
-	// shards restarted after panics.
+	// state, campaigns running without a cache or deadline-expired,
+	// failed point-cache flushes, and worker shards restarted after
+	// panics.
 	Robustness struct {
-		Draining           bool                `json:"draining"`
-		Breaker            runner.BreakerStats `json:"breaker"`
-		DegradedCampaigns  int64               `json:"degraded_campaigns"`
-		TimedOutCampaigns  int64               `json:"timed_out_campaigns"`
-		DurabilityWarnings int64               `json:"durability_warnings"`
-		DrainRejected      int64               `json:"drain_rejected"`
-		ShardRestarts      int64               `json:"shard_restarts"`
+		Draining           bool  `json:"draining"`
+		DegradedCampaigns  int64 `json:"degraded_campaigns"`
+		TimedOutCampaigns  int64 `json:"timed_out_campaigns"`
+		DurabilityWarnings int64 `json:"durability_warnings"`
+		DrainRejected      int64 `json:"drain_rejected"`
+		ShardRestarts      int64 `json:"shard_restarts"`
 	} `json:"robustness"`
 	Shards int `json:"shards"`
 }
@@ -184,11 +174,6 @@ func (s *Server) Metrics() Metrics {
 	m.Overload.RetryAfterS = s.ov.retryAfterSecs(s.queueDepth.Load())
 	m.Overload.ShedFairShare = s.ov.shedFair.Load()
 	m.Robustness.Draining = s.Draining()
-	if s.breaker != nil {
-		m.Robustness.Breaker = s.breaker.Stats()
-	} else {
-		m.Robustness.Breaker.StateName = "closed"
-	}
 	m.Robustness.DegradedCampaigns = s.degradedCampaigns.Load()
 	m.Robustness.TimedOutCampaigns = s.timeouts.Load()
 	m.Robustness.DurabilityWarnings = s.durabilityWarnings.Load()

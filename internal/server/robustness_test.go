@@ -257,6 +257,33 @@ func TestServerPackWriteFailureDegradesGracefully(t *testing.T) {
 	}
 }
 
+// TestHealedDiskServesNextCampaign: cache failures cost only the
+// campaign that met them. The first campaign on a seeded cache sees its
+// first five pack page-ins fail; once the disk has healed, the next
+// campaign starts with a fresh error budget and serves every point from
+// the cache.
+func TestHealedDiskServesNextCampaign(t *testing.T) {
+	spec := CampaignSpec{Experiments: []string{"fig3", "ext-sched"}, Seed: 1, Runs: 1}
+	cacheDir, seeded := seedCache(t, spec)
+	inj := chaos.NewInjector(1, mustChaosSpec(t, "eio-read:ops=1-5,match=.pack"))
+	_, ts := newTestServer(t, Config{CacheDir: cacheDir, FS: chaos.Flaky(chaos.OS(), inj)})
+	code, body, sick := postSpec(t, ts.URL, spec)
+	if code != http.StatusOK || sick.Errors != 0 {
+		t.Fatalf("campaign on a sick disk: %d: %s", code, body)
+	}
+	if n := inj.InjectedKind(chaos.ReadErr); n != 5 {
+		t.Fatalf("%d read faults injected, want 5 (cache %+v)", n, sick.Cache)
+	}
+	code, body, healed := postSpec(t, ts.URL, spec)
+	if code != http.StatusOK || healed.Errors != 0 {
+		t.Fatalf("campaign on the healed disk: %d: %s", code, body)
+	}
+	if healed.Cache.Misses != 0 || healed.Degraded {
+		t.Fatalf("healed disk: %d of %d seeded points executed (degraded %v, cache %+v)",
+			healed.Cache.Misses, seeded, healed.Degraded, healed.Cache)
+	}
+}
+
 func mustChaosSpec(t *testing.T, spec string) *chaos.Schedule {
 	t.Helper()
 	s, err := chaos.ParseSpec(spec)

@@ -63,27 +63,20 @@ type Config struct {
 	// Clock paces drain polling; nil means the real clock (tests drive
 	// a chaos.FakeClock).
 	Clock chaos.Clock
-	// BreakerFailLimit / BreakerProbeEvery tune the circuit breaker in
-	// front of the point cache (consecutive failures before tripping;
-	// half-open probe period in operations); <= 0 means the
-	// runner.NewBreaker defaults.
-	BreakerFailLimit  int
-	BreakerProbeEvery int
-	// DegradeAfter is the per-campaign cache-error budget before a
+	// degradeAfter is the per-campaign cache-error budget before a
 	// campaign degrades to no-cache mode; <= 0 means
-	// runner.DefaultDegradeAfter.
-	DegradeAfter int
+	// runner.DefaultDegradeAfter. Only in-package tests lower it.
+	degradeAfter int
 }
 
 // Server is the campaign daemon. Create with New, serve Handler, and
 // Close when done.
 type Server struct {
-	cfg     Config
-	clock   chaos.Clock
-	pool    *runner.SharedPool
-	flight  runner.Flight[bench.PointRecord] // dedups points across campaigns
-	cache   *runner.PointCache               // nil when CacheDir == ""
-	breaker *runner.Breaker                  // guards cache; nil when cache is nil
+	cfg    Config
+	clock  chaos.Clock
+	pool   *runner.SharedPool
+	flight runner.Flight[bench.PointRecord] // dedups points across campaigns
+	cache  *runner.PointCache               // nil when CacheDir == ""
 
 	queueSlots chan struct{}
 	runSlots   chan struct{}
@@ -165,7 +158,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.cache = cache
-		s.breaker = runner.NewBreaker(cache, cfg.BreakerFailLimit, cfg.BreakerProbeEvery)
 	}
 	s.pool = runner.NewSharedPool(cfg.Shards)
 	return s, nil
@@ -403,10 +395,10 @@ func (s *Server) runCampaign(c *campaign) *CampaignResponse {
 		CacheStats:   stats,
 		Flight:       &s.flight,
 		SharedPool:   s.pool,
-		DegradeAfter: s.cfg.DegradeAfter,
+		DegradeAfter: s.cfg.degradeAfter,
 	}
-	if s.breaker != nil {
-		opts.Cache = s.breaker
+	if s.cache != nil {
+		opts.Cache = s.cache
 	}
 	ctx := context.Background()
 	if s.cfg.CampaignTimeout > 0 {
