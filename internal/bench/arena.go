@@ -25,8 +25,9 @@ import (
 //     timers, watchers and per-run injector state behind;
 //   - two nodes: the shape key has no node count, so newWorld pools
 //     two-node worlds only, never the collectives' 4- and 8-node ones;
-//   - drained kernel: no pending events and no live processes (a world
-//     left mid-flight is shut down instead, see releaseWorlds).
+//   - drained: no pending events, no live processes and no compute
+//     loop in flight (a world left mid-flight is shut down instead, see
+//     releaseWorlds).
 //
 // Worlds are keyed by the node shape so a point that mutates per-spec
 // scalars (frequencies, bandwidths, NIC parameters) still reuses a
@@ -192,7 +193,10 @@ type worldArena struct {
 // arenaCap bounds the total number of parked worlds. Each world keeps
 // its parked process coroutines (each a goroutine) alive, so the bound
 // also bounds the goroutine high-water mark; beyond it released worlds
-// are shut down instead of pooled.
+// are shut down instead of pooled. Compute loops run no process, so a
+// world parks only the coroutines of its ping-pong ranks and runtime
+// workers: after one golden henri campaign the process holds about 610
+// goroutines, where process-run compute cores left about 1,030.
 const arenaCap = 96
 
 var arena = worldArena{free: map[machine.ShapeKey][]pooledWorld{}}
@@ -234,14 +238,16 @@ func (a *worldArena) put(pw pooledWorld) {
 // for pooling in the first place (newWorld only records such worlds),
 // and shuts down the kernel of every other world, so its process
 // coroutines exit instead of outliving the point. That includes worlds
-// that are not drained (a crash schedule froze processes on a dead node,
-// or a panicked run left them mid-flight): Shutdown unwinds their
-// blocked processes, which runs the defers of their bodies. The only
-// such defer is the world's fault-injector unwatch; a compute slice cut
-// short leaves its core active and its stream counted, in a world that
-// is never parked. Both stay inside their own world, and the point's
-// record is sealed from its worlds before this runs, so unwinding them
-// is invisible in results.
+// that are not drained (a crash schedule froze processes or held
+// compute loops on a dead node, or a panicked run left them
+// mid-flight): Shutdown unwinds their blocked processes, which runs the
+// defers of their bodies. The only such defer is the world's
+// fault-injector unwatch. A compute loop is no process, so Shutdown
+// does not reach it: one left mid-slice keeps its core active and its
+// stream counted, and one held by a dead node keeps its wakeup queued,
+// in a world that is never parked or run again. All of it stays inside
+// its own world, and the point's record is sealed from its worlds
+// before this runs, so abandoning them is invisible in results.
 //
 // Each world's work since the hand-over is folded into DoneByFamily
 // here, under the point's family, before its kernel is shut down or the
@@ -254,7 +260,7 @@ func releaseWorlds(keep *worldKeeper) {
 	// worker at once, after which its kernel is not ours to read.
 	n := 0
 	for _, pw := range keep.worlds {
-		if drained(pw.c.K) {
+		if drained(pw.c) {
 			keep.worlds[n] = pw
 			n++
 		}
@@ -282,9 +288,13 @@ func releaseWorlds(keep *worldKeeper) {
 	keep.worlds = keep.worlds[:0]
 }
 
-// drained reports whether a kernel has nothing left to run: no pending
-// events and no live processes.
-func drained(k *sim.Kernel) bool { return k.Idle() && k.LiveProcs() == 0 }
+// drained reports whether a world has nothing left to run: no pending
+// events, no live processes and no compute loop in flight. A loop held
+// by a down node has neither an event nor a process; parked, it would
+// wake into the next simulation on the world at its first recovery.
+func drained(c *machine.Cluster) bool {
+	return c.K.Idle() && c.K.LiveProcs() == 0 && c.Loops() == 0
+}
 
 // pools reports whether c is one of the keeper's poolable worlds.
 func (keep *worldKeeper) pools(c *machine.Cluster) bool {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/kernels"
+	"repro/internal/machine"
 	"repro/internal/sim"
 )
 
@@ -145,5 +146,42 @@ func TestPointReleasesWorldGoroutines(t *testing.T) {
 	}
 	if unwound != 1 {
 		t.Fatalf("the blocked process's defer ran %d times, want once", unwound)
+	}
+}
+
+// TestHeldLoopWorldIsNotParked: a poolable world one of whose nodes
+// crashes for good under computeBeside ends with that node's loops held
+// at a slice boundary, with no pending event and no process left.
+// releaseWorlds must shut it down instead of parking it: the loops'
+// wakeups are still queued on the node's recovery, which a later point
+// on the rewound world would fire.
+func TestHeldLoopWorldIsNotParked(t *testing.T) {
+	const cores = 4
+	var world *machine.Cluster
+	pt := Point{Key: "t/arena/held-loops", Fn: func(e Env) any {
+		c, w := newWorld(e, 2, e.Seed)
+		world = c
+		if !e.keeper.pools(c) {
+			t.Error("the world is not poolable")
+		}
+		stop := computeBeside(c, computeCores(e.Spec, cores, w.Rank(0).CommCore), kernels.StreamTriad(1<<14, 0), nil)
+		c.K.At(sim.Time(10*sim.Microsecond), func() { c.Nodes[1].SetDown(true) })
+		c.K.At(sim.Time(sim.Millisecond), stop)
+		c.K.Run()
+		return c.Loops()
+	}}
+	encodeRecord(t, ExecutePoint(quietEnv(), pt))
+	if !world.K.Idle() || world.K.LiveProcs() != 0 || world.Loops() != cores {
+		t.Fatalf("world ended with idle=%v, %d live processes and %d loops in flight; want idle, none and %d",
+			world.K.Idle(), world.K.LiveProcs(), world.Loops(), cores)
+	}
+	arena.mu.Lock()
+	defer arena.mu.Unlock()
+	for _, q := range arena.free {
+		for _, pw := range q {
+			if pw.c == world {
+				t.Fatal("the world with held loops was parked in the arena")
+			}
+		}
 	}
 }

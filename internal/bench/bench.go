@@ -328,9 +328,14 @@ func compAlone(env Env, comp ComputeConfig, commCore int) (bytesPerSec, secs sta
 		if core < 0 {
 			core = w.Rank(0).CommCore
 		}
-		spawnCores(c, computeCores(env.Spec, comp.Cores, core), func(p *sim.Proc, node *machine.Node, core int) {
-			r := kernels.LoopN(p, node, core, comp.Slice, iters)
-			if node.ID == 0 {
+		cores := computeCores(env.Spec, comp.Cores, core)
+		left := make([]countdown, len(c.Nodes)*len(cores))
+		for k := range left {
+			left[k] = countdown(iters)
+		}
+		startLoops(c, cores, comp.Slice, func(k int) func() bool { return left[k].next }, func(end machine.LoopEnd) {
+			if end.Node.ID == 0 {
+				r := kernels.NewLoopResult(end.Iters, end.Total, end.Spec.Bytes)
 				bw = append(bw, r.BytesPerSec)
 				ss = append(ss, r.PerIter.Seconds())
 			}
@@ -361,16 +366,31 @@ func seedFree(env Env, k *sim.Kernel) bool {
 	return env.Faults == nil && !k.Drew()
 }
 
-// spawnCores spawns a process running body on each of cores of every
-// node of c, node by node. The processes share body, so each spawn
-// closure holds three words, not a copy of the run's configuration.
-func spawnCores(c *machine.Cluster, cores []int, body func(p *sim.Proc, node *machine.Node, core int)) {
-	for _, node := range c.Nodes {
-		node := node // captured by value, not moved to the heap
-		for _, core := range cores {
-			c.K.Spawn("compute", func(p *sim.Proc) { body(p, node, core) })
-		}
+// startLoops starts a loop of slice on each of cores of every node of
+// c, node by node, each from its own event at the current instant: the
+// slot a process spawned to run it would take. One closure starts them
+// all, in turn; loop k runs while next(k)'s condition holds, and done
+// gets each loop's end.
+func startLoops(c *machine.Cluster, cores []int, slice machine.ComputeSpec, next func(k int) func() bool, done func(machine.LoopEnd)) {
+	k := 0
+	start := func() {
+		node, core := c.Nodes[k/len(cores)], cores[k%len(cores)]
+		cond := next(k)
+		k++
+		node.StartLoop(core, slice, cond, done)
 	}
+	for range len(c.Nodes) * len(cores) {
+		c.K.At(c.K.Now(), start)
+	}
+}
+
+// countdown is the condition of a loop of a fixed number of slices: its
+// next allows as many as its initial value.
+type countdown int
+
+func (c *countdown) next() bool {
+	*c--
+	return *c >= 0
 }
 
 // commAlone is step 2, communication without computation: the
@@ -431,8 +451,8 @@ func runPingPong(c *machine.Cluster, w *mpi.World, pp *mpi.PingPong, warm sim.Du
 	return secs
 }
 
-// computeBeside spawns a loop of slice on each of cores of every node
-// of c (see spawnCores) that runs beside a communication until the
+// computeBeside starts a loop of slice on each of cores of every node
+// of c (see startLoops) that runs beside a communication until the
 // returned stop is called: each loop then ends at its first slice
 // boundary, so it always finishes the slice in flight. record, when
 // non-nil, gets the result of each node-0 loop that completed an
@@ -440,11 +460,14 @@ func runPingPong(c *machine.Cluster, w *mpi.World, pp *mpi.PingPong, warm sim.Du
 func computeBeside(c *machine.Cluster, cores []int, slice machine.ComputeSpec, record func(kernels.LoopResult)) (stop func()) {
 	stopped := false
 	computing := func() bool { return !stopped } // the loops' condition, built once per world
-	spawnCores(c, cores, func(p *sim.Proc, node *machine.Node, core int) {
-		r := kernels.LoopWhile(p, node, core, slice, computing)
-		if record != nil && node.ID == 0 && r.Iters > 0 {
-			record(r)
+	var done func(machine.LoopEnd)
+	if record != nil {
+		done = func(end machine.LoopEnd) {
+			if end.Node.ID == 0 && end.Iters > 0 {
+				record(kernels.NewLoopResult(end.Iters, end.Total, end.Spec.Bytes))
+			}
 		}
-	})
+	}
+	startLoops(c, cores, slice, func(int) func() bool { return computing }, done)
 	return func() { stopped = true }
 }

@@ -32,7 +32,7 @@ import (
 // event sequence bit for bit. The worlds of a cell share one build of
 // the fabric, which no world mutates.
 func fabricWorld(env Env, fab *topology.Fabric, adaptive bool, seed int64, c *machine.Cluster, nw *net.Network) (*machine.Cluster, *net.Network) {
-	if c != nil && env.keeper != nil && !env.NoPool && drained(c.K) {
+	if c != nil && env.keeper != nil && !env.NoPool && drained(c) {
 		env.keeper.seal(c)
 		c.Reset(env.Spec, seed)
 		nw.Reset()

@@ -164,6 +164,19 @@ type LoopResult struct {
 	BytesPerSec float64
 }
 
+// NewLoopResult summarises a loop that ran iters iterations of a slice
+// moving bytes bytes in total time.
+func NewLoopResult(iters int, total sim.Duration, bytes float64) LoopResult {
+	res := LoopResult{Iters: iters, Total: total}
+	if iters > 0 {
+		res.PerIter = total / sim.Duration(iters)
+	}
+	if total > 0 {
+		res.BytesPerSec = float64(iters) * bytes / total.Seconds()
+	}
+	return res
+}
+
 // LoopUntil executes spec repeatedly on the given core until the
 // simulated clock reaches `until` (it finishes the in-flight iteration,
 // like a real OpenMP loop would), then reports iteration statistics.
@@ -175,22 +188,16 @@ func LoopUntil(p *sim.Proc, n *machine.Node, core int, spec machine.ComputeSpec,
 // checking between iterations (the in-flight iteration always
 // completes). Used to run computation "side by side" with a
 // communication benchmark of unknown duration (§2.1 step 3). cont runs
-// in p at the instant a slice ends, once the slice is accounted and
-// before its core goes idle (see machine.Node.ExecLoop), after every
-// event of that instant queued before the slice's completion; it must
-// not block. When it asks for more, the next slice usually renews the
-// last one's flow, without a fluid solve.
+// in event context at the instant a slice ends, in the slot where p
+// would wake from it, once the slice is accounted and before its core
+// goes idle (see machine.Node.ExecLoop), after every event of that
+// instant queued before the slice's completion; it must not block.
+// When it asks for more, the next slice usually renews the last one's
+// flow, without a fluid solve. p stays parked until the loop ends.
 func LoopWhile(p *sim.Proc, n *machine.Node, core int, spec machine.ComputeSpec, cont func() bool) LoopResult {
 	start := p.Now()
-	res := LoopResult{Iters: n.ExecLoop(p, core, spec, cont)}
-	res.Total = p.Now().Sub(start)
-	if res.Iters > 0 {
-		res.PerIter = res.Total / sim.Duration(res.Iters)
-	}
-	if res.Total > 0 {
-		res.BytesPerSec = float64(res.Iters) * spec.Bytes / res.Total.Seconds()
-	}
-	return res
+	iters := n.ExecLoop(p, core, spec, cont)
+	return NewLoopResult(iters, p.Now().Sub(start), spec.Bytes)
 }
 
 // LoopN executes spec `iters` times and reports statistics.

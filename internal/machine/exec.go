@@ -100,8 +100,7 @@ type ComputeSpec struct {
 //
 // Returns the elapsed duration. ExecCompute is one pass of ExecLoop.
 func (n *Node) ExecCompute(p *sim.Proc, core int, spec ComputeSpec) sim.Duration {
-	_, elapsed := n.execSlices(p, core, spec, nil)
-	return elapsed
+	return n.execSlices(p, core, spec, nil).elapsed
 }
 
 // ExecLoop runs spec on a core slice after slice while next reports
@@ -109,142 +108,228 @@ func (n *Node) ExecCompute(p *sim.Proc, core int, spec ComputeSpec) sim.Duration
 // returns the number of slices run. Each slice is an ExecCompute: the
 // elapsed times, PMU counters (but for the stall estimate, below),
 // energy and frequency trace are the ones a loop of ExecCompute calls
-// produces.
+// produces. It is StartLoop with p parked until the loop ends.
 //
-// What the loop saves is fluid re-solves. next runs in p as soon as a
-// slice has been accounted, with the core still active and its stream
-// still counted; it must not block. When it asks for another slice, the
-// slice's flow is usually still parked by its completion, and the loop
-// renews it (fluid Model.Renew): no stream census update, no
-// idle/active pair, no new flow, and one solve at most for all the
-// slices that ended together. Otherwise — the flow was materialized,
-// the node is down, its frequency trace is recording, or the core's
-// rate cap moved — the slice ends and the next one starts under one
-// fluid hold, one re-solve for the stream census update, the core's
-// idle/active pair and the new flow.
+// What the loop saves is fluid re-solves. next runs in event context at
+// the instant a slice ends, in the slot where p would wake from that
+// slice, once the slice has been accounted, with the core still active
+// and its stream still counted; it must not block. When it asks for
+// another slice, the slice's flow is usually still parked by its
+// completion, and the loop renews it (fluid Model.Renew): no stream
+// census update, no idle/active pair, no new flow, and one solve at
+// most for all the slices that ended together. Otherwise — the flow was
+// materialized, the node is down, its frequency trace is recording, or
+// the core's rate cap moved — the slice ends and the next one starts
+// under one fluid hold, one re-solve for the stream census update, the
+// core's idle/active pair and the new flow.
 //
 // A memory-bound slice whose flow is still parked when it ends, or that
 // was renewed, estimates its stall cycles from the controller load the
 // renewal keeps rather than from the transient allocation around its
 // end (see accountExec).
 func (n *Node) ExecLoop(p *sim.Proc, core int, spec ComputeSpec, next func() bool) int {
-	iters, _ := n.execSlices(p, core, spec, next)
-	return iters
+	return n.execSlices(p, core, spec, next).iters
 }
 
-// execSlices is ExecLoop, with a nil next standing for a single slice;
-// it also returns the elapsed time of the last slice.
-func (n *Node) execSlices(p *sim.Proc, core int, spec ComputeSpec, next func() bool) (iters int, elapsed sim.Duration) {
+// execSlices runs a loop for p: p parks while the loop runs, and the
+// loop's end resumes it in the same event. It returns the core's slot,
+// whose iters and elapsed still hold the loop's results: nothing runs
+// between the end and p.
+func (n *Node) execSlices(p *sim.Proc, core int, spec ComputeSpec, next func() bool) *runningKernel {
+	rk := n.slot(core)
+	if rk.start(spec, next, nil) {
+		rk.proc = p
+		p.Park()
+	}
+	return rk
+}
+
+// LoopEnd is what a loop started by StartLoop reports when it ends.
+type LoopEnd struct {
+	Node *Node
+	Spec ComputeSpec
+	// Iters is the number of slices run, and Total the time from
+	// StartLoop to the end of the last slice.
+	Iters int
+	Total sim.Duration
+}
+
+// StartLoop runs spec on a core slice after slice while next reports
+// true, exactly as ExecLoop does, but with no process: every slice end
+// runs as a continuation in the event slot where a process running
+// ExecLoop from this instant would wake, and a down node holds the loop
+// at a slice boundary on a continuation too. A nil next runs one slice,
+// as ExecCompute does. done, when non-nil, runs in event context once
+// the loop has ended — at once when it runs no slice — and the loop's
+// core may start another loop from it. A core runs one loop at a time.
+func (n *Node) StartLoop(core int, spec ComputeSpec, next func() bool, done func(LoopEnd)) {
+	n.slot(core).start(spec, next, done)
+}
+
+// start begins the core's loop and reports whether it is still running:
+// it returns false when it ended at once, having run no slice.
+func (rk *runningKernel) start(spec ComputeSpec, next func() bool, done func(LoopEnd)) bool {
+	n := rk.node
 	if spec.Flops < 0 || spec.Bytes < 0 {
 		panic(fmt.Sprintf("machine: negative work %+v", spec))
 	}
-	single := next == nil
+	if rk.sig != nil {
+		panic(fmt.Sprintf("machine: core %d of node %d already runs a loop", rk.core, n.ID))
+	}
+	rk.iters, rk.elapsed = 0, 0
 	if spec.Flops == 0 && spec.Bytes == 0 {
-		for !single && next() {
-			iters++
+		for next != nil && next() {
+			rk.iters++
 		}
-		return iters, 0
+		rk.end(done, spec, 0)
+		return false
 	}
-	if !single && !next() {
-		return 0, 0
+	if next != nil && !next() {
+		rk.end(done, spec, 0)
+		return false
 	}
-	exposure := spec.StallExposure
-	if exposure == 0 {
-		exposure = 1
+	rk.spec, rk.next, rk.done = spec, next, done
+	rk.memNUMA = spec.MemNUMA
+	if rk.memNUMA < 0 {
+		rk.memNUMA = n.Spec.NUMAOfCore(rk.core)
 	}
-	name := spec.Name
-	if name == "" {
-		name = n.computeName(core)
+	// Roofline parameters: a pure CPU slice's flow is denominated in
+	// flops; a memory-bound one's in bytes, its cap translated through
+	// the arithmetic intensity.
+	rk.class = spec.Class
+	rk.mem = spec.Bytes > 0
+	rk.ai = 0
+	if rk.mem {
+		rk.ai = spec.Flops / spec.Bytes
 	}
-	coreNUMA := n.Spec.NUMAOfCore(core)
-	memNUMA := spec.MemNUMA
-	if memNUMA < 0 {
-		memNUMA = coreNUMA
+	rk.begun = n.cluster.K.Now()
+	rk.sig = n.cluster.K.GetSignal()
+	n.cluster.loops++
+	n.cluster.Fluid.Hold()
+	rk.top()
+	return true
+}
+
+// top is the head of the slice loop, entered under a fluid hold: it
+// starts the next slice, or holds the loop on the node's recovery while
+// the node is down.
+func (rk *runningKernel) top() {
+	if rk.node.down {
+		// No hold may span simulated time.
+		rk.node.cluster.Fluid.Release()
+		rk.gated = true
+		rk.node.upSig.WaitCont(&rk.cont)
+		return
 	}
-	mem := spec.Bytes > 0
-	var ctrl *fluid.Resource
-	if mem {
-		ctrl = n.NUMA(memNUMA).Ctrl
+	rk.startSlice()
+}
+
+// step is the loop's continuation: the wakeup of a loop held by a down
+// node, or the end of the slice in flight.
+func (rk *runningKernel) step() {
+	if !rk.gated {
+		rk.endSlice()
+		return
 	}
+	if rk.node.down {
+		rk.node.upSig.WaitCont(&rk.cont)
+		return
+	}
+	rk.gated = false
+	rk.node.cluster.Fluid.Hold()
+	rk.startSlice()
+}
+
+// startSlice starts a slice's flow under the hold top entered with,
+// releases it, and waits for the flow's completion.
+func (rk *runningKernel) startSlice() {
+	n := rk.node
 	fl := n.cluster.Fluid
-	rk := n.slot(core)
-	done := n.cluster.K.GetSignal()
+	n.Freq.SetActive(rk.core, rk.class)
+	rk.sliceStart = n.cluster.K.Now()
+	fs := fluid.FlowSpec{Name: rk.spec.Name, OnDone: rk.sig.BroadcastFn(), Renewable: rk.next != nil}
+	if fs.Name == "" {
+		fs.Name = n.computeName(rk.core)
+	}
+	if !rk.mem {
+		// Pure CPU: the flow is capped by the core's flop ceiling (which
+		// tracks frequency changes).
+		fs.Work = rk.spec.Flops
+	} else {
+		// Roofline: the flow shares the memory path fairly.
+		n.addStream(rk.memNUMA)
+		fs.Work = rk.spec.Bytes
+		fs.Uses = n.memPath(n.Spec.NUMAOfCore(rk.core), rk.memNUMA)
+	}
+	fs.Cap = rk.cap()
+	flow := fl.Start(fs)
+	fl.Release()
+	rk.flow = flow
+	rk.rhoStart = 0
+	if rk.mem {
+		rk.rhoStart = n.NUMA(rk.memNUMA).Ctrl.Utilization()
+	}
+	rk.sig.WaitCont(&rk.cont)
+}
 
+// endSlice accounts the slice whose flow just completed, asks next, and
+// renews the slice, starts the next one, or ends the loop.
+func (rk *runningKernel) endSlice() {
+	n := rk.node
+	fl := n.cluster.Fluid
+	flow := rk.flow
+	now := n.cluster.K.Now()
+	rk.elapsed = now.Sub(rk.sliceStart)
+	n.accountExec(rk.core, rk.spec, rk.memNUMA, rk.rhoStart, rk.elapsed, flow.Parked())
+	rk.iters++
+	more := rk.next != nil && rk.next()
+	if more && !n.down && !n.Freq.Tracing() && flow.Cap() == rk.cap() && fl.Renew(flow) {
+		// Renewed: the core stays active and its stream counted, but the
+		// energy integral splits here as the idle/active pair would
+		// split it.
+		n.Freq.AccrueEnergy()
+		rk.sliceStart = now
+		if rk.mem {
+			rk.rhoStart = n.NUMA(rk.memNUMA).Ctrl.SteadyUtilization()
+		}
+		rk.sig.WaitCont(&rk.cont)
+		return
+	}
+	// Nothing can reach the finished flow any more (the rescaling hooks
+	// check rk.flow), so its storage goes back to the model; a flow
+	// still parked is materialized first.
+	rk.flow = nil
+	fl.Recycle(flow)
+
+	// Slice boundary: this slice's epilogue and the next slice's
+	// prologue (in top), under one hold.
 	fl.Hold()
-	for {
-		if n.down {
-			// gateUp blocks: no hold may span simulated time.
-			fl.Release()
-			n.gateUp(p)
-			fl.Hold()
-		}
-		n.Freq.SetActive(core, spec.Class)
-		start := p.Now()
-		rk.class = spec.Class
-		fs := fluid.FlowSpec{Name: name, OnDone: done.BroadcastFn(), Renewable: !single}
-		if !mem {
-			// Pure CPU: the flow is denominated in flops, capped by the
-			// core's flop ceiling (which tracks frequency changes).
-			rk.mem = false
-			rk.ai = 0
-			fs.Work = spec.Flops
-		} else {
-			// Roofline: the flow is denominated in bytes; its rate is capped
-			// by the compute ceiling translated through the arithmetic
-			// intensity, and it shares the memory path fairly.
-			rk.mem = true
-			rk.ai = spec.Flops / spec.Bytes
-			n.addStream(memNUMA)
-			fs.Work = spec.Bytes
-			fs.Uses = n.memPath(coreNUMA, memNUMA)
-		}
-		fs.Cap = rk.cap()
-		flow := fl.Start(fs)
-		fl.Release()
-		rk.flow = flow
-		rhoStart := 0.0
-		if mem {
-			rhoStart = ctrl.Utilization()
-		}
-		more := false
-		for {
-			done.Wait(p)
-			elapsed = p.Now().Sub(start)
-			n.accountExec(core, spec, memNUMA, exposure, rhoStart, elapsed, flow.Parked())
-			iters++
-			more = !single && next()
-			if !more || n.down || n.Freq.Tracing() || flow.Cap() != rk.cap() || !fl.Renew(flow) {
-				break
-			}
-			// Renewed: the core stays active and its stream counted, but
-			// the energy integral splits here as the idle/active pair
-			// would split it.
-			n.Freq.AccrueEnergy()
-			start = p.Now()
-			if mem {
-				rhoStart = ctrl.SteadyUtilization()
-			}
-		}
-		// Nothing can reach the finished flow any more (the rescaling
-		// hooks check rk.flow), so its storage goes back to the model;
-		// a flow still parked is materialized first.
-		rk.flow = nil
-		fl.Recycle(flow)
-
-		// Slice boundary: this slice's epilogue and the next slice's
-		// prologue (at the top of the loop), under one hold.
-		fl.Hold()
-		if mem {
-			n.removeStream(memNUMA)
-		}
-		n.Freq.SetIdle(core)
-		if !more {
-			break
-		}
+	if rk.mem {
+		n.removeStream(rk.memNUMA)
+	}
+	n.Freq.SetIdle(rk.core)
+	if more {
+		rk.top()
+		return
 	}
 	fl.Release()
-	n.cluster.K.PutSignal(done)
-	return iters, elapsed
+	n.cluster.K.PutSignal(rk.sig)
+	rk.sig = nil
+	n.cluster.loops--
+	p, done := rk.proc, rk.done
+	rk.proc, rk.done, rk.next = nil, nil, nil
+	if p != nil {
+		p.Resume()
+		return
+	}
+	rk.end(done, rk.spec, now.Sub(rk.begun))
+}
+
+// end reports a loop that has ended to its StartLoop caller.
+func (rk *runningKernel) end(done func(LoopEnd), spec ComputeSpec, total sim.Duration) {
+	if done != nil {
+		done(LoopEnd{Node: rk.node, Spec: spec, Iters: rk.iters, Total: total})
+	}
 }
 
 // computeName returns the cached default flow name of a core's compute
@@ -272,7 +357,7 @@ func (n *Node) computeName(core int) string {
 // allocation the other flows get for the instant once it has ended.
 // Loops pass it while their flow is parked, and read rhoStart of a
 // renewed slice the same way.
-func (n *Node) accountExec(core int, spec ComputeSpec, memNUMA int, exposure, rhoStart float64, elapsed sim.Duration, steady bool) {
+func (n *Node) accountExec(core int, spec ComputeSpec, memNUMA int, rhoStart float64, elapsed sim.Duration, steady bool) {
 	fgHz := n.Freq.CoreGHz(core)
 	secs := elapsed.Seconds()
 	cycles := secs * fgHz * 1e9
@@ -299,6 +384,10 @@ func (n *Node) accountExec(core int, spec ComputeSpec, memNUMA int, exposure, rh
 		}
 		if rho > 1 {
 			rho = 1
+		}
+		exposure := spec.StallExposure
+		if exposure == 0 {
+			exposure = 1
 		}
 		frac += exposure * raw * (0.3 + 0.7*rho)
 	}

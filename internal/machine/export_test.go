@@ -15,10 +15,6 @@ func (n *Node) SequentialExecCompute(p *sim.Proc, core int, spec ComputeSpec) si
 		return 0
 	}
 	n.gateUp(p)
-	exposure := spec.StallExposure
-	if exposure == 0 {
-		exposure = 1
-	}
 	name := spec.Name
 	if name == "" {
 		name = n.computeName(core)
@@ -60,6 +56,6 @@ func (n *Node) SequentialExecCompute(p *sim.Proc, core int, spec ComputeSpec) si
 	n.cluster.Fluid.Recycle(flow)
 
 	elapsed := p.Now().Sub(start)
-	n.accountExec(core, spec, memNUMA, exposure, rhoStart, elapsed, false)
+	n.accountExec(core, spec, memNUMA, rhoStart, elapsed, false)
 	return elapsed
 }

@@ -14,60 +14,71 @@ import (
 	"repro/internal/topology"
 )
 
-// The loop path (kernels.LoopN/LoopWhile/LoopUntil over Node.ExecLoop,
-// with fluid holds and renewed slices) must be indistinguishable from
-// loops of SequentialExecCompute on a fluid model with holds off: the
-// per-slice sequence every mutation of which re-solves on its own. The
-// one documented exception is the stall-cycle estimate of looped
-// memory-bound slices (see samePMU).
+// The loop path (kernels.LoopN/LoopWhile/LoopUntil over Node.ExecLoop
+// in a process, or Node.StartLoop from an event, with fluid holds and
+// renewed slices) must be indistinguishable from loops of
+// SequentialExecCompute on a fluid model with holds off: the per-slice
+// sequence every mutation of which re-solves on its own. The one
+// documented exception is the stall-cycle estimate of looped
+// memory-bound slices (see samePMU). The two entry points of the loop
+// path must match each other bit for bit, down to the kernel's event
+// count (see sameLoops).
 
-// looper runs a workload's loops either way.
-type looper struct{ sequential bool }
+// loopMode is how a workload's loops run.
+type loopMode int
 
-func (l looper) result(start, end sim.Time, iters int, spec machine.ComputeSpec) kernels.LoopResult {
-	res := kernels.LoopResult{Iters: iters, Total: end.Sub(start)}
-	if iters > 0 {
-		res.PerIter = res.Total / sim.Duration(iters)
+const (
+	sequential loopMode = iota // SequentialExecCompute in a process, holds off
+	process                    // kernels.Loop* in a process
+	event                      // Node.StartLoop from an event
+)
+
+// looper starts a workload's loops in its mode. Each loop starts in the
+// slot a process spawned at that point takes, and stores its result in
+// its out slot when it ends.
+type looper struct{ mode loopMode }
+
+// while starts a loop of spec on core that runs while cont holds.
+func (l looper) while(c *machine.Cluster, n *machine.Node, core int, spec machine.ComputeSpec, cont func() bool, out *kernels.LoopResult) {
+	switch l.mode {
+	case sequential:
+		c.K.Spawn("loop", func(p *sim.Proc) {
+			start, iters := p.Now(), 0
+			for cont() {
+				n.SequentialExecCompute(p, core, spec)
+				iters++
+			}
+			*out = kernels.NewLoopResult(iters, p.Now().Sub(start), spec.Bytes)
+		})
+	case process:
+		c.K.Spawn("loop", func(p *sim.Proc) { *out = kernels.LoopWhile(p, n, core, spec, cont) })
+	case event:
+		c.K.At(c.K.Now(), func() {
+			n.StartLoop(core, spec, cont, func(end machine.LoopEnd) {
+				*out = kernels.NewLoopResult(end.Iters, end.Total, end.Spec.Bytes)
+			})
+		})
 	}
-	if res.Total > 0 {
-		res.BytesPerSec = float64(iters) * spec.Bytes / res.Total.Seconds()
-	}
-	return res
 }
 
-func (l looper) while(p *sim.Proc, n *machine.Node, core int, spec machine.ComputeSpec, cont func() bool) kernels.LoopResult {
-	if !l.sequential {
-		return kernels.LoopWhile(p, n, core, spec, cont)
+// n starts a loop of iters slices (kernels.LoopN in a process).
+func (l looper) n(c *machine.Cluster, n *machine.Node, core int, spec machine.ComputeSpec, iters int, out *kernels.LoopResult) {
+	if l.mode == process {
+		c.K.Spawn("loop", func(p *sim.Proc) { *out = kernels.LoopN(p, n, core, spec, iters) })
+		return
 	}
-	start, iters := p.Now(), 0
-	for cont() {
-		n.SequentialExecCompute(p, core, spec)
-		iters++
-	}
-	return l.result(start, p.Now(), iters, spec)
+	i := 0
+	l.while(c, n, core, spec, func() bool { i++; return i <= iters }, out)
 }
 
-func (l looper) n(p *sim.Proc, n *machine.Node, core int, spec machine.ComputeSpec, iters int) kernels.LoopResult {
-	if !l.sequential {
-		return kernels.LoopN(p, n, core, spec, iters)
+// until starts a loop that runs until the clock reaches until
+// (kernels.LoopUntil in a process).
+func (l looper) until(c *machine.Cluster, n *machine.Node, core int, spec machine.ComputeSpec, until sim.Time, out *kernels.LoopResult) {
+	if l.mode == process {
+		c.K.Spawn("loop", func(p *sim.Proc) { *out = kernels.LoopUntil(p, n, core, spec, until) })
+		return
 	}
-	start := p.Now()
-	for i := 0; i < iters; i++ {
-		n.SequentialExecCompute(p, core, spec)
-	}
-	return l.result(start, p.Now(), iters, spec)
-}
-
-func (l looper) until(p *sim.Proc, n *machine.Node, core int, spec machine.ComputeSpec, until sim.Time) kernels.LoopResult {
-	if !l.sequential {
-		return kernels.LoopUntil(p, n, core, spec, until)
-	}
-	start, iters := p.Now(), 0
-	for p.Now() < until {
-		n.SequentialExecCompute(p, core, spec)
-		iters++
-	}
-	return l.result(start, p.Now(), iters, spec)
+	l.while(c, n, core, spec, func() bool { return c.K.Now() < until }, out)
 }
 
 // observed is everything a workload's measurement can read.
@@ -78,22 +89,26 @@ type observed struct {
 	trace  []freq.Sample     // node 0
 	end    sim.Time
 	solves uint64
+	steps  uint64
 }
 
-// runLoops builds a two-node henri cluster, lets workload spawn its
+// runLoops builds a two-node henri cluster, lets workload start its
 // loops (each writing its result into its own slot), runs the
 // simulation to the end, and collects the observation.
-func runLoops(sequential bool, slots int, workload func(c *machine.Cluster, l looper, out []kernels.LoopResult)) observed {
+func runLoops(mode loopMode, slots int, workload func(c *machine.Cluster, l looper, out []kernels.LoopResult)) observed {
 	c := machine.NewCluster(topology.Henri(), 2, 1)
-	c.Fluid.UseHolds(!sequential)
+	c.Fluid.UseHolds(mode != sequential)
 	for _, n := range c.Nodes {
 		n.Freq.EnableEnergy(freq.DefaultEnergyParams())
 	}
 	o := observed{loops: make([]kernels.LoopResult, slots)}
-	workload(c, looper{sequential}, o.loops)
+	workload(c, looper{mode}, o.loops)
 	c.K.Run()
 	if c.K.LiveProcs() != 0 {
 		panic("workload left live processes")
+	}
+	if c.Loops() != 0 {
+		panic("workload left loops in flight")
 	}
 	for _, n := range c.Nodes {
 		var cores []counters.Core
@@ -106,7 +121,31 @@ func runLoops(sequential bool, slots int, workload func(c *machine.Cluster, l lo
 	o.trace = c.Nodes[0].Freq.StopTrace()
 	o.end = c.K.Now()
 	o.solves = c.Fluid.Solves()
+	o.steps = c.K.Steps()
 	return o
+}
+
+// sameLoops runs workload in every mode and fails unless both loop
+// paths match the sequential run (see sameObservation) and each other
+// bit for bit: results, every PMU counter, energy, frequency trace,
+// solves and kernel events. It returns the sequential run.
+func sameLoops(t *testing.T, slots int, workload func(c *machine.Cluster, l looper, out []kernels.LoopResult), baseStall func(node, core int) float64) observed {
+	t.Helper()
+	seq := runLoops(sequential, slots, workload)
+	proc := runLoops(process, slots, workload)
+	ev := runLoops(event, slots, workload)
+	sameObservation(t, seq, proc, baseStall)
+	sameObservation(t, seq, ev, baseStall)
+	if !reflect.DeepEqual(proc, ev) {
+		for i := range proc.loops {
+			if proc.loops[i] != ev.loops[i] {
+				t.Fatalf("loop %d: %+v from an event, %+v from a process", i, ev.loops[i], proc.loops[i])
+			}
+		}
+		t.Fatalf("loops from events ran %d events and %d solves, from processes %d and %d; or their PMU counters differ",
+			ev.steps, ev.solves, proc.steps, proc.solves)
+	}
+	return seq
 }
 
 // sameObservation fails unless the two runs measured bit-identical
@@ -208,16 +247,14 @@ func TestLoopsMatchSequentialSlices(t *testing.T) {
 			for core := 0; core < cores; core++ {
 				core, slot := core, n.ID*cores+core
 				spec := mixedSpec(core + n.ID)
-				c.K.Spawn("loop", func(p *sim.Proc) {
-					switch core % 3 {
-					case 0:
-						out[slot] = l.n(p, n, core, spec, 5+core%4)
-					case 1:
-						out[slot] = l.while(p, n, core, spec, func() bool { return !stop })
-					default:
-						out[slot] = l.until(p, n, core, spec, sim.Time(3*sim.Millisecond))
-					}
-				})
+				switch core % 3 {
+				case 0:
+					l.n(c, n, core, spec, 5+core%4, &out[slot])
+				case 1:
+					l.while(c, n, core, spec, func() bool { return !stop }, &out[slot])
+				default:
+					l.until(c, n, core, spec, sim.Time(3*sim.Millisecond), &out[slot])
+				}
 			}
 		}
 		n := c.Nodes[0]
@@ -228,12 +265,10 @@ func TestLoopsMatchSequentialSlices(t *testing.T) {
 		c.K.At(sim.Time(2*sim.Millisecond), func() { bg.Stop(); n.Freq.SetUncoreDynamic() })
 		c.K.At(sim.Time(4*sim.Millisecond), func() { stop = true })
 	}
-	seq := runLoops(true, 2*cores, workload)
-	loop := runLoops(false, 2*cores, workload)
+	seq := sameLoops(t, 2*cores, workload, nil)
 	if seq.loops[1].Iters < 2 {
 		t.Fatalf("LoopWhile ran %d slices; the workload is too short", seq.loops[1].Iters)
 	}
-	sameObservation(t, seq, loop, nil)
 }
 
 // TestLoopsMatchSequentialTrace: fig2's shape — prime-counting cores
@@ -252,9 +287,7 @@ func TestLoopsMatchSequentialTrace(t *testing.T) {
 			if core%4 == 3 {
 				spec = kernels.StreamTriad(1<<15, 0)
 			}
-			c.K.Spawn("prime", func(p *sim.Proc) {
-				out[core] = l.while(p, n, core, spec, func() bool { return !stop })
-			})
+			l.while(c, n, core, spec, func() bool { return !stop }, &out[core])
 		}
 		c.K.Spawn("comm", func(p *sim.Proc) {
 			for i := 0; i < 20; i++ {
@@ -264,12 +297,10 @@ func TestLoopsMatchSequentialTrace(t *testing.T) {
 			stop = true
 		})
 	}
-	seq := runLoops(true, cores, workload)
-	loop := runLoops(false, cores, workload)
+	seq := sameLoops(t, cores, workload, nil)
 	if len(seq.trace) < 100 {
 		t.Fatalf("only %d trace samples; the workload does not move frequencies", len(seq.trace))
 	}
-	sameObservation(t, seq, loop, nil)
 }
 
 // TestLoopCrashGatesNextSlice: a node that crashes mid-slice lets the
@@ -279,39 +310,36 @@ func TestLoopsMatchSequentialTrace(t *testing.T) {
 func TestLoopCrashGatesNextSlice(t *testing.T) {
 	spec := kernels.StreamTriad(1<<16, 0)
 	// One slice alone on the node.
-	solo := runLoops(false, 1, func(c *machine.Cluster, l looper, out []kernels.LoopResult) {
-		c.K.Spawn("solo", func(p *sim.Proc) { out[0] = l.n(p, c.Nodes[0], 0, spec, 1) })
+	solo := runLoops(process, 1, func(c *machine.Cluster, l looper, out []kernels.LoopResult) {
+		l.n(c, c.Nodes[0], 0, spec, 1, &out[0])
 	})
 	d := solo.loops[0].Total
 
-	probed := false
+	probes := 0
 	workload := func(c *machine.Cluster, l looper, out []kernels.LoopResult) {
 		n := c.Nodes[0]
-		c.K.Spawn("loop", func(p *sim.Proc) { out[0] = l.n(p, n, 0, spec, 3) })
+		l.n(c, n, 0, spec, 3, &out[0])
 		for core := 1; core < 6; core++ {
-			core := core
-			c.K.Spawn("other", func(p *sim.Proc) { out[core] = l.n(p, c.Nodes[1], core, mixedSpec(core), 4) })
+			l.n(c, c.Nodes[1], core, mixedSpec(core), 4, &out[core])
 		}
 		c.K.At(sim.Time(d/2), func() { n.SetDown(true) })
 		c.K.At(sim.Time(3*d), func() { n.SetDown(false) })
 		c.K.At(sim.Time(5*d/2), func() {
-			probed = true
+			probes++
 			if n.Streams(0) != 0 || n.Freq.ActiveCores() != 0 {
 				t.Errorf("down node still has %d streams, %d active cores", n.Streams(0), n.Freq.ActiveCores())
 			}
 		})
 	}
-	seq := runLoops(true, 6, workload)
-	loop := runLoops(false, 6, workload)
-	if !probed {
-		t.Fatal("probe did not run")
+	seq := sameLoops(t, 6, workload, nil)
+	if probes != 3 {
+		t.Fatalf("probe ran %d times in 3 runs", probes)
 	}
 	// Slice 1 runs [0, d], the crash holds slice 2 until 3d, slices 2
 	// and 3 run alone after it.
-	if got := loop.loops[0].Total; got < 5*d-3 || got > 5*d+3 {
+	if got := seq.loops[0].Total; got < 5*d-3 || got > 5*d+3 {
 		t.Fatalf("crashed loop took %v, want 5 slices of %v", got, d)
 	}
-	sameObservation(t, seq, loop, nil)
 }
 
 // TestLoopStopAtCompletionInstant: an event at the very nanosecond a
@@ -323,27 +351,22 @@ func TestLoopCrashGatesNextSlice(t *testing.T) {
 // its node's energy still sums the same per-slice intervals.
 func TestLoopStopAtCompletionInstant(t *testing.T) {
 	spec := kernels.StreamTriad(1<<16, 0)
-	solo := runLoops(false, 1, func(c *machine.Cluster, l looper, out []kernels.LoopResult) {
-		c.K.Spawn("solo", func(p *sim.Proc) { out[0] = l.n(p, c.Nodes[0], 1, spec, 1) })
-	})
-	d := solo.loops[0].Total
+	d := soloSlice(spec)
 	workload := func(c *machine.Cluster, l looper, out []kernels.LoopResult) {
 		stop := false
 		n := c.Nodes[0]
-		c.K.Spawn("loop", func(p *sim.Proc) { out[0] = l.while(p, n, 1, spec, func() bool { return !stop }) })
-		c.K.Spawn("lone", func(p *sim.Proc) { out[1] = l.n(p, c.Nodes[1], 1, spec, 6) })
+		l.while(c, n, 1, spec, func() bool { return !stop }, &out[0])
+		l.n(c, c.Nodes[1], 1, spec, 6, &out[1])
 		c.K.Spawn("stopper", func(p *sim.Proc) {
 			p.Sleep(d + d/2)
 			p.Sleep(d - d/2) // scheduled after slice 2's timer, for its instant
 			stop = true
 		})
 	}
-	seq := runLoops(true, 2, workload)
-	loop := runLoops(false, 2, workload)
+	seq := sameLoops(t, 2, workload, nil)
 	if seq.loops[0].Iters != 2 {
 		t.Fatalf("sequential loop ran %d slices, want 2", seq.loops[0].Iters)
 	}
-	sameObservation(t, seq, loop, nil)
 }
 
 // TestLoopStateChangeAtCompletionInstant: a straggler slowdown or a
@@ -354,10 +377,7 @@ func TestLoopStopAtCompletionInstant(t *testing.T) {
 // slice as it was.
 func TestLoopStateChangeAtCompletionInstant(t *testing.T) {
 	spec := kernels.StreamTriad(1<<16, 0)
-	solo := runLoops(false, 1, func(c *machine.Cluster, l looper, out []kernels.LoopResult) {
-		c.K.Spawn("solo", func(p *sim.Proc) { out[0] = l.n(p, c.Nodes[0], 1, spec, 1) })
-	})
-	d := solo.loops[0].Total
+	d := soloSlice(spec)
 	for name, change := range map[string]func(c *machine.Cluster){
 		"slowdown": func(c *machine.Cluster) { c.Nodes[0].SetCoreSlowdown(1, 4) },
 		"crash": func(c *machine.Cluster) {
@@ -366,18 +386,16 @@ func TestLoopStateChangeAtCompletionInstant(t *testing.T) {
 		},
 	} {
 		workload := func(c *machine.Cluster, l looper, out []kernels.LoopResult) {
-			c.K.Spawn("loop", func(p *sim.Proc) { out[0] = l.n(p, c.Nodes[0], 1, spec, 3) })
+			l.n(c, c.Nodes[0], 1, spec, 3, &out[0])
 			c.K.Spawn("change", func(p *sim.Proc) {
 				p.Sleep(d)
 				change(c)
 			})
 		}
-		seq := runLoops(true, 1, workload)
-		loop := runLoops(false, 1, workload)
+		seq := sameLoops(t, 1, workload, nil)
 		if seq.loops[0].Total < 3*d+d/2 {
 			t.Fatalf("%s: loop took %v, barely more than 3 solo slices of %v", name, seq.loops[0].Total, d)
 		}
-		sameObservation(t, seq, loop, nil)
 	}
 }
 
@@ -405,11 +423,10 @@ func TestLoopSharesControllerWithPingPong(t *testing.T) {
 	cores := append(append([]int{}, cg...), stream...)
 	loops := func(c *machine.Cluster, l looper, out []kernels.LoopResult, next func() bool) {
 		for i, core := range cores {
-			i, core := i, core
-			c.K.Spawn("loop", func(p *sim.Proc) { out[i] = l.while(p, c.Nodes[0], core, spec(core), next) })
+			l.while(c, c.Nodes[0], core, spec(core), next, &out[i])
 		}
 	}
-	first := runLoops(false, len(cores), func(c *machine.Cluster, l looper, out []kernels.LoopResult) {
+	first := runLoops(process, len(cores), func(c *machine.Cluster, l looper, out []kernels.LoopResult) {
 		loops(c, l, out, func() bool { return c.K.Now() == 0 })
 	})
 	d := first.loops[len(cg)].Total // the first STREAM slices' end
@@ -451,10 +468,75 @@ func TestLoopSharesControllerWithPingPong(t *testing.T) {
 		})
 	}
 	slots := len(cores) + 1 + transfers
-	seq := runLoops(true, slots, workload)
-	loop := runLoops(false, slots, workload)
+	seq := sameLoops(t, slots, workload, func(node, core int) float64 { return spec(core).BaseStallFrac })
 	if seq.loops[len(cg)].Iters < 10 {
 		t.Fatalf("a STREAM loop ran %d slices; the ping-pong is too short", seq.loops[len(cg)].Iters)
 	}
-	sameObservation(t, seq, loop, func(node, core int) float64 { return spec(core).BaseStallFrac })
+}
+
+// soloSlice returns the duration of one slice of spec alone on core 1
+// of a node.
+func soloSlice(spec machine.ComputeSpec) sim.Duration {
+	solo := runLoops(process, 1, func(c *machine.Cluster, l looper, out []kernels.LoopResult) {
+		l.n(c, c.Nodes[0], 1, spec, 1, &out[0])
+	})
+	return solo.loops[0].Total
+}
+
+// TestLoopStopsAtCrashInstant: a node goes down for good at the very
+// instant a slice ends, before the loop wakes, and the same event tells
+// the loop to stop: the loop ends after that slice rather than waiting
+// on the node's recovery, leaving its core idle and no stream counted.
+// The node's other loop, which asks for more, is held at its next
+// boundary — the only loop left in flight — until a recovery lets it
+// finish.
+func TestLoopStopsAtCrashInstant(t *testing.T) {
+	spec := kernels.StreamTriad(1<<16, 0)
+	probes := 0
+	// crashAt 0 runs the first slice alone, to find when it ends.
+	workload := func(crashAt sim.Duration) func(c *machine.Cluster, l looper, out []kernels.LoopResult) {
+		return func(c *machine.Cluster, l looper, out []kernels.LoopResult) {
+			n := c.Nodes[0]
+			stop := false
+			if crashAt == 0 {
+				l.n(c, n, 1, spec, 1, &out[0])
+			} else {
+				l.while(c, n, 1, spec, func() bool { return !stop }, &out[0])
+			}
+			l.until(c, n, 2, kernels.PrimeCount(1e6), sim.Time(sim.Millisecond), &out[1])
+			l.n(c, c.Nodes[1], 1, spec, 4, &out[2])
+			if crashAt == 0 {
+				return
+			}
+			c.K.Spawn("crash", func(p *sim.Proc) {
+				p.Sleep(crashAt / 2)
+				p.Sleep(crashAt - crashAt/2) // scheduled before the loop's wakeup, for its instant
+				n.SetDown(true)
+				stop = true
+			})
+			c.K.At(sim.Time(5*crashAt), func() {
+				probes++
+				inFlight := 1
+				if l.mode == sequential {
+					inFlight = 0 // SequentialExecCompute starts no loop
+				}
+				if n.Streams(0) != 0 || n.Freq.ActiveCores() != 0 || c.Loops() != inFlight {
+					t.Errorf("down node has %d streams, %d active cores and %d loops in flight, want %d",
+						n.Streams(0), n.Freq.ActiveCores(), c.Loops(), inFlight)
+				}
+				n.SetDown(false)
+			})
+		}
+	}
+	d := runLoops(process, 3, workload(0)).loops[0].Total
+	if 5*d >= sim.Duration(sim.Millisecond) {
+		t.Fatalf("a slice takes %v; the recovery comes after the held loop's end", d)
+	}
+	seq := sameLoops(t, 3, workload(d), nil)
+	if probes != 3 {
+		t.Fatalf("probe ran %d times in 3 runs", probes)
+	}
+	if got := seq.loops[0]; got.Iters != 1 || got.Total != d {
+		t.Fatalf("stopped loop ran %d slices in %v, want 1 in %v", got.Iters, got.Total, d)
+	}
 }

@@ -24,6 +24,8 @@ type Cluster struct {
 	Fluid *fluid.Model
 	Nodes []*Node
 	Spec  *topology.NodeSpec
+	// loops counts the compute loops in flight (see Node.StartLoop).
+	loops int
 }
 
 // NewCluster builds n nodes of the given spec on a fresh kernel seeded
@@ -50,10 +52,15 @@ func NewCluster(spec *topology.NodeSpec, n int, seed int64) *Cluster {
 // compatible with the one the cluster was built from (same core, NUMA
 // and socket shape — see ShapeKey); capacities and frequency state are
 // rebuilt from the new spec. The caller guarantees the cluster is
-// quiescent: kernel idle, no live processes, no active flows.
+// quiescent: kernel idle, no live processes, no loop in flight, no
+// active flows. Resetting a cluster with a loop in flight panics: a
+// loop held by a down node would wake into the next simulation.
 func (c *Cluster) Reset(spec *topology.NodeSpec, seed int64) {
 	if err := spec.Validate(); err != nil {
 		panic(fmt.Sprintf("machine: invalid spec %q: %v", spec.Name, err))
+	}
+	if c.loops != 0 {
+		panic("machine: Reset with loops in flight")
 	}
 	c.K.Reset(seed)
 	c.Fluid.Reset()
@@ -62,6 +69,13 @@ func (c *Cluster) Reset(spec *topology.NodeSpec, seed int64) {
 		n.reset(spec)
 	}
 }
+
+// Loops returns the number of compute loops in flight: started by
+// Node.StartLoop, ExecLoop or ExecCompute and not yet ended. A loop
+// held by a down node has no pending event and, started by StartLoop,
+// no process either, so an idle kernel with no live process may still
+// have one.
+func (c *Cluster) Loops() int { return c.loops }
 
 // ShapeKey summarises the structural parameters that must match for a
 // spec to be reset-compatible with an existing cluster: every resource,
@@ -154,8 +168,9 @@ type Node struct {
 	// down marks a fail-stopped node (crash fault): every execution
 	// primitive entered while down blocks on upSig until recovery.
 	// In-flight fluid flows are the fault injector's concern (frozen
-	// wires); this flag stops the node's processes at the next slice
-	// boundary — the fail-stop granularity of the crash model.
+	// wires); this flag stops the node's processes and compute loops at
+	// the next slice boundary — the fail-stop granularity of the crash
+	// model.
 	down  bool
 	upSig *sim.Signal
 
@@ -165,10 +180,12 @@ type Node struct {
 	pathBuf [2]fluid.Use
 }
 
-// runningKernel is the bookkeeping for an in-flight compute flow. The
-// node keeps one slot per core (see coreFlow), so running a slice
-// allocates neither the bookkeeping nor a cap closure: cap is a method
-// over the stored roofline parameters.
+// runningKernel is a core's compute loop (see Node.StartLoop): a state
+// machine advanced by its continuation, cont, at every slice end and on
+// the node's recovery, and the bookkeeping of its in-flight flow. The
+// node keeps one slot per core (see coreFlow), so running a loop
+// allocates neither the state nor a cap closure: cap is a method over
+// the stored roofline parameters.
 type runningKernel struct {
 	node  *Node
 	core  int
@@ -179,6 +196,29 @@ type runningKernel struct {
 	// ai is flops/byte for the memory case.
 	mem bool
 	ai  float64
+
+	// cont runs step; it is bound once, when the slot is made.
+	cont sim.Cont
+	// sig is the loop's slice-done signal, nil when the core runs no
+	// loop; gated says cont waits on the node's recovery, not on sig.
+	sig   *sim.Signal
+	gated bool
+	// The loop: its spec, its condition (nil: one slice), its owner — a
+	// parked process or a done callback — and the NUMA node its memory
+	// traffic goes to.
+	spec    ComputeSpec
+	next    func() bool
+	proc    *sim.Proc
+	done    func(LoopEnd)
+	memNUMA int
+	// begun is the loop's start and sliceStart the current slice's;
+	// rhoStart is the controller's utilization when the slice started.
+	begun, sliceStart sim.Time
+	rhoStart          float64
+	// iters counts the slices run, and elapsed is the last one's
+	// duration; both outlive the loop until the core's next one starts.
+	iters   int
+	elapsed sim.Duration
 }
 
 // cap recomputes the flow's rate cap at the core's current frequency
@@ -263,8 +303,10 @@ func (n *Node) slot(core int) *runningKernel {
 	if n.coreFlow == nil {
 		n.coreFlow = make([]runningKernel, n.Spec.Cores())
 		for i := range n.coreFlow {
-			n.coreFlow[i].node = n
-			n.coreFlow[i].core = i
+			rk := &n.coreFlow[i]
+			rk.node = n
+			rk.core = i
+			rk.cont = sim.MakeCont(rk.step)
 		}
 	}
 	return &n.coreFlow[core]
@@ -466,7 +508,7 @@ func (n *Node) SetCoreSlowdown(core int, f float64) {
 }
 
 // SetDown flips the node's crash state. Bringing the node back up wakes
-// every process gated on an execution primitive. Safe to call from
+// every process and loop gated on an execution primitive. Safe to call from
 // event context (the fault injector's crash/recover transitions).
 func (n *Node) SetDown(down bool) {
 	if n.down == down {

@@ -13,9 +13,10 @@ import (
 // solves, fluid mutations that skipped their solve, fluid starts and
 // removals that reused a recorded solve, kernel events, process resumes,
 // points requested, points executed and campaign-memo hits, and the
-// solves, events and reuses of each sweep family (solves/<family>,
-// events/<family>, reuses/<family>; the family is the first segment of
-// the point key), so that a change in the totals lands on a named family.
+// solves, events, reuses and resumes of each sweep family
+// (solves/<family>, events/<family>, reuses/<family>, resumes/<family>;
+// the family is the first segment of the point key), so that a change
+// in the totals lands on a named family.
 // They do not depend on the worker count or the host, so CI ratchets
 // the totals against BENCH_sim.json where it cannot ratchet a wall.
 func BenchmarkCampaignCounters(b *testing.B) {
@@ -56,6 +57,7 @@ func BenchmarkCampaignCounters(b *testing.B) {
 		b.ReportMetric(float64(byFamily[fam].Solves)/float64(b.N), "solves/"+fam)
 		b.ReportMetric(float64(byFamily[fam].Events)/float64(b.N), "events/"+fam)
 		b.ReportMetric(float64(byFamily[fam].Reuses)/float64(b.N), "reuses/"+fam)
+		b.ReportMetric(float64(byFamily[fam].Resumes)/float64(b.N), "resumes/"+fam)
 	}
 }
 
