@@ -33,14 +33,15 @@ verify:
 # Performance trajectory: solver/kernel/stats microbenchmarks (with
 # their reference baselines), the per-point and per-figure paper
 # benchmarks, the golden campaign's deterministic counters (fluid
-# solves, points executed, memo hits: BenchmarkCampaignCounters) and the
-# task runtime's idle-worker herd (BenchmarkWorkerHerd), all
+# solves, points executed, memo hits: BenchmarkCampaignCounters), the
+# task runtime's idle-worker herd (BenchmarkWorkerHerd) and the MPI
+# ping-pong's resumes per iteration (BenchmarkPingPong), all
 # folded into BENCH_sim.json by cmd/benchreport. End-to-end walls come
 # from `bash cmd/benchmark/run.sh`. Compare trajectories with
 #   go run ./cmd/benchreport -totext <old.json> > old.txt   (+ new)
 #   benchstat old.txt new.txt
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=200ms -run='^$$' ./internal/fluid ./internal/sim ./internal/stats ./internal/kernels ./internal/bench ./internal/runner ./internal/taskrt > bench_output.txt
+	$(GO) test -bench=. -benchmem -benchtime=200ms -run='^$$' ./internal/fluid ./internal/sim ./internal/stats ./internal/kernels ./internal/bench ./internal/runner ./internal/taskrt ./internal/mpi > bench_output.txt
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' . >> bench_output.txt
 	$(GO) run ./cmd/benchreport -in bench_output.txt -out BENCH_sim.json
 

@@ -426,23 +426,19 @@ func together(env Env, comm CommConfig, comp ComputeConfig) (bytesPerSec, secs, 
 	return stats.SummarizeInPlace(bw), stats.SummarizeInPlace(ss), stats.SummarizeInPlace(lat)
 }
 
-// runPingPong runs pp between the two ranks of w to completion: the
-// initiator on rank 0, which first sleeps warm when it is positive,
-// then the responder on rank 1. done, when non-nil, runs in the
-// initiator right after its last iteration. It returns the initiator's
-// half-round-trip latencies in seconds.
+// runPingPong runs pp between the two ranks of w to completion
+// (mpi.PingPong.Start): the initiator on rank 0, which first waits warm
+// when it is positive, then the responder on rank 1. done, when
+// non-nil, runs right after the initiator's last iteration. It returns
+// the initiator's half-round-trip latencies in seconds.
 func runPingPong(c *machine.Cluster, w *mpi.World, pp *mpi.PingPong, warm sim.Duration, done func()) []float64 {
 	var lats []sim.Duration
-	c.K.Spawn("init", func(p *sim.Proc) {
-		if warm > 0 {
-			p.Sleep(warm)
-		}
-		lats = pp.Initiate(p, w.Rank(0), 1)
+	pp.Start(w, warm, func(l []sim.Duration) {
+		lats = l
 		if done != nil {
 			done()
 		}
 	})
-	c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
 	c.K.Run()
 	secs := make([]float64, len(lats))
 	for i, l := range lats {

@@ -126,53 +126,111 @@ func runCrashPingPong(env Env, sched *fault.Schedule) (iters int, detectedUs flo
 	if sched.Crashy() {
 		det = w.StartHeartbeat(mpi.DefaultHeartbeat())
 	}
-	const size, tag, maxIters = 4, 7000, 4000
-	var lats []float64
-	status = "completed"
-	c.K.Spawn("ft-init", func(p *sim.Proc) {
-		r := w.Rank(0)
-		buf := r.Node.Alloc(size, r.Node.Spec.NIC.NUMA)
-		for i := 0; i < maxIters; i++ {
-			start := p.Now()
-			if err := r.SendFT(p, 1, tag, buf, size); err != nil {
-				status = err.Error()
-				break
-			}
-			if err := r.RecvFT(p, 1, tag+1, buf, size); err != nil {
-				status = err.Error()
-				break
-			}
-			iters++
-			lats = append(lats, p.Now().Sub(start).Seconds()/2)
-		}
-		if det != nil {
-			det.Stop()
-		}
-	})
-	var respErr error
-	c.K.Spawn("ft-resp", func(p *sim.Proc) {
-		r := w.Rank(1)
-		buf := r.Node.Alloc(size, r.Node.Spec.NIC.NUMA)
-		for i := 0; i < maxIters && respErr == nil; i++ {
-			if respErr = r.RecvFT(p, 0, tag, buf, size); respErr == nil {
-				respErr = r.SendFT(p, 0, tag+1, buf, size)
-			}
-		}
-		// The initiator now waits on a responder that is gone for good:
-		// stop the detector so the world drains.
-		if respErr != nil && det != nil {
-			det.Stop()
-		}
-	})
+	r0, r1 := w.Rank(0), w.Rank(1)
+	x := &crashPingPong{w: w, det: det, status: "completed",
+		initBuf: r0.Node.Alloc(crashSize, r0.Node.Spec.NIC.NUMA),
+		respBuf: r1.Node.Alloc(crashSize, r1.Node.Spec.NIC.NUMA)}
+	x.initSentFn, x.initRecvdFn = x.initSent, x.initRecvd
+	x.respRecvdFn, x.respSentFn = x.respRecvd, x.respSent
+	c.K.At(c.K.Now(), x.initNext)
+	c.K.At(c.K.Now(), x.respNext)
 	c.K.Run()
-	if status == "completed" && respErr != nil {
-		status = "responder: " + respErr.Error()
+	iters, status = x.iters, x.status
+	if status == "completed" && x.respErr != nil {
+		status = "responder: " + x.respErr.Error()
 	}
 	if det != nil && det.Dead(1) {
 		detectedUs = sim.Duration(det.DeadAt(1)).Seconds() * 1e6
 	}
-	latUs = stats.Summarize(lats).Median * 1e6
+	latUs = stats.Summarize(x.lats).Median * 1e6
 	return iters, detectedUs, latUs, status
+}
+
+// crashPingPong is runCrashPingPong's ping-pong: each rank a chain of
+// fault-tolerant operations (mpi.Rank.StartSend and StartRecv) that
+// stops at its first error. Unlike mpi.PingPong it never marks the
+// communication cores active.
+type crashPingPong struct {
+	w                *mpi.World
+	det              *mpi.Detector
+	initBuf, respBuf *machine.Buffer
+	// iters counts the initiator's completed round trips, t0 is the
+	// start of the current one, and respI the responder's iterations.
+	iters, respI int
+	t0           sim.Time
+	lats         []float64
+	status       string
+	respErr      error
+	// The chains' callbacks, bound once.
+	initSentFn, initRecvdFn func(error)
+	respRecvdFn, respSentFn func(error)
+}
+
+const crashSize, crashTag, crashIters = 4, 7000, 4000
+
+// initNext starts the initiator's next round trip, or stops.
+func (x *crashPingPong) initNext() {
+	r := x.w.Rank(0)
+	if x.iters == crashIters {
+		x.initEnd()
+		return
+	}
+	x.t0 = r.Node.K().Now()
+	r.StartSend(1, crashTag, x.initBuf, crashSize, x.initSentFn)
+}
+
+func (x *crashPingPong) initSent(err error) {
+	if err != nil {
+		x.status = err.Error()
+		x.initEnd()
+		return
+	}
+	x.w.Rank(0).StartRecv(1, crashTag+1, x.initBuf, crashSize, x.initRecvdFn)
+}
+
+func (x *crashPingPong) initRecvd(err error) {
+	if err != nil {
+		x.status = err.Error()
+		x.initEnd()
+		return
+	}
+	x.iters++
+	x.lats = append(x.lats, x.w.Rank(0).Node.K().Now().Sub(x.t0).Seconds()/2)
+	x.initNext()
+}
+
+func (x *crashPingPong) initEnd() {
+	if x.det != nil {
+		x.det.Stop()
+	}
+}
+
+// respNext waits for the next ping, or stops.
+func (x *crashPingPong) respNext() {
+	r := x.w.Rank(1)
+	if x.respI == crashIters || x.respErr != nil {
+		// The initiator now waits on a responder that is gone for good:
+		// stop the detector so the world drains.
+		if x.respErr != nil && x.det != nil {
+			x.det.Stop()
+		}
+		return
+	}
+	r.StartRecv(0, crashTag, x.respBuf, crashSize, x.respRecvdFn)
+}
+
+func (x *crashPingPong) respRecvd(err error) {
+	if x.respErr = err; err == nil {
+		x.w.Rank(1).StartSend(0, crashTag+1, x.respBuf, crashSize, x.respSentFn)
+		return
+	}
+	x.respSent(err)
+}
+
+func (x *crashPingPong) respSent(err error) {
+	x.respErr = err
+	x.respI++
+	x.respNext()
 }
 
 // crashPingPongRun is the outcome of one CrashPingPong scenario.

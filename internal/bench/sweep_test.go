@@ -122,8 +122,7 @@ func TestExecutePointSealsFromEveryWorld(t *testing.T) {
 	pingWorld := func(env Env, i int) {
 		c, w := newWorld(env, 2, env.Seed+int64(i))
 		pp := applyComm(w, LatencyConfig())
-		c.K.Spawn("init", func(p *sim.Proc) { pp.Initiate(p, w.Rank(0), 1) })
-		c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
+		pp.Start(w, 0, nil)
 		c.K.Run()
 		secs[i], faults[i] = sim.Duration(c.K.Now()).Seconds(), clusterFaults(c)
 	}

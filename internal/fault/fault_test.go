@@ -202,16 +202,21 @@ func TestGateBlocksForWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := NewInjector(c, s, 1)
-	var released sim.Time
-	c.K.Spawn("gated", func(p *sim.Proc) {
-		inj.GateComm(p, 0)
-		released = p.Now()
-	})
-	var other sim.Time
-	c.K.Spawn("other-node", func(p *sim.Proc) {
-		inj.GateComm(p, 1)
-		other = p.Now()
-	})
+	// Each gate is a continuation that asks again whenever it runs,
+	// until its node's communication thread is clear.
+	gate := func(node int, released *sim.Time) {
+		var w sim.Cont
+		ask := func() {
+			if inj.WaitComm(&w, node) {
+				*released = c.K.Now()
+			}
+		}
+		w = sim.MakeCont(ask)
+		c.K.At(0, ask)
+	}
+	var released, other sim.Time = -1, -1
+	gate(0, &released)
+	gate(1, &other)
 	c.K.Run()
 	if released != sim.Time(30*sim.Microsecond) {
 		t.Fatalf("gated process released at %v, want 30us", released)

@@ -218,17 +218,19 @@ func (inj *Injector) Crashed(node int) bool {
 }
 
 // WatchCrash registers a signal to be broadcast on every crash/recover
-// transition. A process waiting on a protocol signal that a dead peer
-// will never fire registers it here, wakes on the transition, re-checks
-// liveness, and unregisters via the returned function.
-func (inj *Injector) WatchCrash(s *sim.Signal) (unwatch func()) {
-	inj.watch = append(inj.watch, s)
-	return func() {
-		for i, x := range inj.watch {
-			if x == s {
-				inj.watch = append(inj.watch[:i], inj.watch[i+1:]...)
-				return
-			}
+// transition. A waiter on a protocol signal that a dead peer will never
+// fire registers it here, wakes on the transition, re-checks liveness,
+// and unregisters it with UnwatchCrash.
+func (inj *Injector) WatchCrash(s *sim.Signal) { inj.watch = append(inj.watch, s) }
+
+// UnwatchCrash removes the oldest registration of s by WatchCrash,
+// keeping the order of the others: a transition broadcasts in
+// registration order.
+func (inj *Injector) UnwatchCrash(s *sim.Signal) {
+	for i, x := range inj.watch {
+		if x == s {
+			inj.watch = append(inj.watch[:i], inj.watch[i+1:]...)
+			return
 		}
 	}
 }
@@ -271,26 +273,28 @@ func activeProb(events []Event, t sim.Time) float64 {
 	return 1 - keep
 }
 
-// GateNIC blocks p while node's NIC is stalled (the PIO path and DMA
-// programming freeze; in-flight fluid transfers are not interrupted).
-func (inj *Injector) GateNIC(p *sim.Proc, node int) { inj.gate(p, inj.stalls, node) }
+// WaitNIC reports whether node's NIC is clear of stalls (the PIO path
+// and DMA programming freeze; in-flight fluid transfers are not
+// interrupted). While it is stalled, c runs when the stall ends — at
+// once, when that sleep ends in place (sim.Kernel.SleepCont) — and the
+// caller asks again from c: a stall that ends into another is waited
+// out in turn. A nil injector never stalls.
+func (inj *Injector) WaitNIC(c *sim.Cont, node int) bool {
+	return inj == nil || inj.wait(c, inj.stalls, node)
+}
 
-// GateComm blocks p while node's communication thread is hung.
-func (inj *Injector) GateComm(p *sim.Proc, node int) { inj.gate(p, inj.hangs, node) }
+// WaitComm reports whether node's communication thread is clear of
+// hangs, as WaitNIC does for its NIC.
+func (inj *Injector) WaitComm(c *sim.Cont, node int) bool {
+	return inj == nil || inj.wait(c, inj.hangs, node)
+}
 
-// NICStall reports the instant node's NIC stall ends, and false when
-// its NIC is not stalled now: the step GateNIC repeats, for event code
-// that waits without a process.
-func (inj *Injector) NICStall(node int) (sim.Time, bool) { return inj.until(inj.stalls, node) }
-
-func (inj *Injector) gate(p *sim.Proc, events []Event, node int) {
-	for {
-		until, ok := inj.until(events, node)
-		if !ok {
-			return
-		}
-		p.Sleep(until.Sub(p.Now()))
+func (inj *Injector) wait(c *sim.Cont, events []Event, node int) bool {
+	until, ok := inj.until(events, node)
+	if ok {
+		inj.k.SleepCont(c, until.Sub(inj.k.Now()))
 	}
+	return !ok
 }
 
 // until returns the latest end of the windows of events active on node

@@ -44,9 +44,16 @@ func (n *Node) ExecCycles(p *sim.Proc, core int, cycles float64) {
 		return
 	}
 	n.gateUp(p)
+	p.Sleep(n.StartCycles(core, cycles))
+}
+
+// StartCycles accounts a burn of cycles > 0 on a core, starting now,
+// and returns how long it takes: the sleep ExecCycles takes once the
+// node is up (WaitUp), for code that burns without a process.
+func (n *Node) StartCycles(core int, cycles float64) sim.Duration {
 	d := sim.Duration(float64(n.Freq.Cycles(core, cycles)) * n.CoreSlowdown(core))
 	n.Counters.AddExec(core, cycles, 0, 0, 0)
-	p.Sleep(d)
+	return d
 }
 
 // MemAccesses blocks p for `count` serialized memory accesses from the

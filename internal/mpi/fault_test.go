@@ -30,24 +30,19 @@ func faultWorld(t *testing.T, seed int64, spec string) (*machine.Cluster, *World
 }
 
 func TestLossyEagerRetransmitsAndCompletes(t *testing.T) {
-	c, w := faultWorld(t, 1, "loss:p=0.5")
-	a, b := w.Rank(0), w.Rank(1)
-	buf := a.Node.Alloc(4096, 0)
-	rbuf := b.Node.Alloc(4096, 0)
-	done := false
-	c.K.Spawn("send", func(p *sim.Proc) {
-		for i := 0; i < 20; i++ {
-			a.Send(p, 1, 5, buf, 4096)
+	var a *Rank
+	o := twins(t, func() (*machine.Cluster, *World, []script) {
+		c, w := faultWorld(t, 1, "loss:p=0.5")
+		var b *Rank
+		a, b = w.Rank(0), w.Rank(1)
+		buf := a.Node.Alloc(4096, 0)
+		rbuf := b.Node.Alloc(4096, 0)
+		return c, w, []script{
+			{acts: []act{sendAct(a, 1, 5, buf, 4096)}, times: 20},
+			{acts: []act{recvAct(b, 0, 5, rbuf, 4096)}, times: 20},
 		}
 	})
-	c.K.Spawn("recv", func(p *sim.Proc) {
-		for i := 0; i < 20; i++ {
-			b.Recv(p, 0, 5, rbuf, 4096)
-		}
-		done = true
-	})
-	c.K.Run()
-	if !done {
+	if len(o.scripts[1].ends) != 20 {
 		t.Fatal("receives never completed under 50% loss")
 	}
 	cnt := a.Node.Counters
@@ -58,39 +53,31 @@ func TestLossyEagerRetransmitsAndCompletes(t *testing.T) {
 		t.Fatalf("every completed send's timeouts should equal retries: timeouts=%v retries=%v",
 			cnt.SendTimeouts, cnt.SendRetries)
 	}
-	if got := b.Node.Counters.BytesReceived; got != 20*4096 {
+	if got := o.counters[1].BytesReceived; got != 20*4096 {
 		t.Fatalf("BytesReceived %v, want %v", got, 20*4096)
 	}
 }
 
 func TestLossyRendezvousRecoversHandshake(t *testing.T) {
 	const size = 256 << 10 // > EagerMax: rendezvous
-	c, w := faultWorld(t, 3, "loss:p=0.4;corrupt:p=0.1")
-	a, b := w.Rank(0), w.Rank(1)
-	buf := a.Node.Alloc(size, 0)
-	rbuf := b.Node.Alloc(size, 0)
-	done := false
-	c.K.Spawn("send", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
-			a.Send(p, 1, 9, buf, size)
+	o := twins(t, func() (*machine.Cluster, *World, []script) {
+		c, w := faultWorld(t, 3, "loss:p=0.4;corrupt:p=0.1")
+		a, b := w.Rank(0), w.Rank(1)
+		buf := a.Node.Alloc(size, 0)
+		rbuf := b.Node.Alloc(size, 0)
+		return c, w, []script{
+			{acts: []act{sendAct(a, 1, 9, buf, size)}, times: 10},
+			{acts: []act{recvAct(b, 0, 9, rbuf, size)}, times: 10},
 		}
 	})
-	c.K.Spawn("recv", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
-			b.Recv(p, 0, 9, rbuf, size)
-		}
-		done = true
-	})
-	c.K.Run()
-	if !done {
+	if len(o.scripts[1].ends) != 10 {
 		t.Fatal("rendezvous receives never completed under RTS/CTS loss")
 	}
-	total := a.Node.Counters.MsgsLost + a.Node.Counters.MsgsCorrupted +
-		b.Node.Counters.MsgsLost + b.Node.Counters.MsgsCorrupted
-	if total == 0 {
+	a, b := o.counters[0], o.counters[1]
+	if a.MsgsLost+a.MsgsCorrupted+b.MsgsLost+b.MsgsCorrupted == 0 {
 		t.Fatal("no control-message faults recorded at p=0.5 combined")
 	}
-	if got := b.Node.Counters.BytesReceived; got != 10*size {
+	if got := b.BytesReceived; got != 10*size {
 		t.Fatalf("BytesReceived %v, want %v", got, 10*size)
 	}
 }
@@ -105,6 +92,20 @@ func TestRetryExhaustionFailsTransfer(t *testing.T) {
 		{"rendezvous", 256 << 10, "rendezvous"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			// Without a detector SendFT runs Send's protocol, and returns
+			// the failure Send panics with.
+			o := twins(t, func() (*machine.Cluster, *World, []script) {
+				c, w := faultWorld(t, 1, "loss:p=1")
+				a, b := w.Rank(0), w.Rank(1)
+				return c, w, []script{
+					once(sendFTAct(a, 1, 5, a.Node.Alloc(tc.size, 0), tc.size)),
+					once(recvFTAct(b, 0, 5, b.Node.Alloc(tc.size, 0), tc.size)),
+				}
+			})
+			if msg := o.scripts[0].err; !strings.Contains(msg, "failed after 9 attempts") || !strings.Contains(msg, tc.op) {
+				t.Fatalf("SendFT failed with %q, want %s TransferError after 9 attempts", msg, tc.op)
+			}
+
 			c, w := faultWorld(t, 1, "loss:p=1")
 			a, b := w.Rank(0), w.Rank(1)
 			buf := a.Node.Alloc(tc.size, 0)
@@ -123,18 +124,14 @@ func TestRetryExhaustionFailsTransfer(t *testing.T) {
 	}
 }
 
-// TestLossyPingPongDeterministic runs the same lossy ping-pong twice
-// with one seed and demands identical latencies and counters, and runs
-// a third time with another seed expecting different recovery activity:
-// fault injection is deterministic per seed without being constant.
 func TestLossyPingPongDeterministic(t *testing.T) {
 	run := func(seed int64) ([]sim.Duration, float64) {
-		c, w := faultWorld(t, seed, "loss:p=0.3")
-		pp := &PingPong{Size: 4096, Iters: 20, Warmup: 2}
-		var lats []sim.Duration
-		c.K.Spawn("init", func(p *sim.Proc) { lats = pp.Initiate(p, w.Rank(0), 1) })
-		c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
-		c.K.Run()
+		var w *World
+		lats, _ := runPingPongTwins(t, func() (*machine.Cluster, *World) {
+			c, ww := faultWorld(t, seed, "loss:p=0.3")
+			w = ww
+			return c, ww
+		}, &PingPong{Size: 4096, Iters: 20, Warmup: 2})
 		return lats, w.Rank(0).Node.Counters.SendRetries + w.Rank(1).Node.Counters.SendRetries
 	}
 	lats1, retries1 := run(1)
@@ -163,24 +160,18 @@ func TestLossyPingPongDeterministic(t *testing.T) {
 	}
 }
 
-// TestDegradeSlowsTransfersWithoutLossPath checks that a pure-degrade
-// schedule stretches bandwidth-bound transfers while leaving the MPI
-// layer on its healthy (no-retransmission) code path.
 func TestDegradeSlowsTransfersWithoutLossPath(t *testing.T) {
 	run := func(spec string) (sim.Time, float64) {
-		c, w := faultWorld(t, 1, spec)
-		a, b := w.Rank(0), w.Rank(1)
-		const size = 4 << 20
-		buf := a.Node.Alloc(size, 0)
-		rbuf := b.Node.Alloc(size, 0)
-		var end sim.Time
-		c.K.Spawn("send", func(p *sim.Proc) { a.Send(p, 1, 5, buf, size) })
-		c.K.Spawn("recv", func(p *sim.Proc) {
-			b.Recv(p, 0, 5, rbuf, size)
-			end = p.Now()
+		o := twins(t, func() (*machine.Cluster, *World, []script) {
+			c, w := faultWorld(t, 1, spec)
+			a, b := w.Rank(0), w.Rank(1)
+			const size = 4 << 20
+			return c, w, []script{
+				once(sendAct(a, 1, 5, a.Node.Alloc(size, 0), size)),
+				once(recvAct(b, 0, 5, b.Node.Alloc(size, 0), size)),
+			}
 		})
-		c.K.Run()
-		return end, a.Node.Counters.SendRetries
+		return o.scripts[1].ends[0], o.counters[0].SendRetries
 	}
 	healthy, _ := run("")
 	degraded, retries := run("degrade:factor=0.25")
@@ -192,19 +183,10 @@ func TestDegradeSlowsTransfersWithoutLossPath(t *testing.T) {
 	}
 }
 
-// TestNoOpScheduleMatchesHealthyWorld pins the invariance contract: an
-// installed injector whose events do nothing (degrade factor 1) must
-// reproduce the healthy world's timings exactly, because fault draws
-// come from a dedicated RNG and the MPI layer only switches code paths
-// for lossy schedules.
 func TestNoOpScheduleMatchesHealthyWorld(t *testing.T) {
 	run := func(spec string) []sim.Duration {
-		c, w := faultWorld(t, 1, spec)
-		pp := &PingPong{Size: 64 << 10, Iters: 10, Warmup: 2}
-		var lats []sim.Duration
-		c.K.Spawn("init", func(p *sim.Proc) { lats = pp.Initiate(p, w.Rank(0), 1) })
-		c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
-		c.K.Run()
+		lats, _ := runPingPongTwins(t, func() (*machine.Cluster, *World) { return faultWorld(t, 1, spec) },
+			&PingPong{Size: 64 << 10, Iters: 10, Warmup: 2})
 		return lats
 	}
 	healthy := run("")
@@ -218,20 +200,39 @@ func TestNoOpScheduleMatchesHealthyWorld(t *testing.T) {
 
 func TestCommHangStallsPingPong(t *testing.T) {
 	run := func(spec string) sim.Time {
-		c, w := faultWorld(t, 1, spec)
-		pp := &PingPong{Size: 4096, Iters: 5, Warmup: 0}
-		var end sim.Time
-		c.K.Spawn("init", func(p *sim.Proc) {
-			pp.Initiate(p, w.Rank(0), 1)
-			end = p.Now()
-		})
-		c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
-		c.K.Run()
-		return end
+		_, o := runPingPongTwins(t, func() (*machine.Cluster, *World) { return faultWorld(t, 1, spec) },
+			&PingPong{Size: 4096, Iters: 5, Warmup: 0})
+		ends := o.scripts[0].ends
+		return ends[len(ends)-1]
 	}
 	healthy := run("")
 	hung := run("hang:node=0,at=5us,for=500us")
 	if hung < healthy+sim.Time(400*sim.Microsecond) {
 		t.Fatalf("comm hang barely delayed the ping-pong: %v -> %v", healthy, hung)
+	}
+}
+
+// TestLossyPingPongAllocs bounds the allocations of one iteration of a
+// lossy, crash-free eager ping-pong once the world's pools are warm: a
+// payload's flow and completion signal are recycled on every crash-free
+// world, and the ranks' operations on their ranks. What is left is the iteration's latency slice and
+// the two messages, with their waiter queues, which a lossy world does
+// not recycle: 23 allocations, where the ranks on processes, with
+// payloads recycled on healthy worlds only, made 31.
+func TestLossyPingPongAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	c, w := faultWorld(t, 1, "loss:p=0.2")
+	a, b := w.Rank(0), w.Rank(1)
+	pp := &PingPong{Size: 4096, Iters: 1,
+		InitBuf: a.Node.Alloc(4096, a.Node.Spec.NIC.NUMA), RespBuf: b.Node.Alloc(4096, b.Node.Spec.NIC.NUMA)}
+	iter := func() {
+		pp.Start(w, 0, nil)
+		c.K.Run()
+	}
+	iter() // warm the pools
+	if allocs := testing.AllocsPerRun(200, iter); allocs > 23 {
+		t.Fatalf("%v allocations per lossy ping-pong iteration, want at most 23", allocs)
 	}
 }

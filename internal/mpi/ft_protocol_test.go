@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -30,59 +29,46 @@ func TestFTMatchesPlainOps(t *testing.T) {
 // first operation whose completion instant differs.
 func checkFTMatchesPlain(t *testing.T, armed bool) {
 	const maxSize = 200 << 10
-	run := func(seed int64, spec string, ft bool) ([]sim.Time, float64) {
-		c, w := faultWorld(t, seed, spec)
-		var det *Detector
-		if ft && armed {
-			det = w.StartHeartbeat(DefaultHeartbeat())
-		}
-		rng := rand.New(rand.NewSource(seed))
-		sizes := make([]int64, 16)
-		for i := range sizes {
-			sizes[i] = rng.Int63n(maxSize + 1)
-		}
-		send := func(p *sim.Proc, r *Rank, peer int, buf *machine.Buffer, size int64) {
-			if !ft {
-				r.Send(p, peer, 5, buf, size)
-			} else if err := r.SendFT(p, peer, 5, buf, size); err != nil {
-				t.Errorf("seed %d %q: SendFT: %v", seed, spec, err)
+	run := func(seed int64, spec string, ft bool) ([]outcome, float64) {
+		o := twins(t, func() (*machine.Cluster, *World, []script) {
+			c, w := faultWorld(t, seed, spec)
+			var det *Detector
+			if ft && armed {
+				det = w.StartHeartbeat(DefaultHeartbeat())
 			}
-		}
-		recv := func(p *sim.Proc, r *Rank, peer int, buf *machine.Buffer, size int64) {
-			if !ft {
-				r.Recv(p, peer, 5, buf, size)
-			} else if err := r.RecvFT(p, peer, 5, buf, size); err != nil {
-				t.Errorf("seed %d %q: RecvFT: %v", seed, spec, err)
+			rng := rand.New(rand.NewSource(seed))
+			a, b := w.Rank(0), w.Rank(1)
+			abuf, bbuf := a.Node.Alloc(maxSize, 0), b.Node.Alloc(maxSize, 0)
+			op := func(send bool, r *Rank, peer int, buf *machine.Buffer, size int64) act {
+				switch {
+				case send && ft:
+					return sendFTAct(r, peer, 5, buf, size)
+				case send:
+					return sendAct(r, peer, 5, buf, size)
+				case ft:
+					return recvFTAct(r, peer, 5, buf, size)
+				}
+				return recvAct(r, peer, 5, buf, size)
 			}
-		}
-		var at []sim.Time
-		a, b := w.Rank(0), w.Rank(1)
-		c.K.Spawn("ping", func(p *sim.Proc) {
-			buf := a.Node.Alloc(maxSize, 0)
-			for _, s := range sizes {
-				send(p, a, 1, buf, s)
-				at = append(at, p.Now())
-				recv(p, a, 1, buf, s)
-				at = append(at, p.Now())
+			var ping, pong []act
+			for range 16 {
+				s := rng.Int63n(maxSize + 1)
+				ping = append(ping, op(true, a, 1, abuf, s), op(false, a, 1, abuf, s))
+				pong = append(pong, op(false, b, 0, bbuf, s), op(true, b, 0, bbuf, s))
 			}
-			if det != nil {
-				det.Stop()
+			stop := func() {
+				if det != nil {
+					det.Stop()
+				}
 			}
+			return c, w, []script{{acts: ping, times: 1, finally: stop}, once(pong...)}
 		})
-		c.K.Spawn("pong", func(p *sim.Proc) {
-			buf := b.Node.Alloc(maxSize, 0)
-			for _, s := range sizes {
-				recv(p, b, 0, buf, s)
-				at = append(at, p.Now())
-				send(p, b, 0, buf, s)
-				at = append(at, p.Now())
+		for i, out := range o.scripts {
+			if out.failed >= 0 || len(out.ends) != 32 {
+				t.Fatalf("seed %d %q ft %v: script %d ran %d of 32 operations, failed with %q", seed, spec, ft, i, len(out.ends), out.err)
 			}
-		})
-		c.K.Run()
-		if len(at) != 4*len(sizes) {
-			t.Fatalf("seed %d %q ft %v: %d of %d operations completed", seed, spec, ft, len(at), 4*len(sizes))
 		}
-		return at, a.Node.Counters.SendRetries + b.Node.Counters.SendRetries
+		return o.scripts, o.counters[0].SendRetries + o.counters[1].SendRetries
 	}
 	for _, spec := range []string{"", "loss:p=0.3", "loss:p=0.2;corrupt:p=0.2"} {
 		retries := 0.0
@@ -91,8 +77,10 @@ func checkFTMatchesPlain(t *testing.T, armed bool) {
 			retries += r
 			got, _ := run(seed, spec, true)
 			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d %q: operation %d completed at %v, plain at %v", seed, spec, i, got[i], want[i])
+				for j := range want[i].ends {
+					if got[i].ends[j] != want[i].ends[j] {
+						t.Fatalf("seed %d %q: script %d operation %d completed at %v, plain at %v", seed, spec, i, j, got[i].ends[j], want[i].ends[j])
+					}
 				}
 			}
 		}
@@ -130,42 +118,34 @@ func TestFTLossyCrash(t *testing.T) {
 	for size, outcomes := range want {
 		for i, wantRun := range outcomes {
 			seed := int64(i + 1)
-			c, w := faultWorld(t, seed, "loss:p=0.3;corrupt:p=0.1;crash:node=1,at=3ms")
-			det := w.StartHeartbeat(DefaultHeartbeat())
-			const maxIters = 4000
-			iters, failedIn := 0, ""
-			var err error
-			var failedAt sim.Time
-			c.K.Spawn("init", func(p *sim.Proc) {
-				r := w.Rank(0)
-				buf := r.Node.Alloc(size, 0)
-				for ; iters < maxIters; iters++ {
-					if err = r.SendFT(p, 1, 7, buf, size); err != nil {
-						failedIn = "send"
-						break
-					}
-					if err = r.RecvFT(p, 1, 8, buf, size); err != nil {
-						failedIn = "recv"
-						break
-					}
-				}
-				failedAt = p.Now()
-				det.Stop()
-			})
-			c.K.Spawn("resp", func(p *sim.Proc) {
-				r := w.Rank(1)
-				buf := r.Node.Alloc(size, 0)
-				for r.RecvFT(p, 0, 7, buf, size) == nil && r.SendFT(p, 0, 8, buf, size) == nil {
+			var det *Detector
+			o := twins(t, func() (*machine.Cluster, *World, []script) {
+				c, w := faultWorld(t, seed, "loss:p=0.3;corrupt:p=0.1;crash:node=1,at=3ms")
+				det = w.StartHeartbeat(DefaultHeartbeat())
+				a, b := w.Rank(0), w.Rank(1)
+				abuf, bbuf := a.Node.Alloc(size, 0), b.Node.Alloc(size, 0)
+				return c, w, []script{
+					{acts: []act{sendFTAct(a, 1, 7, abuf, size), recvFTAct(a, 1, 8, abuf, size)}, times: 4000, finally: det.Stop},
+					{acts: []act{recvFTAct(b, 0, 7, bbuf, size), sendFTAct(b, 0, 8, bbuf, size)}, times: -1},
 				}
 			})
-			c.K.Run()
+			init := o.scripts[0]
+			if init.failed < 0 {
+				t.Errorf("size %d seed %d: ping-pong ended without an error, want ErrPeerDead", size, seed)
+				continue
+			}
+			if init.err != ErrPeerDead.Error() {
+				t.Errorf("size %d seed %d: ping-pong ended with %v, want ErrPeerDead", size, seed, init.err)
+			}
+			failedIn := "send"
+			if init.failed%2 == 1 {
+				failedIn = "recv"
+			}
+			iters := init.failed / 2
 			if iters == 0 {
 				t.Errorf("size %d seed %d: no iteration completed before the crash", size, seed)
 			}
-			if !errors.Is(err, ErrPeerDead) {
-				t.Errorf("size %d seed %d: ping-pong ended with %v, want ErrPeerDead", size, seed, err)
-			}
-			got := outcome{iters, c.Nodes[0].Counters.MsgsLost + c.Nodes[1].Counters.MsgsLost, det.DeadAt(1), failedIn, failedAt}
+			got := outcome{iters, o.counters[0].MsgsLost + o.counters[1].MsgsLost, det.DeadAt(1), failedIn, init.ends[init.failed]}
 			if got != wantRun {
 				t.Errorf("size %d seed %d: %+v, want %+v", size, seed, got, wantRun)
 			}
@@ -173,81 +153,58 @@ func TestFTLossyCrash(t *testing.T) {
 	}
 }
 
-// TestFTDeathEndsRetransmission: under total loss, a death declared
-// between retransmission attempts ends the eager and the RTS retry
-// loops with ErrPeerDead at the next attempt, before the retry budget
-// runs out.
 func TestFTDeathEndsRetransmission(t *testing.T) {
 	for _, size := range []int64{4, 256 << 10} {
-		c, w := faultWorld(t, 1, "loss:p=1;crash:node=1,at=100us")
-		det := w.StartHeartbeat(DefaultHeartbeat())
-		var err error
-		var at sim.Time
-		c.K.Spawn("send", func(p *sim.Proc) {
+		var det *Detector
+		o := twins(t, func() (*machine.Cluster, *World, []script) {
+			c, w := faultWorld(t, 1, "loss:p=1;crash:node=1,at=100us")
+			det = w.StartHeartbeat(DefaultHeartbeat())
 			r := w.Rank(0)
-			err = r.SendFT(p, 1, 7, r.Node.Alloc(size, 0), size)
-			at = p.Now()
-			det.Stop()
+			return c, w, []script{{acts: []act{sendFTAct(r, 1, 7, r.Node.Alloc(size, 0), size)}, times: 1, finally: det.Stop}}
 		})
-		c.K.Run()
-		if !errors.Is(err, ErrPeerDead) {
-			t.Errorf("size %d: SendFT returned %v, want ErrPeerDead", size, err)
+		send := o.scripts[0]
+		if send.err != ErrPeerDead.Error() {
+			t.Errorf("size %d: SendFT returned %q, want ErrPeerDead", size, send.err)
 		}
-		if at < det.DeadAt(1) {
+		if at := send.ends[0]; at < det.DeadAt(1) {
 			t.Errorf("size %d: SendFT failed at %v, before the death was declared at %v", size, at, det.DeadAt(1))
 		}
 	}
 }
 
-// TestSendFTCrashMidDMA: a crash that cuts a rendezvous send's RDMA
-// write fails the send at the crash instant, before the detector
-// declares the death.
 func TestSendFTCrashMidDMA(t *testing.T) {
 	const size = 8 << 20
-	c, w := faultWorld(t, 1, "crash:node=1,at=1ms")
-	det := w.StartHeartbeat(DefaultHeartbeat())
-	var err error
-	var at sim.Time
-	c.K.Spawn("send", func(p *sim.Proc) {
-		r := w.Rank(0)
-		buf := r.Node.Alloc(size, 0)
-		for err == nil {
-			err = r.SendFT(p, 1, 7, buf, size)
-		}
-		at = p.Now()
-		det.Stop()
-	})
-	c.K.Spawn("recv", func(p *sim.Proc) {
-		r := w.Rank(1)
-		buf := r.Node.Alloc(size, 0)
-		for r.RecvFT(p, 0, 7, buf, size) == nil {
+	var det *Detector
+	o := twins(t, func() (*machine.Cluster, *World, []script) {
+		c, w := faultWorld(t, 1, "crash:node=1,at=1ms")
+		det = w.StartHeartbeat(DefaultHeartbeat())
+		a, b := w.Rank(0), w.Rank(1)
+		return c, w, []script{
+			{acts: []act{sendFTAct(a, 1, 7, a.Node.Alloc(size, 0), size)}, times: -1, finally: det.Stop},
+			{acts: []act{recvFTAct(b, 0, 7, b.Node.Alloc(size, 0), size)}, times: -1},
 		}
 	})
-	c.K.Run()
-	if !errors.Is(err, ErrPeerDead) {
-		t.Fatalf("SendFT returned %v, want ErrPeerDead", err)
+	send := o.scripts[0]
+	if send.err != ErrPeerDead.Error() {
+		t.Fatalf("SendFT returned %q, want ErrPeerDead", send.err)
 	}
-	if crash := sim.Time(sim.Millisecond); at != crash {
+	if at, crash := send.ends[send.failed], sim.Time(sim.Millisecond); at != crash {
 		t.Fatalf("SendFT failed at %v, want the crash instant %v (death declared at %v)", at, crash, det.DeadAt(1))
 	}
 }
 
-// TestCrashedNodeDropsRTS: an RTS reaching a crashed node is dropped by
-// its NIC, so the rendezvous leaves nothing queued on the dead rank.
 func TestCrashedNodeDropsRTS(t *testing.T) {
 	const size = 256 << 10
-	c, w := faultWorld(t, 1, "crash:node=1,at=100us")
-	det := w.StartHeartbeat(DefaultHeartbeat())
-	var err error
-	c.K.Spawn("send", func(p *sim.Proc) {
-		p.Sleep(200 * sim.Microsecond)
+	var w *World
+	o := twins(t, func() (*machine.Cluster, *World, []script) {
+		var c *machine.Cluster
+		c, w = faultWorld(t, 1, "crash:node=1,at=100us")
+		det := w.StartHeartbeat(DefaultHeartbeat())
 		r := w.Rank(0)
-		err = r.SendFT(p, 1, 7, r.Node.Alloc(size, 0), size)
-		det.Stop()
+		return c, w, []script{{acts: []act{sleepAct(200 * sim.Microsecond), sendFTAct(r, 1, 7, r.Node.Alloc(size, 0), size)}, times: 1, finally: det.Stop}}
 	})
-	c.K.Run()
-	if !errors.Is(err, ErrPeerDead) {
-		t.Fatalf("SendFT returned %v, want ErrPeerDead", err)
+	if err := o.scripts[0].err; err != ErrPeerDead.Error() {
+		t.Fatalf("SendFT returned %q, want ErrPeerDead", err)
 	}
 	if q := w.Rank(1).unexp[matchKey{0, 7}]; len(q) != 0 {
 		t.Fatalf("%d RTS queued on the crashed rank", len(q))

@@ -180,20 +180,25 @@ func (d *Detector) OnDeath(fn func(rank int)) {
 }
 
 // Watch registers a signal to be broadcast on every death declaration,
-// so a process blocked on a protocol signal a dead peer will never fire
-// wakes up and re-checks Dead. Unregister with the returned function.
-// On a nil detector it registers nothing.
-func (d *Detector) Watch(s *sim.Signal) (unwatch func()) {
-	if d == nil {
-		return func() {}
+// so an operation blocked on a protocol signal a dead peer will never
+// fire wakes up and re-checks Dead. Unregister it with Unwatch. On a
+// nil detector it registers nothing.
+func (d *Detector) Watch(s *sim.Signal) {
+	if d != nil {
+		d.watch = append(d.watch, s)
 	}
-	d.watch = append(d.watch, s)
-	return func() {
-		for i, x := range d.watch {
-			if x == s {
-				d.watch = append(d.watch[:i], d.watch[i+1:]...)
-				return
-			}
+}
+
+// Unwatch removes the oldest registration of s by Watch, keeping the
+// order of the others: a declaration broadcasts in registration order.
+func (d *Detector) Unwatch(s *sim.Signal) {
+	if d == nil {
+		return
+	}
+	for i, x := range d.watch {
+		if x == s {
+			d.watch = append(d.watch[:i], d.watch[i+1:]...)
+			return
 		}
 	}
 }

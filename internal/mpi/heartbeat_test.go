@@ -1,22 +1,21 @@
 package mpi
 
 import (
-	"errors"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/sim"
 )
 
 func TestHeartbeatDetectsCrashDeterministically(t *testing.T) {
 	deadAt := make([]sim.Time, 2)
 	for trial := 0; trial < 2; trial++ {
-		cl, w := faultWorld(t, 7, "crash:node=1,at=1ms")
-		det := w.StartHeartbeat(DefaultHeartbeat())
-		cl.K.Spawn("stop", func(p *sim.Proc) {
-			p.Sleep(5 * sim.Millisecond)
-			det.Stop()
+		var det *Detector
+		twins(t, func() (*machine.Cluster, *World, []script) {
+			c, w := faultWorld(t, 7, "crash:node=1,at=1ms")
+			det = w.StartHeartbeat(DefaultHeartbeat())
+			return c, w, []script{once(sleepAct(5*sim.Millisecond), callAct(det.Stop))}
 		})
-		cl.K.Run()
 		if !det.Dead(1) {
 			t.Fatal("crash never detected")
 		}
@@ -45,20 +44,19 @@ func TestHeartbeatDetectsCrashDeterministically(t *testing.T) {
 }
 
 func TestHeartbeatHealthyWorldSeesNoDeaths(t *testing.T) {
-	cl, w := faultWorld(t, 1, "")
-	det := w.StartHeartbeat(DefaultHeartbeat())
-	cl.K.Spawn("stop", func(p *sim.Proc) {
-		p.Sleep(3 * sim.Millisecond)
-		det.Stop()
+	var det *Detector
+	o := twins(t, func() (*machine.Cluster, *World, []script) {
+		c, w := faultWorld(t, 1, "")
+		det = w.StartHeartbeat(DefaultHeartbeat())
+		return c, w, []script{once(sleepAct(3*sim.Millisecond), callAct(det.Stop))}
 	})
-	cl.K.Run()
 	if got := det.AliveRanks(); len(got) != 2 {
 		t.Fatalf("AliveRanks in a healthy world: %v", got)
 	}
 	if det.DeadAt(0) != -1 || det.DeadAt(1) != -1 {
 		t.Fatal("DeadAt of a live rank must be -1")
 	}
-	if cl.Nodes[0].Counters.PeerDeaths != 0 {
+	if o.counters[0].PeerDeaths != 0 {
 		t.Fatal("PeerDeaths counted in a healthy world")
 	}
 }
@@ -75,39 +73,25 @@ func TestStartHeartbeatIdempotent(t *testing.T) {
 }
 
 func TestSendFTSurfacesPeerDeath(t *testing.T) {
-	cl, w := faultWorld(t, 2, "crash:node=1,at=500us")
-	det := w.StartHeartbeat(DefaultHeartbeat())
-	a := w.Rank(0)
-	buf := a.Node.Alloc(4, a.Node.Spec.NIC.NUMA)
-	var got error
-	sends := 0
-	cl.K.Spawn("send", func(p *sim.Proc) {
-		for i := 0; i < 100000; i++ {
-			if err := a.SendFT(p, 1, 9, buf, 4); err != nil {
-				got = err
-				break
-			}
-			sends++
-		}
-		det.Stop()
-	})
-	cl.K.Spawn("recv", func(p *sim.Proc) {
-		b := w.Rank(1)
+	o := twins(t, func() (*machine.Cluster, *World, []script) {
+		c, w := faultWorld(t, 2, "crash:node=1,at=500us")
+		det := w.StartHeartbeat(DefaultHeartbeat())
+		a, b := w.Rank(0), w.Rank(1)
+		buf := a.Node.Alloc(4, a.Node.Spec.NIC.NUMA)
 		rbuf := b.Node.Alloc(4, b.Node.Spec.NIC.NUMA)
-		for {
-			if b.RecvFT(p, 0, 9, rbuf, 4) != nil {
-				return
-			}
+		return c, w, []script{
+			{acts: []act{sendFTAct(a, 1, 9, buf, 4)}, times: 100000, finally: det.Stop},
+			{acts: []act{recvFTAct(b, 0, 9, rbuf, 4)}, times: -1},
 		}
 	})
-	cl.K.Run()
-	if !errors.Is(got, ErrPeerDead) {
-		t.Fatalf("SendFT to a crashed peer returned %v, want ErrPeerDead", got)
+	send := o.scripts[0]
+	if send.err != ErrPeerDead.Error() {
+		t.Fatalf("SendFT to a crashed peer returned %q, want ErrPeerDead", send.err)
 	}
-	if sends == 0 {
+	if send.failed == 0 {
 		t.Fatal("no sends completed before the crash")
 	}
-	if cl.Nodes[0].Counters.PeerDeaths == 0 {
+	if o.counters[0].PeerDeaths == 0 {
 		t.Fatal("survivor did not count the peer death")
 	}
 }
@@ -115,19 +99,17 @@ func TestSendFTSurfacesPeerDeath(t *testing.T) {
 func TestRecvFTSurfacesPeerDeath(t *testing.T) {
 	// Large messages force the rendezvous path: the receiver posts, the
 	// sender dies before the transfer, RecvFT must not hang.
-	cl, w := faultWorld(t, 3, "crash:node=1,at=200us")
-	det := w.StartHeartbeat(DefaultHeartbeat())
-	a := w.Rank(0)
-	buf := a.Node.Alloc(256<<10, a.Node.Spec.NIC.NUMA)
-	var got error
-	cl.K.Spawn("recv", func(p *sim.Proc) {
-		p.Sleep(300 * sim.Microsecond) // post after the crash, before detection
-		got = a.RecvFT(p, 1, 11, buf, 256<<10)
-		det.Stop()
+	var a *Rank
+	o := twins(t, func() (*machine.Cluster, *World, []script) {
+		c, w := faultWorld(t, 3, "crash:node=1,at=200us")
+		det := w.StartHeartbeat(DefaultHeartbeat())
+		a = w.Rank(0)
+		buf := a.Node.Alloc(256<<10, a.Node.Spec.NIC.NUMA)
+		// Post after the crash, before detection.
+		return c, w, []script{{acts: []act{sleepAct(300 * sim.Microsecond), recvFTAct(a, 1, 11, buf, 256<<10)}, times: 1, finally: det.Stop}}
 	})
-	cl.K.Run()
-	if !errors.Is(got, ErrPeerDead) {
-		t.Fatalf("RecvFT from a crashed peer returned %v, want ErrPeerDead", got)
+	if err := o.scripts[0].err; err != ErrPeerDead.Error() {
+		t.Fatalf("RecvFT from a crashed peer returned %q, want ErrPeerDead", err)
 	}
 	// The death woke the posted receive, which must be withdrawn: a
 	// message arriving later would otherwise be handed to a slot nobody

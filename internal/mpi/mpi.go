@@ -42,6 +42,9 @@ type World struct {
 	// injector or a detector never pool: retransmission timers and
 	// detector watchers can hold a message past its normal release point.
 	freeMsgs []*message
+	// pingPong is the state of the world's last PingPong.Start, reused
+	// by the next one.
+	pingPong *pingPong
 }
 
 // NewWorld creates one rank per node of the cluster. Each rank's
@@ -142,6 +145,7 @@ type message struct {
 	payloadFn func()     // eagerPayload
 	landedFn  func(bool) // eagerLanded
 	rtsFn     func()     // rtsArrive
+	rtsFTFn   func()     // rtsGuarded
 	ctsFn     func()     // ctsArrive
 }
 
@@ -178,6 +182,15 @@ func (m *message) eagerLanded(landed bool) {
 
 // rtsArrive delivers a rendezvous RTS.
 func (m *message) rtsArrive() { m.peer.deliverRTS(m) }
+
+// rtsGuarded delivers a rendezvous RTS of a send that watches a failure
+// detector, unless the receiver's node has crashed: a crashed node's
+// NIC drops incoming control messages.
+func (m *message) rtsGuarded() {
+	if inj := m.peer.world.inj; inj == nil || !inj.Crashed(m.peer.Node.ID) {
+		m.rtsArrive()
+	}
+}
 
 // ctsArrive completes the receiver's CTS control message.
 func (m *message) ctsArrive() { m.ctsOK = true; m.cts.Broadcast() }
@@ -228,6 +241,7 @@ func (w *World) getMsg() *message {
 	m.payloadFn = m.eagerPayload
 	m.landedFn = m.eagerLanded
 	m.rtsFn = m.rtsArrive
+	m.rtsFTFn = m.rtsGuarded
 	m.ctsFn = m.ctsArrive
 	return m
 }
@@ -263,6 +277,8 @@ type Rank struct {
 	// blocks, the detector's watch list, so recycling is safe on every
 	// world.
 	freePRs []*pendingRecv
+	// freeOps recycles the rank's operation state machines (see op).
+	freeOps []*op
 }
 
 // getPR returns an empty posted-receive slot, recycled when possible.
@@ -327,65 +343,6 @@ func (r *Rank) deliverRTS(m *message) {
 	r.deliver(m)
 }
 
-// match returns the oldest unexpected message for key, or registers a
-// pending receive and blocks p until one arrives. It returns nil once
-// det declares the source dead with nothing matched: the death
-// declaration wakes the posted receive, which is withdrawn so that a
-// message arriving later is queued as unexpected.
-func (r *Rank) match(p *sim.Proc, key matchKey, det *Detector) *message {
-	for {
-		if q := r.unexp[key]; len(q) > 0 {
-			m := q[0]
-			copy(q, q[1:])
-			q[len(q)-1] = nil
-			r.unexp[key] = q[:len(q)-1]
-			return m
-		}
-		if det.Dead(key.src) {
-			return nil
-		}
-		pr := r.getPR()
-		r.pending[key] = append(r.pending[key], pr)
-		unwatch := det.Watch(pr.sig)
-		pr.sig.Wait(p)
-		unwatch()
-		m := pr.msg
-		r.putPR(pr)
-		if m != nil {
-			return m
-		}
-		q := r.pending[key]
-		for i, x := range q {
-			if x == pr {
-				r.pending[key] = append(q[:i], q[i+1:]...)
-				break
-			}
-		}
-	}
-}
-
-// await blocks p on sig until *done is set, or returns ErrPeerDead once
-// det declares peer dead first. A nil det never declares a death.
-func await(p *sim.Proc, det *Detector, peer int, sig *sim.Signal, done *bool) error {
-	unwatch := det.Watch(sig)
-	defer unwatch()
-	for !*done {
-		if det.Dead(peer) {
-			return ErrPeerDead
-		}
-		sig.Wait(p)
-	}
-	return nil
-}
-
-// gateComm blocks p while a comm-thread hang fault is active on this
-// rank's node.
-func (r *Rank) gateComm(p *sim.Proc) {
-	if inj := r.world.inj; inj != nil {
-		inj.GateComm(p, r.Node.ID)
-	}
-}
-
 // ErrPeerDead reports that the failure detector declared the peer rank
 // dead before the operation could complete.
 var ErrPeerDead = errors.New("mpi: peer rank is dead")
@@ -397,7 +354,7 @@ var ErrPeerDead = errors.New("mpi: peer rank is dead")
 // panics with a *fault.TransferError when a lossy schedule exhausts the
 // retry budget.
 func (r *Rank) Send(p *sim.Proc, dst, tag int, buf *machine.Buffer, size int64) {
-	if err := r.send(p, dst, tag, buf, size, nil); err != nil {
+	if err := r.newOp(true, dst, tag, buf, size, nil).run(p); err != nil {
 		panic(err)
 	}
 }
@@ -407,156 +364,23 @@ func (r *Rank) Send(p *sim.Proc, dst, tag int, buf *machine.Buffer, size int64) 
 // operation), and returns retry exhaustion as a *fault.TransferError
 // instead of panicking. Without a detector no death is ever declared.
 func (r *Rank) SendFT(p *sim.Proc, dst, tag int, buf *machine.Buffer, size int64) error {
-	return r.send(p, dst, tag, buf, size, r.world.det)
+	return r.newOp(true, dst, tag, buf, size, r.world.det).run(p)
 }
 
-// send is the one send protocol behind Send and SendFT. Every wait on
-// the peer watches det; a nil det never declares a death.
-func (r *Rank) send(p *sim.Proc, dst, tag int, buf *machine.Buffer, size int64, det *Detector) error {
-	if size < 0 || (buf != nil && size > buf.Size) {
-		panic(fmt.Sprintf("mpi: send size %d out of buffer bounds", size))
-	}
-	if det.Dead(dst) {
-		return ErrPeerDead
-	}
-	r.gateComm(p)
-	start := p.Now()
-	peer := r.world.Rank(dst)
-	k := r.world.cluster.K
-	nw := r.world.nw
-	node := r.Node
-	inj := r.world.inj
-	lossy := inj != nil && inj.Lossy()
-
-	bufNUMA := node.Spec.NIC.NUMA
-	if buf != nil {
-		bufNUMA = buf.NUMA
-	}
-	nw.SendOverhead(p, node, r.CommCore, bufNUMA)
-
-	if size <= r.eagerMax() {
-		// Eager: stage the payload into pre-registered NIC-NUMA buffers
-		// while the NIC already streams it out (staging and injection
-		// pipeline packet by packet); the send completes locally once
-		// the staging copy is done. The payload lands in the receiver's
-		// internal buffers. Under a lossy schedule each transmission
-		// attempt can be dropped or corrupted; losses are detected by
-		// retransmission timeout, corruptions by the receiver's checksum
-		// after the wasted transfer.
-		for attempt := 0; lossy; attempt++ {
-			if det.Dead(dst) {
-				return ErrPeerDead
-			}
-			tx := inj.Tx()
-			if tx == fault.TxOK {
-				break
-			}
-			if tx == fault.TxCorrupt {
-				node.Counters.MsgsCorrupted++
-				// The doomed payload still crosses the wire before the
-				// receiver discards it.
-				if size > 0 {
-					nw.Memcpy(p, node, r.CommCore, bufNUMA, node.Spec.NIC.NUMA, size)
-					nw.TransferEager(p, node, peer.Node, size)
-				}
-			} else {
-				node.Counters.MsgsLost++
-			}
-			node.Counters.SendTimeouts++
-			if attempt >= inj.Policy().MaxRetries {
-				return &fault.TransferError{Op: "eager", Src: node.ID, Dst: peer.Node.ID, Attempts: attempt + 1}
-			}
-			node.Counters.SendRetries++
-			p.Sleep(inj.Backoff(attempt))
-		}
-		// An eager send to a dead (not yet declared) peer completes
-		// locally like real MPI: the payload is dropped on the crashed
-		// node's NIC and the error surfaces on a later operation.
-		r.injectEager(p, peer, tag, size, bufNUMA)
-		r.accountSend(size, p.Now().Sub(start))
-		return nil
-	}
-
-	// Rendezvous: register the buffer (pin-down cache), send RTS, wait
-	// for CTS, then RDMA straight from the user buffer.
-	r.register(p, buf)
-	m := r.world.getMsg()
-	m.src, m.tag, m.size = r.ID, tag, size
-	m.srcRank, m.peer = r, peer
-	rts := m.rtsFn
-	if det != nil {
-		// A crashed node's NIC drops incoming control messages.
-		rts = func() {
-			if inj == nil || !inj.Crashed(peer.Node.ID) {
-				m.rtsArrive()
-			}
-		}
-	}
-	if lossy {
-		// RTS/CTS recovery: retransmit the RTS with exponential backoff
-		// until the CTS arrives. The receiver dedups duplicate RTS (see
-		// deliverRTS) and re-sends a lost CTS when a duplicate shows the
-		// handshake stalled on its side.
-		for attempt := 0; ; attempt++ {
-			if det.Dead(dst) {
-				return ErrPeerDead
-			}
-			switch inj.Tx() {
-			case fault.TxOK:
-				k.After(node.Jitter(nw.WireLatency(), node.Spec.NIC.NoiseFrac), rts)
-			case fault.TxCorrupt:
-				node.Counters.MsgsCorrupted++
-			default: // TxLost
-				node.Counters.MsgsLost++
-			}
-			if m.cts.WaitTimeout(p, inj.Backoff(attempt)) && m.ctsOK {
-				break
-			}
-			node.Counters.SendTimeouts++
-			if attempt >= inj.Policy().MaxRetries {
-				return &fault.TransferError{Op: "rendezvous", Src: node.ID, Dst: peer.Node.ID, Attempts: attempt + 1}
-			}
-			node.Counters.SendRetries++
-		}
-	} else {
-		k.After(node.Jitter(nw.WireLatency(), node.Spec.NIC.NoiseFrac), rts)
-		if err := await(p, det, dst, m.cts, &m.ctsOK); err != nil {
-			return err
-		}
-	}
-	// Process the CTS before programming the RDMA engine.
-	node.ExecCycles(p, r.CommCore, node.Spec.NIC.RecvCycles/2)
-	if !nw.TransferDMA(p, node, buf, peer.Node, m.rbuf, size) && det != nil {
-		// A node crash cut the RDMA write; the detector will declare the
-		// death shortly, so report it now.
-		return ErrPeerDead
-	}
-	m.dmaOK = true
-	m.dmaDone.Broadcast()
-	r.accountSend(size, p.Now().Sub(start))
-	return nil
-}
-
-// injectEager performs one successful eager transmission: schedule the
-// wire delivery and pay the staging copy.
-func (r *Rank) injectEager(p *sim.Proc, peer *Rank, tag int, size int64, dataNUMA int) {
-	node := r.Node
-	nw := r.world.nw
-	k := r.world.cluster.K
-	m := r.world.getMsg()
-	m.src, m.tag, m.size = r.ID, tag, size
-	m.eager = true
-	m.srcRank = r
-	m.peer = peer
-	lat := node.Jitter(nw.WireLatency(), node.Spec.NIC.NoiseFrac)
-	k.After(lat, m.deliverFn)
-	nw.Memcpy(p, node, r.CommCore, dataNUMA, node.Spec.NIC.NUMA, size)
+// StartSend runs SendFT's protocol without a process: it starts the
+// send from event context (or from a process, which it does not block)
+// and calls then with SendFT's outcome once the send has completed
+// locally — in event context, in the event slot where a process
+// blocked in SendFT would resume, or at once when it completes within
+// the call. then may start the rank's next operation.
+func (r *Rank) StartSend(dst, tag int, buf *machine.Buffer, size int64, then func(error)) {
+	r.newOp(true, dst, tag, buf, size, r.world.det).start(then)
 }
 
 // Recv receives a message from rank src with the given tag into buf,
 // blocking p until the payload is fully in place.
 func (r *Rank) Recv(p *sim.Proc, src, tag int, buf *machine.Buffer, size int64) {
-	if err := r.recv(p, src, tag, buf, size, nil); err != nil {
+	if err := r.newOp(false, src, tag, buf, size, nil).run(p); err != nil {
 		panic(err)
 	}
 }
@@ -566,75 +390,14 @@ func (r *Rank) Recv(p *sim.Proc, src, tag int, buf *machine.Buffer, size int64) 
 // arrives or while the payload is still in flight. Without a detector
 // no death is ever declared.
 func (r *Rank) RecvFT(p *sim.Proc, src, tag int, buf *machine.Buffer, size int64) error {
-	return r.recv(p, src, tag, buf, size, r.world.det)
+	return r.newOp(false, src, tag, buf, size, r.world.det).run(p)
 }
 
-// recv is the one receive protocol behind Recv and RecvFT: match, then
-// drain the eager payload into the user buffer, or answer the
-// rendezvous RTS with a CTS and wait for the RDMA write to land. Every
-// wait on the sender watches det; a nil det never declares a death.
-func (r *Rank) recv(p *sim.Proc, src, tag int, buf *machine.Buffer, size int64, det *Detector) error {
-	if size < 0 || (buf != nil && size > buf.Size) {
-		panic(fmt.Sprintf("mpi: recv size %d out of buffer bounds", size))
-	}
-	r.gateComm(p)
-	m := r.match(p, matchKey{src, tag}, det)
-	if m == nil {
-		return ErrPeerDead
-	}
-	if m.size > size {
-		panic(fmt.Sprintf("mpi: message of %d bytes into %d-byte receive", m.size, size))
-	}
-	nw := r.world.nw
-	node := r.Node
-	bufNUMA := node.Spec.NIC.NUMA
-	if buf != nil {
-		bufNUMA = buf.NUMA
-	}
-	if m.eager {
-		if err := await(p, det, src, m.arrivedSig, &m.arrived); err != nil {
-			return err
-		}
-		nw.RecvOverhead(p, node, r.CommCore, bufNUMA)
-		// Deliver from the internal NIC-NUMA buffers to the user buffer.
-		nw.Memcpy(p, node, r.CommCore, node.Spec.NIC.NUMA, bufNUMA, m.size)
-	} else {
-		// Rendezvous: process the RTS, prepare (register) the landing
-		// buffer, return CTS, wait for the RDMA write to land, complete.
-		// The control messages cost real software time at both ends —
-		// part of why MPI libraries only switch to rendezvous past a
-		// threshold.
-		node.ExecCycles(p, r.CommCore, (node.Spec.NIC.RecvCycles+node.Spec.NIC.SendCycles)/2)
-		r.register(p, buf)
-		m.rbuf = buf
-		m.answered = true
-		m.sendCTS()
-		if err := await(p, det, src, m.dmaDone, &m.dmaOK); err != nil {
-			return err
-		}
-		nw.RecvOverhead(p, node, r.CommCore, bufNUMA)
-	}
-	node.Counters.BytesReceived += float64(m.size)
-	if r.world.inj == nil && det == nil {
-		// The receiver is the last toucher: the eager payload's transfer
-		// ended with the arrivedSig broadcast that released the wait
-		// above, and the sender's last touch is the dmaDone broadcast
-		// that released the other.
-		r.world.putMsg(m)
-	}
-	return nil
-}
-
-// register pays the memory-registration cost for a rendezvous buffer
-// unless the pin-down cache already holds it (recycled ping-pong
-// buffers register once, per Tezuka et al. [20]).
-func (r *Rank) register(p *sim.Proc, buf *machine.Buffer) {
-	if buf == nil || buf.Registered {
-		return
-	}
-	cycles := r.Node.Spec.NIC.RegisterCyclesPerKB * float64(buf.Size) / 1024
-	r.Node.ExecCycles(p, r.CommCore, cycles)
-	buf.Registered = true
+// StartRecv runs RecvFT's protocol without a process, as StartSend
+// does for SendFT: then gets RecvFT's outcome once the payload is in
+// place.
+func (r *Rank) StartRecv(src, tag int, buf *machine.Buffer, size int64, then func(error)) {
+	r.newOp(false, src, tag, buf, size, r.world.det).start(then)
 }
 
 // accountSend feeds the §6 sending-bandwidth profiling counters.

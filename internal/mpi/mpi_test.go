@@ -37,70 +37,64 @@ func TestWorldShapeAndDefaults(t *testing.T) {
 }
 
 func TestEagerSendRecv(t *testing.T) {
-	c, w := testWorld(t)
-	a, b := w.Rank(0), w.Rank(1)
-	bufA := a.Node.Alloc(4096, 0)
-	bufB := b.Node.Alloc(4096, 0)
-	var recvAt sim.Time
-	c.K.Spawn("send", func(p *sim.Proc) { a.Send(p, 1, 5, bufA, 4096) })
-	c.K.Spawn("recv", func(p *sim.Proc) {
-		b.Recv(p, 0, 5, bufB, 4096)
-		recvAt = p.Now()
+	var c *machine.Cluster
+	o := twins(t, func() (*machine.Cluster, *World, []script) {
+		cl, w := testWorld(t)
+		c = cl
+		a, b := w.Rank(0), w.Rank(1)
+		bufA := a.Node.Alloc(4096, 0)
+		bufB := b.Node.Alloc(4096, 0)
+		return cl, w, []script{once(sendAct(a, 1, 5, bufA, 4096)), once(recvAct(b, 0, 5, bufB, 4096))}
 	})
-	c.K.Run()
-	if recvAt == 0 {
-		t.Fatal("receive never completed")
-	}
+	recvAt := o.scripts[1].ends[0]
 	// Sanity: a 4 KB eager message completes in microseconds.
 	if recvAt > sim.Time(50*sim.Microsecond) {
 		t.Fatalf("eager recv at %v, way too slow", recvAt)
 	}
-	if got := b.Node.Counters.BytesReceived; got != 4096 {
+	if got := c.Nodes[1].Counters.BytesReceived; got != 4096 {
 		t.Fatalf("BytesReceived %v", got)
 	}
-	if got := a.Node.Counters.BytesSent; got != 4096 {
+	if got := c.Nodes[0].Counters.BytesSent; got != 4096 {
 		t.Fatalf("BytesSent %v", got)
 	}
 }
 
 func TestRecvBeforeSendMatches(t *testing.T) {
-	c, w := testWorld(t)
-	a, b := w.Rank(0), w.Rank(1)
-	done := false
-	c.K.Spawn("recv", func(p *sim.Proc) {
-		b.Recv(p, 0, 9, nil, 0)
-		done = true
+	o := twins(t, func() (*machine.Cluster, *World, []script) {
+		c, w := testWorld(t)
+		a, b := w.Rank(0), w.Rank(1)
+		return c, w, []script{
+			once(recvAct(b, 0, 9, nil, 0)),
+			once(sleepAct(10*sim.Microsecond), sendAct(a, 1, 9, nil, 0)),
+		}
 	})
-	c.K.Spawn("send", func(p *sim.Proc) {
-		p.Sleep(sim.Duration(10 * sim.Microsecond))
-		a.Send(p, 1, 9, nil, 0)
-	})
-	c.K.Run()
-	if !done {
+	if len(o.scripts[0].ends) != 1 {
 		t.Fatal("posted receive never matched")
 	}
 }
 
 func TestUnexpectedMessageQueueFIFO(t *testing.T) {
-	c, w := testWorld(t)
-	a, b := w.Rank(0), w.Rank(1)
 	sizes := []int64{100, 200, 300}
-	c.K.Spawn("send", func(p *sim.Proc) {
-		for _, s := range sizes {
-			a.Send(p, 1, 3, a.Node.Alloc(s, 0), s)
-		}
-	})
 	var got []int64
-	c.K.Spawn("recv", func(p *sim.Proc) {
-		p.Sleep(sim.Duration(100 * sim.Microsecond)) // all three unexpected
-		buf := b.Node.Alloc(1000, 0)
-		for range sizes {
-			before := b.Node.Counters.BytesReceived
-			b.Recv(p, 0, 3, buf, 1000)
-			got = append(got, int64(b.Node.Counters.BytesReceived-before))
+	twins(t, func() (*machine.Cluster, *World, []script) {
+		c, w := testWorld(t)
+		a, b := w.Rank(0), w.Rank(1)
+		var send []act
+		for _, s := range sizes {
+			send = append(send, sendAct(a, 1, 3, a.Node.Alloc(s, 0), s))
 		}
+		recv := []act{sleepAct(100 * sim.Microsecond)} // all three unexpected
+		buf := b.Node.Alloc(1000, 0)
+		got = got[:0]
+		var before float64
+		for range sizes {
+			recv = append(recv,
+				callAct(func() { before = b.Node.Counters.BytesReceived }),
+				recvAct(b, 0, 3, buf, 1000),
+				callAct(func() { got = append(got, int64(b.Node.Counters.BytesReceived-before)) }))
+		}
+		return c, w, []script{once(send...), once(recv...)}
 	})
-	c.K.Run()
 	for i, s := range sizes {
 		if got[i] != s {
 			t.Fatalf("unexpected queue order %v, want %v", got, sizes)
@@ -109,49 +103,38 @@ func TestUnexpectedMessageQueueFIFO(t *testing.T) {
 }
 
 func TestTagsDoNotCrossMatch(t *testing.T) {
-	c, w := testWorld(t)
-	a, b := w.Rank(0), w.Rank(1)
 	var order []int
-	c.K.Spawn("send", func(p *sim.Proc) {
-		a.Send(p, 1, 1, nil, 0)
-		a.Send(p, 1, 2, nil, 0)
+	twins(t, func() (*machine.Cluster, *World, []script) {
+		c, w := testWorld(t)
+		a, b := w.Rank(0), w.Rank(1)
+		order = order[:0]
+		return c, w, []script{
+			once(sendAct(a, 1, 1, nil, 0), sendAct(a, 1, 2, nil, 0)),
+			once(sleepAct(50*sim.Microsecond),
+				recvAct(b, 0, 2, nil, 0), callAct(func() { order = append(order, 2) }),
+				recvAct(b, 0, 1, nil, 0), callAct(func() { order = append(order, 1) })),
+		}
 	})
-	c.K.Spawn("recv", func(p *sim.Proc) {
-		p.Sleep(sim.Duration(50 * sim.Microsecond))
-		b.Recv(p, 0, 2, nil, 0)
-		order = append(order, 2)
-		b.Recv(p, 0, 1, nil, 0)
-		order = append(order, 1)
-	})
-	c.K.Run()
 	if len(order) != 2 || order[0] != 2 {
 		t.Fatalf("tag matching broken: %v", order)
 	}
 }
 
 func TestRendezvousLargeMessage(t *testing.T) {
-	c, w := testWorld(t)
-	a, b := w.Rank(0), w.Rank(1)
 	const size = 64 << 20
-	bufA := a.Node.Alloc(size, 0)
-	bufB := b.Node.Alloc(size, 0)
-	// Warm registration cache: the timing assertion targets the steady
-	// state (recycled buffers, as in the paper's ping-pongs).
-	bufA.Registered = true
-	bufB.Registered = true
-	var sendDone, recvDone sim.Time
-	c.K.Spawn("send", func(p *sim.Proc) {
-		a.Send(p, 1, 1, bufA, size)
-		sendDone = p.Now()
+	var bufA, bufB *machine.Buffer
+	o := twins(t, func() (*machine.Cluster, *World, []script) {
+		c, w := testWorld(t)
+		a, b := w.Rank(0), w.Rank(1)
+		bufA = a.Node.Alloc(size, 0)
+		bufB = b.Node.Alloc(size, 0)
+		// Warm registration cache: the timing assertion targets the
+		// steady state (recycled buffers, as in the paper's ping-pongs).
+		bufA.Registered = true
+		bufB.Registered = true
+		return c, w, []script{once(sendAct(a, 1, 1, bufA, size)), once(recvAct(b, 0, 1, bufB, size))}
 	})
-	c.K.Spawn("recv", func(p *sim.Proc) {
-		b.Recv(p, 0, 1, bufB, size)
-		recvDone = p.Now()
-	})
-	c.K.Run()
-	if sendDone == 0 || recvDone == 0 {
-		t.Fatal("rendezvous did not complete")
-	}
+	recvDone := o.scripts[1].ends[0]
 	// 64 MB at 10.9 GB/s ≈ 6.16 ms; allow overheads.
 	wire := float64(size) / 10.9e9
 	if math.Abs(recvDone.Sub(0).Seconds()-wire) > 0.3e-3 {
@@ -163,25 +146,19 @@ func TestRendezvousLargeMessage(t *testing.T) {
 }
 
 func TestRegistrationCacheAmortised(t *testing.T) {
-	c, w := testWorld(t)
-	a, b := w.Rank(0), w.Rank(1)
 	const size = 1 << 20
-	bufA := a.Node.Alloc(size, 0)
-	bufB := b.Node.Alloc(size, 0)
-	var first, second sim.Duration
-	c.K.Spawn("send", func(p *sim.Proc) {
-		t0 := p.Now()
-		a.Send(p, 1, 1, bufA, size)
-		first = p.Now().Sub(t0)
-		t1 := p.Now()
-		a.Send(p, 1, 2, bufA, size)
-		second = p.Now().Sub(t1)
+	o := twins(t, func() (*machine.Cluster, *World, []script) {
+		c, w := testWorld(t)
+		a, b := w.Rank(0), w.Rank(1)
+		bufA := a.Node.Alloc(size, 0)
+		bufB := b.Node.Alloc(size, 0)
+		return c, w, []script{
+			once(sendAct(a, 1, 1, bufA, size), sendAct(a, 1, 2, bufA, size)),
+			once(recvAct(b, 0, 1, bufB, size), recvAct(b, 0, 2, bufB, size)),
+		}
 	})
-	c.K.Spawn("recv", func(p *sim.Proc) {
-		b.Recv(p, 0, 1, bufB, size)
-		b.Recv(p, 0, 2, bufB, size)
-	})
-	c.K.Run()
+	ends := o.scripts[0].ends
+	first, second := ends[0].Sub(0), ends[1].Sub(ends[0])
 	if first <= second {
 		t.Fatalf("first send %v not slower than cached second %v", first, second)
 	}
@@ -234,19 +211,17 @@ func TestBarrierSynchronises(t *testing.T) {
 }
 
 func TestPingPongLatencySmallMessage(t *testing.T) {
-	c, w := testWorld(t)
 	// Paper §2.1 defaults: latency on 4 bytes; comm thread near the NIC,
 	// fixed frequencies as in Fig 1a's 2300/2400 point.
-	for _, r := range []*Rank{w.Rank(0), w.Rank(1)} {
-		r.SetCommCore(r.Node.Spec.LastCoreOfNUMA(0))
-		r.Node.Freq.SetUserspace(2.3)
-		r.Node.Freq.SetUncoreFixed(2.4)
-	}
-	pp := &PingPong{Size: 4, Iters: 20, Warmup: 5}
-	var lats []sim.Duration
-	c.K.Spawn("init", func(p *sim.Proc) { lats = pp.Initiate(p, w.Rank(0), 1) })
-	c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
-	c.K.Run()
+	lats, _ := runPingPongTwins(t, func() (*machine.Cluster, *World) {
+		c, w := testWorld(t)
+		for _, r := range []*Rank{w.Rank(0), w.Rank(1)} {
+			r.SetCommCore(r.Node.Spec.LastCoreOfNUMA(0))
+			r.Node.Freq.SetUserspace(2.3)
+			r.Node.Freq.SetUncoreFixed(2.4)
+		}
+		return c, w
+	}, &PingPong{Size: 4, Iters: 20, Warmup: 5})
 	if len(lats) != 20 {
 		t.Fatalf("%d latencies", len(lats))
 	}
@@ -260,18 +235,16 @@ func TestPingPongLatencySmallMessage(t *testing.T) {
 func TestPingPongLatencyFrequencyShape(t *testing.T) {
 	// Fig 1a shape: latency at 1.0 GHz ≈ 1.7× latency at 2.3 GHz.
 	measure := func(ghz float64) float64 {
-		c, w := testWorld(t)
-		for i := 0; i < 2; i++ {
-			r := w.Rank(i)
-			r.SetCommCore(r.Node.Spec.LastCoreOfNUMA(0))
-			r.Node.Freq.SetUserspace(ghz)
-			r.Node.Freq.SetUncoreFixed(2.4)
-		}
-		pp := &PingPong{Size: 4, Iters: 20, Warmup: 5}
-		var lats []sim.Duration
-		c.K.Spawn("init", func(p *sim.Proc) { lats = pp.Initiate(p, w.Rank(0), 1) })
-		c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
-		c.K.Run()
+		lats, _ := runPingPongTwins(t, func() (*machine.Cluster, *World) {
+			c, w := testWorld(t)
+			for i := 0; i < 2; i++ {
+				r := w.Rank(i)
+				r.SetCommCore(r.Node.Spec.LastCoreOfNUMA(0))
+				r.Node.Freq.SetUserspace(ghz)
+				r.Node.Freq.SetUncoreFixed(2.4)
+			}
+			return c, w
+		}, &PingPong{Size: 4, Iters: 20, Warmup: 5})
 		return median(lats).Micros()
 	}
 	slow, fast := measure(1.0), measure(2.3)
@@ -282,12 +255,8 @@ func TestPingPongLatencyFrequencyShape(t *testing.T) {
 }
 
 func TestPingPongBandwidthAsymptote(t *testing.T) {
-	c, w := testWorld(t)
 	pp := &PingPong{Size: 64 << 20, Iters: 3, Warmup: 1}
-	var lats []sim.Duration
-	c.K.Spawn("init", func(p *sim.Proc) { lats = pp.Initiate(p, w.Rank(0), 1) })
-	c.K.Spawn("resp", func(p *sim.Proc) { pp.Respond(p, w.Rank(1), 0) })
-	c.K.Run()
+	lats, _ := runPingPongTwins(t, func() (*machine.Cluster, *World) { return testWorld(t) }, pp)
 	bw := Bandwidth(pp.Size, median(lats)) / 1e9
 	// Paper: ~10.5 GB/s asymptotic on EDR.
 	if bw < 10.0 || bw > 11.0 {
@@ -322,30 +291,26 @@ func median(ds []sim.Duration) sim.Duration {
 func TestEagerRendezvousThresholdBoundary(t *testing.T) {
 	// Exactly EagerMax goes eager (no registration); one byte more goes
 	// rendezvous (buffers get registered).
-	c, w := testWorld(t)
-	a, b := w.Rank(0), w.Rank(1)
-	max := int64(a.Node.Spec.NIC.EagerMax)
-
-	bufA := a.Node.Alloc(max+1, 0)
-	bufB := b.Node.Alloc(max+1, 0)
-	c.K.Spawn("send", func(p *sim.Proc) {
-		a.Send(p, 1, 1, bufA, max) // eager
+	var sent, recvd []bool // each buffer's registration after each operation
+	twins(t, func() (*machine.Cluster, *World, []script) {
+		c, w := testWorld(t)
+		a, b := w.Rank(0), w.Rank(1)
+		max := a.eagerMax()
+		bufA := a.Node.Alloc(max+1, 0)
+		bufB := b.Node.Alloc(max+1, 0)
+		sent, recvd = sent[:0], recvd[:0]
+		noteA := callAct(func() { sent = append(sent, bufA.Registered) })
+		noteB := callAct(func() { recvd = append(recvd, bufB.Registered) })
+		return c, w, []script{
+			once(sendAct(a, 1, 1, bufA, max), noteA, sendAct(a, 1, 2, bufA, max+1), noteA), // eager, then rendezvous
+			once(recvAct(b, 0, 1, bufB, max), noteB, recvAct(b, 0, 2, bufB, max+1), noteB),
+		}
 	})
-	c.K.Spawn("recv", func(p *sim.Proc) {
-		b.Recv(p, 0, 1, bufB, max)
-	})
-	c.K.Run()
-	if bufA.Registered || bufB.Registered {
+	registered := []bool{sent[0], recvd[0], sent[1], recvd[1]}
+	if registered[0] || registered[1] {
 		t.Fatal("eager-path buffers were registered")
 	}
-	c.K.Spawn("send2", func(p *sim.Proc) {
-		a.Send(p, 1, 2, bufA, max+1) // rendezvous
-	})
-	c.K.Spawn("recv2", func(p *sim.Proc) {
-		b.Recv(p, 0, 2, bufB, max+1)
-	})
-	c.K.Run()
-	if !bufA.Registered || !bufB.Registered {
+	if !registered[2] || !registered[3] {
 		t.Fatal("rendezvous-path buffers not registered")
 	}
 }
@@ -356,26 +321,18 @@ func TestLatencyBandwidthMonotoneInSize(t *testing.T) {
 	// the eager/rendezvous protocol switch (the copies paid by eager vs
 	// the handshake paid by rendezvous almost cancel there); we allow
 	// ≤20% non-monotonicity at the switch and none elsewhere.
-	c, w := testWorld(t)
-	for i := 0; i < 2; i++ {
-		w.Rank(i).Node.Freq.SetUserspace(2.3)
-	}
 	var lats []sim.Duration
 	sizes := []int64{4, 1024, 32 << 10, 33 << 10, 1 << 20, 16 << 20}
-	c.K.Spawn("init", func(p *sim.Proc) {
-		for _, size := range sizes {
-			pp := &PingPong{Size: size, Iters: 4, Warmup: 1}
-			ls := pp.Initiate(p, w.Rank(0), 1)
-			lats = append(lats, median(ls))
-		}
-	})
-	c.K.Spawn("resp", func(p *sim.Proc) {
-		for _, size := range sizes {
-			pp := &PingPong{Size: size, Iters: 4, Warmup: 1}
-			pp.Respond(p, w.Rank(1), 0)
-		}
-	})
-	c.K.Run()
+	for _, size := range sizes {
+		ls, _ := runPingPongTwins(t, func() (*machine.Cluster, *World) {
+			c, w := testWorld(t)
+			for i := 0; i < 2; i++ {
+				w.Rank(i).Node.Freq.SetUserspace(2.3)
+			}
+			return c, w
+		}, &PingPong{Size: size, Iters: 4, Warmup: 1})
+		lats = append(lats, median(ls))
+	}
 	for i := 1; i < len(lats); i++ {
 		allowed := 1.0
 		if sizes[i-1] <= 32<<10 && sizes[i] > 32<<10 {

@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-
 	"repro/internal/machine"
 	"repro/internal/sim"
 )
@@ -30,28 +28,33 @@ func WaitAll(p *sim.Proc, reqs ...*Request) {
 	}
 }
 
-// Isend starts a non-blocking send. Progression is modelled by an
-// internal helper process (the library's progression thread); the
-// software overheads still run on this rank's communication core.
+// Isend starts a non-blocking send: Send's protocol, run without a
+// process (the library's progression) from an event of this instant;
+// the software overheads still run on this rank's communication core.
 func (r *Rank) Isend(dst, tag int, buf *machine.Buffer, size int64) *Request {
-	q := &Request{sig: sim.NewSignal(r.world.cluster.K)}
-	r.world.cluster.K.Spawn(fmt.Sprintf("isend.r%d", r.ID), func(p *sim.Proc) {
-		r.Send(p, dst, tag, buf, size)
-		q.done = true
-		q.sig.Broadcast()
-	})
+	return r.post(true, dst, tag, buf, size)
+}
+
+// Irecv starts a non-blocking receive, as Isend does a send.
+func (r *Rank) Irecv(src, tag int, buf *machine.Buffer, size int64) *Request {
+	return r.post(false, src, tag, buf, size)
+}
+
+// post starts a non-blocking operation whose completion completes the
+// returned request.
+func (r *Rank) post(send bool, peer, tag int, buf *machine.Buffer, size int64) *Request {
+	k := r.world.cluster.K
+	q := &Request{sig: sim.NewSignal(k)}
+	k.At(k.Now(), func() { r.newOp(send, peer, tag, buf, size, nil).start(q.complete) })
 	return q
 }
 
-// Irecv starts a non-blocking receive.
-func (r *Rank) Irecv(src, tag int, buf *machine.Buffer, size int64) *Request {
-	q := &Request{sig: sim.NewSignal(r.world.cluster.K)}
-	r.world.cluster.K.Spawn(fmt.Sprintf("irecv.r%d", r.ID), func(p *sim.Proc) {
-		r.Recv(p, src, tag, buf, size)
-		q.done = true
-		q.sig.Broadcast()
-	})
-	return q
+// complete ends the request's operation: it panics with a failure, as
+// Send and Recv do, and otherwise wakes the request's waiters.
+func (q *Request) complete(err error) {
+	must(err)
+	q.done = true
+	q.sig.Broadcast()
 }
 
 // barrierTag is reserved for Barrier control messages.

@@ -44,8 +44,7 @@ func transferScript(c *machine.Cluster, nw *Network) []sim.Time {
 		nw.SendOverhead(p, a, 0, 0)
 		nw.TransferDMA(p, a, bufA0, b, bufB3, 8<<20)
 		times = append(times, p.Now())
-		nw.TransferEager(p, a, b, 1<<16)
-		times = append(times, p.Now())
+		nw.StartEager(a, b, 1<<16, func(bool) { times = append(times, c.K.Now()) })
 	})
 	c.K.Spawn("rev", func(p *sim.Proc) {
 		nw.TransferDMA(p, b, bufB0, a, bufA3, 8<<20)

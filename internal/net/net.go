@@ -43,8 +43,9 @@ type Network struct {
 	dmaNames    map[int]string // key: src·nodes + dst
 	eagerNames  map[int]string
 
-	// freeEager recycles eager payload transfers (StartEager).
-	freeEager []*eager
+	// freeTasks recycles the tasks of the software and transfer paths
+	// (see task).
+	freeTasks []*task
 
 	fab      *topology.Fabric
 	links    []*fluid.Resource // one per directed fabric link
@@ -125,13 +126,6 @@ func (nw *Network) InstallFaults(inj *fault.Injector) {
 // Faults returns the installed fault injector, or nil on healthy worlds.
 func (nw *Network) Faults() *fault.Injector { return nw.inj }
 
-// gateNIC blocks p while a NIC-stall fault is active on node id.
-func (nw *Network) gateNIC(p *sim.Proc, id int) {
-	if nw.inj != nil {
-		nw.inj.GateNIC(p, id)
-	}
-}
-
 // WireLatency returns the one-way hardware latency of the interconnect.
 func (nw *Network) WireLatency() sim.Duration {
 	return sim.Duration(nw.cluster.Spec.NIC.WireLatencyNs)
@@ -192,21 +186,39 @@ func payloadAccessTime(n *machine.Node, commCore, bufNUMA int) sim.Duration {
 // SendOverhead blocks p for the software overhead (the LogP "o") of
 // injecting one message on node n from commCore: fixed CPU cycles at
 // the core's current frequency, the PIO access mix toward the NIC, and
-// one payload touch on the buffer's NUMA node.
+// one payload touch on the buffer's NUMA node. It is StartSendOverhead
+// with p parked until the overhead ends.
 func (nw *Network) SendOverhead(p *sim.Proc, n *machine.Node, commCore, bufNUMA int) {
-	nw.gateNIC(p, n.ID)
-	n.ExecCycles(p, commCore, n.Spec.NIC.SendCycles)
-	p.Sleep(pioAccessTime(n, commCore, n.Spec.NIC.SendMemAccesses) +
-		payloadAccessTime(n, commCore, bufNUMA))
+	nw.run(p, nw.overhead(taskSendOverhead, n, commCore, bufNUMA, nil))
 }
 
 // RecvOverhead blocks p for the software overhead of completing one
-// message reception on node n from commCore.
+// message reception on node n from commCore: StartRecvOverhead with p
+// parked until the overhead ends.
 func (nw *Network) RecvOverhead(p *sim.Proc, n *machine.Node, commCore, bufNUMA int) {
-	nw.gateNIC(p, n.ID)
-	n.ExecCycles(p, commCore, n.Spec.NIC.RecvCycles)
-	p.Sleep(pioAccessTime(n, commCore, n.Spec.NIC.RecvMemAccesses) +
-		payloadAccessTime(n, commCore, bufNUMA))
+	nw.run(p, nw.overhead(taskRecvOverhead, n, commCore, bufNUMA, nil))
+}
+
+// StartSendOverhead runs SendOverhead's steps without a process and
+// calls then (with true) once they are over: in event context, or at
+// once when the overhead ends within the call.
+func (nw *Network) StartSendOverhead(n *machine.Node, commCore, bufNUMA int, then func(bool)) {
+	nw.overhead(taskSendOverhead, n, commCore, bufNUMA, then).step()
+}
+
+// StartRecvOverhead runs RecvOverhead's steps without a process, as
+// StartSendOverhead does.
+func (nw *Network) StartRecvOverhead(n *machine.Node, commCore, bufNUMA int, then func(bool)) {
+	nw.overhead(taskRecvOverhead, n, commCore, bufNUMA, then).step()
+}
+
+// overhead returns the task of a software overhead on node n: wait out
+// a NIC stall, burn cycles on commCore once the node is up, then sleep
+// the PIO access mix and one payload touch on bufNUMA.
+func (nw *Network) overhead(kind taskKind, n *machine.Node, commCore, bufNUMA int, then func(bool)) *task {
+	x := nw.task(kind, n, n, then)
+	x.core, x.srcNUMA = commCore, bufNUMA
+	return x
 }
 
 // ioScale is the uncore-frequency scaling of the NIC-to-memory I/O
@@ -245,261 +257,309 @@ func (nw *Network) dmaUses(buf []fluid.Use, src *machine.Node, srcNUMA int, dst 
 	return uses
 }
 
-// waitFlow blocks p until the flow completes. On crash-free worlds it
-// is a plain signal wait (the historical event sequence). On worlds
-// with a crash schedule the wait is crash-aware: if either endpoint
-// dies, the frozen in-flight flow is cancelled (the NIC drops it) and
-// waitFlow reports false.
-func (nw *Network) waitFlow(p *sim.Proc, flow *fluid.Flow, done *sim.Signal, srcID, dstID int) bool {
-	if !nw.crashy() {
-		done.Wait(p)
-		return true
-	}
-	unwatch := nw.inj.WatchCrash(done)
-	defer unwatch()
-	for !flow.Finished() {
-		if nw.inj.Crashed(srcID) || nw.inj.Crashed(dstID) {
-			nw.cluster.Fluid.Cancel(flow)
-			return false
-		}
-		done.Wait(p)
-	}
-	return true
-}
-
 // crashy reports whether the network's fault schedule crashes nodes.
 func (nw *Network) crashy() bool { return nw.inj != nil && nw.inj.Crashy() }
 
 // TransferDMA moves `bytes` from srcBuf to dstBuf as one zero-copy RDMA
-// flow, blocking p until the last byte lands. The flow's arbitration
-// priority against core streams grows with the stream census on the
-// crossed controllers (DESIGN.md §4). Reports false when a node crash
-// at either end dropped the transfer mid-flight (crash schedules only).
+// flow, blocking p until the last byte lands: StartDMA with p parked
+// until the transfer ends. Reports false when a node crash at either
+// end dropped the transfer mid-flight (crash schedules only).
 func (nw *Network) TransferDMA(p *sim.Proc, src *machine.Node, srcBuf *machine.Buffer,
 	dst *machine.Node, dstBuf *machine.Buffer, bytes int64) bool {
-	// A stalled NIC at either end delays programming the RDMA engine.
-	nw.gateNIC(p, src.ID)
-	nw.gateNIC(p, dst.ID)
-	pri := (src.DMAPriority(srcBuf.NUMA) + dst.DMAPriority(dstBuf.NUMA)) / 2
-	cap := nw.cluster.Spec.NIC.WireGBs * 1e9 * min(ioScale(src), ioScale(dst))
-	done := nw.cluster.K.GetSignal()
-	nw.useBuf = nw.dmaUses(nw.useBuf[:0], src, srcBuf.NUMA, dst, dstBuf.NUMA)
-	flow := nw.cluster.Fluid.Start(fluid.FlowSpec{
-		Name:     nw.dmaName(src.ID, dst.ID),
-		Work:     float64(bytes),
-		Cap:      cap,
-		Priority: pri,
-		Uses:     nw.useBuf,
-		OnDone:   done.BroadcastFn(),
-	})
-	ok := nw.waitFlow(p, flow, done, src.ID, dst.ID)
-	if nw.inj == nil {
-		// Healthy worlds: nothing else can reach the finished flow or its
-		// completion signal (crashy worlds may still hold both through
-		// watchers and frozen-wire bookkeeping, so they keep allocating).
-		nw.cluster.K.PutSignal(done)
-		nw.cluster.Fluid.Recycle(flow)
-	}
-	return ok
+	return nw.run(p, nw.transfer(taskDMA, src, srcBuf.NUMA, dst, dstBuf.NUMA, bytes, nil))
 }
 
-// Memcpy moves `bytes` on node n from srcNUMA to dstNUMA through the
-// memory system (read + write: weight 2 on a same-NUMA copy's
-// controller). The rate cap is twice the streaming per-core bandwidth:
-// eager staging buffers are small and LLC-resident, so the copy runs at
-// cache speed while still consuming its share of a contended bus. Used
-// by the eager protocol's staging copies.
-func (nw *Network) Memcpy(p *sim.Proc, n *machine.Node, core int, srcNUMA, dstNUMA int, bytes int64) {
+// StartDMA begins TransferDMA's transfer without a process and calls
+// then when it has ended — in event context, or at once if it ends
+// within the call — with whether the payload landed. A stalled NIC at
+// either end delays programming the RDMA engine. The flow's arbitration
+// priority against core streams grows with the stream census on the
+// crossed controllers (DESIGN.md §4).
+func (nw *Network) StartDMA(src *machine.Node, srcBuf *machine.Buffer,
+	dst *machine.Node, dstBuf *machine.Buffer, bytes int64, then func(landed bool)) {
+	nw.transfer(taskDMA, src, srcBuf.NUMA, dst, dstBuf.NUMA, bytes, then).step()
+}
+
+// StartMemcpy moves `bytes` on node n from srcNUMA to dstNUMA through
+// the memory system (read + write: weight 2 on a same-NUMA copy's
+// controller), and calls then (with true) once the copy is done: in
+// event context, or at once when there is nothing to copy. The rate cap
+// is twice the streaming per-core bandwidth: eager staging buffers are
+// small and LLC-resident, so the copy runs at cache speed while still
+// consuming its share of a contended bus. The eager protocol's staging
+// copies run here.
+func (nw *Network) StartMemcpy(n *machine.Node, core int, srcNUMA, dstNUMA int, bytes int64, then func(bool)) {
 	if bytes <= 0 {
+		then(true)
 		return
 	}
-	if srcNUMA == dstNUMA {
-		nw.useBuf = append(nw.useBuf[:0], fluid.Use{Resource: n.NUMA(srcNUMA).Ctrl, Weight: 2})
-	} else {
-		nw.useBuf = append(nw.useBuf[:0],
-			fluid.Use{Resource: n.NUMA(srcNUMA).Ctrl, Weight: 1},
-			fluid.Use{Resource: n.NUMA(dstNUMA).Ctrl, Weight: 1},
-			fluid.Use{Resource: n.Link(srcNUMA, dstNUMA), Weight: 1},
-		)
-	}
-	done := nw.cluster.K.GetSignal()
-	flow := nw.cluster.Fluid.Start(fluid.FlowSpec{
-		Name:   nw.memcpyName(n.ID),
-		Work:   float64(bytes),
-		Cap:    2 * n.Spec.Mem.StreamPerCoreGBs * 1e9,
-		Uses:   nw.useBuf,
-		OnDone: done.BroadcastFn(),
-	})
-	done.Wait(p)
-	nw.cluster.K.PutSignal(done)
-	nw.cluster.Fluid.Recycle(flow)
+	nw.copyTask(n, srcNUMA, dstNUMA, bytes, then).step()
 }
 
-// TransferEager moves `bytes` over the wire into the receiver's
-// internal (pre-registered, NIC-NUMA) buffers, blocking p until the
-// message has landed there: StartEager, with p parked until the
-// transfer ends. Reports false when a node crash dropped the transfer
-// mid-flight (crash schedules only).
-func (nw *Network) TransferEager(p *sim.Proc, src, dst *machine.Node, bytes int64) bool {
-	if bytes <= 0 {
-		return true
-	}
-	landed, ended, parked := false, false, false
-	nw.StartEager(src, dst, bytes, func(ok bool) {
-		landed, ended = ok, true
-		if parked {
-			p.Resume()
-		}
-	})
-	if !ended {
-		parked = true
-		p.Park()
-	}
-	return landed
+// copyTask returns the task of a staging copy of bytes > 0 on node n.
+func (nw *Network) copyTask(n *machine.Node, srcNUMA, dstNUMA int, bytes int64, then func(bool)) *task {
+	x := nw.task(taskCopy, n, n, then)
+	x.srcNUMA, x.dstNUMA, x.bytes = srcNUMA, dstNUMA, bytes
+	x.phase = taskFlow
+	return x
 }
-
-// eager is one eager payload crossing the network into the receiver's
-// internal buffers without a process: the steps a process would take
-// between its blocking calls — wait out a NIC stall at either end,
-// start the flow, wait for it, and on crash schedules watch both ends
-// and drop the frozen flow when one dies — run as a chain of
-// continuations, each in the event slot where that process would have
-// resumed (see sim.Cont). The network recycles them.
-type eager struct {
-	nw       *Network
-	src, dst *machine.Node
-	bytes    int64
-	then     func(landed bool)
-	phase    eagerPhase
-	flow     *fluid.Flow
-	done     *sim.Signal
-	unwatch  func()
-	cont     sim.Cont // runs step
-}
-
-// eagerPhase is the step an eager transfer's continuation takes next.
-type eagerPhase int
-
-const (
-	eagerGateSrc eagerPhase = iota // wait out a NIC stall at the source
-	eagerGateDst                   // then at the destination
-	eagerWait                      // the flow is in flight
-)
 
 // StartEager begins moving `bytes` > 0 from src into dst's internal
-// buffers, in event context or in a process, and calls then when the
+// (pre-registered, NIC-NUMA) buffers, in event context or in a process,
+// and calls then when the
 // transfer has ended — in event context, or at once if it ends within
 // the call — with whether the payload landed (false: a node crash
 // dropped it). The flow crosses both PCIe links, the wire, and the
-// NIC-NUMA controllers of both ends; the sender-side staging copy and
-// the receiver-side delivery copy are performed by the caller (mpi)
-// around it.
+// NIC-NUMA controllers of both ends, as an RDMA transfer between
+// buffers there would; the sender-side staging copy and the
+// receiver-side delivery copy are performed by the caller (mpi) around
+// it.
 func (nw *Network) StartEager(src, dst *machine.Node, bytes int64, then func(landed bool)) {
-	var x *eager
-	if n := len(nw.freeEager); n > 0 {
-		x = nw.freeEager[n-1]
-		nw.freeEager[n-1] = nil
-		nw.freeEager = nw.freeEager[:n-1]
+	nw.transfer(taskEager, src, src.Spec.NIC.NUMA, dst, dst.Spec.NIC.NUMA, bytes, then).step()
+}
+
+// transfer returns the task of a payload crossing the network from
+// srcNUMA on src to dstNUMA on dst.
+func (nw *Network) transfer(kind taskKind, src *machine.Node, srcNUMA int, dst *machine.Node, dstNUMA int, bytes int64, then func(bool)) *task {
+	x := nw.task(kind, src, dst, then)
+	x.srcNUMA, x.dstNUMA, x.bytes = srcNUMA, dstNUMA, bytes
+	return x
+}
+
+// task is one step of a message's path run without a process: a
+// software overhead, a staging copy, or a payload crossing the wire
+// (eager or RDMA). The steps a process would take between its blocking
+// calls — wait out a NIC stall, burn cycles once the node is up, sleep
+// the access mix, start a flow and wait for it, and on crash schedules
+// watch both ends of a transfer and drop its frozen flow when one dies
+// — run as a chain of continuations, each in the event slot where that
+// process would have resumed (see sim.Cont). A process form parks on
+// the same chain (see run). The network recycles tasks.
+type task struct {
+	nw   *Network
+	kind taskKind
+	// src is the node an overhead or a copy runs on and a transfer's
+	// sending end; dst is a transfer's receiving end.
+	src, dst *machine.Node
+	// core is an overhead's; srcNUMA is the NUMA node of its buffer, and
+	// the source of a copy or transfer, dstNUMA the destination of one.
+	core             int
+	srcNUMA, dstNUMA int
+	bytes            int64
+	// The owner: a then callback, or a process parked in run until
+	// the task ends with ok.
+	then      func(ok bool)
+	proc      *sim.Proc
+	ok, ended bool
+	parked    bool
+	phase     taskPhase
+	flow      *fluid.Flow
+	done      *sim.Signal
+	cont      sim.Cont // runs step
+}
+
+// taskKind is what a task does.
+type taskKind uint8
+
+const (
+	taskSendOverhead taskKind = iota
+	taskRecvOverhead
+	taskCopy
+	taskEager
+	taskDMA
+)
+
+// taskPhase is the step a task's continuation takes next.
+type taskPhase uint8
+
+const (
+	taskGateSrc taskPhase = iota // wait out a NIC stall at the source
+	taskGateDst                  // a transfer: then at the destination
+	taskBurn                     // an overhead: burn its cycles
+	taskAccess                   // then sleep its access mix
+	taskFlow                     // a copy or transfer: start the flow
+	taskWait                     // the flow is in flight
+	taskEnd                      // an overhead: its last sleep is over
+)
+
+// task returns a recycled task of kind between src and dst, at its
+// first phase.
+func (nw *Network) task(kind taskKind, src, dst *machine.Node, then func(bool)) *task {
+	var x *task
+	if n := len(nw.freeTasks); n > 0 {
+		x = nw.freeTasks[n-1]
+		nw.freeTasks[n-1] = nil
+		nw.freeTasks = nw.freeTasks[:n-1]
 	} else {
-		x = &eager{nw: nw}
+		x = &task{nw: nw}
 		x.cont = sim.MakeCont(x.step)
 	}
-	x.src, x.dst, x.bytes, x.then = src, dst, bytes, then
-	x.phase = eagerGateSrc
-	x.step()
+	x.kind, x.src, x.dst, x.then = kind, src, dst, then
+	x.phase = taskGateSrc
+	return x
 }
 
-// step advances the transfer by one wakeup: past the NIC-stall gates it
-// starts the flow and waits for it, like waitFlow.
-func (x *eager) step() {
+// run runs x for p: p parks until x ends, unless it ends within the
+// call, and run returns x's outcome. The task ends by resuming p in the
+// event where it ends, the slot where p would have woken from its last
+// blocking call.
+func (nw *Network) run(p *sim.Proc, x *task) bool {
+	x.proc = p
+	x.step()
+	if !x.ended {
+		x.parked = true
+		p.Park()
+	}
+	ok := x.ok
+	nw.recycle(x)
+	return ok
+}
+
+// recycle returns an ended task to the network.
+func (nw *Network) recycle(x *task) {
+	x.src, x.dst, x.then, x.proc = nil, nil, nil, nil
+	x.ended = false
+	nw.freeTasks = append(nw.freeTasks, x)
+}
+
+// step advances the task by one wakeup. Every wait it arms is the last
+// thing it does: a sleep that ends in place runs step again at once,
+// one phase further.
+func (x *task) step() {
 	nw := x.nw
-	if x.phase != eagerWait {
-		if !x.gate() {
+	k := nw.cluster.K
+	for {
+		switch x.phase {
+		case taskGateSrc:
+			if !nw.inj.WaitNIC(&x.cont, x.src.ID) {
+				return
+			}
+			x.phase = taskGateDst
+			if x.kind <= taskRecvOverhead {
+				x.phase = taskBurn
+			}
+		case taskGateDst:
+			if !nw.inj.WaitNIC(&x.cont, x.dst.ID) {
+				return
+			}
+			x.phase = taskFlow
+		case taskBurn:
+			x.phase = taskAccess
+			nic := &x.src.Spec.NIC
+			cycles := nic.SendCycles
+			if x.kind == taskRecvOverhead {
+				cycles = nic.RecvCycles
+			}
+			if cycles > 0 {
+				if !x.src.WaitUp(&x.cont) {
+					x.phase = taskBurn
+					return
+				}
+				k.SleepCont(&x.cont, x.src.StartCycles(x.core, cycles))
+				return
+			}
+		case taskAccess:
+			x.phase = taskEnd
+			accesses := x.src.Spec.NIC.SendMemAccesses
+			if x.kind == taskRecvOverhead {
+				accesses = x.src.Spec.NIC.RecvMemAccesses
+			}
+			k.SleepCont(&x.cont, pioAccessTime(x.src, x.core, accesses)+
+				payloadAccessTime(x.src, x.core, x.srcNUMA))
+			return
+		case taskEnd:
+			x.end(true)
+			return
+		case taskFlow:
+			x.start()
+			x.phase = taskWait
+			if !x.watched() {
+				x.done.WaitCont(&x.cont)
+				return
+			}
+		case taskWait:
+			if !x.watched() {
+				x.end(true)
+				return
+			}
+			landed := x.flow.Finished()
+			if !landed {
+				if !nw.inj.Crashed(x.src.ID) && !nw.inj.Crashed(x.dst.ID) {
+					x.done.WaitCont(&x.cont)
+					return
+				}
+				nw.cluster.Fluid.Cancel(x.flow)
+			}
+			nw.inj.UnwatchCrash(x.done)
+			x.end(landed)
 			return
 		}
-		x.start()
-		x.phase = eagerWait
-		if !nw.crashy() {
-			x.done.WaitCont(&x.cont)
-			return
+	}
+}
+
+// watched reports whether the task is a transfer on a crash schedule:
+// its wait is then crash-aware, waking on every crash or recovery to
+// re-check both ends, and a crash at either end drops the frozen flow.
+func (x *task) watched() bool { return x.kind != taskCopy && x.nw.crashy() }
+
+// start starts the flow of a copy or transfer. A watched transfer's
+// completion signal is watched, so a crash or recovery wakes the
+// transfer to re-check both ends.
+func (x *task) start() {
+	nw, src, dst := x.nw, x.src, x.dst
+	x.done = nw.cluster.K.GetSignal()
+	fs := fluid.FlowSpec{Work: float64(x.bytes), OnDone: x.done.BroadcastFn()}
+	if x.kind == taskCopy {
+		if x.srcNUMA == x.dstNUMA {
+			nw.useBuf = append(nw.useBuf[:0], fluid.Use{Resource: src.NUMA(x.srcNUMA).Ctrl, Weight: 2})
+		} else {
+			nw.useBuf = append(nw.useBuf[:0],
+				fluid.Use{Resource: src.NUMA(x.srcNUMA).Ctrl, Weight: 1},
+				fluid.Use{Resource: src.NUMA(x.dstNUMA).Ctrl, Weight: 1},
+				fluid.Use{Resource: src.Link(x.srcNUMA, x.dstNUMA), Weight: 1},
+			)
 		}
-	} else if !nw.crashy() {
-		x.end(true)
+		fs.Name = nw.memcpyName(src.ID)
+		fs.Cap = 2 * src.Spec.Mem.StreamPerCoreGBs * 1e9
+	} else {
+		if x.kind == taskDMA {
+			fs.Name = nw.dmaName(src.ID, dst.ID)
+		} else {
+			fs.Name = nw.eagerName(src.ID, dst.ID)
+		}
+		fs.Priority = (src.DMAPriority(x.srcNUMA) + dst.DMAPriority(x.dstNUMA)) / 2
+		fs.Cap = nw.cluster.Spec.NIC.WireGBs * 1e9 * min(ioScale(src), ioScale(dst))
+		nw.useBuf = nw.dmaUses(nw.useBuf[:0], src, x.srcNUMA, dst, x.dstNUMA)
+	}
+	fs.Uses = nw.useBuf
+	x.flow = nw.cluster.Fluid.Start(fs)
+	if x.watched() {
+		nw.inj.WatchCrash(x.done)
+	}
+}
+
+// end finishes the task with outcome ok and hands it back to its owner:
+// it resumes a parked process, or recycles the task and calls then.
+func (x *task) end(ok bool) {
+	nw := x.nw
+	if x.flow != nil {
+		if !x.watched() {
+			// Only a crash schedule's watchers and frozen-wire bookkeeping
+			// can still reach a finished flow or its completion signal.
+			nw.cluster.K.PutSignal(x.done)
+			nw.cluster.Fluid.Recycle(x.flow)
+		}
+		x.flow, x.done = nil, nil
+	}
+	x.ok, x.ended = ok, true
+	if p := x.proc; p != nil {
+		if x.parked {
+			x.parked = false
+			p.Resume()
+		}
 		return
 	}
-	landed := x.flow.Finished()
-	if !landed {
-		if !nw.inj.Crashed(x.src.ID) && !nw.inj.Crashed(x.dst.ID) {
-			x.done.WaitCont(&x.cont)
-			return
-		}
-		nw.cluster.Fluid.Cancel(x.flow)
-	}
-	x.unwatch()
-	x.unwatch = nil
-	x.end(landed)
-}
-
-// gate waits out a NIC stall at the source, then at the destination —
-// a stall that ends into another is waited out in turn, as
-// fault.Injector.GateNIC does — and reports whether both ends are
-// clear. Otherwise the continuation sleeps until the stall ends.
-func (x *eager) gate() bool {
-	for inj := x.nw.inj; inj != nil && x.phase < eagerWait; x.phase++ {
-		node := x.src
-		if x.phase == eagerGateDst {
-			node = x.dst
-		}
-		if until, stalled := inj.NICStall(node.ID); stalled {
-			k := x.nw.cluster.K
-			k.SleepCont(&x.cont, until.Sub(k.Now()))
-			return false
-		}
-	}
-	return true
-}
-
-// end finishes the transfer, recycles it and calls then.
-func (x *eager) end(landed bool) {
-	nw, then := x.nw, x.then
-	if nw.inj == nil {
-		// Healthy worlds: nothing else can reach the finished flow or its
-		// completion signal (crashy worlds may still hold both through
-		// watchers and frozen-wire bookkeeping, so they keep allocating).
-		nw.cluster.K.PutSignal(x.done)
-		nw.cluster.Fluid.Recycle(x.flow)
-	}
-	x.flow, x.done, x.then = nil, nil, nil
-	nw.freeEager = append(nw.freeEager, x)
-	then(landed)
-}
-
-// start starts the payload's flow. On crash schedules its completion
-// signal is watched, so a crash or recovery wakes the transfer to
-// re-check both ends.
-func (x *eager) start() {
-	nw, src, dst := x.nw, x.src, x.dst
-	pri := (src.DMAPriority(src.Spec.NIC.NUMA) + dst.DMAPriority(dst.Spec.NIC.NUMA)) / 2
-	cap := nw.cluster.Spec.NIC.WireGBs * 1e9 * min(ioScale(src), ioScale(dst))
-	nw.useBuf = append(nw.useBuf[:0],
-		fluid.Use{Resource: src.NUMA(src.Spec.NIC.NUMA).Ctrl, Weight: 1},
-		fluid.Use{Resource: src.PCIeTx, Weight: 1},
-	)
-	nw.useBuf = nw.pathUses(nw.useBuf, src.ID, dst.ID)
-	nw.useBuf = append(nw.useBuf,
-		fluid.Use{Resource: dst.PCIeRx, Weight: 1},
-		fluid.Use{Resource: dst.NUMA(dst.Spec.NIC.NUMA).Ctrl, Weight: 1},
-	)
-	x.done = nw.cluster.K.GetSignal()
-	x.flow = nw.cluster.Fluid.Start(fluid.FlowSpec{
-		Name:     nw.eagerName(src.ID, dst.ID),
-		Work:     float64(x.bytes),
-		Cap:      cap,
-		Priority: pri,
-		Uses:     nw.useBuf,
-		OnDone:   x.done.BroadcastFn(),
-	})
-	if nw.crashy() {
-		x.unwatch = nw.inj.WatchCrash(x.done)
-	}
+	then := x.then
+	nw.recycle(x)
+	then(ok)
 }

@@ -166,13 +166,9 @@ func TestMemcpySameNUMAWeightsController(t *testing.T) {
 	n := c.Nodes[0]
 	n.Freq.SetUncoreFixed(2.4) // ctrl at 50 GB/s
 	var d sim.Duration
-	c.K.Spawn("cp", func(p *sim.Proc) {
-		start := p.Now()
-		// 1.2 GB at copy cap 24 GB/s (weight 2 → 48 GB/s consumed, within
-		// the 50 GB/s controller).
-		nw.Memcpy(p, n, 0, 0, 0, 12e8)
-		d = p.Now().Sub(start)
-	})
+	// 1.2 GB at copy cap 24 GB/s (weight 2 → 48 GB/s consumed, within the
+	// 50 GB/s controller).
+	nw.StartMemcpy(n, 0, 0, 0, 12e8, func(bool) { d = c.K.Now().Sub(0) })
 	c.K.Run()
 	if math.Abs(d.Seconds()-0.05) > 1e-3 {
 		t.Fatalf("same-NUMA memcpy took %v, want ~0.05s", d)
@@ -181,28 +177,11 @@ func TestMemcpySameNUMAWeightsController(t *testing.T) {
 
 func TestMemcpyCrossNUMAUsesLink(t *testing.T) {
 	c, nw := testNet(t)
-	n := c.Nodes[0]
 	var d sim.Duration
-	c.K.Spawn("cp", func(p *sim.Proc) {
-		nw.Memcpy(p, n, 0, 0, 3, 12e8)
-		d = p.Now().Sub(0)
-	})
+	nw.StartMemcpy(c.Nodes[0], 0, 0, 3, 12e8, func(bool) { d = c.K.Now().Sub(0) })
 	c.K.Run()
 	if d == 0 {
 		t.Fatal("cross-NUMA memcpy did not run")
-	}
-}
-
-func TestTransferEagerZeroBytesReturns(t *testing.T) {
-	c, nw := testNet(t)
-	ok := false
-	c.K.Spawn("e", func(p *sim.Proc) {
-		nw.TransferEager(p, c.Nodes[0], c.Nodes[1], 0)
-		ok = true
-	})
-	c.K.Run()
-	if !ok {
-		t.Fatal("zero-byte eager transfer blocked")
 	}
 }
 
@@ -237,7 +216,7 @@ func TestWireSharedByOppositeTransfersIndependently(t *testing.T) {
 // fault paths of its continuation chain: a NIC stall at the destination
 // delays the start by the stall, a crash mid-flight drops the payload
 // at the crash instant, and a transfer to a node already down ends
-// within the call, without parking its process.
+// within the call.
 func TestTransferEagerFaults(t *testing.T) {
 	run := func(spec string, start sim.Duration) (sim.Time, bool) {
 		c, nw := testNet(t)
@@ -248,15 +227,15 @@ func TestTransferEagerFaults(t *testing.T) {
 			}
 			nw.InstallFaults(fault.NewInjector(c, s, 1))
 		}
-		var end sim.Time
-		landed := false
-		c.K.Spawn("e", func(p *sim.Proc) {
-			p.Sleep(start)
-			landed = nw.TransferEager(p, c.Nodes[0], c.Nodes[1], 64<<10)
-			end = p.Now()
+		end, landed := sim.Time(-1), false
+		c.K.At(sim.Time(start), func() {
+			nw.StartEager(c.Nodes[0], c.Nodes[1], 64<<10, func(ok bool) { end, landed = c.K.Now(), ok })
+			if start > 0 && end < 0 {
+				t.Errorf("%s: the transfer to a node already down did not end within the call", spec)
+			}
 		})
 		c.K.Run()
-		if c.K.LiveProcs() != 0 {
+		if end < 0 {
 			t.Fatalf("%s: transfer never ended", spec)
 		}
 		return end, landed

@@ -69,7 +69,7 @@ func (tk *twinKernel) proc(name string, r *rand.Rand, ops, depth int) func(*Proc
 			case 4:
 				tk.sigs[r.Intn(len(tk.sigs))].Wait(p)
 			case 5:
-				if !tk.sigs[r.Intn(len(tk.sigs))].WaitTimeout(p, Duration(1+r.Intn(25))) {
+				if !waitTimeout(p, tk.sigs[r.Intn(len(tk.sigs))], Duration(1+r.Intn(25))) {
 					tk.t.rec(tk, name+"-timeout", step)
 				}
 			case 6:

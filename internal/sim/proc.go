@@ -337,35 +337,60 @@ func (s *Signal) Signal() {
 	s.k.At(s.k.now, c.fire)
 }
 
-// WaitTimeout suspends p until the signal fires or d elapses, whichever
-// comes first, and reports whether the signal fired (false on timeout).
-// A non-positive d degenerates to Wait. When the timer fires first, p is
-// removed from the waiter queue, so a later Signal wakes the next waiter
-// instead of a process that has already given up — the primitive behind
-// the MPI layer's retransmission timeouts.
+// TimedWait is the state of a continuation's timed wait on a signal
+// (Signal.WaitTimeoutCont). It lives beside the continuation it wakes
+// and is reused wait after wait: its expiry callback is bound once.
+type TimedWait struct {
+	s        *Signal
+	c        *Cont
+	timer    EventRef
+	timedOut bool
+	expireFn func()
+}
+
+// WaitTimeoutCont queues c on s until the signal fires or d elapses,
+// whichever comes first; c then runs, and calls w.Fired to learn which.
+// A non-positive d degenerates to WaitCont. When the timer fires first,
+// c is taken off the waiter queue, so a later Signal wakes the next
+// waiter instead of one that has already given up, and c runs from an
+// event scheduled at that instant — the slot where a process waiting
+// here would wake. The primitive behind the MPI layer's retransmission
+// timeouts.
 //
 // When the signal and the timer fire at the same instant, the one
 // scheduled first wins (the kernel's deterministic event order), so a
 // given seed always resolves the tie the same way.
-func (s *Signal) WaitTimeout(p *Proc, d Duration) bool {
-	if d <= 0 {
-		s.Wait(p)
-		return true
-	}
-	timedOut := false
-	timer := s.k.After(d, func() {
-		for i, w := range s.waiters {
-			if w == &p.wake {
-				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-				timedOut = true
-				s.k.At(s.k.now, p.wake.fire)
-				return
-			}
+func (s *Signal) WaitTimeoutCont(c *Cont, d Duration, w *TimedWait) {
+	w.s, w.c, w.timedOut, w.timer = s, c, false, EventRef{}
+	if d > 0 {
+		if w.expireFn == nil {
+			w.expireFn = w.expire
 		}
-	})
-	s.Wait(p)
-	s.k.Cancel(timer)
-	return !timedOut
+		w.timer = s.k.After(d, w.expireFn)
+	}
+	s.waiters = append(s.waiters, c)
+}
+
+// expire is the timer of a timed wait: it withdraws the waiter, if the
+// signal has not woken it yet, and wakes it from an event of this
+// instant.
+func (w *TimedWait) expire() {
+	s := w.s
+	for i, x := range s.waiters {
+		if x == w.c {
+			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
+			w.timedOut = true
+			s.k.At(s.k.now, x.fire)
+			return
+		}
+	}
+}
+
+// Fired ends the timed wait, from the continuation it woke: it stops
+// the timer and reports whether the signal fired (false on timeout).
+func (w *TimedWait) Fired() bool {
+	w.s.k.Cancel(w.timer)
+	return !w.timedOut
 }
 
 // Broadcast wakes every waiter, oldest first: the wakeups are the

@@ -343,7 +343,7 @@ func TestWaitTimeoutTieGoesToFirstScheduled(t *testing.T) {
 			var woke Time
 			wakes := 0
 			waiter := func(p *Proc) {
-				fired = s.WaitTimeout(p, 5)
+				fired = waitTimeout(p, s, 5)
 				woke = p.Now()
 				wakes++
 				p.Sleep(100) // a stale second wake would resume this sleep early
@@ -362,7 +362,7 @@ func TestWaitTimeoutTieGoesToFirstScheduled(t *testing.T) {
 			}
 			k.Run()
 			if fired != tc.want || woke != 5 {
-				t.Fatalf("WaitTimeout = %v at %v, want %v at 5", fired, woke, tc.want)
+				t.Fatalf("timed wait = %v at %v, want %v at 5", fired, woke, tc.want)
 			}
 			if wakes != 2 || k.Now() != 105 || s.Waiters() != 0 {
 				t.Fatalf("wakes=%d now=%v waiters=%d, want 2, 105, 0", wakes, k.Now(), s.Waiters())
