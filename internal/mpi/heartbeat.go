@@ -50,6 +50,7 @@ func DefaultHeartbeat() HeartbeatConfig {
 type Detector struct {
 	w       *World
 	cfg     HeartbeatConfig
+	t0      sim.Time // the arm instant
 	alive   []bool
 	deadAt  []sim.Time
 	stopped bool
@@ -74,6 +75,7 @@ func (w *World) StartHeartbeat(cfg HeartbeatConfig) *Detector {
 	d := &Detector{
 		w:      w,
 		cfg:    cfg,
+		t0:     w.cluster.K.Now(),
 		alive:  make([]bool, len(w.ranks)),
 		deadAt: make([]sim.Time, len(w.ranks)),
 	}
@@ -98,7 +100,12 @@ func (w *World) Detector() *Detector { return w.det }
 // monitor is rank self's probe loop.
 func (d *Detector) monitor(p *sim.Proc, self int) {
 	inj := d.w.inj
+	// Suspicion of a peer already down when the detector is armed runs
+	// from the arm instant.
 	lastSeen := make([]sim.Time, len(d.alive))
+	for i := range lastSeen {
+		lastSeen[i] = d.t0
+	}
 	for {
 		if d.stopped {
 			return

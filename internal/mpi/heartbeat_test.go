@@ -118,3 +118,17 @@ func TestRecvFTSurfacesPeerDeath(t *testing.T) {
 		t.Fatalf("%d posted receives left after the death", len(q))
 	}
 }
+
+// TestHeartbeatSuspicionStartsAtArm: a peer already down when the
+// detector is armed is suspected from the arm instant, so its death is
+// declared a full suspicion timeout later, not at the first probe.
+func TestHeartbeatSuspicionStartsAtArm(t *testing.T) {
+	c, w := faultWorld(t, 1, "crash:node=1,at=500us")
+	var det *Detector
+	c.K.At(sim.Time(0).Add(sim.Millisecond), func() { det = w.StartHeartbeat(DefaultHeartbeat()) })
+	c.K.RunUntil(sim.Time(0).Add(3 * sim.Millisecond))
+	defer c.K.Shutdown()
+	if want := sim.Time(0).Add(1200 * sim.Microsecond); det.DeadAt(1) != want {
+		t.Fatalf("peer down since before the arm declared at %v, want %v", det.DeadAt(1), want)
+	}
+}
