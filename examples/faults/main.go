@@ -96,7 +96,7 @@ func solve(sched *fault.Schedule) (taskrt.ResilientStats, float64) {
 		nw.InstallFaults(fault.NewInjector(cluster, sched, 1))
 	}
 	world := mpi.NewWorld(cluster, nw)
-	det := world.StartHeartbeat(mpi.DefaultHeartbeat())
+	det := world.StartHeartbeat()
 
 	var rts [2]*taskrt.Runtime
 	for i := 0; i < 2; i++ {

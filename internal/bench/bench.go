@@ -221,10 +221,6 @@ func newWorld(env Env, nodes int, seed int64) (*machine.Cluster, *mpi.World) {
 	if poolable {
 		env.keeper.worlds = append(env.keeper.worlds, pooledWorld{c: c, w: w})
 	}
-	// Note: node-crash schedules additionally need the heartbeat failure
-	// detector, but arming it here would keep every kernel alive forever
-	// (the monitors tick until stopped, so Run() would never drain). The
-	// crash-aware drivers arm it themselves and Stop() it when done.
 	return c, w
 }
 

@@ -124,7 +124,7 @@ func runCrashPingPong(env Env, sched *fault.Schedule) (iters int, detectedUs flo
 	c, w := newWorld(fenv, 2, fenv.Seed)
 	var det *mpi.Detector
 	if sched.Crashy() {
-		det = w.StartHeartbeat(mpi.DefaultHeartbeat())
+		det = w.StartHeartbeat()
 	}
 	r0, r1 := w.Rank(0), w.Rank(1)
 	x := &crashPingPong{w: w, det: det, status: "completed",
@@ -209,8 +209,8 @@ func (x *crashPingPong) initEnd() {
 func (x *crashPingPong) respNext() {
 	r := x.w.Rank(1)
 	if x.respI == crashIters || x.respErr != nil {
-		// The initiator now waits on a responder that is gone for good:
-		// stop the detector so the world drains.
+		// The initiator waits on a responder gone for good: the run has
+		// ended, so a crash scheduled later must not be declared.
 		if x.respErr != nil && x.det != nil {
 			x.det.Stop()
 		}
@@ -283,7 +283,7 @@ func runCrashCG(env Env, sched *fault.Schedule) (taskrt.ResilientStats, string) 
 	fenv := env
 	fenv.Faults = sched
 	_, w, rts := starpuPair(fenv, fenv.Seed, -1, []int{1, 2}, taskrt.DefaultBackoff)
-	det := w.StartHeartbeat(mpi.DefaultHeartbeat())
+	det := w.StartHeartbeat()
 	cg := newCGMath(64)
 	snaps := map[int]*cgMath{-1: cg.clone()}
 	app := &taskrt.ResilientApp{

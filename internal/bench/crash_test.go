@@ -85,23 +85,60 @@ func TestCrashPingPongDetectionWindow(t *testing.T) {
 // as errors, and the row reports whichever side failed instead of
 // panicking or hanging. A responder that exhausts its retries stops the
 // detector, so a crash of its node scheduled later is never declared.
+// The crash windows pin the detector's timing: a node back before the
+// 200us suspicion timeout runs out is never declared, one back after it
+// is, a crash after the run is not, and a crash seen by one probe in a
+// 10us window starts the suspicion that a later crash completes.
 func TestCrashPingPongReportsFailedOperations(t *testing.T) {
 	for _, tc := range []struct {
 		spec, status string
 		iters        int
+		detectedUs   float64
 	}{
-		{"loss:p=1", "fault: eager transfer n0→n1 failed after 9 attempts", 0},
-		{"crash:node=0,at=1ms", "responder: mpi: peer rank is dead", 133},
-		{"loss:p=0.5;crash:node=1,at=20ms", "responder: fault: eager transfer n1→n0 failed after 9 attempts", 79},
+		{"loss:p=1", "fault: eager transfer n0→n1 failed after 9 attempts", 0, 0},
+		{"crash:node=0,at=1ms", "responder: mpi: peer rank is dead", 133, 0},
+		{"loss:p=0.5;crash:node=1,at=20ms", "responder: fault: eager transfer n1→n0 failed after 9 attempts", 79, 0},
+		{"crash:node=1,at=1ms,for=120us", "completed", 4000, 0},
+		{"crash:node=1,at=1ms,for=180us", "mpi: peer rank is dead", 133, 1150},
+		{"crash:node=1,at=100ms", "completed", 4000, 0},
+		{"crash:node=1,at=1ms,for=10us;crash:node=1,at=1040us,for=300us", "mpi: peer rank is dead", 137, 1150},
 	} {
 		sched, err := fault.ParseSpec(tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		iters, detectedUs, _, status := runCrashPingPong(quietEnv(), sched)
-		if status != tc.status || iters != tc.iters || detectedUs != 0 {
-			t.Errorf("%s: %d iters, detected at %gus, status %q; want %d, 0, %q",
-				tc.spec, iters, detectedUs, status, tc.iters, tc.status)
+		if status != tc.status || iters != tc.iters || detectedUs != tc.detectedUs {
+			t.Errorf("%s: %d iters, detected at %gus, status %q; want %d, %g, %q",
+				tc.spec, iters, detectedUs, status, tc.iters, tc.detectedUs, tc.status)
+		}
+	}
+}
+
+// TestCrashCGUnderCrashWindows is the CG counterpart of the crash rows
+// above: a node back before its death is declared costs nothing, one
+// declared dead is recovered from, and a crash after the run is not
+// seen.
+func TestCrashCGUnderCrashWindows(t *testing.T) {
+	for _, tc := range []struct {
+		spec      string
+		crashes   int
+		reexec    float64
+		elapsedNs int64
+	}{
+		{"crash:node=1,at=1ms,for=120us", 0, 0, 5644926},
+		{"crash:node=1,at=1ms,for=180us", 1, 12, 10055773},
+		{"crash:node=1,at=100ms", 0, 0, 5581760},
+		{"crash:node=1,at=1ms,for=10us;crash:node=1,at=1040us,for=300us", 1, 12, 10055773},
+	} {
+		sched, err := fault.ParseSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, _ := runCrashCG(quietEnv(), sched)
+		if st.Crashes != tc.crashes || st.TasksReexec != tc.reexec || int64(st.Elapsed) != tc.elapsedNs {
+			t.Errorf("%s: %d crashes, %g re-executed tasks, %dns; want %d, %g, %dns",
+				tc.spec, st.Crashes, st.TasksReexec, int64(st.Elapsed), tc.crashes, tc.reexec, tc.elapsedNs)
 		}
 	}
 }

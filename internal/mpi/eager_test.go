@@ -18,7 +18,7 @@ func eagerStream(t *testing.T, spec string, n int, ft bool) scenario {
 		c, w := faultWorld(t, 1, spec)
 		var det *Detector
 		if ft {
-			det = w.StartHeartbeat(DefaultHeartbeat())
+			det = w.StartHeartbeat()
 		}
 		a, b := w.Rank(0), w.Rank(1)
 		size := a.eagerMax()

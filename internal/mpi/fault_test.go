@@ -15,9 +15,15 @@ import (
 // schedule installed.
 func faultWorld(t *testing.T, seed int64, spec string) (*machine.Cluster, *World) {
 	t.Helper()
+	return faultWorldOf(t, 2, seed, spec)
+}
+
+// faultWorldOf is faultWorld with the given number of nodes.
+func faultWorldOf(t *testing.T, nodes int, seed int64, spec string) (*machine.Cluster, *World) {
+	t.Helper()
 	ts := topology.Henri()
 	ts.NIC.NoiseFrac = 0
-	c := machine.NewCluster(ts, 2, seed)
+	c := machine.NewCluster(ts, nodes, seed)
 	nw := net.New(c)
 	if spec != "" {
 		s, err := fault.ParseSpec(spec)

@@ -34,7 +34,7 @@ func checkFTMatchesPlain(t *testing.T, armed bool) {
 			c, w := faultWorld(t, seed, spec)
 			var det *Detector
 			if ft && armed {
-				det = w.StartHeartbeat(DefaultHeartbeat())
+				det = w.StartHeartbeat()
 			}
 			rng := rand.New(rand.NewSource(seed))
 			a, b := w.Rank(0), w.Rank(1)
@@ -121,7 +121,7 @@ func TestFTLossyCrash(t *testing.T) {
 			var det *Detector
 			o := twins(t, func() (*machine.Cluster, *World, []script) {
 				c, w := faultWorld(t, seed, "loss:p=0.3;corrupt:p=0.1;crash:node=1,at=3ms")
-				det = w.StartHeartbeat(DefaultHeartbeat())
+				det = w.StartHeartbeat()
 				a, b := w.Rank(0), w.Rank(1)
 				abuf, bbuf := a.Node.Alloc(size, 0), b.Node.Alloc(size, 0)
 				return c, w, []script{
@@ -158,7 +158,7 @@ func TestFTDeathEndsRetransmission(t *testing.T) {
 		var det *Detector
 		o := twins(t, func() (*machine.Cluster, *World, []script) {
 			c, w := faultWorld(t, 1, "loss:p=1;crash:node=1,at=100us")
-			det = w.StartHeartbeat(DefaultHeartbeat())
+			det = w.StartHeartbeat()
 			r := w.Rank(0)
 			return c, w, []script{{acts: []act{sendFTAct(r, 1, 7, r.Node.Alloc(size, 0), size)}, times: 1, finally: det.Stop}}
 		})
@@ -177,7 +177,7 @@ func TestSendFTCrashMidDMA(t *testing.T) {
 	var det *Detector
 	o := twins(t, func() (*machine.Cluster, *World, []script) {
 		c, w := faultWorld(t, 1, "crash:node=1,at=1ms")
-		det = w.StartHeartbeat(DefaultHeartbeat())
+		det = w.StartHeartbeat()
 		a, b := w.Rank(0), w.Rank(1)
 		return c, w, []script{
 			{acts: []act{sendFTAct(a, 1, 7, a.Node.Alloc(size, 0), size)}, times: -1, finally: det.Stop},
@@ -199,7 +199,7 @@ func TestCrashedNodeDropsRTS(t *testing.T) {
 	o := twins(t, func() (*machine.Cluster, *World, []script) {
 		var c *machine.Cluster
 		c, w = faultWorld(t, 1, "crash:node=1,at=100us")
-		det := w.StartHeartbeat(DefaultHeartbeat())
+		det := w.StartHeartbeat()
 		r := w.Rank(0)
 		return c, w, []script{{acts: []act{sleepAct(200 * sim.Microsecond), sendFTAct(r, 1, 7, r.Node.Alloc(size, 0), size)}, times: 1, finally: det.Stop}}
 	})

@@ -1,20 +1,16 @@
 package mpi
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // This file implements the sim-time heartbeat failure detector: every
-// rank runs a monitor process that probes its peers' liveness each
-// Period and declares a peer dead once it has been unresponsive for
-// Timeout (the suspicion timeout). Semantics follow ULFM: survivors
-// observe the failure, the active communicator shrinks (AliveRanks),
-// and the fault-tolerant point-to-point operations (SendFT/RecvFT)
-// surface ErrPeerDead instead of hanging forever. Once declared dead a
-// rank stays dead even if its node later recovers — rejoining a
-// shrunken communicator is out of scope, as in ULFM.
+// rank's monitor probes its peers' liveness each probePeriod and
+// declares a peer dead once it has been unresponsive for probeTimeout
+// (the suspicion timeout). Semantics follow ULFM: survivors observe the
+// failure, the active communicator shrinks (AliveRanks), and the
+// fault-tolerant point-to-point operations (SendFT/RecvFT) surface
+// ErrPeerDead instead of hanging forever. Once declared dead a rank
+// stays dead even if its node later recovers — rejoining a shrunken
+// communicator is out of scope, as in ULFM.
 //
 // There is one point-to-point protocol (send/recv in mpi.go): SendFT
 // and RecvFT hand it the world's detector, Send and Recv hand it nil. A
@@ -22,127 +18,147 @@ import (
 // reports false and Watch does nothing — so the protocol's waits need
 // no separate healthy path.
 //
-// The probe itself is modelled out of band: a monitor reads the fault
-// injector's crash ground truth instead of exchanging real heartbeat
-// messages (which would perturb the measured traffic). The probe's
-// round-trip time is considered folded into the suspicion timeout, so
-// detection latency is Timeout plus up to one Period — deterministic in
-// sim time and identical at any host worker count.
+// A probe reads the fault injector's crash ground truth instead of
+// exchanging heartbeat messages, which would perturb the measured
+// traffic. One timer runs every live monitor's probe, in rank order, on
+// the grid t0 + k·probePeriod from the arm instant t0, but only while
+// the node of an undeclared rank is down and some monitor probes; a
+// crash wakes it (WatchCrash), and the ticks it skipped saw every
+// undeclared rank up. So an armed detector lets its world drain.
+// DESIGN.md §7 gives the tie rule.
 
-// HeartbeatConfig tunes the failure detector.
-type HeartbeatConfig struct {
-	// Period is the interval between liveness probes.
-	Period sim.Duration
-	// Timeout is the suspicion timeout: a peer unresponsive for this
-	// long is declared dead.
-	Timeout sim.Duration
-}
-
-// DefaultHeartbeat returns the configuration used by the harness:
-// 50µs probes, 200µs suspicion timeout.
-func DefaultHeartbeat() HeartbeatConfig {
-	return HeartbeatConfig{Period: 50 * sim.Microsecond, Timeout: 200 * sim.Microsecond}
-}
+// The probe period and the suspicion timeout.
+const (
+	probePeriod  = 50 * sim.Microsecond
+	probeTimeout = 200 * sim.Microsecond
+)
 
 // Detector is the world-wide failure detector state: which ranks are
 // still members of the (shrinking) communicator, and when each death
 // was declared.
 type Detector struct {
 	w       *World
-	cfg     HeartbeatConfig
 	t0      sim.Time // the arm instant
 	alive   []bool
 	deadAt  []sim.Time
 	stopped bool
 	watch   []*sim.Signal
 	onDeath []func(rank int)
+	// probing[i] is false once rank i's monitor found its own node
+	// down, and lastSeen[i] is the last tick that saw rank i up. tick
+	// runs the probes; crash, watched on the injector, runs wake.
+	probing  []bool
+	lastSeen []sim.Time
+	tick     *sim.Timer
+	crash    *sim.Signal
+	wake     sim.Cont
 }
 
-// StartHeartbeat arms the failure detector: one monitor process per
-// rank, probing every cfg.Period. Idempotent — a second call returns
-// the existing detector. Call Stop when the application work is done so
-// the monitors stop generating events.
-func (w *World) StartHeartbeat(cfg HeartbeatConfig) *Detector {
+// StartHeartbeat arms the failure detector. Idempotent — a second call
+// returns the existing detector. On a world whose schedule never
+// crashes a node it schedules nothing.
+func (w *World) StartHeartbeat() *Detector {
 	if w.det != nil {
 		return w.det
 	}
-	if cfg.Period <= 0 {
-		cfg.Period = DefaultHeartbeat().Period
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultHeartbeat().Timeout
-	}
-	d := &Detector{
-		w:      w,
-		cfg:    cfg,
-		t0:     w.cluster.K.Now(),
-		alive:  make([]bool, len(w.ranks)),
-		deadAt: make([]sim.Time, len(w.ranks)),
-	}
-	for i := range d.alive {
-		d.alive[i] = true
-		d.deadAt[i] = -1
-	}
+	d := newDetector(w)
 	w.det = d
-	for i := range w.ranks {
-		i := i
-		w.cluster.K.Spawn(fmt.Sprintf("hb.n%d", i), func(p *sim.Proc) {
-			d.monitor(p, i)
-		})
+	if inj := w.inj; inj != nil {
+		d.tick, d.crash = w.cluster.K.NewTimer(d.probe), sim.NewSignal(w.cluster.K)
+		d.wake = sim.MakeCont(d.woken)
+		inj.WatchCrash(d.crash)
+		d.crash.WaitCont(&d.wake)
+		if d.suspect() {
+			d.tick.Arm(d.t0)
+		}
+	}
+	return d
+}
+
+// newDetector returns w's detector state armed now: every rank alive.
+func newDetector(w *World) *Detector {
+	n := len(w.ranks)
+	d := &Detector{w: w, t0: w.cluster.K.Now(), alive: make([]bool, n), deadAt: make([]sim.Time, n),
+		probing: make([]bool, n), lastSeen: make([]sim.Time, n)}
+	for i := range d.alive {
+		d.alive[i], d.deadAt[i], d.probing[i], d.lastSeen[i] = true, -1, true, d.t0
 	}
 	return d
 }
 
 // Detector returns the world's failure detector, or nil when
-// StartHeartbeat was never called (crash-free worlds).
+// StartHeartbeat was never called.
 func (w *World) Detector() *Detector { return w.det }
 
-// monitor is rank self's probe loop.
-func (d *Detector) monitor(p *sim.Proc, self int) {
+// down reports whether rank i's node is crashed.
+func (d *Detector) down(i int) bool {
 	inj := d.w.inj
-	// Suspicion of a peer already down when the detector is armed runs
-	// from the arm instant.
-	lastSeen := make([]sim.Time, len(d.alive))
-	for i := range lastSeen {
-		lastSeen[i] = d.t0
-	}
-	for {
-		if d.stopped {
-			return
+	return inj != nil && inj.Crashed(d.w.ranks[i].Node.ID)
+}
+
+// probe is one tick: every live monitor, in rank order, probes its
+// peers (declaring nothing once stopped).
+func (d *Detector) probe() {
+	now := d.w.cluster.K.Now()
+	for self := range d.probing {
+		if !d.probing[self] || d.down(self) {
+			d.probing[self] = false // a crashed node's own monitor dies with it
+			continue
 		}
-		// A crashed node's own monitor dies with it.
-		if inj != nil && inj.Crashed(d.w.ranks[self].Node.ID) {
-			return
-		}
-		now := p.Now()
 		for peer := range d.alive {
 			if peer == self || !d.alive[peer] {
 				continue
 			}
-			peerDown := inj != nil && inj.Crashed(d.w.ranks[peer].Node.ID)
-			if !peerDown {
-				lastSeen[peer] = now
-			} else if now.Sub(lastSeen[peer]) >= d.cfg.Timeout {
+			if !d.down(peer) {
+				d.lastSeen[peer] = now
+			} else if now.Sub(d.lastSeen[peer]) >= probeTimeout {
 				d.declareDead(peer)
 			}
 		}
-		p.Sleep(d.cfg.Period)
 	}
+	if d.suspect() {
+		d.tick.Arm(now.Add(probePeriod))
+	}
+}
+
+// suspect reports whether a probe can still declare a death: the node
+// of a rank not yet declared dead is down, and some monitor probes.
+func (d *Detector) suspect() bool {
+	down, probing := false, false
+	for i, a := range d.alive {
+		down = down || a && d.down(i)
+		probing = probing || d.probing[i]
+	}
+	return !d.stopped && down && probing
+}
+
+// woken runs on every crash and recovery: an idle detector with a
+// suspect counts the ticks it skipped as sightings and probes again.
+func (d *Detector) woken() {
+	d.crash.WaitCont(&d.wake)
+	if d.tick.Pending() || !d.suspect() {
+		return
+	}
+	late := d.w.cluster.K.Now().Sub(d.t0)
+	next := d.t0.Add((late + probePeriod - 1) / probePeriod * probePeriod)
+	for i := range d.lastSeen {
+		d.lastSeen[i] = max(d.lastSeen[i], next.Add(-probePeriod))
+	}
+	d.tick.Arm(next)
 }
 
 // declareDead marks a rank dead exactly once: survivors' PeerDeaths
 // counters bump, registered death callbacks fire, and watched signals
 // are broadcast so blocked fault-tolerant operations re-check liveness.
-// Runs in the first detecting monitor's process context.
+// Runs in the event of the detecting probe.
 func (d *Detector) declareDead(rank int) {
 	if d.stopped || !d.alive[rank] {
 		return
 	}
 	d.alive[rank] = false
 	d.deadAt[rank] = d.w.cluster.K.Now()
-	inj := d.w.inj
 	for i, a := range d.alive {
-		if a && !(inj != nil && inj.Crashed(d.w.ranks[i].Node.ID)) {
+		if a && !d.down(i) {
 			d.w.ranks[i].Node.Counters.PeerDeaths++
 		}
 	}
@@ -210,7 +226,7 @@ func (d *Detector) Unwatch(s *sim.Signal) {
 	}
 }
 
-// Stop shuts the detector down: monitors exit at their next tick and no
-// further deaths are declared. Call it when the application work is
-// complete so the simulation drains.
+// Stop ends detection when the application work is complete: no death
+// is declared from then on, so a crash after the run is not reported
+// as part of it.
 func (d *Detector) Stop() { d.stopped = true }

@@ -33,9 +33,9 @@ type World struct {
 	// retransmission for rendezvous handshakes. Healthy worlds never
 	// enter those paths, so their event sequence is unchanged.
 	inj *fault.Injector
-	// det is the heartbeat failure detector, armed by StartHeartbeat on
-	// worlds whose fault schedule contains node crashes; nil otherwise.
-	// SendFT and RecvFT pass it to the protocol, Send and Recv pass nil.
+	// det is the failure detector armed by StartHeartbeat (the crash
+	// drivers arm it, on crash-free worlds too), nil otherwise. SendFT
+	// and RecvFT pass it to the protocol, Send and Recv pass nil.
 	det *Detector
 	// freeMsgs recycles message structs (with their embedded signals and
 	// bound-method callbacks) on healthy worlds. Receives under an

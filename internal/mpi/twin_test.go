@@ -169,6 +169,14 @@ type chain struct {
 // started from an event in the slot its process would take.
 func asEvents(s scenario) observed {
 	c, _, scripts := s()
+	outs := startChains(c, scripts)
+	c.K.Run()
+	return observe(c, outs)
+}
+
+// startChains starts scripts as chains, in order, each from an event
+// of this instant, and returns where they record their outcomes.
+func startChains(c *machine.Cluster, scripts []script) []outcome {
 	outs := make([]outcome, len(scripts))
 	for i, sc := range scripts {
 		x := &chain{k: c.K, sc: sc, out: &outs[i]}
@@ -177,8 +185,7 @@ func asEvents(s scenario) observed {
 		x.cont = sim.MakeCont(func() { x.ended(nil) })
 		c.K.At(c.K.Now(), x.next)
 	}
-	c.K.Run()
-	return observe(c, outs)
+	return outs
 }
 
 // next runs the script's next act.

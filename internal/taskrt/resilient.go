@@ -42,8 +42,8 @@ type ResilientApp struct {
 	// CheckpointBytes is the state each rank writes per checkpoint.
 	CheckpointBytes int64
 	// Horizon bounds the simulated duration of one Run (default 30 s):
-	// exceeding it panics instead of letting a coordination bug spin the
-	// heartbeat monitors forever.
+	// exceeding it panics instead of letting a coordination bug run the
+	// simulation forever.
 	Horizon sim.Duration
 
 	// Progress hooks, all optional, called in simulation context on the
@@ -395,8 +395,8 @@ func (st *resilientRun) drive(p *sim.Proc, id int) {
 }
 
 // maybeFinish ends the run once every live rank's driver has completed
-// the full iteration count: stop the detector (so its monitors drain),
-// cancel the horizon watchdog, and shut every runtime down.
+// the full iteration count: stop the detector (a later crash is not
+// part of the run), cancel the watchdog, and shut every runtime down.
 func (st *resilientRun) maybeFinish() {
 	if st.done || st.completed < st.app.Iterations || st.finished < len(st.alive) {
 		return
