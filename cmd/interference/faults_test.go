@@ -96,6 +96,22 @@ func TestDegradedCampaignPartialResults(t *testing.T) {
 	_ = stdout
 }
 
+// TestRuntimeExperimentsFailOnTransferError: under total loss the task
+// runtime's experiments fail with the exhausted retry budget's
+// *fault.TransferError, both fig8, whose ping-pong initiator never waits
+// for its sends, and fig10, whose application waits for every request.
+func TestRuntimeExperimentsFailOnTransferError(t *testing.T) {
+	for _, exp := range []string{"fig8", "fig10"} {
+		code, _, stderr := runCLI("-exp", exp, "-faults", "loss:p=1", "-runs", "1")
+		if code != 1 {
+			t.Fatalf("%s: exit %d, want 1:\n%s", exp, code, stderr)
+		}
+		if !strings.Contains(stderr, "1 of 1 experiments failed") || !strings.Contains(stderr, "transfer n0→n1 failed after 9 attempts") {
+			t.Fatalf("%s: recap does not carry the TransferError:\n%s", exp, stderr)
+		}
+	}
+}
+
 // TestFaultsStdoutDeterministicAcrossJobs pins the acceptance contract:
 // fixed seed + fixed schedule produce byte-identical output at -j 1 and
 // -j 8.

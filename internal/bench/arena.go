@@ -240,14 +240,16 @@ func (a *worldArena) put(pw pooledWorld) {
 // coroutines exit instead of outliving the point. That includes worlds
 // that are not drained (a crash schedule froze processes or held
 // compute loops on a dead node, or a panicked run left them
-// mid-flight): Shutdown unwinds their blocked processes, which runs the
-// defers of their bodies. The only such defer is the world's
-// fault-injector unwatch. A compute loop is no process, so Shutdown
-// does not reach it: one left mid-slice keeps its core active and its
-// stream counted, and one held by a dead node keeps its wakeup queued,
-// in a world that is never parked or run again. All of it stays inside
-// its own world, and the point's record is sealed from its worlds
-// before this runs, so abandoning them is invisible in results.
+// mid-flight): Shutdown unwinds their blocked processes, which would
+// run the defers of their bodies, but no process body defers anything,
+// so the unwind changes no world state. Continuations are no
+// processes, so Shutdown does not reach them: a compute loop left
+// mid-slice keeps its core active and its stream counted, one held by a
+// dead node keeps its wakeup queued, and a task runtime's communication
+// thread keeps its core active, in a world that is never parked or run
+// again. All of it stays inside its own world, and the point's record
+// is sealed from its worlds before this runs, so abandoning them is
+// invisible in results.
 //
 // Each world's work since the hand-over is folded into DoneByFamily
 // here, under the point's family, before its kernel is shut down or the

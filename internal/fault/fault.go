@@ -50,9 +50,10 @@ const (
 	// next execution primitive a process enters blocks), its NIC drops
 	// every in-flight transfer (the flows freeze and crash-aware waiters
 	// cancel them), and MPI operations against it that watch the
-	// failure detector (SendFT/RecvFT; Send/Recv run the same protocol
-	// without one) return ErrPeerDead once the detector declares it. A
-	// For > 0 schedules an automatic recovery when the window closes.
+	// failure detector (StartSend/StartRecv; Send/Recv run the same
+	// protocol without one) return ErrPeerDead once the detector
+	// declares it. A For > 0 schedules an automatic recovery when the
+	// window closes.
 	NodeCrash
 	// NodeRecover brings a previously crashed node back up at At (its
 	// gated processes resume; lost in-flight transfers stay lost).

@@ -44,13 +44,24 @@ func (n *Node) ExecCycles(p *sim.Proc, core int, cycles float64) {
 		return
 	}
 	n.gateUp(p)
-	p.Sleep(n.StartCycles(core, cycles))
+	p.Sleep(n.startCycles(core, cycles))
 }
 
-// StartCycles accounts a burn of cycles > 0 on a core, starting now,
-// and returns how long it takes: the sleep ExecCycles takes once the
-// node is up (WaitUp), for code that burns without a process.
-func (n *Node) StartCycles(core int, cycles float64) sim.Duration {
+// ExecCyclesCont is ExecCycles for a continuation, for cycles > 0: it
+// reports false while the node is down, with c queued on its recovery
+// to ask again, and otherwise arms c for the burn's end.
+func (n *Node) ExecCyclesCont(c *sim.Cont, core int, cycles float64) bool {
+	if n.down {
+		n.upSig.WaitCont(c)
+		return false
+	}
+	n.K().SleepCont(c, n.startCycles(core, cycles))
+	return true
+}
+
+// startCycles accounts a burn of cycles > 0 on a core, starting now,
+// and returns how long it takes.
+func (n *Node) startCycles(core int, cycles float64) sim.Duration {
 	d := sim.Duration(float64(n.Freq.Cycles(core, cycles)) * n.CoreSlowdown(core))
 	n.Counters.AddExec(core, cycles, 0, 0, 0)
 	return d
@@ -65,9 +76,18 @@ func (n *Node) MemAccesses(p *sim.Proc, core int, to int, count float64) {
 		return
 	}
 	n.gateUp(p)
-	from := n.Spec.NUMAOfCore(core)
-	lat := n.AccessLatency(from, to)
-	p.Sleep(sim.Duration(float64(lat) * count))
+	p.Sleep(sim.Duration(float64(n.AccessLatency(n.Spec.NUMAOfCore(core), to)) * count))
+}
+
+// MemAccessesCont is MemAccesses for a continuation, for count > 0, as
+// ExecCyclesCont is ExecCycles.
+func (n *Node) MemAccessesCont(c *sim.Cont, core, to int, count float64) bool {
+	if n.down {
+		n.upSig.WaitCont(c)
+		return false
+	}
+	n.K().SleepCont(c, sim.Duration(float64(n.AccessLatency(n.Spec.NUMAOfCore(core), to))*count))
+	return true
 }
 
 // ComputeSpec describes one execution slice of a compute kernel on a

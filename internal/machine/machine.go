@@ -529,16 +529,6 @@ func (n *Node) gateUp(p *sim.Proc) {
 	}
 }
 
-// WaitUp is gateUp for a continuation: it reports whether the node is
-// up, and otherwise queues c on the node's recovery, to ask again when
-// c runs.
-func (n *Node) WaitUp(c *sim.Cont) bool {
-	if n.down {
-		n.upSig.WaitCont(c)
-	}
-	return !n.down
-}
-
 // Jitter applies multiplicative measurement noise of relative amplitude
 // frac to d, drawn from the cluster's deterministic RNG.
 func (n *Node) Jitter(d sim.Duration, frac float64) sim.Duration {

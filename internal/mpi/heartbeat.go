@@ -7,13 +7,13 @@ import "repro/internal/sim"
 // declares a peer dead once it has been unresponsive for probeTimeout
 // (the suspicion timeout). Semantics follow ULFM: survivors observe the
 // failure, the active communicator shrinks (AliveRanks), and the
-// fault-tolerant point-to-point operations (SendFT/RecvFT) surface
-// ErrPeerDead instead of hanging forever. Once declared dead a rank
+// fault-tolerant point-to-point operations (StartSend/StartRecv)
+// surface ErrPeerDead instead of hanging forever. Once declared dead a rank
 // stays dead even if its node later recovers — rejoining a shrunken
 // communicator is out of scope, as in ULFM.
 //
-// There is one point-to-point protocol (send/recv in mpi.go): SendFT
-// and RecvFT hand it the world's detector, Send and Recv hand it nil. A
+// There is one point-to-point protocol (op.go): StartSend and
+// StartRecv hand it the world's detector, Send and Recv hand it nil. A
 // nil *Detector is a detector that never declares a death — Dead
 // reports false and Watch does nothing — so the protocol's waits need
 // no separate healthy path.

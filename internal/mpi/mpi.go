@@ -34,8 +34,8 @@ type World struct {
 	// enter those paths, so their event sequence is unchanged.
 	inj *fault.Injector
 	// det is the failure detector armed by StartHeartbeat (the crash
-	// drivers arm it, on crash-free worlds too), nil otherwise. SendFT
-	// and RecvFT pass it to the protocol, Send and Recv pass nil.
+	// drivers arm it, on crash-free worlds too), nil otherwise. StartSend
+	// and StartRecv pass it to the protocol, Send and Recv pass nil.
 	det *Detector
 	// freeMsgs recycles message structs (with their embedded signals and
 	// bound-method callbacks) on healthy worlds. Receives under an
@@ -359,20 +359,13 @@ func (r *Rank) Send(p *sim.Proc, dst, tag int, buf *machine.Buffer, size int64) 
 	}
 }
 
-// SendFT is the fault-tolerant Send: it returns ErrPeerDead once the
-// world's failure detector declares dst dead (before or during the
-// operation), and returns retry exhaustion as a *fault.TransferError
-// instead of panicking. Without a detector no death is ever declared.
-func (r *Rank) SendFT(p *sim.Proc, dst, tag int, buf *machine.Buffer, size int64) error {
-	return r.newOp(true, dst, tag, buf, size, r.world.det).run(p)
-}
-
-// StartSend runs SendFT's protocol without a process: it starts the
-// send from event context (or from a process, which it does not block)
-// and calls then with SendFT's outcome once the send has completed
-// locally — in event context, in the event slot where a process
-// blocked in SendFT would resume, or at once when it completes within
-// the call. then may start the rank's next operation.
+// StartSend is the fault-tolerant Send, run without a process from
+// event context (or from a process, which it does not block). then gets
+// the outcome once the send has completed locally, in the event slot
+// where a process blocked in Send would resume, or at once when it
+// completes within the call, and may start the rank's next operation:
+// ErrPeerDead once the world's failure detector declares dst dead
+// (never without a detector), or retry exhaustion's TransferError.
 func (r *Rank) StartSend(dst, tag int, buf *machine.Buffer, size int64, then func(error)) {
 	r.newOp(true, dst, tag, buf, size, r.world.det).start(then)
 }
@@ -385,17 +378,9 @@ func (r *Rank) Recv(p *sim.Proc, src, tag int, buf *machine.Buffer, size int64) 
 	}
 }
 
-// RecvFT is the fault-tolerant Recv: it returns ErrPeerDead when the
-// world's failure detector declares src dead, before a matching message
-// arrives or while the payload is still in flight. Without a detector
-// no death is ever declared.
-func (r *Rank) RecvFT(p *sim.Proc, src, tag int, buf *machine.Buffer, size int64) error {
-	return r.newOp(false, src, tag, buf, size, r.world.det).run(p)
-}
-
-// StartRecv runs RecvFT's protocol without a process, as StartSend
-// does for SendFT: then gets RecvFT's outcome once the payload is in
-// place.
+// StartRecv is StartSend for Recv: then gets nil once the payload is in
+// place, or ErrPeerDead when the detector declares src dead before a
+// matching message arrives or while the payload is in flight.
 func (r *Rank) StartRecv(src, tag int, buf *machine.Buffer, size int64, then func(error)) {
 	r.newOp(false, src, tag, buf, size, r.world.det).start(then)
 }

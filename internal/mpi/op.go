@@ -15,9 +15,11 @@ import (
 // the lossy retry sleeps and RTS timeouts, and the payload transfers —
 // arms the op's continuation, so the next step runs in the event slot
 // where a process blocked in that call would resume (see sim.Cont).
-// Send, Recv, SendFT and RecvFT park their process on an op (run);
 // StartSend and StartRecv run one from event context with no process
-// (start). The rank recycles its ops.
+// (start): the ping-pongs, Isend/Irecv and the task runtime's
+// communication requests. Send and Recv park their process on an op
+// (run): the collectives, overlap and the fabric jobs. The rank
+// recycles its ops.
 type op struct {
 	r    *Rank
 	send bool
@@ -528,16 +530,13 @@ func (o *op) await(sig *sim.Signal, done *bool, next opPC) {
 // whether the op waits: on the node's recovery, staying at this step,
 // or on the burn.
 func (o *op) burn(cycles float64, next opPC) bool {
-	n := o.r.Node
 	if cycles <= 0 {
 		o.pc = next
 		return false
 	}
-	if !n.WaitUp(&o.cont) {
-		return true
+	if o.r.Node.ExecCyclesCont(&o.cont, o.r.CommCore, cycles) {
+		o.pc = next
 	}
-	o.pc = next
-	o.r.world.cluster.K.SleepCont(&o.cont, n.StartCycles(o.r.CommCore, cycles))
 	return true
 }
 

@@ -20,6 +20,16 @@ import (
 // (faults included), the fluid solves and the kernel's event count
 // (see twins).
 
+// SendFT and RecvFT are StartSend and StartRecv for a process, which
+// parks on the operation until it ends: the process side of the twins.
+func (r *Rank) SendFT(p *sim.Proc, dst, tag int, buf *machine.Buffer, size int64) error {
+	return r.newOp(true, dst, tag, buf, size, r.world.det).run(p)
+}
+
+func (r *Rank) RecvFT(p *sim.Proc, src, tag int, buf *machine.Buffer, size int64) error {
+	return r.newOp(false, src, tag, buf, size, r.world.det).run(p)
+}
+
 // actKind is what one step of a rank script does.
 type actKind int
 

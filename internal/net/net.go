@@ -451,11 +451,9 @@ func (x *task) step() {
 				cycles = nic.RecvCycles
 			}
 			if cycles > 0 {
-				if !x.src.WaitUp(&x.cont) {
+				if !x.src.ExecCyclesCont(&x.cont, x.core, cycles) {
 					x.phase = taskBurn
-					return
 				}
-				k.SleepCont(&x.cont, x.src.StartCycles(x.core, cycles))
 				return
 			}
 		case taskAccess:

@@ -408,49 +408,25 @@ func (s *Signal) Broadcast() {
 // the signal.
 func (s *Signal) Waiters() int { return len(s.waiters) }
 
-// Queue is a deterministic FIFO mailbox between processes: Push never
-// blocks, Pop blocks until an item is available.
+// Queue is a FIFO list; the zero Queue is empty and ready to use.
 type Queue[T any] struct {
 	items []T
-	sig   *Signal
 }
 
-// NewQueue returns an empty queue bound to kernel k.
-func NewQueue[T any](k *Kernel) *Queue[T] {
-	return &Queue[T]{sig: NewSignal(k)}
-}
+// Push appends v.
+func (q *Queue[T]) Push(v T) { q.items = append(q.items, v) }
 
-// Push appends v and wakes one waiting consumer.
-func (q *Queue[T]) Push(v T) {
-	q.items = append(q.items, v)
-	q.sig.Signal()
-}
-
-// Pop removes and returns the oldest item, blocking p until one exists.
-func (q *Queue[T]) Pop(p *Proc) T {
-	for len(q.items) == 0 {
-		q.sig.Wait(p)
-	}
-	return q.pop()
-}
-
-// TryPop removes and returns the oldest item without blocking.
+// TryPop removes and returns the oldest item, if there is one.
 func (q *Queue[T]) TryPop() (T, bool) {
 	var zero T
 	if len(q.items) == 0 {
 		return zero, false
 	}
-	return q.pop(), true
-}
-
-// pop removes the oldest item, clearing its slot so the backing array
-// does not keep it reachable.
-func (q *Queue[T]) pop() T {
-	var zero T
+	// Clear the slot so the backing array does not keep v reachable.
 	v := q.items[0]
 	q.items[0] = zero
 	q.items = q.items[1:]
-	return v
+	return v, true
 }
 
 // Len returns the number of queued items.

@@ -160,28 +160,8 @@ func TestProcPanicPropagates(t *testing.T) {
 	k.Run()
 }
 
-func TestQueueBlocksUntilPush(t *testing.T) {
-	k := NewKernel(1)
-	q := NewQueue[int](k)
-	var got int
-	var at Time
-	k.Spawn("consumer", func(p *Proc) {
-		got = q.Pop(p)
-		at = p.Now()
-	})
-	k.Spawn("producer", func(p *Proc) {
-		p.Sleep(500)
-		q.Push(7)
-	})
-	k.Run()
-	if got != 7 || at != 500 {
-		t.Fatalf("got %d at %v, want 7 at 500", got, at)
-	}
-}
-
 func TestQueueFIFOAndTryPop(t *testing.T) {
-	k := NewKernel(1)
-	q := NewQueue[int](k)
+	var q Queue[int]
 	q.Push(1)
 	q.Push(2)
 	if v, ok := q.TryPop(); !ok || v != 1 {
@@ -377,16 +357,22 @@ func TestNestedKernelInsideProc(t *testing.T) {
 	outer.Spawn("driver", func(p *Proc) {
 		for round := 0; round < 2; round++ {
 			inner := NewKernel(2)
-			q := NewQueue[int](inner)
+			var q Queue[int]
+			pushed := NewSignal(inner)
 			inner.Spawn("consumer", func(c *Proc) {
 				for i := 0; i < 3; i++ {
-					got = append(got, fmt.Sprintf("r%d:%d@%d", round, q.Pop(c), c.Now()))
+					for q.Len() == 0 {
+						pushed.Wait(c)
+					}
+					v, _ := q.TryPop()
+					got = append(got, fmt.Sprintf("r%d:%d@%d", round, v, c.Now()))
 				}
 			})
 			inner.Spawn("producer", func(c *Proc) {
 				for i := 0; i < 3; i++ {
 					c.Sleep(10)
 					q.Push(i)
+					pushed.Signal()
 				}
 			})
 			inner.Run()

@@ -74,16 +74,10 @@ func (a *App) Run(rts [2]*Runtime) AppStats {
 				rt.Submit(p, tasks...)
 				for m := 0; m < a.MsgsPerIter; m++ {
 					tag := it*1000 + m
-					var rdone bool
-					rreq := rt.PostRecv(p, peer, tag, recvBuf, a.MsgSize, func() { rdone = true })
-					var sdone bool
-					sreq := rt.PostSend(p, peer, tag, sendBuf, a.MsgSize, func() { sdone = true })
-					for !sdone {
-						sreq.Wait(p)
-					}
-					for !rdone {
-						rreq.Wait(p)
-					}
+					rh := rt.PostRecv(p, peer, tag, recvBuf, a.MsgSize)
+					sh := rt.PostSend(p, peer, tag, sendBuf, a.MsgSize)
+					must(sh.Wait(p))
+					must(rh.Wait(p))
 				}
 				rt.WaitAll(p)
 			}

@@ -8,131 +8,220 @@ import (
 	"repro/internal/topology"
 )
 
+// CommHandle is a starpu_mpi request: a send or a receive of a data
+// handle, posted with PostSend or PostRecv. Once the communication
+// thread has processed it, the request runs as its own chain.
+type CommHandle struct {
+	send      bool
+	peer, tag int
+	buf       *machine.Buffer
+	size      int64
+	dataNUMA  int         // home of the handle's metadata
+	then      func(error) // if non-nil, gets the outcome before waiters wake
+	err       error
+	done      bool
+	doneSig   *sim.Signal
+	begun     sim.Time
+	chain
+}
+
+// chain is a continuation running the communication thread (from
+// commStart, h the request it processes) or request h (from reqStart),
+// trampolined as mpi's op.wake is: a wakeup that comes while step runs
+// (a sleep that ends in place) makes it run once more, not recurse.
+type chain struct {
+	rt          *Runtime
+	h           *CommHandle
+	cont        sim.Cont
+	pc          uint8
+	busy, again bool
+}
+
+// The steps of a chain.
+const (
+	commStart  uint8 = iota // the thread busy-drains the list until Shutdown
+	commPop                 // take the oldest request, or wait for one
+	commBurn                // process it
+	commTouch               // a send touches the handle metadata
+	commHand                // hand it to the MPI library's progression
+	reqStart                // start the MPI operation
+	reqTouch                // a received handle's metadata is touched
+	reqDeliver              // the completion callback and handle release
+	reqDone
+)
+
+func (c *chain) wake() {
+	if c.busy {
+		c.again = true
+		return
+	}
+	for c.busy, c.again = true, true; c.again; {
+		c.again = false
+		c.step()
+	}
+	c.busy = false
+}
+
+// step runs the chain from c.pc until it arms a wait or ends. The
+// thread pays the per-request software path serially on its core, and
+// the MPI operation progresses asynchronously, so a posted receive never
+// blocks a queued send (symmetric rendezvous exchanges would deadlock).
+func (c *chain) step() {
+	rt, h := c.rt, c.h
+	for {
+		switch c.pc {
+		case commStart:
+			rt.node.Freq.SetActive(rt.cfg.CommCore, topology.Scalar)
+			c.pc = commPop
+		case commPop:
+			if rt.shutdown {
+				rt.node.Freq.SetIdle(rt.cfg.CommCore)
+				return
+			}
+			var ok bool
+			if h, ok = rt.commQ.TryPop(); !ok {
+				rt.commSig.WaitCont(&c.cont)
+				return
+			}
+			c.h, c.pc = h, commBurn
+		case commBurn:
+			frac, next := commRecvFrac, commHand
+			if h.send {
+				frac, next = commSendFrac, commTouch
+			}
+			if c.exec(frac*rt.node.Spec.RuntimeCyclesPerMsg, next) {
+				return
+			}
+		case commTouch:
+			c.touch(commHand)
+			return
+		case commHand:
+			// The request progresses concurrently with the next ones.
+			rt.k.At(rt.k.Now(), h.wake)
+			c.pc = commPop
+		case reqStart:
+			h.begun, c.pc = rt.k.Now(), reqTouch
+			if h.send {
+				rt.cfg.Rank.StartSend(h.peer, h.tag, h.buf, h.size, h.ended)
+			} else {
+				rt.cfg.Rank.StartRecv(h.peer, h.tag, h.buf, h.size, h.ended)
+			}
+			return
+		case reqTouch:
+			if !h.send && h.err == nil {
+				c.touch(reqDeliver)
+				return
+			}
+			c.pc = reqDeliver
+		case reqDeliver:
+			if c.exec(deliverFrac*rt.node.Spec.RuntimeCyclesPerMsg, reqDone) {
+				return
+			}
+		case reqDone:
+			label := "recv"
+			if h.send {
+				label = "send"
+			}
+			rt.traceEvent(rt.cfg.CommCore, "comm", label, h.begun, rt.k.Now())
+			h.done = true
+			if h.then != nil {
+				h.then(h.err)
+			}
+			if rt.commInflight--; rt.commInflight == 0 {
+				rt.commIdleSig.Broadcast()
+			}
+			h.doneSig.Broadcast()
+			return
+		}
+	}
+}
+
+// exec burns cycles on the communication core, then goes on at next.
+// It reports whether the step waits: on the burn or, staying at this
+// step, on the node's recovery.
+func (c *chain) exec(cycles float64, next uint8) bool {
+	if cycles <= 0 {
+		c.pc = next
+		return false
+	}
+	if c.rt.node.ExecCyclesCont(&c.cont, c.rt.cfg.CommCore, cycles) {
+		c.pc = next
+	}
+	return true
+}
+
+// touch is exec for the accesses to the request's handle metadata; the
+// step always waits.
+func (c *chain) touch(next uint8) {
+	if c.rt.node.MemAccessesCont(&c.cont, c.rt.cfg.CommCore, c.h.dataNUMA, handleAccesses) {
+		c.pc = next
+	}
+}
+
+// ended is the then of the request's MPI operation.
+func (h *CommHandle) ended(err error) {
+	h.err = err
+	h.wake()
+}
+
 // PostSend enqueues a starpu_mpi send of a data handle to the peer
 // rank. It runs the submission stage on the caller's core (the main
 // thread), then the communication thread picks the request up, touches
 // the handle metadata (NUMA-sensitive, Fig 8), and performs the MPI
-// send. onDone, if non-nil, runs when the send completes locally.
-func (rt *Runtime) PostSend(p *sim.Proc, peer, tag int, buf *machine.Buffer, size int64, onDone func()) *sim.Signal {
-	return rt.post(p, &commReq{send: true, peer: peer, tag: tag, buf: buf, size: size, onDone: onDone})
+// send.
+func (rt *Runtime) PostSend(p *sim.Proc, peer, tag int, buf *machine.Buffer, size int64) *CommHandle {
+	return rt.post(p, rt.request(true, peer, tag, buf, size, nil))
 }
 
 // PostRecv enqueues a starpu_mpi receive of a data handle from the
 // peer rank.
-func (rt *Runtime) PostRecv(p *sim.Proc, peer, tag int, buf *machine.Buffer, size int64, onDone func()) *sim.Signal {
-	return rt.post(p, &commReq{send: false, peer: peer, tag: tag, buf: buf, size: size, onDone: onDone})
+func (rt *Runtime) PostRecv(p *sim.Proc, peer, tag int, buf *machine.Buffer, size int64) *CommHandle {
+	return rt.post(p, rt.request(false, peer, tag, buf, size, nil))
 }
-
-// CommHandle tracks a fault-tolerant communication request posted with
-// PostSendFT/PostRecvFT.
-type CommHandle struct {
-	req *commReq
-}
-
-// Done reports whether the request has completed (successfully or not).
-func (h *CommHandle) Done() bool { return h.req.complete }
-
-// Err returns the request's outcome; only meaningful once Done.
-func (h *CommHandle) Err() error { return h.req.err }
 
 // Wait blocks p until the request completes and returns its outcome:
-// nil on success, mpi.ErrPeerDead when the peer died mid-transfer.
+// nil, mpi.ErrPeerDead or a lossy schedule's *fault.TransferError.
 func (h *CommHandle) Wait(p *sim.Proc) error {
-	for !h.req.complete {
-		h.req.doneSig.Wait(p)
+	for !h.done {
+		h.doneSig.Wait(p)
 	}
-	return h.req.err
+	return h.err
 }
 
-// PostSendFT is PostSend routed through the fault-tolerant MPI send:
-// instead of hanging on a dead peer, the request completes with
-// mpi.ErrPeerDead (surfaced by the returned handle's Wait).
-func (rt *Runtime) PostSendFT(p *sim.Proc, peer, tag int, buf *machine.Buffer, size int64) *CommHandle {
-	req := &commReq{send: true, peer: peer, tag: tag, buf: buf, size: size, ft: true}
-	rt.post(p, req)
-	return &CommHandle{req: req}
-}
-
-// PostRecvFT is PostRecv routed through the fault-tolerant MPI receive.
-func (rt *Runtime) PostRecvFT(p *sim.Proc, peer, tag int, buf *machine.Buffer, size int64) *CommHandle {
-	req := &commReq{send: false, peer: peer, tag: tag, buf: buf, size: size, ft: true}
-	rt.post(p, req)
-	return &CommHandle{req: req}
-}
-
-func (rt *Runtime) post(p *sim.Proc, req *commReq) *sim.Signal {
+// request returns a new request.
+func (rt *Runtime) request(send bool, peer, tag int, buf *machine.Buffer, size int64, then func(error)) *CommHandle {
 	if rt.cfg.Rank == nil {
 		panic("taskrt: runtime has no MPI rank")
 	}
-	req.doneSig = sim.NewSignal(rt.k)
-	// Submission: request allocation, handle lookup, list insertion.
-	rt.node.ExecCycles(p, rt.cfg.MainCore, submitFrac*rt.node.Spec.RuntimeCyclesPerMsg)
-	rt.commStarted()
-	rt.commQ.Push(req)
-	return req.doneSig
+	h := &CommHandle{send: send, peer: peer, tag: tag, buf: buf, size: size, then: then,
+		dataNUMA: rt.node.Spec.NUMAOfCore(rt.cfg.CommCore), doneSig: sim.NewSignal(rt.k)}
+	if buf != nil {
+		h.dataNUMA = buf.NUMA
+	}
+	h.chain = chain{rt: rt, h: h, pc: reqStart}
+	h.cont = sim.MakeCont(h.wake)
+	return h
 }
 
-// commLoop is the communication thread: it busy-drains the request
-// list, pays the runtime's per-request software path, and drives the
-// MPI library. The MPI operation itself runs asynchronously (the
-// library's internal progression), so posting a receive never blocks
-// the processing of a queued send — without this, two ranks exchanging
-// rendezvous messages symmetrically would deadlock.
-func (rt *Runtime) commLoop(p *sim.Proc) {
-	node := rt.node
-	core := rt.cfg.CommCore
-	rank := rt.cfg.Rank
-	node.Freq.SetActive(core, topology.Scalar)
-	defer node.Freq.SetIdle(core)
-	for {
-		req := rt.commQ.Pop(p)
-		if rt.shutdown || req.sentinel {
-			return
-		}
+// post appends h to the request list and wakes the communication
+// thread. From a main thread's process p it first runs the submission
+// stage on the main core; a nil p (event or worker context) skips it,
+// as a proxy task's scheduling already paid it.
+func (rt *Runtime) post(p *sim.Proc, h *CommHandle) *CommHandle {
+	if p != nil {
+		rt.node.ExecCycles(p, rt.cfg.MainCore, submitFrac*rt.node.Spec.RuntimeCyclesPerMsg)
+	}
+	rt.commInflight++
+	rt.commQ.Push(h)
+	rt.commSig.Signal()
+	return h
+}
 
-		commNUMA := node.Spec.NUMAOfCore(core)
-		dataNUMA := commNUMA
-		if req.buf != nil {
-			dataNUMA = req.buf.NUMA
-		}
-		// Request processing runs serially on the communication core.
-		if req.send {
-			node.ExecCycles(p, core, commSendFrac*node.Spec.RuntimeCyclesPerMsg)
-			node.MemAccesses(p, core, dataNUMA, handleAccesses)
-		} else {
-			node.ExecCycles(p, core, commRecvFrac*node.Spec.RuntimeCyclesPerMsg)
-		}
-		// The transfer and its completion callback progress concurrently
-		// with the next requests.
-		rt.k.Spawn(fmt.Sprintf("mpireq.n%d", node.ID), func(hp *sim.Proc) {
-			start := hp.Now()
-			label := "recv"
-			if req.send {
-				label = "send"
-			}
-			switch {
-			case req.ft && req.send:
-				req.err = rank.SendFT(hp, req.peer, req.tag, req.buf, req.size)
-			case req.ft:
-				req.err = rank.RecvFT(hp, req.peer, req.tag, req.buf, req.size)
-				if req.err == nil {
-					node.MemAccesses(hp, core, dataNUMA, handleAccesses)
-				}
-			case req.send:
-				rank.Send(hp, req.peer, req.tag, req.buf, req.size)
-			default:
-				rank.Recv(hp, req.peer, req.tag, req.buf, req.size)
-				node.MemAccesses(hp, core, dataNUMA, handleAccesses)
-			}
-			node.ExecCycles(hp, core, deliverFrac*node.Spec.RuntimeCyclesPerMsg)
-			rt.traceEvent(core, "comm", label, start, hp.Now())
-			req.complete = true
-			if req.onDone != nil {
-				req.onDone()
-			}
-			rt.commFinished()
-			req.doneSig.Broadcast()
-		})
+// must panics with a failed request's error, as a blocking MPI call
+// does.
+func must(err error) {
+	if err != nil {
+		panic(err)
 	}
 }
 
@@ -159,12 +248,9 @@ func (pp *PingPong) Initiate(p *sim.Proc, rt *Runtime, peer int) []sim.Duration 
 	lats := make([]sim.Duration, 0, pp.Iters)
 	for i := 0; i < pp.Warmup+pp.Iters; i++ {
 		start := p.Now()
-		rt.PostSend(p, peer, starpuTag, buf, pp.Size, nil)
-		var rdone bool
-		rreq := rt.PostRecv(p, peer, starpuTag+1, buf, pp.Size, func() { rdone = true })
-		for !rdone {
-			rreq.Wait(p)
-		}
+		// Nothing waits for the send: a failure panics on completion.
+		rt.post(p, rt.request(true, peer, starpuTag, buf, pp.Size, must))
+		must(rt.PostRecv(p, peer, starpuTag+1, buf, pp.Size).Wait(p))
 		if i >= pp.Warmup {
 			lats = append(lats, p.Now().Sub(start)/2)
 		}
@@ -179,16 +265,8 @@ func (pp *PingPong) Respond(p *sim.Proc, rt *Runtime, peer int) {
 		buf = rt.node.Alloc(max(pp.Size, 1), rt.node.Spec.NIC.NUMA)
 	}
 	for i := 0; i < pp.Warmup+pp.Iters; i++ {
-		var rdone bool
-		rreq := rt.PostRecv(p, peer, starpuTag, buf, pp.Size, func() { rdone = true })
-		for !rdone {
-			rreq.Wait(p)
-		}
-		var sdone bool
-		sreq := rt.PostSend(p, peer, starpuTag+1, buf, pp.Size, func() { sdone = true })
-		for !sdone {
-			sreq.Wait(p)
-		}
+		must(rt.PostRecv(p, peer, starpuTag, buf, pp.Size).Wait(p))
+		must(rt.PostSend(p, peer, starpuTag+1, buf, pp.Size).Wait(p))
 	}
 }
 
@@ -197,5 +275,5 @@ const starpuTag = 9000
 // String implements fmt.Stringer for diagnostics.
 func (rt *Runtime) String() string {
 	return fmt.Sprintf("taskrt{node=%d workers=%d backoff=%d..%d queueNUMA=%d}",
-		rt.node.ID, len(rt.cfg.WorkerCores), rt.cfg.Backoff.Min, rt.cfg.Backoff.Max, rt.cfg.QueueNUMA)
+		rt.node.ID, len(rt.cfg.WorkerCores), rt.cfg.Backoff.Min, rt.cfg.Backoff.Max, rt.queueNUMA)
 }

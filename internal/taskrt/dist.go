@@ -135,10 +135,7 @@ func (d *DistRuntime) Insert(p *sim.Proc, t *DistTask) *Task {
 					Accessing(Access{h.local, R})
 				h := h
 				send.OnDone = func() {
-					d.rt.postAsync(&commReq{
-						send: true, peer: exec, tag: tag,
-						buf: h.local.Buf, size: h.Size,
-					})
+					d.rt.post(nil, d.rt.request(true, exec, tag, h.local.Buf, h.Size, must))
 				}
 				d.rt.SubmitData(p, send)
 			case exec:
@@ -148,11 +145,10 @@ func (d *DistRuntime) Insert(p *sim.Proc, t *DistTask) *Task {
 					Accessing(Access{h.local, W})
 				recv.Hold()
 				d.rt.SubmitData(p, recv)
-				d.rt.postAsync(&commReq{
-					send: false, peer: src, tag: tag,
-					buf: h.local.Buf, size: h.Size,
-					onDone: func() { d.rt.Release(recv) },
-				})
+				d.rt.post(nil, d.rt.request(false, src, tag, h.local.Buf, h.Size, func(err error) {
+					must(err)
+					d.rt.Release(recv)
+				}))
 			}
 			h.validOn = exec // replayed identically on every rank
 		}
@@ -192,14 +188,4 @@ func (d *DistRuntime) WaitAllDist(p *sim.Proc) {
 	for d.rt.commInflight > 0 {
 		d.rt.commIdleSig.Wait(p)
 	}
-}
-
-// postAsync enqueues a communication request from event/worker context:
-// the main-thread submission stage is skipped (its cost is part of the
-// proxy task's scheduling), the communication thread still pays its
-// processing share.
-func (rt *Runtime) postAsync(req *commReq) {
-	req.doneSig = sim.NewSignal(rt.k)
-	rt.commStarted()
-	rt.commQ.Push(req)
 }

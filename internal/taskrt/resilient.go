@@ -325,8 +325,8 @@ func (st *resilientRun) drive(p *sim.Proc, id int) {
 			next := members[(my+1)%len(members)]
 			prev := members[(my-1+len(members))%len(members)]
 			tagBase := 1_000_000 + (myEpoch*app.Iterations+it)*64
-			sh := rt.PostSendFT(p, next, tagBase+id, sendBuf, app.MsgSize)
-			rh := rt.PostRecvFT(p, prev, tagBase+prev, recvBuf, app.MsgSize)
+			sh := rt.PostSend(p, next, tagBase+id, sendBuf, app.MsgSize)
+			rh := rt.PostRecv(p, prev, tagBase+prev, recvBuf, app.MsgSize)
 			sh.Wait(p)
 			rh.Wait(p)
 		}

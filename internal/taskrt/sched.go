@@ -11,7 +11,7 @@ package taskrt
 type SchedulerPolicy int
 
 const (
-	// EagerFIFO is a single central ready list on QueueNUMA.
+	// EagerFIFO is a single central ready list, on the main core's node.
 	EagerFIFO SchedulerPolicy = iota
 	// NUMALocal keeps one ready list per NUMA node (tasks routed by
 	// their data's home node) plus a central list for unpinned tasks;
@@ -39,12 +39,12 @@ func (rt *Runtime) queueFor(t *Task) int {
 func (rt *Runtime) centralQueue() int { return rt.node.Spec.NUMANodes() }
 
 // queueHomeNUMA is where a ready list's cachelines live: per-NUMA lists
-// are local to their node, the central list lives on QueueNUMA.
+// are local to their node, the central list on the main core's.
 func (rt *Runtime) queueHomeNUMA(q int) int {
 	if q < rt.node.Spec.NUMANodes() {
 		return q
 	}
-	return rt.cfg.QueueNUMA
+	return rt.queueNUMA
 }
 
 // tryPop pops the oldest task of the first non-empty ready list in the

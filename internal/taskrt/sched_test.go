@@ -143,25 +143,20 @@ func TestCommThrottleParksWorkersDuringComm(t *testing.T) {
 	task.OnDone = func() { taskAt = c.K.Now() }
 	c.K.Spawn("main0", func(p *sim.Proc) {
 		buf := rts[0].Node().Alloc(16<<20, 0)
-		var done bool
-		req := rts[0].PostSend(p, 1, 5, buf, 16<<20, func() {
-			done = true
-			commAt = p.Now()
-		})
+		h := rts[0].PostSend(p, 1, 5, buf, 16<<20)
 		rts[0].Submit(p, task)
-		for !done {
-			req.Wait(p)
+		if err := h.Wait(p); err != nil {
+			t.Error(err)
 		}
+		commAt = p.Now()
 		rts[0].WaitAll(p)
 		rts[0].Shutdown()
 		rts[1].Shutdown()
 	})
 	c.K.Spawn("main1", func(p *sim.Proc) {
 		buf := rts[1].Node().Alloc(16<<20, 0)
-		var done bool
-		req := rts[1].PostRecv(p, 0, 5, buf, 16<<20, func() { done = true })
-		for !done {
-			req.Wait(p)
+		if err := rts[1].PostRecv(p, 0, 5, buf, 16<<20).Wait(p); err != nil {
+			t.Error(err)
 		}
 	})
 	c.K.RunUntil(sim.Time(10 * sim.Second))
@@ -180,25 +175,20 @@ func TestCommThrottleZeroDoesNotPark(t *testing.T) {
 	task.OnDone = func() { taskAt = c.K.Now() }
 	c.K.Spawn("main0", func(p *sim.Proc) {
 		buf := rts[0].Node().Alloc(16<<20, 0)
-		var done bool
-		req := rts[0].PostSend(p, 1, 5, buf, 16<<20, func() {
-			done = true
-			commAt = p.Now()
-		})
+		h := rts[0].PostSend(p, 1, 5, buf, 16<<20)
 		rts[0].Submit(p, task)
-		for !done {
-			req.Wait(p)
+		if err := h.Wait(p); err != nil {
+			t.Error(err)
 		}
+		commAt = p.Now()
 		rts[0].WaitAll(p)
 		rts[0].Shutdown()
 		rts[1].Shutdown()
 	})
 	c.K.Spawn("main1", func(p *sim.Proc) {
 		buf := rts[1].Node().Alloc(16<<20, 0)
-		var done bool
-		req := rts[1].PostRecv(p, 0, 5, buf, 16<<20, func() { done = true })
-		for !done {
-			req.Wait(p)
+		if err := rts[1].PostRecv(p, 0, 5, buf, 16<<20).Wait(p); err != nil {
+			t.Error(err)
 		}
 	})
 	c.K.RunUntil(sim.Time(10 * sim.Second))

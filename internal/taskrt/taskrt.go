@@ -48,12 +48,6 @@ type Config struct {
 	WorkerCores []int
 	// Backoff tunes worker polling; zero value means DefaultBackoff.
 	Backoff Backoff
-	// QueueNUMA is the NUMA node holding the shared task queue and its
-	// lock; defaults to the main core's NUMA node (first touch by the
-	// thread that initialises the runtime).
-	QueueNUMA int
-	// QueueNUMASet records whether QueueNUMA was set explicitly.
-	QueueNUMASet bool
 	// Scheduler selects the ready-list organisation; default EagerFIFO
 	// (StarPU's central list, the paper's configuration). NUMALocal is
 	// the §8 future-work locality scheduler.
@@ -115,40 +109,28 @@ func (rt *Runtime) Release(t *Task) {
 	}
 }
 
-// commReq is a starpu_mpi request processed by the communication
-// thread.
-type commReq struct {
-	send     bool
-	peer     int
-	tag      int
-	buf      *machine.Buffer
-	size     int64
-	onDone   func()
-	doneSig  *sim.Signal
-	complete bool
-	sentinel bool
-	// ft routes the request through the fault-tolerant MPI operations
-	// (SendFT/RecvFT); err records their outcome (nil, ErrPeerDead, or a
-	// retransmission-budget failure) for CommHandle.Wait.
-	ft  bool
-	err error
-}
-
 // Runtime is one node's runtime instance.
 type Runtime struct {
 	cfg  Config
 	node *machine.Node
 	k    *sim.Kernel
 
-	queues   []*sim.Queue[*Task] // per-NUMA ready lists + central list
-	readySig *sim.Signal         // wakes polling workers
-	inflight int                 // submitted but not completed tasks
-	idleSig  *sim.Signal         // broadcast when inflight returns to 0
-	commQ    *sim.Queue[*commReq]
+	queues   []sim.Queue[*Task] // per-NUMA ready lists + central list
+	readySig *sim.Signal        // wakes polling workers
+	inflight int                // submitted but not completed tasks
+	idleSig  *sim.Signal        // broadcast when inflight returns to 0
 	paused   bool
 	pauseSig *sim.Signal
 	shutdown bool
 	started  bool
+	// queueNUMA, the home of the central ready list and its lock, is
+	// the main core's NUMA node (first touch by the initialising thread).
+	queueNUMA int
+
+	// The communication thread's request list, wakeup and chain.
+	commQ   sim.Queue[*CommHandle]
+	commSig *sim.Signal
+	comm    chain
 
 	// commInflight counts posted-but-incomplete communication requests;
 	// the CommThrottle feature parks workers while it is non-zero.
@@ -187,9 +169,6 @@ func New(cfg Config) *Runtime {
 	if cfg.Rank != nil && cfg.CommCore == 0 {
 		cfg.CommCore = cfg.Rank.CommCore
 	}
-	if !cfg.QueueNUMASet {
-		cfg.QueueNUMA = cfg.Node.Spec.NUMAOfCore(cfg.MainCore)
-	}
 	if len(cfg.WorkerCores) == 0 {
 		for c := 0; c < cfg.Node.Spec.Cores(); c++ {
 			if c != cfg.MainCore && c != cfg.CommCore {
@@ -202,26 +181,33 @@ func New(cfg Config) *Runtime {
 		cfg:         cfg,
 		node:        cfg.Node,
 		k:           k,
+		queues:      make([]sim.Queue[*Task], cfg.Node.Spec.NUMANodes()+1),
 		readySig:    sim.NewSignal(k),
 		idleSig:     sim.NewSignal(k),
-		commQ:       sim.NewQueue[*commReq](k),
 		pauseSig:    sim.NewSignal(k),
+		queueNUMA:   cfg.Node.Spec.NUMAOfCore(cfg.MainCore),
+		commSig:     sim.NewSignal(k),
 		commIdleSig: sim.NewSignal(k),
 	}
-	for i := 0; i <= cfg.Node.Spec.NUMANodes(); i++ {
-		rt.queues = append(rt.queues, sim.NewQueue[*Task](k))
-	}
+	rt.comm = chain{rt: rt, pc: commStart}
+	rt.comm.cont = sim.MakeCont(rt.comm.wake)
 	return rt
 }
 
 // Node returns the node the runtime runs on.
 func (rt *Runtime) Node() *machine.Node { return rt.node }
 
-// Config returns the runtime's configuration.
-func (rt *Runtime) Config() Config { return rt.cfg }
-
-// Start spawns the worker and communication-thread processes.
+// Start spawns the worker processes and, on a runtime with an MPI
+// rank, starts the communication thread from an event of this instant.
 func (rt *Runtime) Start() {
+	rt.startWorkers()
+	if rt.cfg.Rank != nil {
+		rt.k.At(rt.k.Now(), rt.comm.wake)
+	}
+}
+
+// startWorkers spawns the worker processes.
+func (rt *Runtime) startWorkers() {
 	if rt.started {
 		panic("taskrt: Start called twice")
 	}
@@ -232,11 +218,6 @@ func (rt *Runtime) Start() {
 		*w = worker{rt: rt, idx: i, core: core, numa: rt.node.Spec.NUMAOfCore(core)}
 		rt.k.Spawn(fmt.Sprintf("worker.n%d.c%d", rt.node.ID, core), w.run)
 	}
-	if rt.cfg.Rank != nil {
-		rt.k.Spawn(fmt.Sprintf("commthread.n%d", rt.node.ID), func(p *sim.Proc) {
-			rt.commLoop(p)
-		})
-	}
 }
 
 // Shutdown stops workers and the communication thread. Any process may
@@ -246,7 +227,7 @@ func (rt *Runtime) Shutdown() {
 	rt.readySig.Broadcast()
 	rt.pauseSig.Broadcast()
 	rt.commIdleSig.Broadcast()
-	rt.commQ.Push(&commReq{sentinel: true}) // unblock the comm thread
+	rt.commSig.Signal() // the communication thread stops
 }
 
 // PauseWorkers stops worker polling entirely (starpu_pause); paused
@@ -272,7 +253,7 @@ func (rt *Runtime) Submit(p *sim.Proc, tasks ...*Task) {
 		}
 		rt.node.ExecCycles(p, rt.cfg.MainCore, submitCycles)
 		// Push touches the shared queue on its home NUMA node.
-		rt.node.MemAccesses(p, rt.cfg.MainCore, rt.cfg.QueueNUMA, 2)
+		rt.node.MemAccesses(p, rt.cfg.MainCore, rt.queueNUMA, 2)
 		rt.inflight++
 		t.submitted = true
 		if t.ndeps == 0 {
@@ -311,7 +292,7 @@ func (rt *Runtime) pollTarget(core int) int {
 	if rt.cfg.Scheduler == NUMALocal {
 		return rt.node.Spec.NUMAOfCore(core)
 	}
-	return rt.cfg.QueueNUMA
+	return rt.queueNUMA
 }
 
 // pollPeriod returns the steady-state interval between two queue polls
@@ -339,16 +320,6 @@ func (rt *Runtime) pollTrafficRate(core int) float64 {
 // must park because communication requests are in flight.
 func (rt *Runtime) throttled(workerIdx int) bool {
 	return rt.cfg.CommThrottle > workerIdx && rt.commInflight > 0
-}
-
-// commStarted/commFinished maintain the communication-phase census.
-func (rt *Runtime) commStarted() { rt.commInflight++ }
-
-func (rt *Runtime) commFinished() {
-	rt.commInflight--
-	if rt.commInflight == 0 {
-		rt.commIdleSig.Broadcast()
-	}
 }
 
 // worker is one worker thread (§5.4): poll, execute, repeat. Its
