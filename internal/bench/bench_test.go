@@ -407,81 +407,3 @@ func TestRuntimeOverheadAcrossClusters(t *testing.T) {
 		}
 	}
 }
-
-func TestFig8RuntimePlacement(t *testing.T) {
-	pts := Fig8Runtime(quietEnv())
-	if len(pts) != 4 {
-		t.Fatalf("%d placements", len(pts))
-	}
-	get := func(dataClose, threadClose bool) float64 {
-		for _, p := range pts {
-			if p.DataClose == dataClose && p.ThreadClose == threadClose {
-				return p.Latency.Median
-			}
-		}
-		t.Fatal("missing placement")
-		return 0
-	}
-	// Fig 8: co-location of data and comm thread matters most.
-	split1 := get(true, false)
-	split2 := get(false, true)
-	together := get(true, true)
-	togetherFar := get(false, false)
-	if !(split1 > together && split2 > together) {
-		t.Fatalf("split placements (%v, %v) not slower than co-located (%v)", split1, split2, together)
-	}
-	if !(togetherFar < split1 && togetherFar < split2) {
-		t.Fatalf("co-located-far (%v) not faster than splits (%v, %v)", togetherFar, split1, split2)
-	}
-}
-
-func TestFig9PollingShape(t *testing.T) {
-	pts := Fig9Polling(quietEnv())
-	byLabel := map[string]float64{}
-	for _, p := range pts {
-		byLabel[p.Label] = p.Latency.Median
-	}
-	if !(byLabel["backoff-2"] >= byLabel["default-32"]) {
-		t.Fatalf("more polling not slower: %v", byLabel)
-	}
-	if !(byLabel["default-32"] > byLabel["paused"]) {
-		t.Fatalf("default polling not above paused: %v", byLabel)
-	}
-	// Rare polling ≈ paused.
-	if byLabel["backoff-10000"] > byLabel["paused"]*1.2 {
-		t.Fatalf("rare polling too far from paused: %v", byLabel)
-	}
-}
-
-func TestFig10KernelShape(t *testing.T) {
-	pts := Fig10Kernels(quietEnv(), []int{2, 16, 34})
-	get := func(kernel string, workers int) Fig10Point {
-		for _, p := range pts {
-			if p.Kernel == kernel && p.Workers == workers {
-				return p
-			}
-		}
-		t.Fatalf("missing %s/%d", kernel, workers)
-		return Fig10Point{}
-	}
-	// Memory stalls grow with workers, CG far above GEMM at full load.
-	cgFull, gemmFull := get("cg", 34), get("gemm", 34)
-	if cgFull.StallFraction < 0.5 || cgFull.StallFraction > 0.95 {
-		t.Fatalf("CG stall fraction %.2f, want ≈0.7", cgFull.StallFraction)
-	}
-	if gemmFull.StallFraction > 0.45 {
-		t.Fatalf("GEMM stall fraction %.2f, want ≈0.2", gemmFull.StallFraction)
-	}
-	// Sending bandwidth degrades with workers, CG worse than GEMM.
-	cgDrop := 1 - cgFull.SendBandwidth/get("cg", 2).SendBandwidth
-	gemmDrop := 1 - gemmFull.SendBandwidth/get("gemm", 2).SendBandwidth
-	if cgDrop <= gemmDrop {
-		t.Fatalf("CG send-bandwidth drop (%.2f) not above GEMM's (%.2f)", cgDrop, gemmDrop)
-	}
-	if cgDrop < 0.4 {
-		t.Fatalf("CG send-bandwidth drop %.2f, want large (paper: up to 0.9)", cgDrop)
-	}
-	if gemmDrop > 0.5 {
-		t.Fatalf("GEMM send-bandwidth drop %.2f, want moderate (paper: ≤0.2)", gemmDrop)
-	}
-}

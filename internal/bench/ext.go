@@ -43,9 +43,22 @@ func extCGApp(spec *topology.NodeSpec) func() *taskrt.App {
 // the whole-program optimum (§8: "select automatically the optimal
 // number of workers").
 func ExtTuner(env Env) *trace.Table {
-	// One sweep point per worker count; the optimum is re-derived from
-	// the merged series exactly as tuning.WorkerSweep derives it (first
-	// strict minimum of the whole-iteration time, in sweep order).
+	series := extTunerSeries(env)
+	best := tunerOptimum(series)
+	t := trace.NewTable("EXT — §8 worker-count autotuning on a CG-like application",
+		"workers", "iteration_ms", "send_bandwidth_MBps", "memory_stall_%", "best")
+	for _, pt := range series {
+		label := ""
+		if pt.Workers == best.Workers {
+			label = "<== optimum"
+		}
+		t.Add(pt.Workers, pt.IterSeconds*1e3, pt.SendBandwidth/1e6, pt.StallFraction*100, label)
+	}
+	return t
+}
+
+// extTunerSeries runs ExtTuner's sweep: one point per worker count.
+func extTunerSeries(env Env) []tuning.Point {
 	counts := tuning.DefaultCounts(env.Spec)
 	pts := make([]Point, 0, len(counts))
 	for _, n := range counts {
@@ -64,32 +77,43 @@ func ExtTuner(env Env) *trace.Table {
 			},
 		})
 	}
-	series := RunPointsAs[tuning.Point](env, pts)
+	return RunPointsAs[tuning.Point](env, pts)
+}
+
+// tunerOptimum re-derives the optimum from the merged series exactly as
+// tuning.WorkerSweep derives it: the first strict minimum of the
+// whole-iteration time, in sweep order.
+func tunerOptimum(series []tuning.Point) tuning.Point {
 	var best tuning.Point
 	for _, pt := range series {
 		if best.Workers == 0 || pt.IterSeconds < best.IterSeconds {
 			best = pt
 		}
 	}
-	t := trace.NewTable("EXT — §8 worker-count autotuning on a CG-like application",
-		"workers", "iteration_ms", "send_bandwidth_MBps", "memory_stall_%", "best")
-	for _, pt := range series {
-		label := ""
-		if pt.Workers == best.Workers {
-			label = "<== optimum"
-		}
-		t.Add(pt.Workers, pt.IterSeconds*1e3, pt.SendBandwidth/1e6, pt.StallFraction*100, label)
-	}
-	return t
+	return best
 }
+
+// extThrottles are ExtThrottle's levels: how many workers park while
+// communication requests are in flight.
+var extThrottles = []int{0, 8, 16, 24}
 
 // ExtThrottle compares communication-phase worker throttling levels
 // (§8: "change dynamically the number of workers if there are
 // identifiable communication phases").
 func ExtThrottle(env Env) *trace.Table {
-	throttles := []int{0, 8, 16, 24}
-	pts := make([]Point, 0, len(throttles))
-	for _, throttle := range throttles {
+	t := trace.NewTable("EXT — §8 communication-phase worker throttling (30 workers, CG-like app)",
+		"throttled_workers", "iteration_ms", "send_bandwidth_MBps", "memory_stall_%")
+	for i, pt := range extThrottleSeries(env) {
+		t.Add(extThrottles[i], pt.IterSeconds*1e3, pt.SendBandwidth/1e6, pt.StallFraction*100)
+	}
+	return t
+}
+
+// extThrottleSeries runs ExtThrottle's sweep, index-aligned with
+// extThrottles.
+func extThrottleSeries(env Env) []tuning.Point {
+	pts := make([]Point, 0, len(extThrottles))
+	for _, throttle := range extThrottles {
 		throttle := throttle
 		pts = append(pts, Point{
 			Key: fmt.Sprintf("ext/throttle/ext-cg/workers=30/throttle=%d", throttle),
@@ -106,17 +130,26 @@ func ExtThrottle(env Env) *trace.Table {
 			},
 		})
 	}
-	t := trace.NewTable("EXT — §8 communication-phase worker throttling (30 workers, CG-like app)",
-		"throttled_workers", "iteration_ms", "send_bandwidth_MBps", "memory_stall_%")
-	for i, pt := range RunPointsAs[tuning.Point](env, pts) {
-		t.Add(throttles[i], pt.IterSeconds*1e3, pt.SendBandwidth/1e6, pt.StallFraction*100)
-	}
-	return t
+	return RunPointsAs[tuning.Point](env, pts)
 }
+
+// extPolicies are ExtScheduler's policies, in table order.
+var extPolicies = []taskrt.SchedulerPolicy{taskrt.EagerFIFO, taskrt.NUMALocal}
 
 // ExtScheduler compares the central FIFO scheduler against the §8
 // NUMA-local scheduler on a task-dominated, NUMA-spread workload.
 func ExtScheduler(env Env) *trace.Table {
+	t := trace.NewTable("EXT — §8 NUMA-local task scheduling vs central FIFO (30 workers)",
+		"scheduler", "iteration_ms", "memory_stall_%")
+	for i, pt := range extSchedulerSeries(env) {
+		t.Add(extPolicies[i].String(), pt.IterSeconds*1e3, pt.StallFraction*100)
+	}
+	return t
+}
+
+// extSchedulerSeries runs ExtScheduler's sweep, index-aligned with
+// extPolicies.
+func extSchedulerSeries(env Env) []tuning.Point {
 	spreadApp := func() *taskrt.App {
 		return &taskrt.App{
 			Name: "ext-spread",
@@ -127,9 +160,8 @@ func ExtScheduler(env Env) *trace.Table {
 			Iterations:   2,
 		}
 	}
-	policies := []taskrt.SchedulerPolicy{taskrt.EagerFIFO, taskrt.NUMALocal}
-	pts := make([]Point, 0, len(policies))
-	for _, pol := range policies {
+	pts := make([]Point, 0, len(extPolicies))
+	for _, pol := range extPolicies {
 		pol := pol
 		pts = append(pts, Point{
 			Key: fmt.Sprintf("ext/scheduler/ext-spread/workers=30/policy=%s", pol),
@@ -146,12 +178,7 @@ func ExtScheduler(env Env) *trace.Table {
 			},
 		})
 	}
-	t := trace.NewTable("EXT — §8 NUMA-local task scheduling vs central FIFO (30 workers)",
-		"scheduler", "iteration_ms", "memory_stall_%")
-	for i, pt := range RunPointsAs[tuning.Point](env, pts) {
-		t.Add(policies[i].String(), pt.IterSeconds*1e3, pt.StallFraction*100)
-	}
-	return t
+	return RunPointsAs[tuning.Point](env, pts)
 }
 
 // ExtOverlap measures communication/computation overlap ratios (after
