@@ -126,10 +126,10 @@ func TestCrashCGUnderCrashWindows(t *testing.T) {
 		reexec    float64
 		elapsedNs int64
 	}{
-		{"crash:node=1,at=1ms,for=120us", 0, 0, 5644926},
-		{"crash:node=1,at=1ms,for=180us", 1, 12, 10055773},
-		{"crash:node=1,at=100ms", 0, 0, 5581760},
-		{"crash:node=1,at=1ms,for=10us;crash:node=1,at=1040us,for=300us", 1, 12, 10055773},
+		{"crash:node=1,at=1ms,for=120us", 0, 0, 5644935},
+		{"crash:node=1,at=1ms,for=180us", 1, 12, 10055788},
+		{"crash:node=1,at=100ms", 0, 0, 5581772},
+		{"crash:node=1,at=1ms,for=10us;crash:node=1,at=1040us,for=300us", 1, 12, 10055788},
 	} {
 		sched, err := fault.ParseSpec(tc.spec)
 		if err != nil {

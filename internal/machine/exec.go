@@ -448,6 +448,10 @@ type Background struct {
 	flow *fluid.Flow
 }
 
+// Running reports whether the stream flows: it was started at a
+// positive rate and not stopped since.
+func (b *Background) Running() bool { return b.flow != nil }
+
 // Stop cancels the stream and recycles its flow's storage for the next
 // start. Stopping it again does nothing: the struct may be a later flow
 // by then.

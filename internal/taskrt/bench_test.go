@@ -13,26 +13,29 @@ import (
 // BenchmarkWorkerHerd pushes tasks one at a time onto a henri runtime
 // whose 34 workers poll an empty central list: every push wakes the
 // idle herd, one worker wins the task and the others lose the race and
-// poll again (§5.4). It reports the process resumes and fluid solves per
-// push, which are deterministic counts; CI ratchets resumes/push.
+// keep polling (§5.4). It reports the process resumes and the fluid
+// solves, isolated-flow skips and memo reuses per push, which are
+// deterministic counts; CI ratchets resumes/push and skips/push. A
+// loser keeps its poll flow, so a push cancels and restarts none.
 func BenchmarkWorkerHerd(b *testing.B) {
 	c := machine.NewCluster(noNoise(), 1, 1)
 	rt := New(Config{Node: c.Nodes[0], MainCore: 0, CommCore: 35})
 	rt.Start()
 	spec := machine.ComputeSpec{Flops: 1e6, Class: topology.Scalar}
-	var resumes, solves uint64
+	var resumes, solves, skips, reuses uint64
 	c.K.Spawn("main", func(p *sim.Proc) {
 		// One push first, so every worker has gone idle once.
 		warm := NewTask(spec)
 		rt.Submit(p, warm)
 		rt.WaitTask(p, warm)
-		r0, s0 := c.K.Resumes(), c.Fluid.Solves()
+		r0, s0, k0, u0 := c.K.Resumes(), c.Fluid.Solves(), c.Fluid.Skips(), c.Fluid.Reuses()
 		for i := 0; i < b.N; i++ {
 			t := NewTask(spec)
 			rt.Submit(p, t)
 			rt.WaitTask(p, t)
 		}
 		resumes, solves = c.K.Resumes()-r0, c.Fluid.Solves()-s0
+		skips, reuses = c.Fluid.Skips()-k0, c.Fluid.Reuses()-u0
 		rt.Shutdown()
 	})
 	b.ReportAllocs()
@@ -44,6 +47,8 @@ func BenchmarkWorkerHerd(b *testing.B) {
 	}
 	b.ReportMetric(float64(resumes)/float64(b.N), "resumes/push")
 	b.ReportMetric(float64(solves)/float64(b.N), "solves/push")
+	b.ReportMetric(float64(skips)/float64(b.N), "skips/push")
+	b.ReportMetric(float64(reuses)/float64(b.N), "reuses/push")
 }
 
 // BenchmarkRuntimePingPong runs b.N iterations of Fig 8's runtime

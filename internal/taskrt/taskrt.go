@@ -123,6 +123,7 @@ type Runtime struct {
 	pauseSig *sim.Signal
 	shutdown bool
 	started  bool
+	workers  []worker // index-aligned with cfg.WorkerCores
 	// queueNUMA, the home of the central ready list and its lock, is
 	// the main core's NUMA node (first touch by the initialising thread).
 	queueNUMA int
@@ -212,9 +213,9 @@ func (rt *Runtime) startWorkers() {
 		panic("taskrt: Start called twice")
 	}
 	rt.started = true
-	workers := make([]worker, len(rt.cfg.WorkerCores))
+	rt.workers = make([]worker, len(rt.cfg.WorkerCores))
 	for i, core := range rt.cfg.WorkerCores {
-		w := &workers[i]
+		w := &rt.workers[i]
 		*w = worker{rt: rt, idx: i, core: core, numa: rt.node.Spec.NUMAOfCore(core)}
 		rt.k.Spawn(fmt.Sprintf("worker.n%d.c%d", rt.node.ID, core), w.run)
 	}
@@ -392,12 +393,14 @@ func (w *worker) run(p *sim.Proc) {
 // poll is the head of the worker loop past its blocking checks, in the
 // process or its continuation: busy-wait on the ready lists. It reports
 // whether the process must run, because the worker won a task (w.task)
-// or must block on shutdown, pause or throttle. Otherwise the worker
-// has gone idle: its polling traffic flows and its continuation waits
-// for the next push.
+// or must block on shutdown, pause or throttle; either way its polling
+// traffic has stopped. Otherwise the worker is idle: its polling
+// traffic flows, started on its first idle wait and kept across the
+// pushes it loses, and its continuation waits for the next push.
 func (w *worker) poll() bool {
 	rt := w.rt
 	if w.held() {
+		w.polling.Stop()
 		return true
 	}
 	// Busy-waiting burns the core at full speed.
@@ -405,11 +408,14 @@ func (w *worker) poll() bool {
 	if w.pop(true) {
 		return true
 	}
-	// Idle: install the polling traffic flow and wait for work.
-	if w.pollName == "" {
-		w.pollName = fmt.Sprintf("poll.n%d.c%d", rt.node.ID, w.core)
+	// Idle: install the polling traffic flow, unless it is already
+	// running, and wait for work.
+	if !w.polling.Running() {
+		if w.pollName == "" {
+			w.pollName = fmt.Sprintf("poll.n%d.c%d", rt.node.ID, w.core)
+		}
+		w.polling = rt.node.BackgroundStream(w.pollName, w.numa, rt.pollTarget(w.core), rt.pollTrafficRate(w.core))
 	}
-	w.polling = rt.node.BackgroundStream(w.pollName, w.numa, rt.pollTarget(w.core), rt.pollTrafficRate(w.core))
 	w.phase = idleWoken
 	rt.readySig.WaitCont(w.cont)
 	return false
@@ -423,23 +429,29 @@ func (w *worker) held() bool {
 }
 
 // pop tries the worker's ready lists (see tryPop) and reports whether
-// it won a task.
+// it won a task. A worker that wins stops polling.
 func (w *worker) pop(steal bool) bool {
 	w.task, w.fromQ = w.rt.tryPop(w.numa, steal)
-	return w.task != nil
+	if w.task == nil {
+		return false
+	}
+	w.polling.Stop()
+	return true
 }
 
 // step is the idle protocol after the worker's wakeup, one phase per
 // wakeup, in event context. The worker notices a push only at its next
 // poll: half a period on average, plus the contended pop. Local and
 // central tasks first; stealing waits one more period so the data-local
-// worker wins its own tasks. A worker that lost the race polls again.
+// worker wins its own tasks. The worker keeps polling all along, so
+// its polling traffic flows until it wins a task or must block; a
+// worker that lost the race waits for the next push.
 func (w *worker) step() {
 	rt := w.rt
 	switch w.phase {
 	case idleWoken:
-		w.polling.Stop()
 		if w.held() {
+			w.polling.Stop()
 			w.p.Resume()
 			return
 		}
