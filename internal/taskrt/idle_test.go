@@ -13,8 +13,10 @@ import (
 type pollSpell struct {
 	flow       machine.Background
 	start, end sim.Time
-	pushes     int  // tasks pushed onto the runtime while the flow ran
-	held       bool // it stopped because the worker must block
+	// from, to count the tasks pushed onto the runtime before the
+	// flow started and before it stopped.
+	from, to int
+	held     bool // it stopped because the worker must block
 }
 
 // pollWatch follows every worker's poll flow after every kernel event.
@@ -38,9 +40,9 @@ func (pw *pollWatch) check(now sim.Time) {
 		sp := pw.open[i]
 		switch {
 		case sp == nil && w.polling.Running():
-			pw.open[i] = &pollSpell{flow: w.polling, start: now, pushes: -pw.pushes}
+			pw.open[i] = &pollSpell{flow: w.polling, start: now, from: pw.pushes}
 		case sp != nil && !w.polling.Running():
-			sp.end, sp.pushes, sp.held = now, sp.pushes+pw.pushes, w.held()
+			sp.end, sp.to, sp.held = now, pw.pushes, w.held()
 			pw.spells[i] = append(pw.spells[i], *sp)
 			pw.open[i] = nil
 		case sp != nil && w.polling != sp.flow:
@@ -151,7 +153,7 @@ func TestIdleWorkersKeepPolling(t *testing.T) {
 				}
 				ran = ran || (e.Start >= sp.end && e.Start < next)
 			}
-			if sp.pushes > 1 {
+			if sp.to-sp.from > 1 {
 				kept++
 			}
 			if sp.held {
