@@ -193,10 +193,11 @@ type worldArena struct {
 // arenaCap bounds the total number of parked worlds. Each world keeps
 // its parked process coroutines (each a goroutine) alive, so the bound
 // also bounds the goroutine high-water mark; beyond it released worlds
-// are shut down instead of pooled. Compute loops run no process, so a
-// world parks only the coroutines of its ping-pong ranks and runtime
-// workers: after one golden henri campaign the process holds about 610
-// goroutines, where process-run compute cores left about 1,030.
+// are shut down instead of pooled. Compute loops, MPI ranks and task
+// runtime workers run no process, so a world parks only the coroutines
+// of its drivers (the runtimes' main threads, the collectives): after
+// one golden henri campaign the process holds 18 goroutines, where
+// process-run runtime workers left 576.
 const arenaCap = 96
 
 var arena = worldArena{free: map[machine.ShapeKey][]pooledWorld{}}
@@ -246,10 +247,10 @@ func (a *worldArena) put(pw pooledWorld) {
 // processes, so Shutdown does not reach them: a compute loop left
 // mid-slice keeps its core active and its stream counted, one held by a
 // dead node keeps its wakeup queued, and a task runtime's communication
-// thread keeps its core active, in a world that is never parked or run
-// again. All of it stays inside its own world, and the point's record
-// is sealed from its worlds before this runs, so abandoning them is
-// invisible in results.
+// thread and workers keep their cores active and the idle workers their
+// poll flows, in a world that is never parked or run again. All of it
+// stays inside its own world, and the point's record is sealed from its
+// worlds before this runs, so abandoning them is invisible in results.
 //
 // Each world's work since the hand-over is folded into DoneByFamily
 // here, under the point's family, before its kernel is shut down or the
@@ -291,11 +292,14 @@ func releaseWorlds(keep *worldKeeper) {
 }
 
 // drained reports whether a world has nothing left to run: no pending
-// events, no live processes and no compute loop in flight. A loop held
-// by a down node has neither an event nor a process; parked, it would
-// wake into the next simulation on the world at its first recovery.
+// events, no live processes, no compute loop in flight and no active
+// flow, Cluster.Reset's precondition. A loop held by a down node has
+// neither an event nor a process; parked, it would wake into the next
+// simulation on the world at its first recovery. The idle workers of a
+// task runtime that was started and never shut down have neither
+// either, but each keeps its poll flow.
 func drained(c *machine.Cluster) bool {
-	return c.K.Idle() && c.K.LiveProcs() == 0 && c.Loops() == 0
+	return c.K.Idle() && c.K.LiveProcs() == 0 && c.Loops() == 0 && c.Fluid.FlowCount() == 0
 }
 
 // pools reports whether c is one of the keeper's poolable worlds.

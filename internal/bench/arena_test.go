@@ -9,6 +9,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/taskrt"
 )
 
 // diffPoints is a small point set exercising every pooled subsystem:
@@ -175,13 +176,51 @@ func TestHeldLoopWorldIsNotParked(t *testing.T) {
 		t.Fatalf("world ended with idle=%v, %d live processes and %d loops in flight; want idle, none and %d",
 			world.K.Idle(), world.K.LiveProcs(), world.Loops(), cores)
 	}
+	if inArena(world) {
+		t.Fatal("the world with held loops was parked in the arena")
+	}
+}
+
+// TestPollingWorkersWorldIsNotParked: a poolable world whose two task
+// runtimes were started and never shut down ends with their workers
+// idle, waiting for a push: no pending event, no process and no loop,
+// but every worker's poll flow still active. releaseWorlds must shut
+// it down instead of parking it: Cluster.Reset needs a world with no
+// active flow.
+func TestPollingWorkersWorldIsNotParked(t *testing.T) {
+	workers := []int{1, 2, 3}
+	var world *machine.Cluster
+	flows := 0
+	pt := Point{Key: "t/arena/polling-workers", Fn: func(e Env) any {
+		c, _, _ := starpuPair(e, e.Seed, -1, workers, taskrt.DefaultBackoff)
+		world = c
+		if !e.keeper.pools(c) {
+			t.Error("the world is not poolable")
+		}
+		c.K.Run()
+		flows = c.Fluid.FlowCount()
+		return flows
+	}}
+	encodeRecord(t, ExecutePoint(quietEnv(), pt))
+	if !world.K.Idle() || world.K.LiveProcs() != 0 || world.Loops() != 0 || flows != 2*len(workers) {
+		t.Fatalf("world ended with idle=%v, %d live processes, %d loops in flight and %d flows; want idle, none, none and %d",
+			world.K.Idle(), world.K.LiveProcs(), world.Loops(), flows, 2*len(workers))
+	}
+	if inArena(world) {
+		t.Fatal("the world with polling workers was parked in the arena")
+	}
+}
+
+// inArena reports whether world is parked in the arena.
+func inArena(world *machine.Cluster) bool {
 	arena.mu.Lock()
 	defer arena.mu.Unlock()
 	for _, q := range arena.free {
 		for _, pw := range q {
 			if pw.c == world {
-				t.Fatal("the world with held loops was parked in the arena")
+				return true
 			}
 		}
 	}
+	return false
 }

@@ -148,8 +148,7 @@ func fig2Idle(env Env) Fig2Result {
 	c, w := newWorld(env, 2, env.Seed)
 	n := w.Rank(0).Node
 	n.Freq.StartTrace()
-	c.K.Spawn("sleep", func(p *sim.Proc) { p.Sleep(sim.Duration(10 * sim.Millisecond)) })
-	c.K.Run()
+	c.K.RunUntil(sim.Time(10 * sim.Millisecond))
 	return Fig2Result{TraceB: n.Freq.StopTrace()}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/counters"
 )
@@ -76,8 +77,8 @@ func (r PointRecord) EncodeBinary() []byte {
 // DecodeBinary parses a binary record, replacing the receiver. It
 // rejects framing it does not understand; schema validation is the
 // caller's business (the cache treats a schema mismatch as a miss, not
-// an error). The decoded Payload aliases data, which the caller must
-// therefore never write again.
+// an error). The decoded Key and Payload alias data, which the caller
+// must therefore never write again.
 func (r *PointRecord) DecodeBinary(data []byte) error {
 	d := recDecoder{data: data}
 	if string(d.take(len(recordMagic))) != recordMagic {
@@ -100,7 +101,7 @@ func (r *PointRecord) DecodeBinary(data []byte) error {
 	}
 	*r = PointRecord{
 		Schema:     int(schema),
-		Key:        string(key),
+		Key:        unsafe.String(unsafe.SliceData(key), len(key)),
 		SimSeconds: sim,
 		Worlds:     int(worlds),
 		Faults:     faults,

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/freq"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -80,6 +81,9 @@ func Env(cluster string, seed int64, runs int) (bench.Env, error) {
 // or "csv"). The string is exactly what WriteTables would emit, which
 // is also the byte-for-byte content of the golden files in results/.
 func RenderTables(format string, tables []*trace.Table) (string, error) {
+	if format != "csv" {
+		return trace.ASCII(tables), nil
+	}
 	var b strings.Builder
 	if err := WriteTables(&b, format, tables); err != nil {
 		return "", err
@@ -90,25 +94,22 @@ func RenderTables(format string, tables []*trace.Table) (string, error) {
 // WriteTables renders tables to w in the chosen format ("ascii" or
 // "csv").
 func WriteTables(w io.Writer, format string, tables []*trace.Table) error {
+	if format != "csv" {
+		_, err := io.WriteString(w, trace.ASCII(tables))
+		return err
+	}
 	for i, t := range tables {
 		if i > 0 {
 			if _, err := io.WriteString(w, "\n"); err != nil {
 				return err
 			}
 		}
-		var err error
-		switch format {
-		case "csv":
-			if t.Title != "" {
-				if _, err := fmt.Fprintf(w, "# %s\n", t.Title); err != nil {
-					return err
-				}
+		if t.Title != "" {
+			if _, err := fmt.Fprintf(w, "# %s\n", t.Title); err != nil {
+				return err
 			}
-			err = t.WriteCSV(w)
-		default:
-			err = t.WriteASCII(w)
 		}
-		if err != nil {
+		if err := t.WriteCSV(w); err != nil {
 			return err
 		}
 	}
@@ -140,14 +141,14 @@ func init() {
 				"case", "time_us", "core", "GHz")
 			for _, tc := range []struct {
 				name    string
-				samples []freqSample
+				samples []freq.Sample
 			}{
-				{"A-comm-only", toFreqSamples(r.TraceA)},
-				{"B-idle", toFreqSamples(r.TraceB)},
-				{"C-comm+compute", toFreqSamples(r.TraceC)},
+				{"A-comm-only", r.TraceA},
+				{"B-idle", r.TraceB},
+				{"C-comm+compute", r.TraceC},
 			} {
 				for _, s := range condense(tc.samples) {
-					tt.Add(tc.name, float64(s.at)/1e3, s.core, s.ghz)
+					tt.Add(tc.name, float64(s.At)/1e3, s.Core, s.GHz)
 				}
 			}
 			return []*trace.Table{summary, tt}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/freq"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -154,11 +155,11 @@ func TestDefaultCoreSweepShape(t *testing.T) {
 }
 
 func TestCondense(t *testing.T) {
-	in := []freqSample{
-		{0, 0, 1.0}, {0, 1, 1.0},
-		{sim.Time(10), 0, 1.0}, // unchanged → dropped
-		{sim.Time(20), 0, 2.5}, // transition → kept
-		{sim.Time(30), 1, 1.0}, // unchanged → dropped
+	in := []freq.Sample{
+		{At: 0, Core: 0, GHz: 1.0}, {At: 0, Core: 1, GHz: 1.0},
+		{At: sim.Time(10), Core: 0, GHz: 1.0}, // unchanged → dropped
+		{At: sim.Time(20), Core: 0, GHz: 2.5}, // transition → kept
+		{At: sim.Time(30), Core: 1, GHz: 1.0}, // unchanged → dropped
 	}
 	out := condense(in)
 	if len(out) != 3 {

@@ -1,39 +1,18 @@
 package core
 
-import (
-	"repro/internal/freq"
-	"repro/internal/sim"
-)
-
-// freqSample is the condensed trace sample used by the fig2 table.
-type freqSample struct {
-	at   sim.Time
-	core int
-	ghz  float64
-}
-
-// toFreqSamples converts the freq package's samples.
-func toFreqSamples(in []freq.Sample) []freqSample {
-	out := make([]freqSample, len(in))
-	for i, s := range in {
-		out[i] = freqSample{at: s.At, core: s.Core, ghz: s.GHz}
-	}
-	return out
-}
+import "repro/internal/freq"
 
 // condense drops consecutive samples where a core's frequency did not
 // change, keeping traces readable: the output contains, per core, only
 // the transition points (plus the initial value).
-func condense(in []freqSample) []freqSample {
+func condense(in []freq.Sample) []freq.Sample {
 	last := map[int]float64{}
-	seen := map[int]bool{}
-	var out []freqSample
+	var out []freq.Sample
 	for _, s := range in {
-		if seen[s.core] && last[s.core] == s.ghz {
+		if ghz, seen := last[s.Core]; seen && ghz == s.GHz {
 			continue
 		}
-		seen[s.core] = true
-		last[s.core] = s.ghz
+		last[s.Core] = s.GHz
 		out = append(out, s)
 	}
 	return out

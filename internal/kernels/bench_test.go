@@ -4,9 +4,25 @@ import (
 	"testing"
 
 	"repro/internal/machine"
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
+
+// startLoop runs spec on a core of n while next holds, as a compute
+// loop started from an event of this instant, and stores its result in
+// out when it ends.
+func startLoop(c *machine.Cluster, n *machine.Node, core int, spec machine.ComputeSpec, next func() bool, out *LoopResult) {
+	c.K.At(c.K.Now(), func() {
+		n.StartLoop(core, spec, next, func(end machine.LoopEnd) {
+			*out = NewLoopResult(end.Iters, end.Total, end.Spec.Bytes)
+		})
+	})
+}
+
+// loopN is startLoop for iters slices.
+func loopN(c *machine.Cluster, n *machine.Node, core int, spec machine.ComputeSpec, iters int, out *LoopResult) {
+	i := 0
+	startLoop(c, n, core, spec, func() bool { i++; return i <= iters }, out)
+}
 
 // streamLoop runs Fig 4's contention shape on c's first node: 35 STREAM
 // TRIAD cores looping over data on NUMA 0, iters slices each. It
@@ -14,11 +30,9 @@ import (
 func streamLoop(c *machine.Cluster, iters int) int {
 	const cores = 35
 	n := c.Nodes[0]
+	var res LoopResult
 	for core := 0; core < cores; core++ {
-		core := core
-		c.K.Spawn("triad", func(p *sim.Proc) {
-			LoopN(p, n, core, StreamTriad(DefaultStreamElems, 0), iters)
-		})
+		loopN(c, n, core, StreamTriad(DefaultStreamElems, 0), iters, &res)
 	}
 	c.K.Run()
 	return cores * iters

@@ -176,35 +176,3 @@ func NewLoopResult(iters int, total sim.Duration, bytes float64) LoopResult {
 	}
 	return res
 }
-
-// LoopUntil executes spec repeatedly on the given core until the
-// simulated clock reaches `until` (it finishes the in-flight iteration,
-// like a real OpenMP loop would), then reports iteration statistics.
-func LoopUntil(p *sim.Proc, n *machine.Node, core int, spec machine.ComputeSpec, until sim.Time) LoopResult {
-	return LoopWhile(p, n, core, spec, func() bool { return p.Now() < until })
-}
-
-// LoopWhile executes spec repeatedly while cont() returns true,
-// checking between iterations (the in-flight iteration always
-// completes). Used to run computation "side by side" with a
-// communication benchmark of unknown duration (§2.1 step 3). cont runs
-// in event context at the instant a slice ends, in the slot where p
-// would wake from it, once the slice is accounted and before its core
-// goes idle (see machine.Node.ExecLoop), after every event of that
-// instant queued before the slice's completion; it must not block.
-// When it asks for more, the next slice usually renews the last one's
-// flow, without a fluid solve. p stays parked until the loop ends.
-func LoopWhile(p *sim.Proc, n *machine.Node, core int, spec machine.ComputeSpec, cont func() bool) LoopResult {
-	start := p.Now()
-	iters := n.ExecLoop(p, core, spec, cont)
-	return NewLoopResult(iters, p.Now().Sub(start), spec.Bytes)
-}
-
-// LoopN executes spec `iters` times and reports statistics.
-func LoopN(p *sim.Proc, n *machine.Node, core int, spec machine.ComputeSpec, iters int) LoopResult {
-	i := 0
-	return LoopWhile(p, n, core, spec, func() bool {
-		i++
-		return i <= iters
-	})
-}

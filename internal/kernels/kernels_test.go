@@ -82,9 +82,7 @@ func TestStreamCopySingleCoreHitsPerCoreCap(t *testing.T) {
 	n := c.Nodes[0]
 	// Activate cores elsewhere to raise the uncore to max first.
 	var res LoopResult
-	c.K.Spawn("s", func(p *sim.Proc) {
-		res = LoopN(p, n, 0, StreamCopy(DefaultStreamElems, 0), 5)
-	})
+	loopN(c, n, 0, StreamCopy(DefaultStreamElems, 0), 5, &res)
 	c.K.Run()
 	// One stream: limited by the per-core cap, 12 GB/s (uncore ramps up
 	// once the core activates).
@@ -101,10 +99,7 @@ func TestStreamSaturationCurve(t *testing.T) {
 		n := c.Nodes[0]
 		res := make([]LoopResult, cores)
 		for i := 0; i < cores; i++ {
-			i := i
-			c.K.Spawn("s", func(p *sim.Proc) {
-				res[i] = LoopN(p, n, i, StreamTriad(DefaultStreamElems, 0), 3)
-			})
+			loopN(c, n, i, StreamTriad(DefaultStreamElems, 0), 3, &res[i])
 		}
 		c.K.Run()
 		return res[0].BytesPerSec
@@ -184,12 +179,9 @@ func TestGEMMLowStallCGHighStall(t *testing.T) {
 		n := c.Nodes[0]
 		const workers = 34
 		for i := 0; i < workers; i++ {
-			i := i
-			c.K.Spawn("w", func(p *sim.Proc) {
-				s := spec
-				s.MemNUMA = i / 9 // spread data across NUMA nodes
-				LoopN(p, n, i, s, 2)
-			})
+			s := spec
+			s.MemNUMA = i / 9 // spread data across NUMA nodes
+			loopN(c, n, i, s, 2, new(LoopResult))
 		}
 		c.K.Run()
 		return n.Counters.StallFraction()
@@ -211,9 +203,8 @@ func TestLoopUntilFinishesInFlightIteration(t *testing.T) {
 	c := cluster(t)
 	n := c.Nodes[0]
 	var res LoopResult
-	c.K.Spawn("l", func(p *sim.Proc) {
-		res = LoopUntil(p, n, 0, PrimeCount(2.5e9), sim.Time(500*sim.Millisecond))
-	})
+	until := sim.Time(500 * sim.Millisecond)
+	startLoop(c, n, 0, PrimeCount(2.5e9), func() bool { return c.K.Now() < until }, &res)
 	c.K.Run()
 	if res.Iters < 1 {
 		t.Fatal("no iterations completed")

@@ -123,8 +123,9 @@ func partialWorkload(c *Cluster) string {
 		d := n0.ExecCompute(p, 0, ComputeSpec{Flops: 4e8, Bytes: 2e8, MemNUMA: 1, Class: topology.AVX2})
 		fmt.Fprintf(&log, "n0 slice %d\n", d)
 		left := 3
-		iters := n0.ExecLoop(p, 5, ComputeSpec{Flops: 1e7, Bytes: 4e6, MemNUMA: -1}, func() bool { left--; return left >= 0 })
-		fmt.Fprintf(&log, "n0 loop %d at %d\n", iters, p.Now())
+		n0.StartLoop(5, ComputeSpec{Flops: 1e7, Bytes: 4e6, MemNUMA: -1}, func() bool { left--; return left >= 0 }, func(end LoopEnd) {
+			fmt.Fprintf(&log, "n0 loop %d at %d\n", end.Iters, c.K.Now())
+		})
 	})
 	c.K.Spawn("n1", func(p *sim.Proc) {
 		d := n1.ExecCompute(p, 3, ComputeSpec{Flops: 5e8, Class: topology.Scalar})

@@ -125,21 +125,43 @@ type ComputeSpec struct {
 // bandwidth; all slices are capped by the core's compute ceiling at its
 // live frequency), updates the PMU counters, and idles the core again.
 //
-// Returns the elapsed duration. ExecCompute is one pass of ExecLoop.
+// Returns the elapsed duration. ExecCompute is a StartLoop of one slice
+// with p parked until the slice ends, whose end resumes p in the same
+// event.
 func (n *Node) ExecCompute(p *sim.Proc, core int, spec ComputeSpec) sim.Duration {
-	return n.execSlices(p, core, spec, nil).elapsed
+	rk := n.slot(core)
+	if rk.start(spec, nil, nil) {
+		rk.proc = p
+		p.Park()
+	}
+	return rk.elapsed
 }
 
-// ExecLoop runs spec on a core slice after slice while next reports
-// true — next is asked before every slice, like a loop condition — and
-// returns the number of slices run. Each slice is an ExecCompute: the
-// elapsed times, PMU counters (but for the stall estimate, below),
-// energy and frequency trace are the ones a loop of ExecCompute calls
-// produces. It is StartLoop with p parked until the loop ends.
+// LoopEnd is what a loop started by StartLoop reports when it ends.
+type LoopEnd struct {
+	Node *Node
+	Spec ComputeSpec
+	// Iters is the number of slices run, and Total the time from
+	// StartLoop to the end of the last slice.
+	Iters int
+	Total sim.Duration
+}
+
+// StartLoop runs spec on a core slice after slice while next reports
+// true — next is asked before every slice, like a loop condition — with
+// no process: every slice end runs as a continuation in the event slot
+// where a process looping over ExecCompute from this instant would
+// wake, and a down node holds the loop at a slice boundary on a
+// continuation too. A nil next runs one slice, as ExecCompute does.
+// done, when non-nil, runs in event context once the loop has ended —
+// at once when it runs no slice — and the loop's core may start another
+// loop from it. A core runs one loop at a time.
 //
-// What the loop saves is fluid re-solves. next runs in event context at
-// the instant a slice ends, in the slot where p would wake from that
-// slice, once the slice has been accounted, with the core still active
+// Each slice is an ExecCompute: the elapsed times, PMU counters (but
+// for the stall estimate, below), energy and frequency trace are the
+// ones a loop of ExecCompute calls produces. What the loop saves is
+// fluid re-solves. next runs in event context at the instant a slice
+// ends, once the slice has been accounted, with the core still active
 // and its stream still counted; it must not block. When it asks for
 // another slice, the slice's flow is usually still parked by its
 // completion, and the loop renews it (fluid Model.Renew): no stream
@@ -154,41 +176,6 @@ func (n *Node) ExecCompute(p *sim.Proc, core int, spec ComputeSpec) sim.Duration
 // was renewed, estimates its stall cycles from the controller load the
 // renewal keeps rather than from the transient allocation around its
 // end (see accountExec).
-func (n *Node) ExecLoop(p *sim.Proc, core int, spec ComputeSpec, next func() bool) int {
-	return n.execSlices(p, core, spec, next).iters
-}
-
-// execSlices runs a loop for p: p parks while the loop runs, and the
-// loop's end resumes it in the same event. It returns the core's slot,
-// whose iters and elapsed still hold the loop's results: nothing runs
-// between the end and p.
-func (n *Node) execSlices(p *sim.Proc, core int, spec ComputeSpec, next func() bool) *runningKernel {
-	rk := n.slot(core)
-	if rk.start(spec, next, nil) {
-		rk.proc = p
-		p.Park()
-	}
-	return rk
-}
-
-// LoopEnd is what a loop started by StartLoop reports when it ends.
-type LoopEnd struct {
-	Node *Node
-	Spec ComputeSpec
-	// Iters is the number of slices run, and Total the time from
-	// StartLoop to the end of the last slice.
-	Iters int
-	Total sim.Duration
-}
-
-// StartLoop runs spec on a core slice after slice while next reports
-// true, exactly as ExecLoop does, but with no process: every slice end
-// runs as a continuation in the event slot where a process running
-// ExecLoop from this instant would wake, and a down node holds the loop
-// at a slice boundary on a continuation too. A nil next runs one slice,
-// as ExecCompute does. done, when non-nil, runs in event context once
-// the loop has ended — at once when it runs no slice — and the loop's
-// core may start another loop from it. A core runs one loop at a time.
 func (n *Node) StartLoop(core int, spec ComputeSpec, next func() bool, done func(LoopEnd)) {
 	n.slot(core).start(spec, next, done)
 }

@@ -6,10 +6,11 @@ import (
 )
 
 // SequentialExecCompute runs one slice the way ExecCompute did before
-// ExecLoop existed: the core goes active, the stream census grows, the
-// flow starts, and at the end the census shrinks and the core idles,
-// each its own fluid mutation. On a cluster whose fluid model has
-// UseHolds(false) it is the per-slice sequence ExecLoop must reproduce.
+// compute loops existed: the core goes active, the stream census grows,
+// the flow starts, and at the end the census shrinks and the core
+// idles, each its own fluid mutation. On a cluster whose fluid model
+// has UseHolds(false) it is the per-slice sequence StartLoop must
+// reproduce.
 func (n *Node) SequentialExecCompute(p *sim.Proc, core int, spec ComputeSpec) sim.Duration {
 	if spec.Flops == 0 && spec.Bytes == 0 {
 		return 0

@@ -14,22 +14,18 @@ import (
 	"repro/internal/topology"
 )
 
-// The loop path (kernels.LoopN/LoopWhile/LoopUntil over Node.ExecLoop
-// in a process, or Node.StartLoop from an event, with fluid holds and
+// The loop path (Node.StartLoop from an event, with fluid holds and
 // renewed slices) must be indistinguishable from loops of
 // SequentialExecCompute on a fluid model with holds off: the per-slice
 // sequence every mutation of which re-solves on its own. The one
 // documented exception is the stall-cycle estimate of looped
-// memory-bound slices (see samePMU). The two entry points of the loop
-// path must match each other bit for bit, down to the kernel's event
-// count (see sameLoops).
+// memory-bound slices (see samePMU).
 
 // loopMode is how a workload's loops run.
 type loopMode int
 
 const (
 	sequential loopMode = iota // SequentialExecCompute in a process, holds off
-	process                    // kernels.Loop* in a process
 	event                      // Node.StartLoop from an event
 )
 
@@ -50,8 +46,6 @@ func (l looper) while(c *machine.Cluster, n *machine.Node, core int, spec machin
 			}
 			*out = kernels.NewLoopResult(iters, p.Now().Sub(start), spec.Bytes)
 		})
-	case process:
-		c.K.Spawn("loop", func(p *sim.Proc) { *out = kernels.LoopWhile(p, n, core, spec, cont) })
 	case event:
 		c.K.At(c.K.Now(), func() {
 			n.StartLoop(core, spec, cont, func(end machine.LoopEnd) {
@@ -61,23 +55,14 @@ func (l looper) while(c *machine.Cluster, n *machine.Node, core int, spec machin
 	}
 }
 
-// n starts a loop of iters slices (kernels.LoopN in a process).
+// n starts a loop of iters slices.
 func (l looper) n(c *machine.Cluster, n *machine.Node, core int, spec machine.ComputeSpec, iters int, out *kernels.LoopResult) {
-	if l.mode == process {
-		c.K.Spawn("loop", func(p *sim.Proc) { *out = kernels.LoopN(p, n, core, spec, iters) })
-		return
-	}
 	i := 0
 	l.while(c, n, core, spec, func() bool { i++; return i <= iters }, out)
 }
 
-// until starts a loop that runs until the clock reaches until
-// (kernels.LoopUntil in a process).
+// until starts a loop that runs until the clock reaches until.
 func (l looper) until(c *machine.Cluster, n *machine.Node, core int, spec machine.ComputeSpec, until sim.Time, out *kernels.LoopResult) {
-	if l.mode == process {
-		c.K.Spawn("loop", func(p *sim.Proc) { *out = kernels.LoopUntil(p, n, core, spec, until) })
-		return
-	}
 	l.while(c, n, core, spec, func() bool { return c.K.Now() < until }, out)
 }
 
@@ -125,26 +110,13 @@ func runLoops(mode loopMode, slots int, workload func(c *machine.Cluster, l loop
 	return o
 }
 
-// sameLoops runs workload in every mode and fails unless both loop
-// paths match the sequential run (see sameObservation) and each other
-// bit for bit: results, every PMU counter, energy, frequency trace,
-// solves and kernel events. It returns the sequential run.
+// sameLoops runs workload in both modes and fails unless the loop path
+// matches the sequential run (see sameObservation). It returns the
+// sequential run.
 func sameLoops(t *testing.T, slots int, workload func(c *machine.Cluster, l looper, out []kernels.LoopResult), baseStall func(node, core int) float64) observed {
 	t.Helper()
 	seq := runLoops(sequential, slots, workload)
-	proc := runLoops(process, slots, workload)
-	ev := runLoops(event, slots, workload)
-	sameObservation(t, seq, proc, baseStall)
-	sameObservation(t, seq, ev, baseStall)
-	if !reflect.DeepEqual(proc, ev) {
-		for i := range proc.loops {
-			if proc.loops[i] != ev.loops[i] {
-				t.Fatalf("loop %d: %+v from an event, %+v from a process", i, ev.loops[i], proc.loops[i])
-			}
-		}
-		t.Fatalf("loops from events ran %d events and %d solves, from processes %d and %d; or their PMU counters differ",
-			ev.steps, ev.solves, proc.steps, proc.solves)
-	}
+	sameObservation(t, seq, runLoops(event, slots, workload), baseStall)
 	return seq
 }
 
@@ -310,7 +282,7 @@ func TestLoopsMatchSequentialTrace(t *testing.T) {
 func TestLoopCrashGatesNextSlice(t *testing.T) {
 	spec := kernels.StreamTriad(1<<16, 0)
 	// One slice alone on the node.
-	solo := runLoops(process, 1, func(c *machine.Cluster, l looper, out []kernels.LoopResult) {
+	solo := runLoops(event, 1, func(c *machine.Cluster, l looper, out []kernels.LoopResult) {
 		l.n(c, c.Nodes[0], 0, spec, 1, &out[0])
 	})
 	d := solo.loops[0].Total
@@ -332,8 +304,8 @@ func TestLoopCrashGatesNextSlice(t *testing.T) {
 		})
 	}
 	seq := sameLoops(t, 6, workload, nil)
-	if probes != 3 {
-		t.Fatalf("probe ran %d times in 3 runs", probes)
+	if probes != 2 {
+		t.Fatalf("probe ran %d times in 2 runs", probes)
 	}
 	// Slice 1 runs [0, d], the crash holds slice 2 until 3d, slices 2
 	// and 3 run alone after it.
@@ -344,8 +316,8 @@ func TestLoopCrashGatesNextSlice(t *testing.T) {
 
 // TestLoopStopAtCompletionInstant: an event at the very nanosecond a
 // slice ends, queued after the completion timer was armed, runs before
-// the loop decides on its next slice — the loop asks next in its own
-// process, woken by the completion. A stopper that sets the flag at the
+// the loop decides on its next slice — the loop asks next in its
+// continuation, woken by the completion. A stopper that sets the flag at the
 // end of slice 2 stops the loop after 2 slices, as the sequential loop.
 // A loop alone on the other node renews its slices from then on, and
 // its node's energy still sums the same per-slice intervals.
@@ -426,7 +398,7 @@ func TestLoopSharesControllerWithPingPong(t *testing.T) {
 			l.while(c, c.Nodes[0], core, spec(core), next, &out[i])
 		}
 	}
-	first := runLoops(process, len(cores), func(c *machine.Cluster, l looper, out []kernels.LoopResult) {
+	first := runLoops(event, len(cores), func(c *machine.Cluster, l looper, out []kernels.LoopResult) {
 		loops(c, l, out, func() bool { return c.K.Now() == 0 })
 	})
 	d := first.loops[len(cg)].Total // the first STREAM slices' end
@@ -477,7 +449,7 @@ func TestLoopSharesControllerWithPingPong(t *testing.T) {
 // soloSlice returns the duration of one slice of spec alone on core 1
 // of a node.
 func soloSlice(spec machine.ComputeSpec) sim.Duration {
-	solo := runLoops(process, 1, func(c *machine.Cluster, l looper, out []kernels.LoopResult) {
+	solo := runLoops(event, 1, func(c *machine.Cluster, l looper, out []kernels.LoopResult) {
 		l.n(c, c.Nodes[0], 1, spec, 1, &out[0])
 	})
 	return solo.loops[0].Total
@@ -528,13 +500,13 @@ func TestLoopStopsAtCrashInstant(t *testing.T) {
 			})
 		}
 	}
-	d := runLoops(process, 3, workload(0)).loops[0].Total
+	d := runLoops(event, 3, workload(0)).loops[0].Total
 	if 5*d >= sim.Duration(sim.Millisecond) {
 		t.Fatalf("a slice takes %v; the recovery comes after the held loop's end", d)
 	}
 	seq := sameLoops(t, 3, workload(d), nil)
-	if probes != 3 {
-		t.Fatalf("probe ran %d times in 3 runs", probes)
+	if probes != 2 {
+		t.Fatalf("probe ran %d times in 2 runs", probes)
 	}
 	if got := seq.loops[0]; got.Iters != 1 || got.Total != d {
 		t.Fatalf("stopped loop ran %d slices in %v, want 1 in %v", got.Iters, got.Total, d)

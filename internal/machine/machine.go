@@ -71,7 +71,7 @@ func (c *Cluster) Reset(spec *topology.NodeSpec, seed int64) {
 }
 
 // Loops returns the number of compute loops in flight: started by
-// Node.StartLoop, ExecLoop or ExecCompute and not yet ended. A loop
+// Node.StartLoop or ExecCompute and not yet ended. A loop
 // held by a down node has no pending event and, started by StartLoop,
 // no process either, so an idle kernel with no live process may still
 // have one.

@@ -99,8 +99,13 @@ type CacheStore interface {
 	Store(fullKey string, rec bench.PointRecord) error
 }
 
-// keySum returns the raw content address of a full point key.
-func keySum(fullKey string) addr { return sha256.Sum256([]byte(fullKey)) }
+// keySum returns the raw content address of a full point key. The key
+// is hashed from a stack buffer, which holds every key the experiments
+// make.
+func keySum(fullKey string) addr {
+	var buf [256]byte
+	return sha256.Sum256(append(buf[:0], fullKey...))
+}
 
 // PointCache is a persistent, content-addressed store of computed sweep
 // points, safe for concurrent use. Writes are batched: Store appends to
@@ -216,6 +221,12 @@ func (c *PointCache) rescanLocked() {
 	if err != nil {
 		return
 	}
+	type segment struct {
+		path string
+		refs []idxEntry
+	}
+	var segs []segment
+	n := 0
 	for _, de := range ents {
 		name := de.Name()
 		if !strings.HasSuffix(name, ".pack") {
@@ -225,13 +236,28 @@ func (c *PointCache) rescanLocked() {
 		if c.scanned[path] {
 			continue
 		}
-		c.scanPackLocked(path)
+		if refs := c.scanPackLocked(path); len(refs) > 0 {
+			segs = append(segs, segment{path, refs})
+			n += len(refs)
+		}
+	}
+	if len(c.index) == 0 && n > 0 {
+		// The first scan sizes the index for every segment it found.
+		c.index = make(map[addr]packRef, n)
+	}
+	for _, sg := range segs {
+		for _, e := range sg.refs {
+			if _, dup := c.index[e.sum]; !dup {
+				c.index[e.sum] = packRef{path: sg.path, off: e.off, n: e.n}
+			}
+		}
 	}
 }
 
-// scanPackLocked indexes one segment, preferring its sidecar index and
-// falling back to scanning the pack bytes.
-func (c *PointCache) scanPackLocked(path string) {
+// scanPackLocked reads the entries of one segment, preferring its
+// sidecar index and falling back to scanning the pack bytes, and marks
+// it scanned unless the read failed.
+func (c *PointCache) scanPackLocked(path string) []idxEntry {
 	var refs []idxEntry
 	if data, err := c.fs.ReadFile(strings.TrimSuffix(path, ".pack") + ".idx"); err == nil {
 		refs, _ = parseIdx(data)
@@ -239,21 +265,17 @@ func (c *PointCache) scanPackLocked(path string) {
 	if refs == nil {
 		data, err := c.fs.ReadFile(path)
 		if err != nil {
-			return // transient: retry on the next rescan
+			return nil // transient: retry on the next rescan
 		}
 		refs, err = scanPackRefs(data)
 		if err != nil {
 			c.scanned[path] = true // not a pack: never rescan it
-			return
+			return nil
 		}
 		c.packData[path] = data
 	}
-	for _, e := range refs {
-		if _, dup := c.index[e.sum]; !dup {
-			c.index[e.sum] = packRef{path: path, off: e.off, n: e.n}
-		}
-	}
 	c.scanned[path] = true
+	return refs
 }
 
 // Load retrieves the record stored under fullKey. ok is false on any
@@ -493,18 +515,13 @@ func (s *pointScheduler) RunPoints(env bench.Env, pts []bench.Point) []bench.Poi
 		return recs
 	}
 	b := s.pool.newBatch(len(pts))
-	tasks := make([]func(), len(pts))
-	for i := range pts {
-		i, p := i, pts[i]
-		tasks[i] = func() {
-			// done must run even if the point panics past ExecutePoint's
-			// recover (worker restart path) — a hung batch would wedge
-			// every campaign sharing the pool.
-			defer b.done()
-			recs[i] = s.point(env, p)
-		}
-	}
-	s.pool.enqueue(tasks)
+	s.pool.enqueue(func(i int) {
+		// done must run even if the point panics past ExecutePoint's
+		// recover (worker restart path) — a hung batch would wedge
+		// every campaign sharing the pool.
+		defer b.done()
+		recs[i] = s.point(env, pts[i])
+	}, len(pts))
 	s.pool.runUntil(b)
 	return recs
 }

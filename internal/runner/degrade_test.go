@@ -157,7 +157,7 @@ func TestSharedPoolShardRestart(t *testing.T) {
 
 	// Enqueue the bomb directly (not via runUntil, which would execute
 	// it on this goroutine): an idle shard picks it up and panics.
-	sp.pool.enqueue([]func(){func() { panic("poisoned point") }})
+	sp.pool.enqueue(func(int) { panic("poisoned point") }, 1)
 
 	deadline := time.After(2 * time.Second)
 	for sp.Restarts() == 0 {

@@ -16,8 +16,13 @@ type Flight[V any] struct {
 }
 
 type flightCall[V any] struct {
-	done chan struct{} // closed once the leader returns or panics
-	val  V
+	// done is made by the first caller that joins while the leader
+	// runs, and closed once the leader returns or panics; finished
+	// marks that point. Both are guarded by Flight.mu, so a key nobody
+	// joins costs no channel.
+	done     chan struct{}
+	finished bool
+	val      V
 	// panicked marks a leader that did not return; pv is its panic
 	// value (nil after runtime.Goexit, which joiners re-raise as a
 	// *runtime.PanicNilError).
@@ -34,8 +39,14 @@ type flightCall[V any] struct {
 func (f *Flight[V]) Do(key string, fn func() (V, bool)) (v V, joined bool) {
 	f.mu.Lock()
 	if c, ok := f.calls[key]; ok {
+		if !c.finished && c.done == nil {
+			c.done = make(chan struct{})
+		}
+		done := c.done
 		f.mu.Unlock()
-		<-c.done
+		if done != nil {
+			<-done
+		}
 		if c.panicked {
 			panic(c.pv)
 		}
@@ -44,7 +55,7 @@ func (f *Flight[V]) Do(key string, fn func() (V, bool)) (v V, joined bool) {
 	if f.calls == nil {
 		f.calls = make(map[string]*flightCall[V])
 	}
-	c := &flightCall[V]{done: make(chan struct{}), panicked: true}
+	c := &flightCall[V]{panicked: true}
 	f.calls[key] = c
 	f.mu.Unlock()
 
@@ -53,12 +64,16 @@ func (f *Flight[V]) Do(key string, fn func() (V, bool)) (v V, joined bool) {
 		if c.panicked {
 			c.pv = recover()
 		}
+		f.mu.Lock()
 		if !keep {
-			f.mu.Lock()
 			delete(f.calls, key)
-			f.mu.Unlock()
 		}
-		close(c.done)
+		c.finished = true
+		done := c.done
+		f.mu.Unlock()
+		if done != nil {
+			close(done)
+		}
 		if c.pv != nil {
 			panic(c.pv)
 		}

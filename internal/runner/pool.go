@@ -18,8 +18,15 @@ import (
 type pointPool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []func()
+	queue  []task
 	closed bool
+}
+
+// task is one queued point: run(i) executes the i-th point of its
+// batch.
+type task struct {
+	run func(int)
+	i   int
 }
 
 func newPointPool() *pointPool {
@@ -46,23 +53,26 @@ func (b *batch) done() {
 	b.pool.cond.Broadcast()
 }
 
-// enqueue appends tasks and wakes any waiting executors.
-func (p *pointPool) enqueue(fns []func()) {
+// enqueue appends the tasks run(0), …, run(n-1) and wakes any waiting
+// executors.
+func (p *pointPool) enqueue(run func(int), n int) {
 	p.mu.Lock()
-	p.queue = append(p.queue, fns...)
+	for i := 0; i < n; i++ {
+		p.queue = append(p.queue, task{run, i})
+	}
 	p.mu.Unlock()
 	p.cond.Broadcast()
 }
 
-// pop removes the next task, or returns nil if the queue is empty.
-func (p *pointPool) pop() func() {
+// pop removes the next task; ok is false if the queue is empty.
+func (p *pointPool) pop() (t task, ok bool) {
 	if len(p.queue) == 0 {
-		return nil
+		return task{}, false
 	}
-	fn := p.queue[0]
-	p.queue[0] = nil
+	t = p.queue[0]
+	p.queue[0] = task{}
 	p.queue = p.queue[1:]
-	return fn
+	return t, true
 }
 
 // runUntil executes queued tasks (anyone's) until the batch completes.
@@ -72,9 +82,9 @@ func (p *pointPool) pop() func() {
 func (p *pointPool) runUntil(b *batch) {
 	p.mu.Lock()
 	for b.pending > 0 {
-		if fn := p.pop(); fn != nil {
+		if t, ok := p.pop(); ok {
 			p.mu.Unlock()
-			fn()
+			t.run(t.i)
 			p.mu.Lock()
 			continue
 		}
@@ -89,9 +99,9 @@ func (p *pointPool) runUntil(b *batch) {
 func (p *pointPool) drain() {
 	p.mu.Lock()
 	for {
-		if fn := p.pop(); fn != nil {
+		if t, ok := p.pop(); ok {
 			p.mu.Unlock()
-			fn()
+			t.run(t.i)
 			p.mu.Lock()
 			continue
 		}

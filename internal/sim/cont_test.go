@@ -223,31 +223,26 @@ func TestContSleepInPlaceSkipsQueue(t *testing.T) {
 	}
 }
 
-// TestContOfStoppedProcess parks two processes whose continuations are
-// pending, one on a signal and one on a sleep, then stops them with
-// Kernel.Shutdown: the pending wakeups must do nothing. A live process's
-// continuation runs and resumes it.
-func TestContOfStoppedProcess(t *testing.T) {
+// TestResumeOfStoppedProcess parks two processes, each to be resumed
+// by a continuation, one pending on a signal and one on a sleep, then
+// stops them with Kernel.Shutdown: the continuations still run, and
+// their Resume must do nothing. A live process's continuation resumes
+// it.
+func TestResumeOfStoppedProcess(t *testing.T) {
 	k := NewKernel(1)
 	s := NewSignal(k)
 	ran := map[string]int{}
-	k.Spawn("waiter", func(p *Proc) {
-		s.WaitCont(p.Cont(func() { ran["waiter"]++; p.Resume() }))
-		p.Park()
-		ran["waiter resumed"]++
-	})
-	k.Spawn("sleeper", func(p *Proc) {
-		c := p.Cont(func() { ran["sleeper"]++; p.Resume() })
-		k.At(k.Now(), func() { k.SleepCont(c, 10) })
-		p.Park()
-		ran["sleeper resumed"]++
-	})
-	k.Spawn("live", func(p *Proc) {
-		c := p.Cont(func() { ran["live"]++; p.Resume() })
-		k.At(k.Now(), func() { k.SleepCont(c, 1) })
-		p.Park()
-		ran["live resumed"]++
-	})
+	park := func(name string, arm func(c *Cont)) {
+		k.Spawn(name, func(p *Proc) {
+			c := MakeCont(func() { ran[name]++; p.Resume() })
+			arm(&c)
+			p.Park()
+			ran[name+" resumed"]++
+		})
+	}
+	park("waiter", s.WaitCont)
+	park("sleeper", func(c *Cont) { k.At(k.Now(), func() { k.SleepCont(c, 10) }) })
+	park("live", func(c *Cont) { k.At(k.Now(), func() { k.SleepCont(c, 1) }) })
 	k.RunUntil(5)
 	if ran["live"] != 1 || ran["live resumed"] != 1 {
 		t.Fatalf("live continuation: %v", ran)
@@ -258,8 +253,14 @@ func TestContOfStoppedProcess(t *testing.T) {
 	k.Shutdown()
 	s.Broadcast()
 	k.Run()
-	if ran["waiter"]+ran["sleeper"]+ran["waiter resumed"]+ran["sleeper resumed"] != 0 {
-		t.Fatalf("continuations of stopped processes ran: %v", ran)
+	if ran["waiter"] != 1 || ran["sleeper"] != 1 {
+		t.Fatalf("continuations of stopped processes did not run: %v", ran)
+	}
+	if ran["waiter resumed"]+ran["sleeper resumed"] != 0 {
+		t.Fatalf("Resume ran a stopped process: %v", ran)
+	}
+	if k.LiveProcs() != 0 || !k.Idle() {
+		t.Fatalf("after Shutdown: %d live processes, idle %v", k.LiveProcs(), k.Idle())
 	}
 }
 

@@ -195,8 +195,8 @@ func (k *Kernel) Reset(seed int64) {
 // such a defer is dropped with the kernel's state. Call Shutdown from
 // outside process context before abandoning a kernel so its coroutines
 // don't outlive it. The kernel remains usable: events still pending for
-// a stopped process, or for its continuation (Proc.Cont), are no-ops,
-// and the next Spawn starts a fresh coroutine.
+// a stopped process are no-ops, and so is its Resume, and the next
+// Spawn starts a fresh coroutine.
 func (k *Kernel) Shutdown() {
 	for i, p := range k.all {
 		k.all[i] = nil

@@ -34,15 +34,13 @@ type Proc struct {
 	yieldFn  func(struct{}) bool
 	stop     func()
 	finished bool
-	parked   bool // suspended by Park: a wakeup runs contFn
+	parked   bool // suspended by Park, until Resume
 	panicVal any
-	// wake is the process's wakeup, the entry a Signal wait queues, and
-	// while the process is parked its continuation (Proc.Cont), which
-	// runs contFn instead. Its fire is the p.run method value, bound
-	// once at first Spawn so the hot wake paths (Sleep, Signal) don't
-	// allocate a fresh bound-method closure per block.
-	wake   Cont
-	contFn func()
+	// wake is the process's wakeup, the entry a Signal wait queues. Its
+	// fire is the p.run method value, bound once at first Spawn so the
+	// hot wake paths (Sleep, Signal) don't allocate a fresh bound-method
+	// closure per block.
+	wake Cont
 	// fn is the body of the current incarnation. Finished processes park
 	// their coroutine in loop() and are recycled by the next Spawn with a
 	// new fn.
@@ -106,17 +104,12 @@ func (p *Proc) call(fn func(*Proc)) {
 }
 
 // run is the process's wakeup. It transfers control to the process and
-// blocks the kernel until the process yields (blocks) or finishes, or
-// runs the process's continuation instead while the process is parked.
-// Only ever called from kernel (event handler) context. A finished
-// process is recycled before any panic it raised is re-thrown: the
-// coroutine survives either way.
+// blocks the kernel until the process yields (blocks) or finishes. Only
+// ever called from kernel (event handler) context. A finished process
+// is recycled before any panic it raised is re-thrown: the coroutine
+// survives either way.
 func (p *Proc) run() {
 	if p.finished {
-		return
-	}
-	if p.parked {
-		p.contFn()
 		return
 	}
 	p.k.resumes++
@@ -187,9 +180,9 @@ func (k *Kernel) sleepInPlace(d Duration) bool {
 }
 
 // Park suspends the process with no wakeup of its own arranged: event
-// code resumes it with Resume, typically p's continuation (see
-// Proc.Cont) once it ran the steps the process would have run itself
-// and found that the process has to take over.
+// code resumes it with Resume, typically a continuation that ran the
+// steps the process would have run itself (see Cont) and found that
+// the process has to take over.
 func (p *Proc) Park() {
 	p.parked = true
 	p.yield()
@@ -198,7 +191,8 @@ func (p *Proc) Park() {
 // Resume switches into a parked process at once, from event code: the
 // process continues inside the running event, exactly as if that event
 // were its wakeup, and Resume returns once it blocks or finishes. It
-// counts as a resume. Resuming a process that is not parked panics.
+// counts as a resume. Resuming a process that is not parked panics;
+// resuming a parked process that Kernel.Shutdown stopped does nothing.
 func (p *Proc) Resume() {
 	if !p.parked {
 		panic(fmt.Sprintf("sim: Resume of process %q, which is not parked", p.name))
@@ -215,7 +209,7 @@ func (p *Proc) Resume() {
 // two blocking calls can therefore run as a chain of continuations
 // instead, taking every event at the same (instant, scheduling order);
 // a process waiting on such a chain parks (Proc.Park) until the chain
-// resumes it.
+// resumes it (Proc.Resume).
 //
 // A continuation runs in event context: it must not block, and it may
 // call Resume. It is re-armed by calling Kernel.SleepCont or
@@ -225,25 +219,13 @@ func (p *Proc) Resume() {
 // once armed.
 type Cont struct {
 	// fire is what a wakeup runs: the callback itself, or Proc.run for
-	// a process's continuation.
+	// a process's own wakeup.
 	fire func()
 }
 
 // MakeCont returns a continuation that runs fn, to be stored in place
 // (see Cont).
 func MakeCont(fn func()) Cont { return Cont{fire: fn} }
-
-// Cont returns the continuation of p, set to run fn: p's own wakeup,
-// which runs fn instead of resuming p while p is parked. A process has
-// one continuation, and each call re-targets it. Arm it only while p is
-// parked, or with a Signal.WaitCont just before p parks: a wakeup that
-// finds p not parked resumes p. Once Kernel.Shutdown has stopped p, a
-// wakeup of its continuation still pending does nothing, as a pending
-// wakeup of p itself does.
-func (p *Proc) Cont(fn func()) *Cont {
-	p.contFn = fn
-	return &p.wake
-}
 
 // SleepCont runs c d from now, in the slot where a process calling
 // Sleep(d) at this point would resume: when that sleep would end in

@@ -7,7 +7,8 @@ import "testing"
 // wakeup resumes it in the slot where it would wake from a plain Wait.
 func waitTimeout(p *Proc, s *Signal, d Duration) bool {
 	var w TimedWait
-	s.WaitTimeoutCont(p.Cont(p.Resume), d, &w)
+	c := MakeCont(p.Resume)
+	s.WaitTimeoutCont(&c, d, &w)
 	p.Park()
 	return w.Fired()
 }

@@ -15,8 +15,10 @@ import (
 // idle herd, one worker wins the task and the others lose the race and
 // keep polling (§5.4). It reports the process resumes and the fluid
 // solves, isolated-flow skips and memo reuses per push, which are
-// deterministic counts; CI ratchets resumes/push and skips/push. A
-// loser keeps its poll flow, so a push cancels and restarts none.
+// deterministic counts; CI ratchets resumes/push and skips/push. The
+// workers are continuations, so no worker is switched into: the one
+// resume per push is the bench's main thread, woken by its task's end.
+// A loser keeps its poll flow, so a push cancels and restarts none.
 func BenchmarkWorkerHerd(b *testing.B) {
 	c := machine.NewCluster(noNoise(), 1, 1)
 	rt := New(Config{Node: c.Nodes[0], MainCore: 0, CommCore: 35})
@@ -58,8 +60,8 @@ func BenchmarkWorkerHerd(b *testing.B) {
 // runtime's software path (submission, request list, communication
 // thread, MPI). It reports the process resumes (less the spawns) and
 // kernel events per iteration, which are deterministic counts; CI
-// ratchets resumes/iter. The communication thread and its requests
-// resume no process: what is left is the main threads' waits.
+// ratchets resumes/iter. The workers, the communication thread and its
+// requests resume no process: what is left is the main threads' waits.
 func BenchmarkRuntimePingPong(b *testing.B) {
 	spec := topology.Henri()
 	c := machine.NewCluster(spec, 2, 1)

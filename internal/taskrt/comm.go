@@ -26,15 +26,32 @@ type CommHandle struct {
 }
 
 // chain is a continuation running the communication thread (from
-// commStart, h the request it processes) or request h (from reqStart),
-// trampolined as mpi's op.wake is: a wakeup that comes while step runs
-// (a sleep that ends in place) makes it run once more, not recurse.
+// commStart, h the request it processes) or request h (from reqStart).
 type chain struct {
-	rt          *Runtime
-	h           *CommHandle
-	cont        sim.Cont
-	pc          uint8
-	busy, again bool
+	rt   *Runtime
+	h    *CommHandle
+	cont sim.Cont
+	pc   uint8
+	trampoline
+}
+
+// trampoline runs the steps of a continuation (a chain or a worker) as
+// mpi's op.wake does: a wakeup that comes while a step runs (a sleep
+// that ends in place, a compute loop that ends at once) makes it run
+// once more, not recurse.
+type trampoline struct{ busy, again bool }
+
+// run runs s.step, trampolined.
+func (t *trampoline) run(s interface{ step() }) {
+	if t.busy {
+		t.again = true
+		return
+	}
+	for t.busy, t.again = true, true; t.again; {
+		t.again = false
+		s.step()
+	}
+	t.busy = false
 }
 
 // The steps of a chain.
@@ -50,17 +67,7 @@ const (
 	reqDone
 )
 
-func (c *chain) wake() {
-	if c.busy {
-		c.again = true
-		return
-	}
-	for c.busy, c.again = true, true; c.again; {
-		c.again = false
-		c.step()
-	}
-	c.busy = false
-}
+func (c *chain) wake() { c.run(c) }
 
 // step runs the chain from c.pc until it arms a wait or ends. The
 // thread pays the per-request software path serially on its core, and

@@ -12,6 +12,10 @@
 //     +38 µs latency on henri (§5.2);
 //   - polling workers inject coherence/queue traffic on the memory
 //     system, which is what degrades communication latency in Fig 9.
+//
+// Only the application's main threads are processes. The workers, the
+// communication thread and each of its requests run as continuations
+// (sim.Cont), in the event slots where such threads would wake.
 package taskrt
 
 import (
@@ -198,16 +202,20 @@ func New(cfg Config) *Runtime {
 // Node returns the node the runtime runs on.
 func (rt *Runtime) Node() *machine.Node { return rt.node }
 
-// Start spawns the worker processes and, on a runtime with an MPI
-// rank, starts the communication thread from an event of this instant.
+// Start starts the workers and, on a runtime with an MPI rank, the
+// communication thread, each from an event of this instant.
 func (rt *Runtime) Start() {
 	rt.startWorkers()
+	for i := range rt.workers {
+		rt.k.At(rt.k.Now(), rt.workers[i].wake)
+	}
 	if rt.cfg.Rank != nil {
 		rt.k.At(rt.k.Now(), rt.comm.wake)
 	}
 }
 
-// startWorkers spawns the worker processes.
+// startWorkers marks the runtime started and builds its workers, one
+// per worker core, ready to run from the head of their loop.
 func (rt *Runtime) startWorkers() {
 	if rt.started {
 		panic("taskrt: Start called twice")
@@ -217,7 +225,8 @@ func (rt *Runtime) startWorkers() {
 	for i, core := range rt.cfg.WorkerCores {
 		w := &rt.workers[i]
 		*w = worker{rt: rt, idx: i, core: core, numa: rt.node.Spec.NUMAOfCore(core)}
-		rt.k.Spawn(fmt.Sprintf("worker.n%d.c%d", rt.node.ID, core), w.run)
+		w.cont = sim.MakeCont(w.wake)
+		w.ran = func(machine.LoopEnd) { w.wake() }
 	}
 }
 
@@ -249,9 +258,6 @@ func (rt *Runtime) ResumeWorkers() {
 // unresolved dependencies are held until their predecessors finish.
 func (rt *Runtime) Submit(p *sim.Proc, tasks ...*Task) {
 	for _, t := range tasks {
-		if t.doneSig == nil {
-			t.doneSig = sim.NewSignal(rt.k)
-		}
 		rt.node.ExecCycles(p, rt.cfg.MainCore, submitCycles)
 		// Push touches the shared queue on its home NUMA node.
 		rt.node.MemAccesses(p, rt.cfg.MainCore, rt.queueNUMA, 2)
@@ -323,102 +329,131 @@ func (rt *Runtime) throttled(workerIdx int) bool {
 	return rt.cfg.CommThrottle > workerIdx && rt.commInflight > 0
 }
 
-// worker is one worker thread (§5.4): poll, execute, repeat. Its
-// process runs the tasks it wins and blocks on pause, throttle and
-// shutdown. The idle protocol, from going idle to winning or losing a
-// pushed task, runs as the process's continuation (step) in the event
-// slots where the process would have woken, so the process is switched
-// into only once it holds a task or must block.
+// worker is one worker thread (§5.4): poll, execute, repeat. Its whole
+// loop is one continuation (step), which takes the event slots where a
+// worker process would wake: the blocking checks (shutdown, pause,
+// throttle), the idle protocol, the pop's queue accesses and the task,
+// run as a compute loop of one slice.
 type worker struct {
 	rt              *Runtime
 	idx, core, numa int // index in WorkerCores, core, the core's NUMA node
-	p               *sim.Proc
-	cont            *sim.Cont // p's continuation, running step
-	phase           idlePhase
+	pc              workerPC
+	cont            sim.Cont              // runs wake
+	ran             func(machine.LoopEnd) // the task's end: wake
+	trampoline
 	// polling is the polling traffic flow while the worker is idle;
 	// pollName, its name, is built on the worker's first idle wait.
 	polling  machine.Background
 	pollName string
-	// task is the task the worker popped and fromQ its ready list.
+	// task is the task the worker popped, fromQ its ready list and
+	// begun the instant it started running.
 	task  *Task
 	fromQ int
+	begun sim.Time
 }
 
-// idlePhase is the step of the idle protocol the worker's continuation
-// takes on its next wakeup.
-type idlePhase int
+// workerPC is the step a worker takes next.
+type workerPC uint8
 
 const (
-	idleWoken  idlePhase = iota // a push (or pause, throttle, shutdown) woke the worker
-	idleNotice                  // the worker notices the push at its next poll
-	idleSteal                   // one more poll period, then it may steal
+	workTop    workerPC = iota // the loop's head: block on shutdown, pause or throttle
+	workPoll                   // busy-wait on the ready lists
+	workWoken                  // a push (or pause, throttle, shutdown) woke the idle worker
+	workNotice                 // it notices the push at its next poll
+	workSteal                  // one more poll period, then it may steal
+	workPop                    // it won a task: the pop's queue accesses
+	workRun                    // run the task
+	workRan                    // the task ended
 )
 
-// run is the life of the worker's process.
-func (w *worker) run(p *sim.Proc) {
+func (w *worker) wake() { w.run(w) }
+
+// step runs the worker from w.pc until it arms a wait or ends. An idle
+// worker notices a push only at its next poll: half a period on
+// average, plus the contended pop. Local and central tasks first;
+// stealing waits one more period so the data-local worker wins its own
+// tasks. The worker keeps polling all along, so its polling traffic
+// flows from its first idle wait until it wins a task or must block; a
+// worker that lost the race waits for the next push.
+func (w *worker) step() {
 	rt, node := w.rt, w.rt.node
-	w.p = p
-	w.cont = p.Cont(w.step)
-	for !rt.shutdown {
-		if rt.paused {
-			node.Freq.SetIdle(w.core)
-			rt.pauseSig.Wait(p)
-			continue
+	for {
+		switch w.pc {
+		case workTop:
+			switch {
+			case rt.shutdown:
+				node.Freq.SetIdle(w.core)
+				return
+			case rt.paused:
+				node.Freq.SetIdle(w.core)
+				rt.pauseSig.WaitCont(&w.cont)
+				return
+			case rt.throttled(w.idx):
+				// Communication phase: park until the request list drains
+				// (§8 future work; disabled unless Config.CommThrottle > 0).
+				node.Freq.SetIdle(w.core)
+				rt.commIdleSig.WaitCont(&w.cont)
+				return
+			}
+			w.pc = workPoll
+		case workPoll:
+			// Busy-waiting burns the core at full speed.
+			node.Freq.SetActive(w.core, topology.Scalar)
+			if w.pop(true) {
+				continue
+			}
+			w.poll()
+			w.pc = workWoken
+			rt.readySig.WaitCont(&w.cont)
+			return
+		case workWoken:
+			if w.block() {
+				continue
+			}
+			w.pc = workNotice
+			rt.k.SleepCont(&w.cont, rt.pollPeriod(w.core)/2)
+			return
+		case workNotice:
+			if w.pop(false) {
+				continue
+			}
+			w.pc = workSteal
+			rt.k.SleepCont(&w.cont, rt.pollPeriod(w.core))
+			return
+		case workSteal:
+			if !w.pop(true) && !w.block() {
+				w.pc = workPoll
+			}
+		case workPop:
+			// Pop: lock + head update on the ready list's home NUMA node.
+			if node.MemAccessesCont(&w.cont, w.core, rt.queueHomeNUMA(w.fromQ), 2) {
+				w.pc = workRun
+			}
+			return
+		case workRun:
+			w.begun, w.pc = rt.k.Now(), workRan
+			node.StartLoop(w.core, w.task.Spec, nil, w.ran)
+			return
+		case workRan:
+			t := w.task
+			w.task, w.pc = nil, workTop
+			rt.traceEvent(w.core, "task", t.Spec.Name, w.begun, rt.k.Now())
+			rt.complete(t)
 		}
-		if rt.throttled(w.idx) {
-			// Communication phase: park until the request list drains
-			// (§8 future work; disabled unless Config.CommThrottle > 0).
-			node.Freq.SetIdle(w.core)
-			rt.commIdleSig.Wait(p)
-			continue
-		}
-		if !w.poll() {
-			p.Park()
-		}
-		t := w.task
-		if t == nil {
-			continue // shutdown, pause or throttle
-		}
-		w.task = nil
-		// Pop: lock + head update on the ready list's home NUMA node.
-		node.MemAccesses(p, w.core, rt.queueHomeNUMA(w.fromQ), 2)
-		start := p.Now()
-		node.ExecCompute(p, w.core, t.Spec)
-		rt.traceEvent(w.core, "task", t.Spec.Name, start, p.Now())
-		rt.complete(t)
 	}
-	node.Freq.SetIdle(w.core)
 }
 
-// poll is the head of the worker loop past its blocking checks, in the
-// process or its continuation: busy-wait on the ready lists. It reports
-// whether the process must run, because the worker won a task (w.task)
-// or must block on shutdown, pause or throttle; either way its polling
-// traffic has stopped. Otherwise the worker is idle: its polling
-// traffic flows, started on its first idle wait and kept across the
-// pushes it loses, and its continuation waits for the next push.
-func (w *worker) poll() bool {
+// poll installs the idle worker's polling traffic flow, unless it is
+// already running.
+func (w *worker) poll() {
+	if w.polling.Running() {
+		return
+	}
 	rt := w.rt
-	if w.held() {
-		w.polling.Stop()
-		return true
+	if w.pollName == "" {
+		w.pollName = fmt.Sprintf("poll.n%d.c%d", rt.node.ID, w.core)
 	}
-	// Busy-waiting burns the core at full speed.
-	rt.node.Freq.SetActive(w.core, topology.Scalar)
-	if w.pop(true) {
-		return true
-	}
-	// Idle: install the polling traffic flow, unless it is already
-	// running, and wait for work.
-	if !w.polling.Running() {
-		if w.pollName == "" {
-			w.pollName = fmt.Sprintf("poll.n%d.c%d", rt.node.ID, w.core)
-		}
-		w.polling = rt.node.BackgroundStream(w.pollName, w.numa, rt.pollTarget(w.core), rt.pollTrafficRate(w.core))
-	}
-	w.phase = idleWoken
-	rt.readySig.WaitCont(w.cont)
-	return false
+	w.polling = rt.node.BackgroundStream(w.pollName, w.numa, rt.pollTarget(w.core), rt.pollTrafficRate(w.core))
 }
 
 // held reports whether the worker must stop polling and block:
@@ -428,47 +463,28 @@ func (w *worker) held() bool {
 	return rt.shutdown || rt.paused || rt.throttled(w.idx)
 }
 
+// block reports whether the worker is held; a held worker stops
+// polling and goes back to the head of its loop.
+func (w *worker) block() bool {
+	if !w.held() {
+		return false
+	}
+	w.polling.Stop()
+	w.pc = workTop
+	return true
+}
+
 // pop tries the worker's ready lists (see tryPop) and reports whether
-// it won a task. A worker that wins stops polling.
+// it won a task. A worker that wins stops polling and goes on to the
+// pop's queue accesses.
 func (w *worker) pop(steal bool) bool {
 	w.task, w.fromQ = w.rt.tryPop(w.numa, steal)
 	if w.task == nil {
 		return false
 	}
 	w.polling.Stop()
+	w.pc = workPop
 	return true
-}
-
-// step is the idle protocol after the worker's wakeup, one phase per
-// wakeup, in event context. The worker notices a push only at its next
-// poll: half a period on average, plus the contended pop. Local and
-// central tasks first; stealing waits one more period so the data-local
-// worker wins its own tasks. The worker keeps polling all along, so
-// its polling traffic flows until it wins a task or must block; a
-// worker that lost the race waits for the next push.
-func (w *worker) step() {
-	rt := w.rt
-	switch w.phase {
-	case idleWoken:
-		if w.held() {
-			w.polling.Stop()
-			w.p.Resume()
-			return
-		}
-		w.phase = idleNotice
-		rt.k.SleepCont(w.cont, rt.pollPeriod(w.core)/2)
-	case idleNotice:
-		if w.pop(false) {
-			w.p.Resume()
-			return
-		}
-		w.phase = idleSteal
-		rt.k.SleepCont(w.cont, rt.pollPeriod(w.core))
-	case idleSteal:
-		if w.pop(true) || w.poll() {
-			w.p.Resume()
-		}
-	}
 }
 
 // complete marks t done, releases dependants, and fires callbacks.

@@ -15,20 +15,85 @@ import (
 	"repro/internal/topology"
 )
 
-// The communication thread and its requests run as continuations. The
-// twin test runs random scenarios twice: once so, and once with the
-// thread as the process it used to be, spawning one process per
-// request that blocks in each MPI operation (startProcs, commLoopProc). Both must
-// agree on everything a measurement can read: the request instants and
+// The workers, the communication thread and its requests run as
+// continuations. The twin test runs random scenarios twice: once so, and
+// once with each of them as the process it used to be (startProcs): the
+// workers block in Sleep, Signal.Wait, MemAccesses and ExecCompute
+// (workerProc), and the thread spawns one process per request that
+// blocks in each MPI operation (commLoopProc). Both must agree on
+// everything a measurement can read: the request and task instants and
 // the rest of the execution traces, every node counter, the scenario's
 // results (or its panic), the fluid solves and the kernel's event
 // count.
 
-// startProcs is Start with the communication thread as a process.
+// startProcs is Start with the workers and the communication thread as
+// processes.
 func (rt *Runtime) startProcs() {
 	rt.startWorkers()
+	for i := range rt.workers {
+		w := &rt.workers[i]
+		rt.k.Spawn(fmt.Sprintf("worker.n%d.c%d", rt.node.ID, w.core), w.workerProc)
+	}
 	if rt.cfg.Rank != nil {
 		rt.k.Spawn(fmt.Sprintf("commthread.n%d", rt.node.ID), rt.commLoopProc)
+	}
+}
+
+// workerProc is the worker as a process: the continuation's waits are
+// its blocking calls.
+func (w *worker) workerProc(p *sim.Proc) {
+	rt, node := w.rt, w.rt.node
+	for !rt.shutdown {
+		if rt.paused {
+			node.Freq.SetIdle(w.core)
+			rt.pauseSig.Wait(p)
+			continue
+		}
+		if rt.throttled(w.idx) {
+			node.Freq.SetIdle(w.core)
+			rt.commIdleSig.Wait(p)
+			continue
+		}
+		if !w.pollProc(p) {
+			continue
+		}
+		t := w.task
+		w.task = nil
+		node.MemAccesses(p, w.core, rt.queueHomeNUMA(w.fromQ), 2)
+		start := p.Now()
+		node.ExecCompute(p, w.core, t.Spec)
+		rt.traceEvent(w.core, "task", t.Spec.Name, start, p.Now())
+		rt.complete(t)
+	}
+	node.Freq.SetIdle(w.core)
+}
+
+// pollProc is the idle protocol of workerProc: it busy-waits on the
+// ready lists, and reports true once the worker won a task and false
+// once it must block.
+func (w *worker) pollProc(p *sim.Proc) bool {
+	rt := w.rt
+	for {
+		rt.node.Freq.SetActive(w.core, topology.Scalar)
+		if w.pop(true) {
+			return true
+		}
+		w.poll()
+		rt.readySig.Wait(p)
+		if w.block() {
+			return false
+		}
+		p.Sleep(rt.pollPeriod(w.core) / 2)
+		if w.pop(false) {
+			return true
+		}
+		p.Sleep(rt.pollPeriod(w.core))
+		if w.pop(true) {
+			return true
+		}
+		if w.block() {
+			return false
+		}
 	}
 }
 
@@ -205,8 +270,8 @@ func runTwin(sc twinScenario, start func(*Runtime)) (out twinRun) {
 	return out
 }
 
-// twins runs sc with the continuation thread and with the process
-// reference, fails unless both observed exactly the same, and returns
+// twins runs sc with the continuation workers and thread and with the
+// process reference, fails unless both observed exactly the same, and returns
 // what they observed.
 func twins(t *testing.T, sc twinScenario) twinRun {
 	t.Helper()
@@ -393,7 +458,8 @@ func resilientTwin(rng *rand.Rand) twinScenario {
 // TestCommThreadMatchesProcessReference runs random ping-pong, App,
 // DistRuntime and ResilientApp scenarios, with eager and rendezvous
 // sizes, CommThrottle on and off, paused and resumed workers and fault
-// schedules, through the continuation thread and the process reference.
+// schedules, through the continuation workers and thread and the
+// process reference.
 func TestCommThreadMatchesProcessReference(t *testing.T) {
 	trials := 200
 	if testing.Short() {
@@ -401,7 +467,7 @@ func TestCommThreadMatchesProcessReference(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(47))
 	kinds := []func(*rand.Rand) twinScenario{pingPongTwin, appTwin, distTwin, resilientTwin}
-	requests, panics := 0, 0
+	requests, tasks, panics := 0, 0, 0
 	for i := 0; i < trials; i++ {
 		seed := rng.Int63()
 		sc := kinds[i%len(kinds)](rand.New(rand.NewSource(seed)))
@@ -411,14 +477,17 @@ func TestCommThreadMatchesProcessReference(t *testing.T) {
 		}
 		for _, tr := range got.traces {
 			for _, e := range tr {
-				if e.Kind == "comm" {
+				switch e.Kind {
+				case "comm":
 					requests++
+				case "task":
+					tasks++
 				}
 			}
 		}
 	}
-	if requests < 10*trials {
-		t.Fatalf("%d trials completed only %d requests", trials, requests)
+	if requests < 10*trials || tasks < 10*trials {
+		t.Fatalf("%d trials completed only %d requests and %d tasks", trials, requests, tasks)
 	}
-	t.Logf("%d trials, %d requests, %d panics", trials, requests, panics)
+	t.Logf("%d trials, %d requests, %d tasks, %d panics", trials, requests, tasks, panics)
 }

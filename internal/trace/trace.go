@@ -8,6 +8,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Table is a rectangular result set with named columns.
@@ -95,57 +96,64 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// WriteASCII emits the table with aligned columns and a title rule,
+// String renders the ASCII form: aligned columns under a title rule,
 // readable on a terminal.
-func (t *Table) WriteASCII(w io.Writer) error {
-	_, err := w.Write(t.ascii())
-	return err
-}
+func (t *Table) String() string { return ASCII([]*Table{t}) }
 
-// String renders the ASCII form.
-func (t *Table) String() string { return string(t.ascii()) }
-
-// ascii renders the ASCII form into one buffer sized up front.
-func (t *Table) ascii() []byte {
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			widths[i] = max(widths[i], len(c))
+// ASCII renders the ASCII forms of tables, separated by blank lines,
+// into one buffer sized up front that becomes the string.
+func ASCII(tables []*Table) string {
+	widths := make([][]int, len(tables))
+	n := max(len(tables)-1, 0)
+	for i, t := range tables {
+		w := make([]int, len(t.Columns))
+		for j, c := range t.Columns {
+			w[j] = len(c)
 		}
+		for _, row := range t.Rows {
+			for j, c := range row {
+				w[j] = max(w[j], len(c))
+			}
+		}
+		line := 1 // the newline
+		for j, x := range w {
+			if j > 0 {
+				line += 2
+			}
+			line += x
+		}
+		n += (len(t.Rows) + 2) * line
+		if t.Title != "" {
+			n += 2 * (len(t.Title) + 1)
+		}
+		widths[i] = w
 	}
-	line := 1 // the newline
-	for i, w := range widths {
+	b := make([]byte, 0, n)
+	for i, t := range tables {
 		if i > 0 {
-			line += 2
+			b = append(b, '\n')
 		}
-		line += w
-	}
-	size := (len(t.Rows) + 2) * line
-	if t.Title != "" {
-		size += 2 * (len(t.Title) + 1)
-	}
-	b := make([]byte, 0, size)
-	if t.Title != "" {
-		b = append(b, t.Title...)
-		b = append(b, '\n')
-		b = pad(b, '=', len(t.Title))
-		b = append(b, '\n')
-	}
-	b = appendRow(b, widths, t.Columns)
-	for i, w := range widths {
-		if i > 0 {
-			b = append(b, "  "...)
+		if t.Title != "" {
+			b = append(b, t.Title...)
+			b = append(b, '\n')
+			b = pad(b, '=', len(t.Title))
+			b = append(b, '\n')
 		}
-		b = pad(b, '-', w)
+		b = appendRow(b, widths[i], t.Columns)
+		for j, w := range widths[i] {
+			if j > 0 {
+				b = append(b, "  "...)
+			}
+			b = pad(b, '-', w)
+		}
+		b = append(b, '\n')
+		for _, row := range t.Rows {
+			b = appendRow(b, widths[i], row)
+		}
 	}
-	b = append(b, '\n')
-	for _, row := range t.Rows {
-		b = appendRow(b, widths, row)
-	}
-	return b
+	// Nothing writes b again, so the string may share its bytes, as
+	// strings.Builder's does.
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // appendRow appends one line of cells, each padded to its column width.

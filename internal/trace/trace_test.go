@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -117,8 +116,9 @@ func FuzzTableCell(f *testing.F) {
 	})
 }
 
-// referenceASCII is WriteASCII as it stood before it appended into one
-// buffer, kept as the byte-for-byte reference.
+// referenceASCII is the ASCII form as the table's WriteASCII wrote it
+// before rendering appended into one buffer, kept as the byte-for-byte
+// reference.
 func referenceASCII(t *Table) string {
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
@@ -157,6 +157,8 @@ func referenceASCII(t *Table) string {
 	return b.String()
 }
 
+// TestWriteASCIIMatchesReference: String, and ASCII over several
+// tables, render the reference's bytes.
 func TestWriteASCIIMatchesReference(t *testing.T) {
 	wide := NewTable("Fig 5 — memory-bound placement (µs)", "cores", "latency", "bandwidth")
 	for i := 0; i < 30; i++ {
@@ -164,24 +166,30 @@ func TestWriteASCIIMatchesReference(t *testing.T) {
 	}
 	ragged := NewTable("ragged", "a", "b", "c")
 	ragged.Rows = append(ragged.Rows, []string{"long cell"}, []string{"", "x"})
-	tables := map[string]*Table{
-		"empty title": func() *Table { tb := NewTable("", "a", "bb"); tb.Add(1, "xyz"); return tb }(),
-		"zero rows":   NewTable("nothing measured", "col", "value"),
-		"no columns":  NewTable("bare"),
-		"multi-byte":  wide,
-		"short rows":  ragged,
+	tables := []struct {
+		name string
+		tb   *Table
+	}{
+		{"empty title", func() *Table { tb := NewTable("", "a", "bb"); tb.Add(1, "xyz"); return tb }()},
+		{"zero rows", NewTable("nothing measured", "col", "value")},
+		{"no columns", NewTable("bare")},
+		{"multi-byte", wide},
+		{"short rows", ragged},
 	}
-	for name, tb := range tables {
+	var all []*Table
+	var joined []string
+	for _, tc := range tables {
+		name, tb := tc.name, tc.tb
 		want := referenceASCII(tb)
-		var b bytes.Buffer
-		if err := tb.WriteASCII(&b); err != nil {
-			t.Fatal(err)
-		}
-		if b.String() != want {
-			t.Errorf("%s: WriteASCII\n%q\nwant\n%q", name, b.String(), want)
-		}
+		all, joined = append(all, tb), append(joined, want)
 		if got := tb.String(); got != want {
 			t.Errorf("%s: String\n%q\nwant\n%q", name, got, want)
 		}
+	}
+	if got, want := ASCII(all), strings.Join(joined, "\n"); got != want {
+		t.Errorf("ASCII\n%q\nwant\n%q", got, want)
+	}
+	if got := ASCII(nil); got != "" {
+		t.Errorf("ASCII of no tables: %q", got)
 	}
 }
