@@ -118,8 +118,10 @@ fuzz:
 # max-min property storm over random fabrics, the pinned two-node
 # network (wire names, capacity, latency, transfer instants), the fabric
 # experiment determinism sweep, the 128-host multi-job worlds under the
-# fluid differential oracle (TestFabricDifferentialK8), and the 1k-host
-# solve budget — all under the race detector.
+# fluid differential oracle (TestFabricDifferentialK8), the 1k-host
+# solve budget, and the continuation hosts and ping against their
+# process forms (TestFabricContinuationsMatchProcesses) — all under the
+# race detector.
 fabric:
 	$(GO) test -race -count=1 -run 'Fabric' ./internal/topology/ ./internal/net/ ./internal/bench/ ./internal/runner/ ./internal/server/
 

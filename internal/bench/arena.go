@@ -34,11 +34,11 @@ import (
 // world of the same geometry — Reset rebinds every spec-derived value.
 //
 // Fabric worlds never reach the arena: a 1,024-host world would pin
-// megabytes and thousands of parked coroutines for the life of the
-// process. fabricWorld instead rewinds a point's own drained fabric
-// world for the point's later runs, under the same conditions bar the
-// fault schedule (a fresh injector is installed after the rewind), and
-// the keeper seals each rewound world's accounting first (see seal).
+// megabytes for the life of the process. fabricWorld instead rewinds a
+// point's own drained fabric world for the point's later runs, under
+// the same conditions bar the fault schedule (a fresh injector is
+// installed after the rewind) plus no network task in flight, and the
+// keeper seals each rewound world's accounting first (see seal).
 
 // pooledWorld is one reusable world.
 type pooledWorld struct {

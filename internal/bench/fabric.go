@@ -14,7 +14,6 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/machine"
 	"repro/internal/net"
@@ -25,14 +24,14 @@ import (
 
 // fabricWorld returns a cluster sized to the fabric plus its routed
 // network for one run. c and nw are the world the point ran before on
-// the same fabric and routing, nil on its first run. A drained one is
-// rewound instead of rebuilt when the point may recycle worlds: its
-// keeper seals what the world did so far, then the cluster and network
-// go back to their freshly built state, which replays a fresh world's
-// event sequence bit for bit. The worlds of a cell share one build of
-// the fabric, which no world mutates.
+// the same fabric and routing, nil on its first run. A drained one with
+// no network task in flight is rewound instead of rebuilt when the
+// point may recycle worlds: its keeper seals what the world did so far,
+// then the cluster and network go back to their freshly built state,
+// which replays a fresh world's event sequence bit for bit. The worlds
+// of a cell share one build of the fabric, which no world mutates.
 func fabricWorld(env Env, fab *topology.Fabric, adaptive bool, seed int64, c *machine.Cluster, nw *net.Network) (*machine.Cluster, *net.Network) {
-	if c != nil && env.keeper != nil && !env.NoPool && drained(c) {
+	if c != nil && env.keeper != nil && !env.NoPool && drained(c) && nw.InFlight() == 0 {
 		env.keeper.seal(c)
 		c.Reset(env.Spec, seed)
 		nw.Reset()
@@ -85,57 +84,94 @@ func stripedJobs(hosts, j int) [][]int {
 // for the solo baselines.
 func runFabricJobs(c *machine.Cluster, nw *net.Network, jobs [][]int, cfg FabricConfig) []sim.Duration {
 	makespans := make([]sim.Duration, len(jobs))
-	for j := range jobs {
-		j := j
-		hosts := jobs[j]
+	for j, hosts := range jobs {
 		if len(hosts) < 2 {
 			continue
 		}
-		barrier := sim.NewSignal(c.K)
-		arrived, finished := 0, 0
-		// One buffer per host, on its NIC's NUMA node: a host's sends
-		// read it and the transfers into it write it, every round.
-		bufs := make([]*machine.Buffer, len(hosts))
-		for idx, h := range hosts {
-			n := c.Nodes[h]
-			bufs[idx] = n.Alloc(cfg.Bytes, n.Spec.NIC.NUMA)
-		}
-		prefix := "job" + strconv.Itoa(j) + ".h"
-		for idx := range hosts {
-			idx := idx
-			src := c.Nodes[hosts[idx]]
-			srcBuf := bufs[idx]
-			c.K.Spawn(prefix+strconv.Itoa(hosts[idx]), func(p *sim.Proc) {
-				for r := 0; r < cfg.Rounds; r++ {
-					shift := 1
-					if cfg.Shift {
-						shift = 1 + r%(len(hosts)-1)
-					}
-					to := (idx + shift) % len(hosts)
-					dst, dstBuf := c.Nodes[hosts[to]], bufs[to]
-					nw.SendOverhead(p, src, 0, src.Spec.NIC.NUMA)
-					p.Sleep(src.Jitter(nw.PathLatency(src.ID, dst.ID), src.Spec.NIC.NoiseFrac))
-					nw.TransferDMA(p, src, srcBuf, dst, dstBuf, cfg.Bytes)
-					// Per-job barrier: the last arriver of the round
-					// releases the rest (the sim kernel is cooperative,
-					// so the counter needs no locking).
-					arrived++
-					if arrived == len(hosts) {
-						arrived = 0
-						barrier.Broadcast()
-					} else {
-						barrier.Wait(p)
-					}
-				}
-				finished++
-				if finished == len(hosts) {
-					makespans[j] = p.Now().Sub(0)
-				}
-			})
+		job := &fabricJob{c: c, nw: nw, cfg: cfg, hosts: hosts, makespan: &makespans[j],
+			bufs: make([]*machine.Buffer, len(hosts)), barrier: sim.NewSignal(c.K)}
+		hs := make([]fabricHost, len(hosts))
+		for idx := range hs {
+			// One buffer per host, on its NIC's NUMA node: a host's sends
+			// read it and the transfers into it write it, every round.
+			n := c.Nodes[hosts[idx]]
+			job.bufs[idx] = n.Alloc(cfg.Bytes, n.Spec.NIC.NUMA)
+			h := &hs[idx]
+			h.job, h.idx = job, idx
+			step := h.step
+			h.cont, h.then = sim.MakeCont(step), func(bool) { step() }
+			c.K.At(c.K.Now(), step)
 		}
 	}
 	c.K.Run()
 	return makespans
+}
+
+// fabricJob is one job of runFabricJobs: its hosts, their buffers, and
+// the barrier they meet at after every round.
+type fabricJob struct {
+	c                 *machine.Cluster
+	nw                *net.Network
+	cfg               FabricConfig
+	hosts             []int
+	bufs              []*machine.Buffer
+	barrier           *sim.Signal
+	arrived, finished int
+	makespan          *sim.Duration
+}
+
+// fabricHost is one host of a job, run as a continuation. Every round
+// it pays the send overhead, sleeps the jittered path latency to the
+// round's peer, writes its buffer into the peer's by RDMA and meets the
+// job's other hosts at the barrier, each step in the event slot where a
+// process making the same blocking calls would resume.
+type fabricHost struct {
+	job            *fabricJob
+	idx, round, to int // to: the round's peer
+	pc             uint8
+	cont           sim.Cont   // runs step
+	then           func(bool) // runs step
+}
+
+// step takes the host's next step; pc counts the steps of the round.
+// Each Start call is the last thing its step does, so a call that ends
+// at once runs the next step within it.
+func (h *fabricHost) step() {
+	j := h.job
+	src := j.c.Nodes[j.hosts[h.idx]]
+	switch h.pc++; h.pc {
+	case 1:
+		if h.round == j.cfg.Rounds {
+			if j.finished++; j.finished == len(j.hosts) {
+				*j.makespan = j.c.K.Now().Sub(0)
+			}
+			return
+		}
+		// The peer is the host's successor in the job's ring, one
+		// further per round under Shift.
+		shift := 1
+		if j.cfg.Shift {
+			shift = 1 + h.round%(len(j.hosts)-1)
+		}
+		h.to = (h.idx + shift) % len(j.hosts)
+		j.nw.StartSendOverhead(src, 0, src.Spec.NIC.NUMA, h.then)
+	case 2:
+		dst := j.c.Nodes[j.hosts[h.to]]
+		j.c.K.SleepCont(&h.cont, src.Jitter(j.nw.PathLatency(src.ID, dst.ID), src.Spec.NIC.NoiseFrac))
+	case 3:
+		j.nw.StartDMA(src, j.bufs[h.idx], j.c.Nodes[j.hosts[h.to]], j.bufs[h.to], j.cfg.Bytes, h.then)
+	case 4:
+		// The barrier: the last arriver of the round releases the rest
+		// and goes on in the same event.
+		h.round, h.pc = h.round+1, 0
+		if j.arrived++; j.arrived < len(j.hosts) {
+			j.barrier.WaitCont(&h.cont)
+			return
+		}
+		j.arrived = 0
+		j.barrier.Broadcast()
+		h.step()
+	}
 }
 
 // FabricCell is the measured outcome of one fabric campaign cell,
@@ -283,23 +319,7 @@ func fabricPingCell(env Env, preset string, adaptive bool) FabricPingCell {
 		c, nw = fabricWorld(env, fab, adaptive, env.Seed+int64(run), c, nw)
 		src, dst := c.Nodes[0], c.Nodes[fab.NHosts-1]
 		cell.Hops = len(fab.Route(src.ID, dst.ID, nil, nil))
-		var small, large sim.Duration
-		finished := false
-		c.K.Spawn("ping", func(p *sim.Proc) {
-			srcBuf := src.Alloc(64<<20, src.Spec.NIC.NUMA)
-			dstBuf := dst.Alloc(64<<20, dst.Spec.NIC.NUMA)
-			start := p.Now()
-			nw.SendOverhead(p, src, 0, src.Spec.NIC.NUMA)
-			p.Sleep(nw.PathLatency(src.ID, dst.ID))
-			nw.TransferDMA(p, src, srcBuf, dst, dstBuf, 64<<10)
-			nw.RecvOverhead(p, dst, 0, dst.Spec.NIC.NUMA)
-			small = p.Now().Sub(start)
-			start = p.Now()
-			nw.TransferDMA(p, src, srcBuf, dst, dstBuf, 64<<20)
-			large = p.Now().Sub(start)
-			finished = true
-		})
-		c.K.Run()
+		small, large, finished := runFabricPing(c.K, nw, src, dst)
 		if !finished {
 			continue
 		}
@@ -312,6 +332,52 @@ func fabricPingCell(env Env, preset string, adaptive bool) FabricPingCell {
 		cell.LargeGBs = sumLarge / float64(completed)
 	}
 	return cell
+}
+
+// fabricPing is one diameter ping, run as a continuation as a
+// fabricHost is: a 64 KiB transfer with the software overheads at both
+// ends and the path latency, then a 64 MiB transfer.
+type fabricPing struct {
+	nw             *net.Network
+	src, dst       *machine.Node
+	srcBuf, dstBuf *machine.Buffer
+	start          sim.Time
+	small, large   sim.Duration // the durations of the two transfers
+	pc             uint8        // the steps taken, 6 once finished
+	cont           sim.Cont
+	then           func(bool)
+}
+
+// runFabricPing runs a ping from src to dst. finished is false when it
+// never finished (a crashed end).
+func runFabricPing(k *sim.Kernel, nw *net.Network, src, dst *machine.Node) (small, large sim.Duration, finished bool) {
+	f := &fabricPing{nw: nw, src: src, dst: dst}
+	step := f.step
+	f.cont, f.then = sim.MakeCont(step), func(bool) { step() }
+	k.At(k.Now(), step)
+	k.Run()
+	return f.small, f.large, f.pc == 6
+}
+
+func (f *fabricPing) step() {
+	nw, src, dst, now := f.nw, f.src, f.dst, f.src.K().Now()
+	switch f.pc++; f.pc {
+	case 1:
+		f.srcBuf, f.dstBuf = src.Alloc(64<<20, src.Spec.NIC.NUMA), dst.Alloc(64<<20, dst.Spec.NIC.NUMA)
+		f.start = now
+		nw.StartSendOverhead(src, 0, src.Spec.NIC.NUMA, f.then)
+	case 2:
+		src.K().SleepCont(&f.cont, nw.PathLatency(src.ID, dst.ID))
+	case 3:
+		nw.StartDMA(src, f.srcBuf, dst, f.dstBuf, 64<<10, f.then)
+	case 4:
+		nw.StartRecvOverhead(dst, 0, dst.Spec.NIC.NUMA, f.then)
+	case 5:
+		f.small, f.start = now.Sub(f.start), now
+		nw.StartDMA(src, f.srcBuf, dst, f.dstBuf, 64<<20, f.then)
+	case 6:
+		f.large = now.Sub(f.start)
+	}
 }
 
 // FabricPingPong measures diameter pings over the given presets under

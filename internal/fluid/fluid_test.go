@@ -156,17 +156,23 @@ func TestZeroWorkCompletesImmediately(t *testing.T) {
 	}
 }
 
+// TestExecBlocksProcess: a process that starts a flow and waits on its
+// completion signal resumes when the work is done.
 func TestExecBlocksProcess(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := NewModel(k)
 	r := m.NewResource("bus", 100)
 	var d sim.Duration
 	k.Spawn("worker", func(p *sim.Proc) {
-		d = m.Exec(p, "work", 200, 0, []Use{{r, 1}})
+		start := p.Now()
+		done := sim.NewSignal(k)
+		m.StartFlow("work", 200, 0, []Use{{r, 1}}, done.Broadcast)
+		done.Wait(p)
+		d = p.Now().Sub(start)
 	})
 	k.Run()
 	if !almost(d.Seconds(), 2.0, 1e-6) {
-		t.Fatalf("Exec took %v, want 2s", d)
+		t.Fatalf("the flow took %v, want 2s", d)
 	}
 	if k.LiveProcs() != 0 {
 		t.Fatal("leaked process")

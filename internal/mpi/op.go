@@ -18,8 +18,7 @@ import (
 // StartSend and StartRecv run one from event context with no process
 // (start): the ping-pongs, Isend/Irecv and the task runtime's
 // communication requests. Send and Recv park their process on an op
-// (run): the collectives, overlap and the fabric jobs. The rank
-// recycles its ops.
+// (run): the collectives and overlap. The rank recycles its ops.
 type op struct {
 	r    *Rank
 	send bool

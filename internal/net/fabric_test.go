@@ -41,15 +41,15 @@ func transferScript(c *machine.Cluster, nw *Network) []sim.Time {
 	bufB3 := b.Alloc(8<<20, 3)
 	var times []sim.Time
 	c.K.Spawn("fwd", func(p *sim.Proc) {
-		nw.SendOverhead(p, a, 0, 0)
-		nw.TransferDMA(p, a, bufA0, b, bufB3, 8<<20)
+		nw.sendOverhead(p, a, 0, 0)
+		nw.transferDMA(p, a, bufA0, b, bufB3, 8<<20)
 		times = append(times, p.Now())
 		nw.StartEager(a, b, 1<<16, func(bool) { times = append(times, c.K.Now()) })
 	})
 	c.K.Spawn("rev", func(p *sim.Proc) {
-		nw.TransferDMA(p, b, bufB0, a, bufA3, 8<<20)
+		nw.transferDMA(p, b, bufB0, a, bufA3, 8<<20)
 		times = append(times, p.Now())
-		nw.RecvOverhead(p, b, 2, 0)
+		nw.recvOverhead(p, b, 2, 0)
 		times = append(times, p.Now())
 	})
 	c.K.Run()
@@ -146,7 +146,7 @@ func sequentialTransfers(t *testing.T, preset string, adaptive bool) []sim.Time 
 			srcBuf := src.Alloc(4<<20, 0)
 			dstBuf := dst.Alloc(4<<20, 0)
 			p.Sleep(nw.PathLatency(pr.src, pr.dst))
-			nw.TransferDMA(p, src, srcBuf, dst, dstBuf, 4<<20)
+			nw.transferDMA(p, src, srcBuf, dst, dstBuf, 4<<20)
 			times = append(times, p.Now())
 		}
 	})
@@ -197,7 +197,7 @@ func TestFabricSharedUpLinkHalvesThroughput(t *testing.T) {
 		dstBuf := dst.Alloc(64<<20, 0)
 		c.K.Spawn("xfer", func(p *sim.Proc) {
 			start := p.Now()
-			nw.TransferDMA(p, src, srcBuf, dst, dstBuf, 64<<20)
+			nw.transferDMA(p, src, srcBuf, dst, dstBuf, 64<<20)
 			durations[i] = p.Now().Sub(start)
 		})
 	}
@@ -450,7 +450,7 @@ func TestFabricResetMatchesFresh(t *testing.T) {
 		if len(fab.Links) > 0 {
 			src, dst := c.Nodes[0], c.Nodes[fab.NHosts-1]
 			c.K.Spawn("xfer", func(p *sim.Proc) {
-				nw.TransferDMA(p, src, src.Alloc(1<<20, 0), dst, dst.Alloc(1<<20, 0), 1<<20)
+				nw.transferDMA(p, src, src.Alloc(1<<20, 0), dst, dst.Alloc(1<<20, 0), 1<<20)
 			})
 		}
 		c.K.Run()

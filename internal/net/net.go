@@ -44,8 +44,9 @@ type Network struct {
 	eagerNames  map[int]string
 
 	// freeTasks recycles the tasks of the software and transfer paths
-	// (see task).
+	// (see task); inFlight counts the tasks started and not yet ended.
 	freeTasks []*task
+	inFlight  int
 
 	fab      *topology.Fabric
 	links    []*fluid.Resource // one per directed fabric link
@@ -71,6 +72,11 @@ func (nw *Network) Reset() {
 		nw.cluster.Fluid.SetCapacity(r, rate)
 	}
 }
+
+// InFlight returns the number of tasks started and not yet ended, as
+// Cluster.Loops counts loops. One held by a node that crashed for good
+// leaves no event, so an idle kernel may still have one.
+func (nw *Network) InFlight() int { return nw.inFlight }
 
 // memcpyName / dmaName / eagerName return the cached flow names of the
 // transfer hot paths.
@@ -183,31 +189,18 @@ func payloadAccessTime(n *machine.Node, commCore, bufNUMA int) sim.Duration {
 	return sim.Duration(base * (1 + extra))
 }
 
-// SendOverhead blocks p for the software overhead (the LogP "o") of
-// injecting one message on node n from commCore: fixed CPU cycles at
+// StartSendOverhead runs the software overhead (the LogP "o") of
+// injecting one message on node n from commCore — fixed CPU cycles at
 // the core's current frequency, the PIO access mix toward the NIC, and
-// one payload touch on the buffer's NUMA node. It is StartSendOverhead
-// with p parked until the overhead ends.
-func (nw *Network) SendOverhead(p *sim.Proc, n *machine.Node, commCore, bufNUMA int) {
-	nw.run(p, nw.overhead(taskSendOverhead, n, commCore, bufNUMA, nil))
-}
-
-// RecvOverhead blocks p for the software overhead of completing one
-// message reception on node n from commCore: StartRecvOverhead with p
-// parked until the overhead ends.
-func (nw *Network) RecvOverhead(p *sim.Proc, n *machine.Node, commCore, bufNUMA int) {
-	nw.run(p, nw.overhead(taskRecvOverhead, n, commCore, bufNUMA, nil))
-}
-
-// StartSendOverhead runs SendOverhead's steps without a process and
-// calls then (with true) once they are over: in event context, or at
-// once when the overhead ends within the call.
+// one payload touch on the buffer's NUMA node — and calls then (with
+// true) once it is over: in event context, or at once when the overhead
+// ends within the call.
 func (nw *Network) StartSendOverhead(n *machine.Node, commCore, bufNUMA int, then func(bool)) {
 	nw.overhead(taskSendOverhead, n, commCore, bufNUMA, then).step()
 }
 
-// StartRecvOverhead runs RecvOverhead's steps without a process, as
-// StartSendOverhead does.
+// StartRecvOverhead runs the software overhead of completing one
+// message reception on node n from commCore, as StartSendOverhead does.
 func (nw *Network) StartRecvOverhead(n *machine.Node, commCore, bufNUMA int, then func(bool)) {
 	nw.overhead(taskRecvOverhead, n, commCore, bufNUMA, then).step()
 }
@@ -260,21 +253,13 @@ func (nw *Network) dmaUses(buf []fluid.Use, src *machine.Node, srcNUMA int, dst 
 // crashy reports whether the network's fault schedule crashes nodes.
 func (nw *Network) crashy() bool { return nw.inj != nil && nw.inj.Crashy() }
 
-// TransferDMA moves `bytes` from srcBuf to dstBuf as one zero-copy RDMA
-// flow, blocking p until the last byte lands: StartDMA with p parked
-// until the transfer ends. Reports false when a node crash at either
-// end dropped the transfer mid-flight (crash schedules only).
-func (nw *Network) TransferDMA(p *sim.Proc, src *machine.Node, srcBuf *machine.Buffer,
-	dst *machine.Node, dstBuf *machine.Buffer, bytes int64) bool {
-	return nw.run(p, nw.transfer(taskDMA, src, srcBuf.NUMA, dst, dstBuf.NUMA, bytes, nil))
-}
-
-// StartDMA begins TransferDMA's transfer without a process and calls
-// then when it has ended — in event context, or at once if it ends
-// within the call — with whether the payload landed. A stalled NIC at
-// either end delays programming the RDMA engine. The flow's arbitration
-// priority against core streams grows with the stream census on the
-// crossed controllers (DESIGN.md §4).
+// StartDMA moves `bytes` from srcBuf to dstBuf as one zero-copy RDMA
+// flow and calls then when the transfer has ended — in event context,
+// or at once if it ends within the call — with whether the payload
+// landed (false: a node crash at either end dropped it). A stalled NIC
+// at either end delays programming the RDMA engine. The flow's
+// arbitration priority against core streams grows with the stream
+// census on the crossed controllers (DESIGN.md §4).
 func (nw *Network) StartDMA(src *machine.Node, srcBuf *machine.Buffer,
 	dst *machine.Node, dstBuf *machine.Buffer, bytes int64, then func(landed bool)) {
 	nw.transfer(taskDMA, src, srcBuf.NUMA, dst, dstBuf.NUMA, bytes, then).step()
@@ -293,21 +278,15 @@ func (nw *Network) StartMemcpy(n *machine.Node, core int, srcNUMA, dstNUMA int, 
 		then(true)
 		return
 	}
-	nw.copyTask(n, srcNUMA, dstNUMA, bytes, then).step()
-}
-
-// copyTask returns the task of a staging copy of bytes > 0 on node n.
-func (nw *Network) copyTask(n *machine.Node, srcNUMA, dstNUMA int, bytes int64, then func(bool)) *task {
 	x := nw.task(taskCopy, n, n, then)
 	x.srcNUMA, x.dstNUMA, x.bytes = srcNUMA, dstNUMA, bytes
 	x.phase = taskFlow
-	return x
+	x.step()
 }
 
 // StartEager begins moving `bytes` > 0 from src into dst's internal
-// (pre-registered, NIC-NUMA) buffers, in event context or in a process,
-// and calls then when the
-// transfer has ended — in event context, or at once if it ends within
+// (pre-registered, NIC-NUMA) buffers and calls then when the transfer
+// has ended — in event context, or at once if it ends within
 // the call — with whether the payload landed (false: a node crash
 // dropped it). The flow crosses both PCIe links, the wire, and the
 // NIC-NUMA controllers of both ends, as an RDMA transfer between
@@ -326,15 +305,14 @@ func (nw *Network) transfer(kind taskKind, src *machine.Node, srcNUMA int, dst *
 	return x
 }
 
-// task is one step of a message's path run without a process: a
-// software overhead, a staging copy, or a payload crossing the wire
-// (eager or RDMA). The steps a process would take between its blocking
-// calls — wait out a NIC stall, burn cycles once the node is up, sleep
-// the access mix, start a flow and wait for it, and on crash schedules
-// watch both ends of a transfer and drop its frozen flow when one dies
-// — run as a chain of continuations, each in the event slot where that
-// process would have resumed (see sim.Cont). A process form parks on
-// the same chain (see run). The network recycles tasks.
+// task is one step of a message's path: a software overhead, a staging
+// copy, or a payload crossing the wire (eager or RDMA). The steps a
+// process would take between its blocking calls — wait out a NIC
+// stall, burn cycles once the node is up, sleep the access mix, start a
+// flow and wait for it, and on crash schedules watch both ends of a
+// transfer and drop its frozen flow when one dies — run as a chain of
+// continuations, each in the event slot where that process would have
+// resumed (see sim.Cont). The network recycles tasks.
 type task struct {
 	nw   *Network
 	kind taskKind
@@ -346,16 +324,11 @@ type task struct {
 	core             int
 	srcNUMA, dstNUMA int
 	bytes            int64
-	// The owner: a then callback, or a process parked in run until
-	// the task ends with ok.
-	then      func(ok bool)
-	proc      *sim.Proc
-	ok, ended bool
-	parked    bool
-	phase     taskPhase
-	flow      *fluid.Flow
-	done      *sim.Signal
-	cont      sim.Cont // runs step
+	then             func(ok bool) // the owner, called once the task ends
+	phase            taskPhase
+	flow             *fluid.Flow
+	done             *sim.Signal
+	cont             sim.Cont // runs step
 }
 
 // taskKind is what a task does.
@@ -396,30 +369,8 @@ func (nw *Network) task(kind taskKind, src, dst *machine.Node, then func(bool)) 
 	}
 	x.kind, x.src, x.dst, x.then = kind, src, dst, then
 	x.phase = taskGateSrc
+	nw.inFlight++
 	return x
-}
-
-// run runs x for p: p parks until x ends, unless it ends within the
-// call, and run returns x's outcome. The task ends by resuming p in the
-// event where it ends, the slot where p would have woken from its last
-// blocking call.
-func (nw *Network) run(p *sim.Proc, x *task) bool {
-	x.proc = p
-	x.step()
-	if !x.ended {
-		x.parked = true
-		p.Park()
-	}
-	ok := x.ok
-	nw.recycle(x)
-	return ok
-}
-
-// recycle returns an ended task to the network.
-func (nw *Network) recycle(x *task) {
-	x.src, x.dst, x.then, x.proc = nil, nil, nil, nil
-	x.ended = false
-	nw.freeTasks = append(nw.freeTasks, x)
 }
 
 // step advances the task by one wakeup. Every wait it arms is the last
@@ -536,8 +487,8 @@ func (x *task) start() {
 	}
 }
 
-// end finishes the task with outcome ok and hands it back to its owner:
-// it resumes a parked process, or recycles the task and calls then.
+// end finishes the task with outcome ok: it recycles the task and
+// calls its owner.
 func (x *task) end(ok bool) {
 	nw := x.nw
 	if x.flow != nil {
@@ -549,15 +500,9 @@ func (x *task) end(ok bool) {
 		}
 		x.flow, x.done = nil, nil
 	}
-	x.ok, x.ended = ok, true
-	if p := x.proc; p != nil {
-		if x.parked {
-			x.parked = false
-			p.Resume()
-		}
-		return
-	}
 	then := x.then
-	nw.recycle(x)
+	x.src, x.dst, x.then = nil, nil, nil
+	nw.inFlight--
+	nw.freeTasks = append(nw.freeTasks, x)
 	then(ok)
 }

@@ -17,6 +17,37 @@ func testNet(t *testing.T) (*machine.Cluster, *Network) {
 	return c, New(c)
 }
 
+// await is the blocking form of a Start call: it runs start for p,
+// parks p until start's callback runs, unless it runs within the call,
+// and returns the callback's outcome.
+func await(p *sim.Proc, start func(then func(bool))) bool {
+	var ok, ended, parked bool
+	start(func(landed bool) {
+		ok, ended = landed, true
+		if parked {
+			p.Resume()
+		}
+	})
+	if !ended {
+		parked = true
+		p.Park()
+	}
+	return ok
+}
+
+func (nw *Network) sendOverhead(p *sim.Proc, n *machine.Node, commCore, bufNUMA int) {
+	await(p, func(then func(bool)) { nw.StartSendOverhead(n, commCore, bufNUMA, then) })
+}
+
+func (nw *Network) recvOverhead(p *sim.Proc, n *machine.Node, commCore, bufNUMA int) {
+	await(p, func(then func(bool)) { nw.StartRecvOverhead(n, commCore, bufNUMA, then) })
+}
+
+func (nw *Network) transferDMA(p *sim.Proc, src *machine.Node, srcBuf *machine.Buffer,
+	dst *machine.Node, dstBuf *machine.Buffer, bytes int64) bool {
+	return await(p, func(then func(bool)) { nw.StartDMA(src, srcBuf, dst, dstBuf, bytes, then) })
+}
+
 func TestWiresAreDirectedPerPair(t *testing.T) {
 	_, nw := testNet(t)
 	if len(nw.links) != 2 || nw.Link(0) == nw.Link(1) {
@@ -56,7 +87,7 @@ func TestTransferDMAUncontendedHitsWireSpeed(t *testing.T) {
 	var d sim.Duration
 	c.K.Spawn("xfer", func(p *sim.Proc) {
 		start := p.Now()
-		nw.TransferDMA(p, src, srcBuf, dst, dstBuf, 64<<20)
+		nw.transferDMA(p, src, srcBuf, dst, dstBuf, 64<<20)
 		d = p.Now().Sub(start)
 	})
 	c.K.Run()
@@ -84,7 +115,7 @@ func TestTransferDMAContendedSharesController(t *testing.T) {
 	c.K.Spawn("xfer", func(p *sim.Proc) {
 		p.Sleep(sim.Duration(sim.Millisecond)) // let streams settle
 		start := p.Now()
-		nw.TransferDMA(p, src, srcBuf, dst, dstBuf, 64<<20)
+		nw.transferDMA(p, src, srcBuf, dst, dstBuf, 64<<20)
 		d = p.Now().Sub(start)
 	})
 	c.K.Run()
@@ -106,7 +137,7 @@ func TestSendOverheadScalesWithFrequency(t *testing.T) {
 		done := false
 		c.K.Spawn("o", func(p *sim.Proc) {
 			start := p.Now()
-			nw.SendOverhead(p, n, 0, 0)
+			nw.sendOverhead(p, n, 0, 0)
 			d = p.Now().Sub(start)
 			done = true
 		})
@@ -140,7 +171,7 @@ func TestPIOFarThreadFeelsLinkContention(t *testing.T) {
 		var d sim.Duration
 		c.K.Spawn("o", func(p *sim.Proc) {
 			start := p.Now()
-			nw.SendOverhead(p, n, farCore, 0)
+			nw.sendOverhead(p, n, farCore, 0)
 			d = p.Now().Sub(start)
 		})
 		c.K.Run()
@@ -193,12 +224,12 @@ func TestWireSharedByOppositeTransfersIndependently(t *testing.T) {
 	var dAB, dBA sim.Duration
 	c.K.Spawn("ab", func(p *sim.Proc) {
 		start := p.Now()
-		nw.TransferDMA(p, a, bufA, b, bufB, 64<<20)
+		nw.transferDMA(p, a, bufA, b, bufB, 64<<20)
 		dAB = p.Now().Sub(start)
 	})
 	c.K.Spawn("ba", func(p *sim.Proc) {
 		start := p.Now()
-		nw.TransferDMA(p, b, bufB, a, bufA, 64<<20)
+		nw.transferDMA(p, b, bufB, a, bufA, 64<<20)
 		dBA = p.Now().Sub(start)
 	})
 	c.K.Run()
